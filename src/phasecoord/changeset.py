@@ -256,12 +256,19 @@ def canonical_variable(value: object) -> tuple:
 
 
 def canonical_model(m: StdModel) -> tuple:
-    return (
-        m.version,
-        tuple(sorted(canonical_std(s) for s in m.components.values())),
-        tuple(sorted(canonical_rule(r) for r in m.rules.values())),
-        tuple(sorted((n, canonical_variable(v)) for n, v in m.variables.items())),
-    )
+    """The canonical form of `m`, computed once per model object.
+
+    Models are never mutated (see `model`), so the form is kept in the
+    instance `__dict__` beside the model's `cached_property` facts."""
+    facts = m.__dict__
+    if "canonical" not in facts:
+        facts["canonical"] = (
+            m.version,
+            tuple(sorted(canonical_std(s) for s in m.components.values())),
+            tuple(sorted(canonical_rule(r) for r in m.rules.values())),
+            tuple(sorted((n, canonical_variable(v)) for n, v in m.variables.items())),
+        )
+    return facts["canonical"]
 
 
 def models_equal(a: StdModel, b: StdModel) -> bool:

@@ -121,11 +121,9 @@ def enabled_detailed(
         raise UnknownElement(component)
     state = config.detailed[component]
     phases = _current_phases(std, config)
-    claimed = model.claimed_steps()
+    claimed = model.claimed_steps
     out = set()
-    for t in std.transitions:
-        if t.source != state:
-            continue
+    for t in std.transitions_from.get(state, ()):
         if any(t not in phase.transitions for phase in phases):
             continue
         if (component, t) in claimed:
@@ -206,10 +204,10 @@ def _rule_enabled(model: StdModel, config: Configuration, rule: ConsistencyRule)
 def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRule]:
     """Rules whose manager step, transfer guards and (if present) changeset
     are all enabled now, sorted by rule name."""
+    by_step = model.rules_by_manager_step
+    names = sorted(name for at in config.detailed.items() for name in by_step.get(at, ()))
     return [
-        model.rules[name]
-        for name in sorted(model.rules)
-        if _rule_enabled(model, config, model.rules[name])
+        model.rules[name] for name in names if _rule_enabled(model, config, model.rules[name])
     ]
 
 

@@ -5,16 +5,18 @@ mid-run through rule-carried changesets, so states are interned by model
 content, not only by the version stamp; two configurations that differ only
 in model version are distinct states.
 
-The seen-set is digest-then-compare: a stable 64-bit fingerprint buckets
-states and a full comparison resolves collisions.  Exploration is
-deterministic; the optional worker pool only parallelizes successor
-computation within one BFS layer and merges results in layer order, so
-reports are identical to the single-threaded run byte for byte.
+Each distinct model content gets an index in the space, found through its
+canonical form (computed once per model object, see
+`changeset.canonical_model`).  The seen-set is a plain dict from
+(model index, `Configuration.key()`) to the state's index; the key is built
+once per reached state.  Exploration is deterministic; the optional worker
+pool only parallelizes successor computation within one BFS layer and
+merges results in layer order, so reports are identical to the
+single-threaded run byte for byte.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -59,7 +61,8 @@ class Space:
     parent: list[Optional[tuple[int, StepLabel]]] = field(default_factory=list)
     edges: list[tuple[int, StepLabel, int]] = field(default_factory=list)
     deadlocks: list[int] = field(default_factory=list)
-    seen: dict[int, list[tuple[tuple, int]]] = field(default_factory=dict)
+    # (model index, Configuration.key()) -> state index
+    seen: dict[tuple[int, tuple], int] = field(default_factory=dict)
     max_states_hit: bool = False
     max_depth_hit: bool = False
 
@@ -122,32 +125,23 @@ class Space:
         return records
 
 
-def _model_index(space: Space, model: StdModel) -> int:
-    key = canonical_model(model)
-    idx = space.model_keys.get(key)
-    if idx is None:
-        idx = len(space.models)
-        space.models.append(model)
-        space.model_keys[key] = idx
-    return idx
-
-
-def _state_fingerprint(model_idx: int, config: Configuration) -> int:
-    payload = repr((model_idx, config.key())).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-
-
-def _intern_state(space: Space, model: StdModel, config: Configuration,
-                  depth: int, parent: Optional[tuple[int, StepLabel]]) -> tuple[int, bool]:
-    model_idx = _model_index(space, model)
+def _intern_state(space: Space, model: StdModel, config: Configuration, depth: int,
+                  parent: Optional[tuple[int, StepLabel]],
+                  max_states: int) -> Optional[tuple[int, bool]]:
+    """The state's index and whether it was added now; None when it is new
+    but the space already holds `max_states` states."""
+    model_key = canonical_model(model)
+    model_idx = space.model_keys.get(model_key, len(space.models))
     key = (model_idx, config.key())
-    digest = _state_fingerprint(model_idx, config)
-    bucket = space.seen.setdefault(digest, [])
-    for existing_key, idx in bucket:
-        if existing_key == key:
-            return idx, False
-    idx = len(space.configs)
-    bucket.append((key, idx))
+    idx = space.seen.get(key)
+    if idx is not None:
+        return idx, False
+    if len(space.configs) >= max_states:
+        return None
+    if model_idx == len(space.models):
+        space.models.append(model)
+        space.model_keys[model_key] = model_idx
+    idx = space.seen[key] = len(space.configs)
     space.configs.append(config)
     space.model_of.append(model_idx)
     space.depth.append(depth)
@@ -164,7 +158,7 @@ def explore_space(
 ) -> Space:
     """Breadth-first reachability; the reusable core of every check."""
     space = Space()
-    root, _ = _intern_state(space, model, initial, 0, None)
+    root, _ = _intern_state(space, model, initial, 0, None, max_states=1)  # always kept
     frontier = [root]
     depth = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -191,12 +185,13 @@ def explore_space(
                     space.deadlocks.append(idx)
                     continue
                 for label, nxt_model, nxt_config in succ:
-                    if space.state_count() >= bounds.max_states:
+                    interned = _intern_state(
+                        space, nxt_model, nxt_config, depth + 1, (idx, label), bounds.max_states
+                    )
+                    if interned is None:
                         space.max_states_hit = True
                         break
-                    dst, fresh = _intern_state(
-                        space, nxt_model, nxt_config, depth + 1, (idx, label)
-                    )
+                    dst, fresh = interned
                     space.edges.append((idx, label, dst))
                     if fresh:
                         next_frontier.append(dst)
@@ -508,6 +503,10 @@ def check_progress(
     are held to the obligation (e.g. only states inside a migration window);
     continuations may still run through any state."""
     space = explore_space(model, initial, bounds)
+    if space.max_states_hit or space.max_depth_hit:
+        # missing edges can only over-estimate distances, so no state is
+        # provably starved on a truncated graph
+        return ProgressResult("unknown(bound)")
     sources = sorted(
         {src for src, label, _ in space.edges if acts_on(label, component)}
     )
@@ -521,8 +520,6 @@ def check_progress(
             return ProgressResult(
                 "starved", starved=space.configs[idx], witness=space.trace_to(idx)
             )
-    if space.max_states_hit or space.max_depth_hit:
-        return ProgressResult("unknown(bound)")
     return ProgressResult("satisfied")
 
 

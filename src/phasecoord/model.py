@@ -8,12 +8,21 @@ the commitment signals that enable phase transfers.  Consistency rules
 synchronize one manager transition with phase transfers of employee roles.
 
 All types are immutable values after construction; validation is pure and
-returns ordered diagnostics rather than raising.
+returns ordered diagnostics rather than raising.  Nothing mutates a model,
+its components or the mappings it holds once it is built: a changeset makes
+a new `StdModel`.  Facts derived from one `Std` or `StdModel` object (its
+transitions by source, claimed steps, rules by manager step, and the
+canonical form in `changeset.canonical_model`) are therefore computed once
+per object and kept in its instance `__dict__`, where
+`functools.cached_property` keeps them.  They are not dataclass fields, so
+`==`, `repr` and `dataclasses.replace` ignore them, and a replaced object
+starts with none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 # Reserved trap name: the trap consisting of all states of a phase.  It is
@@ -91,8 +100,13 @@ class Std:
                 return p
         return None
 
-    def outgoing(self, state: str) -> list[Transition]:
-        return sorted(t for t in self.transitions if t.source == state)
+    @cached_property
+    def transitions_from(self) -> dict[str, tuple[Transition, ...]]:
+        """Sorted outgoing transitions of each state that has any."""
+        out: dict[str, list[Transition]] = {}
+        for t in sorted(self.transitions):
+            out.setdefault(t.source, []).append(t)
+        return {state: tuple(ts) for state, ts in out.items()}
 
 
 @dataclass(frozen=True)
@@ -142,9 +156,20 @@ class StdModel:
     def rule_names(self) -> list[str]:
         return sorted(self.rules)
 
+    @cached_property
     def claimed_steps(self) -> frozenset[tuple[str, Transition]]:
         """Steps that appear as some rule's manager step; they fire only via rules."""
         return frozenset((r.manager, r.manager_step) for r in self.rules.values())
+
+    @cached_property
+    def rules_by_manager_step(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """Sorted rule names by (manager, source state of the manager step):
+        a rule can be enabled only while its manager sits at that source."""
+        out: dict[tuple[str, str], list[str]] = {}
+        for name in sorted(self.rules):
+            rule = self.rules[name]
+            out.setdefault((rule.manager, rule.manager_step.source), []).append(name)
+        return {key: tuple(names) for key, names in out.items()}
 
 
 @dataclass(frozen=True)

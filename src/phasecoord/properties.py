@@ -121,22 +121,22 @@ class EventuallyAll:
 PropertyExpr = Union[Invariant, Reachable, EventuallyAll]
 
 
-def _check_component(model: StdModel, name: str, atom: str):
+def _check_component(model: StdModel, name: str, atom: Predicate):
     if name not in model.components:
-        raise PropertyError(f"{atom}: unknown component {name}")
+        raise PropertyError(f"{atom.text()}: unknown component {name}")
 
 
 def eval_predicate(pred: Predicate, model: StdModel, config: Configuration) -> bool:
     if isinstance(pred, InState):
-        _check_component(model, pred.component, pred.text())
+        _check_component(model, pred.component, pred)
         return config.detailed.get(pred.component) == pred.state
     if isinstance(pred, InPhase):
-        _check_component(model, pred.component, pred.text())
+        _check_component(model, pred.component, pred)
         return config.phases.get((pred.component, pred.partition)) == pred.phase
     if isinstance(pred, CountInState):
         count = 0
         for comp, state in pred.pairs:
-            _check_component(model, comp, pred.text())
+            _check_component(model, comp, pred)
             if config.detailed.get(comp) == state:
                 count += 1
         return {

@@ -142,6 +142,14 @@ class TestExplore:
                                  "--load-migration", "ShopMigr", "--max-states", "10")
         assert code == 5
 
+    def test_truncated_progress_is_unknown_exit_5(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "json", "explore", "cs-nondet",
+                                 "--max-states", "5", "--check-progress", "16")
+        assert code == 5
+        progress = json.loads(out)["progress"]
+        assert sorted(progress) == ["Scheduler", "Worker1", "Worker2"]
+        assert all(v["verdict"] == "unknown(bound)" for v in progress.values())
+
     def test_all_bundled_models_pass_their_properties(self, capsys):
         for name in ("cs-nondet", "cs-roundrobin", "prodcons"):
             code, out, err = run_cli(capsys, "explore", name)

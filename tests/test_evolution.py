@@ -168,6 +168,47 @@ class TestChangesets:
                 assert [d.code for d in validate_changeset(model, moved, cs)] == base
 
 
+def _uncached(model: StdModel) -> StdModel:
+    """An equal model whose own object and components hold no cached facts."""
+    return replace(model, components={n: replace(s) for n, s in model.components.items()})
+
+
+class TestCachedModelFacts:
+    """Facts kept per model object (see `phasecoord.model`) never go stale."""
+
+    def assert_matches_fresh(self, model):
+        fresh = _uncached(model)
+        assert "canonical" not in fresh.__dict__
+        assert canonical_model(model) is canonical_model(model)
+        assert canonical_model(model) == canonical_model(fresh)
+        assert model.claimed_steps == fresh.claimed_steps
+        assert model.rules_by_manager_step == fresh.rules_by_manager_step
+        for name, std in model.components.items():
+            assert std.transitions_from == fresh.components[name].transitions_from
+        assert model == fresh
+
+    def test_bundled_models(self, bundles):
+        for name, bundle in bundles.items():
+            model = bundle.model()
+            successors(model, initial_configuration(model))
+            self.assert_matches_fresh(model)
+
+    def test_models_of_the_flagship_exploration(self, shop_loaded):
+        model, config = shop_loaded
+        space = explore_space(model, config)
+        assert len(space.models) > 1
+        for m in space.models:
+            self.assert_matches_fresh(m)
+
+    def test_replaced_version_gets_its_own_canonical_form(self, shop_loaded):
+        model, _ = shop_loaded
+        before = canonical_model(model)
+        bumped = replace(model, version=model.version + 1)
+        assert canonical_model(bumped) == (model.version + 1,) + before[1:]
+        assert canonical_model(model) == before
+        assert bumped != model and not models_equal(bumped, model)
+
+
 class TestWeave:
     def test_weave_into_empty_model(self):
         woven = weave_mcpal(StdModel({}, {}, {}, 0))

@@ -86,6 +86,16 @@ class TestExplore:
         assert report.max_states_hit
         assert report.states_visited <= 2
 
+    def test_bound_equal_to_state_count_is_not_hit(self, bundles):
+        # cs-nondet has exactly 16 states; only new states count against the bound
+        model = bundles["cs-nondet"].model()
+        space = explore_space(model, initial_configuration(model), Bounds(max_states=16))
+        assert (space.state_count(), len(space.edges)) == (16, 26)
+        assert not space.max_states_hit
+        space = explore_space(model, initial_configuration(model), Bounds(max_states=15))
+        assert space.state_count() == 15
+        assert space.max_states_hit
+
     def test_census_stability(self, shop_loaded):
         model, config = shop_loaded
         a = explore(model, config, [])
