@@ -27,7 +27,7 @@ from .engine import (
     label_text,
     parse_trace_labels,
     run,
-    successors,
+    walk_trace,
 )
 from .explorer import (
     Bounds,
@@ -151,11 +151,10 @@ def cmd_simulate(args) -> int:
     steps = args.steps
     if args.script:
         try:
-            script_text = Path(args.script).read_text("utf-8")
-        except OSError as exc:
+            labels = parse_trace_labels(Path(args.script).read_text("utf-8"))
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        labels = parse_trace_labels(script_text)
         policy = ScriptedPolicy(labels)
         steps = len(labels) if args.steps is None else args.steps
     elif args.interactive:
@@ -230,14 +229,14 @@ def cmd_explore(args) -> int:
 
     bounds = Bounds(max_states=args.max_states, max_depth=args.max_depth)
     report = explore(model, config, props, bounds, workers=args.parallel)
+    space = report.space
     doc = json.loads(report.to_json())
 
     violated = bool(report.violations)
-    unknown = report.unknown() or report.max_states_hit or report.max_depth_hit
+    unknown = report.unknown() or space.truncated
 
     if args.check_termination is not None:
-        result = check_migration_termination(model, config, args.check_termination,
-                                             bound=args.max_depth)
+        result = check_migration_termination(space, args.check_termination)
         doc["termination"] = {
             "targetVersion": args.check_termination,
             "verdict": result.verdict,
@@ -251,7 +250,7 @@ def cmd_explore(args) -> int:
     if args.check_progress is not None:
         doc["progress"] = {}
         for comp in sorted(model.components):
-            result = check_progress(model, config, comp, args.check_progress, bounds)
+            result = check_progress(space, comp, args.check_progress)
             doc["progress"][comp] = {"k": args.check_progress, "verdict": result.verdict}
             if result.verdict == "starved":
                 violated = True
@@ -290,17 +289,12 @@ def cmd_explore(args) -> int:
 
 def _narrate(trace, model, header: str):
     print(header)
-    config = trace.initial
-    print(f"  start: {_compact(config)}")
-    for i, (label, digest) in enumerate(trace.steps, start=1):
-        succ = successors(model, config)
-        for lab, nxt_model, nxt in succ:
-            if lab == label:
-                model, config = nxt_model, nxt
-                break
-        print(f"  step {i}: {label_text(label)}")
-        print(f"    -> {_compact(config)}")
-    return model, config
+    for i, label, _, config in walk_trace(model, trace):
+        if label is None:
+            print(f"  start: {_compact(config)}")
+        else:
+            print(f"  step {i}: {label_text(label)}")
+            print(f"    -> {_compact(config)}")
 
 
 def _compact(config) -> str:
@@ -323,12 +317,12 @@ def cmd_demo(args) -> int:
         fragment = bundle.fragment()
         model, config = load_migration(model, config, fragment)
         target = model.version + 2  # kick-off and shrink each bump the version
-        trace = shortest_trace_to(model, config, _completion_predicate(target, sk))
+        trace = shortest_trace_to(explore_space(model, config), _completion_predicate(target, sk))
         if trace is None:
             print("no completing trajectory found", file=sys.stderr)
             return EXIT_VIOLATION
-        final_model, final = _narrate(trace, model, "shop migration, shortest completing run:")
-        print(f"migration complete, model version {final.model_version}, "
+        _narrate(trace, model, "shop migration, shortest completing run:")
+        print(f"migration complete, model version {trace.final_model_version}, "
               f"{sk.component} hibernating")
         return EXIT_OK
 

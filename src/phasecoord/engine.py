@@ -18,7 +18,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .changeset import apply_changeset, validate_changeset
 from .model import (
@@ -48,7 +48,7 @@ class ReplayDivergence(EngineError):
     def __init__(self, index: int, label: "StepLabel"):
         self.index = index
         self.label = label
-        super().__init__(f"step {index}: label not enabled: {label_text(label)}")
+        super().__init__(f"step {index}: replay diverged at {label_text(label)}")
 
 
 @dataclass(frozen=True)
@@ -389,31 +389,46 @@ def _state_record(index: int, label: Optional[StepLabel], config: Configuration,
     }
 
 
+def walk_trace(
+    model: StdModel, trace: Trace
+) -> Iterator[tuple[int, Optional[StepLabel], StdModel, Configuration]]:
+    """Re-execute a trace, yielding (index, label, model, configuration): index
+    0 with label None for the initial configuration, then one tuple per step.
+    Raises ReplayDivergence when a label is not enabled or a step reaches a
+    configuration whose digest differs from the recorded one."""
+    config = trace.initial
+    yield 0, None, model, config
+    for i, (label, digest) in enumerate(trace.steps, start=1):
+        step = next((s for s in successors(model, config) if s[0] == label), None)
+        if step is None or config_digest(step[2]) != digest:
+            raise ReplayDivergence(i - 1, label)
+        _, model, config = step
+        yield i, label, model, config
+
+
 def export_trace_jsonl(model: StdModel, trace: Trace) -> str:
     """One JSON object per line; line 0 is the initial configuration, each
     further line one step.  Reconstructs intermediate configurations by
     replaying the labels, which is deterministic."""
-    config = trace.initial
-    lines = [json.dumps(_state_record(0, None, config, config_digest(config)), sort_keys=True)]
-    for i, (label, digest) in enumerate(trace.steps, start=1):
-        succ = successors(model, config)
-        step = next((s for s in succ if s[0] == label), None)
-        if step is None:
-            raise ReplayDivergence(i - 1, label)
-        _, model, config = step
-        assert config_digest(config) == digest, f"digest mismatch at step {i}"
-        lines.append(json.dumps(_state_record(i, label, config, digest), sort_keys=True))
-    return "\n".join(lines) + "\n"
+    digests = [config_digest(trace.initial), *(digest for _, digest in trace.steps)]
+    return "".join(
+        json.dumps(_state_record(i, label, config, digests[i]), sort_keys=True) + "\n"
+        for i, label, _, config in walk_trace(model, trace)
+    )
 
 
 def parse_trace_labels(text: str) -> list[StepLabel]:
-    """Labels of an exported JSON-lines trace, in order."""
+    """Labels of an exported JSON-lines trace, in order.  Raises ValueError
+    naming the 1-based line of the first record that is not a trace record."""
     labels = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        if record.get("label") is not None:
-            labels.append(label_from_json(record["label"]))
+        try:
+            label = json.loads(line).get("label")
+            if label is not None:
+                labels.append(label_from_json(label))
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+            raise ValueError(f"line {number}: not a trace record ({exc!r})") from exc
     return labels

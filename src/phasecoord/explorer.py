@@ -13,6 +13,10 @@ once per reached state.  Exploration is deterministic; the optional worker
 pool only parallelizes successor computation within one BFS layer and
 merges results in layer order, so reports are identical to the
 single-threaded run byte for byte.
+
+`explore_space` builds a `Space`; every check below is a pure query over
+one, so a caller that asks several questions explores once, and every
+answer obeys the same bounds.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from .changeset import canonical_model
 from .engine import (
     StepLabel,
     Trace,
+    _state_record,
     acts_on,
     config_digest,
     label_sort_key,
     label_text,
-    label_to_json,
     successors,
 )
 from .model import Configuration, StdModel, validate_configuration
@@ -66,8 +70,22 @@ class Space:
     max_states_hit: bool = False
     max_depth_hit: bool = False
 
+    @property
+    def truncated(self) -> bool:
+        """True when a bound cut the exploration short: absent states and
+        edges may exist, so only witnesses found in the space are evidence."""
+        return self.max_states_hit or self.max_depth_hit
+
     def state_count(self) -> int:
         return len(self.configs)
+
+    def state(self, idx: int) -> tuple[StdModel, Configuration]:
+        return self.models[self.model_of[idx]], self.configs[idx]
+
+    def first(self, test: Callable[[StdModel, Configuration], object]) -> Optional[int]:
+        """The first state, in BFS order, whose (model, configuration) passes
+        `test`; None when no explored state does."""
+        return next((idx for idx in range(len(self.configs)) if test(*self.state(idx))), None)
 
     def versions_seen(self) -> list[int]:
         return sorted({c.model_version for c in self.configs})
@@ -84,45 +102,30 @@ class Space:
             out[dst].append(src)
         return out
 
-    def trace_to(self, state: int) -> Trace:
-        """Shortest trace from the exploration root, by BFS construction."""
-        labels: list[StepLabel] = []
-        digests: list[int] = []
-        at = state
-        while self.parent[at] is not None:
-            prev, label = self.parent[at]
-            labels.append(label)
-            digests.append(config_digest(self.configs[at]))
-            at = prev
-        labels.reverse()
-        digests.reverse()
-        return Trace(
-            initial=self.configs[at],
-            steps=tuple(zip(labels, digests)),
-            final_model_version=self.configs[state].model_version,
-        )
-
-    def trace_records(self, state: int) -> list[dict]:
-        """JSON-lines-style records of the trace to a state."""
+    def _path(self, state: int) -> list[int]:
+        """State indices from the exploration root to `state`."""
         path = [state]
         while self.parent[path[-1]] is not None:
             path.append(self.parent[path[-1]][0])
         path.reverse()
-        records = []
-        for i, idx in enumerate(path):
-            config = self.configs[idx]
-            label = self.parent[idx][1] if i > 0 else None
-            records.append(
-                {
-                    "index": i,
-                    "label": label_to_json(label),
-                    "componentStates": dict(sorted(config.detailed.items())),
-                    "rolePhases": {f"{c}.{p}": ph for (c, p), ph in sorted(config.phases.items())},
-                    "modelVersion": config.model_version,
-                    "digest": f"{config_digest(config):016x}",
-                }
-            )
-        return records
+        return path
+
+    def trace_to(self, state: int) -> Trace:
+        """Shortest trace from the exploration root, by BFS construction."""
+        path = self._path(state)
+        return Trace(
+            initial=self.configs[path[0]],
+            steps=tuple((self.parent[idx][1], config_digest(self.configs[idx])) for idx in path[1:]),
+            final_model_version=self.configs[state].model_version,
+        )
+
+    def trace_records(self, state: int) -> list[dict]:
+        """The trace to a state as records of the exported JSON-lines format."""
+        return [
+            _state_record(i, self.parent[idx][1] if i else None, self.configs[idx],
+                          config_digest(self.configs[idx]))
+            for i, idx in enumerate(self._path(state))
+        ]
 
 
 def _intern_state(space: Space, model: StdModel, config: Configuration, depth: int,
@@ -156,7 +159,7 @@ def explore_space(
     exclude: Optional[Callable[[StepLabel], bool]] = None,
     workers: int = 1,
 ) -> Space:
-    """Breadth-first reachability; the reusable core of every check."""
+    """Breadth-first reachability; the one exploration every check queries."""
     space = Space()
     root, _ = _intern_state(space, model, initial, 0, None, max_states=1)  # always kept
     frontier = [root]
@@ -169,7 +172,7 @@ def explore_space(
                 break
 
             def expand(idx: int):
-                succ = successors(space.models[space.model_of[idx]], space.configs[idx])
+                succ = successors(*space.state(idx))
                 if exclude is not None:
                     succ = [s for s in succ if not exclude(s[0])]
                 return succ
@@ -208,13 +211,6 @@ def explore_space(
 
 
 @dataclass
-class PropertyVerdict:
-    prop: PropertyExpr
-    verdict: str  # holds | violated | satisfied | not-reachable | unknown(bound)
-    witness: Optional[int] = None  # state index
-
-
-@dataclass
 class ExplorationReport:
     states_visited: int
     transitions_visited: int
@@ -225,6 +221,7 @@ class ExplorationReport:
     bounds: Bounds
     max_states_hit: bool
     max_depth_hit: bool
+    space: Space = field(repr=False, compare=False)  # for further queries
 
     def ok(self) -> bool:
         return not self.violations
@@ -277,13 +274,13 @@ def _within_bound_to_targets(space: Space, targets: Sequence[int]) -> list[int]:
     return dist
 
 
-def _sorted_violations(items: list[tuple[str, int, Space]]) -> list[tuple[str, list[dict]]]:
+def _sorted_violations(space: Space, items: list[tuple[str, int]]) -> list[tuple[str, list[dict]]]:
     def sort_key(item):
-        prop, state, space = item
+        prop, state = item
         trace = space.trace_to(state)
         return (len(trace.steps), [label_text(l) for l in trace.labels()], prop)
 
-    return [(prop, space.trace_records(state)) for prop, state, space in sorted(items, key=sort_key)]
+    return [(prop, space.trace_records(state)) for prop, state in sorted(items, key=sort_key)]
 
 
 def explore(
@@ -298,56 +295,35 @@ def explore(
     Invariants are checked at each state (counterexamples are BFS-shortest);
     reachable properties are satisfied on the first witness; eventuallyAll
     properties require that from every reachable state some satisfying state
-    remains reachable within the stated step bound.
+    remains reachable within the stated step bound.  The report keeps the
+    explored space for further queries.
     """
     space = explore_space(model, initial, bounds, workers=workers)
-    exhaustive = not (space.max_states_hit or space.max_depth_hit)
-    pending_violations: list[tuple[str, int, Space]] = []
+    pending_violations: list[tuple[str, int]] = []
     verdicts: list[tuple[str, str]] = []
 
-    for idx in range(space.state_count()):
-        bad = validate_configuration(space.models[space.model_of[idx]], space.configs[idx])
-        if bad:
-            pending_violations.append(("configuration-valid", idx, space))
-            break  # one witness suffices; the engine asserts this never happens
+    bad = space.first(validate_configuration)  # the engine asserts there is none
+    if bad is not None:
+        pending_violations.append(("configuration-valid", bad))
 
     for prop in properties:
         if isinstance(prop, Invariant):
-            witness = next(
-                (
-                    idx
-                    for idx in range(space.state_count())
-                    if not eval_predicate(
-                        prop.predicate, space.models[space.model_of[idx]], space.configs[idx]
-                    )
-                ),
-                None,
-            )
+            witness = space.first(lambda m, c: not eval_predicate(prop.predicate, m, c))
             if witness is not None:
-                pending_violations.append((prop.text(), witness, space))
+                pending_violations.append((prop.text(), witness))
                 verdicts.append((prop.text(), "violated"))
             else:
-                verdicts.append((prop.text(), "holds" if exhaustive else "unknown(bound)"))
+                verdicts.append((prop.text(), "unknown(bound)" if space.truncated else "holds"))
         elif isinstance(prop, Reachable):
-            witness = next(
-                (
-                    idx
-                    for idx in range(space.state_count())
-                    if eval_predicate(
-                        prop.predicate, space.models[space.model_of[idx]], space.configs[idx]
-                    )
-                ),
-                None,
-            )
-            if witness is not None:
+            if space.first(lambda m, c: eval_predicate(prop.predicate, m, c)) is not None:
                 verdicts.append((prop.text(), "satisfied"))
-            elif exhaustive:
-                verdicts.append((prop.text(), "not-reachable"))
-                pending_violations.append((prop.text(), 0, space))
-            else:
+            elif space.truncated:
                 verdicts.append((prop.text(), "unknown(bound)"))
+            else:
+                verdicts.append((prop.text(), "not-reachable"))
+                pending_violations.append((prop.text(), 0))
         elif isinstance(prop, EventuallyAll):
-            if not exhaustive:
+            if space.truncated:
                 # missing edges can only over-estimate distances, so nothing
                 # is provable on a truncated graph
                 verdicts.append((prop.text(), "unknown(bound)"))
@@ -355,19 +331,13 @@ def explore(
             targets = [
                 idx
                 for idx in range(space.state_count())
-                if eval_predicate(
-                    prop.predicate, space.models[space.model_of[idx]], space.configs[idx]
-                )
+                if eval_predicate(prop.predicate, *space.state(idx))
             ]
             dist = _within_bound_to_targets(space, targets)
-            worst = None
-            for idx in range(space.state_count()):
-                if dist[idx] == -1 or dist[idx] > prop.bound:
-                    worst = idx
-                    break
+            worst = next((idx for idx, d in enumerate(dist) if d == -1 or d > prop.bound), None)
             if worst is not None:
                 verdicts.append((prop.text(), "violated"))
-                pending_violations.append((prop.text(), worst, space))
+                pending_violations.append((prop.text(), worst))
             else:
                 verdicts.append((prop.text(), "holds"))
 
@@ -375,12 +345,13 @@ def explore(
         states_visited=space.state_count(),
         transitions_visited=len(space.edges),
         model_versions_seen=space.versions_seen(),
-        violations=_sorted_violations(pending_violations),
+        violations=_sorted_violations(space, pending_violations),
         deadlocks=[space.trace_records(idx) for idx in sorted(space.deadlocks)],
         verdicts=verdicts,
         bounds=bounds,
         max_states_hit=space.max_states_hit,
         max_depth_hit=space.max_depth_hit,
+        space=space,
     )
 
 
@@ -390,17 +361,12 @@ class InvariantResult:
     counterexample: Optional[Trace] = None
 
 
-def check_invariant(
-    model: StdModel, initial: Configuration, predicate, bounds: Bounds = Bounds()
-) -> InvariantResult:
+def check_invariant(space: Space, predicate) -> InvariantResult:
     """BFS-shortest counterexample to `invariant predicate`, if any."""
-    space = explore_space(model, initial, bounds)
-    for idx in range(space.state_count()):
-        if not eval_predicate(predicate, space.models[space.model_of[idx]], space.configs[idx]):
-            return InvariantResult("violated", space.trace_to(idx))
-    if space.max_states_hit or space.max_depth_hit:
-        return InvariantResult("unknown(bound)")
-    return InvariantResult("satisfied")
+    bad = space.first(lambda m, c: not eval_predicate(predicate, m, c))
+    if bad is not None:
+        return InvariantResult("violated", space.trace_to(bad))
+    return InvariantResult("unknown(bound)" if space.truncated else "satisfied")
 
 
 @dataclass
@@ -411,10 +377,8 @@ class TerminationResult:
 
 
 def check_migration_termination(
-    model: StdModel,
-    initial: Configuration,
+    space: Space,
     target_version: int,
-    bound: int = 10_000,
     mcpal: str = "McPal",
     hibernation_state: str = "Observing",
     evolution_role: str = "Evol",
@@ -432,9 +396,9 @@ def check_migration_termination(
 
     A deadlocked incomplete state yields a `stuck` witness; a region from
     which completion is unreachable yields a `cycle` witness (a lasso that
-    avoids completion forever).
+    avoids completion forever).  On a truncated space only `stuck` is
+    provable; otherwise the verdict is `unknown(bound)`.
     """
-    space = explore_space(model, initial, Bounds(max_depth=bound))
 
     def complete(idx: int) -> bool:
         config = space.configs[idx]
@@ -444,12 +408,12 @@ def check_migration_termination(
             and config.phases.get((mcpal, evolution_role)) == hibernating_phase
         )
 
-    targets = [idx for idx in range(space.state_count()) if complete(idx)]
     for idx in sorted(space.deadlocks):
         if not complete(idx):
             return TerminationResult("stuck", witness=space.trace_to(idx))
-    if space.max_states_hit or space.max_depth_hit:
+    if space.truncated:
         return TerminationResult("unknown(bound)")
+    targets = [idx for idx in range(space.state_count()) if complete(idx)]
     dist = _within_bound_to_targets(space, targets)
     doomed = next((idx for idx in range(space.state_count()) if dist[idx] == -1), None)
     if doomed is not None:
@@ -486,14 +450,14 @@ class ProgressResult:
     witness: Optional[Trace] = None
 
 
-def check_progress(
-    model: StdModel,
-    initial: Configuration,
-    component: str,
-    k: int,
-    bounds: Bounds = Bounds(),
-    within=None,
-) -> ProgressResult:
+def _distance_to_move(space: Space, component: str) -> list[int]:
+    """Per state, the fewest steps before a step that is the component's own
+    move can be taken (0: one is enabled now); -1 when none ever can."""
+    sources = {src for src, label, _ in space.edges if acts_on(label, component)}
+    return _within_bound_to_targets(space, sorted(sources))
+
+
+def check_progress(space: Space, component: str, k: int, within=None) -> ProgressResult:
     """Bounded non-starvation: from every reachable state some continuation of
     at most k steps contains the component's own move (a detailed step, or a
     rule firing it manages).  Returns the first reachable state, in BFS
@@ -502,19 +466,13 @@ def check_progress(
     `within`, when given, is a predicate restricting which reachable states
     are held to the obligation (e.g. only states inside a migration window);
     continuations may still run through any state."""
-    space = explore_space(model, initial, bounds)
-    if space.max_states_hit or space.max_depth_hit:
+    if space.truncated:
         # missing edges can only over-estimate distances, so no state is
         # provably starved on a truncated graph
         return ProgressResult("unknown(bound)")
-    sources = sorted(
-        {src for src, label, _ in space.edges if acts_on(label, component)}
-    )
-    dist = _within_bound_to_targets(space, sources)
+    dist = _distance_to_move(space, component)
     for idx in range(space.state_count()):
-        if within is not None and not eval_predicate(
-            within, space.models[space.model_of[idx]], space.configs[idx]
-        ):
+        if within is not None and not eval_predicate(within, *space.state(idx)):
             continue
         if dist[idx] == -1 or dist[idx] + 1 > k:
             return ProgressResult(
@@ -523,42 +481,31 @@ def check_progress(
     return ProgressResult("satisfied")
 
 
-def minimal_progress_bound(
-    model: StdModel, initial: Configuration, component: str, bounds: Bounds = Bounds()
-) -> Optional[int]:
+def minimal_progress_bound(space: Space, component: str) -> Optional[int]:
     """Smallest k for which check_progress is satisfied; None if starved at
-    every bound (some state never leads to a move of the component)."""
-    space = explore_space(model, initial, bounds)
-    sources = {src for src, label, _ in space.edges if acts_on(label, component)}
-    dist = _within_bound_to_targets(space, sorted(sources))
+    every bound (some state never leads to a move of the component).
+
+    Raises ValueError on a truncated space, where no bound is provable."""
+    if space.truncated:
+        hit = "max_states" if space.max_states_hit else "max_depth"
+        raise ValueError(f"progress bound of {component} unknown: the space was cut at {hit}")
+    dist = _distance_to_move(space, component)
     if any(d == -1 for d in dist):
         return None
-    return max(d + 1 for d in dist) if dist else None
+    return max(d + 1 for d in dist)
 
 
-def shortest_trace_to(
-    model: StdModel, initial: Configuration, predicate, bounds: Bounds = Bounds()
-) -> Optional[Trace]:
+def shortest_trace_to(space: Space, predicate) -> Optional[Trace]:
     """BFS-shortest trace to a state satisfying the predicate; None if none
-    is reachable within bounds."""
-    space = explore_space(model, initial, bounds)
-    for idx in range(space.state_count()):
-        if eval_predicate(predicate, space.models[space.model_of[idx]], space.configs[idx]):
-            return space.trace_to(idx)
-    return None
+    is in the space."""
+    idx = space.first(lambda m, c: eval_predicate(predicate, m, c))
+    return None if idx is None else space.trace_to(idx)
 
 
-def reachable_projection(
-    model: StdModel,
-    initial: Configuration,
-    components: Sequence[str],
-    exclude: Optional[Callable[[StepLabel], bool]] = None,
-    bounds: Bounds = Bounds(),
-) -> frozenset:
+def reachable_projection(space: Space, components: Sequence[str]) -> frozenset:
     """Reachable configurations projected onto the given components: the
     census used to show a woven coordinator leaves host behavior untouched."""
     keep = set(components)
-    space = explore_space(model, initial, bounds, exclude=exclude)
     out = set()
     for config in space.configs:
         detailed = tuple(sorted((c, s) for c, s in config.detailed.items() if c in keep))

@@ -20,6 +20,7 @@ from phasecoord.explorer import (
     check_migration_termination,
     check_progress,
     explore,
+    explore_space,
     minimal_progress_bound,
     reachable_projection,
 )
@@ -163,12 +164,13 @@ def test_criterion_4_consistency_through_migration(shop_loaded, bundles):
 
 def test_criterion_5_migration_termination(shop_loaded, bundles):
     model, config = shop_loaded
-    shop = check_migration_termination(model, config, target_version=3)
+    shop = check_migration_termination(explore_space(model, config), target_version=3)
     base = bundles["shop-migration"].model()
     ident_model, ident_config = load_migration(
         base, initial_configuration(base), ChangeSet()
     )
-    identity = check_migration_termination(ident_model, ident_config, target_version=2)
+    identity = check_migration_termination(explore_space(ident_model, ident_config),
+                                           target_version=2)
     ok = (
         shop.verdict == "terminates"
         and shop.max_depth == SHOP_TERMINATION_DEPTH
@@ -182,11 +184,12 @@ def test_criterion_6_quiescence_freedom(shop_loaded, bundles):
     # bounded non-starvation for every component with k <= 32, and the
     # broken fragment (never-entered trap) starves the server
     model, config = shop_loaded
+    space = explore_space(model, config)
     ks = {}
     for comp in sorted(model.components):
-        k = minimal_progress_bound(model, config, comp)
+        k = minimal_progress_bound(space, comp)
         assert k is not None and k <= 32, comp
-        assert check_progress(model, config, comp, k).verdict == "satisfied"
+        assert check_progress(space, comp, k).verdict == "satisfied"
         ks[comp] = k
     assert ks == SHOP_MIN_PROGRESS
 
@@ -208,7 +211,7 @@ def test_criterion_6_quiescence_freedom(shop_loaded, bundles):
         add_components=fragment.add_components + (spinner,),
     )
     b_model, b_config = load_migration(base, initial_configuration(base), broken)
-    starved = check_progress(b_model, b_config, "Server", 32)
+    starved = check_progress(explore_space(b_model, b_config), "Server", 32)
     ok = starved.verdict == "starved" and starved.starved is not None
     report(6, ok, f"minimal k {ks}; broken variant starves Server at "
                   f"{dict(starved.starved.detailed) if starved.starved else None}")
@@ -224,11 +227,14 @@ def test_criterion_7_weave_neutrality(bundles):
             sk = McPalSkeleton(component="Watcher", crs_variable="WatcherCrs")
         woven = weave_mcpal(host, sk)
         hosts = sorted(host.components)
-        plain = reachable_projection(host, initial_configuration(host), hosts)
+        plain = reachable_projection(explore_space(host, initial_configuration(host)), hosts)
         kick = sk.kickoff_rule_name()
         pre_kick = reachable_projection(
-            woven, initial_configuration(woven), hosts,
-            exclude=lambda lab: isinstance(lab, RuleStep) and lab.rule == kick,
+            explore_space(
+                woven, initial_configuration(woven),
+                exclude=lambda lab: isinstance(lab, RuleStep) and lab.rule == kick,
+            ),
+            hosts,
         )
         assert plain == pre_kick, name
     report(7, True, "all bundled models")

@@ -2,13 +2,34 @@
 
 import json
 
+import pytest
+
+from phasecoord import cli, explorer
 from phasecoord.cli import main
+
+FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
+            "--check-termination", "3", "--check-progress", "16")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def explore_space_calls(monkeypatch):
+    """Arguments of every explore_space call, under each name it is bound to."""
+    calls = []
+    original = explorer.explore_space
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (explorer, cli):
+        monkeypatch.setattr(module, "explore_space", counted)
+    return calls
 
 
 class TestValidate:
@@ -95,6 +116,19 @@ class TestSimulate:
         assert code == 3
         assert "divergence" in err
 
+    @pytest.mark.parametrize("line, bad_line", [
+        ("not json at all", 2),
+        ('{"label": {"type": "rule", "rule": "x"}}', 2),
+        ("[" * 100_000 + "]" * 100_000, 2),
+    ], ids=["not-json", "rule-without-manager", "deep-nesting"])
+    def test_malformed_script_exit_1(self, tmp_path, capsys, line, bad_line):
+        script = tmp_path / "bad.jsonl"
+        script.write_text('{"index": 0, "label": null}\n' + line + "\n")
+        code, out, err = run_cli(capsys, "simulate", "prodcons", "--script", str(script))
+        assert code == 1
+        assert err.startswith(f"error: line {bad_line}:")
+        assert "Traceback" not in err
+
     def test_interactive_scriptable(self, capsys, monkeypatch):
         import io
 
@@ -119,6 +153,18 @@ class TestExplore:
         assert doc["modelVersionsSeen"] == [1, 2, 3]
         assert doc["termination"]["verdict"] == "terminates"
         assert all(v["verdict"] == "satisfied" for v in doc["progress"].values())
+
+    def test_flagship_explores_once(self, explore_space_calls, capsys):
+        assert run_cli(capsys, *FLAGSHIP)[0] == 0
+        assert len(explore_space_calls) == 1
+
+    def test_termination_obeys_the_shared_bounds(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "json", *FLAGSHIP[:6],
+                                 "--max-states", "20")
+        assert code == 5
+        doc = json.loads(out)
+        assert doc["bounds"]["maxStatesHit"] is True
+        assert doc["termination"]["verdict"] == "unknown(bound)"
 
     def test_single_and_parallel_reports_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -162,6 +208,10 @@ class TestDemo:
         assert code == 0
         assert "migration complete, model version 3, McPal hibernating" in out
         assert "rule McPal_kickoff" in out
+
+    def test_shop_demo_explores_once(self, explore_space_calls, capsys):
+        assert run_cli(capsys, "demo", "shop-migration")[0] == 0
+        assert len(explore_space_calls) == 1
 
     def test_prodcons_demo(self, capsys):
         code, out, err = run_cli(capsys, "demo", "prodcons")

@@ -11,6 +11,7 @@ from phasecoord.engine import (
     RandomPolicy,
     ReplayDivergence,
     RuleStep,
+    Trace,
     config_digest,
     enabled_detailed,
     enabled_rules,
@@ -324,6 +325,16 @@ class TestRun:
         labels = parse_trace_labels(text)
         assert labels == list(trace.labels())
         assert replay(model, config, labels).steps == trace.steps
+
+    def test_export_checks_every_digest(self):
+        model = scheduler_worker_model()
+        trace = run(model, initial_configuration(model), RandomPolicy(9), max_steps=30)
+        steps = list(trace.steps)
+        label, digest = steps[5]
+        steps[5] = (label, digest ^ 1)
+        with pytest.raises(ReplayDivergence) as err:
+            export_trace_jsonl(model, Trace(trace.initial, tuple(steps), trace.final_model_version))
+        assert err.value.index == 5
 
 
 class TestWalkInvariants:

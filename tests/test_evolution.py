@@ -240,11 +240,14 @@ class TestWeave:
             woven = weave_mcpal(host, sk)
             assert validate_model(woven) == []
             hosts = sorted(host.components)
-            plain = reachable_projection(host, initial_configuration(host), hosts)
+            plain = reachable_projection(explore_space(host, initial_configuration(host)), hosts)
             kick = sk.kickoff_rule_name()
             pre_kick = reachable_projection(
-                woven, initial_configuration(woven), hosts,
-                exclude=lambda lab: isinstance(lab, RuleStep) and lab.rule == kick,
+                explore_space(
+                    woven, initial_configuration(woven),
+                    exclude=lambda lab: isinstance(lab, RuleStep) and lab.rule == kick,
+                ),
+                hosts,
             )
             assert plain == pre_kick
 

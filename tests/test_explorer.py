@@ -3,9 +3,11 @@
 import json
 from dataclasses import replace as dc_replace
 
+import pytest
+
 from phasecoord.changeset import ChangeSet
 from phasecoord.dsl import parse_model
-from phasecoord.engine import replay
+from phasecoord.engine import export_trace_jsonl, replay
 from phasecoord.explorer import (
     Bounds,
     check_invariant,
@@ -135,12 +137,45 @@ component OneWay {
         assert len(report.deadlocks) == 1
         assert report.deadlocks[0][-1]["componentStates"] == {"OneWay": "T"}
 
+    def test_deadlock_records_are_the_exported_trace(self):
+        # one record format: a report's deadlock traces read exactly like the
+        # JSON-lines export of the same trace, rule labels and version bumps
+        # included
+        text = """
+component X {
+  states: S, T;
+  initial: S;
+  transitions:
+    S - go -> T;
+}
+component Y {
+  states: S, T;
+  initial: S;
+  transitions:
+    S - go -> T;
+}
+"""
+        base = _model(text)
+        bump = ConsistencyRule(
+            "bump", "X", Transition("S", "go", "T"), (),
+            change=ChangeSet(remove_rules=("bump",)),
+        )
+        model = StdModel(base.components, {"bump": bump}, {}, 0)
+        report = explore(model, initial_configuration(model))
+        space = report.space
+        assert len(report.deadlocks) == len(space.deadlocks) == 1
+        assert report.deadlocks[0][-1]["modelVersion"] == 1
+        assert any(r["label"] and r["label"]["type"] == "rule" for r in report.deadlocks[0])
+        for records, idx in zip(report.deadlocks, sorted(space.deadlocks)):
+            exported = export_trace_jsonl(model, space.trace_to(idx)).splitlines()
+            assert records == [json.loads(line) for line in exported]
+
 
 class TestCheckInvariant:
     def test_mutual_exclusion_holds(self, bundles):
         model = bundles["cs-roundrobin"].model()
         pred = CountInState((("Worker1", "InCS"), ("Worker2", "InCS")), "<=", 1)
-        result = check_invariant(model, initial_configuration(model), pred)
+        result = check_invariant(explore_space(model, initial_configuration(model)), pred)
         assert result.verdict == "satisfied"
 
     def test_broken_model_minimal_counterexample(self, bundles):
@@ -155,7 +190,7 @@ class TestCheckInvariant:
         rules["bad"] = bad
         broken = StdModel(model.components, rules, model.variables, model.version)
         pred = CountInState((("Worker1", "InCS"), ("Worker2", "InCS")), "<=", 1)
-        result = check_invariant(broken, initial_configuration(broken), pred)
+        result = check_invariant(explore_space(broken, initial_configuration(broken)), pred)
         assert result.verdict == "violated"
         # shortest: request, request, bad, enter, enter = 5 steps
         assert len(result.counterexample.steps) == 5
@@ -164,7 +199,7 @@ class TestCheckInvariant:
 
     def test_violation_at_depth_one(self):
         model = _model(CYCLE3)
-        result = check_invariant(model, initial_configuration(model),
+        result = check_invariant(explore_space(model, initial_configuration(model)),
                                  InState("Spinner", "A"))
         assert result.verdict == "violated"
         assert len(result.counterexample.steps) == 1
@@ -172,21 +207,21 @@ class TestCheckInvariant:
     def test_unknown_under_bound(self):
         model = _model(TWO_INDEPENDENT)
         pred = Not(InState("P", "nowhere"))
-        result = check_invariant(model, initial_configuration(model), pred,
-                                 Bounds(max_states=2))
+        result = check_invariant(
+            explore_space(model, initial_configuration(model), Bounds(max_states=2)), pred)
         assert result.verdict == "unknown(bound)"
 
 
 class TestShortestTrace:
     def test_initial_state_gives_empty_trace(self):
         model = _model(CYCLE3)
-        trace = shortest_trace_to(model, initial_configuration(model),
+        trace = shortest_trace_to(explore_space(model, initial_configuration(model)),
                                   InState("Spinner", "A"))
         assert trace is not None and len(trace.steps) == 0
 
     def test_unreachable_gives_none(self):
         model = _model(CYCLE3)
-        assert shortest_trace_to(model, initial_configuration(model),
+        assert shortest_trace_to(explore_space(model, initial_configuration(model)),
                                  ModelVersionIs(9)) is None
 
     def test_shop_completion_script_replays(self, shop_loaded):
@@ -196,7 +231,7 @@ class TestShortestTrace:
         done = And(ModelVersionIs(3),
                    And(InState("McPal", "Observing"),
                        InPhase("McPal", "Evol", "Hibernating")))
-        trace = shortest_trace_to(model, config, done)
+        trace = shortest_trace_to(explore_space(model, config), done)
         assert trace is not None
         assert len(trace.steps) == 6
         again = replay(model, config, trace.labels())
@@ -209,13 +244,13 @@ class TestTermination:
         model = bundles["shop-migration"].model()
         config = initial_configuration(model)
         loaded, started = load_migration(model, config, ChangeSet())
-        result = check_migration_termination(loaded, started, target_version=2)
+        result = check_migration_termination(explore_space(loaded, started), target_version=2)
         assert result.verdict == "terminates"
         assert result.max_depth <= 5
 
     def test_shop_migration_terminates(self, shop_loaded):
         model, config = shop_loaded
-        result = check_migration_termination(model, config, target_version=3)
+        result = check_migration_termination(explore_space(model, config), target_version=3)
         assert result.verdict == "terminates"
         assert result.max_depth == 9
 
@@ -240,7 +275,7 @@ class TestTermination:
             add_components=fragment.add_components + (spinner,),
         )
         loaded, started = load_migration(model, config, broken)
-        result = check_migration_termination(loaded, started, target_version=3)
+        result = check_migration_termination(explore_space(loaded, started), target_version=3)
         assert result.verdict == "cycle"
         assert result.witness is not None
         assert len(result.witness.steps) > 0
@@ -267,7 +302,7 @@ component McPal {
         assert result.ok
         model = result.model
         out = check_migration_termination(
-            model, initial_configuration(model), target_version=1,
+            explore_space(model, initial_configuration(model)), target_version=1,
             evolution_role="none", hibernating_phase="none",
         )
         assert out.verdict == "stuck"
@@ -276,7 +311,7 @@ component McPal {
 class TestProgress:
     def test_free_running_component_k1(self):
         model = _model(CYCLE3)
-        result = check_progress(model, initial_configuration(model), "Spinner", k=1)
+        result = check_progress(explore_space(model, initial_configuration(model)), "Spinner", k=1)
         assert result.verdict == "satisfied"
 
     def test_claimed_by_never_enabled_rule_starves_at_initial(self):
@@ -289,36 +324,53 @@ class TestProgress:
                                 (RoleTransfer("X", "r", "P", "done", "P"),))
         model = StdModel({"X": comp}, {"never": never}, {}, 0)
         config = initial_configuration(model)
+        space = explore_space(model, config)
         for k in (1, 4, 32):
-            result = check_progress(model, config, "X", k=k)
+            result = check_progress(space, "X", k=k)
             assert result.verdict == "starved"
             assert result.starved == config  # starved already at the initial state
+        assert minimal_progress_bound(space, "X") is None
+
+    def test_minimal_bound_refuses_a_truncated_space(self, shop_loaded, bundles):
+        # no bound is provable on a cut space, and None would claim starvation
+        model, config = shop_loaded
+        cut = explore_space(model, config, Bounds(max_states=60))
+        for comp in sorted(model.components):
+            with pytest.raises(ValueError, match="max_states"):
+                minimal_progress_bound(cut, comp)
+        cs = bundles["cs-nondet"].model()
+        shallow = explore_space(cs, initial_configuration(cs), Bounds(max_depth=5))
+        for comp in sorted(cs.components):
+            with pytest.raises(ValueError, match="max_depth"):
+                minimal_progress_bound(shallow, comp)
 
     def test_shop_components_all_progress(self, shop_loaded):
         model, config = shop_loaded
-        ks = {comp: minimal_progress_bound(model, config, comp)
+        space = explore_space(model, config)
+        ks = {comp: minimal_progress_bound(space, comp)
               for comp in sorted(model.components)}
         assert ks == {"Client1": 8, "Client2": 13, "McPal": 4, "Server": 3}
         for comp, k in ks.items():
-            assert check_progress(model, config, comp, k).verdict == "satisfied"
+            assert check_progress(space, comp, k).verdict == "satisfied"
             if k > 1:
-                assert check_progress(model, config, comp, k - 1).verdict == "starved"
+                assert check_progress(space, comp, k - 1).verdict == "starved"
 
     def test_progress_scoped_by_restriction_predicate(self, shop_loaded):
         # the obligation can be scoped to one version window; Client2's worst
         # states sit mid-migration (version 2), so the pre-kick-off and
         # post-migration windows get by with much smaller bounds
         model, config = shop_loaded
+        space = explore_space(model, config)
         minimal = {
             v: next(
                 k for k in range(1, 16)
-                if check_progress(model, config, "Client2", k,
+                if check_progress(space, "Client2", k,
                                   within=ModelVersionIs(v)).verdict == "satisfied"
             )
             for v in (1, 2, 3)
         }
         assert minimal == {1: 5, 2: 13, 3: 7}
-        assert check_progress(model, config, "Client2", 5).verdict == "starved"
+        assert check_progress(space, "Client2", 5).verdict == "starved"
 
 
 class TestReportJson:

@@ -45,7 +45,7 @@ class TestBfsMinimality:
     def test_counterexample_depth_matches_oracle_bfs(self, bundles):
         # independent shortest-violation depth, computed purely over the
         # oracle's successor relation, against the explorer's counterexample
-        from phasecoord.explorer import check_invariant
+        from phasecoord.explorer import check_invariant, explore_space
         from phasecoord.model import (
             Configuration,
             ConsistencyRule,
@@ -91,7 +91,7 @@ class TestBfsMinimality:
                 if oracle_min is not None:
                     break
             frontier = nxt
-        result = check_invariant(broken, config, pred)
+        result = check_invariant(explore_space(broken, config), pred)
         assert result.verdict == "violated"
         assert len(result.counterexample.steps) == oracle_min == 5
 
