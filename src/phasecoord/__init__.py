@@ -18,7 +18,6 @@ from .engine import (
     RandomPolicy,
     ReplayDivergence,
     RuleStep,
-    ScriptedPolicy,
     Trace,
     config_digest,
     enabled_detailed,

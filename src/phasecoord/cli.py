@@ -22,10 +22,11 @@ from .engine import (
     InteractivePolicy,
     RandomPolicy,
     ReplayDivergence,
-    ScriptedPolicy,
+    RuleStep,
+    Trace,
     export_trace_jsonl,
     label_text,
-    parse_trace_labels,
+    parse_trace_steps,
     run,
     walk_trace,
 )
@@ -56,24 +57,23 @@ EXIT_UNKNOWN = 5
 EXIT_DOT_THRESHOLD = 6
 
 
-def _load_source(path: str) -> Optional[str]:
-    """Model text from a file path or a bundled model name."""
-    if path in BUNDLED:
-        return get_bundled(path).model_text()
-    try:
-        return Path(path).read_text("utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _parse_or_report(text: str, fmt: str):
+def _load_model(args):
+    """The model at `args.path`, a file or a bundled name, with EXIT_OK; or
+    None with the exit code once the reason is reported."""
+    if args.path in BUNDLED:
+        text = get_bundled(args.path).model_text()
+    else:
+        try:
+            text = Path(args.path).read_text("utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return None, EXIT_PARSE
     result = parse_model(text)
     if result.model is None:
-        _emit_diags(result.diagnostics, fmt)
+        _emit_diags(result.diagnostics, args.format)
         return None, EXIT_PARSE
     if result.diagnostics:
-        _emit_diags(result.diagnostics, fmt)
+        _emit_diags(result.diagnostics, args.format)
         return None, EXIT_VALIDATION
     return result.model, EXIT_OK
 
@@ -98,10 +98,7 @@ def _emit_diags(diags, fmt: str):
 
 
 def cmd_validate(args) -> int:
-    text = _load_source(args.path)
-    if text is None:
-        return EXIT_PARSE
-    model, code = _parse_or_report(text, args.format)
+    model, code = _load_model(args)
     if model is None:
         return code
     if args.format == "json":
@@ -136,10 +133,7 @@ def _interactive_chooser(labels) -> Optional[int]:
 
 
 def cmd_simulate(args) -> int:
-    text = _load_source(args.path)
-    if text is None:
-        return EXIT_PARSE
-    model, code = _parse_or_report(text, args.format)
+    model, code = _load_model(args)
     if model is None:
         return code
     config = initial_configuration(model)
@@ -148,28 +142,28 @@ def cmd_simulate(args) -> int:
         _emit_diags(bad, args.format)
         return EXIT_VALIDATION
 
-    steps = args.steps
     if args.script:
         try:
-            labels = parse_trace_labels(Path(args.script).read_text("utf-8"))
+            recorded = parse_trace_steps(Path(args.script).read_text("utf-8"))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        policy = ScriptedPolicy(labels)
-        steps = len(labels) if args.steps is None else args.steps
+        recorded = recorded if args.steps is None else recorded[:max(args.steps, 0)]
+        # each rule firing with a changeset bumps the model version by one
+        bumps = sum(isinstance(label, RuleStep) and label.changed for label, _ in recorded)
+        trace = Trace(config, tuple(recorded), config.model_version + bumps)
     elif args.interactive:
         policy = InteractivePolicy(_interactive_chooser)
-        steps = 1_000_000 if args.steps is None else args.steps
+        trace = run(model, config, policy, 1_000_000 if args.steps is None else args.steps)
     else:
         policy = RandomPolicy(args.seed)
-        steps = 100 if args.steps is None else args.steps
+        trace = run(model, config, policy, 100 if args.steps is None else args.steps)
 
     try:
-        trace = run(model, config, policy, max_steps=steps)
+        text_out = export_trace_jsonl(model, trace)  # replays every step, checking its digest
     except ReplayDivergence as exc:
         print(f"replay divergence at step {exc.index}: {label_text(exc.label)}", file=sys.stderr)
         return EXIT_REPLAY
-    text_out = export_trace_jsonl(model, trace)
     if args.trace_out:
         Path(args.trace_out).write_text(text_out, "utf-8")
         print(f"{len(trace.steps)} step(s), final version {trace.final_model_version}, "
@@ -190,10 +184,7 @@ def _completion_predicate(target_version: int, sk: McPalSkeleton):
 
 
 def cmd_explore(args) -> int:
-    text = _load_source(args.path)
-    if text is None:
-        return EXIT_PARSE
-    model, code = _parse_or_report(text, args.format)
+    model, code = _load_model(args)
     if model is None:
         return code
     config = initial_configuration(model)
@@ -333,10 +324,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    text = _load_source(args.path)
-    if text is None:
-        return EXIT_PARSE
-    model, code = _parse_or_report(text, args.format)
+    model, code = _load_model(args)
     if model is None:
         return code
 
@@ -371,10 +359,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_serialize(args) -> int:
-    text = _load_source(args.path)
-    if text is None:
-        return EXIT_PARSE
-    model, code = _parse_or_report(text, args.format)
+    model, code = _load_model(args)
     if model is None:
         return code
     sys.stdout.write(serialize_model(model))

@@ -10,6 +10,12 @@ target phase, and applies the rule's changeset if it carries one.
 The engine is a pure transition-function library: (model, configuration) in,
 successors out.  Nothing here mutates shared state, so concurrent
 explorations may share model values freely.
+
+`_fire` decides and takes every rule firing; a replay fires only its
+recorded labels, through `_take`.  Consistency is checked where a step can
+break it: `_fire` asserts it after a rule with no changeset, `apply_changeset`
+validates it after a changeset, `step_detailed` asserts it after its own
+step, and `explore` reports `configuration-valid` for every reached state.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .changeset import apply_changeset, validate_changeset
+from .changeset import RejectedChange, apply_changeset
 from .model import (
     Configuration,
     ConsistencyRule,
@@ -107,35 +114,20 @@ def _current_phases(std: Std, config: Configuration) -> list:
     return phases
 
 
-def enabled_detailed(
-    model: StdModel, config: Configuration, component: str, *, permissive: bool = False
-) -> set[Transition]:
-    """Transitions the component may take on its own from the current state.
-
-    With `permissive` a claimed transition also fires freely whenever no rule
-    claiming it is currently enabled; the default is strict: claimed steps
-    fire only via rule firings.
-    """
+def enabled_detailed(model: StdModel, config: Configuration, component: str) -> set[Transition]:
+    """Transitions the component may take on its own from the current state;
+    claimed steps fire only via rule firings."""
     std = model.components.get(component)
     if std is None:
         raise UnknownElement(component)
     state = config.detailed[component]
     phases = _current_phases(std, config)
     claimed = model.claimed_steps
-    out = set()
-    for t in std.transitions_from.get(state, ()):
-        if any(t not in phase.transitions for phase in phases):
-            continue
-        if (component, t) in claimed:
-            if not permissive:
-                continue
-            if any(
-                r.manager == component and r.manager_step == t
-                for r in enabled_rules(model, config)
-            ):
-                continue
-        out.add(t)
-    return out
+    return {
+        t
+        for t in std.transitions_from.get(state, ())
+        if (component, t) not in claimed and all(t in phase.transitions for phase in phases)
+    }
 
 
 def entered_traps(model: StdModel, config: Configuration, component: str, partition: str) -> set[str]:
@@ -165,50 +157,77 @@ def _transferred(config: Configuration, rule: ConsistencyRule) -> Configuration:
     return Configuration(detailed=detailed, phases=phases, model_version=config.model_version)
 
 
-def rule_blocker(model: StdModel, config: Configuration, rule: ConsistencyRule) -> Optional[str]:
-    """Why the rule cannot fire right now; None when it is enabled."""
+def _moved(config: Configuration, component: str, transition: Transition) -> Configuration:
+    detailed = dict(config.detailed)
+    detailed[component] = transition.target
+    return Configuration(detailed=detailed, phases=config.phases, model_version=config.model_version)
+
+
+def _fire(
+    model: StdModel, config: Configuration, rule: ConsistencyRule
+) -> tuple[Optional[str], Optional[tuple[StdModel, Configuration]]]:
+    """(None, (model, configuration) after firing the rule) when it is enabled,
+    else (why not, None); see `fire_rule`."""
     mgr = model.components.get(rule.manager)
     if mgr is None or rule.manager_step not in mgr.transitions:
-        return "manager step unresolved"
+        return "manager step unresolved", None
     if config.detailed.get(rule.manager) != rule.manager_step.source:
-        return "manager not at the step's source"
+        return "manager not at the step's source", None
     try:
         mgr_phases = _current_phases(mgr, config)
     except UnknownElement:
-        return "manager phase unresolved"
+        return "manager phase unresolved", None
     if any(rule.manager_step not in phase.transitions for phase in mgr_phases):
-        return "manager step outside a current phase"
+        return "manager step outside a current phase", None
     for tr in rule.transfers:
         if config.phases.get((tr.component, tr.partition)) != tr.source:
-            return f"{tr.component}({tr.partition}) not in phase {tr.source}"
+            return f"{tr.component}({tr.partition}) not in phase {tr.source}", None
         std = model.components.get(tr.component)
         part = std.partition_named(tr.partition) if std else None
         phase = part.phase_named(tr.source) if part else None
         trap = phase.trap_named(tr.trap) if phase else None
         if trap is None or config.detailed.get(tr.component) not in trap.states:
-            return f"trap {tr.trap} of {tr.component}({tr.partition}) not entered"
+            return f"trap {tr.trap} of {tr.component}({tr.partition}) not entered", None
         if part.phase_named(tr.target) is None:
-            return f"target phase {tr.target} unresolved"
+            return f"target phase {tr.target} unresolved", None
+    out = _transferred(config, rule)
     if rule.change is not None:
-        after = _transferred(config, rule)
-        bad = validate_changeset(model, after, rule.change)
-        if bad:
-            return f"changeset rejected: {bad[0]}"
-    return None
+        try:
+            return None, apply_changeset(model, out, rule.change)
+        except RejectedChange as exc:
+            return f"changeset rejected: {exc.diagnostics[0]}", None
+    bad = validate_configuration(model, out)
+    assert not bad, f"rule {rule.name} broke consistency: {bad}"
+    return None, (model, out)
 
 
-def _rule_enabled(model: StdModel, config: Configuration, rule: ConsistencyRule) -> bool:
-    return rule_blocker(model, config, rule) is None
+def _rule_label(rule: ConsistencyRule) -> RuleStep:
+    changed = rule.change is not None
+    return RuleStep(rule.name, rule.manager, rule.manager_step, rule.transfers, changed)
+
+
+def _rule_firings(
+    model: StdModel, config: Configuration
+) -> Iterator[tuple[ConsistencyRule, tuple[StdModel, Configuration]]]:
+    """Each enabled rule with the (model, configuration) its firing reaches,
+    by rule name."""
+    by_step = model.rules_by_manager_step
+    for name in sorted(name for at in config.detailed.items() for name in by_step.get(at, ())):
+        rule = model.rules[name]
+        blocker, after = _fire(model, config, rule)
+        if blocker is None:
+            yield rule, after
+
+
+def rule_blocker(model: StdModel, config: Configuration, rule: ConsistencyRule) -> Optional[str]:
+    """Why the rule cannot fire right now; None when it is enabled."""
+    return _fire(model, config, rule)[0]
 
 
 def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRule]:
     """Rules whose manager step, transfer guards and (if present) changeset
     are all enabled now, sorted by rule name."""
-    by_step = model.rules_by_manager_step
-    names = sorted(name for at in config.detailed.items() for name in by_step.get(at, ()))
-    return [
-        model.rules[name] for name in names if _rule_enabled(model, config, model.rules[name])
-    ]
+    return [rule for rule, _ in _rule_firings(model, config)]
 
 
 def step_detailed(
@@ -217,9 +236,7 @@ def step_detailed(
     """Take one free detailed step; phases stay untouched."""
     if transition not in enabled_detailed(model, config, component):
         raise NotEnabled(f"{component}: {transition.pretty()}")
-    detailed = dict(config.detailed)
-    detailed[component] = transition.target
-    out = Configuration(detailed=detailed, phases=config.phases, model_version=config.model_version)
+    out = _moved(config, component, transition)
     bad = validate_configuration(model, out)
     assert not bad, f"detailed step broke consistency: {bad}"
     return out
@@ -228,49 +245,44 @@ def step_detailed(
 def fire_rule(
     model: StdModel, config: Configuration, rule: ConsistencyRule
 ) -> tuple[StdModel, Configuration]:
-    """Fire one consistency rule atomically.
-
-    The manager takes its step, every listed role moves to its target phase,
-    and the rule's changeset (if any) is applied last, bumping the model
-    version.  Enabledness already validated the changeset against the
-    post-transfer state, so application cannot be rejected here.
-    """
-    if not _rule_enabled(model, config, rule):
+    """Fire one consistency rule atomically: the manager takes its step, the
+    listed roles move to their target phases, then the changeset (if any) is
+    applied, bumping the model version.  A rejected changeset disables the
+    rule; raises NotEnabled when the rule cannot fire."""
+    blocker, after = _fire(model, config, rule)
+    if blocker is not None:
         raise NotEnabled(f"rule {rule.name}")
-    out = _transferred(config, rule)
-    out_model = model
-    if rule.change is not None:
-        out_model, out = apply_changeset(model, out, rule.change)
-    bad = validate_configuration(out_model, out)
-    assert not bad, f"rule {rule.name} broke consistency: {bad}"
-    return out_model, out
+    return after
 
 
 def successors(
-    model: StdModel, config: Configuration, *, permissive: bool = False
+    model: StdModel, config: Configuration
 ) -> list[tuple[StepLabel, StdModel, Configuration]]:
     """All enabled steps, deterministically ordered: detailed steps by
     (component, transition), then rule firings by rule name."""
-    out: list[tuple[StepLabel, StdModel, Configuration]] = []
-    for comp in sorted(model.components):
-        for t in sorted(enabled_detailed(model, config, comp, permissive=permissive)):
-            detailed = dict(config.detailed)
-            detailed[comp] = t.target
-            nxt = Configuration(
-                detailed=detailed, phases=config.phases, model_version=config.model_version
-            )
-            out.append((DetailedStep(comp, t), model, nxt))
-    for rule in enabled_rules(model, config):
-        nxt_model, nxt = fire_rule(model, config, rule)
-        label = RuleStep(
-            rule=rule.name,
-            manager=rule.manager,
-            manager_step=rule.manager_step,
-            transfers=rule.transfers,
-            changed=rule.change is not None,
-        )
-        out.append((label, nxt_model, nxt))
+    out: list[tuple[StepLabel, StdModel, Configuration]] = [
+        (DetailedStep(comp, t), model, _moved(config, comp, t))
+        for comp in sorted(model.components)
+        for t in sorted(enabled_detailed(model, config, comp))
+    ]
+    out.extend((_rule_label(rule), *after) for rule, after in _rule_firings(model, config))
     return out
+
+
+def _take(
+    model: StdModel, config: Configuration, label: StepLabel
+) -> Optional[tuple[StdModel, Configuration]]:
+    """Fire exactly the recorded step: the (model, configuration) after it, or
+    None when no enabled step carries this label."""
+    if isinstance(label, DetailedStep):
+        comp, t = label.component, label.transition
+        if comp not in model.components or t not in enabled_detailed(model, config, comp):
+            return None
+        return model, _moved(config, comp, t)
+    rule = model.rules.get(label.rule)
+    if rule is None or _rule_label(rule) != label:
+        return None
+    return _fire(model, config, rule)[1]
 
 
 @dataclass(frozen=True)
@@ -297,22 +309,6 @@ class RandomPolicy:
 
     def choose(self, labels: Sequence[StepLabel], index: int) -> Optional[int]:
         return self.rng.randrange(len(labels))
-
-
-class ScriptedPolicy:
-    """Replay a fixed label sequence; diverging from the enabled set fails fast."""
-
-    def __init__(self, script: Sequence[StepLabel]):
-        self.script = list(script)
-
-    def choose(self, labels: Sequence[StepLabel], index: int) -> Optional[int]:
-        if index >= len(self.script):
-            return None
-        wanted = self.script[index]
-        for i, label in enumerate(labels):
-            if label == wanted:
-                return i
-        raise ReplayDivergence(index, wanted)
 
 
 class InteractivePolicy:
@@ -343,8 +339,17 @@ def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace
 
 
 def replay(model: StdModel, config: Configuration, labels: Sequence[StepLabel]) -> Trace:
-    """Deterministically re-execute a label sequence from a configuration."""
-    return run(model, config, ScriptedPolicy(labels), max_steps=len(labels))
+    """Deterministically re-execute a label sequence from a configuration;
+    raises ReplayDivergence at the first label that is not enabled."""
+    initial = config
+    steps: list[tuple[StepLabel, int]] = []
+    for index, label in enumerate(labels):
+        after = _take(model, config, label)
+        if after is None:
+            raise ReplayDivergence(index, label)
+        model, config = after
+        steps.append((label, config_digest(config)))
+    return Trace(initial=initial, steps=tuple(steps), final_model_version=config.model_version)
 
 
 def label_to_json(label: Optional[StepLabel]) -> Optional[dict]:
@@ -399,10 +404,10 @@ def walk_trace(
     config = trace.initial
     yield 0, None, model, config
     for i, (label, digest) in enumerate(trace.steps, start=1):
-        step = next((s for s in successors(model, config) if s[0] == label), None)
-        if step is None or config_digest(step[2]) != digest:
+        after = _take(model, config, label)
+        if after is None or config_digest(after[1]) != digest:
             raise ReplayDivergence(i - 1, label)
-        _, model, config = step
+        model, config = after
         yield i, label, model, config
 
 
@@ -417,18 +422,28 @@ def export_trace_jsonl(model: StdModel, trace: Trace) -> str:
     )
 
 
-def parse_trace_labels(text: str) -> list[StepLabel]:
-    """Labels of an exported JSON-lines trace, in order.  Raises ValueError
-    naming the 1-based line of the first record that is not a trace record."""
-    labels = []
+def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
+    """(label, digest) of each step of an exported JSON-lines trace, in order.
+    Raises ValueError naming the 1-based line of the first record that is not
+    a trace record or whose step digest is not 16 hex digits."""
+    steps = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            label = json.loads(line).get("label")
+            record = json.loads(line)
+            label = record.get("label")
             if label is not None:
-                labels.append(label_from_json(label))
+                digest = record["digest"]
+                if not re.fullmatch(r"[0-9a-fA-F]{16}", digest):
+                    raise ValueError(f"digest {digest!r} is not 16 hex digits")
+                steps.append((label_from_json(label), int(digest, 16)))
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ValueError(f"line {number}: not a trace record ({exc!r})") from exc
-    return labels
+    return steps
+
+
+def parse_trace_labels(text: str) -> list[StepLabel]:
+    """Labels of an exported JSON-lines trace, in order; see `parse_trace_steps`."""
+    return [label for label, _ in parse_trace_steps(text)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .changeset import ChangeSet, RejectedChange, apply_changeset, validate_changeset
-from .engine import _rule_enabled, _transferred
+from .engine import _fire, _transferred
 from .model import (
     TRIV,
     Configuration,
@@ -198,7 +198,7 @@ def load_migration(
         new_model, new_config = apply_changeset(model, config, load_cs)
     except RejectedChange as exc:
         raise FragmentInvalid(exc.diagnostics) from exc
-    if not _rule_enabled(new_model, new_config, loaded):
+    if _fire(new_model, new_config, loaded)[0] is not None:
         diags = validate_changeset(new_model, _transferred(new_config, loaded), wrapped)
         raise FragmentInvalid(diags or [])
     return new_model, new_config

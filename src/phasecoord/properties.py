@@ -20,6 +20,10 @@ from typing import Union
 from .model import Configuration, Diagnostic, StdModel
 
 COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
+# Deepest predicate accepted: open parentheses, `not`s and and/or chain
+# links around any point of it.  Parsing and evaluation recurse once per
+# level, so this keeps both far from Python's recursion limit.
+MAX_PREDICATE_DEPTH = 200
 
 
 class PropertyError(Exception):
@@ -167,6 +171,13 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.line = line
+        self.depth = 0
+
+    def nest(self, levels: int):
+        """Enter (or, with a negative count, leave) predicate nesting levels."""
+        self.depth += levels
+        if self.depth > MAX_PREDICATE_DEPTH:
+            raise _PropParseError(self.error(f"predicate nested deeper than {MAX_PREDICATE_DEPTH}"))
 
     def error(self, message: str) -> Diagnostic:
         return Diagnostic("syntax-error", "property", self.text[self.pos:self.pos + 8],
@@ -222,11 +233,16 @@ class _PropParseError(Exception):
 
 def _parse_atom(sc: _Scanner) -> Predicate:
     if sc.take("("):
+        sc.nest(1)
         inner = _parse_or(sc)
         sc.require(")")
+        sc.nest(-1)
         return inner
     if sc.take("not ") or sc.take("!"):
-        return Not(_parse_atom(sc))
+        sc.nest(1)
+        operand = _parse_atom(sc)
+        sc.nest(-1)
+        return Not(operand)
     word = sc.take_word()
     if word == "inState":
         sc.require("(")
@@ -275,28 +291,32 @@ def _parse_atom(sc: _Scanner) -> Predicate:
 
 def _parse_and(sc: _Scanner) -> Predicate:
     left = _parse_atom(sc)
+    links = 0
     while True:
         sc.skip_ws()
         if sc.peek_word() == "and":
             sc.take_word()
-            left = And(left, _parse_atom(sc))
-        elif sc.take("&&"):
-            left = And(left, _parse_atom(sc))
-        else:
+        elif not sc.take("&&"):
+            sc.nest(-links)
             return left
+        links += 1
+        sc.nest(1)
+        left = And(left, _parse_atom(sc))
 
 
 def _parse_or(sc: _Scanner) -> Predicate:
     left = _parse_and(sc)
+    links = 0
     while True:
         sc.skip_ws()
         if sc.peek_word() == "or":
             sc.take_word()
-            left = Or(left, _parse_and(sc))
-        elif sc.take("||"):
-            left = Or(left, _parse_and(sc))
-        else:
+        elif not sc.take("||"):
+            sc.nest(-links)
             return left
+        links += 1
+        sc.nest(1)
+        left = Or(left, _parse_and(sc))
 
 
 def parse_property(text: str, line: int = 1) -> Union[PropertyExpr, Diagnostic]:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from phasecoord.bundled import bundled_names, get_bundled
@@ -17,3 +19,25 @@ def shop_loaded():
     model = bundle.model()
     config = initial_configuration(model)
     return load_migration(model, config, bundle.fragment())
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(module, name)` replaces the function `module.name` with a
+    call counter under that name in every phasecoord module that binds it,
+    and returns the list that collects each call's positional arguments."""
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "phasecoord" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install

@@ -1,14 +1,24 @@
 """Command-line contract: exit codes, outputs, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from phasecoord import cli, explorer
+from phasecoord import changeset, explorer, model
 from phasecoord.cli import main
 
 FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
             "--check-termination", "3", "--check-progress", "16")
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "flagship-shop.json"
+ONE_STEP_MODEL = """
+component X {
+  states: A, B;
+  initial: A;
+  transitions:
+    A - go -> B;
+}
+"""
 
 
 def run_cli(capsys, *argv):
@@ -18,18 +28,9 @@ def run_cli(capsys, *argv):
 
 
 @pytest.fixture
-def explore_space_calls(monkeypatch):
+def explore_space_calls(count_calls):
     """Arguments of every explore_space call, under each name it is bound to."""
-    calls = []
-    original = explorer.explore_space
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in (explorer, cli):
-        monkeypatch.setattr(module, "explore_space", counted)
-    return calls
+    return count_calls(explorer, "explore_space")
 
 
 class TestValidate:
@@ -116,11 +117,37 @@ class TestSimulate:
         assert code == 3
         assert "divergence" in err
 
+    def test_changed_digest_exit_3(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        run_cli(capsys, "simulate", "cs-nondet", "--seed", "3", "--steps", "80",
+                "--trace-out", str(trace))
+        records = [json.loads(l) for l in trace.read_text().splitlines()]
+        records[10]["digest"] = f"{int(records[10]['digest'], 16) ^ 1:016x}"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, out, err = run_cli(capsys, "simulate", "cs-nondet", "--script", str(trace))
+        assert code == 3
+        assert err.startswith("replay divergence at step 9:")
+
+    def test_step_past_deadlock_exit_3(self, tmp_path, capsys):
+        pdm, trace = tmp_path / "one.pdm", tmp_path / "t.jsonl"
+        pdm.write_text(ONE_STEP_MODEL)
+        assert run_cli(capsys, "simulate", str(pdm), "--trace-out", str(trace))[0] == 0
+        header, step = trace.read_text().splitlines()  # deadlocked after one step
+        trace.write_text("\n".join([header, step, step]) + "\n")
+        code, out, err = run_cli(capsys, "simulate", str(pdm), "--script", str(trace))
+        assert code == 3
+        assert err.startswith("replay divergence at step 1: detailed X: A-go->B")
+
     @pytest.mark.parametrize("line, bad_line", [
         ("not json at all", 2),
         ('{"label": {"type": "rule", "rule": "x"}}', 2),
         ("[" * 100_000 + "]" * 100_000, 2),
-    ], ids=["not-json", "rule-without-manager", "deep-nesting"])
+        ('{"label": {"type": "detailed", "component": "Producer", '
+         '"transition": ["a", "b", "c"]}}', 2),
+        ('{"label": {"type": "detailed", "component": "Producer", '
+         '"transition": ["a", "b", "c"]}, "digest": "0x00000000000001"}', 2),
+    ], ids=["not-json", "rule-without-manager", "deep-nesting", "digest-missing",
+            "digest-not-16-hex-digits"])
     def test_malformed_script_exit_1(self, tmp_path, capsys, line, bad_line):
         script = tmp_path / "bad.jsonl"
         script.write_text('{"index": 0, "label": null}\n' + line + "\n")
@@ -157,6 +184,34 @@ class TestExplore:
     def test_flagship_explores_once(self, explore_space_calls, capsys):
         assert run_cli(capsys, *FLAGSHIP)[0] == 0
         assert len(explore_space_calls) == 1
+
+    def test_flagship_report_matches_golden_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "json", *FLAGSHIP)
+        assert code == 0
+        assert out.encode("utf-8") == GOLDEN.read_bytes()
+
+    def test_flagship_applies_each_changeset_once(self, count_calls, capsys):
+        validations = count_calls(model, "validate_model")
+        applications = count_calls(changeset, "apply_changeset")
+        checks = count_calls(changeset, "validate_changeset")
+        assert run_cli(capsys, *FLAGSHIP)[0] == 0
+        # one validation parses the model; each changeset application makes one
+        assert len(validations) == len(applications) + 1 == 23
+        assert checks == []
+
+    @pytest.mark.parametrize("predicate", [
+        "(" * 5000 + "inState(Worker1, Idle)" + ")" * 5000,
+        " and ".join(["inState(Worker1, Idle)"] * 1500),
+        "not " * 1500 + "inState(Worker1, Idle)",
+    ], ids=["parentheses", "and-chain", "nots"])
+    def test_deep_predicate_is_a_diagnostic(self, tmp_path, capsys, predicate):
+        props = tmp_path / "f.pprop"
+        props.write_text(f"# deep\ninvariant {predicate}\n")
+        code, out, err = run_cli(capsys, "explore", "cs-nondet", "--props", str(props))
+        assert code == 1
+        assert err.startswith("2:") and "syntax-error" in err
+        assert "nested deeper than 200" in err
+        assert "Traceback" not in err
 
     def test_termination_obeys_the_shared_bounds(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", *FLAGSHIP[:6],

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from phasecoord import engine
 from phasecoord.changeset import ChangeSet
 from phasecoord.engine import (
     DetailedStep,
@@ -24,6 +25,7 @@ from phasecoord.engine import (
     run,
     step_detailed,
     successors,
+    walk_trace,
 )
 from phasecoord.model import (
     TRIV,
@@ -94,16 +96,6 @@ class TestEnabledDetailed:
         model = one_role_model()
         with pytest.raises(Exception):
             enabled_detailed(model, initial_configuration(model), "nope")
-
-    def test_permissive_mode_frees_unfireable_claims(self):
-        model = one_role_model(claimed=True)
-        config = initial_configuration(model)
-        # strict: nothing; permissive: the claiming rule is disabled (trap not
-        # entered), so the transition fires freely
-        assert enabled_detailed(model, config, "X") == set()
-        assert enabled_detailed(model, config, "X", permissive=True) == {T("A", "go", "B")}
-        at_b = Configuration({"X": "B"}, {("X", "r"): "P"}, 0)
-        assert enabled_detailed(model, at_b, "X", permissive=True) == set()
 
 
 class TestEnteredTraps:
@@ -314,6 +306,28 @@ class TestRun:
         with pytest.raises(ReplayDivergence) as err:
             replay(model, config, bogus)
         assert err.value.index == 0
+
+    def test_replay_past_deadlock_diverges(self):
+        model = one_role_model()
+        config = initial_configuration(model)
+        go = DetailedStep("X", T("A", "go", "B"))
+        deadlocked = Configuration({"X": "B"}, {("X", "r"): "P"}, 0)
+        assert successors(model, deadlocked) == []
+        assert replay(model, config, [go]).steps == ((go, config_digest(deadlocked)),)
+        with pytest.raises(ReplayDivergence) as err:
+            replay(model, config, [go, go])
+        assert err.value.index == 1
+
+    def test_replay_fires_only_the_recorded_labels(self, count_calls, shop_loaded):
+        model, config = shop_loaded
+        trace = run(model, config, RandomPolicy(5), max_steps=80)
+        assert any(isinstance(label, RuleStep) and label.changed for label in trace.labels())
+        calls = count_calls(engine, "successors")
+        text = export_trace_jsonl(model, trace)
+        assert replay(model, config, trace.labels()) == trace
+        assert len(list(walk_trace(model, trace))) == len(trace) + 1
+        assert calls == []
+        assert parse_trace_labels(text) == trace.labels()
 
     def test_trace_jsonl_round_trip(self):
         model = scheduler_worker_model()

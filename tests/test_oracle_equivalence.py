@@ -1,5 +1,19 @@
 """The engine's successor relation against the brute-force enumerator."""
 
+import pytest
+
+from phasecoord.changeset import canonical_model
+from phasecoord.engine import (
+    NotEnabled,
+    RandomPolicy,
+    RuleStep,
+    enabled_rules,
+    fire_rule,
+    replay,
+    rule_blocker,
+    run,
+    successors,
+)
 from phasecoord.mcpal import load_migration
 from phasecoord.model import initial_configuration
 
@@ -115,3 +129,56 @@ class TestRandomModels:
                     break
                 _, model, config = succ[rng.randrange(len(succ))]
         assert checked > 1000
+
+
+def assert_rule_core_agrees(model, config):
+    """rule_blocker, enabled_rules, fire_rule and successors give one answer
+    for every rule at every reachable state; returns the number of states and
+    of rule firings compared."""
+    states = walk_all_states(model, config, limit=50_000)
+    firings = 0
+    for m, c in states:
+        enabled = enabled_rules(m, c)
+        fired = {label.rule: (label, m2, c2) for label, m2, c2 in successors(m, c)
+                 if isinstance(label, RuleStep)}
+        assert [r.name for r in enabled] == sorted(fired)
+        for name, rule in m.rules.items():
+            blocker = rule_blocker(m, c, rule)
+            assert (blocker is None) == (rule in enabled) == (name in fired), (name, blocker)
+            if blocker is None:
+                label, m2, c2 = fired[name]
+                assert label == RuleStep(name, rule.manager, rule.manager_step, rule.transfers,
+                                         rule.change is not None)
+                after_model, after = fire_rule(m, c, rule)
+                assert canonical_model(after_model) == canonical_model(m2)
+                assert after.key() == c2.key()
+                firings += 1
+            else:
+                with pytest.raises(NotEnabled):
+                    fire_rule(m, c, rule)
+    return len(states), firings
+
+
+def assert_replay_reproduces_runs(model, config, seeds):
+    for seed in seeds:
+        trace = run(model, config, RandomPolicy(seed), max_steps=40)
+        assert replay(model, config, trace.labels()) == trace
+
+
+class TestRuleCore:
+    def test_bundled_models(self, bundles, shop_loaded):
+        systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
+        for model, config in systems + [shop_loaded]:
+            states, firings = assert_rule_core_agrees(model, config)
+            assert firings > 0
+            assert_replay_reproduces_runs(model, config, range(5))
+
+    def test_random_models(self):
+        states = firings = 0
+        for seed in range(300):
+            model = random_model(seed)
+            config = random_initial(model)
+            counts = assert_rule_core_agrees(model, config)
+            states, firings = states + counts[0], firings + counts[1]
+            assert_replay_reproduces_runs(model, config, range(3))
+        assert states > 500 and firings > 100
