@@ -255,19 +255,31 @@ def canonical_variable(value: object) -> tuple:
     return ("int", value)
 
 
-def canonical_model(m: StdModel) -> tuple:
+class CanonicalForm(tuple):
+    """A canonical model form: a plain tuple that computes its hash once, so
+    looking a model up by its form costs no walk over the whole model."""
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
+def canonical_model(m: StdModel) -> CanonicalForm:
     """The canonical form of `m`, computed once per model object.
 
     Models are never mutated (see `model`), so the form is kept in the
     instance `__dict__` beside the model's `cached_property` facts."""
     facts = m.__dict__
     if "canonical" not in facts:
-        facts["canonical"] = (
+        facts["canonical"] = CanonicalForm((
             m.version,
             tuple(sorted(canonical_std(s) for s in m.components.values())),
             tuple(sorted(canonical_rule(r) for r in m.rules.values())),
             tuple(sorted((n, canonical_variable(v)) for n, v in m.variables.items())),
-        )
+        ))
     return facts["canonical"]
 
 

@@ -112,24 +112,24 @@ def cmd_validate(args) -> int:
 
 
 def _interactive_chooser(labels) -> Optional[int]:
-    print("choose a step:", file=sys.stderr)
-    for i, label in enumerate(labels):
-        print(f"  [{i}] {label_text(label)}", file=sys.stderr)
-    line = sys.stdin.readline()
-    if not line:
-        return None
-    line = line.strip()
-    if not line or line in {"q", "quit"}:
-        return None
-    try:
-        idx = int(line)
-    except ValueError:
-        print(f"not a number: {line!r}", file=sys.stderr)
-        return _interactive_chooser(labels)
-    if not 0 <= idx < len(labels):
+    while True:
+        print("choose a step:", file=sys.stderr)
+        for i, label in enumerate(labels):
+            print(f"  [{i}] {label_text(label)}", file=sys.stderr)
+        line = sys.stdin.readline()
+        if not line:
+            return None
+        line = line.strip()
+        if not line or line in {"q", "quit"}:
+            return None
+        try:
+            idx = int(line)
+        except ValueError:
+            print(f"not a number: {line!r}", file=sys.stderr)
+            continue
+        if 0 <= idx < len(labels):
+            return idx
         print(f"out of range: {idx}", file=sys.stderr)
-        return _interactive_chooser(labels)
-    return idx
 
 
 def cmd_simulate(args) -> int:

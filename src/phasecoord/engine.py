@@ -8,8 +8,11 @@ manager's claimed transition, transfers every listed employee role to its
 target phase, and applies the rule's changeset if it carries one.
 
 The engine is a pure transition-function library: (model, configuration) in,
-successors out.  Nothing here mutates shared state, so concurrent
-explorations may share model values freely.
+successors out.  All it writes are per-model caches (see `model`), such as
+the `free_steps` table, which only gain entries, each a function of the
+model and its key, so concurrent explorations may share model values
+freely.  A successor's configuration key is its parent's with only the
+changed pairs replaced (`_moved`, `_transferred`).
 
 `_fire` decides and takes every rule firing; a replay fires only its
 recorded labels, through `_take`.  Consistency is checked where a step can
@@ -25,17 +28,19 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .changeset import RejectedChange, apply_changeset
 from .model import (
     Configuration,
     ConsistencyRule,
+    Phase,
     RoleTransfer,
     Std,
     StdModel,
     Transition,
     validate_configuration,
+    with_pair,
 )
 
 
@@ -103,10 +108,10 @@ def config_digest(config: Configuration) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def _current_phases(std: Std, config: Configuration) -> list:
+def _phases_named(std: Std, names: Iterable[Optional[str]]) -> list[Phase]:
+    """The phase of each partition of `std`, in order, by its name in `names`."""
     phases = []
-    for part in std.partitions:
-        name = config.phases.get((std.name, part.name))
+    for part, name in zip(std.partitions, names):
         phase = part.phase_named(name) if name is not None else None
         if phase is None:
             raise UnknownElement(f"{std.name}.{part.name}: no current phase")
@@ -114,20 +119,35 @@ def _current_phases(std: Std, config: Configuration) -> list:
     return phases
 
 
+def _free_steps(
+    model: StdModel, component: str, state: str, phase_names: tuple
+) -> tuple[DetailedStep, ...]:
+    """The sorted free detailed steps of the component at `state` while its
+    roles (`model.roles` order) are in `phase_names`: read from the model's
+    `free_steps` table, computed and kept there on first use."""
+    at = (component, state, phase_names)
+    steps = model.free_steps.get(at)
+    if steps is None:
+        std = model.components[component]
+        phases = _phases_named(std, phase_names)
+        claimed = model.claimed_steps
+        steps = model.free_steps[at] = tuple(
+            DetailedStep(component, t)
+            for t in std.transitions_from.get(state, ())
+            if (component, t) not in claimed and all(t in phase.transitions for phase in phases)
+        )
+    return steps
+
+
 def enabled_detailed(model: StdModel, config: Configuration, component: str) -> set[Transition]:
     """Transitions the component may take on its own from the current state;
     claimed steps fire only via rule firings."""
-    std = model.components.get(component)
-    if std is None:
+    roles = model.roles.get(component)
+    if roles is None:
         raise UnknownElement(component)
     state = config.detailed[component]
-    phases = _current_phases(std, config)
-    claimed = model.claimed_steps
-    return {
-        t
-        for t in std.transitions_from.get(state, ())
-        if (component, t) not in claimed and all(t in phase.transitions for phase in phases)
-    }
+    steps = _free_steps(model, component, state, tuple(map(config.phases.get, roles)))
+    return {step.transition for step in steps}
 
 
 def entered_traps(model: StdModel, config: Configuration, component: str, partition: str) -> set[str]:
@@ -149,18 +169,16 @@ def entered_traps(model: StdModel, config: Configuration, component: str, partit
 
 
 def _transferred(config: Configuration, rule: ConsistencyRule) -> Configuration:
-    detailed = dict(config.detailed)
-    detailed[rule.manager] = rule.manager_step.target
-    phases = dict(config.phases)
+    version, detailed, phases = config.key()
+    detailed = with_pair(detailed, rule.manager, rule.manager_step.target)
     for tr in rule.transfers:
-        phases[(tr.component, tr.partition)] = tr.target
-    return Configuration(detailed=detailed, phases=phases, model_version=config.model_version)
+        phases = with_pair(phases, (tr.component, tr.partition), tr.target)
+    return Configuration.from_key((version, detailed, phases))
 
 
 def _moved(config: Configuration, component: str, transition: Transition) -> Configuration:
-    detailed = dict(config.detailed)
-    detailed[component] = transition.target
-    return Configuration(detailed=detailed, phases=config.phases, model_version=config.model_version)
+    version, detailed, phases = config.key()
+    return Configuration.from_key((version, with_pair(detailed, component, transition.target), phases))
 
 
 def _fire(
@@ -174,7 +192,7 @@ def _fire(
     if config.detailed.get(rule.manager) != rule.manager_step.source:
         return "manager not at the step's source", None
     try:
-        mgr_phases = _current_phases(mgr, config)
+        mgr_phases = _phases_named(mgr, map(config.phases.get, model.roles[rule.manager]))
     except UnknownElement:
         return "manager phase unresolved", None
     if any(rule.manager_step not in phase.transitions for phase in mgr_phases):
@@ -212,7 +230,7 @@ def _rule_firings(
     """Each enabled rule with the (model, configuration) its firing reaches,
     by rule name."""
     by_step = model.rules_by_manager_step
-    for name in sorted(name for at in config.detailed.items() for name in by_step.get(at, ())):
+    for name in sorted(name for at in config.key()[1] for name in by_step.get(at, ())):
         rule = model.rules[name]
         blocker, after = _fire(model, config, rule)
         if blocker is None:
@@ -260,10 +278,11 @@ def successors(
 ) -> list[tuple[StepLabel, StdModel, Configuration]]:
     """All enabled steps, deterministically ordered: detailed steps by
     (component, transition), then rule firings by rule name."""
+    detailed, phases, roles = config.detailed, config.phases, model.roles
     out: list[tuple[StepLabel, StdModel, Configuration]] = [
-        (DetailedStep(comp, t), model, _moved(config, comp, t))
-        for comp in sorted(model.components)
-        for t in sorted(enabled_detailed(model, config, comp))
+        (step, model, _moved(config, comp, step.transition))
+        for comp in model.component_order
+        for step in _free_steps(model, comp, detailed[comp], tuple(map(phases.get, roles[comp])))
     ]
     out.extend((_rule_label(rule), *after) for rule, after in _rule_firings(model, config))
     return out

@@ -6,13 +6,14 @@ content, not only by the version stamp; two configurations that differ only
 in model version are distinct states.
 
 Each distinct model content gets an index in the space, found through its
-canonical form (computed once per model object, see
+canonical form (computed and hashed once per model object, see
 `changeset.canonical_model`).  The seen-set is a plain dict from
-(model index, `Configuration.key()`) to the state's index; the key is built
-once per reached state.  Exploration is deterministic; the optional worker
-pool only parallelizes successor computation within one BFS layer and
-merges results in layer order, so reports are identical to the
-single-threaded run byte for byte.
+(model index, `Configuration.key()`) to the state's index; the key is the
+configuration itself, derived by the engine from its parent's.  Exploration
+is deterministic; the optional worker pool (at most one thread per CPU) only
+parallelizes successor computation within one BFS layer and merges results
+in layer order, so reports are identical to the single-threaded run byte for
+byte.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
@@ -22,6 +23,7 @@ answer obeys the same bounds.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -164,6 +166,7 @@ def explore_space(
     root, _ = _intern_state(space, model, initial, 0, None, max_states=1)  # always kept
     frontier = [root]
     depth = 0
+    workers = min(workers, os.cpu_count() or 1)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while frontier:

@@ -11,18 +11,28 @@ All types are immutable values after construction; validation is pure and
 returns ordered diagnostics rather than raising.  Nothing mutates a model,
 its components or the mappings it holds once it is built: a changeset makes
 a new `StdModel`.  Facts derived from one `Std` or `StdModel` object (its
-transitions by source, claimed steps, rules by manager step, and the
-canonical form in `changeset.canonical_model`) are therefore computed once
-per object and kept in its instance `__dict__`, where
-`functools.cached_property` keeps them.  They are not dataclass fields, so
-`==`, `repr` and `dataclasses.replace` ignore them, and a replaced object
-starts with none.
+transitions by source, claimed steps, rules by manager step, roles, phase
+states, the engine's table of free steps, and the canonical form in
+`changeset.canonical_model`) are therefore computed once per object and kept
+in its instance `__dict__`, where `functools.cached_property` keeps them.
+They are not dataclass fields, so `==`, `repr` and `dataclasses.replace`
+ignore them, and a replaced object starts with none.  Each is a function of
+the object alone, so threads that fill one at the same time store equal
+values.
+
+A `Configuration` is its canonical key: the model version, the sorted
+(component, state) pairs and the sorted ((component, partition), phase)
+pairs.  The engine derives a successor's key from its parent's by replacing
+only the pairs a step changes (`with_pair`), so a step sorts nothing and a
+successor that was reached before costs one tuple.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 # Reserved trap name: the trap consisting of all states of a phase.  It is
@@ -151,7 +161,7 @@ class StdModel:
     version: int = 0
 
     def component_names(self) -> list[str]:
-        return sorted(self.components)
+        return list(self.component_order)
 
     def rule_names(self) -> list[str]:
         return sorted(self.rules)
@@ -171,25 +181,119 @@ class StdModel:
             out.setdefault((rule.manager, rule.manager_step.source), []).append(name)
         return {key: tuple(names) for key, names in out.items()}
 
+    @cached_property
+    def component_order(self) -> tuple[str, ...]:
+        """The component names, sorted."""
+        return tuple(sorted(self.components))
 
-@dataclass(frozen=True)
+    @cached_property
+    def roles(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """The roles (component, partition) of each component, in partition order."""
+        return {
+            name: tuple((name, part.name) for part in std.partitions)
+            for name, std in self.components.items()
+        }
+
+    @cached_property
+    def partition_count(self) -> int:
+        """The number of partitions of all components."""
+        return sum(len(std.partitions) for std in self.components.values())
+
+    @cached_property
+    def phase_states(self) -> dict[tuple[tuple[str, str], str], frozenset[str]]:
+        """(role, phase name) -> the states of that phase; of two phases of
+        one name, the first, as `Partition.phase_named` finds it."""
+        return {
+            ((name, part.name), phase.name): phase.states
+            for name, std in self.components.items()
+            for part in std.partitions
+            for phase in reversed(part.phases)
+        }
+
+    @cached_property
+    def free_steps(self) -> dict[tuple, tuple]:
+        """(component, state, current phase of each of its `roles`) -> the
+        sorted free `engine.DetailedStep`s there.  Filled by the engine on
+        first use of each key; entries are only added, never changed."""
+        return {}
+
+
 class Configuration:
-    """Live global state: detailed state per component, current phase per role."""
+    """Live global state: detailed state per component, current phase per role.
 
-    detailed: Mapping[str, str]
-    phases: Mapping[tuple[str, str], str]
-    model_version: int = 0
+    A configuration is its canonical key: (model version, (component, state)
+    pairs sorted by component, ((component, partition), phase) pairs sorted by
+    role).  `detailed` and `phases` are read-only views of the pairs, built on
+    first access and then kept.
+    """
+
+    __slots__ = ("_key", "_detailed", "_phases")
+
+    def __init__(
+        self,
+        detailed: Mapping[str, str],
+        phases: Mapping[tuple[str, str], str],
+        model_version: int = 0,
+    ):
+        self._key = (model_version, tuple(sorted(detailed.items())), tuple(sorted(phases.items())))
+        self._detailed = self._phases = None
+
+    @classmethod
+    def from_key(cls, key: tuple) -> "Configuration":
+        """The configuration whose `key()` is `key`; the pairs must already be
+        sorted, with each component and role at most once."""
+        config = object.__new__(cls)
+        config._key = key
+        config._detailed = config._phases = None
+        return config
 
     def key(self) -> tuple:
         """Canonical comparable identity (version, detailed, role phases)."""
-        return (
-            self.model_version,
-            tuple(sorted(self.detailed.items())),
-            tuple(sorted(self.phases.items())),
-        )
+        return self._key
+
+    @property
+    def model_version(self) -> int:
+        return self._key[0]
+
+    @property
+    def detailed(self) -> Mapping[str, str]:
+        if self._detailed is None:
+            self._detailed = MappingProxyType(dict(self._key[1]))
+        return self._detailed
+
+    @property
+    def phases(self) -> Mapping[tuple[str, str], str]:
+        if self._phases is None:
+            self._phases = MappingProxyType(dict(self._key[2]))
+        return self._phases
 
     def phase_of(self, component: str, partition: str) -> str:
         return self.phases[(component, partition)]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self):
+        return Configuration.from_key, (self._key,)
+
+    def __repr__(self) -> str:
+        return (
+            f"Configuration(detailed={dict(self._key[1])!r}, "
+            f"phases={dict(self._key[2])!r}, model_version={self._key[0]!r})"
+        )
+
+
+def with_pair(pairs: tuple, slot, value) -> tuple:
+    """Sorted (slot, value) pairs with `slot` set to `value`, added in order
+    when absent; the other pairs are shared, not re-sorted."""
+    i = bisect_left(pairs, (slot,))
+    rest = i + 1 if i < len(pairs) and pairs[i][0] == slot else i
+    return pairs[:i] + ((slot, value),) + pairs[rest:]
 
 
 @dataclass(frozen=True)
@@ -372,13 +476,44 @@ def validate_model(model: StdModel) -> list[Diagnostic]:
 def validate_configuration(model: StdModel, config: Configuration) -> list[Diagnostic]:
     """Consistency of a live configuration against its model: every detailed
     state sits inside the current phase of every role of its component."""
-    out: list[Diagnostic] = []
+    if _all_clear(model, config):
+        return []
+    return _configuration_diagnostics(model, config)
+
+
+def _all_clear(model: StdModel, config: Configuration) -> bool:
+    """True only when `_configuration_diagnostics` finds nothing, read off the
+    key: as many entries as the model has components and partitions, each a
+    known state or a known phase holding its component's state.  A partition
+    name declared twice in one component (which `validate_model` rejects)
+    leaves fewer roles than partitions, so such a model is never clear here."""
+    version, detailed, phases = config.key()
+    if (
+        version != model.version
+        or len(detailed) != len(model.components)
+        or len(phases) != model.partition_count
+    ):
+        return False
+    components, phase_states = model.components, model.phase_states
+    for comp, state in detailed:
+        std = components.get(comp)
+        if std is None or state not in std.states:
+            return False
+    state_of = dict(detailed)
+    for entry in phases:
+        if state_of.get(entry[0][0]) not in phase_states.get(entry, ()):
+            return False
+    return True
+
+
+def _configuration_diagnostics(model: StdModel, config: Configuration) -> list[Diagnostic]:
     if config.model_version != model.version:
         return [
             Diagnostic(
                 "version-mismatch", "configuration", str(config.model_version), f"model {model.version}"
             )
         ]
+    out: list[Diagnostic] = []
     for comp in sorted(model.components):
         if comp not in config.detailed:
             out.append(Diagnostic("missing-config-entry", comp))

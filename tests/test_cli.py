@@ -165,6 +165,15 @@ class TestSimulate:
         assert "choose a step" in err
         assert len(out.strip().splitlines()) == 3  # header + two chosen steps
 
+    def test_interactive_rejects_many_lines_without_recursion(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("x\n" * 3000 + "q\n"))
+        code, out, err = run_cli(capsys, "simulate", "prodcons", "--interactive")
+        assert code == 0
+        assert err.count("not a number: 'x'") == 3000
+        assert "Traceback" not in err
+
 
 class TestExplore:
     def test_flagship_run_exit_0(self, tmp_path, capsys):
@@ -229,6 +238,29 @@ class TestExplore:
         run_cli(capsys, "explore", "shop-migration", "--load-migration", "ShopMigr",
                 "--check-termination", "3", "--check-progress", "16",
                 "--parallel", "4", "--report-out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_parallel_pool_is_capped_at_the_cpu_count(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # runs the work in this thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(explorer, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(capsys, "explore", "cs-nondet", "--report-out", str(a))[0] == 0
+        assert sizes == []
+        assert run_cli(capsys, "explore", "cs-nondet", "--parallel", "100000",
+                       "--report-out", str(b))[0] == 0
+        assert sizes == [3]
         assert a.read_bytes() == b.read_bytes()
 
     def test_violation_exit_4(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from phasecoord.changeset import (
     models_equal,
     validate_changeset,
 )
-from phasecoord.engine import RuleStep, successors
+from phasecoord.engine import RuleStep, _free_steps, successors
 from phasecoord.explorer import explore_space, reachable_projection
 from phasecoord.mcpal import (
     FragmentInvalid,
@@ -183,6 +183,13 @@ class TestCachedModelFacts:
         assert canonical_model(model) == canonical_model(fresh)
         assert model.claimed_steps == fresh.claimed_steps
         assert model.rules_by_manager_step == fresh.rules_by_manager_step
+        assert hash(canonical_model(model)) == hash(tuple(canonical_model(fresh)))
+        assert model.component_order == fresh.component_order
+        assert model.roles == fresh.roles
+        assert model.phase_states == fresh.phase_states
+        assert model.free_steps
+        for at, steps in model.free_steps.items():
+            assert _free_steps(fresh, *at) == steps
         for name, std in model.components.items():
             assert std.transitions_from == fresh.components[name].transitions_from
         assert model == fresh

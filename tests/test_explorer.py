@@ -1,10 +1,12 @@
 """Reachability, invariants, termination, progress, shortest traces."""
 
 import json
+import sys
 from dataclasses import replace as dc_replace
 
 import pytest
 
+from phasecoord import explorer as explorer_module
 from phasecoord.changeset import ChangeSet
 from phasecoord.dsl import parse_model
 from phasecoord.engine import export_trace_jsonl, replay
@@ -109,6 +111,31 @@ class TestExplore:
         serial = explore(model, config, [], workers=1)
         threaded = explore(model, config, [], workers=4)
         assert serial.to_json() == threaded.to_json()
+
+    def test_threads_racing_to_fill_caches_agree_with_serial(self, bundles, monkeypatch):
+        # more threads than cores and a short switch interval, on fresh model
+        # objects whose per-model caches the threads fill at the same time
+        monkeypatch.setattr(explorer_module.os, "cpu_count", lambda: 8)
+        bundle = bundles["shop-migration"]
+
+        def fresh_system():
+            model = bundle.model()
+            return load_migration(model, initial_configuration(model), bundle.fragment())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                serial_model, config = fresh_system()
+                threaded_model, _ = fresh_system()
+                assert threaded_model is not serial_model and "free_steps" not in vars(threaded_model)
+                serial = explore(serial_model, config, [], workers=1)
+                threaded = explore(threaded_model, config, [], workers=8)
+                assert serial.to_json() == threaded.to_json()
+                assert serial.space.configs == threaded.space.configs
+                assert threaded_model.free_steps == serial_model.free_steps
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_versions_distinguish_states(self):
         # one-shot version bump: the rule removes itself, after which the

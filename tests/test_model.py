@@ -2,6 +2,10 @@
 
 import random
 
+import pickle
+
+import pytest
+
 from phasecoord.model import (
     TRIV,
     Configuration,
@@ -19,6 +23,7 @@ from phasecoord.model import (
     validate_model,
     validate_std,
     validate_trap,
+    with_pair,
 )
 
 from tests.genmodels import break_model, close_forward, random_initial, random_model
@@ -265,6 +270,43 @@ class TestValidateConfiguration:
         model = StdModel({"X": std({"A"}, [], "A")}, {}, {}, 3)
         config = Configuration({"X": "A"}, {}, 2)
         assert [d.code for d in validate_configuration(model, config)] == ["version-mismatch"]
+
+
+class TestConfiguration:
+    """A configuration is its canonical key."""
+
+    def test_key_is_sorted_whatever_the_insertion_order(self):
+        a = Configuration({"Y": "B", "X": "A"}, {("Y", "p"): "q", ("X", "p"): "r"}, 2)
+        b = Configuration({"X": "A", "Y": "B"}, {("X", "p"): "r", ("Y", "p"): "q"}, 2)
+        assert a.key() == (2, (("X", "A"), ("Y", "B")), ((("X", "p"), "r"), (("Y", "p"), "q")))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Configuration({"X": "A", "Y": "B"}, {("X", "p"): "r", ("Y", "p"): "q"}, 3)
+        assert a.model_version == 2 and a.phase_of("Y", "p") == "q"
+        assert Configuration.from_key(a.key()) == a
+
+    def test_mappings_are_read_only_views_of_the_key(self):
+        detailed = {"X": "A"}
+        config = Configuration(detailed, {}, 0)
+        detailed["X"] = "B"
+        assert config.detailed == {"X": "A"} and config.detailed is config.detailed
+        with pytest.raises(TypeError):
+            config.detailed["X"] = "B"
+        with pytest.raises(TypeError):
+            config.phases[("X", "p")] = "q"
+
+    def test_repr_and_pickle(self):
+        config = Configuration({"X": "A"}, {("X", "p"): "q"}, 1)
+        assert repr(config) == "Configuration(detailed={'X': 'A'}, phases={('X', 'p'): 'q'}, model_version=1)"
+        config.detailed  # a built view is not part of the pickled value
+        assert pickle.loads(pickle.dumps(config)) == config
+
+    def test_with_pair_replaces_or_inserts_in_order(self):
+        pairs = (("A", 1), ("C", 3))
+        assert with_pair(pairs, "A", 9) == (("A", 9), ("C", 3))
+        assert with_pair(pairs, "C", 9) == (("A", 1), ("C", 9))
+        assert with_pair(pairs, "B", 2) == (("A", 1), ("B", 2), ("C", 3))
+        assert with_pair(pairs, "D", 4) == (("A", 1), ("C", 3), ("D", 4))
+        assert with_pair((), "A", 1) == (("A", 1),)
 
 
 class TestTrivReserved:

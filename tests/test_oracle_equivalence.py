@@ -1,5 +1,7 @@
 """The engine's successor relation against the brute-force enumerator."""
 
+from dataclasses import replace
+
 import pytest
 
 from phasecoord.changeset import canonical_model
@@ -7,6 +9,7 @@ from phasecoord.engine import (
     NotEnabled,
     RandomPolicy,
     RuleStep,
+    config_digest,
     enabled_rules,
     fire_rule,
     replay,
@@ -15,7 +18,15 @@ from phasecoord.engine import (
     successors,
 )
 from phasecoord.mcpal import load_migration
-from phasecoord.model import initial_configuration
+from phasecoord.model import (
+    Configuration,
+    Partition,
+    Phase,
+    StdModel,
+    _configuration_diagnostics,
+    initial_configuration,
+    validate_configuration,
+)
 
 from tests.genmodels import random_initial, random_model
 from tests.oracle import engine_successor_set, naive_successors, walk_all_states
@@ -182,3 +193,76 @@ class TestRuleCore:
             states, firings = states + counts[0], firings + counts[1]
             assert_replay_reproduces_runs(model, config, range(3))
         assert states > 500 and firings > 100
+
+
+def assert_fast_paths_agree(model, config):
+    """At every reachable state, each engine successor (whose key is derived
+    from its parent's) equals the configuration rebuilt from its mappings, and
+    `validate_configuration` equals the full walk; returns the successors seen."""
+    checked = 0
+    for m, c in walk_all_states(model, config, limit=50_000):
+        for _, m2, c2 in successors(m, c):
+            rebuilt = Configuration(dict(c2.detailed), dict(c2.phases), c2.model_version)
+            assert c2.key() == rebuilt.key() and c2 == rebuilt and hash(c2) == hash(rebuilt)
+            assert config_digest(c2) == config_digest(rebuilt)
+            assert validate_configuration(m2, c2) == _configuration_diagnostics(m2, c2) == []
+            checked += 1
+    return checked
+
+
+class TestConfigurationFastPaths:
+    def test_bundled_models(self, bundles, shop_loaded):
+        systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
+        for model, config in systems + [shop_loaded]:
+            assert assert_fast_paths_agree(model, config) > 0
+
+    def test_random_models(self):
+        checked = 0
+        for seed in range(300):
+            model = random_model(seed)
+            checked += assert_fast_paths_agree(model, random_initial(model))
+        assert checked > 1000
+
+    def test_invalid_configurations(self, bundles):
+        model = bundles["cs-nondet"].model()
+        good = initial_configuration(model)
+        detailed, phases = dict(good.detailed), dict(good.phases)
+        role = ("Worker1", "CSRole")
+        ghost_role = ("Ghost", "CSRole")
+        without = {k: v for k, v in detailed.items() if k != "Worker1"}
+        without_scheduler = {k: v for k, v in detailed.items() if k != "Scheduler"}
+        without_role = {k: v for k, v in phases.items() if k != role}
+        worker1 = model.components["Worker1"]
+        (cs_role,) = worker1.partitions
+
+        def with_worker1_partitions(*partitions):
+            worker = replace(worker1, partitions=partitions)
+            return StdModel({**model.components, "Worker1": worker}, model.rules,
+                            model.variables, model.version)
+
+        # a second partition of the same name whose phase does not resolve, and
+        # a second phase named Free (listed first, so it is the one that counts)
+        # that does not hold Worker1's state
+        doubled = with_worker1_partitions(cs_role, Partition("CSRole", (), "Free"))
+        in_cs_only = Phase("Free", frozenset({"InCS"}), frozenset())
+        shadowed = with_worker1_partitions(replace(cs_role, phases=(in_cs_only,) + cs_role.phases))
+        cases = {
+            "missing-component": (model, without, phases, 0),
+            "missing-component-without-roles": (model, without_scheduler, phases, 0),
+            "missing-role": (model, detailed, without_role, 0),
+            "unknown-component": (model, {**detailed, "Ghost": "OutCS"}, phases, 0),
+            "unknown-role": (model, detailed, {**phases, ghost_role: "Free"}, 0),
+            "component-swapped-for-unknown": (model, {**without, "Ghost": "OutCS"}, phases, 0),
+            "role-swapped-for-unknown": (model, detailed, {**without_role, ghost_role: "Free"}, 0),
+            "unknown-state": (model, {**detailed, "Worker1": "Nowhere"}, phases, 0),
+            "unknown-state-without-roles": (model, {**detailed, "Scheduler": "Nowhere"}, phases, 0),
+            "unknown-phase": (model, detailed, {**phases, role: "Nowhere"}, 0),
+            "phase-violation": (model, {**detailed, "Worker1": "InCS"}, phases, 0),
+            "version-mismatch": (model, detailed, phases, 1),
+            "duplicate-partition": (doubled, detailed, phases, 0),
+            "duplicate-phase": (shadowed, detailed, phases, 0),
+        }
+        for name, (m, d, p, version) in cases.items():
+            config = Configuration(d, p, version)
+            diags = validate_configuration(m, config)
+            assert diags and diags == _configuration_diagnostics(m, config), name
