@@ -52,6 +52,7 @@ from .mcpal import (
     NameCollision,
     is_hibernating,
     load_migration,
+    migration_complete,
     weave_mcpal,
 )
 from .model import (

@@ -30,23 +30,16 @@ from .engine import (
     run,
     walk_trace,
 )
-from .explorer import (
-    Bounds,
-    check_migration_termination,
-    check_progress,
-    explore,
-    explore_space,
-    shortest_trace_to,
+from .explorer import Bounds, check_migration_termination, check_progress, explore, explore_space
+from .mcpal import (
+    FragmentInvalid,
+    McPalNotHibernating,
+    McPalSkeleton,
+    load_migration,
+    migration_complete,
 )
-from .mcpal import FragmentInvalid, McPalNotHibernating, McPalSkeleton, load_migration
 from .model import initial_configuration, validate_configuration
-from .properties import (
-    And,
-    InPhase,
-    InState,
-    ModelVersionIs,
-    parse_properties,
-)
+from .properties import parse_properties
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -173,16 +166,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _completion_predicate(target_version: int, sk: McPalSkeleton):
-    return And(
-        ModelVersionIs(target_version),
-        And(
-            InState(sk.component, sk.hibernation_state),
-            InPhase(sk.component, sk.evolution_role, sk.hibernating_phase),
-        ),
-    )
-
-
 def cmd_explore(args) -> int:
     model, code = _load_model(args)
     if model is None:
@@ -204,6 +187,14 @@ def cmd_explore(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
 
+    for flag, value, least in (("--max-states", args.max_states, 1),
+                               ("--max-depth", args.max_depth, 0),
+                               ("--check-progress", args.check_progress, 1),
+                               ("--check-termination", args.check_termination, model.version)):
+        if value is not None and value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_PARSE
+
     props = []
     if args.props:
         try:
@@ -219,7 +210,7 @@ def cmd_explore(args) -> int:
         props = get_bundled(args.path).properties()
 
     bounds = Bounds(max_states=args.max_states, max_depth=args.max_depth)
-    report = explore(model, config, props, bounds, workers=args.parallel)
+    report = explore(model, config, props, bounds)
     space = report.space
     doc = json.loads(report.to_json())
 
@@ -308,10 +299,12 @@ def cmd_demo(args) -> int:
         fragment = bundle.fragment()
         model, config = load_migration(model, config, fragment)
         target = model.version + 2  # kick-off and shrink each bump the version
-        trace = shortest_trace_to(explore_space(model, config), _completion_predicate(target, sk))
-        if trace is None:
+        space = explore_space(model, config)
+        done = space.first(lambda m, c: migration_complete(m, c, target, sk))
+        if done is None:
             print("no completing trajectory found", file=sys.stderr)
             return EXIT_VIOLATION
+        trace = space.trace_to(done)
         _narrate(trace, model, "shop migration, shortest completing run:")
         print(f"migration complete, model version {trace.final_model_version}, "
               f"{sk.component} hibernating")
@@ -397,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-termination", type=int, metavar="VERSION")
     p.add_argument("--load-migration", metavar="VAR",
                    help="load this changeset variable into the coordinator before exploring")
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("demo", help="narrated run of a bundled model")

@@ -10,9 +10,8 @@ target phase, and applies the rule's changeset if it carries one.
 The engine is a pure transition-function library: (model, configuration) in,
 successors out.  All it writes are per-model caches (see `model`), such as
 the `free_steps` table, which only gain entries, each a function of the
-model and its key, so concurrent explorations may share model values
-freely.  A successor's configuration key is its parent's with only the
-changed pairs replaced (`_moved`, `_transferred`).
+model and its key.  A successor's configuration key is its parent's with
+only the changed pairs replaced (`_moved`, `_transferred`).
 
 `_fire` decides and takes every rule firing; a replay fires only its
 recorded labels, through `_take`.  Consistency is checked where a step can

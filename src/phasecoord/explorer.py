@@ -10,10 +10,8 @@ canonical form (computed and hashed once per model object, see
 `changeset.canonical_model`).  The seen-set is a plain dict from
 (model index, `Configuration.key()`) to the state's index; the key is the
 configuration itself, derived by the engine from its parent's.  Exploration
-is deterministic; the optional worker pool (at most one thread per CPU) only
-parallelizes successor computation within one BFS layer and merges results
-in layer order, so reports are identical to the single-threaded run byte for
-byte.
+is one serial BFS: each frontier state's successors are computed and
+interned in order, so state indices, edges and reports are deterministic.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
@@ -23,8 +21,6 @@ answer obeys the same bounds.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -39,6 +35,7 @@ from .engine import (
     label_text,
     successors,
 )
+from .mcpal import McPalSkeleton, migration_complete
 from .model import Configuration, StdModel, validate_configuration
 from .properties import (
     EventuallyAll,
@@ -63,7 +60,6 @@ class Space:
     model_keys: dict = field(default_factory=dict)  # canonical model -> index
     configs: list[Configuration] = field(default_factory=list)
     model_of: list[int] = field(default_factory=list)
-    depth: list[int] = field(default_factory=list)
     parent: list[Optional[tuple[int, StepLabel]]] = field(default_factory=list)
     edges: list[tuple[int, StepLabel, int]] = field(default_factory=list)
     deadlocks: list[int] = field(default_factory=list)
@@ -130,7 +126,7 @@ class Space:
         ]
 
 
-def _intern_state(space: Space, model: StdModel, config: Configuration, depth: int,
+def _intern_state(space: Space, model: StdModel, config: Configuration,
                   parent: Optional[tuple[int, StepLabel]],
                   max_states: int) -> Optional[tuple[int, bool]]:
     """The state's index and whether it was added now; None when it is new
@@ -149,7 +145,6 @@ def _intern_state(space: Space, model: StdModel, config: Configuration, depth: i
     idx = space.seen[key] = len(space.configs)
     space.configs.append(config)
     space.model_of.append(model_idx)
-    space.depth.append(depth)
     space.parent.append(parent)
     return idx, True
 
@@ -159,57 +154,34 @@ def explore_space(
     initial: Configuration,
     bounds: Bounds = Bounds(),
     exclude: Optional[Callable[[StepLabel], bool]] = None,
-    workers: int = 1,
 ) -> Space:
     """Breadth-first reachability; the one exploration every check queries."""
     space = Space()
-    root, _ = _intern_state(space, model, initial, 0, None, max_states=1)  # always kept
+    root, _ = _intern_state(space, model, initial, None, max_states=1)  # always kept
     frontier = [root]
     depth = 0
-    workers = min(workers, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if depth >= bounds.max_depth:
-                space.max_depth_hit = True
-                break
-
-            def expand(idx: int):
-                succ = successors(*space.state(idx))
-                if exclude is not None:
-                    succ = [s for s in succ if not exclude(s[0])]
-                return succ
-
-            if pool is not None:
-                chunks = list(pool.map(expand, frontier))
-            else:
-                chunks = [expand(idx) for idx in frontier]
-
-            next_frontier: list[int] = []
-            for idx, succ in zip(frontier, chunks):
-                if not succ:
-                    space.deadlocks.append(idx)
-                    continue
-                for label, nxt_model, nxt_config in succ:
-                    interned = _intern_state(
-                        space, nxt_model, nxt_config, depth + 1, (idx, label), bounds.max_states
-                    )
-                    if interned is None:
-                        space.max_states_hit = True
-                        break
-                    dst, fresh = interned
-                    space.edges.append((idx, label, dst))
-                    if fresh:
-                        next_frontier.append(dst)
-                if space.max_states_hit:
-                    break
-            if space.max_states_hit:
-                break
-            frontier = next_frontier
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier:
+        if depth >= bounds.max_depth:
+            space.max_depth_hit = True
+            break
+        next_frontier: list[int] = []
+        for idx in frontier:
+            succ = successors(*space.state(idx))
+            if exclude is not None:
+                succ = [s for s in succ if not exclude(s[0])]
+            if not succ:
+                space.deadlocks.append(idx)
+            for label, nxt_model, nxt_config in succ:
+                interned = _intern_state(space, nxt_model, nxt_config, (idx, label), bounds.max_states)
+                if interned is None:
+                    space.max_states_hit = True
+                    return space
+                dst, fresh = interned
+                space.edges.append((idx, label, dst))
+                if fresh:
+                    next_frontier.append(dst)
+        frontier = next_frontier
+        depth += 1
     return space
 
 
@@ -291,7 +263,8 @@ def explore(
     initial: Configuration,
     properties: Sequence[PropertyExpr] = (),
     bounds: Bounds = Bounds(),
-    workers: int = 1,
+    *,
+    workers: int = 1,  # kept only for perfbench/run.py, which passes workers=1
 ) -> ExplorationReport:
     """Enumerate reachable states, validating every one, and check properties.
 
@@ -301,7 +274,9 @@ def explore(
     remains reachable within the stated step bound.  The report keeps the
     explored space for further queries.
     """
-    space = explore_space(model, initial, bounds, workers=workers)
+    if workers != 1:
+        raise ValueError(f"exploration is serial; workers must be 1, got {workers}")
+    space = explore_space(model, initial, bounds)
     pending_violations: list[tuple[str, int]] = []
     verdicts: list[tuple[str, str]] = []
 
@@ -380,17 +355,14 @@ class TerminationResult:
 
 
 def check_migration_termination(
-    space: Space,
-    target_version: int,
-    mcpal: str = "McPal",
-    hibernation_state: str = "Observing",
-    evolution_role: str = "Evol",
-    hibernating_phase: str = "Hibernating",
+    space: Space, target_version: int, sk: McPalSkeleton = McPalSkeleton()
 ) -> TerminationResult:
     """Verify that the migration always remains completable.
 
-    Completion means: model version equals the target and the coordinator is
-    back in hibernation.  Free-running components make "all interleavings
+    Completion (`mcpal.migration_complete`) means: model version equals the
+    target and the coordinator named by `sk` is back in hibernation, that is
+    in `sk.hibernation_state` with its `sk.evolution_role` role in
+    `sk.hibernating_phase`.  Free-running components make "all interleavings
     finish in N steps" unsatisfiable for any N (a scheduler may simply never
     pick the coordinator), so the mechanized reading is: no deadlock occurs
     before completion, and from every reachable state a completion state is
@@ -404,12 +376,7 @@ def check_migration_termination(
     """
 
     def complete(idx: int) -> bool:
-        config = space.configs[idx]
-        return (
-            config.model_version == target_version
-            and config.detailed.get(mcpal) == hibernation_state
-            and config.phases.get((mcpal, evolution_role)) == hibernating_phase
-        )
+        return migration_complete(*space.state(idx), target_version, sk)
 
     for idx in sorted(space.deadlocks):
         if not complete(idx):

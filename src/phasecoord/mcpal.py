@@ -172,6 +172,13 @@ def is_hibernating(model: StdModel, config: Configuration, sk: McPalSkeleton = M
     )
 
 
+def migration_complete(model: StdModel, config: Configuration, target_version: int,
+                       sk: McPalSkeleton = McPalSkeleton()) -> bool:
+    """The migration to `target_version` is over: the model has that version
+    and the coordinator is back in hibernation."""
+    return config.model_version == target_version and is_hibernating(model, config, sk)
+
+
 def load_migration(
     model: StdModel,
     config: Configuration,

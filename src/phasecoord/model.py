@@ -17,8 +17,7 @@ states, the engine's table of free steps, and the canonical form in
 in its instance `__dict__`, where `functools.cached_property` keeps them.
 They are not dataclass fields, so `==`, `repr` and `dataclasses.replace`
 ignore them, and a replaced object starts with none.  Each is a function of
-the object alone, so threads that fill one at the same time store equal
-values.
+the object alone.
 
 A `Configuration` is its canonical key: the model version, the sorted
 (component, state) pairs and the sorted ((component, partition), phase)

@@ -12,6 +12,7 @@ from phasecoord.explorer import (  # noqa: E402
     check_progress,
     explore,
 )
+from phasecoord.mcpal import McPalSkeleton  # noqa: E402
 from phasecoord.properties import EventuallyAll, InState, Invariant, Not, Reachable  # noqa: E402
 
 from tests.genmodels import random_initial, random_model  # noqa: E402
@@ -31,8 +32,9 @@ def verdicts(model, config, component, state, k, bounds):
     if std.partitions:
         part = std.partitions[0]
         out["termination"] = check_migration_termination(
-            report.space, model.version, mcpal=component, hibernation_state=std.initial,
-            evolution_role=part.name, hibernating_phase=part.initial,
+            report.space, model.version,
+            sk=McPalSkeleton(component=component, hibernation_state=std.initial,
+                             evolution_role=part.name, hibernating_phase=part.initial),
         ).verdict
     return out
 

@@ -230,38 +230,22 @@ class TestExplore:
         assert doc["bounds"]["maxStatesHit"] is True
         assert doc["termination"]["verdict"] == "unknown(bound)"
 
-    def test_single_and_parallel_reports_byte_identical(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli(capsys, "explore", "shop-migration", "--load-migration", "ShopMigr",
-                "--check-termination", "3", "--check-progress", "16",
-                "--report-out", str(a))
-        run_cli(capsys, "explore", "shop-migration", "--load-migration", "ShopMigr",
-                "--check-termination", "3", "--check-progress", "16",
-                "--parallel", "4", "--report-out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_parallel_pool_is_capped_at_the_cpu_count(self, tmp_path, capsys, monkeypatch):
-        sizes = []
-
-        class RecordingPool:  # runs the work in this thread
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(explorer, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_cli(capsys, "explore", "cs-nondet", "--report-out", str(a))[0] == 0
-        assert sizes == []
-        assert run_cli(capsys, "explore", "cs-nondet", "--parallel", "100000",
-                       "--report-out", str(b))[0] == 0
-        assert sizes == [3]
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("argv", [
+        ("cs-nondet", "--check-progress", "-3"),
+        ("cs-nondet", "--check-progress", "0"),
+        ("cs-nondet", "--check-termination", "-1"),
+        ("cs-nondet", "--max-states", "-1"),
+        ("cs-nondet", "--max-depth", "-5"),
+        ("shop-migration", "--load-migration", "ShopMigr", "--check-termination", "0"),
+    ], ids=["progress-negative", "progress-zero", "termination-negative",
+            "max-states-negative", "max-depth-negative", "termination-below-loaded-version"])
+    def test_nonsense_bound_is_a_diagnostic(self, explore_space_calls, capsys, argv):
+        code, out, err = run_cli(capsys, "explore", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {argv[-2]} must be at least ")
+        assert "Traceback" not in err
+        assert explore_space_calls == []
 
     def test_violation_exit_4(self, tmp_path, capsys):
         props = tmp_path / "p.pprop"
