@@ -44,7 +44,7 @@ from .explorer import (
     reachable_projection,
     shortest_trace_to,
 )
-from .dsl import ParseResult, SourceModel, parse_model, serialize_model
+from .dsl import ParseResult, parse_model, serialize_model
 from .mcpal import (
     FragmentInvalid,
     McPalNotHibernating,

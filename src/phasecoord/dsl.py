@@ -32,7 +32,8 @@ meaning; only reference cycles are rejected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .changeset import ChangeSet
@@ -48,14 +49,6 @@ from .model import (
     Trap,
     validate_model,
 )
-
-PUNCT = ("->", "{", "}", "(", ")", "[", "]", ":", ";", ",", ".", "=", "*", "-", "+")
-
-
-@dataclass(frozen=True)
-class SourceModel:
-    text: str
-    name: str = "<input>"
 
 
 @dataclass(frozen=True)
@@ -79,51 +72,34 @@ class ParseError(Exception):
         )
 
 
+# Integers are ASCII digits only: int() would also read (or choke on) other
+# Unicode digits.  A `name` match may start with a non-letter such as "²";
+# tokenize rejects those, since names start with a letter or "_".
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | [ \t\r]+ | \#[^\n]*
+  | (?P<int>[0-9]+)
+  | (?P<name>\w+)
+  | (?P<punct>->|[-{}()\[\]:;,.=*+])
+  | (?P<other>.)
+""", re.VERBOSE)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        matched = False
-        for p in PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if not matched:
-            raise ParseError(f"unexpected character {c!r}", Token("?", c, line, col))
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind is not None:
+            column = m.start() - line_start + 1
+            if kind == "other" or (kind == "name" and not (value[0].isalpha() or value[0] == "_")):
+                raise ParseError(f"unexpected character {value[0]!r}",
+                                 Token("?", value[0], line, column))
+            tokens.append(Token(value if kind == "punct" else kind, value, line, column))
+    # a comment ends the last line without moving the end-of-input column
+    tokens.append(Token("eof", "", line, len(text[line_start:].split("#", 1)[0]) + 1))
     return tokens
 
 
@@ -133,35 +109,36 @@ IName = tuple
 
 
 @dataclass
-class PTransfer:
-    component: IName
-    partition: IName
-    source: IName
-    trap: IName
-    target: IName
-
-
-@dataclass
 class PRule:
     name: IName
     manager: IName
-    step: tuple[IName, IName, IName]
-    transfers: list[PTransfer]
+    step: Transition  # of indexable names
+    transfers: list[tuple[IName, ...]]  # RoleTransfer's five fields, in order
     change: Optional[Union[str, "PChangeSet"]]
     token: Token
 
 
 @dataclass
 class PChangeSet:
-    add_components: list = field(default_factory=list)
+    """A changeset literal as parsed.  Components, partitions, phases and
+    traps are already domain values; rules, rule removals and nested
+    changesets wait for the family index of the rule instance they serve."""
+
+    add_components: list[Std] = field(default_factory=list)
     add_partitions: list = field(default_factory=list)
     add_phases: list = field(default_factory=list)
     add_traps: list = field(default_factory=list)
-    add_rules: list = field(default_factory=list)
-    remove_rules: list = field(default_factory=list)
+    add_rules: list[PRule] = field(default_factory=list)
+    remove_rules: list[IName] = field(default_factory=list)
     set_variables: list = field(default_factory=list)
     remove_phases: list = field(default_factory=list)
     remove_partitions: list = field(default_factory=list)
+
+
+# A top-level component declaration: base name, family bound, the member
+# components, the name token, and (kind, path, token) for every partition,
+# phase and trap inside, the path relative to the component.
+_ComponentDecl = tuple[str, Optional[int], list[Std], Token, list]
 
 
 class _Parser:
@@ -193,6 +170,11 @@ class _Parser:
             tok = self.peek()
             raise ParseError(f"expected {word!r}, found {tok.value!r}", tok)
         return self.next()
+
+    def label(self, word: str) -> None:
+        """A body field's `word:` prefix."""
+        self.expect_keyword(word)
+        self.expect(":")
 
     def name(self) -> str:
         return self.expect("name").value
@@ -230,21 +212,16 @@ class _Parser:
             out.append(self.name())
         return out
 
-    def plain_transition(self) -> tuple[str, str, str]:
-        src = self.name()
+    def transition(self, part) -> Transition:
+        """`source - action -> target`, each part read by `part`: `name` in
+        bodies, `iname` in rules (whose steps hold indexable names until
+        their family index is resolved)."""
+        src = part()
         self.expect("-")
-        act = self.name()
+        act = part()
         self.expect("->")
-        tgt = self.name()
-        return (src, act, tgt)
-
-    def indexed_transition(self) -> tuple[IName, IName, IName]:
-        src = self.iname()
-        self.expect("-")
-        act = self.iname()
-        self.expect("->")
-        tgt = self.iname()
-        return (src, act, tgt)
+        tgt = part()
+        return Transition(src, act, tgt)
 
     def dotted(self, parts: int) -> list[str]:
         out = [self.name()]
@@ -253,85 +230,122 @@ class _Parser:
             out.append(self.name())
         return out
 
-    # -- bodies --------------------------------------------------------------
+    def declared(self, kind: str, parent: str, marks: list) -> tuple[str, str]:
+        """A nested declaration's name and its path below the component,
+        noting the name's position in `marks`."""
+        tok = self.peek()
+        name = self.name()
+        path = f"{parent}.{name}" if parent else name
+        marks.append((kind, path, tok))
+        return name, path
 
-    def component_inner(self) -> dict:
-        self.expect_keyword("states")
-        self.expect(":")
+    # -- bodies ----------------------------------------------------------------
+
+    def component_body(self, name: str, marks: list) -> Std:
+        self.expect("{")
+        self.label("states")
         states = self.name_list(";")
         self.expect(";")
-        self.expect_keyword("initial")
-        self.expect(":")
+        self.label("initial")
         initial = self.name()
         self.expect(";")
-        self.expect_keyword("transitions")
-        self.expect(":")
+        self.label("transitions")
         transitions = []
         while self.peek().kind == "name" and not self.at_keyword("partition"):
-            transitions.append(self.plain_transition())
+            transitions.append(self.transition(self.name))
             self.expect(";")
         partitions = []
         while self.at_keyword("partition"):
             self.next()
-            tok = self.peek()
-            pname = self.name()
-            self.expect("{")
-            partitions.append(self.partition_inner(pname, tok))
-            self.expect("}")
-        return {"states": states, "initial": initial,
-                "transitions": transitions, "partitions": partitions}
+            partitions.append(self.partition_body(*self.declared("partition", "", marks), marks))
+        self.expect("}")
+        return Std(
+            name=name,
+            states=frozenset(states),
+            actions=frozenset(t.action for t in transitions),
+            transitions=frozenset(transitions),
+            initial=initial,
+            partitions=tuple(partitions),
+        )
 
-    def partition_inner(self, name: str, token: Token) -> dict:
-        self.expect_keyword("initial")
-        self.expect(":")
+    def partition_body(self, name: str, path: str, marks: list) -> Partition:
+        self.expect("{")
+        self.label("initial")
         initial = self.name()
         self.expect(";")
         phases = []
         while self.at_keyword("phase"):
             self.next()
-            tok = self.peek()
-            phname = self.name()
-            self.expect("{")
-            phases.append(self.phase_inner(phname, tok))
-            self.expect("}")
-        return {"name": name, "initial": initial, "phases": phases, "token": token}
+            phases.append(self.phase_body(*self.declared("phase", path, marks), marks))
+        self.expect("}")
+        return Partition(name=name, initial=initial, phases=tuple(phases))
 
-    def phase_inner(self, name: str, token: Token) -> dict:
-        self.expect_keyword("states")
-        self.expect(":")
+    def phase_body(self, name: str, path: str, marks: list) -> Phase:
+        self.expect("{")
+        self.label("states")
         states = self.name_list(";")
         self.expect(";")
-        self.expect_keyword("transitions")
-        self.expect(":")
+        self.label("transitions")
         transitions = []
         if self.peek().kind == "name":
-            transitions.append(self.plain_transition())
+            transitions.append(self.transition(self.name))
             while self.peek().kind == ",":
                 self.next()
-                transitions.append(self.plain_transition())
+                transitions.append(self.transition(self.name))
         self.expect(";")
         traps = []
         while self.at_keyword("trap"):
             self.next()
-            trap_tok = self.peek()
-            tname = self.name()
-            self.expect("{")
-            tstates = self.name_list("}")
-            self.expect("}")
-            traps.append({"name": tname, "states": tstates, "token": trap_tok})
-        return {"name": name, "states": states, "transitions": transitions,
-                "traps": traps, "token": token}
+            traps.append(self.trap_body(self.declared("trap", path, marks)[0]))
+        self.expect("}")
+        return Phase(name=name, states=frozenset(states),
+                     transitions=frozenset(transitions), traps=tuple(traps))
+
+    def trap_body(self, name: str) -> Trap:
+        self.expect("{")
+        states = self.name_list("}")
+        self.expect("}")
+        return Trap(name, frozenset(states))
 
     # -- declarations ----------------------------------------------------------
 
+    def component_decl(self) -> _ComponentDecl:
+        """`NAME [N]? { ... }` after the `component` keyword; a family
+        declares the members NAME1 .. NAMEN with one shared body."""
+        tok = self.peek()
+        name = self.name()
+        bound = None
+        if self.peek().kind == "[":
+            self.next()
+            bound = self.integer()
+            self.expect("]")
+        marks: list = []
+        std = self.component_body(name, marks)
+        members = [std] if bound is None else [
+            replace(std, name=f"{name}{k}") for k in range(1, bound + 1)
+        ]
+        return name, bound, members, tok, marks
+
+    def binding(self) -> tuple[str, object, Token]:
+        """`NAME = value;` after `var` or `set`: an integer or a changeset."""
+        tok = self.peek()
+        name = self.name()
+        self.expect("=")
+        if self.peek().kind == "{":
+            value: object = self.changeset_literal()
+        else:
+            value = self.integer()
+        self.expect(";")
+        return name, value, tok
+
     def rule_decl(self) -> PRule:
-        self.expect_keyword("rule")
+        """The rest of a rule after its `rule` keyword."""
         tok = self.peek()
         name = self.iname()
         self.expect(":")
         manager = self.iname()
         self.expect(":")
-        step = self.indexed_transition()
+        step = self.transition(self.iname)
         transfers = []
         while self.peek().kind == "*":
             self.next()
@@ -345,7 +359,7 @@ class _Parser:
             trap = self.iname()
             self.expect("->")
             target = self.iname()
-            transfers.append(PTransfer(comp, part, source, trap, target))
+            transfers.append((comp, part, source, trap, target))
         change: Optional[Union[str, PChangeSet]] = None
         if self.at_keyword("with"):
             self.next()
@@ -366,38 +380,17 @@ class _Parser:
                 self.next()
                 kind = self.name()
                 if kind == "component":
-                    cname = self.name()
-                    bound = None
-                    if self.peek().kind == "[":
-                        self.next()
-                        bound = self.integer()
-                        self.expect("]")
-                    self.expect("{")
-                    body = self.component_inner()
-                    self.expect("}")
-                    cs.add_components.append((cname, bound, body, tok))
+                    cs.add_components.extend(self.component_decl()[2])
                 elif kind == "partition":
                     comp, pname = self.dotted(2)
-                    self.expect("{")
-                    body = self.partition_inner(pname, tok)
-                    self.expect("}")
-                    cs.add_partitions.append((comp, body))
+                    cs.add_partitions.append((comp, self.partition_body(pname, pname, [])))
                 elif kind == "phase":
                     comp, part, phname = self.dotted(3)
-                    self.expect("{")
-                    body = self.phase_inner(phname, tok)
-                    self.expect("}")
-                    cs.add_phases.append((comp, part, body))
+                    cs.add_phases.append((comp, part, self.phase_body(phname, phname, [])))
                 elif kind == "trap":
                     comp, part, phname, tname = self.dotted(4)
-                    self.expect("{")
-                    tstates = self.name_list("}")
-                    self.expect("}")
-                    cs.add_traps.append(
-                        (comp, part, phname, {"name": tname, "states": tstates, "token": tok})
-                    )
+                    cs.add_traps.append((comp, part, phname, self.trap_body(tname)))
                 elif kind == "rule":
-                    self.pos -= 1  # hand the 'rule' keyword back to rule_decl
                     cs.add_rules.append(self.rule_decl())
                 else:
                     raise ParseError(f"cannot add {kind!r}", tok)
@@ -415,24 +408,18 @@ class _Parser:
                 self.expect(";")
             elif self.at_keyword("set"):
                 self.next()
-                vname = self.name()
-                self.expect("=")
-                if self.peek().kind == "{":
-                    value: object = self.changeset_literal()
-                else:
-                    value = self.integer()
-                self.expect(";")
-                cs.set_variables.append((vname, value))
+                cs.set_variables.append(self.binding()[:2])
             else:
                 raise ParseError(f"expected add/remove/set, found {tok.value!r}", tok)
         self.expect("}")
         return cs
 
-    def document(self) -> dict:
-        """Declarations in document order; later declarations may reference
-        earlier ones (family bounds, changeset variables) but not vice versa."""
+    def document(self) -> tuple[int, list[_ComponentDecl], list, list[PRule]]:
+        """The version and each kind of declaration in document order."""
         version = None
-        decls: list[tuple[str, object]] = []
+        components: list[_ComponentDecl] = []
+        variables: list[tuple[str, object, Token]] = []
+        rules: list[PRule] = []
         while self.peek().kind != "eof":
             if self.at_keyword("version"):
                 tok = self.next()
@@ -442,46 +429,27 @@ class _Parser:
                 self.expect(";")
             elif self.at_keyword("component"):
                 self.next()
-                tok = self.peek()
-                name = self.name()
-                bound = None
-                if self.peek().kind == "[":
-                    self.next()
-                    bound = self.integer()
-                    self.expect("]")
-                self.expect("{")
-                body = self.component_inner()
-                self.expect("}")
-                decls.append(("component", (name, bound, body, tok)))
+                components.append(self.component_decl())
             elif self.at_keyword("rule"):
-                decls.append(("rule", self.rule_decl()))
+                self.next()
+                rules.append(self.rule_decl())
             elif self.at_keyword("var"):
                 self.next()
-                tok = self.peek()
-                name = self.name()
-                self.expect("=")
-                if self.peek().kind == "{":
-                    value: object = self.changeset_literal()
-                else:
-                    value = self.integer()
-                self.expect(";")
-                decls.append(("var", (name, value, tok)))
+                variables.append(self.binding())
             else:
                 tok = self.peek()
                 raise ParseError(f"expected a declaration, found {tok.value!r}", tok)
-        return {"version": version or 0, "decls": decls}
+        return version or 0, components, variables, rules
 
 
-# -- expansion and model building ---------------------------------------------
+# -- index expansion -----------------------------------------------------------
 
 
 class _Builder:
-    """Turns the parse forms into domain values, expanding family indices."""
+    """Resolves family indices in rules and changesets."""
 
-    def __init__(self, source_name: str):
-        self.source_name = source_name
+    def __init__(self):
         self.diags: list[Diagnostic] = []
-        self.spans: dict[str, tuple[int, int]] = {}
         self.families: dict[str, int] = {}
         self.variables: dict[str, object] = {}
 
@@ -510,7 +478,7 @@ class _Builder:
         itself references; mixed bounds are rejected."""
         inames = [prule.name, prule.manager, *prule.step]
         for tr in prule.transfers:
-            inames += [tr.component, tr.partition, tr.source, tr.trap, tr.target]
+            inames += tr
         uses_var = any(isinstance(idx, tuple) for _, idx in inames)
         if not uses_var:
             return None
@@ -522,61 +490,15 @@ class _Builder:
             return None
         return bounds.pop()
 
-    def build_trap(self, body: dict, owner: str) -> Trap:
-        self.spans[f"trap:{owner}.{body['name']}"] = (body["token"].line, body["token"].column)
-        return Trap(body["name"], frozenset(body["states"]))
-
-    def build_phase(self, body: dict, owner: str) -> Phase:
-        where = f"{owner}.{body['name']}"
-        self.spans[f"phase:{where}"] = (body["token"].line, body["token"].column)
-        return Phase(
-            name=body["name"],
-            states=frozenset(body["states"]),
-            transitions=frozenset(Transition(*t) for t in body["transitions"]),
-            traps=tuple(self.build_trap(t, where) for t in body["traps"]),
-        )
-
-    def build_partition(self, body: dict, owner: str) -> Partition:
-        where = f"{owner}.{body['name']}"
-        self.spans[f"partition:{where}"] = (body["token"].line, body["token"].column)
-        return Partition(
-            name=body["name"],
-            initial=body["initial"],
-            phases=tuple(self.build_phase(p, where) for p in body["phases"]),
-        )
-
-    def build_std(self, name: str, body: dict, token: Token) -> Std:
-        self.spans[f"component:{name}"] = (token.line, token.column)
-        transitions = frozenset(Transition(*t) for t in body["transitions"])
-        return Std(
-            name=name,
-            states=frozenset(body["states"]),
-            actions=frozenset(t.action for t in transitions),
-            transitions=transitions,
-            initial=body["initial"],
-            partitions=tuple(self.build_partition(p, name) for p in body["partitions"]),
-        )
-
-    def add_component_decl(self, out: dict[str, Std], decl) -> None:
-        name, bound, body, token = decl
-        names = [name] if bound is None else [f"{name}{k}" for k in range(1, bound + 1)]
-        if bound is not None:
-            self.families[name] = bound
-        for n in names:
-            if n in out:
-                self.error("duplicate-name", "component", n, token)
-                continue
-            out[n] = self.build_std(n, body, token)
-
-    def add_rule_decl(self, out: dict[str, ConsistencyRule], prule: PRule) -> None:
-        bound = self.rule_bound(prule)
-        indices = [None] if bound is None else list(range(1, bound + 1))
-        for k in indices:
-            rule = self.build_rule(prule, k, bound)
-            if rule.name in out:
-                self.error("duplicate-name", "rule", rule.name, prule.token)
-                continue
-            out[rule.name] = rule
+    def rule_instances(self, prule: PRule, index: Optional[int] = None,
+                       bound: Optional[int] = None) -> list[ConsistencyRule]:
+        """The rules a declaration stands for: one per family member when it
+        uses [i] itself, unless the rule instance whose changeset holds it
+        already fixes the index."""
+        own = self.rule_bound(prule)
+        if own is not None and index is None:
+            return [self.build_rule(prule, k, own) for k in range(1, own + 1)]
+        return [self.build_rule(prule, index, bound)]
 
     def build_rule(self, prule: PRule, index: Optional[int], bound: Optional[int]) -> ConsistencyRule:
         tok = prule.token
@@ -585,7 +507,6 @@ class _Builder:
             return self.resolve_iname(iname, index, bound, tok)
 
         name = res(prule.name)
-        self.spans[f"rule:{name}"] = (tok.line, tok.column)
         change = None
         if prule.change is not None:
             if isinstance(prule.change, str):
@@ -600,44 +521,22 @@ class _Builder:
         return ConsistencyRule(
             name=name,
             manager=res(prule.manager),
-            manager_step=Transition(*(res(p) for p in prule.step)),
-            transfers=tuple(
-                RoleTransfer(res(t.component), res(t.partition), res(t.source),
-                             res(t.trap), res(t.target))
-                for t in prule.transfers
-            ),
+            manager_step=Transition(*map(res, prule.step)),
+            transfers=tuple(RoleTransfer(*map(res, t)) for t in prule.transfers),
             change=change,
         )
 
     def build_changeset(self, pcs: PChangeSet, index: Optional[int] = None,
                         bound: Optional[int] = None) -> ChangeSet:
-        add_components = []
-        for name, fam_bound, body, token in pcs.add_components:
-            names = [name] if fam_bound is None else [f"{name}{k}" for k in range(1, fam_bound + 1)]
-            for n in names:
-                add_components.append(self.build_std(n, body, token))
-        add_rules = []
-        for prule in pcs.add_rules:
-            inner_bound = self.rule_bound(prule)
-            if inner_bound is not None and index is None:
-                for k in range(1, inner_bound + 1):
-                    add_rules.append(self.build_rule(prule, k, inner_bound))
-            else:
-                add_rules.append(self.build_rule(prule, index, bound))
         return ChangeSet(
-            add_components=tuple(add_components),
-            add_partitions=tuple(
-                (comp, self.build_partition(body, comp)) for comp, body in pcs.add_partitions
+            add_components=tuple(pcs.add_components),
+            add_partitions=tuple(pcs.add_partitions),
+            add_phases=tuple(pcs.add_phases),
+            add_traps=tuple(pcs.add_traps),
+            add_rules=tuple(
+                rule for prule in pcs.add_rules
+                for rule in self.rule_instances(prule, index, bound)
             ),
-            add_phases=tuple(
-                (comp, part, self.build_phase(body, f"{comp}.{part}"))
-                for comp, part, body in pcs.add_phases
-            ),
-            add_traps=tuple(
-                (comp, part, ph, self.build_trap(body, f"{comp}.{part}.{ph}"))
-                for comp, part, ph, body in pcs.add_traps
-            ),
-            add_rules=tuple(add_rules),
             remove_rules=tuple(
                 self.resolve_iname(n, index, bound, Token("name", n[0], 0, 0))
                 for n in pcs.remove_rules
@@ -714,53 +613,59 @@ def _locate(diag: Diagnostic, spans: dict[str, tuple[int, int]]) -> Diagnostic:
     return diag
 
 
-def parse_model(source: Union[str, SourceModel]) -> ParseResult:
+def parse_model(text: str) -> ParseResult:
     """Parse a document; on grammatical success the model is also validated
-    and any validator diagnostics are attached with source spans."""
-    if isinstance(source, str):
-        source = SourceModel(source)
+    and any validator diagnostics are attached with the source spans of the
+    model's own declarations."""
     try:
-        tokens = tokenize(source.text)
-        doc = _Parser(tokens).document()
+        version, component_decls, var_decls, rule_decls = _Parser(tokenize(text)).document()
     except ParseError as exc:
         return ParseResult(model=None, diagnostics=[exc.diagnostic()])
-    builder = _Builder(source.name)
+    builder = _Builder()
+    spans: dict[str, tuple[int, int]] = {}
     components: dict[str, Std] = {}
     rules: dict[str, ConsistencyRule] = {}
     # declaration order is not semantic: components (and family bounds) are
     # registered first, then variables in reference-dependency order, then
     # rules, so any declaration may reference any other
-    for kind, payload in doc["decls"]:
-        if kind == "component":
-            builder.add_component_decl(components, payload)
-    var_decls = []
-    seen_vars = set()
-    for kind, payload in doc["decls"]:
-        if kind != "var":
-            continue
-        name, value, token = payload
-        if name in seen_vars:
+    for name, bound, members, token, marks in component_decls:
+        if bound is not None:
+            builder.families[name] = bound
+        for std in members:
+            if std.name in components:
+                builder.error("duplicate-name", "component", std.name, token)
+                continue
+            components[std.name] = std
+            spans[f"component:{std.name}"] = (token.line, token.column)
+            for kind, path, tok in marks:
+                spans[f"{kind}:{std.name}.{path}"] = (tok.line, tok.column)
+    unique_vars = []
+    for name, value, token in var_decls:
+        if f"var:{name}" in spans:
             builder.error("duplicate-name", "var", name, token)
             continue
-        seen_vars.add(name)
-        builder.spans[f"var:{name}"] = (token.line, token.column)
-        var_decls.append((name, value, token))
-    for name, value, token in _dependency_order(var_decls, builder):
+        spans[f"var:{name}"] = (token.line, token.column)
+        unique_vars.append((name, value, token))
+    for name, value, token in _dependency_order(unique_vars, builder):
         builder.variables[name] = (
             builder.build_changeset(value) if isinstance(value, PChangeSet) else value
         )
-    for kind, payload in doc["decls"]:
-        if kind == "rule":
-            builder.add_rule_decl(rules, payload)
+    for prule in rule_decls:
+        for rule in builder.rule_instances(prule):
+            spans[f"rule:{rule.name}"] = (prule.token.line, prule.token.column)
+            if rule.name in rules:
+                builder.error("duplicate-name", "rule", rule.name, prule.token)
+                continue
+            rules[rule.name] = rule
     model = StdModel(
         components=components,
         rules=rules,
         variables=dict(builder.variables),
-        version=doc["version"],
+        version=version,
     )
     diags = list(builder.diags)
-    diags.extend(_locate(d, builder.spans) for d in validate_model(model))
-    return ParseResult(model=model, diagnostics=diags, spans=builder.spans)
+    diags.extend(_locate(d, spans) for d in validate_model(model))
+    return ParseResult(model=model, diagnostics=diags, spans=spans)
 
 
 # -- serialization ---------------------------------------------------------
@@ -770,78 +675,76 @@ def _fmt_transition(t: Transition) -> str:
     return f"{t.source} - {t.action} -> {t.target}"
 
 
-def _serialize_phase(phase: Phase, indent: str) -> list[str]:
-    lines = [f"{indent}phase {phase.name} {{"]
+def _serialize_trap(header: str, trap: Trap) -> str:
+    return f"{header} {{ {', '.join(sorted(trap.states))} }}"
+
+
+def _serialize_phase(header: str, phase: Phase, indent: str) -> list[str]:
+    lines = [f"{indent}{header} {{"]
     lines.append(f"{indent}  states: {', '.join(sorted(phase.states))};")
     trans = ", ".join(_fmt_transition(t) for t in sorted(phase.transitions))
     lines.append(f"{indent}  transitions: {trans};" if trans else f"{indent}  transitions: ;")
     for trap in sorted(phase.traps, key=lambda t: t.name):
-        lines.append(f"{indent}  trap {trap.name} {{ {', '.join(sorted(trap.states))} }}")
+        lines.append(f"{indent}  {_serialize_trap(f'trap {trap.name}', trap)}")
     lines.append(f"{indent}}}")
     return lines
 
 
-def _serialize_partition(part: Partition, indent: str) -> list[str]:
-    lines = [f"{indent}partition {part.name} {{", f"{indent}  initial: {part.initial};"]
+def _serialize_partition(header: str, part: Partition, indent: str) -> list[str]:
+    lines = [f"{indent}{header} {{", f"{indent}  initial: {part.initial};"]
     for phase in sorted(part.phases, key=lambda p: p.name):
-        lines.extend(_serialize_phase(phase, indent + "  "))
+        lines.extend(_serialize_phase(f"phase {phase.name}", phase, indent + "  "))
     lines.append(f"{indent}}}")
     return lines
 
 
-def _serialize_component_body(std: Std, indent: str) -> list[str]:
-    lines = [f"{indent}states: {', '.join(sorted(std.states))};"]
-    lines.append(f"{indent}initial: {std.initial};")
-    lines.append(f"{indent}transitions:")
+def _serialize_component(header: str, std: Std, indent: str) -> list[str]:
+    inner = indent + "  "
+    lines = [f"{indent}{header} {{", f"{inner}states: {', '.join(sorted(std.states))};"]
+    lines.append(f"{inner}initial: {std.initial};")
+    lines.append(f"{inner}transitions:")
     for t in sorted(std.transitions):
-        lines.append(f"{indent}  {_fmt_transition(t)};")
+        lines.append(f"{inner}  {_fmt_transition(t)};")
     for part in sorted(std.partitions, key=lambda p: p.name):
-        lines.extend(_serialize_partition(part, indent))
+        lines.extend(_serialize_partition(f"partition {part.name}", part, inner))
+    lines.append(f"{indent}}}")
     return lines
 
 
-def _serialize_rule(rule: ConsistencyRule, indent: str = "") -> str:
-    parts = [f"{indent}rule {rule.name}: {rule.manager}: {_fmt_transition(rule.manager_step)}"]
+def _serialize_rule(rule: ConsistencyRule) -> str:
+    parts = [f"rule {rule.name}: {rule.manager}: {_fmt_transition(rule.manager_step)}"]
     for tr in rule.transfers:
         parts.append(
             f"    * {tr.component}({tr.partition}): {tr.source} - {tr.trap} -> {tr.target}"
         )
     text = "\n".join(parts)
     if rule.change is not None:
-        text += f"\n    with {_serialize_changeset(rule.change, indent + '    ')}"
+        text += f"\n    with {_serialize_changeset(rule.change, '    ')}"
     return text + ";"
+
+
+def _serialize_value(value: object, indent: str) -> str:
+    """The right-hand side of a `var` or `set` binding."""
+    if isinstance(value, ChangeSet):
+        return _serialize_changeset(value, indent)
+    return f"{value}"
 
 
 def _serialize_changeset(cs: ChangeSet, indent: str) -> str:
     inner = indent + "  "
     lines = ["{"]
     for std in sorted(cs.add_components, key=lambda s: s.name):
-        lines.append(f"{inner}add component {std.name} {{")
-        lines.extend(_serialize_component_body(std, inner + "  "))
-        lines.append(f"{inner}}}")
+        lines.extend(_serialize_component(f"add component {std.name}", std, inner))
     for comp, part in sorted(cs.add_partitions, key=lambda x: (x[0], x[1].name)):
-        lines.append(f"{inner}add partition {comp}.{part.name} {{")
-        lines.append(f"{inner}  initial: {part.initial};")
-        for phase in sorted(part.phases, key=lambda p: p.name):
-            lines.extend(_serialize_phase(phase, inner + "  "))
-        lines.append(f"{inner}}}")
+        lines.extend(_serialize_partition(f"add partition {comp}.{part.name}", part, inner))
     for comp, pname, phase in sorted(cs.add_phases, key=lambda x: (x[0], x[1], x[2].name)):
-        lines.append(f"{inner}add phase {comp}.{pname}.{phase.name} {{")
-        body = _serialize_phase(phase, inner)[1:-1]  # reuse inner lines only
-        lines.extend(body)
-        lines.append(f"{inner}}}")
+        lines.extend(_serialize_phase(f"add phase {comp}.{pname}.{phase.name}", phase, inner))
     for comp, pname, phname, trap in sorted(cs.add_traps, key=lambda x: (x[0], x[1], x[2], x[3].name)):
-        lines.append(
-            f"{inner}add trap {comp}.{pname}.{phname}.{trap.name}"
-            f" {{ {', '.join(sorted(trap.states))} }}"
-        )
+        lines.append(f"{inner}{_serialize_trap(f'add trap {comp}.{pname}.{phname}.{trap.name}', trap)}")
     for name, value in sorted(cs.set_variables):
-        if isinstance(value, ChangeSet):
-            lines.append(f"{inner}set {name} = {_serialize_changeset(value, inner)};")
-        else:
-            lines.append(f"{inner}set {name} = {value};")
+        lines.append(f"{inner}set {name} = {_serialize_value(value, inner)};")
     for rule in sorted(cs.add_rules, key=lambda r: r.name):
-        lines.append(f"{inner}add {_serialize_rule(rule).lstrip()}")
+        lines.append(f"{inner}add {_serialize_rule(rule)}")
     for name in sorted(cs.remove_rules):
         lines.append(f"{inner}remove rule {name};")
     for comp, pname, phname in sorted(cs.remove_phases):
@@ -857,20 +760,13 @@ def serialize_model(model: StdModel) -> str:
     clauses.  parse_model(serialize_model(m)) is structurally equal to m."""
     lines = [f"version {model.version};", ""]
     for name in sorted(model.components):
-        std = model.components[name]
-        lines.append(f"component {name} {{")
-        lines.extend(_serialize_component_body(std, "  "))
-        lines.append("}")
+        lines.extend(_serialize_component(f"component {name}", model.components[name], ""))
         lines.append("")
     for name in sorted(model.rules):
         lines.append(_serialize_rule(model.rules[name]))
         lines.append("")
     for name in sorted(model.variables):
-        value = model.variables[name]
-        if isinstance(value, ChangeSet):
-            lines.append(f"var {name} = {_serialize_changeset(value, '')};")
-        else:
-            lines.append(f"var {name} = {value};")
+        lines.append(f"var {name} = {_serialize_value(model.variables[name], '')};")
         lines.append("")
     while lines and lines[-1] == "":
         lines.pop()

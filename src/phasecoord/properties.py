@@ -218,7 +218,8 @@ class _Scanner:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: int() would also read (or choke on) other Unicode digits
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if start == self.pos:
             raise _PropParseError(self.error("expected an integer"))

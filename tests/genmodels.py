@@ -40,7 +40,8 @@ def random_phase(rng, name, states, transitions, must_include=None):
         chosen |= set(must_include)
     if not chosen:
         chosen = {rng.choice(pool)}
-    induced = [t for t in transitions if t.source in chosen and t.target in chosen]
+    # sorted, so the draws below follow one order under every PYTHONHASHSEED
+    induced = [t for t in sorted(transitions) if t.source in chosen and t.target in chosen]
     kept = frozenset(t for t in induced if rng.random() < 0.8)
     traps = []
     for k in range(rng.randint(0, 2)):

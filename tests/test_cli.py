@@ -66,6 +66,17 @@ rule r: X: A - go -> B * X(missing): a - triv -> b;
         assert code == 2
         assert "unknown-target" in err
 
+    @pytest.mark.parametrize("header,column", [
+        ("version ²;", 9), ("version 1²;", 10), ("version ٣;", 9),
+    ], ids=["superscript", "after-ascii", "arabic-indic"])
+    def test_non_ascii_digit_is_a_syntax_error(self, tmp_path, capsys, header, column):
+        path = tmp_path / "digits.pdm"
+        path.write_text(header + ONE_STEP_MODEL, "utf-8")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"1:{column}:") and "syntax-error" in err
+
     def test_json_format(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", "validate", "prodcons")
         assert code == 0
@@ -221,6 +232,16 @@ class TestExplore:
         assert err.startswith("2:") and "syntax-error" in err
         assert "nested deeper than 200" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["superscript", "arabic-indic"])
+    def test_non_ascii_digit_in_props_is_a_syntax_error(self, tmp_path, capsys, digit):
+        props = tmp_path / "f.pprop"
+        props.write_text(f"reachable modelVersionIs({digit})\n", "utf-8")
+        code, out, err = run_cli(capsys, "explore", "cs-nondet", "--props", str(props))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("1:") and "syntax-error" in err
+        assert "expected an integer" in err
 
     def test_termination_obeys_the_shared_bounds(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", *FLAGSHIP[:6],

@@ -1,7 +1,15 @@
 """Parser, serializer, round-trip identity, property expressions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from phasecoord.changeset import ChangeSet, canonical_model
-from phasecoord.dsl import parse_model, serialize_model, tokenize
+from phasecoord.cli import main as cli_main
+from phasecoord.dsl import ParseError, parse_model, serialize_model, tokenize
 from phasecoord.model import initial_configuration, validate_model
 from phasecoord.properties import (
     CountInState,
@@ -17,6 +25,8 @@ from phasecoord.properties import (
 )
 
 from tests.genmodels import random_model
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 MINIMAL = """
 component Blinker {
@@ -72,6 +82,30 @@ component X {
         diag = next(d for d in result.diagnostics if d.code == "trap-state-outside-phase")
         assert diag.line == 12  # the trap declaration's line
 
+    def test_changeset_body_does_not_move_a_diagnostic(self):
+        text = """
+component A {
+  states: x, y;
+  initial: x;
+  transitions:
+    x - go -> y;
+  partition P {
+    initial: Ph;
+    phase Ph {
+      states: x, y, z;
+      transitions: x - go -> y;
+    }
+  }
+}
+var M = {
+  add phase A.P.Ph { states: x, y; transitions: ; }
+};
+"""
+        result = parse_model(text)
+        diag = next(d for d in result.diagnostics if d.code == "phase-state-outside-std")
+        assert (diag.line, diag.column) == (9, 11)  # the model's own phase, not the changeset's
+        assert result.spans["phase:A.P.Ph"] == (9, 11)
+
     def test_duplicate_component_name(self):
         text = MINIMAL + MINIMAL.replace("component Blinker", "component Blinker")
         result = parse_model(text)
@@ -90,6 +124,25 @@ component X {
     def test_every_declaration_has_a_span(self):
         result = parse_model(MINIMAL)
         assert "component:Blinker" in result.spans
+
+    def test_spans_key_exactly_the_models_own_declarations(self, bundles):
+        for name, bundle in bundles.items():
+            result = bundle.parse()
+            model = result.model
+            expected = {f"component:{c}" for c in model.components}
+            expected |= {f"rule:{r}" for r in model.rules}
+            expected |= {f"var:{v}" for v in model.variables}
+            for c, std in model.components.items():
+                for part in std.partitions:
+                    expected.add(f"partition:{c}.{part.name}")
+                    for ph in part.phases:
+                        expected.add(f"phase:{c}.{part.name}.{ph.name}")
+                        expected |= {f"trap:{c}.{part.name}.{ph.name}.{t.name}" for t in ph.traps}
+            assert set(result.spans) == expected, name
+        # family members and rule instances share their declaration's span
+        spans = bundles["cs-nondet"].parse().spans
+        assert spans["phase:Worker1.CSRole.Crit"] == spans["phase:Worker2.CSRole.Crit"] == (19, 11)
+        assert spans["rule:admit1"] == spans["rule:admit2"] == (37, 6)
 
 
 class TestFamilies:
@@ -179,6 +232,19 @@ class TestRoundTrip:
             assert reparsed.ok, f"{name}: {reparsed.diagnostics}"
             assert canonical_model(reparsed.model) == canonical_model(model), name
 
+    @pytest.mark.parametrize("golden", [
+        "cs-nondet", "cs-roundrobin", "prodcons", "shop-migration", "shop-migration-loaded",
+    ])
+    def test_serialization_matches_golden_bytes(self, golden, shop_loaded, capsys):
+        """The bundled models through `phasecoord serialize`, and the shop
+        with its migration loaded through `serialize_model`."""
+        if golden == "shop-migration-loaded":
+            text = serialize_model(shop_loaded[0])
+        else:
+            assert cli_main(["serialize", golden]) == 0
+            text = capsys.readouterr().out
+        assert text == (GOLDEN / f"{golden}.pdm").read_text("utf-8")
+
     def test_empty_model_is_header_only(self):
         from phasecoord.model import StdModel
 
@@ -193,6 +259,24 @@ class TestRoundTrip:
             reparsed = parse_model(text)
             assert reparsed.ok, f"seed {seed}: {reparsed.diagnostics[:3]}"
             assert canonical_model(reparsed.model) == canonical_model(model), seed
+
+    def test_random_models_do_not_depend_on_the_hash_seed(self):
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import hashlib\n"
+            "from phasecoord.dsl import serialize_model\n"
+            "from tests.genmodels import random_model\n"
+            "text = ''.join(serialize_model(random_model(seed)) for seed in range(200))\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+            done = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                                  capture_output=True, text=True, check=True)
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
     def test_serialization_reflects_changeset_application(self, shop_loaded):
         model, config = shop_loaded
@@ -250,6 +334,23 @@ def test_tokenizer_positions():
     assert tokens[0].value == "component" and tokens[0].line == 1 and tokens[0].column == 1
     states_tok = next(t for t in tokens if t.value == "states")
     assert states_tok.line == 2 and states_tok.column == 3
+
+
+def test_tokenizer_integers_are_ascii_and_names_start_with_a_letter():
+    tokens = tokenize("x²_1 12 _y")
+    assert [(t.kind, t.value) for t in tokens] == [
+        ("name", "x²_1"), ("int", "12"), ("name", "_y"), ("eof", ""),
+    ]
+    for text, column in [("a ²b", 3), ("a ٣", 3), ("12²", 3)]:
+        with pytest.raises(ParseError) as caught:
+            tokenize(text)
+        assert caught.value.token.column == column
+
+
+def test_end_of_input_error_ignores_a_trailing_comment():
+    (diag,) = parse_model("version 0 # no semicolon").diagnostics
+    assert diag.code == "syntax-error"
+    assert (diag.line, diag.column) == (1, 11)
 
 
 def test_parse_validates_and_reports(bundles):
