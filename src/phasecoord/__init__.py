@@ -19,6 +19,7 @@ from .engine import (
     ReplayDivergence,
     RuleStep,
     Trace,
+    UnknownElement,
     config_digest,
     enabled_detailed,
     enabled_rules,

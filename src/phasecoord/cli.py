@@ -22,13 +22,13 @@ from .engine import (
     InteractivePolicy,
     RandomPolicy,
     ReplayDivergence,
-    RuleStep,
-    Trace,
-    export_trace_jsonl,
+    config_digest,
+    drive,
     label_text,
     parse_trace_steps,
     run,
     walk_trace,
+    write_trace_jsonl,
 )
 from .explorer import Bounds, check_migration_termination, check_progress, explore, explore_space
 from .mcpal import (
@@ -137,32 +137,37 @@ def cmd_simulate(args) -> int:
 
     if args.script:
         try:
-            recorded = parse_trace_steps(Path(args.script).read_text("utf-8"))
+            steps = parse_trace_steps(Path(args.script).read_text("utf-8"))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        recorded = recorded if args.steps is None else recorded[:max(args.steps, 0)]
-        # each rule firing with a changeset bumps the model version by one
-        bumps = sum(isinstance(label, RuleStep) and label.changed for label, _ in recorded)
-        trace = Trace(config, tuple(recorded), config.model_version + bumps)
-    elif args.interactive:
-        policy = InteractivePolicy(_interactive_chooser)
-        trace = run(model, config, policy, 1_000_000 if args.steps is None else args.steps)
+        steps = steps if args.steps is None else steps[:max(args.steps, 0)]
     else:
-        policy = RandomPolicy(args.seed)
-        trace = run(model, config, policy, 100 if args.steps is None else args.steps)
+        if args.interactive:
+            policy, limit = InteractivePolicy(_interactive_chooser), 1_000_000
+        else:
+            policy, limit = RandomPolicy(args.seed), 100
+        taken = drive(model, config, policy, limit if args.steps is None else args.steps)
+        steps = ((label, config_digest(after)) for label, _, after in taken)
 
+    # each record is written as its step is taken, after it is re-fired from
+    # the previous configuration and its digest checked
     try:
-        text_out = export_trace_jsonl(model, trace)  # replays every step, checking its digest
+        out = open(args.trace_out, "w", encoding="utf-8") if args.trace_out else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        count, version = write_trace_jsonl(model, config, steps, out.write)
     except ReplayDivergence as exc:
         print(f"replay divergence at step {exc.index}: {label_text(exc.label)}", file=sys.stderr)
         return EXIT_REPLAY
+    finally:
+        if out is not sys.stdout:
+            out.close()
     if args.trace_out:
-        Path(args.trace_out).write_text(text_out, "utf-8")
-        print(f"{len(trace.steps)} step(s), final version {trace.final_model_version}, "
-              f"trace written to {args.trace_out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text_out)
+        print(f"{count} step(s), final version {version}, trace written to {args.trace_out}",
+              file=sys.stderr)
     return EXIT_OK
 
 

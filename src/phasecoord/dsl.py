@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .changeset import ChangeSet
 from .model import (
@@ -51,8 +51,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | punctuation literal | "eof"
     value: str
     line: int
@@ -129,7 +128,7 @@ class PChangeSet:
     add_phases: list = field(default_factory=list)
     add_traps: list = field(default_factory=list)
     add_rules: list[PRule] = field(default_factory=list)
-    remove_rules: list[IName] = field(default_factory=list)
+    remove_rules: list[tuple[IName, Token]] = field(default_factory=list)  # with the name's token
     set_variables: list = field(default_factory=list)
     remove_phases: list = field(default_factory=list)
     remove_partitions: list = field(default_factory=list)
@@ -398,7 +397,8 @@ class _Parser:
                 self.next()
                 kind = self.name()
                 if kind == "rule":
-                    cs.remove_rules.append(self.iname())
+                    name_tok = self.peek()
+                    cs.remove_rules.append((self.iname(), name_tok))
                 elif kind == "phase":
                     cs.remove_phases.append(tuple(self.dotted(3)))
                 elif kind == "partition":
@@ -538,8 +538,7 @@ class _Builder:
                 for rule in self.rule_instances(prule, index, bound)
             ),
             remove_rules=tuple(
-                self.resolve_iname(n, index, bound, Token("name", n[0], 0, 0))
-                for n in pcs.remove_rules
+                self.resolve_iname(name, index, bound, tok) for name, tok in pcs.remove_rules
             ),
             set_variables=tuple(
                 (name, self.build_changeset(v, index, bound) if isinstance(v, PChangeSet) else v)

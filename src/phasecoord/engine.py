@@ -8,16 +8,25 @@ manager's claimed transition, transfers every listed employee role to its
 target phase, and applies the rule's changeset if it carries one.
 
 The engine is a pure transition-function library: (model, configuration) in,
-successors out.  All it writes are per-model caches (see `model`), such as
-the `free_steps` table, which only gain entries, each a function of the
-model and its key.  A successor's configuration key is its parent's with
-only the changed pairs replaced (`_moved`, `_transferred`).
+successors out.  It works on a configuration's slots in its model's
+`model.SlotLayout` and reads the pair form only at its boundary: digests,
+trace records and `entered_traps`.  Per model object it compiles one
+`_StepCore`, kept in the model's `__dict__` (see `model`): a table of free
+steps, which only gains entries, each a function of the model and its key,
+and one `_Guard` per rule.  A successor copies its parent's slots and
+replaces the one a detailed step changes, or the few a rule changes.  A
+configuration that does not fit the layout (an unknown component, state,
+role or phase, or a missing one) raises `UnknownElement`, naming the first
+entry that does not fit.
 
-`_fire` decides and takes every rule firing; a replay fires only its
-recorded labels, through `_take`.  Consistency is checked where a step can
-break it: `_fire` asserts it after a rule with no changeset, `apply_changeset`
-validates it after a changeset, `step_detailed` asserts it after its own
-step, and `explore` reports `configuration-valid` for every reached state.
+One step core serves every caller: `successors`, `_take`, `rule_blocker`,
+`enabled_rules` and `fire_rule` decide a rule through its `_Guard`, and
+`_StepCore.fire` takes it; a replay fires only its recorded labels, through
+`_take`.  Consistency is checked where a step can break it:
+`_StepCore.fire` asserts it after a rule with no changeset,
+`apply_changeset` validates it after a changeset, `step_detailed` asserts
+it after its own step, and `explore` reports `configuration-valid` for every
+reached state.
 """
 
 from __future__ import annotations
@@ -27,19 +36,18 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .changeset import RejectedChange, apply_changeset
 from .model import (
     Configuration,
     ConsistencyRule,
-    Phase,
     RoleTransfer,
-    Std,
+    SlotLayout,
     StdModel,
     Transition,
     validate_configuration,
-    with_pair,
 )
 
 
@@ -107,46 +115,239 @@ def config_digest(config: Configuration) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def _phases_named(std: Std, names: Iterable[Optional[str]]) -> list[Phase]:
-    """The phase of each partition of `std`, in order, by its name in `names`."""
-    phases = []
-    for part, name in zip(std.partitions, names):
-        phase = part.phase_named(name) if name is not None else None
-        if phase is None:
-            raise UnknownElement(f"{std.name}.{part.name}: no current phase")
-        phases.append(phase)
-    return phases
+class _Guard:
+    """One rule compiled against a model's slot layout.
+
+    `blocker` gives the first reason the rule cannot fire, testing in this
+    order: the manager step, the manager's state, its phases, then each
+    transfer's phase, trap and target phase.  A transfer's role, phase or
+    trap that does not resolve is compiled to a test that never passes, so
+    its reason comes in its turn; a manager step that does not resolve is
+    the reason `static`, whatever the configuration."""
+
+    __slots__ = ("rule", "label", "static", "manager", "source", "target",
+                 "manager_phases", "transfers", "writes")
+
+    def __init__(self, model: StdModel, rule: ConsistencyRule):
+        layout = model.layout
+        self.rule = rule
+        self.label = RuleStep(rule.name, rule.manager, rule.manager_step, rule.transfers,
+                              rule.change is not None)
+        mgr = model.components.get(rule.manager)
+        self.static = None
+        if mgr is None or rule.manager_step not in mgr.transitions:
+            self.static = "manager step unresolved"
+            return
+        self.manager = layout.component_slot[rule.manager]
+        states = layout.state_index[self.manager - 1]
+        self.source = states.get(rule.manager_step.source)
+        self.target = states.get(rule.manager_step.target)
+        # per manager partition: (role slot, phase indices that do not
+        # resolve in it, phase indices whose phase holds the manager step)
+        manager_phases = []
+        for part in mgr.partitions:
+            slot = layout.role_slot[(rule.manager, part.name)]
+            names = layout.phases[slot - layout.role_base]
+            phases = [part.phase_named(name) for name in names]
+            manager_phases.append((
+                slot,
+                frozenset(i for i, phase in enumerate(phases) if phase is None),
+                frozenset(i for i, phase in enumerate(phases)
+                          if phase is not None and rule.manager_step in phase.transitions),
+            ))
+        self.manager_phases = tuple(manager_phases)
+        # per transfer: (role slot or None, source phase index, component
+        # slot, state indices of the trap, target phase index, its reasons)
+        transfers, writes = [], []
+        for tr in rule.transfers:
+            role = layout.role_slot.get((tr.component, tr.partition))
+            phases = layout.phase_index[role - layout.role_base] if role else {}
+            source, target = phases.get(tr.source), phases.get(tr.target)
+            comp = layout.component_slot.get(tr.component)
+            trap = frozenset()
+            if source is not None:
+                phase = model.components[tr.component].partition_named(tr.partition).phase_named(tr.source)
+                found = phase.trap_named(tr.trap)
+                states = layout.state_index[comp - 1]
+                if found is not None:
+                    trap = frozenset(states[s] for s in found.states if s in states)
+            transfers.append((
+                role if source is not None else None, source, comp, trap, target,
+                f"{tr.component}({tr.partition}) not in phase {tr.source}",
+                f"trap {tr.trap} of {tr.component}({tr.partition}) not entered",
+                f"target phase {tr.target} unresolved",
+            ))
+            writes.append((role, target))
+        self.transfers = tuple(transfers)
+        self.writes = tuple(writes)
+
+    def blocker(self, slots: tuple) -> Optional[str]:
+        """Why the rule cannot fire at `slots`, or None; the changeset aside."""
+        if self.static is not None:
+            return self.static
+        if slots[self.manager] != self.source:
+            return "manager not at the step's source"
+        for role, _, allowed in self.manager_phases:
+            if slots[role] not in allowed:
+                if any(slots[r] in bad for r, bad, _ in self.manager_phases):
+                    return "manager phase unresolved"
+                return "manager step outside a current phase"
+        for role, source, comp, trap, target, not_in, not_entered, unresolved in self.transfers:
+            if role is None or slots[role] != source:
+                return not_in
+            if slots[comp] not in trap:
+                return not_entered
+            if target is None:
+                return unresolved
+        return None
+
+    def apply(self, slots: tuple) -> tuple:
+        """The slots after the manager step and the transfers of an enabled rule."""
+        if self.target is None:
+            raise UnknownElement(f"{self.rule.manager}: unknown state {self.rule.manager_step.target}")
+        out = list(slots)
+        out[self.manager] = self.target
+        for role, target in self.writes:
+            out[role] = target
+        return tuple(out)
 
 
-def _free_steps(
-    model: StdModel, component: str, state: str, phase_names: tuple
-) -> tuple[DetailedStep, ...]:
-    """The sorted free detailed steps of the component at `state` while its
-    roles (`model.roles` order) are in `phase_names`: read from the model's
-    `free_steps` table, computed and kept there on first use."""
-    at = (component, state, phase_names)
-    steps = model.free_steps.get(at)
-    if steps is None:
-        std = model.components[component]
-        phases = _phases_named(std, phase_names)
-        claimed = model.claimed_steps
-        steps = model.free_steps[at] = tuple(
-            DetailedStep(component, t)
-            for t in std.transitions_from.get(state, ())
-            if (component, t) not in claimed and all(t in phase.transitions for phase in phases)
+class _StepCore:
+    """The engine's integer tables for one model object, built on first use
+    and kept in the model's `__dict__` (see `model`).
+
+    `free` holds, per component, its slot, a getter of its state and its
+    roles' phases, and the table from those to the sorted free steps there,
+    each as (`DetailedStep`, new state index); entries are added on first
+    use and never changed.  `guards` holds every rule compiled by name,
+    and `guards_at` the rules whose manager step resolves, keyed by manager
+    slot and then source state index, sorted by rule name."""
+
+    def __init__(self, model: StdModel):
+        layout = self.layout = model.layout
+        # the parts of the model `_fill` reads; the core keeps no reference
+        # to the model itself, which holds the core
+        self._components, self._claimed = model.components, model.claimed_steps
+        self.free = tuple(
+            (slot, itemgetter(slot, *(layout.role_slot[(name, part.name)]
+                                      for part in model.components[name].partitions)), {})
+            for slot, name in enumerate(layout.components, 1)
         )
-    return steps
+        self.guards = {name: _Guard(model, model.rules[name]) for name in sorted(model.rules)}
+        guards_at: dict[int, dict[int, list[_Guard]]] = {}
+        for guard in self.guards.values():
+            if guard.static is None and guard.source is not None:
+                guards_at.setdefault(guard.manager, {}).setdefault(guard.source, []).append(guard)
+        self.guards_at = tuple(
+            (slot, {state: tuple(guards) for state, guards in by_state.items()})
+            for slot, by_state in sorted(guards_at.items())
+        )
+
+    def free_steps(self, slots: tuple, slot: int) -> tuple:
+        """The free steps of the component at `slot`, with their new state
+        indices, in (component, transition) order."""
+        _, get, table = self.free[slot - 1]
+        at = get(slots)
+        steps = table.get(at)
+        if steps is None:
+            steps = table[at] = self._fill(slot, at)
+        return steps
+
+    def _fill(self, slot: int, at) -> tuple:
+        layout = self.layout
+        name = layout.components[slot - 1]
+        std = self._components[name]
+        state, *phase_indices = at if isinstance(at, tuple) else (at,)
+        phases = []
+        for part, index in zip(std.partitions, phase_indices):
+            role = layout.role_slot[(name, part.name)]
+            phase = part.phase_named(layout.phases[role - layout.role_base][index])
+            if phase is None:
+                raise UnknownElement(f"{name}.{part.name}: no current phase")
+            phases.append(phase)
+        claimed, states = self._claimed, layout.state_index[slot - 1]
+        steps = []
+        for t in std.transitions_from.get(layout.states[slot - 1][state], ()):
+            if (name, t) not in claimed and all(t in phase.transitions for phase in phases):
+                if t.target not in states:
+                    raise UnknownElement(f"{name}: unknown state {t.target}")
+                steps.append((DetailedStep(name, t), states[t.target]))
+        return tuple(steps)
+
+    def guard(self, model: StdModel, rule: ConsistencyRule) -> _Guard:
+        guard = self.guards.get(rule.name)
+        return guard if guard is not None and guard.rule is rule else _Guard(model, rule)
+
+    def firings(
+        self, model: StdModel, slots: tuple
+    ) -> Iterator[tuple[_Guard, tuple[StdModel, Configuration]]]:
+        """Each enabled rule's guard with the (model, configuration) its
+        firing reaches, by rule name."""
+        candidates = [guard for slot, by_state in self.guards_at
+                      for guard in by_state.get(slots[slot], ())]
+        if len(self.guards_at) > 1:
+            candidates.sort(key=lambda guard: guard.rule.name)
+        for guard in candidates:
+            blocker, after = self.fire(model, slots, guard)
+            if blocker is None:
+                yield guard, after
+
+    def fire(
+        self, model: StdModel, slots: tuple, guard: _Guard
+    ) -> tuple[Optional[str], Optional[tuple[StdModel, Configuration]]]:
+        """(None, (model, configuration) after firing) when the rule is
+        enabled, else (why not, None)."""
+        blocker = guard.blocker(slots)
+        if blocker is not None:
+            return blocker, None
+        rule = guard.rule
+        out = Configuration.from_slots(self.layout, guard.apply(slots))
+        if rule.change is not None:
+            try:
+                return None, apply_changeset(model, out, rule.change)
+            except RejectedChange as exc:
+                return f"changeset rejected: {exc.diagnostics[0]}", None
+        bad = validate_configuration(model, out)
+        assert not bad, f"rule {rule.name} broke consistency: {bad}"
+        return None, (model, out)
+
+    def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
+        """The slots after the component's free step along `transition`;
+        None when that step is not enabled."""
+        slot = self.layout.component_slot.get(component)
+        if slot is None:
+            return None
+        for step, state in self.free_steps(slots, slot):
+            if step.transition == transition:
+                return slots[:slot] + (state,) + slots[slot + 1:]
+        return None
+
+
+def _slots(layout: SlotLayout, config: Configuration) -> tuple:
+    """The configuration's slots in `layout`; raises UnknownElement when it
+    does not fit, naming the first entry that does not."""
+    slots = config.slots_in(layout)
+    if slots is None:
+        raise UnknownElement(layout.misfit(config.key()))
+    return slots
+
+
+def _core(model: StdModel) -> _StepCore:
+    facts = model.__dict__
+    core = facts.get("step_core")
+    if core is None:
+        core = facts["step_core"] = _StepCore(model)
+    return core
 
 
 def enabled_detailed(model: StdModel, config: Configuration, component: str) -> set[Transition]:
     """Transitions the component may take on its own from the current state;
     claimed steps fire only via rule firings."""
-    roles = model.roles.get(component)
-    if roles is None:
+    if component not in model.components:
         raise UnknownElement(component)
-    state = config.detailed[component]
-    steps = _free_steps(model, component, state, tuple(map(config.phases.get, roles)))
-    return {step.transition for step in steps}
+    core = _core(model)
+    slots = _slots(core.layout, config)
+    return {step.transition for step, _ in core.free_steps(slots, core.layout.component_slot[component])}
 
 
 def entered_traps(model: StdModel, config: Configuration, component: str, partition: str) -> set[str]:
@@ -167,17 +368,18 @@ def entered_traps(model: StdModel, config: Configuration, component: str, partit
     return {t.name for t in phase.all_traps() if state in t.states}
 
 
-def _transferred(config: Configuration, rule: ConsistencyRule) -> Configuration:
-    version, detailed, phases = config.key()
-    detailed = with_pair(detailed, rule.manager, rule.manager_step.target)
-    for tr in rule.transfers:
-        phases = with_pair(phases, (tr.component, tr.partition), tr.target)
-    return Configuration.from_key((version, detailed, phases))
-
-
-def _moved(config: Configuration, component: str, transition: Transition) -> Configuration:
-    version, detailed, phases = config.key()
-    return Configuration.from_key((version, with_pair(detailed, component, transition.target), phases))
+def _transfer(
+    model: StdModel, config: Configuration, rule: ConsistencyRule
+) -> tuple[Optional[str], Optional[Configuration]]:
+    """(None, configuration after the rule's manager step and transfers) when
+    its guard holds, else (why not, None); the changeset is not applied."""
+    core = _core(model)
+    slots = _slots(core.layout, config)
+    guard = core.guard(model, rule)
+    blocker = guard.blocker(slots)
+    if blocker is not None:
+        return blocker, None
+    return None, Configuration.from_slots(core.layout, guard.apply(slots))
 
 
 def _fire(
@@ -185,55 +387,8 @@ def _fire(
 ) -> tuple[Optional[str], Optional[tuple[StdModel, Configuration]]]:
     """(None, (model, configuration) after firing the rule) when it is enabled,
     else (why not, None); see `fire_rule`."""
-    mgr = model.components.get(rule.manager)
-    if mgr is None or rule.manager_step not in mgr.transitions:
-        return "manager step unresolved", None
-    if config.detailed.get(rule.manager) != rule.manager_step.source:
-        return "manager not at the step's source", None
-    try:
-        mgr_phases = _phases_named(mgr, map(config.phases.get, model.roles[rule.manager]))
-    except UnknownElement:
-        return "manager phase unresolved", None
-    if any(rule.manager_step not in phase.transitions for phase in mgr_phases):
-        return "manager step outside a current phase", None
-    for tr in rule.transfers:
-        if config.phases.get((tr.component, tr.partition)) != tr.source:
-            return f"{tr.component}({tr.partition}) not in phase {tr.source}", None
-        std = model.components.get(tr.component)
-        part = std.partition_named(tr.partition) if std else None
-        phase = part.phase_named(tr.source) if part else None
-        trap = phase.trap_named(tr.trap) if phase else None
-        if trap is None or config.detailed.get(tr.component) not in trap.states:
-            return f"trap {tr.trap} of {tr.component}({tr.partition}) not entered", None
-        if part.phase_named(tr.target) is None:
-            return f"target phase {tr.target} unresolved", None
-    out = _transferred(config, rule)
-    if rule.change is not None:
-        try:
-            return None, apply_changeset(model, out, rule.change)
-        except RejectedChange as exc:
-            return f"changeset rejected: {exc.diagnostics[0]}", None
-    bad = validate_configuration(model, out)
-    assert not bad, f"rule {rule.name} broke consistency: {bad}"
-    return None, (model, out)
-
-
-def _rule_label(rule: ConsistencyRule) -> RuleStep:
-    changed = rule.change is not None
-    return RuleStep(rule.name, rule.manager, rule.manager_step, rule.transfers, changed)
-
-
-def _rule_firings(
-    model: StdModel, config: Configuration
-) -> Iterator[tuple[ConsistencyRule, tuple[StdModel, Configuration]]]:
-    """Each enabled rule with the (model, configuration) its firing reaches,
-    by rule name."""
-    by_step = model.rules_by_manager_step
-    for name in sorted(name for at in config.key()[1] for name in by_step.get(at, ())):
-        rule = model.rules[name]
-        blocker, after = _fire(model, config, rule)
-        if blocker is None:
-            yield rule, after
+    core = _core(model)
+    return core.fire(model, _slots(core.layout, config), core.guard(model, rule))
 
 
 def rule_blocker(model: StdModel, config: Configuration, rule: ConsistencyRule) -> Optional[str]:
@@ -244,16 +399,21 @@ def rule_blocker(model: StdModel, config: Configuration, rule: ConsistencyRule) 
 def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRule]:
     """Rules whose manager step, transfer guards and (if present) changeset
     are all enabled now, sorted by rule name."""
-    return [rule for rule, _ in _rule_firings(model, config)]
+    core = _core(model)
+    return [guard.rule for guard, _ in core.firings(model, _slots(core.layout, config))]
 
 
 def step_detailed(
     model: StdModel, config: Configuration, component: str, transition: Transition
 ) -> Configuration:
     """Take one free detailed step; phases stay untouched."""
-    if transition not in enabled_detailed(model, config, component):
+    if component not in model.components:
+        raise UnknownElement(component)
+    core = _core(model)
+    slots = core.step(_slots(core.layout, config), component, transition)
+    if slots is None:
         raise NotEnabled(f"{component}: {transition.pretty()}")
-    out = _moved(config, component, transition)
+    out = Configuration.from_slots(core.layout, slots)
     bad = validate_configuration(model, out)
     assert not bad, f"detailed step broke consistency: {bad}"
     return out
@@ -277,13 +437,18 @@ def successors(
 ) -> list[tuple[StepLabel, StdModel, Configuration]]:
     """All enabled steps, deterministically ordered: detailed steps by
     (component, transition), then rule firings by rule name."""
-    detailed, phases, roles = config.detailed, config.phases, model.roles
-    out: list[tuple[StepLabel, StdModel, Configuration]] = [
-        (step, model, _moved(config, comp, step.transition))
-        for comp in model.component_order
-        for step in _free_steps(model, comp, detailed[comp], tuple(map(phases.get, roles[comp])))
-    ]
-    out.extend((_rule_label(rule), *after) for rule, after in _rule_firings(model, config))
+    core = _core(model)
+    slots = _slots(core.layout, config)
+    layout, from_slots = core.layout, Configuration.from_slots
+    out: list[tuple[StepLabel, StdModel, Configuration]] = []
+    for slot, get, table in core.free:  # `core.free_steps`, inlined: no call per component
+        at = get(slots)
+        steps = table.get(at)
+        if steps is None:
+            steps = table[at] = core._fill(slot, at)
+        for step, state in steps:
+            out.append((step, model, from_slots(layout, slots[:slot] + (state,) + slots[slot + 1:])))
+    out.extend((guard.label, *after) for guard, after in core.firings(model, slots))
     return out
 
 
@@ -292,15 +457,15 @@ def _take(
 ) -> Optional[tuple[StdModel, Configuration]]:
     """Fire exactly the recorded step: the (model, configuration) after it, or
     None when no enabled step carries this label."""
+    core = _core(model)
+    slots = _slots(core.layout, config)
     if isinstance(label, DetailedStep):
-        comp, t = label.component, label.transition
-        if comp not in model.components or t not in enabled_detailed(model, config, comp):
-            return None
-        return model, _moved(config, comp, t)
-    rule = model.rules.get(label.rule)
-    if rule is None or _rule_label(rule) != label:
+        after = core.step(slots, label.component, label.transition)
+        return None if after is None else (model, Configuration.from_slots(core.layout, after))
+    guard = core.guards.get(label.rule)
+    if guard is None or guard.label != label:
         return None
-    return _fire(model, config, rule)[1]
+    return core.fire(model, slots, guard)[1]
 
 
 @dataclass(frozen=True)
@@ -340,20 +505,29 @@ class InteractivePolicy:
         return self.chooser(labels)
 
 
-def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace:
-    """Drive the system under a policy for at most `max_steps` steps."""
-    initial = config
-    steps: list[tuple[StepLabel, int]] = []
+def drive(
+    model: StdModel, config: Configuration, policy, max_steps: int
+) -> Iterator[tuple[StepLabel, StdModel, Configuration]]:
+    """The steps a policy takes, one at a time as it takes them, for at most
+    `max_steps` steps: (label, model, configuration) after each."""
     for index in range(max_steps):
         succ = successors(model, config)
         if not succ:
-            break
+            return
         choice = policy.choose([label for label, _, _ in succ], index)
         if choice is None:
-            break
+            return
         label, model, config = succ[choice]
-        steps.append((label, config_digest(config)))
-    return Trace(initial=initial, steps=tuple(steps), final_model_version=config.model_version)
+        yield label, model, config
+
+
+def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace:
+    """Drive the system under a policy for at most `max_steps` steps."""
+    final = config
+    steps: list[tuple[StepLabel, int]] = []
+    for label, _, final in drive(model, config, policy, max_steps):
+        steps.append((label, config_digest(final)))
+    return Trace(initial=config, steps=tuple(steps), final_model_version=final.model_version)
 
 
 def replay(model: StdModel, config: Configuration, labels: Sequence[StepLabel]) -> Trace:
@@ -412,32 +586,55 @@ def _state_record(index: int, label: Optional[StepLabel], config: Configuration,
     }
 
 
+def _replayed(
+    model: StdModel, config: Configuration, steps: Iterable[tuple[StepLabel, int]]
+) -> Iterator[tuple[int, Optional[StepLabel], StdModel, Configuration, int]]:
+    """Re-execute (label, digest) steps, yielding (index, label, model,
+    configuration, digest): index 0 with label None for the initial
+    configuration, then one tuple per step, taken as it is yielded.  Raises
+    ReplayDivergence when a label is not enabled or a step reaches a
+    configuration whose digest differs from the recorded one."""
+    yield 0, None, model, config, config_digest(config)
+    for i, (label, digest) in enumerate(steps, start=1):
+        after = _take(model, config, label)
+        if after is None or config_digest(after[1]) != digest:
+            raise ReplayDivergence(i - 1, label)
+        model, config = after
+        yield i, label, model, config, digest
+
+
 def walk_trace(
     model: StdModel, trace: Trace
 ) -> Iterator[tuple[int, Optional[StepLabel], StdModel, Configuration]]:
     """Re-execute a trace, yielding (index, label, model, configuration): index
     0 with label None for the initial configuration, then one tuple per step.
-    Raises ReplayDivergence when a label is not enabled or a step reaches a
-    configuration whose digest differs from the recorded one."""
-    config = trace.initial
-    yield 0, None, model, config
-    for i, (label, digest) in enumerate(trace.steps, start=1):
-        after = _take(model, config, label)
-        if after is None or config_digest(after[1]) != digest:
-            raise ReplayDivergence(i - 1, label)
-        model, config = after
+    Raises ReplayDivergence as `_replayed` does."""
+    for i, label, model, config, _ in _replayed(model, trace.initial, trace.steps):
         yield i, label, model, config
 
 
+def write_trace_jsonl(
+    model: StdModel, config: Configuration, steps: Iterable[tuple[StepLabel, int]],
+    write: Callable[[str], object],
+) -> tuple[int, int]:
+    """Pass each line of the exported JSON-lines form of the (label, digest)
+    steps from `config` to `write` as soon as its step is replayed and its
+    digest checked (see `_replayed`), so nothing accumulates; returns the
+    number of steps and the final model version.  Line 0 is the initial
+    configuration, each further line one step."""
+    index = 0
+    for index, label, _, config, digest in _replayed(model, config, steps):
+        write(json.dumps(_state_record(index, label, config, digest), sort_keys=True) + "\n")
+    return index, config.model_version
+
+
 def export_trace_jsonl(model: StdModel, trace: Trace) -> str:
-    """One JSON object per line; line 0 is the initial configuration, each
-    further line one step.  Reconstructs intermediate configurations by
-    replaying the labels, which is deterministic."""
-    digests = [config_digest(trace.initial), *(digest for _, digest in trace.steps)]
-    return "".join(
-        json.dumps(_state_record(i, label, config, digests[i]), sort_keys=True) + "\n"
-        for i, label, _, config in walk_trace(model, trace)
-    )
+    """The exported JSON-lines form of a trace (see `write_trace_jsonl`).
+    Reconstructs intermediate configurations by replaying the labels, which
+    is deterministic."""
+    lines: list[str] = []
+    write_trace_jsonl(model, trace.initial, trace.steps, lines.append)
+    return "".join(lines)
 
 
 def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:

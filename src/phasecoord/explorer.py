@@ -7,11 +7,14 @@ in model version are distinct states.
 
 Each distinct model content gets an index in the space, found through its
 canonical form (computed and hashed once per model object, see
-`changeset.canonical_model`).  The seen-set is a plain dict from
-(model index, `Configuration.key()`) to the state's index; the key is the
-configuration itself, derived by the engine from its parent's.  Exploration
-is one serial BFS: each frontier state's successors are computed and
-interned in order, so state indices, edges and reports are deterministic.
+`changeset.canonical_model`).  The seen-set is a plain dict from (model
+index, slots) to the state's index, the slots being the configuration's
+flat tuple of ints in the layout of the model stored at that index (see
+`model.SlotLayout`).  The engine builds each successor's slots from its
+parent's, so a configuration is re-encoded only when it comes from another
+layout, that is, after a changeset made a new model object.  Exploration is
+one serial BFS: each frontier state's successors are computed and interned
+in order, so state indices, edges and reports are deterministic.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
@@ -28,6 +31,7 @@ from .changeset import canonical_model
 from .engine import (
     StepLabel,
     Trace,
+    _slots,
     _state_record,
     acts_on,
     config_digest,
@@ -63,7 +67,7 @@ class Space:
     parent: list[Optional[tuple[int, StepLabel]]] = field(default_factory=list)
     edges: list[tuple[int, StepLabel, int]] = field(default_factory=list)
     deadlocks: list[int] = field(default_factory=list)
-    # (model index, Configuration.key()) -> state index
+    # (model index, slots in the layout of models[model index]) -> state index
     seen: dict[tuple[int, tuple], int] = field(default_factory=dict)
     max_states_hit: bool = False
     max_depth_hit: bool = False
@@ -130,10 +134,14 @@ def _intern_state(space: Space, model: StdModel, config: Configuration,
                   parent: Optional[tuple[int, StepLabel]],
                   max_states: int) -> Optional[tuple[int, bool]]:
     """The state's index and whether it was added now; None when it is new
-    but the space already holds `max_states` states."""
+    but the space already holds `max_states` states.  Raises UnknownElement
+    when the configuration does not fit the model's slot layout."""
     model_key = canonical_model(model)
     model_idx = space.model_keys.get(model_key, len(space.models))
-    key = (model_idx, config.key())
+    home = space.models[model_idx] if model_idx < len(space.models) else model
+    layout = home.layout
+    slots = _slots(layout, config)
+    key = (model_idx, slots)
     idx = space.seen.get(key)
     if idx is not None:
         return idx, False
@@ -142,6 +150,8 @@ def _intern_state(space: Space, model: StdModel, config: Configuration,
     if model_idx == len(space.models):
         space.models.append(model)
         space.model_keys[model_key] = model_idx
+    if config.layout is not layout:
+        config = Configuration.from_slots(layout, slots)
     idx = space.seen[key] = len(space.configs)
     space.configs.append(config)
     space.model_of.append(model_idx)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .changeset import ChangeSet, RejectedChange, apply_changeset, validate_changeset
-from .engine import _fire, _transferred
+from .engine import _fire, _transfer
 from .model import (
     TRIV,
     Configuration,
@@ -206,6 +206,6 @@ def load_migration(
     except RejectedChange as exc:
         raise FragmentInvalid(exc.diagnostics) from exc
     if _fire(new_model, new_config, loaded)[0] is not None:
-        diags = validate_changeset(new_model, _transferred(new_config, loaded), wrapped)
-        raise FragmentInvalid(diags or [])
+        _, moved = _transfer(new_model, new_config, loaded)
+        raise FragmentInvalid(validate_changeset(new_model, moved, wrapped) if moved is not None else [])
     return new_model, new_config

@@ -11,26 +11,34 @@ All types are immutable values after construction; validation is pure and
 returns ordered diagnostics rather than raising.  Nothing mutates a model,
 its components or the mappings it holds once it is built: a changeset makes
 a new `StdModel`.  Facts derived from one `Std` or `StdModel` object (its
-transitions by source, claimed steps, rules by manager step, roles, phase
-states, the engine's table of free steps, and the canonical form in
-`changeset.canonical_model`) are therefore computed once per object and kept
-in its instance `__dict__`, where `functools.cached_property` keeps them.
+transitions by source, claimed steps, slot layout, the engine's step
+tables, and the canonical form in `changeset.canonical_model`) are
+therefore computed once per object and kept in its instance `__dict__`,
+where `functools.cached_property` keeps them.
 They are not dataclass fields, so `==`, `repr` and `dataclasses.replace`
 ignore them, and a replaced object starts with none.  Each is a function of
 the object alone.
 
-A `Configuration` is its canonical key: the model version, the sorted
-(component, state) pairs and the sorted ((component, partition), phase)
-pairs.  The engine derives a successor's key from its parent's by replacing
-only the pairs a step changes (`with_pair`), so a step sorts nothing and a
-successor that was reached before costs one tuple.
+Each `StdModel` object also has a `SlotLayout`, built once: slot 0 holds
+the model version, then one slot per component (sorted by name) holds the
+index of its state among its sorted states, then one slot per role (sorted
+(component, partition)) holds the index of its phase among the role's sorted
+phase names.  Slot order depends only on the model's canonical form.  A
+`Configuration` is backed either by its canonical pair key (the model
+version, the sorted (component, state) pairs and the sorted ((component,
+partition), phase) pairs) or by a layout and a flat tuple of slots.
+`key()`, `detailed`, `phases`, `==`, `hash`, `repr` and pickling act on the
+pair form, which a slot-backed configuration decodes once, on first use.
+The engine and the explorer work on slots: a successor copies one flat
+tuple of small ints and replaces the slots its step changes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -171,62 +179,135 @@ class StdModel:
         return frozenset((r.manager, r.manager_step) for r in self.rules.values())
 
     @cached_property
-    def rules_by_manager_step(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """Sorted rule names by (manager, source state of the manager step):
-        a rule can be enabled only while its manager sits at that source."""
-        out: dict[tuple[str, str], list[str]] = {}
-        for name in sorted(self.rules):
-            rule = self.rules[name]
-            out.setdefault((rule.manager, rule.manager_step.source), []).append(name)
-        return {key: tuple(names) for key, names in out.items()}
-
-    @cached_property
     def component_order(self) -> tuple[str, ...]:
         """The component names, sorted."""
         return tuple(sorted(self.components))
 
     @cached_property
-    def roles(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """The roles (component, partition) of each component, in partition order."""
-        return {
-            name: tuple((name, part.name) for part in std.partitions)
-            for name, std in self.components.items()
-        }
+    def layout(self) -> "SlotLayout":
+        """The slot layout of this model's configurations."""
+        return SlotLayout(self)
 
-    @cached_property
-    def partition_count(self) -> int:
-        """The number of partitions of all components."""
-        return sum(len(std.partitions) for std in self.components.values())
 
-    @cached_property
-    def phase_states(self) -> dict[tuple[tuple[str, str], str], frozenset[str]]:
-        """(role, phase name) -> the states of that phase; of two phases of
-        one name, the first, as `Partition.phase_named` finds it."""
-        return {
-            ((name, part.name), phase.name): phase.states
-            for name, std in self.components.items()
-            for part in std.partitions
-            for phase in reversed(part.phases)
-        }
+class SlotLayout:
+    """Where each part of a configuration sits in a flat tuple of ints.
 
-    @cached_property
-    def free_steps(self) -> dict[tuple, tuple]:
-        """(component, state, current phase of each of its `roles`) -> the
-        sorted free `engine.DetailedStep`s there.  Filled by the engine on
-        first use of each key; entries are only added, never changed."""
-        return {}
+    Slot 0 holds the model version.  Component slots follow in sorted name
+    order, each holding the index of the component's state in `states`.  Role
+    slots follow in sorted (component, partition) order, each holding the
+    index of the role's phase in `phases`; a role's phase names are those of
+    the partition `Std.partition_named` finds.  `checks` is the consistency
+    test as a table: (component slot, role slot, per phase index the state
+    indices of that phase)."""
+
+    def __init__(self, model: StdModel):
+        components = model.component_order
+        stds = [model.components[name] for name in components]
+        self.components = components
+        self.states = tuple(tuple(sorted(std.states)) for std in stds)
+        self.state_index = tuple(dict(zip(states, range(len(states)))) for states in self.states)
+        self.role_base = base = len(components) + 1  # the first role slot
+        self.component_slot = dict(zip(components, range(1, base)))
+        partitions: dict[tuple[str, str], Partition] = {}
+        for name, std in zip(components, stds):
+            for part in reversed(std.partitions):
+                partitions[(name, part.name)] = part
+        # a partition name declared twice in one component (which
+        # `validate_model` rejects) leaves fewer roles than partitions, and
+        # no configuration of such a model is consistent
+        self.consistent_shape = len(partitions) == sum(len(std.partitions) for std in stds)
+        self.roles = roles = tuple(sorted(partitions))
+        self.role_slot = dict(zip(roles, range(base, base + len(roles))))
+        phases, checks = [], []
+        for role, slot in self.role_slot.items():
+            first = {phase.name: phase for phase in reversed(partitions[role].phases)}
+            names = tuple(sorted(first))
+            comp = self.component_slot[role[0]]
+            index = self.state_index[comp - 1]
+            phases.append(names)
+            # a phase state outside the component maps to None, which no slot holds
+            checks.append((comp, slot, tuple(frozenset(map(index.get, first[n].states)) for n in names)))
+        self.phases = tuple(phases)
+        self.phase_index = tuple(dict(zip(names, range(len(names)))) for names in self.phases)
+        self.checks = tuple(checks)
+        # the pairs of the decoded key, built once and shared by every key
+        self._state_pairs = tuple(
+            tuple(zip(repeat(name), states)) for name, states in zip(components, self.states)
+        )
+        self._phase_pairs = tuple(
+            tuple(zip(repeat(role), names)) for role, names in zip(roles, self.phases)
+        )
+
+    def decode(self, slots: tuple) -> tuple:
+        """The canonical pair key of the configuration held in `slots`."""
+        base = self.role_base
+        return (
+            slots[0],
+            tuple([pairs[i] for pairs, i in zip(self._state_pairs, slots[1:base])]),
+            tuple([pairs[i] for pairs, i in zip(self._phase_pairs, slots[base:])]),
+        )
+
+    def detailed_of(self, slots: tuple) -> dict[str, str]:
+        """Component -> state of the configuration held in `slots`."""
+        return dict(zip(self.components, map(getitem, self.states, slots[1:self.role_base])))
+
+    def phases_of(self, slots: tuple) -> dict[tuple[str, str], str]:
+        """Role -> phase of the configuration held in `slots`."""
+        return dict(zip(self.roles, map(getitem, self.phases, slots[self.role_base:])))
+
+    def encode(self, key: tuple) -> Optional[tuple]:
+        """The slots holding the configuration whose pair key is `key`; None
+        when it does not fit: a component, state, role or phase unknown to
+        this layout, or a component or role missing."""
+        version, detailed, phases = key
+        if len(detailed) != len(self.components) or len(phases) != len(self.roles):
+            return None
+        slots = [version]
+        for (name, state), known, index in zip(detailed, self.components, self.state_index):
+            if name != known or state not in index:
+                return None
+            slots.append(index[state])
+        for (role, phase), known, index in zip(phases, self.roles, self.phase_index):
+            if role != known or phase not in index:
+                return None
+            slots.append(index[phase])
+        return tuple(slots)
+
+    def misfit(self, key: tuple) -> str:
+        """The first entry of `key` that does not fit this layout, components
+        before roles, each in sorted order; "" when it fits."""
+        _, detailed, phases = key
+        detailed, phases = dict(detailed), dict(phases)
+        for name in sorted(set(detailed) | set(self.component_slot)):
+            if name not in self.component_slot:
+                return f"{name}: unknown component"
+            if name not in detailed:
+                return f"{name}: no current state"
+            if detailed[name] not in self.state_index[self.component_slot[name] - 1]:
+                return f"{name}: unknown state {detailed[name]}"
+        for role in sorted(set(phases) | set(self.role_slot)):
+            where = ".".join(role)
+            if role not in self.role_slot:
+                return f"{where}: unknown role"
+            if role not in phases:
+                return f"{where}: no current phase"
+            if phases[role] not in self.phase_index[self.role_slot[role] - self.role_base]:
+                return f"{where}: unknown phase {phases[role]}"
+        return ""
 
 
 class Configuration:
     """Live global state: detailed state per component, current phase per role.
 
-    A configuration is its canonical key: (model version, (component, state)
-    pairs sorted by component, ((component, partition), phase) pairs sorted by
-    role).  `detailed` and `phases` are read-only views of the pairs, built on
-    first access and then kept.
+    The canonical key is (model version, (component, state) pairs sorted by
+    component, ((component, partition), phase) pairs sorted by role).  A
+    configuration holds that key, or a `SlotLayout` and the slots that encode
+    it (`from_slots`), and then decodes the key on first use.  `detailed` and
+    `phases` are read-only views of the pairs, built on first access and then
+    kept.  Equality, hashing, `repr` and pickling are those of the key.
     """
 
-    __slots__ = ("_key", "_detailed", "_phases")
+    __slots__ = ("_key", "_layout", "_slots", "_detailed", "_phases")
 
     def __init__(
         self,
@@ -235,7 +316,7 @@ class Configuration:
         model_version: int = 0,
     ):
         self._key = (model_version, tuple(sorted(detailed.items())), tuple(sorted(phases.items())))
-        self._detailed = self._phases = None
+        self._layout = self._slots = self._detailed = self._phases = None
 
     @classmethod
     def from_key(cls, key: tuple) -> "Configuration":
@@ -243,27 +324,58 @@ class Configuration:
         sorted, with each component and role at most once."""
         config = object.__new__(cls)
         config._key = key
-        config._detailed = config._phases = None
+        config._layout = config._slots = config._detailed = config._phases = None
+        return config
+
+    @classmethod
+    def from_slots(cls, layout: SlotLayout, slots: tuple) -> "Configuration":
+        """The configuration that `slots` encode in `layout`."""
+        config = object.__new__(cls)
+        config._layout = layout
+        config._slots = slots
+        config._key = config._detailed = config._phases = None
         return config
 
     def key(self) -> tuple:
         """Canonical comparable identity (version, detailed, role phases)."""
-        return self._key
+        key = self._key
+        if key is None:
+            key = self._key = self._layout.decode(self._slots)
+        return key
+
+    @property
+    def layout(self) -> Optional[SlotLayout]:
+        """The layout of the slots backing this configuration, if any."""
+        return self._layout
+
+    def slots_in(self, layout: SlotLayout) -> Optional[tuple]:
+        """This configuration's slots in `layout`; None when it does not fit."""
+        if self._layout is layout:
+            return self._slots
+        return layout.encode(self.key())
 
     @property
     def model_version(self) -> int:
-        return self._key[0]
+        return self._slots[0] if self._key is None else self._key[0]
 
     @property
     def detailed(self) -> Mapping[str, str]:
         if self._detailed is None:
-            self._detailed = MappingProxyType(dict(self._key[1]))
+            if self._key is None:
+                detailed = self._layout.detailed_of(self._slots)
+            else:
+                detailed = dict(self._key[1])
+            self._detailed = MappingProxyType(detailed)
         return self._detailed
 
     @property
     def phases(self) -> Mapping[tuple[str, str], str]:
         if self._phases is None:
-            self._phases = MappingProxyType(dict(self._key[2]))
+            if self._key is None:
+                phases = self._layout.phases_of(self._slots)
+            else:
+                phases = dict(self._key[2])
+            self._phases = MappingProxyType(phases)
         return self._phases
 
     def phase_of(self, component: str, partition: str) -> str:
@@ -272,27 +384,22 @@ class Configuration:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self._key == other._key
+        if self._layout is not None and self._layout is other._layout:
+            return self._slots == other._slots
+        return self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key())
 
     def __reduce__(self):
-        return Configuration.from_key, (self._key,)
+        return Configuration.from_key, (self.key(),)
 
     def __repr__(self) -> str:
+        version, detailed, phases = self.key()
         return (
-            f"Configuration(detailed={dict(self._key[1])!r}, "
-            f"phases={dict(self._key[2])!r}, model_version={self._key[0]!r})"
+            f"Configuration(detailed={dict(detailed)!r}, "
+            f"phases={dict(phases)!r}, model_version={version!r})"
         )
-
-
-def with_pair(pairs: tuple, slot, value) -> tuple:
-    """Sorted (slot, value) pairs with `slot` set to `value`, added in order
-    when absent; the other pairs are shared, not re-sorted."""
-    i = bisect_left(pairs, (slot,))
-    rest = i + 1 if i < len(pairs) and pairs[i][0] == slot else i
-    return pairs[:i] + ((slot, value),) + pairs[rest:]
 
 
 @dataclass(frozen=True)
@@ -482,25 +589,14 @@ def validate_configuration(model: StdModel, config: Configuration) -> list[Diagn
 
 def _all_clear(model: StdModel, config: Configuration) -> bool:
     """True only when `_configuration_diagnostics` finds nothing, read off the
-    key: as many entries as the model has components and partitions, each a
-    known state or a known phase holding its component's state.  A partition
-    name declared twice in one component (which `validate_model` rejects)
-    leaves fewer roles than partitions, so such a model is never clear here."""
-    version, detailed, phases = config.key()
-    if (
-        version != model.version
-        or len(detailed) != len(model.components)
-        or len(phases) != model.partition_count
-    ):
+    slots: the configuration fits the model's layout, has the model's
+    version, and each role's phase holds its component's state."""
+    layout = model.layout
+    slots = config.slots_in(layout)
+    if slots is None or slots[0] != model.version or not layout.consistent_shape:
         return False
-    components, phase_states = model.components, model.phase_states
-    for comp, state in detailed:
-        std = components.get(comp)
-        if std is None or state not in std.states:
-            return False
-    state_of = dict(detailed)
-    for entry in phases:
-        if state_of.get(entry[0][0]) not in phase_states.get(entry, ()):
+    for comp, role, allowed in layout.checks:
+        if slots[comp] not in allowed[slots[role]]:
             return False
     return True
 

@@ -167,6 +167,34 @@ class TestSimulate:
         assert err.startswith(f"error: line {bad_line}:")
         assert "Traceback" not in err
 
+    def test_unwritable_trace_out_exit_1(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "simulate", "prodcons",
+                                 "--trace-out", str(tmp_path / "missing" / "t.jsonl"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_steps_run_in_bounded_memory(self, monkeypatch):
+        import tracemalloc
+
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr("sys.stdout", Discard())
+        assert main(["simulate", "prodcons", "--seed", "7", "--steps", "50"]) == 0  # warm caches
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                code = main(["simulate", "prodcons", "--seed", "7", "--steps", str(steps)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (code_small, small), (code_large, large) = peak(2_000), peak(20_000)
+        assert code_small == code_large == 0
+        assert large < 1.5 * small, (small, large)
+
     def test_interactive_scriptable(self, capsys, monkeypatch):
         import io
 

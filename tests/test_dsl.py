@@ -176,6 +176,12 @@ rule only: Worker[2]: A - go -> B;
         result = parse_model(text)
         assert any(d.code == "unbound-index" for d in result.diagnostics)
 
+    def test_unbound_index_in_rule_removal_points_at_the_name(self):
+        result = parse_model(MINIMAL + "var M = {\n  remove rule r[i];\n};\n")
+        (diag,) = result.diagnostics
+        assert (diag.code, diag.element, diag.line, diag.column) == ("unbound-index", "r", 10, 15)
+        assert str(diag).startswith("10:15: unbound-index: rule r ")
+
 
 class TestChangesetLiterals:
     def test_variable_holds_changeset(self, bundles):

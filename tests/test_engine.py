@@ -174,6 +174,40 @@ class TestRules:
         assert out.detailed["W"] == "Waiting"  # employee's detailed state untouched
         assert validate_configuration(new_model, out) == []
 
+    def test_blocker_reasons_come_in_guard_order(self):
+        # each rule fails where named first, though most fail later tests too
+        model = scheduler_worker_model()
+        grant, enter = T("Idle", "grant", "Busy"), T("Waiting", "enter", "InCS")
+
+        def admit(**changes):
+            fields = dict(component="W", partition="cs", source="Free", trap="asking", target="Crit")
+            return ConsistencyRule("r", "S", grant, (RoleTransfer(**{**fields, **changes}),))
+
+        cases = [
+            ({"W": "Waiting", "S": "Idle"}, "Free",
+             ConsistencyRule("r", "Nobody", grant), "manager step unresolved"),
+            ({"W": "Waiting", "S": "Idle"}, "Free",
+             ConsistencyRule("r", "S", T("Idle", "nope", "Busy")), "manager step unresolved"),
+            ({"W": "InCS", "S": "Busy"}, "Crit", admit(), "manager not at the step's source"),
+            ({"W": "Waiting", "S": "Idle"}, "Free",
+             ConsistencyRule("r", "W", enter), "manager step outside a current phase"),
+            ({"W": "InCS", "S": "Idle"}, "Crit", admit(), "W(cs) not in phase Free"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", admit(partition="zz"),
+             "W(zz) not in phase Free"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", admit(source="Gone", trap="nope"),
+             "W(cs) not in phase Gone"),
+            ({"W": "OutCS", "S": "Idle"}, "Free", admit(target="Gone"),
+             "trap asking of W(cs) not entered"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", admit(trap="nope"),
+             "trap nope of W(cs) not entered"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", admit(target="Gone"),
+             "target phase Gone unresolved"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", admit(), None),
+        ]
+        for detailed, phase, rule, reason in cases:
+            config = Configuration(detailed, {("W", "cs"): phase}, 0)
+            assert rule_blocker(model, config, rule) == reason, rule
+
     def test_fire_not_enabled(self):
         model = scheduler_worker_model()
         config = initial_configuration(model)

@@ -12,7 +12,7 @@ from phasecoord.changeset import (
     models_equal,
     validate_changeset,
 )
-from phasecoord.engine import RuleStep, _free_steps, successors
+from phasecoord.engine import RuleStep, _core, successors
 from phasecoord.explorer import explore_space, reachable_projection
 from phasecoord.mcpal import (
     FragmentInvalid,
@@ -182,14 +182,19 @@ class TestCachedModelFacts:
         assert canonical_model(model) is canonical_model(model)
         assert canonical_model(model) == canonical_model(fresh)
         assert model.claimed_steps == fresh.claimed_steps
-        assert model.rules_by_manager_step == fresh.rules_by_manager_step
         assert hash(canonical_model(model)) == hash(tuple(canonical_model(fresh)))
         assert model.component_order == fresh.component_order
-        assert model.roles == fresh.roles
-        assert model.phase_states == fresh.phase_states
-        assert model.free_steps
-        for at, steps in model.free_steps.items():
-            assert _free_steps(fresh, *at) == steps
+        layout, fresh_layout = model.layout, fresh.layout
+        assert (layout.components, layout.states, layout.roles, layout.phases, layout.checks) == (
+            fresh_layout.components, fresh_layout.states, fresh_layout.roles,
+            fresh_layout.phases, fresh_layout.checks)
+        core, fresh_core = _core(model), _core(fresh)
+        filled = [(slot, at, steps) for slot, _, table in core.free for at, steps in table.items()]
+        assert filled
+        for slot, at, steps in filled:
+            assert fresh_core._fill(slot, at) == steps
+        assert [(g.rule, g.label) for g in core.guards.values()] == [
+            (g.rule, g.label) for g in fresh_core.guards.values()]
         for name, std in model.components.items():
             assert std.transitions_from == fresh.components[name].transitions_from
         assert model == fresh

@@ -1,13 +1,16 @@
 """Reachability, invariants, termination, progress, shortest traces."""
 
 import json
+import sys
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import pytest
 
+from phasecoord.bundled import get_bundled
 from phasecoord.changeset import ChangeSet
 from phasecoord.dsl import parse_model
-from phasecoord.engine import export_trace_jsonl, replay
+from phasecoord.engine import UnknownElement, export_trace_jsonl, replay
 from phasecoord.explorer import (
     Bounds,
     check_invariant,
@@ -20,6 +23,7 @@ from phasecoord.explorer import (
 )
 from phasecoord.mcpal import McPalSkeleton, load_migration
 from phasecoord.model import (
+    Configuration,
     ConsistencyRule,
     Partition,
     Phase,
@@ -31,6 +35,9 @@ from phasecoord.model import (
     initial_configuration,
 )
 from phasecoord.properties import CountInState, InState, ModelVersionIs, Not, parse_property
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
 
 CYCLE3 = """
 component Spinner {
@@ -170,6 +177,21 @@ component Y {
         for records, idx in zip(report.deadlocks, sorted(space.deadlocks)):
             exported = export_trace_jsonl(model, space.trace_to(idx)).splitlines()
             assert records == [json.loads(line) for line in exported]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_scaled_cs_nondet_matches_closed_forms(self, n):
+        model = _model(scaler.scale_cs_nondet(get_bundled("cs-nondet").model_text(), n))
+        report = explore(model, initial_configuration(model))
+        assert report.states_visited == scaler.expected_states(n)
+        assert report.transitions_visited == scaler.expected_edges(n)
+        assert not report.violations and report.deadlocks == []
+
+    def test_configuration_that_does_not_fit_raises(self, bundles):
+        model = bundles["cs-nondet"].model()
+        good = initial_configuration(model)
+        bogus = Configuration({**good.detailed, "Worker1": "Bogus"}, good.phases, 0)
+        with pytest.raises(UnknownElement, match="Worker1: unknown state Bogus"):
+            explore(model, bogus)
 
 
 class TestCheckInvariant:

@@ -23,7 +23,6 @@ from phasecoord.model import (
     validate_model,
     validate_std,
     validate_trap,
-    with_pair,
 )
 
 from tests.genmodels import break_model, close_forward, random_initial, random_model
@@ -300,13 +299,29 @@ class TestConfiguration:
         config.detailed  # a built view is not part of the pickled value
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_with_pair_replaces_or_inserts_in_order(self):
-        pairs = (("A", 1), ("C", 3))
-        assert with_pair(pairs, "A", 9) == (("A", 9), ("C", 3))
-        assert with_pair(pairs, "C", 9) == (("A", 1), ("C", 9))
-        assert with_pair(pairs, "B", 2) == (("A", 1), ("B", 2), ("C", 3))
-        assert with_pair(pairs, "D", 4) == (("A", 1), ("C", 3), ("D", 4))
-        assert with_pair((), "A", 1) == (("A", 1),)
+    def test_slot_layout_encodes_and_decodes_the_pair_key(self):
+        def two_phase_std(name):
+            part = Partition("p", (phase("q", {"A", "B"}, []), phase("r", {"B"}, [])), "q")
+            return Std(name, frozenset({"B", "A"}), frozenset(), frozenset(), "A", (part,))
+
+        model = StdModel({"Y": two_phase_std("Y"), "X": two_phase_std("X")}, {}, {}, 2)
+        layout = model.layout
+        assert layout is model.layout
+        assert layout.components == ("X", "Y") and layout.states == (("A", "B"), ("A", "B"))
+        assert layout.roles == (("X", "p"), ("Y", "p")) and layout.phases == (("q", "r"),) * 2
+        config = Configuration({"Y": "B", "X": "A"}, {("Y", "p"): "r", ("X", "p"): "q"}, 2)
+        slots = layout.encode(config.key())
+        assert slots == (2, 0, 1, 0, 1) and layout.decode(slots) == config.key()
+        # a successor replaces one slot; its pair key follows
+        moved = Configuration.from_slots(layout, slots[:1] + (1,) + slots[2:])
+        assert moved == Configuration({"X": "B", "Y": "B"}, {("X", "p"): "q", ("Y", "p"): "r"}, 2)
+        assert moved.layout is layout and moved.slots_in(layout) == (2, 1, 1, 0, 1)
+        for key in [(2, (("X", "A"),), config.key()[2]),
+                    (2, config.key()[1] + (("Z", "A"),), config.key()[2]),
+                    (2, (("X", "C"), ("Y", "B")), config.key()[2]),
+                    (2, config.key()[1], ((("X", "p"), "q"), (("Y", "p"), "s")))]:
+            assert layout.encode(key) is None and layout.misfit(key)
+        assert layout.misfit(config.key()) == ""
 
 
 class TestTrivReserved:

@@ -7,6 +7,7 @@ import pytest
 from phasecoord.changeset import canonical_model
 from phasecoord.engine import (
     NotEnabled,
+    UnknownElement,
     RandomPolicy,
     RuleStep,
     config_digest,
@@ -17,6 +18,7 @@ from phasecoord.engine import (
     run,
     successors,
 )
+from phasecoord.explorer import explore
 from phasecoord.mcpal import load_migration
 from phasecoord.model import (
     Configuration,
@@ -196,15 +198,26 @@ class TestRuleCore:
 
 
 def assert_fast_paths_agree(model, config):
-    """At every reachable state, each engine successor (whose key is derived
-    from its parent's) equals the configuration rebuilt from its mappings, and
-    `validate_configuration` equals the full walk; returns the successors seen."""
+    """At every reachable state, each engine successor (whose slots are
+    derived from its parent's) equals the configuration rebuilt from its
+    mappings: its slots decode to the rebuilt pair key and encode back to
+    themselves, and `validate_configuration` equals the full walk; returns
+    the successors seen."""
     checked = 0
     for m, c in walk_all_states(model, config, limit=50_000):
         for _, m2, c2 in successors(m, c):
             rebuilt = Configuration(dict(c2.detailed), dict(c2.phases), c2.model_version)
-            assert c2.key() == rebuilt.key() and c2 == rebuilt and hash(c2) == hash(rebuilt)
-            assert config_digest(c2) == config_digest(rebuilt)
+            layout = m2.layout
+            # a successor is in its model's layout, unless a changeset made
+            # that model, and then it is the pair form the changeset built
+            assert c2.layout is (layout if m2 is m else None)
+            slots = c2.slots_in(layout)
+            assert layout.decode(slots) == rebuilt.key()
+            assert layout.encode(layout.decode(slots)) == slots
+            again = Configuration.from_slots(layout, slots)
+            for other in (rebuilt, again):
+                assert c2.key() == other.key() and c2 == other and hash(c2) == hash(other)
+                assert config_digest(c2) == config_digest(other)
             assert validate_configuration(m2, c2) == _configuration_diagnostics(m2, c2) == []
             checked += 1
     return checked
@@ -266,3 +279,27 @@ class TestConfigurationFastPaths:
             config = Configuration(d, p, version)
             diags = validate_configuration(m, config)
             assert diags and diags == _configuration_diagnostics(m, config), name
+
+    def test_configurations_that_do_not_fit_raise_unknown_element(self, bundles):
+        model = bundles["cs-nondet"].model()
+        good = initial_configuration(model)
+        detailed, phases = dict(good.detailed), dict(good.phases)
+        role = ("Worker1", "CSRole")
+        cases = {
+            "Worker1: unknown state Bogus": ({**detailed, "Worker1": "Bogus"}, phases),
+            "Ghost: unknown component": ({**detailed, "Ghost": "OutCS"}, phases),
+            "Worker1: no current state": (
+                {k: v for k, v in detailed.items() if k != "Worker1"}, phases),
+            "Worker1.CSRole: no current phase": (
+                detailed, {k: v for k, v in phases.items() if k != role}),
+            "Worker1.CSRole: unknown phase Nowhere": (detailed, {**phases, role: "Nowhere"}),
+            "Ghost.CSRole: unknown role": (detailed, {**phases, ("Ghost", "CSRole"): "Free"}),
+        }
+        for message, (d, p) in cases.items():
+            config = Configuration(d, p, 0)
+            assert model.layout.misfit(config.key()) == message
+            assert validate_configuration(model, config), message
+            for call in (successors, explore, enabled_rules):
+                with pytest.raises(UnknownElement) as err:
+                    call(model, config)
+                assert str(err.value) == message
