@@ -12,6 +12,7 @@ from .changeset import (
     validate_changeset,
 )
 from .engine import (
+    ConsistencyBroken,
     DetailedStep,
     InteractivePolicy,
     NotEnabled,

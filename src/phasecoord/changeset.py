@@ -9,6 +9,15 @@ the live configuration valid, otherwise the whole delta is rejected.
 Added phases, traps and rules replace same-named existing ones; this is
 what lets a running coordinator swap out its own phases and rules
 mid-flight.  Components and partitions never silently replace.
+
+`apply_changeset` and `validate_changeset` walk the whole delta on every
+call and keep nothing.  A rule's changeset is applied by the engine through
+the same walk, `_apply`, which returns the diagnostics of the walk and of
+`validate_model` apart from those of `validate_configuration`: when the
+first are empty, the resulting model depends on the model and the changeset
+alone.  The engine then keeps that model on the rule's guard for as long as
+the model object that owns the rule lives, and later firings reuse it (see
+`engine`).
 """
 
 from __future__ import annotations
@@ -71,7 +80,13 @@ def _with_partition(std: Std, part: Partition) -> Std:
 
 def _apply(
     model: StdModel, config: Configuration, cs: ChangeSet
-) -> tuple[StdModel, Configuration, list[Diagnostic]]:
+) -> tuple[StdModel, Configuration, list[Diagnostic], list[Diagnostic]]:
+    """The model and configuration after `cs`, the diagnostics of the walk
+    and of `validate_model`, and those of `validate_configuration`; the
+    change is accepted iff both lists are empty.  The walk's only test of
+    the configuration is `live-phase-removal`, which also keeps the phase,
+    so when the first list is empty the model is a function of `model` and
+    `cs` alone."""
     diags: list[Diagnostic] = []
     comps = dict(model.components)
     rules = dict(model.rules)
@@ -169,8 +184,7 @@ def _apply(
         detailed=detailed, phases=phases, model_version=new_model.version
     )
     diags.extend(validate_model(new_model))
-    diags.extend(validate_configuration(new_model, new_config))
-    return new_model, new_config, diags
+    return new_model, new_config, diags, validate_configuration(new_model, new_config)
 
 
 def validate_changeset(model: StdModel, config: Configuration, cs: ChangeSet) -> list[Diagnostic]:
@@ -179,8 +193,8 @@ def validate_changeset(model: StdModel, config: Configuration, cs: ChangeSet) ->
     Only phase membership of the live configuration is consulted; no
     component is required to sit in any designated idle state.
     """
-    _, _, diags = _apply(model, config, cs)
-    return diags
+    _, _, diags, config_diags = _apply(model, config, cs)
+    return diags + config_diags
 
 
 def apply_changeset(
@@ -188,9 +202,9 @@ def apply_changeset(
 ) -> tuple[StdModel, Configuration]:
     """Apply atomically, bumping the model version; raises RejectedChange if
     the delta would break validity."""
-    new_model, new_config, diags = _apply(model, config, cs)
-    if diags:
-        raise RejectedChange(diags)
+    new_model, new_config, diags, config_diags = _apply(model, config, cs)
+    if diags or config_diags:
+        raise RejectedChange(diags + config_diags)
     return new_model, new_config
 
 

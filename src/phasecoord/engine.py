@@ -19,14 +19,32 @@ configuration that does not fit the layout (an unknown component, state,
 role or phase, or a missing one) raises `UnknownElement`, naming the first
 entry that does not fit.
 
+A rule's changeset is applied in full (`changeset._apply`) the first time
+it fires on a model object.  When the model half passes (the walk and
+`validate_model` find nothing), the rule's `_Guard` keeps the resulting
+model object and a slot remap from the old layout to the new one, as a
+`_Change`; they live as long as the model object that owns the rule.  Every
+later firing of that rule on that model object returns the same resulting
+model object, with its canonical form, layout and step core already built,
+and only builds the configuration: the live-phase-removal test, the remap,
+and `validate_configuration`.  A live phase removal, or a model half that
+fails, walks the whole changeset again, so every rejection carries the
+diagnostics `apply_changeset` gives.  Only a model's own rules keep a
+result: `apply_changeset` and a rule object the model does not hold keep
+nothing.
+
 One step core serves every caller: `successors`, `_take`, `rule_blocker`,
 `enabled_rules` and `fire_rule` decide a rule through its `_Guard`, and
 `_StepCore.fire` takes it; a replay fires only its recorded labels, through
-`_take`.  Consistency is checked where a step can break it:
-`_StepCore.fire` asserts it after a rule with no changeset,
-`apply_changeset` validates it after a changeset, `step_detailed` asserts
-it after its own step, and `explore` reports `configuration-valid` for every
-reached state.
+`_take`.  Consistency is checked where a step can break it.  After a rule
+with no changeset, `_StepCore.fire` tests the slots the rule wrote: the
+manager's new state against each of its roles, and each transferred role
+against its component's state.  `step_detailed` tests the stepping
+component against its roles.  Either raises `ConsistencyBroken`, which only
+a model that `validate_model` rejects can cause.  A changeset validates the
+whole configuration after every application, and `explore` reports
+`configuration-valid` for every reached state, so a root that is already
+inconsistent is reported there and not blamed on a later step.
 """
 
 from __future__ import annotations
@@ -39,10 +57,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .changeset import RejectedChange, apply_changeset
+from .changeset import ChangeSet, RejectedChange, _apply
 from .model import (
     Configuration,
     ConsistencyRule,
+    Diagnostic,
     RoleTransfer,
     SlotLayout,
     StdModel,
@@ -61,6 +80,11 @@ class UnknownElement(EngineError):
 
 class NotEnabled(EngineError):
     pass
+
+
+class ConsistencyBroken(EngineError):
+    """A step left a role whose phase does not hold its component's state;
+    only a model that `validate_model` rejects has such a step."""
 
 
 class ReplayDivergence(EngineError):
@@ -126,13 +150,14 @@ class _Guard:
     the reason `static`, whatever the configuration."""
 
     __slots__ = ("rule", "label", "static", "manager", "source", "target",
-                 "manager_phases", "transfers", "writes")
+                 "manager_phases", "transfers", "writes", "checks", "memo")
 
     def __init__(self, model: StdModel, rule: ConsistencyRule):
         layout = model.layout
         self.rule = rule
         self.label = RuleStep(rule.name, rule.manager, rule.manager_step, rule.transfers,
                               rule.change is not None)
+        self.memo = None  # see `changed`
         mgr = model.components.get(rule.manager)
         self.static = None
         if mgr is None or rule.manager_step not in mgr.transitions:
@@ -180,6 +205,11 @@ class _Guard:
             writes.append((role, target))
         self.transfers = tuple(transfers)
         self.writes = tuple(writes)
+        # the consistency tests of the roles whose slots a firing writes:
+        # the manager's, then each transferred one
+        written = [layout.role_slot[(rule.manager, part.name)] for part in mgr.partitions]
+        written += [role for role, _ in writes if role is not None]
+        self.checks = tuple(layout.checks[role - layout.role_base] for role in dict.fromkeys(written))
 
     def blocker(self, slots: tuple) -> Optional[str]:
         """Why the rule cannot fire at `slots`, or None; the changeset aside."""
@@ -210,6 +240,98 @@ class _Guard:
         for role, target in self.writes:
             out[role] = target
         return tuple(out)
+
+    def changed(self, model: StdModel, slots: tuple) -> tuple[StdModel, Configuration]:
+        """The (model, configuration) after the rule's changeset, applied to
+        the slots after its manager step and transfers; raises RejectedChange
+        with the diagnostics `apply_changeset` gives.
+
+        The first application whose model half passes keeps the resulting
+        model as a `_Change` in `memo`, then goes the memo's way.  Each later
+        application reuses that
+        model object and only builds the configuration; a live phase removal
+        or a model half that fails walks the whole changeset again.  A rule
+        that is not one of the model's own gets a guard for one call (see
+        `_StepCore.guard`), so its result is not kept."""
+        memo = self.memo
+        if memo is not None:
+            out = memo.slots(slots)
+            if out is not None:
+                config = Configuration.from_slots(memo.model.layout, out)
+                bad = validate_configuration(memo.model, config)
+                if bad:
+                    raise RejectedChange(bad)
+                return memo.model, config
+        change = self.rule.change
+        new_model, config, diags, config_diags = _apply(
+            model, Configuration.from_slots(model.layout, slots), change)
+        if memo is None and not diags:
+            self.memo = _Change(model.layout, change, new_model, config)
+            return self.changed(model, slots)
+        if diags or config_diags:
+            raise RejectedChange(diags + config_diags)
+        return new_model, config
+
+
+class _Change:
+    """A rule's changeset applied on the model object that owns the rule,
+    kept on the rule's `_Guard`, and so for as long as that model object
+    lives.
+
+    `model` is the resulting model.  Its walk and `validate_model` found
+    nothing, so it is a function of the owning model and the changeset
+    whenever no phase the changeset removes is live.  `live` holds, per
+    removed phase of a role the owning layout has, (role slot, phase index).
+    `remap` builds the slots after the changeset, in `model.layout`, from
+    the slots before it: per slot after the version, (old slot, table from
+    its old index to the new one) or (None, the index of an added
+    component's or role's initial state or phase)."""
+
+    __slots__ = ("model", "live", "remap")
+
+    def __init__(self, layout: SlotLayout, change: ChangeSet, model: StdModel,
+                 config: Configuration):
+        new = model.layout
+        self.model = model
+        live = []
+        for comp, part, phase in change.remove_phases:
+            role = layout.role_slot.get((comp, part))
+            index = layout.phase_index[role - layout.role_base].get(phase) if role else None
+            if index is not None:
+                live.append((role, index))
+        self.live = tuple(live)
+        remap = []
+        for slot, name in enumerate(new.components, 1):
+            old, index = layout.component_slot.get(name), new.state_index[slot - 1]
+            remap.append((None, index.get(config.detailed.get(name))) if old is None else
+                         (old, tuple(map(index.get, layout.states[old - 1]))))
+        for slot, role in enumerate(new.roles, new.role_base):
+            old, index = layout.role_slot.get(role), new.phase_index[slot - new.role_base]
+            remap.append((None, index.get(config.phases.get(role))) if old is None else
+                         (old, tuple(map(index.get, layout.phases[old - layout.role_base]))))
+        self.remap = tuple(remap)
+
+    def slots(self, slots: tuple) -> Optional[tuple]:
+        """The slots after the changeset; None when a phase it removes is
+        live at `slots`, or when an entry has no place in the new layout."""
+        for role, phase in self.live:
+            if slots[role] == phase:
+                return None
+        out = [self.model.version]
+        for old, table in self.remap:
+            out.append(table if old is None else table[slots[old]])
+        return None if None in out else tuple(out)
+
+
+def _broken(layout: SlotLayout, slots: tuple, checks: tuple) -> Optional[Diagnostic]:
+    """The `phase-violation` of the first of `checks` that `slots` fail."""
+    for comp, role, allowed in checks:
+        if slots[comp] not in allowed[slots[role]]:
+            name, part = layout.roles[role - layout.role_base]
+            state = layout.states[comp - 1][slots[comp]]
+            phase = layout.phases[role - layout.role_base][slots[role]]
+            return Diagnostic("phase-violation", name, part, f"{state} not in {phase}")
+    return None
 
 
 class _StepCore:
@@ -300,16 +422,16 @@ class _StepCore:
         blocker = guard.blocker(slots)
         if blocker is not None:
             return blocker, None
-        rule = guard.rule
-        out = Configuration.from_slots(self.layout, guard.apply(slots))
-        if rule.change is not None:
+        out = guard.apply(slots)
+        if guard.rule.change is not None:
             try:
-                return None, apply_changeset(model, out, rule.change)
+                return None, guard.changed(model, out)
             except RejectedChange as exc:
                 return f"changeset rejected: {exc.diagnostics[0]}", None
-        bad = validate_configuration(model, out)
-        assert not bad, f"rule {rule.name} broke consistency: {bad}"
-        return None, (model, out)
+        bad = _broken(self.layout, out, guard.checks)
+        if bad is not None:
+            raise ConsistencyBroken(f"rule {guard.rule.name} broke consistency: {bad}")
+        return None, (model, Configuration.from_slots(self.layout, out))
 
     def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
         """The slots after the component's free step along `transition`;
@@ -413,10 +535,11 @@ def step_detailed(
     slots = core.step(_slots(core.layout, config), component, transition)
     if slots is None:
         raise NotEnabled(f"{component}: {transition.pretty()}")
-    out = Configuration.from_slots(core.layout, slots)
-    bad = validate_configuration(model, out)
-    assert not bad, f"detailed step broke consistency: {bad}"
-    return out
+    slot = core.layout.component_slot[component]
+    bad = _broken(core.layout, slots, tuple(c for c in core.layout.checks if c[0] == slot))
+    if bad is not None:
+        raise ConsistencyBroken(f"detailed step broke consistency: {bad}")
+    return Configuration.from_slots(core.layout, slots)
 
 
 def fire_rule(

@@ -290,7 +290,7 @@ def explore(
     pending_violations: list[tuple[str, int]] = []
     verdicts: list[tuple[str, str]] = []
 
-    bad = space.first(validate_configuration)  # the engine asserts there is none
+    bad = space.first(validate_configuration)  # steps keep consistency; a bad root shows here
     if bad is not None:
         pending_violations.append(("configuration-valid", bad))
 

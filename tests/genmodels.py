@@ -6,7 +6,9 @@ connect into the target phase (the source phase itself always qualifies).
 """
 
 import random
+from dataclasses import replace
 
+from phasecoord.changeset import ChangeSet
 from phasecoord.model import (
     Configuration,
     ConsistencyRule,
@@ -180,7 +182,6 @@ def break_model(rng, model):
     comps = sorted(model.components)
     name = rng.choice(comps)
     std = model.components[name]
-    from dataclasses import replace
 
     if kind == "dangling-target":
         if not std.actions:
@@ -231,3 +232,46 @@ def break_model(rng, model):
             return None
         return _replace_component(model, replace(std, states=std.states | {"orphan"})), kind
     return None
+
+
+def random_changeset(rng, model):
+    """A changeset over `model`'s own elements that, fired at different
+    configurations, sometimes applies and sometimes is rejected: it may remove
+    a phase (live in some configurations, still referenced by a rule in some
+    models), add a partition whose initial phase holds the component's initial
+    state but not every state, add a component, or remove a partition, maybe
+    with one of its phases; each also sets a variable."""
+    comps = sorted(model.components)
+    roles = [(c, part) for c in comps for part in model.components[c].partitions]
+    kind = rng.randrange(5)
+    change = {"set_variables": (("n", rng.randrange(3)),)}
+    if roles and kind in (0, 4):
+        comp, part = rng.choice(roles)
+        change["remove_phases"] = ((comp, part.name, rng.choice(part.phases).name),)
+    if kind in (1, 4):
+        std = model.components[rng.choice(comps)]
+        rest = sorted(std.states - {std.initial})
+        cut = rng.randint(0, len(rest) // 2)
+        phases = (Phase("gA", frozenset([std.initial, *rest[:cut]]), frozenset()),
+                  Phase("gB", frozenset(rest[cut:] or [std.initial]), frozenset()))
+        change["add_partitions"] = ((std.name, Partition("g", phases, "gA")),)
+    if kind == 2:
+        tick = Transition("z0", "tick", "z1")
+        change["add_components"] = (
+            Std("Z", frozenset({"z0", "z1"}), frozenset({"tick"}), frozenset({tick}), "z0"),)
+    if roles and kind == 3:
+        comp, part = rng.choice(roles)
+        change["remove_partitions"] = ((comp, part.name),)
+        if rng.random() < 0.5:
+            change["remove_phases"] = ((comp, part.name, rng.choice(part.phases).name),)
+    return ChangeSet(**change)
+
+
+def with_random_changesets(seed, model):
+    """`model` with about half of its rules carrying a `random_changeset`."""
+    rng = random.Random(seed)
+    rules = {
+        name: replace(rule, change=random_changeset(rng, model)) if rng.random() < 0.5 else rule
+        for name, rule in sorted(model.rules.items())
+    }
+    return replace(model, rules=rules)

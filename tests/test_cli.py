@@ -241,10 +241,16 @@ class TestExplore:
     def test_flagship_applies_each_changeset_once(self, count_calls, capsys):
         validations = count_calls(model, "validate_model")
         applications = count_calls(changeset, "apply_changeset")
+        walks = count_calls(changeset, "_apply")
         checks = count_calls(changeset, "validate_changeset")
         assert run_cli(capsys, *FLAGSHIP)[0] == 0
-        # one validation parses the model; each changeset application makes one
-        assert len(validations) == len(applications) + 1 == 23
+        # one validation parses the model, and each changeset walk validates
+        # its result: the load (`apply_changeset`), then each rule's
+        # changeset once per model object that owns the rule (the kick-off
+        # and the final shrink), however often the exploration fires it
+        assert len(applications) == 1
+        assert len({(id(m), id(cs)) for m, _, cs in walks}) == len(walks) == 3
+        assert len(validations) == 1 + len(walks) == 4
         assert checks == []
 
     @pytest.mark.parametrize("predicate", [

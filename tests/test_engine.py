@@ -1,13 +1,16 @@
 """Step semantics: enabledness, trap entry, rule firing, runs, traces."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from phasecoord import engine
 from phasecoord.changeset import ChangeSet
 from phasecoord.engine import (
+    ConsistencyBroken,
     DetailedStep,
+    EngineError,
     NotEnabled,
     RandomPolicy,
     ReplayDivergence,
@@ -249,6 +252,47 @@ class TestRules:
         assert out.phases[("M", "evol")] == "P2"
         assert validate_configuration(model, out) == []
 
+    def test_rule_that_breaks_consistency_raises(self):
+        # a transfer whose trap does not connect into its target phase
+        # (which `validate_model` rejects) strands the worker outside it
+        model = scheduler_worker_model()
+        bad = ConsistencyRule("bad", "S", T("Idle", "grant", "Busy"),
+                              (RoleTransfer("W", "cs", "Crit", TRIV, "Free"),))
+        broken = StdModel(model.components, {"bad": bad}, {}, 0)
+        assert "trap-not-connecting" in {d.code for d in validate_model(broken)}
+        config = Configuration({"W": "InCS", "S": "Idle"}, {("W", "cs"): "Crit"}, 0)
+        assert issubclass(ConsistencyBroken, EngineError)
+        message = r"rule bad broke consistency: phase-violation: W cs \(InCS not in Free\)"
+        with pytest.raises(ConsistencyBroken, match=message):
+            fire_rule(broken, config, bad)
+        with pytest.raises(ConsistencyBroken, match=message):
+            successors(broken, config)
+        # a manager step whose target leaves the manager's own phase
+        grant = T("Idle", "grant", "Busy")
+        sched = model.components["S"]
+        role = Partition("mode", (Phase("Up", frozenset({"Idle"}), frozenset({grant})),
+                                  Phase("Down", frozenset({"Busy"}), frozenset())), "Up")
+        loose = StdModel({**model.components, "S": replace(sched, partitions=(role,))},
+                         {"admit": model.rules["admit"]}, {}, 0)
+        config = Configuration({"W": "Waiting", "S": "Idle"},
+                               {("W", "cs"): "Free", ("S", "mode"): "Up"}, 0)
+        with pytest.raises(ConsistencyBroken, match=r"rule admit broke consistency: "
+                                                    r"phase-violation: S mode \(Busy not in Up\)"):
+            fire_rule(loose, config, loose.rules["admit"])
+
+    def test_rule_is_not_blamed_for_a_role_it_does_not_write(self, bundles):
+        # Worker1 already breaks its phase; admit2 writes only the
+        # scheduler's and Worker2's slots, so it fires
+        model = bundles["cs-nondet"].model()
+        config = Configuration(
+            {"Scheduler": "Idle", "Worker1": "InCS", "Worker2": "Waiting"},
+            {("Worker1", "CSRole"): "Free", ("Worker2", "CSRole"): "Free"}, 0)
+        assert validate_configuration(model, config) != []
+        _, out = fire_rule(model, config, model.rules["admit2"])
+        assert out.phases[("Worker2", "CSRole")] == "Crit"
+        assert [label.rule for label, _, _ in successors(model, config)
+                if isinstance(label, RuleStep)] == ["admit2"]
+
     def test_rejected_changeset_disables_rule(self):
         # clause that would remove the phase the worker is being moved into
         model = scheduler_worker_model()
@@ -283,6 +327,27 @@ class TestStepDetailed:
         config = initial_configuration(model)
         out = step_detailed(model, config, "X", tick)
         assert out.key() == config.key()
+
+    def test_step_that_breaks_consistency_raises(self):
+        # a phase transition leaving the phase (which `validate_model`
+        # rejects) takes the component out of its phase
+        go = T("A", "go", "B")
+        comp = Std("X", frozenset({"A", "B"}), frozenset({"go"}), frozenset({go}), "A",
+                   (Partition("r", (Phase("P", frozenset({"A"}), frozenset({go})),
+                                    Phase("Q", frozenset({"B"}), frozenset())), "P"),))
+        model = StdModel({"X": comp}, {}, {}, 0)
+        assert "phase-transition-outside-phase" in {d.code for d in validate_model(model)}
+        with pytest.raises(ConsistencyBroken,
+                           match=r"detailed step broke consistency: phase-violation: X r \(B not in P\)"):
+            step_detailed(model, initial_configuration(model), "X", go)
+
+    def test_step_is_not_blamed_for_another_component(self, bundles):
+        model = bundles["cs-nondet"].model()
+        config = Configuration(
+            {"Scheduler": "Idle", "Worker1": "InCS", "Worker2": "OutCS"},
+            {("Worker1", "CSRole"): "Free", ("Worker2", "CSRole"): "Free"}, 0)
+        out = step_detailed(model, config, "Worker2", T("OutCS", "request", "Waiting"))
+        assert out.detailed["Worker2"] == "Waiting"
 
     def test_disabled_transition_rejected(self):
         model = one_role_model()

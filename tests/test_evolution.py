@@ -1,9 +1,13 @@
 """Changesets, coordinator weaving, migration loading, scenario checks."""
 
+import gc
+import itertools
+import weakref
 from dataclasses import replace
 
 import pytest
 
+from phasecoord import model as model_module
 from phasecoord.changeset import (
     ChangeSet,
     RejectedChange,
@@ -12,7 +16,17 @@ from phasecoord.changeset import (
     models_equal,
     validate_changeset,
 )
-from phasecoord.engine import RuleStep, _core, successors
+from phasecoord.engine import (
+    RandomPolicy,
+    RuleStep,
+    _core,
+    _fire,
+    _transfer,
+    fire_rule,
+    rule_blocker,
+    run,
+    successors,
+)
 from phasecoord.explorer import explore_space, reachable_projection
 from phasecoord.mcpal import (
     FragmentInvalid,
@@ -24,6 +38,7 @@ from phasecoord.mcpal import (
     weave_mcpal,
 )
 from phasecoord.model import (
+    Configuration,
     ConsistencyRule,
     Partition,
     Phase,
@@ -147,8 +162,6 @@ class TestChangesets:
     def test_validation_depends_only_on_phases_not_positions(self):
         # no-quiescence shape: moving detailed state within the same phases
         # never changes a changeset verdict
-        from phasecoord.model import Configuration
-
         model = random_model(8)
         config = random_initial(model)
         cs = ChangeSet(set_variables=(("x", 3),))
@@ -219,6 +232,130 @@ class TestCachedModelFacts:
         assert canonical_model(bumped) == (model.version + 1,) + before[1:]
         assert canonical_model(model) == before
         assert bumped != model and not models_equal(bumped, model)
+
+
+def memo_model():
+    """W's role r may sit in phase P or Q; M's rule `grow` removes Q and adds
+    a partition s to W whose initial phase Sa holds only A.  So `grow`
+    applies with W at A in P, hits a live phase removal with W in Q, and
+    leaves W outside Sa with W at B.  The rule `drop` removes Q and then the
+    whole role r: it applies unless W is in Q."""
+    a, b = Transition("A", "a", "B"), Transition("B", "b", "A")
+    go, back = Transition("I", "go", "J"), Transition("J", "back", "I")
+    worker = Std("W", frozenset({"A", "B"}), frozenset({"a", "b"}), frozenset({a, b}), "A",
+                 (Partition("r", (Phase("P", frozenset({"A", "B"}), frozenset({a, b})),
+                                  Phase("Q", frozenset({"A", "B"}), frozenset())), "P"),))
+    manager = Std("M", frozenset({"I", "J"}), frozenset({"go", "back"}),
+                  frozenset({go, back}), "I")
+    added = Partition("s", (Phase("Sa", frozenset({"A"}), frozenset()),
+                            Phase("Sb", frozenset({"B"}), frozenset())), "Sa")
+    grow = ConsistencyRule("grow", "M", go, change=ChangeSet(
+        add_partitions=(("W", added),), remove_phases=(("W", "r", "Q"),)))
+    drop = ConsistencyRule("drop", "M", go, change=ChangeSet(
+        remove_phases=(("W", "r", "Q"),), remove_partitions=(("W", "r"),)))
+    model = StdModel({"W": worker, "M": manager}, {"grow": grow, "drop": drop}, {}, 0)
+    assert validate_model(model) == []
+    return model
+
+
+def memo_config(state, phase):
+    return Configuration({"W": state, "M": "I"}, {("W", "r"): phase}, 0)
+
+
+class TestRuleChangeMemo:
+    """A rule's changeset is applied once per model object that owns the
+    rule; later firings reuse the resulting model object and agree with a
+    fresh model object that holds no result."""
+
+    APPLIES = ("A", "P")
+    LIVE_REMOVAL = ("A", "Q")
+    MISFIT = ("B", "P")
+
+    @staticmethod
+    def outcome(model, config, name):
+        """`rule_blocker`, then (canonical model, key) or the diagnostics
+        of the changeset after the rule's transfers, through the engine."""
+        rule = model.rules[name]
+        blocker = rule_blocker(model, config, rule)
+        guard = _core(model).guards[name]
+        try:
+            after_model, after = guard.changed(model, guard.apply(config.slots_in(model.layout)))
+        except RejectedChange as exc:
+            return blocker, exc.diagnostics
+        return blocker, (canonical_model(after_model), after.key())
+
+    @staticmethod
+    def fresh_outcome(model, config, name):
+        """The same through a new model object for each call, with
+        `apply_changeset`, which keeps nothing."""
+        rule = model.rules[name]
+        blocker = rule_blocker(replace(model), config, rule)
+        _, moved = _transfer(replace(model), config, rule)
+        try:
+            after_model, after = apply_changeset(replace(model), moved, rule.change)
+        except RejectedChange as exc:
+            return blocker, exc.diagnostics
+        return blocker, (canonical_model(after_model), after.key())
+
+    @pytest.mark.parametrize("order", list(itertools.permutations([APPLIES, LIVE_REMOVAL, MISFIT])))
+    @pytest.mark.parametrize("name, outcomes", [
+        ("grow", {None, "live-phase-removal", "phase-violation"}),
+        ("drop", {None, "live-phase-removal"}),
+    ])
+    def test_outcomes_equal_a_fresh_model_in_every_order(self, name, outcomes, order):
+        model = memo_model()
+        seen = set()
+        for state, phase in order + order:
+            config = memo_config(state, phase)
+            got = self.outcome(model, config, name)
+            assert got == self.fresh_outcome(model, config, name)
+            seen.add(got[0].split(":")[1].strip() if got[0] else None)
+        assert seen == outcomes
+
+    def test_one_resulting_model_object_validated_once(self, count_calls):
+        model = memo_model()
+        validations = count_calls(model_module, "validate_model")
+        first, rejected, again, live = (
+            _fire(model, memo_config(state, phase), model.rules["grow"])[1]
+            for state, phase in (self.APPLIES, self.MISFIT, self.APPLIES, self.LIVE_REMOVAL))
+        assert rejected is None and live is None
+        assert first[0] is again[0]
+        assert first[1] == again[1] and first[1].layout is first[0].layout
+        # the first firing validates the resulting model; the live removal
+        # walks the whole changeset again, so it validates its own model
+        assert [args[0].version for args in validations] == [1, 1]
+        assert validations[0][0] is first[0] and validations[1][0] is not first[0]
+
+    def test_a_rule_not_of_the_model_keeps_nothing(self):
+        model = memo_model()
+        rule = replace(model.rules["grow"])  # equal, but not the model's own object
+        config = memo_config(*self.APPLIES)
+        first, again = fire_rule(model, config, rule), fire_rule(model, config, rule)
+        assert first[0] is not again[0] and canonical_model(first[0]) == canonical_model(again[0])
+        assert _core(model).guards["grow"].memo is None
+
+    def test_loading_and_running_keep_no_model_alive(self, bundles):
+        # a migration loaded and run 50 times on one base model leaves the
+        # base model's facts and rule memos as the first round left them,
+        # and every loaded model is freed
+        bundle = bundles["shop-migration"]
+        base, fragment = bundle.model(), bundle.fragment()
+        config = initial_configuration(base)
+        successors(base, config)  # the base model's step core, with its guards
+        loaded = []
+        for i in range(50):
+            model, start = load_migration(base, config, fragment)
+            run(model, start, RandomPolicy(i), 200)
+            loaded.append(weakref.ref(model))
+            if i == 0:
+                facts = dict(base.__dict__)
+                memos = {name: guard.memo for name, guard in _core(base).guards.items()}
+            del model, start
+        assert base.__dict__.keys() == facts.keys()
+        assert all(base.__dict__[name] is fact for name, fact in facts.items())
+        assert {name: guard.memo for name, guard in _core(base).guards.items()} == memos
+        gc.collect()
+        assert [ref for ref in loaded if ref() is not None] == []
 
 
 class TestWeave:

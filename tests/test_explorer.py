@@ -1,6 +1,8 @@
 """Reachability, invariants, termination, progress, shortest traces."""
 
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -185,6 +187,33 @@ component Y {
         assert report.states_visited == scaler.expected_states(n)
         assert report.transitions_visited == scaler.expected_edges(n)
         assert not report.violations and report.deadlocks == []
+
+    def test_inconsistent_root_reports_configuration_valid(self):
+        # the root breaks Worker1's phase; the rules that fire from it write
+        # other slots, so exploration goes on and the report names the root,
+        # with and without `python -O`
+        script = (
+            "import json\n"
+            "from phasecoord.bundled import get_bundled\n"
+            "from phasecoord.explorer import explore\n"
+            "from phasecoord.model import Configuration\n"
+            "model = get_bundled('cs-nondet').model()\n"
+            "root = Configuration({'Scheduler': 'Idle', 'Worker1': 'InCS', 'Worker2': 'OutCS'},\n"
+            "                     {('Worker1', 'CSRole'): 'Free', ('Worker2', 'CSRole'): 'Free'}, 0)\n"
+            "print(explore(model, root).to_json(), end='')\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        reports = [
+            subprocess.run([sys.executable, *flags, "-c", script], env=env, cwd=root,
+                           capture_output=True, text=True, check=True).stdout
+            for flags in ([], ["-O"])
+        ]
+        assert reports[0] == reports[1]
+        doc = json.loads(reports[0])
+        assert [v["property"] for v in doc["violations"]] == ["configuration-valid"]
+        assert len(doc["violations"][0]["trace"]) == 1  # the root itself
+        assert doc["statesVisited"] > 1
 
     def test_configuration_that_does_not_fit_raises(self, bundles):
         model = bundles["cs-nondet"].model()

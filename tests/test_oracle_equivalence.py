@@ -1,5 +1,6 @@
 """The engine's successor relation against the brute-force enumerator."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -30,7 +31,7 @@ from phasecoord.model import (
     validate_configuration,
 )
 
-from tests.genmodels import random_initial, random_model
+from tests.genmodels import random_initial, random_model, with_random_changesets
 from tests.oracle import engine_successor_set, naive_successors, walk_all_states
 
 
@@ -144,6 +145,37 @@ class TestRandomModels:
         assert checked > 1000
 
 
+class TestRuleChangesets:
+    def test_random_changesets_agree(self):
+        # rules whose changesets apply at some configurations and are
+        # rejected at others: the engine reuses one resulting model per
+        # (model object, rule), the oracle applies each one afresh, and the
+        # blockers equal those of a fresh model object that holds no result
+        outcomes = Counter()
+        for seed in range(300):
+            model = with_random_changesets(seed, random_model(seed, max_components=3))
+            frontier, seen = [(model, random_initial(model))], set()
+            for _ in range(8):
+                following = []
+                for m, c in frontier:
+                    assert naive_successors(m, c) == engine_successor_set(m, c)
+                    for name, rule in sorted(m.rules.items()):
+                        blocker = rule_blocker(m, c, rule)
+                        assert blocker == rule_blocker(replace(m), c, rule)
+                        if rule.change is not None and blocker is None:
+                            outcomes["applied"] += 1
+                        elif rule.change is not None and blocker.startswith("changeset rejected: "):
+                            outcomes[blocker.split(": ")[1]] += 1
+                    for _, m2, c2 in successors(m, c):
+                        key = (canonical_model(m2), c2.key())
+                        if key not in seen and len(seen) < 200:
+                            seen.add(key)
+                            following.append((m2, c2))
+                frontier = following
+        for outcome in ("applied", "live-phase-removal", "phase-violation", "duplicate-partition"):
+            assert outcomes[outcome] >= 5, outcomes
+
+
 def assert_rule_core_agrees(model, config):
     """rule_blocker, enabled_rules, fire_rule and successors give one answer
     for every rule at every reachable state; returns the number of states and
@@ -208,9 +240,9 @@ def assert_fast_paths_agree(model, config):
         for _, m2, c2 in successors(m, c):
             rebuilt = Configuration(dict(c2.detailed), dict(c2.phases), c2.model_version)
             layout = m2.layout
-            # a successor is in its model's layout, unless a changeset made
-            # that model, and then it is the pair form the changeset built
-            assert c2.layout is (layout if m2 is m else None)
+            # a successor is in its model's layout, also when a rule's
+            # changeset made that model
+            assert c2.layout is layout
             slots = c2.slots_in(layout)
             assert layout.decode(slots) == rebuilt.key()
             assert layout.encode(layout.decode(slots)) == slots
