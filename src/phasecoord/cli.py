@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -35,11 +36,11 @@ from .mcpal import (
     FragmentInvalid,
     McPalNotHibernating,
     McPalSkeleton,
+    completion_test,
     load_migration,
-    migration_complete,
 )
 from .model import initial_configuration, validate_configuration
-from .properties import parse_properties
+from .properties import PropertyError, parse_properties
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -215,7 +216,11 @@ def cmd_explore(args) -> int:
         props = get_bundled(args.path).properties()
 
     bounds = Bounds(max_states=args.max_states, max_depth=args.max_depth)
-    report = explore(model, config, props, bounds)
+    try:
+        report = explore(model, config, props, bounds)
+    except PropertyError as exc:  # an atom names a component some explored model lacks
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     space = report.space
     doc = json.loads(report.to_json())
 
@@ -305,7 +310,7 @@ def cmd_demo(args) -> int:
         model, config = load_migration(model, config, fragment)
         target = model.version + 2  # kick-off and shrink each bump the version
         space = explore_space(model, config)
-        done = space.first(lambda m, c: migration_complete(m, c, target, sk))
+        done = next(space.where(partial(completion_test, target_version=target, sk=sk)), None)
         if done is None:
             print("no completing trajectory found", file=sys.stderr)
             return EXIT_VIOLATION

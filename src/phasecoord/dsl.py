@@ -38,6 +38,7 @@ from typing import NamedTuple, Optional, Union
 
 from .changeset import ChangeSet
 from .model import (
+    MAX_INT_DIGITS,
     ConsistencyRule,
     Diagnostic,
     Partition,
@@ -49,6 +50,10 @@ from .model import (
     Trap,
     validate_model,
 )
+
+# Largest family bound accepted: `component Worker[N]` builds N members
+# before anything else is checked.
+MAX_FAMILY_SIZE = 1000
 
 
 class Token(NamedTuple):
@@ -179,7 +184,11 @@ class _Parser:
         return self.expect("name").value
 
     def integer(self) -> int:
-        return int(self.expect("int").value)
+        tok = self.expect("int")
+        if len(tok.value) > MAX_INT_DIGITS:
+            raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits",
+                             tok._replace(value=tok.value[:8]))
+        return int(tok.value)
 
     def iname(self) -> IName:
         base = self.name()
@@ -188,7 +197,7 @@ class _Parser:
         self.next()
         tok = self.peek()
         if tok.kind == "int":
-            idx: object = int(self.next().value)
+            idx: object = self.integer()
         elif tok.kind == "name" and tok.value == "i":
             self.next()
             offset = 0
@@ -316,7 +325,10 @@ class _Parser:
         bound = None
         if self.peek().kind == "[":
             self.next()
+            bound_tok = self.peek()
             bound = self.integer()
+            if bound > MAX_FAMILY_SIZE:
+                raise ParseError(f"family bound {bound} above {MAX_FAMILY_SIZE}", bound_tok)
             self.expect("]")
         marks: list = []
         std = self.component_body(name, marks)

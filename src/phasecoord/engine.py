@@ -125,12 +125,10 @@ def label_sort_key(label: StepLabel) -> tuple:
     return (1, label.rule)
 
 
-def acts_on(label: StepLabel, component: str) -> bool:
-    """True when the step is the component's own move: its detailed step, or a
-    rule firing in which it is the manager."""
-    if isinstance(label, DetailedStep):
-        return label.component == component
-    return label.manager == component
+def mover(label: StepLabel) -> str:
+    """The component whose own move the step is: the component of a detailed
+    step, or the manager of a rule firing."""
+    return label.component if isinstance(label, DetailedStep) else label.manager
 
 
 def config_digest(config: Configuration) -> int:

@@ -18,35 +18,40 @@ in order, so state indices, edges and reports are deterministic.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
-answer obeys the same bounds.
+answer obeys the same bounds.  A check that tests every state sweeps the
+slots through `Space.where`, with its predicate compiled once per model of
+the space (`properties.compile_predicate`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from .changeset import canonical_model
 from .engine import (
     StepLabel,
     Trace,
+    UnknownElement,
     _slots,
     _state_record,
-    acts_on,
     config_digest,
     label_sort_key,
     label_text,
+    mover,
     successors,
 )
-from .mcpal import McPalSkeleton, migration_complete
+from .mcpal import McPalSkeleton, completion_test
 from .model import Configuration, StdModel, validate_configuration
 from .properties import (
     EventuallyAll,
     Invariant,
     PropertyExpr,
     Reachable,
-    eval_predicate,
+    SlotTest,
+    compile_predicate,
 )
 
 
@@ -58,7 +63,9 @@ class Bounds:
 
 @dataclass
 class Space:
-    """The explored fragment of the state space."""
+    """The explored fragment of the state space.  `explore_space` fills it;
+    the cached queries (`reverse_adjacency`, `move_sources`) read a
+    finished one."""
 
     models: list[StdModel] = field(default_factory=list)
     model_keys: dict = field(default_factory=dict)  # canonical model -> index
@@ -67,7 +74,8 @@ class Space:
     parent: list[Optional[tuple[int, StepLabel]]] = field(default_factory=list)
     edges: list[tuple[int, StepLabel, int]] = field(default_factory=list)
     deadlocks: list[int] = field(default_factory=list)
-    # (model index, slots in the layout of models[model index]) -> state index
+    # (model index, slots in the layout of models[model index]) -> state
+    # index; states are added in index order, so the keys are too
     seen: dict[tuple[int, tuple], int] = field(default_factory=dict)
     max_states_hit: bool = False
     max_depth_hit: bool = False
@@ -89,6 +97,18 @@ class Space:
         `test`; None when no explored state does."""
         return next((idx for idx in range(len(self.configs)) if test(*self.state(idx))), None)
 
+    def where(self, test_for: Callable[[StdModel], SlotTest], holds: bool = True) -> Iterator[int]:
+        """The states, in BFS order, whose slots pass the test `test_for`
+        builds for their model (with `holds` false: fail it).  The test is
+        built once per model of the space, and run lazily, one state after
+        another, so a test that raises does so at the first state it is
+        reached on, as `first` would."""
+        tests = [test_for(model) for model in self.models]
+        states = enumerate(self.seen)
+        if holds:
+            return (idx for idx, (m, slots) in states if tests[m](slots))
+        return (idx for idx, (m, slots) in states if not tests[m](slots))
+
     def versions_seen(self) -> list[int]:
         return sorted({c.model_version for c in self.configs})
 
@@ -98,11 +118,22 @@ class Space:
             out[src].append((label, dst))
         return out
 
+    @cached_property
     def reverse_adjacency(self) -> list[list[int]]:
+        """Per state, the sources of its incoming edges; built once."""
         out: list[list[int]] = [[] for _ in range(len(self.configs))]
         for src, _, dst in self.edges:
             out[dst].append(src)
         return out
+
+    @cached_property
+    def move_sources(self) -> dict[str, list[int]]:
+        """Per component, the sorted states with an outgoing edge that is the
+        component's own move (`engine.mover`); built in one pass."""
+        out: dict[str, set[int]] = {}
+        for src, label, _ in self.edges:
+            out.setdefault(mover(label), set()).add(src)
+        return {component: sorted(sources) for component, sources in out.items()}
 
     def _path(self, state: int) -> list[int]:
         """State indices from the exploration root to `state`."""
@@ -130,45 +161,32 @@ class Space:
         ]
 
 
-def _intern_state(space: Space, model: StdModel, config: Configuration,
-                  parent: Optional[tuple[int, StepLabel]],
-                  max_states: int) -> Optional[tuple[int, bool]]:
-    """The state's index and whether it was added now; None when it is new
-    but the space already holds `max_states` states.  Raises UnknownElement
-    when the configuration does not fit the model's slot layout."""
-    model_key = canonical_model(model)
-    model_idx = space.model_keys.get(model_key, len(space.models))
-    home = space.models[model_idx] if model_idx < len(space.models) else model
-    layout = home.layout
-    slots = _slots(layout, config)
-    key = (model_idx, slots)
-    idx = space.seen.get(key)
-    if idx is not None:
-        return idx, False
-    if len(space.configs) >= max_states:
-        return None
-    if model_idx == len(space.models):
-        space.models.append(model)
-        space.model_keys[model_key] = model_idx
-    if config.layout is not layout:
-        config = Configuration.from_slots(layout, slots)
-    idx = space.seen[key] = len(space.configs)
-    space.configs.append(config)
-    space.model_of.append(model_idx)
-    space.parent.append(parent)
-    return idx, True
-
-
 def explore_space(
     model: StdModel,
     initial: Configuration,
     bounds: Bounds = Bounds(),
     exclude: Optional[Callable[[StepLabel], bool]] = None,
 ) -> Space:
-    """Breadth-first reachability; the one exploration every check queries."""
+    """Breadth-first reachability; the one exploration every check queries.
+
+    Raises UnknownElement when a configuration does not fit its model's
+    slot layout."""
     space = Space()
-    root, _ = _intern_state(space, model, initial, None, max_states=1)  # always kept
-    frontier = [root]
+    models, model_keys, seen = space.models, space.model_keys, space.seen
+    configs, model_of, parent, edges = space.configs, space.model_of, space.parent, space.edges
+    max_states = bounds.max_states
+
+    # the root, always kept, is the first state of the first model
+    layout = model.layout
+    slots = _slots(layout, initial)
+    models.append(model)
+    model_keys[canonical_model(model)] = 0
+    seen[(0, slots)] = 0
+    configs.append(initial if initial.layout is layout else Configuration.from_slots(layout, slots))
+    model_of.append(0)
+    parent.append(None)
+
+    frontier = [0]
     depth = 0
     while frontier:
         if depth >= bounds.max_depth:
@@ -176,20 +194,44 @@ def explore_space(
             break
         next_frontier: list[int] = []
         for idx in frontier:
-            succ = successors(*space.state(idx))
+            here = model_of[idx]
+            here_model = models[here]
+            here_layout = here_model.layout
+            succ = successors(here_model, configs[idx])
             if exclude is not None:
                 succ = [s for s in succ if not exclude(s[0])]
             if not succ:
                 space.deadlocks.append(idx)
+            # intern each successor: model index, slots in that model's
+            # layout, then the seen lookup.  `canonical_model` is a cached
+            # lookup, run once per edge (the benchmark's traced count pins it)
             for label, nxt_model, nxt_config in succ:
-                interned = _intern_state(space, nxt_model, nxt_config, (idx, label), bounds.max_states)
-                if interned is None:
-                    space.max_states_hit = True
-                    return space
-                dst, fresh = interned
-                space.edges.append((idx, label, dst))
-                if fresh:
+                model_key = canonical_model(nxt_model)
+                if nxt_model is here_model:
+                    model_idx, layout = here, here_layout
+                else:
+                    model_idx = model_keys.get(model_key)  # None: a model not seen yet
+                    layout = (nxt_model if model_idx is None else models[model_idx]).layout
+                slots = nxt_config.slots_in(layout)
+                if slots is None:
+                    raise UnknownElement(layout.misfit(nxt_config.key()))
+                dst = seen.get((model_idx, slots))
+                if dst is None:
+                    dst = len(configs)
+                    if dst >= max_states:
+                        space.max_states_hit = True
+                        return space
+                    if model_idx is None:
+                        model_idx = model_keys[model_key] = len(models)
+                        models.append(nxt_model)
+                    if nxt_config.layout is not layout:
+                        nxt_config = Configuration.from_slots(layout, slots)
+                    seen[(model_idx, slots)] = dst
+                    configs.append(nxt_config)
+                    model_of.append(model_idx)
+                    parent.append((idx, label))
                     next_frontier.append(dst)
+                edges.append((idx, label, dst))
         frontier = next_frontier
         depth += 1
     return space
@@ -245,7 +287,7 @@ def _within_bound_to_targets(space: Space, targets: Sequence[int]) -> list[int]:
         if dist[t] == -1:
             dist[t] = 0
             frontier.append(t)
-    rev = space.reverse_adjacency()
+    rev = space.reverse_adjacency
     d = 0
     while frontier:
         d += 1
@@ -295,15 +337,16 @@ def explore(
         pending_violations.append(("configuration-valid", bad))
 
     for prop in properties:
+        compiled = partial(compile_predicate, prop.predicate)
         if isinstance(prop, Invariant):
-            witness = space.first(lambda m, c: not eval_predicate(prop.predicate, m, c))
+            witness = next(space.where(compiled, holds=False), None)
             if witness is not None:
                 pending_violations.append((prop.text(), witness))
                 verdicts.append((prop.text(), "violated"))
             else:
                 verdicts.append((prop.text(), "unknown(bound)" if space.truncated else "holds"))
         elif isinstance(prop, Reachable):
-            if space.first(lambda m, c: eval_predicate(prop.predicate, m, c)) is not None:
+            if next(space.where(compiled), None) is not None:
                 verdicts.append((prop.text(), "satisfied"))
             elif space.truncated:
                 verdicts.append((prop.text(), "unknown(bound)"))
@@ -316,12 +359,7 @@ def explore(
                 # is provable on a truncated graph
                 verdicts.append((prop.text(), "unknown(bound)"))
                 continue
-            targets = [
-                idx
-                for idx in range(space.state_count())
-                if eval_predicate(prop.predicate, *space.state(idx))
-            ]
-            dist = _within_bound_to_targets(space, targets)
+            dist = _within_bound_to_targets(space, list(space.where(compiled)))
             worst = next((idx for idx, d in enumerate(dist) if d == -1 or d > prop.bound), None)
             if worst is not None:
                 verdicts.append((prop.text(), "violated"))
@@ -351,7 +389,7 @@ class InvariantResult:
 
 def check_invariant(space: Space, predicate) -> InvariantResult:
     """BFS-shortest counterexample to `invariant predicate`, if any."""
-    bad = space.first(lambda m, c: not eval_predicate(predicate, m, c))
+    bad = next(space.where(partial(compile_predicate, predicate), holds=False), None)
     if bad is not None:
         return InvariantResult("violated", space.trace_to(bad))
     return InvariantResult("unknown(bound)" if space.truncated else "satisfied")
@@ -369,7 +407,7 @@ def check_migration_termination(
 ) -> TerminationResult:
     """Verify that the migration always remains completable.
 
-    Completion (`mcpal.migration_complete`) means: model version equals the
+    Completion (`mcpal.completion_predicate`) means: model version equals the
     target and the coordinator named by `sk` is back in hibernation, that is
     in `sk.hibernation_state` with its `sk.evolution_role` role in
     `sk.hibernating_phase`.  Free-running components make "all interleavings
@@ -385,15 +423,13 @@ def check_migration_termination(
     provable; otherwise the verdict is `unknown(bound)`.
     """
 
-    def complete(idx: int) -> bool:
-        return migration_complete(*space.state(idx), target_version, sk)
-
+    targets = list(space.where(partial(completion_test, target_version=target_version, sk=sk)))
+    complete = set(targets)
     for idx in sorted(space.deadlocks):
-        if not complete(idx):
+        if idx not in complete:
             return TerminationResult("stuck", witness=space.trace_to(idx))
     if space.truncated:
         return TerminationResult("unknown(bound)")
-    targets = [idx for idx in range(space.state_count()) if complete(idx)]
     dist = _within_bound_to_targets(space, targets)
     doomed = next((idx for idx in range(space.state_count()) if dist[idx] == -1), None)
     if doomed is not None:
@@ -433,8 +469,7 @@ class ProgressResult:
 def _distance_to_move(space: Space, component: str) -> list[int]:
     """Per state, the fewest steps before a step that is the component's own
     move can be taken (0: one is enabled now); -1 when none ever can."""
-    sources = {src for src, label, _ in space.edges if acts_on(label, component)}
-    return _within_bound_to_targets(space, sorted(sources))
+    return _within_bound_to_targets(space, space.move_sources.get(component, []))
 
 
 def check_progress(space: Space, component: str, k: int, within=None) -> ProgressResult:
@@ -451,9 +486,9 @@ def check_progress(space: Space, component: str, k: int, within=None) -> Progres
         # provably starved on a truncated graph
         return ProgressResult("unknown(bound)")
     dist = _distance_to_move(space, component)
-    for idx in range(space.state_count()):
-        if within is not None and not eval_predicate(within, *space.state(idx)):
-            continue
+    held = (range(space.state_count()) if within is None
+            else space.where(partial(compile_predicate, within)))
+    for idx in held:
         if dist[idx] == -1 or dist[idx] + 1 > k:
             return ProgressResult(
                 "starved", starved=space.configs[idx], witness=space.trace_to(idx)
@@ -478,7 +513,7 @@ def minimal_progress_bound(space: Space, component: str) -> Optional[int]:
 def shortest_trace_to(space: Space, predicate) -> Optional[Trace]:
     """BFS-shortest trace to a state satisfying the predicate; None if none
     is in the space."""
-    idx = space.first(lambda m, c: eval_predicate(predicate, m, c))
+    idx = next(space.where(partial(compile_predicate, predicate)), None)
     return None if idx is None else space.trace_to(idx)
 
 

@@ -31,6 +31,17 @@ from .model import (
     StdModel,
     Transition,
 )
+from .properties import (
+    And,
+    InPhase,
+    InState,
+    ModelVersionIs,
+    Predicate,
+    SlotTest,
+    compile_predicate,
+    eval_predicate,
+    never,
+)
 
 
 class NameCollision(Exception):
@@ -172,11 +183,30 @@ def is_hibernating(model: StdModel, config: Configuration, sk: McPalSkeleton = M
     )
 
 
+def completion_predicate(target_version: int, sk: McPalSkeleton = McPalSkeleton()) -> Predicate:
+    """The migration to `target_version` is over: the model has that version
+    and the coordinator is back in hibernation.  `migration_complete` and
+    `completion_test` read it as false in a model that lacks the
+    coordinator, where its atoms would raise."""
+    return And(
+        And(ModelVersionIs(target_version), InState(sk.component, sk.hibernation_state)),
+        InPhase(sk.component, sk.evolution_role, sk.hibernating_phase),
+    )
+
+
 def migration_complete(model: StdModel, config: Configuration, target_version: int,
                        sk: McPalSkeleton = McPalSkeleton()) -> bool:
-    """The migration to `target_version` is over: the model has that version
-    and the coordinator is back in hibernation."""
-    return config.model_version == target_version and is_hibernating(model, config, sk)
+    """`completion_predicate` at one configuration."""
+    return sk.component in model.components and eval_predicate(
+        completion_predicate(target_version, sk), model, config)
+
+
+def completion_test(model: StdModel, target_version: int,
+                    sk: McPalSkeleton = McPalSkeleton()) -> SlotTest:
+    """`migration_complete` as a test over the slots of `model.layout`."""
+    if sk.component not in model.components:
+        return never
+    return compile_predicate(completion_predicate(target_version, sk), model)
 
 
 def load_migration(

@@ -46,6 +46,12 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 # always available on every phase and may not be declared explicitly.
 TRIV = "triv"
 
+# Longest integer literal the .pdm and .pprop readers accept.  It stays
+# below 640, the lowest limit Python's int/str conversion can be set to
+# (4300 by default), so every version and bound read, and every version a
+# changeset bumps from one, can be printed.
+MAX_INT_DIGITS = 600
+
 
 class Transition(NamedTuple):
     source: str

@@ -10,14 +10,20 @@ Three property forms:
 Predicates are boolean combinations (and/or/not, parentheses) of the atoms
 inState(C, s), inPhase(C, P, ph), countInState({C.s, ...}, <=, n) and
 modelVersionIs(n).  One property per line in a .pprop file; "#" comments.
+
+`eval_predicate` decides a predicate on one configuration.  Sweeps over an
+explored space use `compile_predicate` instead: it turns a predicate into a
+test over the slots of one model's layout (see `model.SlotLayout`), built
+once per model, so no state's `detailed` view is built to check it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
-from .model import Configuration, Diagnostic, StdModel
+from .model import MAX_INT_DIGITS, Configuration, Diagnostic, StdModel
 
 COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
 # Deepest predicate accepted: open parentheses, `not`s and and/or chain
@@ -125,9 +131,13 @@ class EventuallyAll:
 PropertyExpr = Union[Invariant, Reachable, EventuallyAll]
 
 
+def _unknown_component(name: str, atom: Predicate) -> str:
+    return f"{atom.text()}: unknown component {name}"
+
+
 def _check_component(model: StdModel, name: str, atom: Predicate):
     if name not in model.components:
-        raise PropertyError(f"{atom.text()}: unknown component {name}")
+        raise PropertyError(_unknown_component(name, atom))
 
 
 def eval_predicate(pred: Predicate, model: StdModel, config: Configuration) -> bool:
@@ -164,6 +174,79 @@ def eval_predicate(pred: Predicate, model: StdModel, config: Configuration) -> b
             pred.right, model, config
         )
     raise PropertyError(f"unknown predicate node {pred!r}")
+
+
+# A compiled predicate: a test over the slots of one model's layout.
+SlotTest = Callable[[tuple], bool]
+
+_COMPARE = {
+    "<=": operator.le, "<": operator.lt, "==": operator.eq,
+    ">=": operator.ge, ">": operator.gt, "!=": operator.ne,
+}
+
+
+def never(slots: tuple) -> bool:
+    """The test no configuration passes."""
+    return False
+
+
+def _raising(message: str) -> SlotTest:
+    def test(slots: tuple) -> bool:
+        raise PropertyError(message)
+    return test
+
+
+def _slot_equals(slot: int, value: int) -> SlotTest:
+    return lambda slots: slots[slot] == value
+
+
+def compile_predicate(pred: Predicate, model: StdModel) -> SlotTest:
+    """`pred` as a test over the slots of `model.layout`.
+
+    On every configuration that fits the layout the test returns what
+    `eval_predicate(pred, model, config)` returns, and raises the same
+    `PropertyError` where that does: an atom naming a component the model
+    lacks compiles to a test that raises when it is reached, so and/or keep
+    their short-circuit order.  An unknown state, role or phase compiles to a
+    test that never passes."""
+    layout = model.layout
+    if isinstance(pred, InState):
+        if pred.component not in model.components:
+            return _raising(_unknown_component(pred.component, pred))
+        slot = layout.component_slot[pred.component]
+        index = layout.state_index[slot - 1].get(pred.state)
+        return never if index is None else _slot_equals(slot, index)
+    if isinstance(pred, InPhase):
+        if pred.component not in model.components:
+            return _raising(_unknown_component(pred.component, pred))
+        slot = layout.role_slot.get((pred.component, pred.partition))
+        if slot is None:
+            return never
+        index = layout.phase_index[slot - layout.role_base].get(pred.phase)
+        return never if index is None else _slot_equals(slot, index)
+    if isinstance(pred, CountInState):
+        pairs = []
+        for comp, state in pred.pairs:
+            if comp not in model.components:
+                return _raising(_unknown_component(comp, pred))
+            slot = layout.component_slot[comp]
+            index = layout.state_index[slot - 1].get(state)
+            if index is not None:  # an unknown state never counts
+                pairs.append((slot, index))
+        compare, bound, pairs = _COMPARE[pred.op], pred.bound, tuple(pairs)
+        return lambda slots: compare(sum([slots[i] == v for i, v in pairs]), bound)
+    if isinstance(pred, ModelVersionIs):
+        return _slot_equals(0, pred.version)
+    if isinstance(pred, Not):
+        operand = compile_predicate(pred.operand, model)
+        return lambda slots: not operand(slots)
+    if isinstance(pred, And):
+        left, right = compile_predicate(pred.left, model), compile_predicate(pred.right, model)
+        return lambda slots: left(slots) and right(slots)
+    if isinstance(pred, Or):
+        left, right = compile_predicate(pred.left, model), compile_predicate(pred.right, model)
+        return lambda slots: left(slots) or right(slots)
+    return _raising(f"unknown predicate node {pred!r}")
 
 
 class _Scanner:
@@ -223,6 +306,9 @@ class _Scanner:
             self.pos += 1
         if start == self.pos:
             raise _PropParseError(self.error("expected an integer"))
+        if self.pos - start > MAX_INT_DIGITS:
+            self.pos = start
+            raise _PropParseError(self.error(f"integer longer than {MAX_INT_DIGITS} digits"))
         return int(self.text[start:self.pos])
 
 

@@ -20,6 +20,16 @@ from phasecoord.model import (
     Transition,
     Trap,
 )
+from phasecoord.properties import (
+    COMPARATORS,
+    And,
+    CountInState,
+    InPhase,
+    InState,
+    ModelVersionIs,
+    Not,
+    Or,
+)
 
 
 def close_forward(states, transitions):
@@ -275,3 +285,44 @@ def with_random_changesets(seed, model):
         for name, rule in sorted(model.rules.items())
     }
     return replace(model, rules=rules)
+
+
+# -- predicates ----------------------------------------------------------------
+
+def predicate_vocabulary(models):
+    """Components, their states, roles and phases across `models`, each list
+    with names no model knows added: (components, states, roles, phases)."""
+    states, phases = {"Nobody": ["nowhere"]}, {("Nobody", "NoRole"): ["NoPhase"]}
+    for model in models:
+        for name, std in model.components.items():
+            states.setdefault(name, ["nowhere"]).extend(sorted(std.states))
+            phases.setdefault((name, "NoRole"), ["NoPhase"])
+            for part in std.partitions:
+                phases.setdefault((name, part.name), ["NoPhase"]).extend(
+                    p.name for p in part.phases)
+    return sorted(states), states, sorted(phases), phases
+
+
+def random_predicate(rng, vocabulary, versions, depth=3):
+    """A predicate over `vocabulary` (see `predicate_vocabulary`) that may
+    name unknown components, states, roles and phases, and versions near
+    `versions`."""
+    components, states, roles, phases = vocabulary
+    kind = rng.randrange(7 if depth > 0 else 4)
+    if kind == 0:
+        comp = rng.choice(components)
+        return InState(comp, rng.choice(states[comp]))
+    if kind == 1:
+        role = rng.choice(roles)
+        return InPhase(role[0], role[1], rng.choice(phases[role]))
+    if kind == 2:
+        comps = [rng.choice(components) for _ in range(rng.randint(1, 4))]
+        pairs = tuple((c, rng.choice(states[c])) for c in comps)
+        return CountInState(pairs, rng.choice(COMPARATORS), rng.randint(0, len(pairs) + 1))
+    if kind == 3:
+        return ModelVersionIs(rng.choice(versions) + rng.randint(-1, 1))
+    if kind == 4:
+        return Not(random_predicate(rng, vocabulary, versions, depth - 1))
+    node = And if kind == 5 else Or
+    return node(random_predicate(rng, vocabulary, versions, depth - 1),
+                random_predicate(rng, vocabulary, versions, depth - 1))

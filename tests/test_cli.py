@@ -5,12 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from phasecoord import changeset, explorer, model
+from phasecoord import changeset, dsl, explorer, model
 from phasecoord.cli import main
 
 FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
             "--check-termination", "3", "--check-progress", "16")
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "flagship-shop.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# The exit code of `--format json explore NAME` for each bundled model whose
+# report bytes are kept in tests/golden/explore-NAME.json.
+BUNDLED_EXPLORE_EXITS = {"cs-nondet": 0, "cs-roundrobin": 0, "prodcons": 0, "shop-migration": 4}
+HUGE = "9" * 5000
+ONE_STATE_BODY = "{ states: A; initial: A; transitions: }"
 ONE_STEP_MODEL = """
 component X {
   states: A, B;
@@ -76,6 +82,37 @@ rule r: X: A - go -> B * X(missing): a - triv -> b;
         assert code == 1
         assert out == ""
         assert err.startswith(f"1:{column}:") and "syntax-error" in err
+
+    @pytest.mark.parametrize("text,column", [
+        (f"version {HUGE};" + ONE_STEP_MODEL, 9),
+        (f"component W[{HUGE}] {ONE_STATE_BODY}", 13),
+    ], ids=["version", "family-bound"])
+    def test_huge_integer_is_a_syntax_error(self, tmp_path, capsys, text, column):
+        path = tmp_path / "huge.pdm"
+        path.write_text(text, "utf-8")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"1:{column}:") and "syntax-error" in err
+        assert f"integer longer than {model.MAX_INT_DIGITS} digits" in err
+        assert "Traceback" not in err
+
+    def test_huge_family_bound_builds_no_members(self, tmp_path, capsys, count_calls):
+        path = tmp_path / "family.pdm"
+        path.write_text(f"component Worker[99999999999999999999] {ONE_STATE_BODY}")
+        members = count_calls(dsl, "replace")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert err.startswith("1:18:") and "syntax-error" in err
+        assert f"above {dsl.MAX_FAMILY_SIZE}" in err
+        assert members == []
+
+    def test_largest_family_bound_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "family.pdm"
+        path.write_text(f"component W[{dsl.MAX_FAMILY_SIZE}] {ONE_STATE_BODY}")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 0
+        assert f"{dsl.MAX_FAMILY_SIZE} component(s)" in out
 
     def test_json_format(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", "validate", "prodcons")
@@ -276,6 +313,33 @@ class TestExplore:
         assert out == ""
         assert err.startswith("1:") and "syntax-error" in err
         assert "expected an integer" in err
+
+    @pytest.mark.parametrize("prop,column", [
+        (f"reachable modelVersionIs({HUGE})", 26),
+        (f"eventuallyAll inState(Worker1, InCS) bound {HUGE}", 44),
+    ], ids=["version", "bound"])
+    def test_huge_integer_in_props_is_a_syntax_error(self, tmp_path, capsys, prop, column):
+        props = tmp_path / "f.pprop"
+        props.write_text(f"# huge\n{prop}\n", "utf-8")
+        code, out, err = run_cli(capsys, "explore", "cs-nondet", "--props", str(props))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"2:{column}:") and "syntax-error" in err
+        assert f"integer longer than {model.MAX_INT_DIGITS} digits" in err
+
+    def test_property_naming_unknown_component_exit_2(self, tmp_path, capsys):
+        props = tmp_path / "f.pprop"
+        props.write_text("invariant inState(Nobody, x)\n")
+        code, out, err = run_cli(capsys, "explore", "cs-nondet", "--props", str(props))
+        assert code == 2
+        assert out == ""
+        assert err == "error: inState(Nobody, x): unknown component Nobody\n"
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_EXPLORE_EXITS))
+    def test_bundled_report_matches_golden_bytes(self, capsys, name):
+        code, out, err = run_cli(capsys, "--format", "json", "explore", name)
+        assert code == BUNDLED_EXPLORE_EXITS[name]
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.json").read_bytes()
 
     def test_termination_obeys_the_shared_bounds(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", *FLAGSHIP[:6],

@@ -1,7 +1,10 @@
-"""The engine's successor relation against the brute-force enumerator."""
+"""The engine's successor relation against the brute-force enumerator, and
+the explorer's compiled predicates against `eval_predicate`."""
 
+import random
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -19,8 +22,8 @@ from phasecoord.engine import (
     run,
     successors,
 )
-from phasecoord.explorer import explore
-from phasecoord.mcpal import load_migration
+from phasecoord.explorer import Bounds, explore, explore_space
+from phasecoord.mcpal import McPalSkeleton, completion_test, load_migration, migration_complete
 from phasecoord.model import (
     Configuration,
     Partition,
@@ -30,8 +33,15 @@ from phasecoord.model import (
     initial_configuration,
     validate_configuration,
 )
+from phasecoord.properties import PropertyError, compile_predicate, eval_predicate
 
-from tests.genmodels import random_initial, random_model, with_random_changesets
+from tests.genmodels import (
+    predicate_vocabulary,
+    random_initial,
+    random_model,
+    random_predicate,
+    with_random_changesets,
+)
 from tests.oracle import engine_successor_set, naive_successors, walk_all_states
 
 
@@ -335,3 +345,70 @@ class TestConfigurationFastPaths:
                 with pytest.raises(UnknownElement) as err:
                     call(model, config)
                 assert str(err.value) == message
+
+
+def outcome(run):
+    """What `run()` returns, or the message of the PropertyError it raises."""
+    try:
+        return run()
+    except PropertyError as exc:
+        return ("PropertyError", str(exc))
+
+
+def assert_compiled_predicates_agree(space, seed, count=40):
+    """Seeded random predicates, compiled per model of the space, give what
+    `eval_predicate` gives at every state, raise the same PropertyError at
+    the same states, and so stop the same sweeps at the same state."""
+    rng = random.Random(seed)
+    vocabulary = predicate_vocabulary(space.models)
+    versions = space.versions_seen()
+    raised = 0
+    for _ in range(count):
+        pred = random_predicate(rng, vocabulary, versions)
+        tests = [compile_predicate(pred, m) for m in space.models]
+        for idx in range(space.state_count()):
+            model, config = space.state(idx)
+            slots = config.slots_in(model.layout)
+            want = outcome(lambda: eval_predicate(pred, model, config))
+            assert outcome(lambda: tests[space.model_of[idx]](slots)) == want, (pred, idx)
+            raised += isinstance(want, tuple)
+        compiled = partial(compile_predicate, pred)
+        assert outcome(lambda: next(space.where(compiled), None)) == outcome(
+            lambda: space.first(lambda m, c: eval_predicate(pred, m, c)))
+        assert outcome(lambda: next(space.where(compiled, holds=False), None)) == outcome(
+            lambda: space.first(lambda m, c: not eval_predicate(pred, m, c)))
+    return raised
+
+
+class TestCompiledPredicates:
+    def test_bundled_models(self, bundles):
+        for seed, bundle in enumerate(bundles.values()):
+            model = bundle.model()
+            space = explore_space(model, initial_configuration(model))
+            assert assert_compiled_predicates_agree(space, seed) > 0
+
+    def test_loaded_shop_space_over_three_models(self, shop_loaded):
+        space = explore_space(*shop_loaded)
+        assert len(space.models) == 3
+        assert assert_compiled_predicates_agree(space, 7, count=150) > 0
+
+    def test_random_models(self):
+        multi_model = raised = 0
+        for seed in range(200):
+            model = random_model(seed, max_components=3)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            space = explore_space(model, random_initial(model), Bounds(max_states=300))
+            multi_model += len(space.models) > 1
+            raised += assert_compiled_predicates_agree(space, seed, count=15)
+        assert multi_model >= 10 and raised > 0
+
+    def test_completion_test_matches_migration_complete(self, bundles, shop_loaded):
+        sk = McPalSkeleton()
+        for model, config in (shop_loaded, (bundles["cs-nondet"].model(),
+                                            initial_configuration(bundles["cs-nondet"].model()))):
+            space = explore_space(model, config)
+            for target in range(5):
+                want = [idx for idx in range(space.state_count())
+                        if migration_complete(*space.state(idx), target, sk)]
+                assert list(space.where(partial(completion_test, target_version=target))) == want
