@@ -51,17 +51,42 @@ EXIT_UNKNOWN = 5
 EXIT_DOT_THRESHOLD = 6
 
 
+def _read(path: str) -> Optional[str]:
+    """The text of the UTF-8 file at `path`; None once why not is reported."""
+    try:
+        return Path(path).read_text("utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def _write(path: str, text: str) -> bool:
+    """Write `text` to `path` as UTF-8; False once why not is reported."""
+    try:
+        Path(path).write_text(text, "utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _below_least(checks) -> bool:
+    """Report the first (flag, value, least) with a value below least, if any."""
+    for flag, value, least in checks:
+        if value is not None and value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return True
+    return False
+
+
 def _load_model(args):
     """The model at `args.path`, a file or a bundled name, with EXIT_OK; or
     None with the exit code once the reason is reported."""
-    if args.path in BUNDLED:
-        text = get_bundled(args.path).model_text()
-    else:
-        try:
-            text = Path(args.path).read_text("utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None, EXIT_PARSE
+    text = get_bundled(args.path).model_text() if args.path in BUNDLED else _read(args.path)
+    if text is None:
+        return None, EXIT_PARSE
     result = parse_model(text)
     if result.model is None:
         _emit_diags(result.diagnostics, args.format)
@@ -193,20 +218,16 @@ def cmd_explore(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
 
-    for flag, value, least in (("--max-states", args.max_states, 1),
-                               ("--max-depth", args.max_depth, 0),
-                               ("--check-progress", args.check_progress, 1),
-                               ("--check-termination", args.check_termination, model.version)):
-        if value is not None and value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return EXIT_PARSE
+    if _below_least((("--max-states", args.max_states, 1),
+                     ("--max-depth", args.max_depth, 0),
+                     ("--check-progress", args.check_progress, 1),
+                     ("--check-termination", args.check_termination, model.version))):
+        return EXIT_PARSE
 
     props = []
     if args.props:
-        try:
-            props_text = Path(args.props).read_text("utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        props_text = _read(args.props)
+        if props_text is None:
             return EXIT_PARSE
         props, diags = parse_properties(props_text)
         if diags:
@@ -250,8 +271,8 @@ def cmd_explore(args) -> int:
                 unknown = True
 
     payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.report_out:
-        Path(args.report_out).write_text(payload, "utf-8")
+    if args.report_out and not _write(args.report_out, payload):
+        return EXIT_PARSE
     if args.format == "json":
         sys.stdout.write(payload)
     else:
@@ -346,6 +367,8 @@ def cmd_export_dot(args) -> int:
             return EXIT_PARSE
         out = std_dot(std) if args.what == "std" else phases_dot(std)
     else:
+        if _below_least((("--max-states", args.max_states, 1), ("--threshold", args.threshold, 0))):
+            return EXIT_PARSE
         config = initial_configuration(model)
         space = explore_space(model, config, Bounds(max_states=args.max_states))
         try:
@@ -354,10 +377,10 @@ def cmd_export_dot(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DOT_THRESHOLD
 
-    if args.out:
-        Path(args.out).write_text(out, "utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(out)
+    elif not _write(args.out, out):
+        return EXIT_PARSE
     return EXIT_OK
 
 

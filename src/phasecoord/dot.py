@@ -56,7 +56,7 @@ def statespace_dot(space: Space, threshold: int = 500) -> str:
     if space.state_count() > threshold:
         raise TooManyNodes(space.state_count(), threshold)
     lines = ["digraph statespace {", "  rankdir=LR;"]
-    for idx, config in enumerate(space.configs):
+    for idx, config in enumerate(map(space.state, range(space.state_count()))):
         detailed = ",".join(f"{c}={s}" for c, s in sorted(config.detailed.items()))
         label = f"#{idx} v{config.model_version}\\n{detailed}"
         lines.append(f"  n{idx} [shape=box, label={_quote(label)}];")

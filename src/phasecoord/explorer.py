@@ -7,20 +7,22 @@ in model version are distinct states.
 
 Each distinct model content gets an index in the space, found through its
 canonical form (computed and hashed once per model object, see
-`changeset.canonical_model`).  The seen-set is a plain dict from (model
-index, slots) to the state's index, the slots being the configuration's
-flat tuple of ints in the layout of the model stored at that index (see
-`model.SlotLayout`).  The engine builds each successor's slots from its
-parent's, so a configuration is re-encoded only when it comes from another
-layout, that is, after a changeset made a new model object.  Exploration is
-one serial BFS: each frontier state's successors are computed and interned
-in order, so state indices, edges and reports are deterministic.
+`changeset.canonical_model`).  A state is kept once, as its key (model
+index, slots): the configuration's flat tuple of ints in the layout of the
+model stored at that index (see `model.SlotLayout`), which the seen-set
+maps to the state's index.  A successor's slots are re-encoded only when
+they come from another layout, after a changeset made a new model object,
+and `Space.state` decodes a configuration only for traces and exports.
+Exploration is one serial BFS: each frontier state's successors are
+computed and interned in order, so state indices, edges and reports are
+deterministic.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
 answer obeys the same bounds.  A check that tests every state sweeps the
 slots through `Space.where`, with its predicate compiled once per model of
-the space (`properties.compile_predicate`).
+the space (`properties.compile_predicate`); `configuration-valid` is
+`model.consistent` swept the same way.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .engine import (
     successors,
 )
 from .mcpal import McPalSkeleton, completion_test
-from .model import Configuration, StdModel, validate_configuration
+from .model import Configuration, StdModel, consistent
 from .properties import (
     EventuallyAll,
     Invariant,
@@ -68,15 +70,11 @@ class Space:
     finished one."""
 
     models: list[StdModel] = field(default_factory=list)
-    model_keys: dict = field(default_factory=dict)  # canonical model -> index
-    configs: list[Configuration] = field(default_factory=list)
-    model_of: list[int] = field(default_factory=list)
+    # per state index: (model index, slots in the layout of models[model index])
+    states: list[tuple[int, tuple]] = field(default_factory=list)
     parent: list[Optional[tuple[int, StepLabel]]] = field(default_factory=list)
     edges: list[tuple[int, StepLabel, int]] = field(default_factory=list)
     deadlocks: list[int] = field(default_factory=list)
-    # (model index, slots in the layout of models[model index]) -> state
-    # index; states are added in index order, so the keys are too
-    seen: dict[tuple[int, tuple], int] = field(default_factory=dict)
     max_states_hit: bool = False
     max_depth_hit: bool = False
 
@@ -87,33 +85,30 @@ class Space:
         return self.max_states_hit or self.max_depth_hit
 
     def state_count(self) -> int:
-        return len(self.configs)
+        return len(self.states)
 
-    def state(self, idx: int) -> tuple[StdModel, Configuration]:
-        return self.models[self.model_of[idx]], self.configs[idx]
-
-    def first(self, test: Callable[[StdModel, Configuration], object]) -> Optional[int]:
-        """The first state, in BFS order, whose (model, configuration) passes
-        `test`; None when no explored state does."""
-        return next((idx for idx in range(len(self.configs)) if test(*self.state(idx))), None)
+    def state(self, idx: int) -> Configuration:
+        """The configuration of state `idx`, decoded from its slots."""
+        model_idx, slots = self.states[idx]
+        return Configuration.from_slots(self.models[model_idx].layout, slots)
 
     def where(self, test_for: Callable[[StdModel], SlotTest], holds: bool = True) -> Iterator[int]:
         """The states, in BFS order, whose slots pass the test `test_for`
         builds for their model (with `holds` false: fail it).  The test is
         built once per model of the space, and run lazily, one state after
         another, so a test that raises does so at the first state it is
-        reached on, as `first` would."""
+        reached on."""
         tests = [test_for(model) for model in self.models]
-        states = enumerate(self.seen)
+        states = enumerate(self.states)
         if holds:
             return (idx for idx, (m, slots) in states if tests[m](slots))
         return (idx for idx, (m, slots) in states if not tests[m](slots))
 
     def versions_seen(self) -> list[int]:
-        return sorted({c.model_version for c in self.configs})
+        return sorted({slots[0] for _, slots in self.states})
 
     def adjacency(self) -> list[list[tuple[StepLabel, int]]]:
-        out: list[list[tuple[StepLabel, int]]] = [[] for _ in range(len(self.configs))]
+        out: list[list[tuple[StepLabel, int]]] = [[] for _ in range(len(self.states))]
         for src, label, dst in self.edges:
             out[src].append((label, dst))
         return out
@@ -121,7 +116,7 @@ class Space:
     @cached_property
     def reverse_adjacency(self) -> list[list[int]]:
         """Per state, the sources of its incoming edges; built once."""
-        out: list[list[int]] = [[] for _ in range(len(self.configs))]
+        out: list[list[int]] = [[] for _ in range(len(self.states))]
         for src, _, dst in self.edges:
             out[dst].append(src)
         return out
@@ -147,18 +142,17 @@ class Space:
         """Shortest trace from the exploration root, by BFS construction."""
         path = self._path(state)
         return Trace(
-            initial=self.configs[path[0]],
-            steps=tuple((self.parent[idx][1], config_digest(self.configs[idx])) for idx in path[1:]),
-            final_model_version=self.configs[state].model_version,
+            initial=self.state(path[0]),
+            steps=tuple((self.parent[idx][1], config_digest(self.state(idx))) for idx in path[1:]),
+            final_model_version=self.states[state][1][0],
         )
 
     def trace_records(self, state: int) -> list[dict]:
         """The trace to a state as records of the exported JSON-lines format."""
-        return [
-            _state_record(i, self.parent[idx][1] if i else None, self.configs[idx],
-                          config_digest(self.configs[idx]))
-            for i, idx in enumerate(self._path(state))
-        ]
+        path = self._path(state)
+        configs = [self.state(idx) for idx in path]
+        return [_state_record(i, self.parent[idx][1] if i else None, config, config_digest(config))
+                for i, (idx, config) in enumerate(zip(path, configs))]
 
 
 def explore_space(
@@ -172,18 +166,15 @@ def explore_space(
     Raises UnknownElement when a configuration does not fit its model's
     slot layout."""
     space = Space()
-    models, model_keys, seen = space.models, space.model_keys, space.seen
-    configs, model_of, parent, edges = space.configs, space.model_of, space.parent, space.edges
+    models, states, parent, edges = space.models, space.states, space.parent, space.edges
     max_states = bounds.max_states
 
     # the root, always kept, is the first state of the first model
-    layout = model.layout
-    slots = _slots(layout, initial)
+    root = (0, _slots(model.layout, initial))
     models.append(model)
-    model_keys[canonical_model(model)] = 0
-    seen[(0, slots)] = 0
-    configs.append(initial if initial.layout is layout else Configuration.from_slots(layout, slots))
-    model_of.append(0)
+    model_keys = {canonical_model(model): 0}  # canonical model -> model index
+    seen = {root: 0}  # state key -> state index
+    states.append(root)
     parent.append(None)
 
     frontier = [0]
@@ -194,10 +185,10 @@ def explore_space(
             break
         next_frontier: list[int] = []
         for idx in frontier:
-            here = model_of[idx]
+            here, here_slots = states[idx]
             here_model = models[here]
             here_layout = here_model.layout
-            succ = successors(here_model, configs[idx])
+            succ = successors(here_model, Configuration.from_slots(here_layout, here_slots))
             if exclude is not None:
                 succ = [s for s in succ if not exclude(s[0])]
             if not succ:
@@ -217,18 +208,16 @@ def explore_space(
                     raise UnknownElement(layout.misfit(nxt_config.key()))
                 dst = seen.get((model_idx, slots))
                 if dst is None:
-                    dst = len(configs)
+                    dst = len(states)
                     if dst >= max_states:
                         space.max_states_hit = True
                         return space
                     if model_idx is None:
                         model_idx = model_keys[model_key] = len(models)
                         models.append(nxt_model)
-                    if nxt_config.layout is not layout:
-                        nxt_config = Configuration.from_slots(layout, slots)
-                    seen[(model_idx, slots)] = dst
-                    configs.append(nxt_config)
-                    model_of.append(model_idx)
+                    key = (model_idx, slots)
+                    seen[key] = dst
+                    states.append(key)
                     parent.append((idx, label))
                     next_frontier.append(dst)
                 edges.append((idx, label, dst))
@@ -332,8 +321,8 @@ def explore(
     pending_violations: list[tuple[str, int]] = []
     verdicts: list[tuple[str, str]] = []
 
-    bad = space.first(validate_configuration)  # steps keep consistency; a bad root shows here
-    if bad is not None:
+    bad = next(space.where(lambda model: partial(consistent, model), holds=False), None)
+    if bad is not None:  # steps keep consistency; a bad root shows here
         pending_violations.append(("configuration-valid", bad))
 
     for prop in properties:
@@ -444,7 +433,7 @@ def check_migration_termination(
         at = doomed
         while True:
             label, nxt = sorted(adjacency[at], key=lambda e: label_sort_key(e[0]))[0]
-            steps.append((label, config_digest(space.configs[nxt])))
+            steps.append((label, config_digest(space.state(nxt))))
             if nxt in seen_on_loop:
                 break
             seen_on_loop.add(nxt)
@@ -452,7 +441,7 @@ def check_migration_termination(
         witness = Trace(
             initial=stem.initial,
             steps=tuple(steps),
-            final_model_version=space.configs[nxt].model_version,
+            final_model_version=space.states[nxt][1][0],
         )
         return TerminationResult("cycle", witness=witness)
     max_depth = max(dist) if dist else 0
@@ -464,6 +453,12 @@ class ProgressResult:
     verdict: str  # satisfied | starved | unknown(bound)
     starved: Optional[Configuration] = None
     witness: Optional[Trace] = None
+
+
+def _require_component(space: Space, component: str) -> None:
+    """Raises UnknownElement when no model of the space has the component."""
+    if not any(component in model.components for model in space.models):
+        raise UnknownElement(component)
 
 
 def _distance_to_move(space: Space, component: str) -> list[int]:
@@ -480,7 +475,9 @@ def check_progress(space: Space, component: str, k: int, within=None) -> Progres
 
     `within`, when given, is a predicate restricting which reachable states
     are held to the obligation (e.g. only states inside a migration window);
-    continuations may still run through any state."""
+    continuations may still run through any state.  Raises UnknownElement
+    when no model of the space has the component."""
+    _require_component(space, component)
     if space.truncated:
         # missing edges can only over-estimate distances, so no state is
         # provably starved on a truncated graph
@@ -491,7 +488,7 @@ def check_progress(space: Space, component: str, k: int, within=None) -> Progres
     for idx in held:
         if dist[idx] == -1 or dist[idx] + 1 > k:
             return ProgressResult(
-                "starved", starved=space.configs[idx], witness=space.trace_to(idx)
+                "starved", starved=space.state(idx), witness=space.trace_to(idx)
             )
     return ProgressResult("satisfied")
 
@@ -500,7 +497,9 @@ def minimal_progress_bound(space: Space, component: str) -> Optional[int]:
     """Smallest k for which check_progress is satisfied; None if starved at
     every bound (some state never leads to a move of the component).
 
-    Raises ValueError on a truncated space, where no bound is provable."""
+    Raises UnknownElement when no model of the space has the component, and
+    ValueError on a truncated space, where no bound is provable."""
+    _require_component(space, component)
     if space.truncated:
         hit = "max_states" if space.max_states_hit else "max_depth"
         raise ValueError(f"progress bound of {component} unknown: the space was cut at {hit}")
@@ -522,7 +521,7 @@ def reachable_projection(space: Space, components: Sequence[str]) -> frozenset:
     census used to show a woven coordinator leaves host behavior untouched."""
     keep = set(components)
     out = set()
-    for config in space.configs:
+    for config in map(space.state, range(space.state_count())):
         detailed = tuple(sorted((c, s) for c, s in config.detailed.items() if c in keep))
         phases = tuple(sorted((f"{c}.{p}", ph) for (c, p), ph in config.phases.items() if c in keep))
         out.add((detailed, phases))

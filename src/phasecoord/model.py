@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -219,8 +218,8 @@ class SlotLayout:
             for part in reversed(std.partitions):
                 partitions[(name, part.name)] = part
         # a partition name declared twice in one component (which
-        # `validate_model` rejects) leaves fewer roles than partitions, and
-        # no configuration of such a model is consistent
+        # `validate_model` rejects) leaves fewer roles than partitions, so
+        # the slots cannot tell whether a configuration is consistent
         self.consistent_shape = len(partitions) == sum(len(std.partitions) for std in stds)
         self.roles = roles = tuple(sorted(partitions))
         self.role_slot = dict(zip(roles, range(base, base + len(roles))))
@@ -252,14 +251,6 @@ class SlotLayout:
             tuple([pairs[i] for pairs, i in zip(self._state_pairs, slots[1:base])]),
             tuple([pairs[i] for pairs, i in zip(self._phase_pairs, slots[base:])]),
         )
-
-    def detailed_of(self, slots: tuple) -> dict[str, str]:
-        """Component -> state of the configuration held in `slots`."""
-        return dict(zip(self.components, map(getitem, self.states, slots[1:self.role_base])))
-
-    def phases_of(self, slots: tuple) -> dict[tuple[str, str], str]:
-        """Role -> phase of the configuration held in `slots`."""
-        return dict(zip(self.roles, map(getitem, self.phases, slots[self.role_base:])))
 
     def encode(self, key: tuple) -> Optional[tuple]:
         """The slots holding the configuration whose pair key is `key`; None
@@ -349,11 +340,6 @@ class Configuration:
             key = self._key = self._layout.decode(self._slots)
         return key
 
-    @property
-    def layout(self) -> Optional[SlotLayout]:
-        """The layout of the slots backing this configuration, if any."""
-        return self._layout
-
     def slots_in(self, layout: SlotLayout) -> Optional[tuple]:
         """This configuration's slots in `layout`; None when it does not fit."""
         if self._layout is layout:
@@ -367,25 +353,14 @@ class Configuration:
     @property
     def detailed(self) -> Mapping[str, str]:
         if self._detailed is None:
-            if self._key is None:
-                detailed = self._layout.detailed_of(self._slots)
-            else:
-                detailed = dict(self._key[1])
-            self._detailed = MappingProxyType(detailed)
+            self._detailed = MappingProxyType(dict(self.key()[1]))
         return self._detailed
 
     @property
     def phases(self) -> Mapping[tuple[str, str], str]:
         if self._phases is None:
-            if self._key is None:
-                phases = self._layout.phases_of(self._slots)
-            else:
-                phases = dict(self._key[2])
-            self._phases = MappingProxyType(phases)
+            self._phases = MappingProxyType(dict(self.key()[2]))
         return self._phases
-
-    def phase_of(self, component: str, partition: str) -> str:
-        return self.phases[(component, partition)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
@@ -588,23 +563,25 @@ def validate_model(model: StdModel) -> list[Diagnostic]:
 def validate_configuration(model: StdModel, config: Configuration) -> list[Diagnostic]:
     """Consistency of a live configuration against its model: every detailed
     state sits inside the current phase of every role of its component."""
-    if _all_clear(model, config):
+    slots = config.slots_in(model.layout)
+    if slots is not None and consistent(model, slots):
         return []
     return _configuration_diagnostics(model, config)
 
 
-def _all_clear(model: StdModel, config: Configuration) -> bool:
-    """True only when `_configuration_diagnostics` finds nothing, read off the
-    slots: the configuration fits the model's layout, has the model's
-    version, and each role's phase holds its component's state."""
+def consistent(model: StdModel, slots: tuple) -> bool:
+    """True when `validate_configuration` finds nothing wrong with the
+    configuration that `slots` hold in `model.layout`: it has the model's
+    version, and each role's phase holds its component's state.  On a
+    layout whose shape is not consistent the full walk decides."""
     layout = model.layout
-    slots = config.slots_in(layout)
-    if slots is None or slots[0] != model.version or not layout.consistent_shape:
+    if slots[0] != model.version:
         return False
     for comp, role, allowed in layout.checks:
         if slots[comp] not in allowed[slots[role]]:
             return False
-    return True
+    return layout.consistent_shape or not _configuration_diagnostics(
+        model, Configuration.from_slots(layout, slots))
 
 
 def _configuration_diagnostics(model: StdModel, config: Configuration) -> list[Diagnostic]:

@@ -441,6 +441,39 @@ class TestExportDot:
         assert code == 0
         assert "digraph statespace" in out
 
+    @pytest.mark.parametrize("name", sorted(BUNDLED_EXPLORE_EXITS))
+    def test_statespace_matches_golden_bytes(self, capsys, name):
+        code, out, _ = run_cli(capsys, "export-dot", name, "--what", "statespace")
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"statespace-{name}.dot").read_bytes()
+
+    @pytest.mark.parametrize("flag,value,least", [
+        ("--max-states", "0", 1), ("--max-states", "-3", 1), ("--threshold", "-1", 0),
+    ])
+    def test_nonsense_statespace_bound_is_a_diagnostic(self, explore_space_calls, capsys,
+                                                       flag, value, least):
+        code, out, err = run_cli(capsys, "export-dot", "prodcons", "--what", "statespace",
+                                 flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be at least {least}, got {value}\n"
+        assert explore_space_calls == []
+
+
+@pytest.mark.parametrize("site", ["model-not-utf8", "props-not-utf8", "report-out", "dot-out"])
+def test_io_failure_is_an_error_exit_1(tmp_path, capsys, site):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes("invariant inState(Producer, Müde)\n".encode("latin-1"))
+    unwritable = str(tmp_path / "missing" / "out")
+    argv = {
+        "model-not-utf8": ("validate", str(not_utf8)),
+        "props-not-utf8": ("explore", "prodcons", "--props", str(not_utf8)),
+        "report-out": ("explore", "prodcons", "--report-out", unwritable),
+        "dot-out": ("export-dot", "prodcons", "--what", "statespace", "--out", unwritable),
+    }[site]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
 
 def test_serialize_round_trips_via_cli(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "serialize", "cs-roundrobin")

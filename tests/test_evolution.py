@@ -320,7 +320,7 @@ class TestRuleChangeMemo:
             for state, phase in (self.APPLIES, self.MISFIT, self.APPLIES, self.LIVE_REMOVAL))
         assert rejected is None and live is None
         assert first[0] is again[0]
-        assert first[1] == again[1] and first[1].layout is first[0].layout
+        assert first[1] == again[1] and first[1]._layout is first[0].layout
         # the first firing validates the resulting model; the live removal
         # walks the whole changeset again, so it validates its own model
         assert [args[0].version for args in validations] == [1, 1]
@@ -487,12 +487,13 @@ class TestLoadMigration:
     def test_shop_migration_shrinks_model(self, shop_loaded):
         model, config = shop_loaded
         space = explore_space(model, config)
-        final = max(c.model_version for c in space.configs)
+        versions = [space.state(i).model_version for i in range(space.state_count())]
+        final = max(versions)
         assert final == 3
         final_models = {
-            id(space.models[space.model_of[i]]): space.models[space.model_of[i]]
-            for i in range(space.state_count())
-            if space.configs[i].model_version == final
+            id(space.models[m]): space.models[m]
+            for (m, _), version in zip(space.states, versions)
+            if version == final
         }
         assert len({canonical_model(m) for m in final_models.values()}) == 1
         final_model = next(iter(final_models.values()))

@@ -396,6 +396,17 @@ class TestProgress:
             with pytest.raises(ValueError, match="max_depth"):
                 minimal_progress_bound(shallow, comp)
 
+    def test_unknown_component_raises(self, bundles):
+        # an absent component has no move, so a verdict would be starvation
+        # without evidence; a cut space says so too, before its bound does
+        model = bundles["cs-nondet"].model()
+        for bounds in (Bounds(), Bounds(max_states=5)):
+            space = explore_space(model, initial_configuration(model), bounds)
+            for query in (lambda: check_progress(space, "Nobody", 5),
+                          lambda: minimal_progress_bound(space, "Nobody")):
+                with pytest.raises(UnknownElement, match="Nobody"):
+                    query()
+
     def test_shop_components_all_progress(self, shop_loaded):
         model, config = shop_loaded
         space = explore_space(model, config)

@@ -280,7 +280,7 @@ class TestConfiguration:
         assert a.key() == (2, (("X", "A"), ("Y", "B")), ((("X", "p"), "r"), (("Y", "p"), "q")))
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != Configuration({"X": "A", "Y": "B"}, {("X", "p"): "r", ("Y", "p"): "q"}, 3)
-        assert a.model_version == 2 and a.phase_of("Y", "p") == "q"
+        assert a.model_version == 2 and a.phases[("Y", "p")] == "q"
         assert Configuration.from_key(a.key()) == a
 
     def test_mappings_are_read_only_views_of_the_key(self):
@@ -315,7 +315,7 @@ class TestConfiguration:
         # a successor replaces one slot; its pair key follows
         moved = Configuration.from_slots(layout, slots[:1] + (1,) + slots[2:])
         assert moved == Configuration({"X": "B", "Y": "B"}, {("X", "p"): "q", ("Y", "p"): "r"}, 2)
-        assert moved.layout is layout and moved.slots_in(layout) == (2, 1, 1, 0, 1)
+        assert moved._layout is layout and moved.slots_in(layout) == (2, 1, 1, 0, 1)
         for key in [(2, (("X", "A"),), config.key()[2]),
                     (2, config.key()[1] + (("Z", "A"),), config.key()[2]),
                     (2, (("X", "C"), ("Y", "B")), config.key()[2]),

@@ -252,7 +252,7 @@ def assert_fast_paths_agree(model, config):
             layout = m2.layout
             # a successor is in its model's layout, also when a rule's
             # changeset made that model
-            assert c2.layout is layout
+            assert c2._layout is layout
             slots = c2.slots_in(layout)
             assert layout.decode(slots) == rebuilt.key()
             assert layout.encode(layout.decode(slots)) == slots
@@ -321,6 +321,17 @@ class TestConfigurationFastPaths:
             config = Configuration(d, p, version)
             diags = validate_configuration(m, config)
             assert diags and diags == _configuration_diagnostics(m, config), name
+            if name in ("phase-violation", "version-mismatch", "duplicate-phase"):
+                # the root fits its layout, so `explore` reports it, with a
+                # one-record trace: the root itself
+                violations = [(prop, len(trace)) for prop, trace in explore(m, config).violations]
+                assert violations == [("configuration-valid", 1)], name
+        # one partition declared twice, both times in force: one role slot,
+        # and nothing for the full walk to report, at the root or after it
+        twice = with_worker1_partitions(cs_role, cs_role)
+        config = Configuration(detailed, phases, 0)
+        assert validate_configuration(twice, config) == []
+        assert explore(twice, config).violations == []
 
     def test_configurations_that_do_not_fit_raise_unknown_element(self, bundles):
         model = bundles["cs-nondet"].model()
@@ -355,6 +366,16 @@ def outcome(run):
         return ("PropertyError", str(exc))
 
 
+def decoded_states(space):
+    """(model, configuration) of every state, in BFS order."""
+    return [(space.models[m], space.state(idx)) for idx, (m, _) in enumerate(space.states)]
+
+
+def first_state(states, test):
+    """The first of `states` whose (model, configuration) passes `test`."""
+    return next((idx for idx, (m, c) in enumerate(states) if test(m, c)), None)
+
+
 def assert_compiled_predicates_agree(space, seed, count=40):
     """Seeded random predicates, compiled per model of the space, give what
     `eval_predicate` gives at every state, raise the same PropertyError at
@@ -362,21 +383,21 @@ def assert_compiled_predicates_agree(space, seed, count=40):
     rng = random.Random(seed)
     vocabulary = predicate_vocabulary(space.models)
     versions = space.versions_seen()
+    states = decoded_states(space)
     raised = 0
     for _ in range(count):
         pred = random_predicate(rng, vocabulary, versions)
         tests = [compile_predicate(pred, m) for m in space.models]
-        for idx in range(space.state_count()):
-            model, config = space.state(idx)
+        for idx, (model, config) in enumerate(states):
             slots = config.slots_in(model.layout)
             want = outcome(lambda: eval_predicate(pred, model, config))
-            assert outcome(lambda: tests[space.model_of[idx]](slots)) == want, (pred, idx)
+            assert outcome(lambda: tests[space.states[idx][0]](slots)) == want, (pred, idx)
             raised += isinstance(want, tuple)
         compiled = partial(compile_predicate, pred)
         assert outcome(lambda: next(space.where(compiled), None)) == outcome(
-            lambda: space.first(lambda m, c: eval_predicate(pred, m, c)))
+            lambda: first_state(states, lambda m, c: eval_predicate(pred, m, c)))
         assert outcome(lambda: next(space.where(compiled, holds=False), None)) == outcome(
-            lambda: space.first(lambda m, c: not eval_predicate(pred, m, c)))
+            lambda: first_state(states, lambda m, c: not eval_predicate(pred, m, c)))
     return raised
 
 
@@ -408,7 +429,8 @@ class TestCompiledPredicates:
         for model, config in (shop_loaded, (bundles["cs-nondet"].model(),
                                             initial_configuration(bundles["cs-nondet"].model()))):
             space = explore_space(model, config)
+            states = decoded_states(space)
             for target in range(5):
-                want = [idx for idx in range(space.state_count())
-                        if migration_complete(*space.state(idx), target, sk)]
+                want = [idx for idx, (m, c) in enumerate(states)
+                        if migration_complete(m, c, target, sk)]
                 assert list(space.where(partial(completion_test, target_version=target))) == want
