@@ -11,18 +11,22 @@ what lets a running coordinator swap out its own phases and rules
 mid-flight.  Components and partitions never silently replace.
 
 `apply_changeset` and `validate_changeset` walk the whole delta on every
-call and keep nothing.  A rule's changeset is applied by the engine through
-the same walk, `_apply`, which returns the diagnostics of the walk and of
-`validate_model` apart from those of `validate_configuration`: when the
-first are empty, the resulting model depends on the model and the changeset
-alone.  The engine then keeps that model on the rule's guard for as long as
-the model object that owns the rule lives, and later firings reuse it (see
-`engine`).
+call and keep nothing.  This module is the only one that knows how a
+changeset maps a model and a configuration.  The walk, `_apply`, gives the
+resulting model and configuration with the diagnostics of the walk and of
+`validate_model`; each caller validates the configuration itself.  When
+those diagnostics are empty, the resulting model depends on the model and
+the changeset alone, and a `Carry` places any later configuration of the
+same model into that model's layout without a walk, unless a phase the
+changeset removes is live there.  The engine keeps a rule's `Carry` on the
+rule's guard for as long as the model object that owns the rule lives
+(see `engine`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .model import (
     TRIV,
@@ -31,6 +35,7 @@ from .model import (
     Diagnostic,
     Partition,
     Phase,
+    SlotLayout,
     Std,
     StdModel,
     Trap,
@@ -51,19 +56,6 @@ class ChangeSet:
     remove_phases: tuple[tuple[str, str, str], ...] = ()
     remove_partitions: tuple[tuple[str, str], ...] = ()
 
-    def is_empty(self) -> bool:
-        return not (
-            self.add_components
-            or self.add_partitions
-            or self.add_phases
-            or self.add_traps
-            or self.add_rules
-            or self.remove_rules
-            or self.set_variables
-            or self.remove_phases
-            or self.remove_partitions
-        )
-
 
 class RejectedChange(Exception):
     """A changeset whose application would break the model or configuration."""
@@ -80,13 +72,13 @@ def _with_partition(std: Std, part: Partition) -> Std:
 
 def _apply(
     model: StdModel, config: Configuration, cs: ChangeSet
-) -> tuple[StdModel, Configuration, list[Diagnostic], list[Diagnostic]]:
-    """The model and configuration after `cs`, the diagnostics of the walk
-    and of `validate_model`, and those of `validate_configuration`; the
-    change is accepted iff both lists are empty.  The walk's only test of
-    the configuration is `live-phase-removal`, which also keeps the phase,
-    so when the first list is empty the model is a function of `model` and
-    `cs` alone."""
+) -> tuple[StdModel, Configuration, list[Diagnostic]]:
+    """The model and configuration after `cs`, and the diagnostics of the
+    walk and of `validate_model`; the change is accepted iff these are empty
+    and `validate_configuration` finds nothing in the pair.  The walk's only
+    test of the configuration is `live-phase-removal`, which also keeps the
+    phase, so when the diagnostics are empty the model is a function of
+    `model` and `cs` alone."""
     diags: list[Diagnostic] = []
     comps = dict(model.components)
     rules = dict(model.rules)
@@ -184,7 +176,59 @@ def _apply(
         detailed=detailed, phases=phases, model_version=new_model.version
     )
     diags.extend(validate_model(new_model))
-    return new_model, new_config, diags, validate_configuration(new_model, new_config)
+    return new_model, new_config, diags
+
+
+class Carry:
+    """How a changeset maps the configurations of the model it was walked
+    from, as slots, once its model half has passed.  `model` is the
+    resulting model: the walk and `validate_model` found nothing, so it is
+    the same at every configuration where no phase the changeset removes is
+    live.
+
+    `live` holds, per removed phase of a role the old layout has, (role
+    slot, phase index).  `remap` builds the slots after the changeset, in
+    `model.layout`, from the slots before it: per slot after the version,
+    (old slot, table from its old index to the new one) or (None, the index
+    of an added component's initial state or an added role's initial
+    phase, both as `model` holds them)."""
+
+    __slots__ = ("model", "live", "remap")
+
+    def __init__(self, layout: SlotLayout, cs: ChangeSet, model: StdModel):
+        new = model.layout
+        self.model = model
+        live = []
+        for comp, part, phase in cs.remove_phases:
+            role = layout.role_slot.get((comp, part))
+            index = layout.phase_index[role - layout.role_base].get(phase) if role else None
+            if index is not None:
+                live.append((role, index))
+        self.live = tuple(live)
+        remap = []
+        for slot, name in enumerate(new.components, 1):
+            old, index = layout.component_slot.get(name), new.state_index[slot - 1]
+            remap.append((None, index[model.components[name].initial]) if old is None else
+                         (old, tuple(map(index.get, layout.states[old - 1]))))
+        for slot, (name, part) in enumerate(new.roles, new.role_base):
+            old, index = layout.role_slot.get((name, part)), new.phase_index[slot - new.role_base]
+            initial = model.components[name].partition_named(part).initial
+            remap.append((None, index[initial]) if old is None else
+                         (old, tuple(map(index.get, layout.phases[old - layout.role_base]))))
+        self.remap = tuple(remap)
+
+    def slots(self, slots: tuple) -> Optional[tuple]:
+        """The slots after the changeset, or None when a phase it removes is
+        live at `slots`.  Every other entry has a place in the new layout:
+        components keep their states, and the only phases that go are the
+        removed ones."""
+        for role, phase in self.live:
+            if slots[role] == phase:
+                return None
+        out = [self.model.version]
+        for old, table in self.remap:
+            out.append(table if old is None else table[slots[old]])
+        return tuple(out)
 
 
 def validate_changeset(model: StdModel, config: Configuration, cs: ChangeSet) -> list[Diagnostic]:
@@ -193,8 +237,8 @@ def validate_changeset(model: StdModel, config: Configuration, cs: ChangeSet) ->
     Only phase membership of the live configuration is consulted; no
     component is required to sit in any designated idle state.
     """
-    _, _, diags, config_diags = _apply(model, config, cs)
-    return diags + config_diags
+    new_model, new_config, diags = _apply(model, config, cs)
+    return diags + validate_configuration(new_model, new_config)
 
 
 def apply_changeset(
@@ -202,9 +246,10 @@ def apply_changeset(
 ) -> tuple[StdModel, Configuration]:
     """Apply atomically, bumping the model version; raises RejectedChange if
     the delta would break validity."""
-    new_model, new_config, diags, config_diags = _apply(model, config, cs)
-    if diags or config_diags:
-        raise RejectedChange(diags + config_diags)
+    new_model, new_config, diags = _apply(model, config, cs)
+    diags += validate_configuration(new_model, new_config)
+    if diags:
+        raise RejectedChange(diags)
     return new_model, new_config
 
 

@@ -19,19 +19,13 @@ configuration that does not fit the layout (an unknown component, state,
 role or phase, or a missing one) raises `UnknownElement`, naming the first
 entry that does not fit.
 
-A rule's changeset is applied in full (`changeset._apply`) the first time
-it fires on a model object.  When the model half passes (the walk and
-`validate_model` find nothing), the rule's `_Guard` keeps the resulting
-model object and a slot remap from the old layout to the new one, as a
-`_Change`; they live as long as the model object that owns the rule.  Every
-later firing of that rule on that model object returns the same resulting
-model object, with its canonical form, layout and step core already built,
-and only builds the configuration: the live-phase-removal test, the remap,
-and `validate_configuration`.  A live phase removal, or a model half that
-fails, walks the whole changeset again, so every rejection carries the
-diagnostics `apply_changeset` gives.  Only a model's own rules keep a
-result: `apply_changeset` and a rule object the model does not hold keep
-nothing.
+A rule's changeset is applied through `changeset`, the one module that
+knows how a changeset maps a model and a configuration.  The rule's first
+firing on a model object walks it; when the model half passes, the rule's
+`_Guard` keeps the `changeset.Carry` it gives for as long as that model
+object lives, and later firings reuse its resulting model object (see
+`_Guard.changed`).  `apply_changeset` and a rule object the model does not
+hold keep nothing.
 
 One step core serves every caller: `successors`, `_take`, `rule_blocker`,
 `enabled_rules` and `fire_rule` decide a rule through its `_Guard`, and
@@ -57,7 +51,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .changeset import ChangeSet, RejectedChange, _apply
+from .changeset import Carry, RejectedChange, _apply
 from .model import (
     Configuration,
     ConsistencyRule,
@@ -165,10 +159,10 @@ class _Guard:
         states = layout.state_index[self.manager - 1]
         self.source = states.get(rule.manager_step.source)
         self.target = states.get(rule.manager_step.target)
-        # per manager partition: (role slot, phase indices that do not
+        # per manager role: (role slot, phase indices that do not
         # resolve in it, phase indices whose phase holds the manager step)
         manager_phases = []
-        for part in mgr.partitions:
+        for part in mgr.roles:
             slot = layout.role_slot[(rule.manager, part.name)]
             names = layout.phases[slot - layout.role_base]
             phases = [part.phase_named(name) for name in names]
@@ -244,81 +238,33 @@ class _Guard:
         the slots after its manager step and transfers; raises RejectedChange
         with the diagnostics `apply_changeset` gives.
 
-        The first application whose model half passes keeps the resulting
-        model as a `_Change` in `memo`, then goes the memo's way.  Each later
-        application reuses that
-        model object and only builds the configuration; a live phase removal
-        or a model half that fails walks the whole changeset again.  A rule
-        that is not one of the model's own gets a guard for one call (see
-        `_StepCore.guard`), so its result is not kept."""
-        memo = self.memo
-        if memo is not None:
-            out = memo.slots(slots)
-            if out is not None:
-                config = Configuration.from_slots(memo.model.layout, out)
-                bad = validate_configuration(memo.model, config)
-                if bad:
-                    raise RejectedChange(bad)
-                return memo.model, config
+        The first walk whose model half passes keeps a `changeset.Carry` in
+        `memo`, and every application then carries the slots through it and
+        validates the configuration.  Only a live phase removal misses the
+        memo; it walks the changeset again for its diagnostics, as does every
+        application while no memo is kept.  A rule that is not one of the
+        model's own gets a guard for one call (see `_StepCore.guard`), so its
+        memo is not kept."""
+        carry = self.memo
+        if carry is None:
+            carry = self.memo = self._walk(model, slots)
+        out = carry.slots(slots)
+        if out is None:
+            self._walk(model, slots)  # a live phase removal, which the walk raises
+        config = Configuration.from_slots(carry.model.layout, out)
+        bad = validate_configuration(carry.model, config)
+        if bad:
+            raise RejectedChange(bad)
+        return carry.model, config
+
+    def _walk(self, model: StdModel, slots: tuple) -> Carry:
+        """The `Carry` of the rule's changeset from `model`; raises
+        RejectedChange when the walk or `validate_model` finds anything."""
         change = self.rule.change
-        new_model, config, diags, config_diags = _apply(
-            model, Configuration.from_slots(model.layout, slots), change)
-        if memo is None and not diags:
-            self.memo = _Change(model.layout, change, new_model, config)
-            return self.changed(model, slots)
-        if diags or config_diags:
-            raise RejectedChange(diags + config_diags)
-        return new_model, config
-
-
-class _Change:
-    """A rule's changeset applied on the model object that owns the rule,
-    kept on the rule's `_Guard`, and so for as long as that model object
-    lives.
-
-    `model` is the resulting model.  Its walk and `validate_model` found
-    nothing, so it is a function of the owning model and the changeset
-    whenever no phase the changeset removes is live.  `live` holds, per
-    removed phase of a role the owning layout has, (role slot, phase index).
-    `remap` builds the slots after the changeset, in `model.layout`, from
-    the slots before it: per slot after the version, (old slot, table from
-    its old index to the new one) or (None, the index of an added
-    component's or role's initial state or phase)."""
-
-    __slots__ = ("model", "live", "remap")
-
-    def __init__(self, layout: SlotLayout, change: ChangeSet, model: StdModel,
-                 config: Configuration):
-        new = model.layout
-        self.model = model
-        live = []
-        for comp, part, phase in change.remove_phases:
-            role = layout.role_slot.get((comp, part))
-            index = layout.phase_index[role - layout.role_base].get(phase) if role else None
-            if index is not None:
-                live.append((role, index))
-        self.live = tuple(live)
-        remap = []
-        for slot, name in enumerate(new.components, 1):
-            old, index = layout.component_slot.get(name), new.state_index[slot - 1]
-            remap.append((None, index.get(config.detailed.get(name))) if old is None else
-                         (old, tuple(map(index.get, layout.states[old - 1]))))
-        for slot, role in enumerate(new.roles, new.role_base):
-            old, index = layout.role_slot.get(role), new.phase_index[slot - new.role_base]
-            remap.append((None, index.get(config.phases.get(role))) if old is None else
-                         (old, tuple(map(index.get, layout.phases[old - layout.role_base]))))
-        self.remap = tuple(remap)
-
-    def slots(self, slots: tuple) -> Optional[tuple]:
-        """The slots after the changeset; None when a phase it removes is
-        live at `slots`, or when an entry has no place in the new layout."""
-        for role, phase in self.live:
-            if slots[role] == phase:
-                return None
-        out = [self.model.version]
-        for old, table in self.remap:
-            out.append(table if old is None else table[slots[old]])
-        return None if None in out else tuple(out)
+        new_model, config, diags = _apply(model, Configuration.from_slots(model.layout, slots), change)
+        if diags:
+            raise RejectedChange(diags + validate_configuration(new_model, config))
+        return Carry(model.layout, change, new_model)
 
 
 def _broken(layout: SlotLayout, slots: tuple, checks: tuple) -> Optional[Diagnostic]:
@@ -350,7 +296,7 @@ class _StepCore:
         self._components, self._claimed = model.components, model.claimed_steps
         self.free = tuple(
             (slot, itemgetter(slot, *(layout.role_slot[(name, part.name)]
-                                      for part in model.components[name].partitions)), {})
+                                      for part in model.components[name].roles)), {})
             for slot, name in enumerate(layout.components, 1)
         )
         self.guards = {name: _Guard(model, model.rules[name]) for name in sorted(model.rules)}
@@ -379,7 +325,7 @@ class _StepCore:
         std = self._components[name]
         state, *phase_indices = at if isinstance(at, tuple) else (at,)
         phases = []
-        for part, index in zip(std.partitions, phase_indices):
+        for part, index in zip(std.roles, phase_indices):
             role = layout.role_slot[(name, part.name)]
             phase = part.phase_named(layout.phases[role - layout.role_base][index])
             if phase is None:
@@ -414,9 +360,10 @@ class _StepCore:
 
     def fire(
         self, model: StdModel, slots: tuple, guard: _Guard
-    ) -> tuple[Optional[str], Optional[tuple[StdModel, Configuration]]]:
+    ) -> tuple[Union[None, str, RejectedChange], Optional[tuple[StdModel, Configuration]]]:
         """(None, (model, configuration) after firing) when the rule is
-        enabled, else (why not, None)."""
+        enabled, else (why not, None): the `blocker`, or the rejection of
+        the rule's changeset."""
         blocker = guard.blocker(slots)
         if blocker is not None:
             return blocker, None
@@ -425,7 +372,9 @@ class _StepCore:
             try:
                 return None, guard.changed(model, out)
             except RejectedChange as exc:
-                return f"changeset rejected: {exc.diagnostics[0]}", None
+                # without its traceback, whose frames would hold the caller's
+                # locals, and so the rejection itself, in a cycle
+                return exc.with_traceback(None), None
         bad = _broken(self.layout, out, guard.checks)
         if bad is not None:
             raise ConsistencyBroken(f"rule {guard.rule.name} broke consistency: {bad}")
@@ -488,32 +437,19 @@ def entered_traps(model: StdModel, config: Configuration, component: str, partit
     return {t.name for t in phase.all_traps() if state in t.states}
 
 
-def _transfer(
-    model: StdModel, config: Configuration, rule: ConsistencyRule
-) -> tuple[Optional[str], Optional[Configuration]]:
-    """(None, configuration after the rule's manager step and transfers) when
-    its guard holds, else (why not, None); the changeset is not applied."""
-    core = _core(model)
-    slots = _slots(core.layout, config)
-    guard = core.guard(model, rule)
-    blocker = guard.blocker(slots)
-    if blocker is not None:
-        return blocker, None
-    return None, Configuration.from_slots(core.layout, guard.apply(slots))
-
-
 def _fire(
     model: StdModel, config: Configuration, rule: ConsistencyRule
-) -> tuple[Optional[str], Optional[tuple[StdModel, Configuration]]]:
+) -> tuple[Union[None, str, RejectedChange], Optional[tuple[StdModel, Configuration]]]:
     """(None, (model, configuration) after firing the rule) when it is enabled,
-    else (why not, None); see `fire_rule`."""
+    else (why not, None), as `_StepCore.fire` gives them; see `fire_rule`."""
     core = _core(model)
     return core.fire(model, _slots(core.layout, config), core.guard(model, rule))
 
 
 def rule_blocker(model: StdModel, config: Configuration, rule: ConsistencyRule) -> Optional[str]:
     """Why the rule cannot fire right now; None when it is enabled."""
-    return _fire(model, config, rule)[0]
+    why = _fire(model, config, rule)[0]
+    return f"changeset rejected: {why.diagnostics[0]}" if isinstance(why, RejectedChange) else why
 
 
 def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRule]:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .changeset import ChangeSet, RejectedChange, apply_changeset, validate_changeset
-from .engine import _fire, _transfer
+from .changeset import ChangeSet, RejectedChange, apply_changeset
+from .engine import _fire
 from .model import (
     TRIV,
     Configuration,
@@ -235,7 +235,7 @@ def load_migration(
         new_model, new_config = apply_changeset(model, config, load_cs)
     except RejectedChange as exc:
         raise FragmentInvalid(exc.diagnostics) from exc
-    if _fire(new_model, new_config, loaded)[0] is not None:
-        _, moved = _transfer(new_model, new_config, loaded)
-        raise FragmentInvalid(validate_changeset(new_model, moved, wrapped) if moved is not None else [])
+    why = _fire(new_model, new_config, loaded)[0]
+    if why is not None:
+        raise FragmentInvalid(why.diagnostics if isinstance(why, RejectedChange) else [])
     return new_model, new_config

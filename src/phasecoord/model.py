@@ -123,6 +123,12 @@ class Std:
         return None
 
     @cached_property
+    def roles(self) -> tuple[Partition, ...]:
+        """The partition of each role, in declaration order: a name declared
+        twice (which `validate_model` rejects) is one role, its first one."""
+        return tuple(map(self.partition_named, dict.fromkeys(p.name for p in self.partitions)))
+
+    @cached_property
     def transitions_from(self) -> dict[str, tuple[Transition, ...]]:
         """Sorted outgoing transitions of each state that has any."""
         out: dict[str, list[Transition]] = {}
@@ -201,7 +207,7 @@ class SlotLayout:
     order, each holding the index of the component's state in `states`.  Role
     slots follow in sorted (component, partition) order, each holding the
     index of the role's phase in `phases`; a role's phase names are those of
-    the partition `Std.partition_named` finds.  `checks` is the consistency
+    its partition in `Std.roles`.  `checks` is the consistency
     test as a table: (component slot, role slot, per phase index the state
     indices of that phase)."""
 
@@ -215,7 +221,7 @@ class SlotLayout:
         self.component_slot = dict(zip(components, range(1, base)))
         partitions: dict[tuple[str, str], Partition] = {}
         for name, std in zip(components, stds):
-            for part in reversed(std.partitions):
+            for part in std.roles:
                 partitions[(name, part.name)] = part
         # a partition name declared twice in one component (which
         # `validate_model` rejects) leaves fewer roles than partitions, so

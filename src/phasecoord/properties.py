@@ -281,6 +281,14 @@ class _Scanner:
             self.pos += 1
         return self.text[start:self.pos]
 
+    def take_name(self) -> str:
+        """A word that starts with a letter or "_", as a `.pdm` name does."""
+        name = self.take_word()
+        if not (name[:1].isalpha() or name[:1] == "_"):
+            self.pos -= len(name)
+            raise _PropParseError(self.error("expected a name"))
+        return name
+
     def peek_word(self) -> str:
         saved = self.pos
         word = self.take_word()
@@ -333,18 +341,18 @@ def _parse_atom(sc: _Scanner) -> Predicate:
     word = sc.take_word()
     if word == "inState":
         sc.require("(")
-        comp = sc.take_word()
+        comp = sc.take_name()
         sc.require(",")
-        state = sc.take_word()
+        state = sc.take_name()
         sc.require(")")
         return InState(comp, state)
     if word == "inPhase":
         sc.require("(")
-        comp = sc.take_word()
+        comp = sc.take_name()
         sc.require(",")
-        part = sc.take_word()
+        part = sc.take_name()
         sc.require(",")
-        phase = sc.take_word()
+        phase = sc.take_name()
         sc.require(")")
         return InPhase(comp, part, phase)
     if word == "countInState":
@@ -352,9 +360,9 @@ def _parse_atom(sc: _Scanner) -> Predicate:
         sc.require("{")
         pairs = []
         while True:
-            comp = sc.take_word()
+            comp = sc.take_name()
             sc.require(".")
-            state = sc.take_word()
+            state = sc.take_name()
             pairs.append((comp, state))
             if not sc.take(","):
                 break

@@ -250,7 +250,9 @@ def random_changeset(rng, model):
     a phase (live in some configurations, still referenced by a rule in some
     models), add a partition whose initial phase holds the component's initial
     state but not every state, add a component, or remove a partition, maybe
-    with one of its phases; each also sets a variable."""
+    with one of its phases; each also sets a variable.  The initial phase of an
+    added partition and the initial state of an added component sort last, so
+    that neither is the index 0 a configuration's new slot starts from."""
     comps = sorted(model.components)
     roles = [(c, part) for c in comps for part in model.components[c].partitions]
     kind = rng.randrange(5)
@@ -262,13 +264,13 @@ def random_changeset(rng, model):
         std = model.components[rng.choice(comps)]
         rest = sorted(std.states - {std.initial})
         cut = rng.randint(0, len(rest) // 2)
-        phases = (Phase("gA", frozenset([std.initial, *rest[:cut]]), frozenset()),
-                  Phase("gB", frozenset(rest[cut:] or [std.initial]), frozenset()))
-        change["add_partitions"] = ((std.name, Partition("g", phases, "gA")),)
+        phases = (Phase("gB", frozenset([std.initial, *rest[:cut]]), frozenset()),
+                  Phase("gA", frozenset(rest[cut:] or [std.initial]), frozenset()))
+        change["add_partitions"] = ((std.name, Partition("g", phases, "gB")),)
     if kind == 2:
-        tick = Transition("z0", "tick", "z1")
+        tick = Transition("z1", "tick", "z0")
         change["add_components"] = (
-            Std("Z", frozenset({"z0", "z1"}), frozenset({"tick"}), frozenset({tick}), "z0"),)
+            Std("Z", frozenset({"z0", "z1"}), frozenset({"tick"}), frozenset({tick}), "z1"),)
     if roles and kind == 3:
         comp, part = rng.choice(roles)
         change["remove_partitions"] = ((comp, part.name),)

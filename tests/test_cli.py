@@ -137,6 +137,12 @@ class TestSimulate:
         assert json.loads(lines[0])["digest"] == "c47362db594eb4b6"
         assert json.loads(lines[-1])["digest"] == "cd5ea11df3021f38"
 
+    def test_shop_run_matches_golden_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "shop-migration", "--seed", "3",
+                                 "--steps", "300")
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN_DIR / "simulate-shop-migration.jsonl").read_bytes()
+
     def test_zero_steps_header_only(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "prodcons", "--steps", "0")
         assert code == 0
@@ -327,6 +333,21 @@ class TestExplore:
         assert err.startswith(f"2:{column}:") and "syntax-error" in err
         assert f"integer longer than {model.MAX_INT_DIGITS} digits" in err
 
+    @pytest.mark.parametrize("prop,column", [
+        ("invariant not inState(Worker1,)", 31),
+        ("reachable inState(Worker1, 9InCS)", 28),
+        ("invariant countInState({.}, <=, 0)", 25),
+        ("invariant inPhase(Worker1, , Free)", 28),
+    ], ids=["empty-state", "digit-first-state", "empty-count-pair", "empty-partition"])
+    def test_malformed_name_in_props_is_a_syntax_error(self, tmp_path, capsys, prop, column):
+        props = tmp_path / "f.pprop"
+        props.write_text(f"{prop}\n")
+        code, out, err = run_cli(capsys, "explore", "cs-nondet", "--props", str(props))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"1:{column}:") and "syntax-error" in err
+        assert "expected a name" in err
+
     def test_property_naming_unknown_component_exit_2(self, tmp_path, capsys):
         props = tmp_path / "f.pprop"
         props.write_text("invariant inState(Nobody, x)\n")
@@ -398,6 +419,11 @@ class TestDemo:
         assert code == 0
         assert "migration complete, model version 3, McPal hibernating" in out
         assert "rule McPal_kickoff" in out
+
+    def test_shop_demo_matches_golden_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "demo", "shop-migration")
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN_DIR / "demo-shop-migration.txt").read_bytes()
 
     def test_shop_demo_explores_once(self, explore_space_calls, capsys):
         assert run_cli(capsys, "demo", "shop-migration")[0] == 0

@@ -186,8 +186,7 @@ rule only: Worker[2]: A - go -> B;
 class TestChangesetLiterals:
     def test_variable_holds_changeset(self, bundles):
         model = bundles["shop-migration"].model()
-        assert isinstance(model.variables["Crs"], ChangeSet)
-        assert model.variables["Crs"].is_empty()
+        assert model.variables["Crs"] == ChangeSet()
         migr = model.variables["ShopMigr"]
         assert {r.name for r in migr.add_rules} == {
             "ShopMigr_begin", "ShopMigr_shift", "ShopMigr_done"

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from phasecoord import changeset as changeset_module
 from phasecoord import model as model_module
 from phasecoord.changeset import (
     ChangeSet,
@@ -21,10 +22,10 @@ from phasecoord.engine import (
     RuleStep,
     _core,
     _fire,
-    _transfer,
     fire_rule,
     rule_blocker,
     run,
+    step_detailed,
     successors,
 )
 from phasecoord.explorer import explore_space, reachable_projection
@@ -40,6 +41,7 @@ from phasecoord.mcpal import (
 from phasecoord.model import (
     Configuration,
     ConsistencyRule,
+    Diagnostic,
     Partition,
     Phase,
     RoleTransfer,
@@ -53,6 +55,7 @@ from phasecoord.model import (
 )
 
 from tests.genmodels import random_initial, random_model
+from tests.oracle import _naive_rule_result
 
 
 class TestChangesets:
@@ -286,11 +289,11 @@ class TestRuleChangeMemo:
 
     @staticmethod
     def fresh_outcome(model, config, name):
-        """The same through a new model object for each call, with
-        `apply_changeset`, which keeps nothing."""
+        """The same through a new model object for each call, with the
+        oracle's transfers and `apply_changeset`, which keeps nothing."""
         rule = model.rules[name]
         blocker = rule_blocker(replace(model), config, rule)
-        _, moved = _transfer(replace(model), config, rule)
+        moved = _naive_rule_result(model, config, rule)
         try:
             after_model, after = apply_changeset(replace(model), moved, rule.change)
         except RejectedChange as exc:
@@ -325,6 +328,23 @@ class TestRuleChangeMemo:
         # walks the whole changeset again, so it validates its own model
         assert [args[0].version for args in validations] == [1, 1]
         assert validations[0][0] is first[0] and validations[1][0] is not first[0]
+
+    def test_a_rejection_leaves_no_reference_cycle(self):
+        # `_StepCore.fire` returns the rejection; with its traceback, the
+        # frames it holds would hold the caller's locals, and so the
+        # rejection itself, in a cycle only the garbage collector frees
+        model = memo_model()
+        gc.collect()
+        gc.disable()
+        try:
+            for state, phase in (self.LIVE_REMOVAL, self.MISFIT) * 2:
+                config = memo_config(state, phase)
+                assert rule_blocker(model, config, model.rules["grow"]).startswith(
+                    "changeset rejected: ")
+                successors(model, config)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_a_rule_not_of_the_model_keeps_nothing(self):
         model = memo_model()
@@ -451,8 +471,37 @@ class TestLoadMigration:
         model = bundle.model()
         config = initial_configuration(model)
         broken = ChangeSet(remove_rules=("no-such-rule",))
-        with pytest.raises(FragmentInvalid):
+        with pytest.raises(FragmentInvalid) as err:
             load_migration(model, config, broken)
+        assert err.value.diagnostics == [Diagnostic("unknown-rule", "changeset", "no-such-rule")]
+
+    def test_fragment_only_the_configuration_rejects(self, bundles):
+        # the added partition is a valid model (Server's initial state Idle
+        # lies in the initial phase Calm), but once Client1 enters and
+        # `serve1` fires, Server sits at Busy1 while McPal still hibernates
+        model = bundles["shop-migration"].model()
+        config = initial_configuration(model)
+        config = step_detailed(model, config, "Client1", Transition("Out", "enter", "Waiting"))
+        busy = fire_rule(model, config, model.rules["serve1"])[1]
+        extra = Partition("Extra", (Phase("Calm", frozenset({"Idle", "At1", "At2", "Busy2"}),
+                                          frozenset()),
+                                    Phase("Rush", frozenset({"Busy1"}), frozenset())), "Calm")
+        with pytest.raises(FragmentInvalid) as err:
+            load_migration(model, busy, ChangeSet(add_partitions=(("Server", extra),)))
+        assert err.value.diagnostics == [
+            Diagnostic("phase-violation", "Server", "Extra", "Busy1 not in Calm")]
+
+    @pytest.mark.parametrize("fragment", [
+        ChangeSet(remove_rules=("no-such-rule",)),
+        ChangeSet(remove_phases=(("Server", "Evol", "NDet"),)),
+    ], ids=["model-half", "live-phase-removal"])
+    def test_failing_load_walks_its_fragment_once(self, bundles, count_calls, fragment):
+        model = bundles["shop-migration"].model()
+        walks = count_calls(changeset_module, "_apply")
+        with pytest.raises(FragmentInvalid):
+            load_migration(model, initial_configuration(model), fragment)
+        # the load binds the fragment, then its trial firing walks it once
+        assert len(walks) == 2
 
     def test_identity_migration_cycles_home(self, bundles):
         bundle = bundles["shop-migration"]

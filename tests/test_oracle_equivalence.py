@@ -321,11 +321,16 @@ class TestConfigurationFastPaths:
             config = Configuration(d, p, version)
             diags = validate_configuration(m, config)
             assert diags and diags == _configuration_diagnostics(m, config), name
-            if name in ("phase-violation", "version-mismatch", "duplicate-phase"):
+            if name in ("phase-violation", "version-mismatch", "duplicate-partition",
+                        "duplicate-phase"):
                 # the root fits its layout, so `explore` reports it, with a
                 # one-record trace: the root itself
                 violations = [(prop, len(trace)) for prop, trace in explore(m, config).violations]
                 assert violations == [("configuration-valid", 1)], name
+        # a partition declared twice counts as its first declaration, in the
+        # engine as in the oracle, so the second one's missing phase does not
+        # hide Worker1's steps
+        assert assert_agreement_everywhere(doubled, Configuration(detailed, phases, 0)) > 1
         # one partition declared twice, both times in force: one role slot,
         # and nothing for the full walk to report, at the root or after it
         twice = with_worker1_partitions(cs_role, cs_role)
