@@ -9,15 +9,17 @@ target phase, and applies the rule's changeset if it carries one.
 
 The engine is a pure transition-function library: (model, configuration) in,
 successors out.  It works on a configuration's slots in its model's
-`model.SlotLayout` and reads the pair form only at its boundary: digests,
-trace records and `entered_traps`.  Per model object it compiles one
-`_StepCore`, kept in the model's `__dict__` (see `model`): a table of free
-steps, which only gains entries, each a function of the model and its key,
-and one `_Guard` per rule.  A successor copies its parent's slots and
-replaces the one a detailed step changes, or the few a rule changes.  A
-configuration that does not fit the layout (an unknown component, state,
-role or phase, or a missing one) raises `UnknownElement`, naming the first
-entry that does not fit.
+`model.SlotLayout` and reads the pair form only at its boundary: trace
+records and `entered_traps`.  Digests do not read it: `config_digest`
+hashes `Configuration.key_text`, which a slot-backed configuration joins
+from its layout's text tables, the same bytes as `repr(config.key())`.  Per
+model object it compiles one `_StepCore`, kept in the model's `__dict__`
+(see `model`): a table of free steps, which only gains entries, each a
+function of the model and its key, and one `_Guard` per rule.  A successor
+copies its parent's slots and replaces the one a detailed step changes, or
+the few a rule changes.  A configuration that does not fit the layout (an
+unknown component, state, role or phase, or a missing one) raises
+`UnknownElement`, naming the first entry that does not fit.
 
 A rule's changeset is applied through `changeset`, the one module that
 knows how a changeset maps a model and a configuration.  The rule's first
@@ -126,8 +128,10 @@ def mover(label: StepLabel) -> str:
 
 
 def config_digest(config: Configuration) -> int:
-    """Stable 64-bit fingerprint of the canonical configuration bytes."""
-    payload = repr(config.key()).encode("utf-8")
+    """Stable 64-bit fingerprint of the canonical configuration bytes: the
+    first 8 bytes of blake2b over `repr(config.key())`, which
+    `Configuration.key_text` gives."""
+    payload = config.key_text().encode("utf-8")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
@@ -620,25 +624,46 @@ def label_to_json(label: Optional[StepLabel]) -> Optional[dict]:
     }
 
 
+def _name(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"name {value!r} is not a JSON string")
+    return value
+
+
+def _names(value: object, count: int) -> list[str]:
+    if not isinstance(value, list) or len(value) != count:
+        raise ValueError(f"{value!r} is not a list of {count} names")
+    return [_name(item) for item in value]
+
+
 def label_from_json(data: dict) -> StepLabel:
+    """The label of an exported trace record; raises ValueError (or KeyError
+    or TypeError) when a field is missing or a name is not a JSON string."""
     if data["type"] == "detailed":
-        return DetailedStep(data["component"], Transition(*data["transition"]))
+        return DetailedStep(_name(data["component"]), Transition(*_names(data["transition"], 3)))
+    changed = data["changeSet"]
+    if not isinstance(changed, bool):
+        raise ValueError(f"changeSet {changed!r} is not a JSON boolean")
+    transfers = data["transfers"]
+    if not isinstance(transfers, list):
+        raise ValueError(f"transfers {transfers!r} is not a list")
     return RuleStep(
-        rule=data["rule"],
-        manager=data["manager"],
-        manager_step=Transition(*data["managerStep"]),
-        transfers=tuple(RoleTransfer(*t) for t in data["transfers"]),
-        changed=data["changeSet"],
+        rule=_name(data["rule"]),
+        manager=_name(data["manager"]),
+        manager_step=Transition(*_names(data["managerStep"], 3)),
+        transfers=tuple(RoleTransfer(*_names(t, 5)) for t in transfers),
+        changed=changed,
     )
 
 
 def _state_record(index: int, label: Optional[StepLabel], config: Configuration, digest: int) -> dict:
+    version, detailed, phases = config.key()  # its pairs are sorted already
     return {
         "index": index,
         "label": label_to_json(label),
-        "componentStates": dict(sorted(config.detailed.items())),
-        "rolePhases": {f"{c}.{p}": ph for (c, p), ph in sorted(config.phases.items())},
-        "modelVersion": config.model_version,
+        "componentStates": dict(detailed),
+        "rolePhases": {f"{c}.{p}": ph for (c, p), ph in phases},
+        "modelVersion": version,
         "digest": f"{digest:016x}",
     }
 

@@ -29,6 +29,8 @@ version, the sorted (component, state) pairs and the sorted ((component,
 partition), phase) pairs) or by a layout and a flat tuple of slots.
 `key()`, `detailed`, `phases`, `==`, `hash`, `repr` and pickling act on the
 pair form, which a slot-backed configuration decodes once, on first use.
+`key_text()`, the `repr` of the key that digests hash, is joined from
+per-slot texts that a layout builds on its first use, without decoding.
 The engine and the explorer work on slots: a successor copies one flat
 tuple of small ints and replaces the slots its step changes.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -209,7 +212,8 @@ class SlotLayout:
     index of the role's phase in `phases`; a role's phase names are those of
     its partition in `Std.roles`.  `checks` is the consistency
     test as a table: (component slot, role slot, per phase index the state
-    indices of that phase)."""
+    indices of that phase).  `key_text` gives the `repr` of the pair key
+    that `decode` gives, from text tables built on its first call."""
 
     def __init__(self, model: StdModel):
         components = model.component_order
@@ -257,6 +261,33 @@ class SlotLayout:
             tuple([pairs[i] for pairs, i in zip(self._state_pairs, slots[1:base])]),
             tuple([pairs[i] for pairs, i in zip(self._phase_pairs, slots[base:])]),
         )
+
+    @cached_property
+    def _texts(self) -> tuple[str, tuple[tuple[str, ...], ...]]:
+        """The text that follows the version in `key_text`, up to the first
+        pair, and per slot after 0 the `repr` of each of its pairs followed by
+        the text up to the next pair (the last one: to the end).  Built on a
+        layout's first `key_text`, since most layouts never need it."""
+        # the key's repr after the version, a new run at each pair
+        runs = [""]
+        for block in (self._state_pairs, self._phase_pairs):
+            runs[-1] += ", ("
+            for i in range(len(block)):
+                if i:
+                    runs[-1] += ", "
+                runs.append("")
+            runs[-1] += ",)" if len(block) == 1 else ")"
+        runs[-1] += ")"
+        pairs = self._state_pairs + self._phase_pairs
+        return runs[0], tuple(
+            tuple(repr(pair) + run for pair in slot_pairs) for slot_pairs, run in zip(pairs, runs[1:])
+        )
+
+    def key_text(self, slots: tuple) -> str:
+        """`repr(self.decode(slots))`, joined from the per-slot texts without
+        decoding."""
+        head, texts = self._texts
+        return "".join([f"({slots[0]!r}{head}", *map(getitem, texts, slots[1:])])
 
     def encode(self, key: tuple) -> Optional[tuple]:
         """The slots holding the configuration whose pair key is `key`; None
@@ -345,6 +376,13 @@ class Configuration:
         if key is None:
             key = self._key = self._layout.decode(self._slots)
         return key
+
+    def key_text(self) -> str:
+        """`repr(self.key())`; a slot-backed configuration joins it from its
+        layout's texts without decoding."""
+        if self._layout is not None:
+            return self._layout.key_text(self._slots)
+        return repr(self._key)
 
     def slots_in(self, layout: SlotLayout) -> Optional[tuple]:
         """This configuration's slots in `layout`; None when it does not fit."""

@@ -200,8 +200,28 @@ class TestSimulate:
          '"transition": ["a", "b", "c"]}}', 2),
         ('{"label": {"type": "detailed", "component": "Producer", '
          '"transition": ["a", "b", "c"]}, "digest": "0x00000000000001"}', 2),
+        ('{"label": {"type": "detailed", "component": [1], '
+         '"transition": ["a", "b", "c"]}, "digest": "0000000000000001"}', 2),
+        ('{"label": {"type": "rule", "rule": ["x"], "manager": "Producer", '
+         '"managerStep": ["a", "b", "c"], "transfers": [], "changeSet": false}, '
+         '"digest": "0000000000000001"}', 2),
+        ('{"label": {"type": "detailed", "component": "Producer", '
+         '"transition": [{"a": 1}, "b", "c"]}, "digest": "0000000000000001"}', 2),
+        ('{"label": {"type": "detailed", "component": "Producer", '
+         '"transition": "abc"}, "digest": "0000000000000001"}', 2),
+        ('{"label": {"type": "rule", "rule": "x", "manager": "Producer", '
+         '"managerStep": ["a", "b", "c"], "transfers": [["W", "r", "P", 0, "P"]], '
+         '"changeSet": false}, "digest": "0000000000000001"}', 2),
+        ('{"label": {"type": "rule", "rule": "x", "manager": "Producer", '
+         '"managerStep": ["a", "b", "c"], "transfers": {}, "changeSet": false}, '
+         '"digest": "0000000000000001"}', 2),
+        ('{"label": {"type": "rule", "rule": "x", "manager": "Producer", '
+         '"managerStep": ["a", "b", "c"], "transfers": [], "changeSet": 0}, '
+         '"digest": "0000000000000001"}', 2),
     ], ids=["not-json", "rule-without-manager", "deep-nesting", "digest-missing",
-            "digest-not-16-hex-digits"])
+            "digest-not-16-hex-digits", "component-not-a-string", "rule-not-a-string",
+            "state-not-a-string", "transition-not-a-list", "transfer-field-not-a-string",
+            "transfers-not-a-list", "changeset-not-a-boolean"])
     def test_malformed_script_exit_1(self, tmp_path, capsys, line, bad_line):
         script = tmp_path / "bad.jsonl"
         script.write_text('{"index": 0, "label": null}\n' + line + "\n")

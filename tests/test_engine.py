@@ -1,7 +1,9 @@
 """Step semantics: enabledness, trap entry, rule firing, runs, traces."""
 
+import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from phasecoord.engine import (
     successors,
     walk_trace,
 )
+from phasecoord.explorer import Bounds, explore_space
 from phasecoord.model import (
     TRIV,
     Configuration,
@@ -46,7 +49,9 @@ from phasecoord.model import (
     validate_model,
 )
 
-from tests.genmodels import random_initial, random_model
+from tests.genmodels import random_initial, random_model, with_random_changesets
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def T(s, a, t):
@@ -499,6 +504,62 @@ def test_digest_is_stable_and_version_sensitive():
     assert config_digest(config) == config_digest(Configuration({"X": "A"}, {("X", "r"): "P"}, 0))
     bumped = Configuration({"X": "A"}, {("X", "r"): "P"}, 1)
     assert config_digest(config) != config_digest(bumped)
+
+
+def _repr_digest(key):
+    """The digest's definition: the first 8 bytes of blake2b over repr(key)."""
+    return int.from_bytes(hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest(), "big")
+
+
+def _assert_digest_is_repr_hash(config):
+    key = config.key()
+    assert config.key_text() == repr(key)
+    assert config_digest(config) == _repr_digest(key) == config_digest(Configuration.from_key(key))
+
+
+class TestDigest:
+    def test_every_explored_state_digests_its_key_repr(self, bundles, shop_loaded):
+        models = [bundle.model() for bundle in bundles.values()]
+        for seed in range(100):
+            model = random_model(seed)
+            models.append(with_random_changesets(seed, model) if seed % 2 else model)
+        states = 0
+        for model, config in [(m, initial_configuration(m)) for m in models] + [shop_loaded]:
+            # a changeset that bumps the version on every firing has no end
+            space = explore_space(model, config, Bounds(max_states=2000))
+            for i in range(space.state_count()):
+                _assert_digest_is_repr_hash(space.state(i))
+            states += space.state_count()
+        assert states > 2000
+
+    @pytest.mark.parametrize("components", [
+        {},  # no components, no roles: two empty tuples
+        {"X": Std("X", frozenset({"A", "B"}), frozenset(), frozenset(), "A")},  # one component, no roles
+        one_role_model().components,  # one component, one role
+    ], ids=["empty", "one-component-no-partitions", "one-role"])
+    def test_tuple_edge_cases(self, components):
+        model = StdModel(components, {}, {}, 0)
+        layout = model.layout
+        config = initial_configuration(model)
+        slots = config.slots_in(layout)
+        for version in (0, 7, 12345):
+            _assert_digest_is_repr_hash(Configuration.from_slots(layout, (version,) + slots[1:]))
+        _assert_digest_is_repr_hash(config)  # backed by its pair key
+
+    def test_text_tables_are_built_on_a_layouts_first_digest(self, bundles):
+        model = bundles["cs-nondet"].model()
+        space = explore_space(model, initial_configuration(model))
+        assert "_texts" not in vars(model.layout)
+        config_digest(space.state(1))
+        assert "_texts" in vars(model.layout)
+
+
+def test_loaded_migration_trace_matches_golden_bytes(shop_loaded):
+    model, config = shop_loaded
+    trace = run(model, config, RandomPolicy(3), 300)
+    assert trace.final_model_version == 3
+    expected = (GOLDEN / "trace-shop-migration-loaded.jsonl").read_text("utf-8")
+    assert export_trace_jsonl(model, trace) == expected
 
 
 def test_empty_transfer_rule_is_a_managed_step():
