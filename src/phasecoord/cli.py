@@ -23,6 +23,7 @@ from .engine import (
     InteractivePolicy,
     RandomPolicy,
     ReplayDivergence,
+    UnknownElement,
     config_digest,
     drive,
     label_text,
@@ -151,6 +152,21 @@ def _interactive_chooser(labels) -> Optional[int]:
         print(f"out of range: {idx}", file=sys.stderr)
 
 
+def _load_fragment(model, config, variable: str):
+    """(model, configuration) with the changeset held by `variable` loaded
+    into the coordinator (`mcpal.load_migration`); None once why not is
+    reported."""
+    fragment = model.variables.get(variable)
+    if not isinstance(fragment, ChangeSet):
+        print(f"error: variable {variable!r} holds no changeset", file=sys.stderr)
+        return None
+    try:
+        return load_migration(model, config, fragment)
+    except (McPalNotHibernating, FragmentInvalid) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_simulate(args) -> int:
     model, code = _load_model(args)
     if model is None:
@@ -160,6 +176,11 @@ def cmd_simulate(args) -> int:
     if bad:
         _emit_diags(bad, args.format)
         return EXIT_VALIDATION
+    if args.load_migration:
+        loaded = _load_fragment(model, config, args.load_migration)
+        if loaded is None:
+            return EXIT_VALIDATION
+        model, config = loaded
 
     if args.script:
         try:
@@ -208,15 +229,10 @@ def cmd_explore(args) -> int:
         return EXIT_VALIDATION
 
     if args.load_migration:
-        fragment = model.variables.get(args.load_migration)
-        if not isinstance(fragment, ChangeSet):
-            print(f"error: variable {args.load_migration!r} holds no changeset", file=sys.stderr)
+        loaded = _load_fragment(model, config, args.load_migration)
+        if loaded is None:
             return EXIT_VALIDATION
-        try:
-            model, config = load_migration(model, config, fragment)
-        except (McPalNotHibernating, FragmentInvalid) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        model, config = loaded
 
     if _below_least((("--max-states", args.max_states, 1),
                      ("--max-depth", args.max_depth, 0),
@@ -249,7 +265,12 @@ def cmd_explore(args) -> int:
     unknown = report.unknown() or space.truncated
 
     if args.check_termination is not None:
-        result = check_migration_termination(space, args.check_termination)
+        try:
+            result = check_migration_termination(space, args.check_termination)
+        except UnknownElement as exc:  # no explored model has the coordinator
+            print(f"error: no explored model has the coordinator component {exc}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
         doc["termination"] = {
             "targetVersion": args.check_termination,
             "verdict": result.verdict,
@@ -411,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", help="JSON-lines trace to replay")
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--trace-out")
+    p.add_argument("--load-migration", metavar="VAR",
+                   help="load this changeset variable into the coordinator before the run")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("explore", help="exhaustively verify a model")

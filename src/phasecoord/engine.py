@@ -29,11 +29,14 @@ object lives, and later firings reuse its resulting model object (see
 `_Guard.changed`).  `apply_changeset` and a rule object the model does not
 hold keep nothing.
 
-One step core serves every caller: `successors`, `_take`, `rule_blocker`,
-`enabled_rules` and `fire_rule` decide a rule through its `_Guard`, and
-`_StepCore.fire` takes it; a replay fires only its recorded labels, through
+One step core serves every caller.  `successors` and `enabled_rules` take
+the enabled rules' firings from `_StepCore.fired`, one pass over the rules
+whose manager sits at their step's source; `_take`, `rule_blocker` and
+`fire_rule` decide one rule through `_StepCore.fire`, which also gives the
+reason it cannot fire.  Both test a rule with its `_Guard` and fire it with
+`_StepCore._after`; a replay fires only its recorded labels, through
 `_take`.  Consistency is checked where a step can break it.  After a rule
-with no changeset, `_StepCore.fire` tests the slots the rule wrote: the
+with no changeset, `_StepCore._after` tests the slots the rule wrote: the
 manager's new state against each of its roles, and each transferred role
 against its component's state.  `step_detailed` tests the stepping
 component against its roles.  Either raises `ConsistencyBroken`, which only
@@ -348,19 +351,22 @@ class _StepCore:
         guard = self.guards.get(rule.name)
         return guard if guard is not None and guard.rule is rule else _Guard(model, rule)
 
-    def firings(
-        self, model: StdModel, slots: tuple
-    ) -> Iterator[tuple[_Guard, tuple[StdModel, Configuration]]]:
-        """Each enabled rule's guard with the (model, configuration) its
-        firing reaches, by rule name."""
-        candidates = [guard for slot, by_state in self.guards_at
-                      for guard in by_state.get(slots[slot], ())]
-        if len(self.guards_at) > 1:
-            candidates.sort(key=lambda guard: guard.rule.name)
+    def fired(self, model: StdModel, slots: tuple) -> list[tuple[RuleStep, StdModel, Configuration]]:
+        """The (label, model, configuration) of each enabled rule's firing,
+        by rule name; a rule whose changeset is rejected is not enabled."""
+        candidates = ()
+        for slot, by_state in self.guards_at:
+            at = by_state.get(slots[slot])
+            if at:  # by rule name already; merged only when two slots contribute
+                candidates = sorted((*candidates, *at), key=lambda g: g.rule.name) if candidates else at
+        out = []
         for guard in candidates:
-            blocker, after = self.fire(model, slots, guard)
-            if blocker is None:
-                yield guard, after
+            if guard.blocker(slots) is None:
+                try:
+                    out.append((guard.label, *self._after(model, slots, guard)))
+                except RejectedChange:
+                    pass
+        return out
 
     def fire(
         self, model: StdModel, slots: tuple, guard: _Guard
@@ -371,18 +377,25 @@ class _StepCore:
         blocker = guard.blocker(slots)
         if blocker is not None:
             return blocker, None
+        try:
+            return None, self._after(model, slots, guard)
+        except RejectedChange as exc:
+            # without its traceback, whose frames would hold the caller's
+            # locals, and so the rejection itself, in a cycle
+            return exc.with_traceback(None), None
+
+    def _after(self, model: StdModel, slots: tuple, guard: _Guard) -> tuple[StdModel, Configuration]:
+        """The (model, configuration) after firing the rule, which `blocker`
+        lets fire at `slots`.  Raises RejectedChange when its changeset is
+        rejected, and ConsistencyBroken when a rule without one leaves a
+        role whose phase does not hold its component's state."""
         out = guard.apply(slots)
         if guard.rule.change is not None:
-            try:
-                return None, guard.changed(model, out)
-            except RejectedChange as exc:
-                # without its traceback, whose frames would hold the caller's
-                # locals, and so the rejection itself, in a cycle
-                return exc.with_traceback(None), None
+            return guard.changed(model, out)
         bad = _broken(self.layout, out, guard.checks)
         if bad is not None:
             raise ConsistencyBroken(f"rule {guard.rule.name} broke consistency: {bad}")
-        return None, (model, Configuration.from_slots(self.layout, out))
+        return model, Configuration.from_slots(self.layout, out)
 
     def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
         """The slots after the component's free step along `transition`;
@@ -460,7 +473,8 @@ def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRul
     """Rules whose manager step, transfer guards and (if present) changeset
     are all enabled now, sorted by rule name."""
     core = _core(model)
-    return [guard.rule for guard, _ in core.firings(model, _slots(core.layout, config))]
+    fired = core.fired(model, _slots(core.layout, config))
+    return [core.guards[label.rule].rule for label, _, _ in fired]
 
 
 def step_detailed(
@@ -507,9 +521,11 @@ def successors(
         steps = table.get(at)
         if steps is None:
             steps = table[at] = core._fill(slot, at)
-        for step, state in steps:
-            out.append((step, model, from_slots(layout, slots[:slot] + (state,) + slots[slot + 1:])))
-    out.extend((guard.label, *after) for guard, after in core.firings(model, slots))
+        if steps:
+            head, tail = slots[:slot], slots[slot + 1:]
+            for step, state in steps:
+                out.append((step, model, from_slots(layout, (*head, state, *tail))))
+    out += core.fired(model, slots)
     return out
 
 

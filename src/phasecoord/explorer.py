@@ -7,12 +7,13 @@ in model version are distinct states.
 
 Each distinct model content gets an index in the space, found through its
 canonical form (computed and hashed once per model object, see
-`changeset.canonical_model`).  A state is kept once, as its key (model
-index, slots): the configuration's flat tuple of ints in the layout of the
-model stored at that index (see `model.SlotLayout`), which the seen-set
-maps to the state's index.  A successor's slots are re-encoded only when
-they come from another layout, after a changeset made a new model object,
-and `Space.state` decodes a configuration only for traces and exports.
+`changeset.canonical_model`).  A state is kept once, as (model index,
+slots): the configuration's flat tuple of ints in the layout of the model
+stored at that index (see `model.SlotLayout`).  Each model index has its
+own seen dict from slots to state index, so interning a successor builds
+no key.  A successor's slots are re-encoded only when they come from
+another layout, after a changeset made a new model object, and
+`Space.state` decodes a configuration only for traces and exports.
 Exploration is one serial BFS: each frontier state's successors are
 computed and interned in order, so state indices, edges and reports are
 deterministic.
@@ -170,11 +171,11 @@ def explore_space(
     max_states = bounds.max_states
 
     # the root, always kept, is the first state of the first model
-    root = (0, _slots(model.layout, initial))
+    root = _slots(model.layout, initial)
     models.append(model)
     model_keys = {canonical_model(model): 0}  # canonical model -> model index
-    seen = {root: 0}  # state key -> state index
-    states.append(root)
+    seen = [{root: 0}]  # per model index: slots -> state index
+    states.append((0, root))
     parent.append(None)
 
     frontier = [0]
@@ -187,26 +188,33 @@ def explore_space(
         for idx in frontier:
             here, here_slots = states[idx]
             here_model = models[here]
-            here_layout = here_model.layout
+            here_layout, here_seen = here_model.layout, seen[here]
             succ = successors(here_model, Configuration.from_slots(here_layout, here_slots))
             if exclude is not None:
                 succ = [s for s in succ if not exclude(s[0])]
             if not succ:
                 space.deadlocks.append(idx)
             # intern each successor: model index, slots in that model's
-            # layout, then the seen lookup.  `canonical_model` is a cached
-            # lookup, run once per edge (the benchmark's traced count pins it)
+            # layout, then the lookup in that model's seen dict.
+            # `canonical_model` is a cached lookup, run once per edge (the
+            # benchmark's traced count pins it)
             for label, nxt_model, nxt_config in succ:
                 model_key = canonical_model(nxt_model)
                 if nxt_model is here_model:
-                    model_idx, layout = here, here_layout
+                    model_idx, layout, model_seen = here, here_layout, here_seen
                 else:
-                    model_idx = model_keys.get(model_key)  # None: a model not seen yet
-                    layout = (nxt_model if model_idx is None else models[model_idx]).layout
-                slots = nxt_config.slots_in(layout)
-                if slots is None:
-                    raise UnknownElement(layout.misfit(nxt_config.key()))
-                dst = seen.get((model_idx, slots))
+                    model_idx = model_keys.get(model_key)
+                    if model_idx is None:  # a model not seen yet
+                        layout, model_seen = nxt_model.layout, {}
+                    else:
+                        layout, model_seen = models[model_idx].layout, seen[model_idx]
+                if nxt_config._layout is layout:
+                    slots = nxt_config._slots
+                else:  # a changeset made another model object
+                    slots = nxt_config.slots_in(layout)
+                    if slots is None:
+                        raise UnknownElement(layout.misfit(nxt_config.key()))
+                dst = model_seen.get(slots)
                 if dst is None:
                     dst = len(states)
                     if dst >= max_states:
@@ -215,9 +223,9 @@ def explore_space(
                     if model_idx is None:
                         model_idx = model_keys[model_key] = len(models)
                         models.append(nxt_model)
-                    key = (model_idx, slots)
-                    seen[key] = dst
-                    states.append(key)
+                        seen.append(model_seen)
+                    model_seen[slots] = dst
+                    states.append((model_idx, slots))
                     parent.append((idx, label))
                     next_frontier.append(dst)
                 edges.append((idx, label, dst))
@@ -409,9 +417,10 @@ def check_migration_termination(
     A deadlocked incomplete state yields a `stuck` witness; a region from
     which completion is unreachable yields a `cycle` witness (a lasso that
     avoids completion forever).  On a truncated space only `stuck` is
-    provable; otherwise the verdict is `unknown(bound)`.
+    provable; otherwise the verdict is `unknown(bound)`.  Raises
+    UnknownElement when no model of the space has the coordinator.
     """
-
+    _require_component(space, sk.component)
     targets = list(space.where(partial(completion_test, target_version=target_version, sk=sk)))
     complete = set(targets)
     for idx in sorted(space.deadlocks):

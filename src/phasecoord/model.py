@@ -338,7 +338,9 @@ class Configuration:
     configuration holds that key, or a `SlotLayout` and the slots that encode
     it (`from_slots`), and then decodes the key on first use.  `detailed` and
     `phases` are read-only views of the pairs, built on first access and then
-    kept.  Equality, hashing, `repr` and pickling are those of the key.
+    kept; until then their slots are unset, so building a configuration
+    stores three attributes.  Equality, hashing, `repr` and pickling are
+    those of the key.
     """
 
     __slots__ = ("_key", "_layout", "_slots", "_detailed", "_phases")
@@ -350,7 +352,7 @@ class Configuration:
         model_version: int = 0,
     ):
         self._key = (model_version, tuple(sorted(detailed.items())), tuple(sorted(phases.items())))
-        self._layout = self._slots = self._detailed = self._phases = None
+        self._layout = self._slots = None
 
     @classmethod
     def from_key(cls, key: tuple) -> "Configuration":
@@ -358,7 +360,7 @@ class Configuration:
         sorted, with each component and role at most once."""
         config = object.__new__(cls)
         config._key = key
-        config._layout = config._slots = config._detailed = config._phases = None
+        config._layout = config._slots = None
         return config
 
     @classmethod
@@ -367,7 +369,7 @@ class Configuration:
         config = object.__new__(cls)
         config._layout = layout
         config._slots = slots
-        config._key = config._detailed = config._phases = None
+        config._key = None
         return config
 
     def key(self) -> tuple:
@@ -396,15 +398,19 @@ class Configuration:
 
     @property
     def detailed(self) -> Mapping[str, str]:
-        if self._detailed is None:
-            self._detailed = MappingProxyType(dict(self.key()[1]))
-        return self._detailed
+        try:
+            return self._detailed
+        except AttributeError:  # not read yet
+            view = self._detailed = MappingProxyType(dict(self.key()[1]))
+            return view
 
     @property
     def phases(self) -> Mapping[tuple[str, str], str]:
-        if self._phases is None:
-            self._phases = MappingProxyType(dict(self.key()[2]))
-        return self._phases
+        try:
+            return self._phases
+        except AttributeError:  # not read yet
+            view = self._phases = MappingProxyType(dict(self.key()[2]))
+            return view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):

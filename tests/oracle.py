@@ -128,26 +128,30 @@ def naive_successors(model, config):
     return out
 
 
+def label_identity(label):
+    """An engine step label in the oracle's (kind, identity) form."""
+    from phasecoord.engine import DetailedStep
+
+    if isinstance(label, DetailedStep):
+        return ("detailed", label.component, label.transition)
+    return ("rule", label.rule)
+
+
 def engine_successor_set(model, config):
     """The engine's successors, shaped for comparison with the oracle."""
-    from phasecoord.engine import DetailedStep, successors
+    from phasecoord.engine import successors
 
-    out = set()
-    for label, nxt_model, nxt in successors(model, config):
-        if isinstance(label, DetailedStep):
-            key = ("detailed", label.component, label.transition)
-        else:
-            key = ("rule", label.rule)
-        out.add((key, canonical_model(nxt_model), nxt.key()))
-    return out
+    return {(label_identity(label), canonical_model(nxt_model), nxt.key())
+            for label, nxt_model, nxt in successors(model, config)}
 
 
-def walk_all_states(model, config, limit=100_000):
+def walk_all_states(model, config, limit=100_000, truncate=False):
     """Every reachable (model, configuration) pair, enumerated breadth-first.
 
     States are generated with the engine; the equivalence test asserts the
     oracle agrees at every one of them, which by induction pins down the
-    whole reachable relation.
+    whole reachable relation.  More than `limit` states raise RuntimeError,
+    or with `truncate` give the first `limit` of them.
     """
     from phasecoord.engine import successors
 
@@ -165,6 +169,8 @@ def walk_all_states(model, config, limit=100_000):
                     nxt_frontier.append((m2, c2))
                     states.append((m2, c2))
                     if len(states) > limit:
+                        if truncate:
+                            return states[:limit]
                         raise RuntimeError("state limit exceeded")
         frontier = nxt_frontier
     return states

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from phasecoord import changeset, dsl, explorer, model
+from phasecoord.bundled import get_bundled
 from phasecoord.cli import main
 
 FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
@@ -143,6 +144,29 @@ class TestSimulate:
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN_DIR / "simulate-shop-migration.jsonl").read_bytes()
 
+    def test_loaded_shop_run_matches_golden_bytes(self, capsys):
+        # the library's `load_migration` and seeded run, exported: the
+        # migration completes, so the changesets fire
+        code, out, err = run_cli(capsys, "simulate", "shop-migration", "--load-migration",
+                                 "ShopMigr", "--seed", "3", "--steps", "300")
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN_DIR / "trace-shop-migration-loaded.jsonl").read_bytes()
+        assert json.loads(out.splitlines()[-1])["modelVersion"] == 3
+
+    def test_loaded_script_replay_reproduces_the_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        loaded = ("simulate", "shop-migration", "--load-migration", "ShopMigr")
+        assert run_cli(capsys, *loaded, "--seed", "5", "--steps", "200",
+                       "--trace-out", str(trace))[0] == 0
+        code, out, err = run_cli(capsys, *loaded, "--script", str(trace))
+        assert code == 0
+        assert out == trace.read_text()
+        # without the load, the kick-off carries no changeset, so its
+        # recorded label is not enabled
+        code, out, err = run_cli(capsys, "simulate", "shop-migration", "--script", str(trace))
+        assert code == 3
+        assert err.startswith("replay divergence at step 0: rule McPal_kickoff")
+
     def test_zero_steps_header_only(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "prodcons", "--steps", "0")
         assert code == 0
@@ -277,6 +301,28 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+NO_COORDINATOR_MODEL = ONE_STEP_MODEL + "var Empty = {};\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+@pytest.mark.parametrize("text, variable, message", [
+    (None, "NoSuchVar", "error: variable 'NoSuchVar' holds no changeset"),
+    (NO_COORDINATOR_MODEL, "Empty", "error: McPal not woven"),
+    ("SHOP\nvar Bad = {\n  remove rule noSuchRule;\n};\n", "Bad",
+     "error: unknown-rule: changeset noSuchRule"),
+], ids=["no-changeset", "not-hibernating", "fragment-invalid"])
+def test_load_migration_failure_exit_2(tmp_path, capsys, command, text, variable, message):
+    path = "shop-migration"
+    if text is not None:
+        path = str(tmp_path / "m.pdm")
+        Path(path).write_text(text.replace("SHOP", get_bundled("shop-migration").model_text()))
+    code, out, err = run_cli(capsys, command, path, "--load-migration", variable)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 class TestExplore:
     def test_flagship_run_exit_0(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -406,6 +452,14 @@ class TestExplore:
         assert err.startswith(f"error: {argv[-2]} must be at least ")
         assert "Traceback" not in err
         assert explore_space_calls == []
+
+    def test_termination_without_the_coordinator_exit_2(self, capsys):
+        # cs-nondet has no McPal, so no migration: not a `cycle` (exit 4)
+        code, out, err = run_cli(capsys, "--format", "json", "explore", "cs-nondet",
+                                 "--check-termination", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no explored model has the coordinator component McPal\n"
 
     def test_violation_exit_4(self, tmp_path, capsys):
         props = tmp_path / "p.pprop"

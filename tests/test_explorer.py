@@ -23,7 +23,7 @@ from phasecoord.explorer import (
     minimal_progress_bound,
     shortest_trace_to,
 )
-from phasecoord.mcpal import McPalSkeleton, load_migration
+from phasecoord.mcpal import McPalSkeleton, load_migration, weave_mcpal
 from phasecoord.model import (
     Configuration,
     ConsistencyRule,
@@ -333,6 +333,25 @@ class TestTermination:
         assert len(result.witness.steps) > 0
         again = replay(loaded, started, result.witness.labels())
         assert again.steps == result.witness.steps  # the lasso replays exactly
+
+    def test_space_without_the_coordinator_raises_unknown_element(self, bundles, shop_loaded):
+        # no migration to terminate: a diagnostic, not a `cycle`
+        model = bundles["cs-nondet"].model()
+        with pytest.raises(UnknownElement) as err:
+            check_migration_termination(explore_space(model, initial_configuration(model)), 0)
+        assert str(err.value) == "McPal"
+        watcher = McPalSkeleton(component="Watcher")
+        with pytest.raises(UnknownElement) as err:
+            check_migration_termination(explore_space(*shop_loaded), 3, sk=watcher)
+        assert str(err.value) == "Watcher"
+        # woven under that name, the same skeleton finds its coordinator, and
+        # the default one does not
+        woven = weave_mcpal(model, watcher)
+        loaded, started = load_migration(woven, initial_configuration(woven), ChangeSet(), watcher)
+        space = explore_space(loaded, started)
+        assert check_migration_termination(space, 2, sk=watcher).verdict == "terminates"
+        with pytest.raises(UnknownElement):
+            check_migration_termination(space, 2)
 
     def test_stuck_when_deadlock_precedes_completion(self):
         text = """

@@ -24,11 +24,15 @@ from phasecoord.engine import (
 )
 from phasecoord.explorer import Bounds, explore, explore_space
 from phasecoord.mcpal import McPalSkeleton, completion_test, load_migration, migration_complete
+from phasecoord.changeset import ChangeSet
 from phasecoord.model import (
     Configuration,
+    ConsistencyRule,
     Partition,
     Phase,
+    Std,
     StdModel,
+    Transition,
     _configuration_diagnostics,
     initial_configuration,
     validate_configuration,
@@ -42,7 +46,7 @@ from tests.genmodels import (
     random_predicate,
     with_random_changesets,
 )
-from tests.oracle import engine_successor_set, naive_successors, walk_all_states
+from tests.oracle import engine_successor_set, label_identity, naive_successors, walk_all_states
 
 
 def assert_agreement_everywhere(model, config, limit=50_000):
@@ -361,6 +365,79 @@ class TestConfigurationFastPaths:
                 with pytest.raises(UnknownElement) as err:
                     call(model, config)
                 assert str(err.value) == message
+
+
+INTERNING_LIMIT = 400
+
+
+def assert_space_is_the_oracle_walk(model, config):
+    """`explore_space`, bounded at INTERNING_LIMIT states, holds the states of
+    `walk_all_states` in its order, each once, and at every state whose
+    successors were all interned, one edge per oracle successor, to the
+    state of that successor's (canonical model, key); returns the space."""
+    space = explore_space(model, config, Bounds(max_states=INTERNING_LIMIT))
+    walked = walk_all_states(model, config, limit=INTERNING_LIMIT, truncate=True)
+    pairs = [(canonical_model(space.models[m]), space.state(idx).key())
+             for idx, (m, _) in enumerate(space.states)]
+    assert pairs == [(canonical_model(m), c.key()) for m, c in walked]
+    assert len(set(pairs)) == len(pairs)
+    assert len({canonical_model(m) for m in space.models}) == len(space.models)
+    # the last source of a truncated space may have successors not interned
+    complete = len(pairs) if not space.truncated else space.edges[-1][0]
+    out = [set() for _ in pairs]
+    for src, label, dst in space.edges:
+        out[src].add((label_identity(label), *pairs[dst]))
+    assert sum(len(out[idx]) for idx in range(complete)) == sum(
+        1 for src, _, _ in space.edges if src < complete)
+    for idx, (m, c) in enumerate(walked[:complete]):
+        assert out[idx] == naive_successors(m, c), idx
+    if not space.truncated:
+        assert len(space.edges) == sum(len(naive_successors(m, c)) for m, c in walked)
+    return space
+
+
+class TestInterning:
+    def test_bundled_models(self, bundles, shop_loaded):
+        systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
+        sizes = [len(assert_space_is_the_oracle_walk(*system).states)
+                 for system in systems + [shop_loaded]]
+        assert sizes[-1] == 116
+
+    def test_random_models(self):
+        multi_model = truncated = 0
+        for seed in range(200):
+            model = random_model(seed)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            space = assert_space_is_the_oracle_walk(model, random_initial(model))
+            multi_model += len(space.models) > 1
+            truncated += space.truncated
+        assert multi_model >= 10 and truncated > 0
+
+    def test_equal_changesets_on_two_rules_share_one_model_index(self):
+        # M's two steps A -> B are claimed by rules whose changesets are equal
+        # but distinct objects; either firing drops both rules, so both give
+        # equal model contents through two model objects
+        a, b = Transition("A", "a", "B"), Transition("A", "b", "B")
+        back = Transition("B", "back", "A")
+        m = Std("M", frozenset({"A", "B"}), frozenset({"a", "b", "back"}),
+                frozenset({a, b, back}), "A")
+        rules = {name: ConsistencyRule(name, "M", step, (), ChangeSet(remove_rules=("r1", "r2")))
+                 for name, step in (("r1", a), ("r2", b))}
+        assert rules["r1"].change == rules["r2"].change
+        assert rules["r1"].change is not rules["r2"].change
+        model = StdModel({"M": m}, rules)
+        config = initial_configuration(model)
+        (_, first, at_b), (_, second, again) = successors(model, config)
+        assert first is not second and canonical_model(first) == canonical_model(second)
+        assert at_b == again
+        space = assert_space_is_the_oracle_walk(model, config)
+        # root; B after either rule; A in the rule-less model, whose free
+        # steps a and b both lead back to the one state at B
+        assert len(space.models) == 2
+        assert [m for m, _ in space.states] == [0, 1, 1]
+        assert [(src, dst) for src, _, dst in space.edges] == [(0, 1), (0, 1), (1, 2), (2, 1), (2, 1)]
+        assert space.deadlocks == []
 
 
 def outcome(run):
