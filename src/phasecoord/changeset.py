@@ -39,6 +39,7 @@ from .model import (
     Std,
     StdModel,
     Trap,
+    initial_configuration,
     validate_configuration,
     validate_model,
 )
@@ -189,9 +190,9 @@ class Carry:
     `live` holds, per removed phase of a role the old layout has, (role
     slot, phase index).  `remap` builds the slots after the changeset, in
     `model.layout`, from the slots before it: per slot after the version,
-    (old slot, table from its old index to the new one) or (None, the index
-    of an added component's initial state or an added role's initial
-    phase, both as `model` holds them)."""
+    (old slot, table from its old index to the new one) or, for an added
+    component or role, (None, its index in `model`'s initial configuration:
+    the component's initial state or the partition's initial phase)."""
 
     __slots__ = ("model", "live", "remap")
 
@@ -200,21 +201,17 @@ class Carry:
         self.model = model
         live = []
         for comp, part, phase in cs.remove_phases:
-            role = layout.role_slot.get((comp, part))
-            index = layout.phase_index[role - layout.role_base].get(phase) if role else None
+            role = layout.slot.get((comp, part))
+            index = layout.index[role].get(phase) if role else None
             if index is not None:
                 live.append((role, index))
         self.live = tuple(live)
+        initial = new.encode(initial_configuration(model).key())
         remap = []
-        for slot, name in enumerate(new.components, 1):
-            old, index = layout.component_slot.get(name), new.state_index[slot - 1]
-            remap.append((None, index[model.components[name].initial]) if old is None else
-                         (old, tuple(map(index.get, layout.states[old - 1]))))
-        for slot, (name, part) in enumerate(new.roles, new.role_base):
-            old, index = layout.role_slot.get((name, part)), new.phase_index[slot - new.role_base]
-            initial = model.components[name].partition_named(part).initial
-            remap.append((None, index[initial]) if old is None else
-                         (old, tuple(map(index.get, layout.phases[old - layout.role_base]))))
+        for slot in range(1, len(new.owners)):
+            old = layout.slot.get(new.owners[slot])
+            remap.append((None, initial[slot]) if old is None else
+                         (old, tuple(map(new.index[slot].get, layout.names[old]))))
         self.remap = tuple(remap)
 
     def slots(self, slots: tuple) -> Optional[tuple]:

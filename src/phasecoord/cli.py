@@ -259,7 +259,7 @@ def cmd_explore(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     space = report.space
-    doc = json.loads(report.to_json())
+    doc = report.doc()
 
     violated = bool(report.violations)
     unknown = report.unknown() or space.truncated

@@ -146,7 +146,9 @@ class _Guard:
     transfer's phase, trap and target phase.  A transfer's role, phase or
     trap that does not resolve is compiled to a test that never passes, so
     its reason comes in its turn; a manager step that does not resolve is
-    the reason `static`, whatever the configuration."""
+    the reason `static`, whatever the configuration.  A manager role's
+    phase always resolves: the layout takes its names from the same
+    partition."""
 
     __slots__ = ("rule", "label", "static", "manager", "source", "target",
                  "manager_phases", "transfers", "writes", "checks", "memo")
@@ -162,37 +164,32 @@ class _Guard:
         if mgr is None or rule.manager_step not in mgr.transitions:
             self.static = "manager step unresolved"
             return
-        self.manager = layout.component_slot[rule.manager]
-        states = layout.state_index[self.manager - 1]
+        self.manager = layout.slot[rule.manager]
+        states = layout.index[self.manager]
         self.source = states.get(rule.manager_step.source)
         self.target = states.get(rule.manager_step.target)
-        # per manager role: (role slot, phase indices that do not
-        # resolve in it, phase indices whose phase holds the manager step)
+        # per manager role: (role slot, phase indices whose phase holds the
+        # manager step)
         manager_phases = []
         for part in mgr.roles:
-            slot = layout.role_slot[(rule.manager, part.name)]
-            names = layout.phases[slot - layout.role_base]
-            phases = [part.phase_named(name) for name in names]
-            manager_phases.append((
-                slot,
-                frozenset(i for i, phase in enumerate(phases) if phase is None),
-                frozenset(i for i, phase in enumerate(phases)
-                          if phase is not None and rule.manager_step in phase.transitions),
-            ))
+            slot = layout.slot[(rule.manager, part.name)]
+            manager_phases.append((slot, frozenset(
+                i for i, name in enumerate(layout.names[slot])
+                if rule.manager_step in part.phase_named(name).transitions)))
         self.manager_phases = tuple(manager_phases)
         # per transfer: (role slot or None, source phase index, component
         # slot, state indices of the trap, target phase index, its reasons)
         transfers, writes = [], []
         for tr in rule.transfers:
-            role = layout.role_slot.get((tr.component, tr.partition))
-            phases = layout.phase_index[role - layout.role_base] if role else {}
+            role = layout.slot.get((tr.component, tr.partition))
+            phases = layout.index[role] if role else {}
             source, target = phases.get(tr.source), phases.get(tr.target)
-            comp = layout.component_slot.get(tr.component)
+            comp = layout.slot.get(tr.component)
             trap = frozenset()
             if source is not None:
                 phase = model.components[tr.component].partition_named(tr.partition).phase_named(tr.source)
                 found = phase.trap_named(tr.trap)
-                states = layout.state_index[comp - 1]
+                states = layout.index[comp]
                 if found is not None:
                     trap = frozenset(states[s] for s in found.states if s in states)
             transfers.append((
@@ -206,7 +203,7 @@ class _Guard:
         self.writes = tuple(writes)
         # the consistency tests of the roles whose slots a firing writes:
         # the manager's, then each transferred one
-        written = [layout.role_slot[(rule.manager, part.name)] for part in mgr.partitions]
+        written = [layout.slot[(rule.manager, part.name)] for part in mgr.partitions]
         written += [role for role, _ in writes if role is not None]
         self.checks = tuple(layout.checks[role - layout.role_base] for role in dict.fromkeys(written))
 
@@ -216,10 +213,8 @@ class _Guard:
             return self.static
         if slots[self.manager] != self.source:
             return "manager not at the step's source"
-        for role, _, allowed in self.manager_phases:
+        for role, allowed in self.manager_phases:
             if slots[role] not in allowed:
-                if any(slots[r] in bad for r, bad, _ in self.manager_phases):
-                    return "manager phase unresolved"
                 return "manager step outside a current phase"
         for role, source, comp, trap, target, not_in, not_entered, unresolved in self.transfers:
             if role is None or slots[role] != source:
@@ -278,9 +273,9 @@ def _broken(layout: SlotLayout, slots: tuple, checks: tuple) -> Optional[Diagnos
     """The `phase-violation` of the first of `checks` that `slots` fail."""
     for comp, role, allowed in checks:
         if slots[comp] not in allowed[slots[role]]:
-            name, part = layout.roles[role - layout.role_base]
-            state = layout.states[comp - 1][slots[comp]]
-            phase = layout.phases[role - layout.role_base][slots[role]]
+            name, part = layout.owners[role]
+            state = layout.names[comp][slots[comp]]
+            phase = layout.names[role][slots[role]]
             return Diagnostic("phase-violation", name, part, f"{state} not in {phase}")
     return None
 
@@ -302,9 +297,9 @@ class _StepCore:
         # to the model itself, which holds the core
         self._components, self._claimed = model.components, model.claimed_steps
         self.free = tuple(
-            (slot, itemgetter(slot, *(layout.role_slot[(name, part.name)]
+            (slot, itemgetter(slot, *(layout.slot[(name, part.name)]
                                       for part in model.components[name].roles)), {})
-            for slot, name in enumerate(layout.components, 1)
+            for slot, name in enumerate(model.component_order, 1)
         )
         self.guards = {name: _Guard(model, model.rules[name]) for name in sorted(model.rules)}
         guards_at: dict[int, dict[int, list[_Guard]]] = {}
@@ -328,19 +323,14 @@ class _StepCore:
 
     def _fill(self, slot: int, at) -> tuple:
         layout = self.layout
-        name = layout.components[slot - 1]
+        name = layout.owners[slot]
         std = self._components[name]
         state, *phase_indices = at if isinstance(at, tuple) else (at,)
-        phases = []
-        for part, index in zip(std.roles, phase_indices):
-            role = layout.role_slot[(name, part.name)]
-            phase = part.phase_named(layout.phases[role - layout.role_base][index])
-            if phase is None:
-                raise UnknownElement(f"{name}.{part.name}: no current phase")
-            phases.append(phase)
-        claimed, states = self._claimed, layout.state_index[slot - 1]
+        phases = [part.phase_named(layout.names[layout.slot[(name, part.name)]][index])
+                  for part, index in zip(std.roles, phase_indices)]
+        claimed, states = self._claimed, layout.index[slot]
         steps = []
-        for t in std.transitions_from.get(layout.states[slot - 1][state], ()):
+        for t in std.transitions_from.get(layout.names[slot][state], ()):
             if (name, t) not in claimed and all(t in phase.transitions for phase in phases):
                 if t.target not in states:
                     raise UnknownElement(f"{name}: unknown state {t.target}")
@@ -400,7 +390,7 @@ class _StepCore:
     def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
         """The slots after the component's free step along `transition`;
         None when that step is not enabled."""
-        slot = self.layout.component_slot.get(component)
+        slot = self.layout.slot.get(component)
         if slot is None:
             return None
         for step, state in self.free_steps(slots, slot):
@@ -433,7 +423,7 @@ def enabled_detailed(model: StdModel, config: Configuration, component: str) -> 
         raise UnknownElement(component)
     core = _core(model)
     slots = _slots(core.layout, config)
-    return {step.transition for step, _ in core.free_steps(slots, core.layout.component_slot[component])}
+    return {step.transition for step, _ in core.free_steps(slots, core.layout.slot[component])}
 
 
 def entered_traps(model: StdModel, config: Configuration, component: str, partition: str) -> set[str]:
@@ -487,7 +477,7 @@ def step_detailed(
     slots = core.step(_slots(core.layout, config), component, transition)
     if slots is None:
         raise NotEnabled(f"{component}: {transition.pretty()}")
-    slot = core.layout.component_slot[component]
+    slot = core.layout.slot[component]
     bad = _broken(core.layout, slots, tuple(c for c in core.layout.checks if c[0] == slot))
     if bad is not None:
         raise ConsistencyBroken(f"detailed step broke consistency: {bad}")

@@ -160,7 +160,6 @@ def explore_space(
     model: StdModel,
     initial: Configuration,
     bounds: Bounds = Bounds(),
-    exclude: Optional[Callable[[StepLabel], bool]] = None,
 ) -> Space:
     """Breadth-first reachability; the one exploration every check queries.
 
@@ -190,8 +189,6 @@ def explore_space(
             here_model = models[here]
             here_layout, here_seen = here_model.layout, seen[here]
             succ = successors(here_model, Configuration.from_slots(here_layout, here_slots))
-            if exclude is not None:
-                succ = [s for s in succ if not exclude(s[0])]
             if not succ:
                 space.deadlocks.append(idx)
             # intern each successor: model index, slots in that model's
@@ -253,8 +250,9 @@ class ExplorationReport:
     def unknown(self) -> bool:
         return any(v.startswith("unknown") for _, v in self.verdicts)
 
-    def to_json(self) -> str:
-        doc = {
+    def doc(self) -> dict:
+        """The report as a new JSON document, which a caller may extend."""
+        return {
             "statesVisited": self.states_visited,
             "transitionsVisited": self.transitions_visited,
             "modelVersionsSeen": self.model_versions_seen,
@@ -272,7 +270,9 @@ class ExplorationReport:
                 "maxDepthHit": self.max_depth_hit,
             },
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.doc(), sort_keys=True, indent=2) + "\n"
 
 
 def _within_bound_to_targets(space: Space, targets: Sequence[int]) -> list[int]:

@@ -23,7 +23,9 @@ Each `StdModel` object also has a `SlotLayout`, built once: slot 0 holds
 the model version, then one slot per component (sorted by name) holds the
 index of its state among its sorted states, then one slot per role (sorted
 (component, partition)) holds the index of its phase among the role's sorted
-phase names.  Slot order depends only on the model's canonical form.  A
+phase names.  The layout's tables (`owners`, `names`, `index`) are
+indexed by slot, so a caller reads them at the slot itself.  Slot order
+depends only on the model's canonical form.  A
 `Configuration` is backed either by its canonical pair key (the model
 version, the sorted (component, state) pairs and the sorted ((component,
 partition), phase) pairs) or by a layout and a flat tuple of slots.
@@ -206,61 +208,55 @@ class StdModel:
 class SlotLayout:
     """Where each part of a configuration sits in a flat tuple of ints.
 
-    Slot 0 holds the model version.  Component slots follow in sorted name
-    order, each holding the index of the component's state in `states`.  Role
-    slots follow in sorted (component, partition) order, each holding the
-    index of the role's phase in `phases`; a role's phase names are those of
-    its partition in `Std.roles`.  `checks` is the consistency
-    test as a table: (component slot, role slot, per phase index the state
-    indices of that phase).  `key_text` gives the `repr` of the pair key
-    that `decode` gives, from text tables built on its first call."""
+    Every table is indexed by slot.  `owners[s]` is what slot `s` holds:
+    None for slot 0, which holds the model version, then each component in
+    sorted name order, then from slot `role_base` on each role (component,
+    partition) in sorted order.  `names[s]` holds the names a slot's int
+    indexes, sorted: a component's states, or the phase names of a role's
+    partition in `Std.roles`.  `index[s]` maps each of those names to its
+    int, and `slot` maps each owner to its slot.  `checks` is the
+    consistency test as a table, one entry per role in slot order:
+    (component slot, role slot, per phase index the state indices of that
+    phase).  `key_text` gives the `repr` of the pair key that `decode`
+    gives, from text tables built on its first call."""
 
     def __init__(self, model: StdModel):
         components = model.component_order
-        stds = [model.components[name] for name in components]
-        self.components = components
-        self.states = tuple(tuple(sorted(std.states)) for std in stds)
-        self.state_index = tuple(dict(zip(states, range(len(states)))) for states in self.states)
-        self.role_base = base = len(components) + 1  # the first role slot
-        self.component_slot = dict(zip(components, range(1, base)))
         partitions: dict[tuple[str, str], Partition] = {}
-        for name, std in zip(components, stds):
-            for part in std.roles:
+        for name in components:
+            for part in model.components[name].roles:
                 partitions[(name, part.name)] = part
         # a partition name declared twice in one component (which
         # `validate_model` rejects) leaves fewer roles than partitions, so
         # the slots cannot tell whether a configuration is consistent
-        self.consistent_shape = len(partitions) == sum(len(std.partitions) for std in stds)
-        self.roles = roles = tuple(sorted(partitions))
-        self.role_slot = dict(zip(roles, range(base, base + len(roles))))
-        phases, checks = [], []
-        for role, slot in self.role_slot.items():
-            first = {phase.name: phase for phase in reversed(partitions[role].phases)}
-            names = tuple(sorted(first))
-            comp = self.component_slot[role[0]]
-            index = self.state_index[comp - 1]
-            phases.append(names)
-            # a phase state outside the component maps to None, which no slot holds
-            checks.append((comp, slot, tuple(frozenset(map(index.get, first[n].states)) for n in names)))
-        self.phases = tuple(phases)
-        self.phase_index = tuple(dict(zip(names, range(len(names)))) for names in self.phases)
+        self.consistent_shape = len(partitions) == sum(
+            len(model.components[name].partitions) for name in components)
+        self.role_base = len(components) + 1  # the first role slot
+        self.owners = (None, *components, *sorted(partitions))
+        self.slot = {owner: slot for slot, owner in enumerate(self.owners) if slot}
+        names, index, pairs, checks = [None], [None], [None], []
+        for slot, owner in enumerate(self.owners[1:], 1):
+            if owner in partitions:
+                phases = {phase.name: phase for phase in reversed(partitions[owner].phases)}
+                values = tuple(sorted(phases))
+                comp = self.slot[owner[0]]
+                # a phase state outside the component maps to None, which no slot holds
+                checks.append((comp, slot, tuple(frozenset(map(index[comp].get, phases[n].states))
+                                                 for n in values)))
+            else:
+                values = tuple(sorted(model.components[owner].states))
+            names.append(values)
+            index.append(dict(zip(values, range(len(values)))))
+            # the pairs of the decoded key, built once and shared by every key
+            pairs.append(tuple(zip(repeat(owner), values)))
+        self.names, self.index, self._pairs = tuple(names), tuple(index), tuple(pairs)
         self.checks = tuple(checks)
-        # the pairs of the decoded key, built once and shared by every key
-        self._state_pairs = tuple(
-            tuple(zip(repeat(name), states)) for name, states in zip(components, self.states)
-        )
-        self._phase_pairs = tuple(
-            tuple(zip(repeat(role), names)) for role, names in zip(roles, self.phases)
-        )
 
     def decode(self, slots: tuple) -> tuple:
         """The canonical pair key of the configuration held in `slots`."""
-        base = self.role_base
-        return (
-            slots[0],
-            tuple([pairs[i] for pairs, i in zip(self._state_pairs, slots[1:base])]),
-            tuple([pairs[i] for pairs, i in zip(self._phase_pairs, slots[base:])]),
-        )
+        pairs = [table[i] for table, i in zip(self._pairs[1:], slots[1:])]
+        base = self.role_base - 1
+        return slots[0], tuple(pairs[:base]), tuple(pairs[base:])
 
     @cached_property
     def _texts(self) -> tuple[str, tuple[tuple[str, ...], ...]]:
@@ -268,19 +264,12 @@ class SlotLayout:
         pair, and per slot after 0 the `repr` of each of its pairs followed by
         the text up to the next pair (the last one: to the end).  Built on a
         layout's first `key_text`, since most layouts never need it."""
-        # the key's repr after the version, a new run at each pair
-        runs = [""]
-        for block in (self._state_pairs, self._phase_pairs):
-            runs[-1] += ", ("
-            for i in range(len(block)):
-                if i:
-                    runs[-1] += ", "
-                runs.append("")
-            runs[-1] += ",)" if len(block) == 1 else ")"
-        runs[-1] += ")"
-        pairs = self._state_pairs + self._phase_pairs
-        return runs[0], tuple(
-            tuple(repr(pair) + run for pair in slot_pairs) for slot_pairs, run in zip(pairs, runs[1:])
+        # the repr, after its version 0, of a key whose every pair is `...`,
+        # split at each pair
+        base, count = self.role_base, len(self.owners)
+        head, *runs = repr((0, (...,) * (base - 1), (...,) * (count - base)))[2:].split("Ellipsis")
+        return head, tuple(
+            tuple(repr(pair) + run for pair in pairs) for pairs, run in zip(self._pairs[1:], runs)
         )
 
     def key_text(self, slots: tuple) -> str:
@@ -294,39 +283,32 @@ class SlotLayout:
         when it does not fit: a component, state, role or phase unknown to
         this layout, or a component or role missing."""
         version, detailed, phases = key
-        if len(detailed) != len(self.components) or len(phases) != len(self.roles):
+        pairs = (*detailed, *phases)
+        if len(detailed) != self.role_base - 1 or len(pairs) != len(self.owners) - 1:
             return None
         slots = [version]
-        for (name, state), known, index in zip(detailed, self.components, self.state_index):
-            if name != known or state not in index:
+        for (owner, name), known, index in zip(pairs, self.owners[1:], self.index[1:]):
+            if owner != known or name not in index:
                 return None
-            slots.append(index[state])
-        for (role, phase), known, index in zip(phases, self.roles, self.phase_index):
-            if role != known or phase not in index:
-                return None
-            slots.append(index[phase])
+            slots.append(index[name])
         return tuple(slots)
 
     def misfit(self, key: tuple) -> str:
         """The first entry of `key` that does not fit this layout, components
         before roles, each in sorted order; "" when it fits."""
         _, detailed, phases = key
-        detailed, phases = dict(detailed), dict(phases)
-        for name in sorted(set(detailed) | set(self.component_slot)):
-            if name not in self.component_slot:
-                return f"{name}: unknown component"
-            if name not in detailed:
-                return f"{name}: no current state"
-            if detailed[name] not in self.state_index[self.component_slot[name] - 1]:
-                return f"{name}: unknown state {detailed[name]}"
-        for role in sorted(set(phases) | set(self.role_slot)):
-            where = ".".join(role)
-            if role not in self.role_slot:
-                return f"{where}: unknown role"
-            if role not in phases:
-                return f"{where}: no current phase"
-            if phases[role] not in self.phase_index[self.role_slot[role] - self.role_base]:
-                return f"{where}: unknown phase {phases[role]}"
+        base = self.role_base
+        for pairs, owners, kind, value in ((detailed, self.owners[1:base], "component", "state"),
+                                           (phases, self.owners[base:], "role", "phase")):
+            pairs = dict(pairs)
+            for owner in sorted(set(pairs) | set(owners)):
+                where = owner if kind == "component" else ".".join(owner)
+                if owner not in self.slot:
+                    return f"{where}: unknown {kind}"
+                if owner not in pairs:
+                    return f"{where}: no current {value}"
+                if pairs[owner] not in self.index[self.slot[owner]]:
+                    return f"{where}: unknown {value} {pairs[owner]}"
         return ""
 
 

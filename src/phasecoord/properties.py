@@ -213,24 +213,24 @@ def compile_predicate(pred: Predicate, model: StdModel) -> SlotTest:
     if isinstance(pred, InState):
         if pred.component not in model.components:
             return _raising(_unknown_component(pred.component, pred))
-        slot = layout.component_slot[pred.component]
-        index = layout.state_index[slot - 1].get(pred.state)
+        slot = layout.slot[pred.component]
+        index = layout.index[slot].get(pred.state)
         return never if index is None else _slot_equals(slot, index)
     if isinstance(pred, InPhase):
         if pred.component not in model.components:
             return _raising(_unknown_component(pred.component, pred))
-        slot = layout.role_slot.get((pred.component, pred.partition))
+        slot = layout.slot.get((pred.component, pred.partition))
         if slot is None:
             return never
-        index = layout.phase_index[slot - layout.role_base].get(pred.phase)
+        index = layout.index[slot].get(pred.phase)
         return never if index is None else _slot_equals(slot, index)
     if isinstance(pred, CountInState):
         pairs = []
         for comp, state in pred.pairs:
             if comp not in model.components:
                 return _raising(_unknown_component(comp, pred))
-            slot = layout.component_slot[comp]
-            index = layout.state_index[slot - 1].get(state)
+            slot = layout.slot[comp]
+            index = layout.index[slot].get(state)
             if index is not None:  # an unknown state never counts
                 pairs.append((slot, index))
         compare, bound, pairs = _COMPARE[pred.op], pred.bound, tuple(pairs)

@@ -244,7 +244,7 @@ def break_model(rng, model):
     return None
 
 
-def random_changeset(rng, model):
+def random_changeset(rng, model, clauses):
     """A changeset over `model`'s own elements that, fired at different
     configurations, sometimes applies and sometimes is rejected: it may remove
     a phase (live in some configurations, still referenced by a rule in some
@@ -252,7 +252,12 @@ def random_changeset(rng, model):
     state but not every state, add a component, or remove a partition, maybe
     with one of its phases; each also sets a variable.  The initial phase of an
     added partition and the initial state of an added component sort last, so
-    that neither is the index 0 a configuration's new slot starts from."""
+    that neither is the index 0 a configuration's new slot starts from.
+
+    `clauses`, a second random stream, may add a trap to a phase, and may
+    make the added component one that sorts before the model's and carries a
+    partition, so every slot moves; drawing these from their own stream
+    leaves the choices above as they are for each seed."""
     comps = sorted(model.components)
     roles = [(c, part) for c in comps for part in model.components[c].partitions]
     kind = rng.randrange(5)
@@ -269,21 +274,34 @@ def random_changeset(rng, model):
         change["add_partitions"] = ((std.name, Partition("g", phases, "gB")),)
     if kind == 2:
         tick = Transition("z1", "tick", "z0")
-        change["add_components"] = (
-            Std("Z", frozenset({"z0", "z1"}), frozenset({"tick"}), frozenset({tick}), "z1"),)
+        if clauses.random() < 0.5:
+            phases = (Phase("hA", frozenset({"z0"}), frozenset()),
+                      Phase("hB", frozenset({"z0", "z1"}), frozenset({tick})))
+            added = Std("B", frozenset({"z0", "z1"}), frozenset({"tick"}), frozenset({tick}), "z1",
+                        (Partition("h", phases, "hB"),))
+        else:
+            added = Std("Z", frozenset({"z0", "z1"}), frozenset({"tick"}), frozenset({tick}), "z1")
+        change["add_components"] = (added,)
     if roles and kind == 3:
         comp, part = rng.choice(roles)
         change["remove_partitions"] = ((comp, part.name),)
         if rng.random() < 0.5:
             change["remove_phases"] = ((comp, part.name, rng.choice(part.phases).name),)
+    if roles and clauses.random() < 0.3:
+        # a trap of all the phase's states is closed; a phase the model has
+        # lost by the time the rule fires rejects the changeset
+        comp, part = clauses.choice(roles)
+        phase = clauses.choice(part.phases)
+        change["add_traps"] = ((comp, part.name, phase.name, Trap("gt", phase.states)),)
     return ChangeSet(**change)
 
 
 def with_random_changesets(seed, model):
     """`model` with about half of its rules carrying a `random_changeset`."""
-    rng = random.Random(seed)
+    rng, clauses = random.Random(seed), random.Random(f"{seed}:clauses")
     rules = {
-        name: replace(rule, change=random_changeset(rng, model)) if rng.random() < 0.5 else rule
+        name: replace(rule, change=random_changeset(rng, model, clauses)) if rng.random() < 0.5
+        else rule
         for name, rule in sorted(model.rules.items())
     }
     return replace(model, rules=rules)

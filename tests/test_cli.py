@@ -73,6 +73,23 @@ rule r: X: A - go -> B * X(missing): a - triv -> b;
         assert code == 2
         assert "unknown-target" in err
 
+    def test_json_diagnostics(self, tmp_path, capsys):
+        """`--format json` prints the diagnostics as one sorted JSON list on
+        stderr: a syntax error exits 1, a validation error 2."""
+        bad = tmp_path / "bad.pdm"
+        bad.write_text("component { nope }")
+        code, out, err = run_cli(capsys, "--format", "json", "validate", str(bad))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == [{"code": "syntax-error", "owner": "parse", "element": "{",
+                                    "detail": "expected 'name', found '{'",
+                                    "line": 1, "column": 11}]
+        bad.write_text("component X { states: A; initial: A; transitions: A - go -> B; }")
+        code, out, err = run_cli(capsys, "--format", "json", "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == json.dumps([{"code": "unknown-target", "owner": "X", "element": "B",
+                                   "detail": "(A,go,B)", "line": 1, "column": 11}],
+                                 sort_keys=True, indent=2) + "\n"
+
     @pytest.mark.parametrize("header,column", [
         ("version ²;", 9), ("version 1²;", 10), ("version ٣;", 9),
     ], ids=["superscript", "after-ascii", "arabic-indic"])

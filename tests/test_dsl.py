@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import fields
+
 import pytest
 
-from phasecoord.changeset import ChangeSet, canonical_model
+from phasecoord.changeset import ChangeSet, apply_changeset, canonical_model
 from phasecoord.cli import main as cli_main
 from phasecoord.dsl import ParseError, parse_model, serialize_model, tokenize
-from phasecoord.model import initial_configuration, validate_model
+from phasecoord.model import Configuration, initial_configuration, validate_model
 from phasecoord.properties import (
     CountInState,
     EventuallyAll,
@@ -249,6 +251,24 @@ class TestRoundTrip:
             assert cli_main(["serialize", golden]) == 0
             text = capsys.readouterr().out
         assert text == (GOLDEN / f"{golden}.pdm").read_text("utf-8")
+
+    def test_every_changeset_clause_round_trips_and_applies(self):
+        """One `var` uses each changeset clause: the serializer is a fixed
+        point on it, and the changeset applies at the initial configuration."""
+        text = (GOLDEN / "changeset-clauses.pdm").read_text("utf-8")
+        parsed = parse_model(text)
+        assert parsed.ok, parsed.diagnostics
+        assert serialize_model(parsed.model) == text
+        model, change = parsed.model, parsed.model.variables["Change"]
+        assert all(getattr(change, f.name) for f in fields(ChangeSet))
+        changed, config = apply_changeset(model, initial_configuration(model), change)
+        assert (sorted(changed.rules), changed.variables["Level"]) == (["dim"], 2)
+        power = changed.components["Lamp"].partition_named("Power")
+        assert sorted(phase.name for phase in power.phases) == ["Dim", "Free", "Stuck"]
+        assert power.phase_named("Stuck").trap_named("still").states == {"Off"}
+        assert config == Configuration(
+            {"Lamp": "Off", "Switch": "Up", "Timer": "Idle"},
+            {("Lamp", "Power"): "Free", ("Switch", "Guard"): "Open", ("Timer", "Mode"): "Once"}, 1)
 
     def test_empty_model_is_header_only(self):
         from phasecoord.model import StdModel

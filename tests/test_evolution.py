@@ -201,9 +201,8 @@ class TestCachedModelFacts:
         assert hash(canonical_model(model)) == hash(tuple(canonical_model(fresh)))
         assert model.component_order == fresh.component_order
         layout, fresh_layout = model.layout, fresh.layout
-        assert (layout.components, layout.states, layout.roles, layout.phases, layout.checks) == (
-            fresh_layout.components, fresh_layout.states, fresh_layout.roles,
-            fresh_layout.phases, fresh_layout.checks)
+        assert (layout.owners, layout.names, layout.checks) == (
+            fresh_layout.owners, fresh_layout.names, fresh_layout.checks)
         core, fresh_core = _core(model), _core(fresh)
         filled = [(slot, at, steps) for slot, _, table in core.free for at, steps in table.items()]
         assert filled
@@ -410,15 +409,8 @@ class TestWeave:
             assert validate_model(woven) == []
             hosts = sorted(host.components)
             plain = reachable_projection(explore_space(host, initial_configuration(host)), hosts)
-            kick = sk.kickoff_rule_name()
-            pre_kick = reachable_projection(
-                explore_space(
-                    woven, initial_configuration(woven),
-                    exclude=lambda lab: isinstance(lab, RuleStep) and lab.rule == kick,
-                ),
-                hosts,
-            )
-            assert plain == pre_kick
+            assert plain == reachable_projection(
+                explore_space(woven, initial_configuration(woven)), hosts)
 
     def test_bundled_shop_equals_weave_of_its_host(self, bundles):
         shop = bundles["shop-migration"].model()

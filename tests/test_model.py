@@ -307,8 +307,8 @@ class TestConfiguration:
         model = StdModel({"Y": two_phase_std("Y"), "X": two_phase_std("X")}, {}, {}, 2)
         layout = model.layout
         assert layout is model.layout
-        assert layout.components == ("X", "Y") and layout.states == (("A", "B"), ("A", "B"))
-        assert layout.roles == (("X", "p"), ("Y", "p")) and layout.phases == (("q", "r"),) * 2
+        assert layout.owners == (None, "X", "Y", ("X", "p"), ("Y", "p")) and layout.role_base == 3
+        assert layout.names == (None, ("A", "B"), ("A", "B"), ("q", "r"), ("q", "r"))
         config = Configuration({"Y": "B", "X": "A"}, {("Y", "p"): "r", ("X", "p"): "q"}, 2)
         slots = layout.encode(config.key())
         assert slots == (2, 0, 1, 0, 1) and layout.decode(slots) == config.key()

@@ -178,6 +178,9 @@ class TestRuleChangesets:
                         assert blocker == rule_blocker(replace(m), c, rule)
                         if rule.change is not None and blocker is None:
                             outcomes["applied"] += 1
+                            outcomes["applied-add-trap"] += bool(rule.change.add_traps)
+                            outcomes["applied-add-role"] += any(
+                                std.partitions for std in rule.change.add_components)
                         elif rule.change is not None and blocker.startswith("changeset rejected: "):
                             outcomes[blocker.split(": ")[1]] += 1
                     for _, m2, c2 in successors(m, c):
@@ -186,7 +189,8 @@ class TestRuleChangesets:
                             seen.add(key)
                             following.append((m2, c2))
                 frontier = following
-        for outcome in ("applied", "live-phase-removal", "phase-violation", "duplicate-partition"):
+        for outcome in ("applied", "live-phase-removal", "phase-violation", "duplicate-partition",
+                        "applied-add-trap", "applied-add-role"):
             assert outcomes[outcome] >= 5, outcomes
 
 
