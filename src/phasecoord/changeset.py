@@ -26,6 +26,7 @@ rule's guard for as long as the model object that owns the rule lives
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import wraps
 from typing import Optional
 
 from .model import (
@@ -253,6 +254,17 @@ def apply_changeset(
 # Canonical nested-tuple forms, used for structural equality and for interning
 # models by content during exploration.
 
+def _per_object(form):
+    """`form`, kept in each element's `__dict__` as `canonical_model` keeps a
+    model's: a changeset's result shares the elements it leaves alone."""
+    def kept(element) -> tuple:
+        facts = element.__dict__
+        if "canonical" not in facts:
+            facts["canonical"] = form(element)
+        return facts["canonical"]
+    return wraps(form)(kept)
+
+
 def canonical_trap(t: Trap) -> tuple:
     return (t.name, tuple(sorted(t.states)))
 
@@ -270,6 +282,7 @@ def canonical_partition(p: Partition) -> tuple:
     return (p.name, p.initial, tuple(sorted(canonical_phase(ph) for ph in p.phases)))
 
 
+@_per_object
 def canonical_std(s: Std) -> tuple:
     return (
         s.name,
@@ -281,6 +294,7 @@ def canonical_std(s: Std) -> tuple:
     )
 
 
+@_per_object
 def canonical_rule(r: ConsistencyRule) -> tuple:
     return (
         r.name,
@@ -291,6 +305,7 @@ def canonical_rule(r: ConsistencyRule) -> tuple:
     )
 
 
+@_per_object
 def canonical_changeset(cs: ChangeSet) -> tuple:
     return (
         tuple(sorted(canonical_std(s) for s in cs.add_components)),

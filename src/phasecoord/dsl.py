@@ -33,6 +33,8 @@ meaning; only reference cycles are rejected).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Union
 
@@ -55,6 +57,11 @@ from .model import (
 # before anything else is checked.
 MAX_FAMILY_SIZE = 1000
 
+# Deepest nesting of changesets accepted, by literals and by `with NAME`
+# references alike: every recursive walk of a changeset stays within
+# Python's default recursion limit.
+MAX_CHANGESET_DEPTH = 100
+
 
 class Token(NamedTuple):
     kind: str  # "name" | "int" | punctuation literal | "eof"
@@ -76,35 +83,58 @@ class ParseError(Exception):
         )
 
 
+# One match per token, after whitespace, newlines and comments (a prefix
+# that cannot backtrack); at the end of input the token group is empty.
 # Integers are ASCII digits only: int() would also read (or choke on) other
 # Unicode digits.  A `name` match may start with a non-letter such as "²";
 # tokenize rejects those, since names start with a letter or "_".
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | [ \t\r]+ | \#[^\n]*
-  | (?P<int>[0-9]+)
-  | (?P<name>\w+)
-  | (?P<punct>->|[-{}()\[\]:;,.=*+])
-  | (?P<other>.)
+    [ \t\r\n]* (?:\#[^\n]*[ \t\r\n]*)*
+    (?: (?P<int>[0-9]+)
+      | (?P<name>\w+)
+      | (?P<punct>->|[-{}()\[\]:;,.=*+])
+      | (?P<other>.)
+    )?
 """, re.VERBOSE)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind is not None:
-            column = m.start() - line_start + 1
+class tokenize(Sequence):
+    """The tokens of `text`: kinds, values and start offsets in flat lists.
+    Indexing builds a `Token`, decoding its line and column from its offset,
+    which the parser does only for a diagnostic or a recorded span."""
+
+    def __init__(self, text: str):
+        self.text, self.newlines = text, None
+        self.kinds, self.values, self.starts = kinds, values, starts = [], [], []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                break
+            value = m[kind]
             if kind == "other" or (kind == "name" and not (value[0].isalpha() or value[0] == "_")):
                 raise ParseError(f"unexpected character {value[0]!r}",
-                                 Token("?", value[0], line, column))
-            tokens.append(Token(value if kind == "punct" else kind, value, line, column))
-    # a comment ends the last line without moving the end-of-input column
-    tokens.append(Token("eof", "", line, len(text[line_start:].split("#", 1)[0]) + 1))
-    return tokens
+                                 Token("?", value[0], *self.position(m.start(kind))))
+            kinds.append(value if kind == "punct" else kind)
+            values.append(value)
+            starts.append(m.start(kind))
+        # a comment ends the last line without moving the end-of-input column
+        comment = text.find("#", text.rfind("\n") + 1)
+        kinds.append("eof")
+        values.append("")
+        starts.append(len(text) if comment < 0 else comment)
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """The line and column of a text offset, both counted from 1."""
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.newlines, offset)
+        return line + 1, offset - (self.newlines[line - 1] if line else -1)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.values[i], *self.position(self.starts[i]))
 
 
 # Indexable name: (base, None) plain, (base, int) literal index,
@@ -146,34 +176,42 @@ _ComponentDecl = tuple[str, Optional[int], list[Std], Token, list]
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: tokenize):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.values = tokens.values
         self.pos = 0
+        self.depth = 0  # changeset literals open at this point
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, message: str) -> ParseError:
+        return ParseError(message, self.tokens[self.pos])
 
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value or kind
-            raise ParseError(f"expected {want!r}, found {tok.value!r}", tok)
-        return self.next()
+    def expect(self, kind: str) -> str:
+        """The value of the current token, which must be of `kind`."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.fail(f"expected {kind!r}, found {self.values[pos]!r}")
+        self.pos = pos + 1
+        return self.values[pos]
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.value == word
+        # only a name's value spells a word
+        return self.values[self.pos] == word
 
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            tok = self.peek()
-            raise ParseError(f"expected {word!r}, found {tok.value!r}", tok)
-        return self.next()
+    def accept(self, value: str) -> bool:
+        """Whether the current token is the keyword or punctuation `value`;
+        if so, moves past it."""
+        if self.values[self.pos] != value:
+            return False
+        self.pos += 1
+        return True
+
+    def expect_keyword(self, word: str) -> None:
+        if not self.accept(word):
+            raise self.fail(f"expected {word!r}, found {self.values[self.pos]!r}")
 
     def label(self, word: str) -> None:
         """A body field's `word:` prefix."""
@@ -181,42 +219,38 @@ class _Parser:
         self.expect(":")
 
     def name(self) -> str:
-        return self.expect("name").value
+        return self.expect("name")
 
     def integer(self) -> int:
-        tok = self.expect("int")
-        if len(tok.value) > MAX_INT_DIGITS:
+        pos = self.pos
+        value = self.expect("int")
+        if len(value) > MAX_INT_DIGITS:
             raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits",
-                             tok._replace(value=tok.value[:8]))
-        return int(tok.value)
+                             self.tokens[pos]._replace(value=value[:8]))
+        return int(value)
 
     def iname(self) -> IName:
         base = self.name()
-        if self.peek().kind != "[":
+        if not self.accept("["):
             return (base, None)
-        self.next()
-        tok = self.peek()
-        if tok.kind == "int":
+        if self.at("int"):
             idx: object = self.integer()
-        elif tok.kind == "name" and tok.value == "i":
-            self.next()
+        elif self.accept("i"):
             offset = 0
-            if self.peek().kind == "+":
-                self.next()
+            if self.accept("+"):
                 offset = self.integer()
             idx = ("i", offset)
         else:
-            raise ParseError("expected index: an integer, i, or i+K", tok)
+            raise self.fail("expected index: an integer, i, or i+K")
         self.expect("]")
         return (base, idx)
 
     def name_list(self, stop: str) -> list[str]:
         out: list[str] = []
-        if self.peek().kind == stop:
+        if self.at(stop):
             return out
         out.append(self.name())
-        while self.peek().kind == ",":
-            self.next()
+        while self.accept(","):
             out.append(self.name())
         return out
 
@@ -241,7 +275,7 @@ class _Parser:
     def declared(self, kind: str, parent: str, marks: list) -> tuple[str, str]:
         """A nested declaration's name and its path below the component,
         noting the name's position in `marks`."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         name = self.name()
         path = f"{parent}.{name}" if parent else name
         marks.append((kind, path, tok))
@@ -259,12 +293,11 @@ class _Parser:
         self.expect(";")
         self.label("transitions")
         transitions = []
-        while self.peek().kind == "name" and not self.at_keyword("partition"):
+        while self.at("name") and not self.at_keyword("partition"):
             transitions.append(self.transition(self.name))
             self.expect(";")
         partitions = []
-        while self.at_keyword("partition"):
-            self.next()
+        while self.accept("partition"):
             partitions.append(self.partition_body(*self.declared("partition", "", marks), marks))
         self.expect("}")
         return Std(
@@ -282,8 +315,7 @@ class _Parser:
         initial = self.name()
         self.expect(";")
         phases = []
-        while self.at_keyword("phase"):
-            self.next()
+        while self.accept("phase"):
             phases.append(self.phase_body(*self.declared("phase", path, marks), marks))
         self.expect("}")
         return Partition(name=name, initial=initial, phases=tuple(phases))
@@ -295,15 +327,13 @@ class _Parser:
         self.expect(";")
         self.label("transitions")
         transitions = []
-        if self.peek().kind == "name":
+        if self.at("name"):
             transitions.append(self.transition(self.name))
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 transitions.append(self.transition(self.name))
         self.expect(";")
         traps = []
-        while self.at_keyword("trap"):
-            self.next()
+        while self.accept("trap"):
             traps.append(self.trap_body(self.declared("trap", path, marks)[0]))
         self.expect("}")
         return Phase(name=name, states=frozenset(states),
@@ -320,15 +350,14 @@ class _Parser:
     def component_decl(self) -> _ComponentDecl:
         """`NAME [N]? { ... }` after the `component` keyword; a family
         declares the members NAME1 .. NAMEN with one shared body."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         name = self.name()
         bound = None
-        if self.peek().kind == "[":
-            self.next()
-            bound_tok = self.peek()
+        if self.accept("["):
+            pos = self.pos
             bound = self.integer()
             if bound > MAX_FAMILY_SIZE:
-                raise ParseError(f"family bound {bound} above {MAX_FAMILY_SIZE}", bound_tok)
+                raise ParseError(f"family bound {bound} above {MAX_FAMILY_SIZE}", self.tokens[pos])
             self.expect("]")
         marks: list = []
         std = self.component_body(name, marks)
@@ -339,10 +368,10 @@ class _Parser:
 
     def binding(self) -> tuple[str, object, Token]:
         """`NAME = value;` after `var` or `set`: an integer or a changeset."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         name = self.name()
         self.expect("=")
-        if self.peek().kind == "{":
+        if self.at("{"):
             value: object = self.changeset_literal()
         else:
             value = self.integer()
@@ -351,15 +380,14 @@ class _Parser:
 
     def rule_decl(self) -> PRule:
         """The rest of a rule after its `rule` keyword."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         name = self.iname()
         self.expect(":")
         manager = self.iname()
         self.expect(":")
         step = self.transition(self.iname)
         transfers = []
-        while self.peek().kind == "*":
-            self.next()
+        while self.accept("*"):
             comp = self.iname()
             self.expect("(")
             part = self.iname()
@@ -372,9 +400,8 @@ class _Parser:
             target = self.iname()
             transfers.append((comp, part, source, trap, target))
         change: Optional[Union[str, PChangeSet]] = None
-        if self.at_keyword("with"):
-            self.next()
-            if self.peek().kind == "{":
+        if self.accept("with"):
+            if self.at("{"):
                 change = self.changeset_literal()
             else:
                 change = self.name()
@@ -383,12 +410,14 @@ class _Parser:
                      change=change, token=tok)
 
     def changeset_literal(self) -> PChangeSet:
+        if self.depth == MAX_CHANGESET_DEPTH:
+            raise self.fail(f"changeset nested deeper than {MAX_CHANGESET_DEPTH}")
+        self.depth += 1
         self.expect("{")
         cs = PChangeSet()
-        while self.peek().kind != "}":
-            tok = self.peek()
-            if self.at_keyword("add"):
-                self.next()
+        while not self.at("}"):
+            start = self.pos
+            if self.accept("add"):
                 kind = self.name()
                 if kind == "component":
                     cs.add_components.extend(self.component_decl()[2])
@@ -404,26 +433,25 @@ class _Parser:
                 elif kind == "rule":
                     cs.add_rules.append(self.rule_decl())
                 else:
-                    raise ParseError(f"cannot add {kind!r}", tok)
-            elif self.at_keyword("remove"):
-                self.next()
+                    raise ParseError(f"cannot add {kind!r}", self.tokens[start])
+            elif self.accept("remove"):
                 kind = self.name()
                 if kind == "rule":
-                    name_tok = self.peek()
+                    name_tok = self.tokens[self.pos]
                     cs.remove_rules.append((self.iname(), name_tok))
                 elif kind == "phase":
                     cs.remove_phases.append(tuple(self.dotted(3)))
                 elif kind == "partition":
                     cs.remove_partitions.append(tuple(self.dotted(2)))
                 else:
-                    raise ParseError(f"cannot remove {kind!r}", tok)
+                    raise ParseError(f"cannot remove {kind!r}", self.tokens[start])
                 self.expect(";")
-            elif self.at_keyword("set"):
-                self.next()
+            elif self.accept("set"):
                 cs.set_variables.append(self.binding()[:2])
             else:
-                raise ParseError(f"expected add/remove/set, found {tok.value!r}", tok)
+                raise self.fail(f"expected add/remove/set, found {self.values[start]!r}")
         self.expect("}")
+        self.depth -= 1
         return cs
 
     def document(self) -> tuple[int, list[_ComponentDecl], list, list[PRule]]:
@@ -432,25 +460,21 @@ class _Parser:
         components: list[_ComponentDecl] = []
         variables: list[tuple[str, object, Token]] = []
         rules: list[PRule] = []
-        while self.peek().kind != "eof":
+        while not self.at("eof"):
             if self.at_keyword("version"):
-                tok = self.next()
                 if version is not None:
-                    raise ParseError("duplicate version directive", tok)
+                    raise self.fail("duplicate version directive")
+                self.pos += 1
                 version = self.integer()
                 self.expect(";")
-            elif self.at_keyword("component"):
-                self.next()
+            elif self.accept("component"):
                 components.append(self.component_decl())
-            elif self.at_keyword("rule"):
-                self.next()
+            elif self.accept("rule"):
                 rules.append(self.rule_decl())
-            elif self.at_keyword("var"):
-                self.next()
+            elif self.accept("var"):
                 variables.append(self.binding())
             else:
-                tok = self.peek()
-                raise ParseError(f"expected a declaration, found {tok.value!r}", tok)
+                raise self.fail(f"expected a declaration, found {self.values[self.pos]!r}")
         return version or 0, components, variables, rules
 
 
@@ -469,6 +493,16 @@ class _Builder:
         self.diags.append(
             Diagnostic(code, owner, element, detail, line=token.line, column=token.column)
         )
+
+    def too_deep(self, cs: Optional[ChangeSet], owner: str, name: str, token: Token) -> bool:
+        """Whether changesets nest in `cs` deeper than MAX_CHANGESET_DEPTH,
+        which `with NAME` references reach though each literal stays within
+        it; if so, noted."""
+        if cs is None or _nesting(cs) <= MAX_CHANGESET_DEPTH:
+            return False
+        self.error("changeset-too-deep", owner, name, token,
+                   f"changesets nested deeper than {MAX_CHANGESET_DEPTH}")
+        return True
 
     def resolve_iname(self, iname: IName, index: Optional[int], bound: Optional[int],
                       token: Token) -> str:
@@ -559,6 +593,17 @@ class _Builder:
             remove_phases=tuple(pcs.remove_phases),
             remove_partitions=tuple(pcs.remove_partitions),
         )
+
+
+def _nesting(cs: ChangeSet) -> int:
+    """How deep changesets nest in `cs`, itself included; kept per object,
+    so a chain of `with NAME` references is walked once per link."""
+    facts = cs.__dict__
+    if "nesting" not in facts:
+        inner = [rule.change for rule in cs.add_rules if rule.change is not None]
+        inner += [value for _, value in cs.set_variables if isinstance(value, ChangeSet)]
+        facts["nesting"] = 1 + max(map(_nesting, inner), default=0)
+    return facts["nesting"]
 
 
 def _var_references(value) -> set[str]:
@@ -658,16 +703,19 @@ def parse_model(text: str) -> ParseResult:
         spans[f"var:{name}"] = (token.line, token.column)
         unique_vars.append((name, value, token))
     for name, value, token in _dependency_order(unique_vars, builder):
-        builder.variables[name] = (
-            builder.build_changeset(value) if isinstance(value, PChangeSet) else value
-        )
+        if isinstance(value, PChangeSet):
+            value = builder.build_changeset(value)
+            if builder.too_deep(value, "var", name, token):
+                continue
+        builder.variables[name] = value
     for prule in rule_decls:
         for rule in builder.rule_instances(prule):
             spans[f"rule:{rule.name}"] = (prule.token.line, prule.token.column)
             if rule.name in rules:
                 builder.error("duplicate-name", "rule", rule.name, prule.token)
                 continue
-            rules[rule.name] = rule
+            if not builder.too_deep(rule.change, "rule", rule.name, prule.token):
+                rules[rule.name] = rule
     model = StdModel(
         components=components,
         rules=rules,

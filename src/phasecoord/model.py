@@ -10,11 +10,12 @@ synchronize one manager transition with phase transfers of employee roles.
 All types are immutable values after construction; validation is pure and
 returns ordered diagnostics rather than raising.  Nothing mutates a model,
 its components or the mappings it holds once it is built: a changeset makes
-a new `StdModel`.  Facts derived from one `Std` or `StdModel` object (its
-transitions by source, claimed steps, slot layout, the engine's step
-tables, and the canonical form in `changeset.canonical_model`) are
-therefore computed once per object and kept in its instance `__dict__`,
-where `functools.cached_property` keeps them.
+a new `StdModel`, which shares every component, rule and changeset object
+it leaves alone.  Facts derived from one such object (transitions by
+source, claimed steps, slot layout, the engine's step tables, a
+component's own diagnostics in `validate_model`, and the canonical forms in
+`changeset`) are therefore computed once per object and kept in its
+instance `__dict__`, where `functools.cached_property` keeps them.
 They are not dataclass fields, so `==`, `repr` and `dataclasses.replace`
 ignore them, and a replaced object starts with none.  Each is a function of
 the object alone.
@@ -574,12 +575,15 @@ def validate_model(model: StdModel) -> list[Diagnostic]:
         std = model.components[name]
         if std.name != name:
             out.append(Diagnostic("name-mismatch", name, std.name))
-        out.extend(validate_std(std))
         part_names = [p.name for p in std.partitions]
         for n in sorted(set(n for n in part_names if part_names.count(n) > 1)):
             out.append(Diagnostic("duplicate-partition", name, n))
-        for part in std.partitions:
-            out.extend(_validate_partition(std, part))
+        # the checks of `std` alone, named by `std.name`, kept per object
+        facts = std.__dict__
+        if "diagnostics" not in facts:
+            facts["diagnostics"] = validate_std(std) + [
+                d for part in std.partitions for d in _validate_partition(std, part)]
+        out.extend(facts["diagnostics"])
     for name in sorted(model.rules):
         rule = model.rules[name]
         if rule.name != name:

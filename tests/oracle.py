@@ -174,3 +174,58 @@ def walk_all_states(model, config, limit=100_000, truncate=False):
                         raise RuntimeError("state limit exceeded")
         frontier = nxt_frontier
     return states
+
+
+# -- tokens ----------------------------------------------------------------------
+
+PUNCTUATION = "-{}()[]:;,.=*+"
+
+
+def naive_tokens(text):
+    """The tokens of a `.pdm` text as (kind, value, line, column), read one
+    character at a time from the grammar's lexical rules:
+      * " ", tab and carriage return separate tokens; a newline also starts
+        the next line at column 1; "#" starts a comment up to the newline,
+        which moves no column, so end of input after a last-line comment
+        sits where the comment starts;
+      * a run of ASCII digits is an int; any other run of word characters
+        (letters, digits of any script and "_") is a name, and must start
+        with a letter or "_";
+      * "->" and each character of PUNCTUATION is a token of its own kind.
+    Ends with ("eof", "", line, column).  On a character that starts no
+    token, returns (None, character, line, column) in its place instead.
+    """
+    out = []
+    line, column, i = 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, column, i = line + 1, 1, i + 1
+        elif c in " \t\r":
+            column, i = column + 1, i + 1
+        elif c == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c in "0123456789":
+            j = i
+            while j < len(text) and text[j] in "0123456789":
+                j += 1
+            out.append(("int", text[i:j], line, column))
+            column, i = column + j - i, j
+        elif c.isalnum() or c == "_":
+            if not (c.isalpha() or c == "_"):
+                return out + [(None, c, line, column)]
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("name", text[i:j], line, column))
+            column, i = column + j - i, j
+        elif text.startswith("->", i):
+            out.append(("->", "->", line, column))
+            column, i = column + 2, i + 2
+        elif c in PUNCTUATION:
+            out.append((c, c, line, column))
+            column, i = column + 1, i + 1
+        else:
+            return out + [(None, c, line, column)]
+    return out + [("eof", "", line, column)]

@@ -90,6 +90,17 @@ rule r: X: A - go -> B * X(missing): a - triv -> b;
                                    "detail": "(A,go,B)", "line": 1, "column": 11}],
                                  sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize("case", [
+        "unexpected-char", "trailing-comment", "long-integer", "deep-changeset",
+    ])
+    def test_syntax_error_diagnostics_match_golden_bytes(self, capsys, case):
+        """tests/golden/syntax-CASE.json holds the `--format json validate`
+        stderr of tests/golden/syntax-CASE.pdm."""
+        path = GOLDEN_DIR / f"syntax-{case}.pdm"
+        code, out, err = run_cli(capsys, "--format", "json", "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == (GOLDEN_DIR / f"syntax-{case}.json").read_text("utf-8")
+
     @pytest.mark.parametrize("header,column", [
         ("version ²;", 9), ("version 1²;", 10), ("version ٣;", 9),
     ], ids=["superscript", "after-ascii", "arabic-indic"])

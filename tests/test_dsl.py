@@ -3,15 +3,23 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from dataclasses import fields
 
 import pytest
 
+from phasecoord.bundled import get_bundled
 from phasecoord.changeset import ChangeSet, apply_changeset, canonical_model
 from phasecoord.cli import main as cli_main
-from phasecoord.dsl import ParseError, parse_model, serialize_model, tokenize
+from phasecoord.dsl import (
+    MAX_CHANGESET_DEPTH,
+    ParseError,
+    parse_model,
+    serialize_model,
+    tokenize,
+)
 from phasecoord.model import Configuration, initial_configuration, validate_model
 from phasecoord.properties import (
     CountInState,
@@ -27,6 +35,8 @@ from phasecoord.properties import (
 )
 
 from tests.genmodels import random_model
+from tests.oracle import naive_tokens
+from tests.test_fuzz import mutants
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -376,6 +386,113 @@ def test_end_of_input_error_ignores_a_trailing_comment():
     (diag,) = parse_model("version 0 # no semicolon").diagnostics
     assert diag.code == "syntax-error"
     assert (diag.line, diag.column) == (1, 11)
+
+
+def _tokenizer_view(text):
+    """`tokenize` shaped like `_naive_view`: every token as a tuple, or
+    (None, the first bad character, its line, its column)."""
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except ParseError as exc:
+        return (None, exc.token.value, exc.token.line, exc.token.column)
+
+
+def _naive_view(text):
+    """`naive_tokens`, or its last entry when that marks a bad character."""
+    tokens = naive_tokens(text)
+    return tokens if tokens[-1][0] is not None else tokens[-1]
+
+
+TOKENIZER_EDGE_CASES = [
+    "", "# only a comment", "# only a comment\n", "\n\n", "a # trailing comment",
+    "a\r\nb\r\n  c", "\ta\t->\tb", "a\n\tb # x\n c", "12²", "a ٣", "x²_1 12 _y", "é1 ½",
+    "a-->b", "- >", "version 0;\n\n# end", "component X {\n  states: A;\n}", "a\x00b",
+    "a\u2028b", "a\x0bb", "\r", "#\n#\r\n#",
+]
+
+
+def test_tokenizer_matches_a_character_scanner(bundles):
+    texts = [bundle.model_text() for bundle in bundles.values()]
+    texts += [path.read_text("utf-8") for path in sorted(GOLDEN.glob("*.pdm"))]
+    texts += list(mutants())
+    texts += TOKENIZER_EDGE_CASES
+    for text in texts:
+        assert _tokenizer_view(text) == _naive_view(text), text
+
+
+def test_tokenizer_skips_a_megabyte_of_blanks_and_comments_in_linear_time():
+    blanks = "  \t# a comment\r\n\n   #\n" * 50_000
+    start = time.perf_counter()
+    tokens = tokenize(blanks + "x")
+    elapsed = time.perf_counter() - start
+    assert len(blanks) > 1_000_000
+    assert [tuple(token) for token in tokens] == [
+        ("name", "x", 150_001, 1), ("eof", "", 150_001, 2)]
+    assert elapsed < 0.5
+
+
+def deep_changeset(depth, link):
+    """The shop model with a `var Deep` whose changesets nest `depth` deep,
+    each inside an added rule's `with` clause of the one before: as a
+    literal (`link` "literal"), or as a reference to the next variable
+    ("reference")."""
+    rule = "add rule Deep: Server: Idle - orient -> At1 with"
+    if link == "literal":
+        body = "{}"
+        for _ in range(depth - 1):
+            body = f"{{ {rule} {body}; }}"
+        decls = [f"var Deep = {body};"]
+    else:
+        names = ["Deep"] + [f"Deep{k}" for k in range(2, depth + 1)]
+        decls = [f"var {a} = {{ {rule} {b}; }};" for a, b in zip(names, names[1:])]
+        decls.append(f"var {names[-1]} = {{}};")
+    return get_bundled("shop-migration").model_text() + "\n".join(decls) + "\n"
+
+
+@pytest.mark.parametrize("link", ["literal", "reference"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["serialize"], ["export-dot", "--what", "statespace"],
+    ["explore", "--load-migration", "Deep"], ["simulate", "--load-migration", "Deep", "--steps", "20"],
+], ids=lambda argv: argv[0])
+def test_changesets_nested_to_the_limit_pass_every_walk(tmp_path, capsys, argv, link):
+    path = tmp_path / "deep.pdm"
+    path.write_text(deep_changeset(MAX_CHANGESET_DEPTH, link), "utf-8")
+    assert cli_main([argv[0], str(path), *argv[1:]]) == 0
+    out, err = capsys.readouterr()
+    assert out and "Traceback" not in err
+    if argv == ["serialize"]:
+        assert canonical_model(parse_model(out).model) == canonical_model(
+            parse_model(path.read_text("utf-8")).model)
+
+
+@pytest.mark.parametrize("link, code, diagnostic", [
+    ("literal", 1, ("syntax-error", "parse", "{",
+                    f"changeset nested deeper than {MAX_CHANGESET_DEPTH}")),
+    ("reference", 2, ("changeset-too-deep", "var", "Deep",
+                      f"changesets nested deeper than {MAX_CHANGESET_DEPTH}")),
+])
+def test_changesets_nested_past_the_limit_are_diagnosed(tmp_path, capsys, link, code, diagnostic):
+    text = deep_changeset(MAX_CHANGESET_DEPTH + 1, link)
+    (diag,) = parse_model(text).diagnostics
+    assert (diag.code, diag.owner, diag.element, diag.detail) == diagnostic
+    if link == "literal":
+        assert diag.line == text[:text.rindex("{}")].count("\n") + 1
+    path = tmp_path / "deep.pdm"
+    path.write_text(text, "utf-8")
+    for command in ("validate", "serialize"):
+        assert cli_main([command, str(path)]) == code
+        out, err = capsys.readouterr()
+        assert "nested deeper than" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("decl, owner", [
+    ("rule Deeper: Server: Idle - orient -> At1 with { add rule R: X: a - b -> c with Deep; };",
+     "rule"),
+    ("var Deeper = { set Level = { add rule R: X: a - b -> c with Deep; }; };", "var"),
+])
+def test_literals_may_not_nest_deeper_through_a_reference(decl, owner):
+    (diag,) = parse_model(deep_changeset(MAX_CHANGESET_DEPTH, "reference") + decl).diagnostics
+    assert (diag.code, diag.owner, diag.element) == ("changeset-too-deep", owner, "Deeper")
 
 
 def test_parse_validates_and_reports(bundles):

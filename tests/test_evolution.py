@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import weakref
 from dataclasses import replace
 
@@ -28,7 +29,8 @@ from phasecoord.engine import (
     step_detailed,
     successors,
 )
-from phasecoord.explorer import explore_space, reachable_projection
+from phasecoord.dsl import parse_model, serialize_model
+from phasecoord.explorer import Bounds, explore_space, reachable_projection
 from phasecoord.mcpal import (
     FragmentInvalid,
     McPalNotHibernating,
@@ -54,7 +56,7 @@ from phasecoord.model import (
     validate_model,
 )
 
-from tests.genmodels import random_initial, random_model
+from tests.genmodels import break_model, random_initial, random_model, with_random_changesets
 from tests.oracle import _naive_rule_result
 
 
@@ -234,6 +236,53 @@ class TestCachedModelFacts:
         assert canonical_model(bumped) == (model.version + 1,) + before[1:]
         assert canonical_model(model) == before
         assert bumped != model and not models_equal(bumped, model)
+
+    def test_facts_of_reached_models_match_a_fresh_parse(self, bundles, shop_loaded):
+        """Canonical forms and diagnostics are kept per component, rule and
+        changeset object, which a changeset's result shares with its source.
+        Every model reached, and one broken copy of each (which shares all
+        but one component with it), agrees with a parse of its own text,
+        whose objects are all new."""
+        space = explore_space(*shop_loaded)
+        components = [id(std) for m in space.models for std in m.components.values()]
+        assert len(set(components)) < len(components)  # versions share components
+        starts = [(bundle.model(), None) for bundle in bundles.values()] + [shop_loaded]
+        for seed in range(100):
+            starts.append((with_random_changesets(seed, random_model(seed)), None))
+        rng = random.Random(5)
+        broken = 0
+        for model, config in starts:
+            config = config or initial_configuration(model)
+            for reached in explore_space(model, config, Bounds(max_states=300)).models:
+                variant = break_model(rng, reached)
+                for m in [reached] + ([variant[0]] if variant else []):
+                    fresh = parse_model(serialize_model(m)).model
+                    assert canonical_model(m) == canonical_model(fresh)
+                    assert validate_model(m) == validate_model(fresh)
+                if variant:
+                    # a fact kept under a name rather than an object fails here
+                    assert canonical_model(variant[0]) != canonical_model(reached)
+                    assert validate_model(variant[0]) != validate_model(reached)
+                    broken += 1
+        assert broken > 100
+
+    def test_owner_keyed_diagnostics_are_never_kept(self):
+        """A component registered under a key other than its name: its own
+        checks name the component, while name-mismatch and
+        duplicate-partition name the key, whichever model saw it first."""
+        phase = Phase("All", frozenset({"A"}), frozenset())
+        std = Std("X", frozenset({"A"}), frozenset({"go"}),
+                  frozenset({Transition("A", "go", "B")}), "A",
+                  (Partition("P", (phase,), "All"), Partition("P", (phase,), "Gone")))
+        for keys in (["X", "Y"], ["Y", "X"]):
+            kept = replace(std)
+            for key in keys:
+                got = validate_model(StdModel({key: kept}, {}))
+                assert got == validate_model(StdModel({key: replace(std)}, {}))
+                assert {(d.code, d.owner) for d in got} == {
+                    ("unknown-target", "X"), ("unknown-initial-phase", "X.P"),
+                    ("duplicate-partition", key),
+                } | ({("name-mismatch", "Y")} if key == "Y" else set())
 
 
 def memo_model():
