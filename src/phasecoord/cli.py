@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -198,20 +199,17 @@ def cmd_simulate(args) -> int:
         steps = ((label, config_digest(after)) for label, _, after in taken)
 
     # each record is written as its step is taken, after it is re-fired from
-    # the previous configuration and its digest checked
+    # the previous configuration and its digest checked; `main` reports a
+    # failed write (an OSError), once the trace file is closed
     try:
-        out = open(args.trace_out, "w", encoding="utf-8") if args.trace_out else sys.stdout
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        count, version = write_trace_jsonl(model, config, steps, out.write)
+        if args.trace_out:
+            with open(args.trace_out, "w", encoding="utf-8") as out:
+                count, version = write_trace_jsonl(model, config, steps, out.write)
+        else:
+            count, version = write_trace_jsonl(model, config, steps, sys.stdout.write)
     except ReplayDivergence as exc:
         print(f"replay divergence at step {exc.index}: {label_text(exc.label)}", file=sys.stderr)
         return EXIT_REPLAY
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.trace_out:
         print(f"{count} step(s), final version {version}, trace written to {args.trace_out}",
               file=sys.stderr)
@@ -472,7 +470,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a failed write to standard output shows here
+    except OSError as exc:  # writing a trace, a report or standard output failed
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # standard output is full or its reader is gone
+            _drop_stdout()
+        return EXIT_PARSE
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point standard output at the null device, so that what it still holds
+    is dropped at exit rather than failing to be written again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # not backed by a file descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

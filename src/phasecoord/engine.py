@@ -9,10 +9,16 @@ target phase, and applies the rule's changeset if it carries one.
 
 The engine is a pure transition-function library: (model, configuration) in,
 successors out.  It works on a configuration's slots in its model's
-`model.SlotLayout` and reads the pair form only at its boundary: trace
+`model.SlotLayout` and reads the pair form only at its boundary: report
 records and `entered_traps`.  Digests do not read it: `config_digest`
 hashes `Configuration.key_text`, which a slot-backed configuration joins
-from its layout's text tables, the same bytes as `repr(config.key())`.  Per
+from its layout's text tables, the same bytes as `repr(config.key())`.
+Nor do trace records: `write_trace_jsonl` joins each from its layout's
+JSON tables (`SlotLayout.record_entries`), the same bytes as
+`json.dumps(_state_record(...), sort_keys=True)`.  `_state_record` stays
+the definition of the format, for report records and for a record the
+tables cannot write: a configuration that does not fit the layout, or a
+layout with none (see `SlotLayout._json`).  Per
 model object it compiles one `_StepCore`, kept in the model's `__dict__`
 (see `model`): a table of free steps, which only gains entries, each a
 function of the model and its key, and one `_Guard` per rule.  A successor
@@ -662,6 +668,11 @@ def label_from_json(data: dict) -> StepLabel:
     )
 
 
+# a trace record as `json.dumps(_state_record(...), sort_keys=True)` writes it
+_RECORD = ('{"componentStates": {%s}, "digest": "%s", "index": %d, "label": %s, '
+           '"modelVersion": %s, "rolePhases": {%s}}\n')
+
+
 def _state_record(index: int, label: Optional[StepLabel], config: Configuration, digest: int) -> dict:
     version, detailed, phases = config.key()  # its pairs are sorted already
     return {
@@ -710,9 +721,20 @@ def write_trace_jsonl(
     digest checked (see `_replayed`), so nothing accumulates; returns the
     number of steps and the final model version.  Line 0 is the initial
     configuration, each further line one step."""
+    labels: dict = {}  # the JSON text of each distinct label
     index = 0
-    for index, label, _, config, digest in _replayed(model, config, steps):
-        write(json.dumps(_state_record(index, label, config, digest), sort_keys=True) + "\n")
+    for index, label, model, config, digest in _replayed(model, config, steps):
+        slots = config.slots_in(model.layout)
+        entries = None if slots is None else model.layout.record_entries(slots)
+        if entries is None:  # the configuration or its names do not fit the tables
+            write(json.dumps(_state_record(index, label, config, digest), sort_keys=True) + "\n")
+            continue
+        text = labels.get(label)
+        if text is None:
+            text = labels[label] = json.dumps(label_to_json(label), sort_keys=True)
+        version = slots[0]  # an int writes as its str, without a json.dumps per record
+        write(_RECORD % (entries[0], f"{digest:016x}", index, text,
+                         version if type(version) is int else json.dumps(version), entries[1]))
     return index, config.model_version
 
 
@@ -723,6 +745,9 @@ def export_trace_jsonl(model: StdModel, trace: Trace) -> str:
     lines: list[str] = []
     write_trace_jsonl(model, trace.initial, trace.steps, lines.append)
     return "".join(lines)
+
+
+_DIGEST = re.compile(r"[0-9a-fA-F]{16}")  # a recorded step digest
 
 
 def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
@@ -739,7 +764,7 @@ def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
             label = record.get("label")
             if label is not None:
                 digest = record["digest"]
-                if not re.fullmatch(r"[0-9a-fA-F]{16}", digest):
+                if not _DIGEST.fullmatch(digest):
                     raise ValueError(f"digest {digest!r} is not 16 hex digits")
                 steps.append((label_from_json(label), int(digest, 16)))
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:

@@ -33,13 +33,15 @@ partition), phase) pairs) or by a layout and a flat tuple of slots.
 `key()`, `detailed`, `phases`, `==`, `hash`, `repr` and pickling act on the
 pair form, which a slot-backed configuration decodes once, on first use.
 `key_text()`, the `repr` of the key that digests hash, is joined from
-per-slot texts that a layout builds on its first use, without decoding.
+per-slot texts that a layout builds on its first use, without decoding;
+so are the entries of a trace record (`SlotLayout.record_entries`).
 The engine and the explorer work on slots: a successor copies one flat
 tuple of small ints and replaces the slots its step changes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -219,7 +221,8 @@ class SlotLayout:
     consistency test as a table, one entry per role in slot order:
     (component slot, role slot, per phase index the state indices of that
     phase).  `key_text` gives the `repr` of the pair key that `decode`
-    gives, from text tables built on its first call."""
+    gives, from text tables built on its first call; `record_entries`
+    gives a trace record's entries the same way, from JSON tables."""
 
     def __init__(self, model: StdModel):
         components = model.component_order
@@ -278,6 +281,42 @@ class SlotLayout:
         decoding."""
         head, texts = self._texts
         return "".join([f"({slots[0]!r}{head}", *map(getitem, texts, slots[1:])])
+
+    @cached_property
+    def _json(self) -> Optional[tuple[tuple, tuple]]:
+        """The JSON texts of a trace record's "componentStates" and
+        "rolePhases" entries (see `engine._state_record`): per component slot
+        after 0, per state index, the `"component": "state"` text of that
+        one entry; and per role, in the order of its key `"C.P"`, which
+        `sort_keys` gives and which can differ from slot order, its slot and
+        per phase index its `"C.P": "phase"` text.  None when two roles give
+        the same key, which a record's dict would merge, or a name is not
+        one JSON can write.  Built on a layout's first record, since most
+        layouts never need it."""
+        base = self.role_base
+        roles = [f"{c}.{p}" for c, p in self.owners[base:]]
+        if len(set(roles)) < len(roles):
+            return None
+        try:
+            # each entry as a one-entry dict writes it, so a key is written as a key
+            texts = [tuple(json.dumps({key: name})[1:-1] for name in names)
+                     for key, names in zip((*self.owners[1:base], *roles), self.names[1:])]
+        except (TypeError, ValueError):
+            return None
+        # the role keys are distinct, so their order decides
+        ordered = sorted(zip(roles, range(base, len(self.owners)), texts[base - 1:]))
+        return tuple(texts[:base - 1]), tuple((slot, text) for _, slot, text in ordered)
+
+    def record_entries(self, slots: tuple) -> Optional[tuple[str, str]]:
+        """The text inside the braces of a trace record's "componentStates"
+        and of its "rolePhases" for the configuration in `slots`, joined from
+        per-slot JSON texts; None when the layout has none (see `_json`)."""
+        tables = self._json
+        if tables is None:
+            return None
+        components, roles = tables
+        return (", ".join(map(getitem, components, slots[1:self.role_base])),
+                ", ".join([texts[slots[slot]] for slot, texts in roles]))
 
     def encode(self, key: tuple) -> Optional[tuple]:
         """The slots holding the configuration whose pair key is `key`; None

@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,8 +14,9 @@ from phasecoord.cli import main
 
 FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
             "--check-termination", "3", "--check-progress", "16")
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "flagship-shop.json"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "perfbench" / "golden" / "flagship-shop.json"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 # The exit code of `--format json explore NAME` for each bundled model whose
 # report bytes are kept in tests/golden/explore-NAME.json.
 BUNDLED_EXPLORE_EXITS = {"cs-nondet": 0, "cs-roundrobin": 0, "prodcons": 0, "shop-migration": 4}
@@ -294,6 +298,9 @@ class TestSimulate:
         class Discard:
             def write(self, text):
                 return len(text)
+
+            def flush(self):
+                pass
 
         monkeypatch.setattr("sys.stdout", Discard())
         assert main(["simulate", "prodcons", "--seed", "7", "--steps", "50"]) == 0  # warm caches
@@ -601,6 +608,45 @@ def test_io_failure_is_an_error_exit_1(tmp_path, capsys, site):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def cli_process(*argv, **kwargs) -> subprocess.Popen:
+    """`python -m phasecoord.cli ARGV` in a child process, its standard error piped."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen([sys.executable, "-m", "phasecoord.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def assert_one_error_line(code, err):
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [
+    ("simulate", "shop-migration", "--steps", "300", "--trace-out", "/dev/full"),
+    ("simulate", "shop-migration", "--steps", "300"),
+    ("explore", "shop-migration"),
+    ("serialize", "prodcons"),
+    ("export-dot", "prodcons", "--what", "statespace"),
+    ("demo", "shop-migration"),
+])
+def test_write_to_a_full_device_is_an_error_exit_1(argv):
+    # standard output goes to the full device unless the trace does
+    with open("/dev/full", "w") as full:
+        child = cli_process(*argv, stdout=subprocess.DEVNULL if "--trace-out" in argv else full)
+        err = child.communicate()[1]
+    assert_one_error_line(child.returncode, err)
+
+
+def test_reader_gone_after_one_line_is_an_error_exit_1():
+    # the trace is longer than a pipe holds, so writing it outlives the reader
+    with cli_process("simulate", "shop-migration", "--seed", "3", "--steps", "300",
+                     stdout=subprocess.PIPE) as child:
+        assert child.stdout.readline().startswith('{"componentStates": ')
+        child.stdout.close()
+        err = child.stderr.read()
+    assert_one_error_line(child.returncode, err)
 
 
 def test_serialize_round_trips_via_cli(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The engine's successor relation against the brute-force enumerator, and
 the explorer's compiled predicates against `eval_predicate`."""
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -14,6 +15,8 @@ from phasecoord.engine import (
     UnknownElement,
     RandomPolicy,
     RuleStep,
+    _replayed,
+    _state_record,
     config_digest,
     enabled_rules,
     fire_rule,
@@ -21,6 +24,7 @@ from phasecoord.engine import (
     rule_blocker,
     run,
     successors,
+    write_trace_jsonl,
 )
 from phasecoord.explorer import Bounds, explore, explore_space
 from phasecoord.mcpal import McPalSkeleton, completion_test, load_migration, migration_complete
@@ -30,12 +34,14 @@ from phasecoord.model import (
     ConsistencyRule,
     Partition,
     Phase,
+    RoleTransfer,
     Std,
     StdModel,
     Transition,
     _configuration_diagnostics,
     initial_configuration,
     validate_configuration,
+    validate_model,
 )
 from phasecoord.properties import PropertyError, compile_predicate, eval_predicate
 
@@ -520,3 +526,114 @@ class TestCompiledPredicates:
                 want = [idx for idx, (m, c) in enumerate(states)
                         if migration_complete(m, c, target, sk)]
                 assert list(space.where(partial(completion_test, target_version=target))) == want
+
+
+def state_record_lines(model, config, steps):
+    """Each line of the trace as `_state_record` defines the format."""
+    return [json.dumps(_state_record(index, label, c, digest), sort_keys=True) + "\n"
+            for index, label, _, c, digest in _replayed(model, config, steps)]
+
+
+def assert_records_agree(model, config, seeds, max_steps=60):
+    """On a random walk from `config` per seed, every line `write_trace_jsonl`
+    writes equals the `_state_record` line; returns the steps compared and
+    the number of walks that changed the model version."""
+    steps = changed = 0
+    for seed in seeds:
+        trace = run(model, config, RandomPolicy(seed), max_steps)
+        lines = []
+        assert write_trace_jsonl(model, config, trace.steps, lines.append) == (
+            len(trace), trace.final_model_version)
+        assert lines == state_record_lines(model, config, trace.steps)
+        steps += len(trace)
+        changed += trace.final_model_version != config.model_version
+    return steps, changed
+
+
+def named_model(roles):
+    """A valid model whose components and partitions have the given names:
+    `roles` maps each component to its partition names.  Each component
+    toggles between two states, one with a non-ASCII name; each role has two
+    phases holding both, and two rules claiming the step back move every role
+    of the component from one to the other."""
+    states = frozenset({"Idle", "Büsy"})
+    go, back = Transition("Idle", "go", "Büsy"), Transition("Büsy", "back", "Idle")
+    moves = frozenset({go, back})
+    phases = (Phase("ph-1", states, moves), Phase("ph.2", states, moves))
+    components, rules = {}, {}
+    for comp, parts in roles.items():
+        components[comp] = Std(comp, states, frozenset({"go", "back"}), moves, "Idle",
+                               tuple(Partition(p, phases, "ph-1") for p in parts))
+        for name, source, target in ((f"{comp}>", "ph-1", "ph.2"), (f"{comp}<", "ph.2", "ph-1")):
+            transfers = tuple(RoleTransfer(comp, p, source, "triv", target) for p in parts)
+            rules[name] = ConsistencyRule(name, comp, back, transfers)
+    model = StdModel(components, rules, {}, 0)
+    assert validate_model(model) == []
+    return model
+
+
+class TestTraceRecords:
+    """`write_trace_jsonl` joins each record from its layout's JSON tables;
+    `_state_record` defines the format."""
+
+    def test_bundled_models(self, bundles, shop_loaded):
+        systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
+        changed = 0
+        for model, config in systems + [shop_loaded]:
+            assert model.layout.record_entries(config.slots_in(model.layout)) is not None
+            steps, walks = assert_records_agree(model, config, range(5), max_steps=200)
+            assert steps > 0
+            changed += walks
+        assert changed > 0  # the loaded migration's changesets ran
+
+    def test_random_models(self):
+        steps = changed = 0
+        for seed in range(200):
+            model = random_model(seed)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            counts = assert_records_agree(model, random_initial(model), (seed, seed + 1))
+            steps, changed = steps + counts[0], changed + counts[1]
+        assert steps > 1000 and changed >= 10
+
+    def test_names_json_escapes_and_roles_out_of_slot_order(self):
+        # "A-B.y" sorts before "A.x" ('-' before '.'), though role (A, x)
+        # has the lower slot
+        model = named_model({"Café": ["rôle"], 'Say "hi"': ["p"], "back\\slash": ["p", "q"],
+                             "A": ["x"], "A-B": ["y"]})
+        config = initial_configuration(model)
+        _, roles = model.layout._json
+        assert [slot for slot, _ in roles] != sorted(slot for slot, _ in roles)
+        assert assert_records_agree(model, config, range(5))[0] > 0
+        lines = []
+        write_trace_jsonl(model, config, run(model, config, RandomPolicy(0), 5).steps, lines.append)
+        assert r'"Caf\u00e9": "Idle"' in lines[0] and r'"Say \"hi\".p": "ph-1"' in lines[0]
+
+    def test_component_names_json_writes_as_keys(self):
+        # JSON writes an int key as a string; `sort_keys` orders the ints
+        model = named_model({7: ["p"], 12: ["q"]})
+        assert assert_records_agree(model, initial_configuration(model), range(3))[0] > 0
+
+    def test_roles_whose_keys_collide_take_the_state_record(self):
+        # role (A.b, c) and role (A, b.c) both write the key "A.b.c"; the
+        # record's dict keeps one entry
+        model = named_model({"A.b": ["c"], "A": ["b.c"]})
+        assert model.layout._json is None
+        assert model.layout.record_entries((0, 0, 0, 0, 0)) is None
+        assert assert_records_agree(model, initial_configuration(model), range(5))[0] > 0
+
+    def test_key_backed_and_misfit_initial_configurations(self, bundles):
+        model = bundles["cs-nondet"].model()
+        good = initial_configuration(model)
+        assert good._layout is None  # key-backed: its record encodes it
+        trace = run(model, good, RandomPolicy(1), 10)
+        lines = []
+        write_trace_jsonl(model, good, trace.steps, lines.append)
+        assert lines == state_record_lines(model, good, trace.steps)
+        # record 0 is written before the first step finds the misfit
+        bad = Configuration({**good.detailed, "Worker1": "Bogus"}, dict(good.phases), 0)
+        lines = []
+        with pytest.raises(UnknownElement):
+            write_trace_jsonl(model, bad, trace.steps, lines.append)
+        assert lines == [
+            json.dumps(_state_record(0, None, bad, config_digest(bad)), sort_keys=True) + "\n"]
