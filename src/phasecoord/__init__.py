@@ -24,7 +24,6 @@ from .engine import (
     config_digest,
     enabled_detailed,
     enabled_rules,
-    entered_traps,
     export_trace_jsonl,
     fire_rule,
     parse_trace_labels,

@@ -153,35 +153,38 @@ def _interactive_chooser(labels) -> Optional[int]:
         print(f"out of range: {idx}", file=sys.stderr)
 
 
-def _load_fragment(model, config, variable: str):
-    """(model, configuration) with the changeset held by `variable` loaded
-    into the coordinator (`mcpal.load_migration`); None once why not is
+def _start(args):
+    """The (model, initial configuration) a run starts from, with EXIT_OK:
+    the model at `args.path`, with the changeset that the variable
+    `args.load_migration` names, if any, loaded into the coordinator
+    (`mcpal.load_migration`); or None with the exit code once the reason is
     reported."""
-    fragment = model.variables.get(variable)
-    if not isinstance(fragment, ChangeSet):
-        print(f"error: variable {variable!r} holds no changeset", file=sys.stderr)
-        return None
-    try:
-        return load_migration(model, config, fragment)
-    except (McPalNotHibernating, FragmentInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def cmd_simulate(args) -> int:
     model, code = _load_model(args)
     if model is None:
-        return code
+        return None, code
     config = initial_configuration(model)
     bad = validate_configuration(model, config)
     if bad:
         _emit_diags(bad, args.format)
-        return EXIT_VALIDATION
-    if args.load_migration:
-        loaded = _load_fragment(model, config, args.load_migration)
-        if loaded is None:
-            return EXIT_VALIDATION
-        model, config = loaded
+        return None, EXIT_VALIDATION
+    if not args.load_migration:
+        return (model, config), EXIT_OK
+    fragment = model.variables.get(args.load_migration)
+    if not isinstance(fragment, ChangeSet):
+        print(f"error: variable {args.load_migration!r} holds no changeset", file=sys.stderr)
+        return None, EXIT_VALIDATION
+    try:
+        return load_migration(model, config, fragment), EXIT_OK
+    except (McPalNotHibernating, FragmentInvalid) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, EXIT_VALIDATION
+
+
+def cmd_simulate(args) -> int:
+    started, code = _start(args)
+    if started is None:
+        return code
+    model, config = started
 
     if args.script:
         try:
@@ -217,20 +220,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    model, code = _load_model(args)
-    if model is None:
+    started, code = _start(args)
+    if started is None:
         return code
-    config = initial_configuration(model)
-    bad = validate_configuration(model, config)
-    if bad:
-        _emit_diags(bad, args.format)
-        return EXIT_VALIDATION
-
-    if args.load_migration:
-        loaded = _load_fragment(model, config, args.load_migration)
-        if loaded is None:
-            return EXIT_VALIDATION
-        model, config = loaded
+    model, config = started
 
     if _below_least((("--max-states", args.max_states, 1),
                      ("--max-depth", args.max_depth, 0),

@@ -10,9 +10,9 @@ target phase, and applies the rule's changeset if it carries one.
 The engine is a pure transition-function library: (model, configuration) in,
 successors out.  It works on a configuration's slots in its model's
 `model.SlotLayout` and reads the pair form only at its boundary: report
-records and `entered_traps`.  Digests do not read it: `config_digest`
-hashes `Configuration.key_text`, which a slot-backed configuration joins
-from its layout's text tables, the same bytes as `repr(config.key())`.
+records.  Digests do not read it: `config_digest` hashes
+`Configuration.key_text`, which a slot-backed configuration joins from its
+layout's text tables, the same bytes as `repr(config.key())`.
 Nor do trace records: `write_trace_jsonl` joins each from its layout's
 JSON tables (`SlotLayout.record_entries`), the same bytes as
 `json.dumps(_state_record(...), sort_keys=True)`.  `_state_record` stays
@@ -122,12 +122,6 @@ def label_text(label: StepLabel) -> str:
         t = label.transition
         return f"detailed {label.component}: {t.source}-{t.action}->{t.target}"
     return f"rule {label.rule}"
-
-
-def label_sort_key(label: StepLabel) -> tuple:
-    if isinstance(label, DetailedStep):
-        return (0, label.component, label.transition)
-    return (1, label.rule)
 
 
 def mover(label: StepLabel) -> str:
@@ -430,24 +424,6 @@ def enabled_detailed(model: StdModel, config: Configuration, component: str) -> 
     core = _core(model)
     slots = _slots(core.layout, config)
     return {step.transition for step, _ in core.free_steps(slots, core.layout.slot[component])}
-
-
-def entered_traps(model: StdModel, config: Configuration, component: str, partition: str) -> set[str]:
-    """Names of the current phase's traps containing the detailed state.
-
-    Because traps are closed and phases change only via rule firings,
-    membership now is equivalent to "was entered and never left".  The
-    whole-phase trap `triv` is always present.
-    """
-    std = model.components.get(component)
-    part = std.partition_named(partition) if std else None
-    if part is None:
-        raise UnknownElement(f"{component}.{partition}")
-    phase = part.phase_named(config.phases[(component, partition)])
-    if phase is None:
-        raise UnknownElement(f"{component}.{partition}: current phase missing")
-    state = config.detailed[component]
-    return {t.name for t in phase.all_traps() if state in t.states}
 
 
 def _fire(

@@ -16,7 +16,10 @@ another layout, after a changeset made a new model object, and
 `Space.state` decodes a configuration only for traces and exports.
 Exploration is one serial BFS: each frontier state's successors are
 computed and interned in order, so state indices, edges and reports are
-deterministic.
+deterministic.  `Space.edges` is grouped by source, in increasing source
+order, and each source's edges are in `successors` order; so the
+termination lasso's next step from a state is its first edge, found by
+bisection.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
@@ -29,6 +32,7 @@ the space (`properties.compile_predicate`); `configuration-valid` is
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
@@ -41,7 +45,6 @@ from .engine import (
     _slots,
     _state_record,
     config_digest,
-    label_sort_key,
     label_text,
     mover,
     successors,
@@ -107,12 +110,6 @@ class Space:
 
     def versions_seen(self) -> list[int]:
         return sorted({slots[0] for _, slots in self.states})
-
-    def adjacency(self) -> list[list[tuple[StepLabel, int]]]:
-        out: list[list[tuple[StepLabel, int]]] = [[] for _ in range(len(self.states))]
-        for src, label, dst in self.edges:
-            out[src].append((label, dst))
-        return out
 
     @cached_property
     def reverse_adjacency(self) -> list[list[int]]:
@@ -299,10 +296,11 @@ def _within_bound_to_targets(space: Space, targets: Sequence[int]) -> list[int]:
 
 
 def _sorted_violations(space: Space, items: list[tuple[str, int]]) -> list[tuple[str, list[dict]]]:
+    """Shortest trace first, then by its labels' text, then by property."""
     def sort_key(item):
         prop, state = item
-        trace = space.trace_to(state)
-        return (len(trace.steps), [label_text(l) for l in trace.labels()], prop)
+        path = space._path(state)
+        return (len(path), [label_text(space.parent[idx][1]) for idx in path[1:]], prop)
 
     return [(prop, space.trace_records(state)) for prop, state in sorted(items, key=sort_key)]
 
@@ -434,14 +432,14 @@ def check_migration_termination(
         # Every successor of a completion-unreachable state is itself
         # completion-unreachable, and none deadlocks (handled above), so a
         # lasso exists inside the doomed region; extend the stem into it
-        # until a state repeats.
-        adjacency = space.adjacency()
+        # until a state repeats, taking each state's first edge (`(at,)`
+        # sorts before every edge of `at`, and no label is compared).
         stem = space.trace_to(doomed)
         steps = list(stem.steps)
         seen_on_loop = {doomed}
         at = doomed
         while True:
-            label, nxt = sorted(adjacency[at], key=lambda e: label_sort_key(e[0]))[0]
+            _, label, nxt = space.edges[bisect_left(space.edges, (at,))]
             steps.append((label, config_digest(space.state(nxt))))
             if nxt in seen_on_loop:
                 break

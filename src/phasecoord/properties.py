@@ -11,10 +11,10 @@ Predicates are boolean combinations (and/or/not, parentheses) of the atoms
 inState(C, s), inPhase(C, P, ph), countInState({C.s, ...}, <=, n) and
 modelVersionIs(n).  One property per line in a .pprop file; "#" comments.
 
-`eval_predicate` decides a predicate on one configuration.  Sweeps over an
-explored space use `compile_predicate` instead: it turns a predicate into a
-test over the slots of one model's layout (see `model.SlotLayout`), built
-once per model, so no state's `detailed` view is built to check it.
+`compile_predicate` is the one evaluator: it turns a predicate into a test
+over the slots of one model's layout (see `model.SlotLayout`), built once
+per model, so a sweep over an explored space builds no state's `detailed`
+view.  `eval_predicate` decides one configuration through it.
 """
 
 from __future__ import annotations
@@ -135,47 +135,6 @@ def _unknown_component(name: str, atom: Predicate) -> str:
     return f"{atom.text()}: unknown component {name}"
 
 
-def _check_component(model: StdModel, name: str, atom: Predicate):
-    if name not in model.components:
-        raise PropertyError(_unknown_component(name, atom))
-
-
-def eval_predicate(pred: Predicate, model: StdModel, config: Configuration) -> bool:
-    if isinstance(pred, InState):
-        _check_component(model, pred.component, pred)
-        return config.detailed.get(pred.component) == pred.state
-    if isinstance(pred, InPhase):
-        _check_component(model, pred.component, pred)
-        return config.phases.get((pred.component, pred.partition)) == pred.phase
-    if isinstance(pred, CountInState):
-        count = 0
-        for comp, state in pred.pairs:
-            _check_component(model, comp, pred)
-            if config.detailed.get(comp) == state:
-                count += 1
-        return {
-            "<=": count <= pred.bound,
-            "<": count < pred.bound,
-            "==": count == pred.bound,
-            ">=": count >= pred.bound,
-            ">": count > pred.bound,
-            "!=": count != pred.bound,
-        }[pred.op]
-    if isinstance(pred, ModelVersionIs):
-        return config.model_version == pred.version
-    if isinstance(pred, Not):
-        return not eval_predicate(pred.operand, model, config)
-    if isinstance(pred, And):
-        return eval_predicate(pred.left, model, config) and eval_predicate(
-            pred.right, model, config
-        )
-    if isinstance(pred, Or):
-        return eval_predicate(pred.left, model, config) or eval_predicate(
-            pred.right, model, config
-        )
-    raise PropertyError(f"unknown predicate node {pred!r}")
-
-
 # A compiled predicate: a test over the slots of one model's layout.
 SlotTest = Callable[[tuple], bool]
 
@@ -203,12 +162,10 @@ def _slot_equals(slot: int, value: int) -> SlotTest:
 def compile_predicate(pred: Predicate, model: StdModel) -> SlotTest:
     """`pred` as a test over the slots of `model.layout`.
 
-    On every configuration that fits the layout the test returns what
-    `eval_predicate(pred, model, config)` returns, and raises the same
-    `PropertyError` where that does: an atom naming a component the model
-    lacks compiles to a test that raises when it is reached, so and/or keep
-    their short-circuit order.  An unknown state, role or phase compiles to a
-    test that never passes."""
+    An atom naming a component the model lacks compiles to a test that
+    raises `PropertyError` when it is reached, so and/or keep their
+    short-circuit order.  An unknown state, role or phase compiles to a test
+    that never passes."""
     layout = model.layout
     if isinstance(pred, InState):
         if pred.component not in model.components:
@@ -247,6 +204,16 @@ def compile_predicate(pred: Predicate, model: StdModel) -> SlotTest:
         left, right = compile_predicate(pred.left, model), compile_predicate(pred.right, model)
         return lambda slots: left(slots) or right(slots)
     return _raising(f"unknown predicate node {pred!r}")
+
+
+def eval_predicate(pred: Predicate, model: StdModel, config: Configuration) -> bool:
+    """`pred` at one configuration: its `compile_predicate` test on the
+    configuration's slots.  A configuration that does not fit `model.layout`
+    raises `PropertyError` naming its first entry that does not fit."""
+    slots = config.slots_in(model.layout)
+    if slots is None:
+        raise PropertyError(model.layout.misfit(config.key()))
+    return compile_predicate(pred, model)(slots)
 
 
 class _Scanner:
@@ -289,11 +256,14 @@ class _Scanner:
             raise _PropParseError(self.error("expected a name"))
         return name
 
-    def peek_word(self) -> str:
+    def take_keyword(self, word: str) -> bool:
+        """Take `word` when it is the next whole word, as "not" in "not(" but
+        not in "notable"."""
         saved = self.pos
-        word = self.take_word()
+        if self.take_word() == word:
+            return True
         self.pos = saved
-        return word
+        return False
 
     def take(self, literal: str) -> bool:
         self.skip_ws()
@@ -333,7 +303,7 @@ def _parse_atom(sc: _Scanner) -> Predicate:
         sc.require(")")
         sc.nest(-1)
         return inner
-    if sc.take("not ") or sc.take("!"):
+    if sc.take_keyword("not") or sc.take("!"):
         sc.nest(1)
         operand = _parse_atom(sc)
         sc.nest(-1)
@@ -388,10 +358,7 @@ def _parse_and(sc: _Scanner) -> Predicate:
     left = _parse_atom(sc)
     links = 0
     while True:
-        sc.skip_ws()
-        if sc.peek_word() == "and":
-            sc.take_word()
-        elif not sc.take("&&"):
+        if not (sc.take_keyword("and") or sc.take("&&")):
             sc.nest(-links)
             return left
         links += 1
@@ -403,10 +370,7 @@ def _parse_or(sc: _Scanner) -> Predicate:
     left = _parse_and(sc)
     links = 0
     while True:
-        sc.skip_ws()
-        if sc.peek_word() == "or":
-            sc.take_word()
-        elif not sc.take("||"):
+        if not (sc.take_keyword("or") or sc.take("||")):
             sc.nest(-links)
             return left
         links += 1
@@ -425,8 +389,7 @@ def parse_property(text: str, line: int = 1) -> Union[PropertyExpr, Diagnostic]:
             prop = Reachable(_parse_or(sc))
         elif head == "eventuallyAll":
             pred = _parse_or(sc)
-            word = sc.take_word()
-            if word != "bound":
+            if sc.take_word() != "bound":
                 raise _PropParseError(sc.error("expected 'bound N'"))
             prop = EventuallyAll(pred, sc.take_int())
         else:

@@ -17,10 +17,25 @@ A rule is possible iff:
 
 Only changeset application is shared with the implementation; enabledness
 and the transfer mechanics are re-derived here.
+
+The module also holds the independent second evaluators the tests check
+`src/` against: trap membership (`naive_entered_traps`), predicates read
+from a configuration's pair form (`naive_eval_predicate`) and the `.pdm`
+tokens (`naive_tokens`).
 """
 
 from phasecoord.changeset import apply_changeset, canonical_model, validate_changeset
 from phasecoord.model import Configuration
+from phasecoord.properties import (
+    And,
+    CountInState,
+    InPhase,
+    InState,
+    ModelVersionIs,
+    Not,
+    Or,
+    PropertyError,
+)
 
 
 def _phase_of(model, config, component, partition_name):
@@ -174,6 +189,62 @@ def walk_all_states(model, config, limit=100_000, truncate=False):
                         raise RuntimeError("state limit exceeded")
         frontier = nxt_frontier
     return states
+
+
+def naive_entered_traps(model, config, component, partition):
+    """Names of the traps of the role's current phase that hold the
+    component's detailed state, the whole-phase trap 'triv' included.
+    Traps are closed and phases change only through rule firings, so between
+    two firings that move the role this set can only grow."""
+    phase = _phase_of(model, config, component, partition)
+    state = config.detailed[component]
+    names = {"triv"} if state in phase.states else set()
+    return names | {trap.name for trap in phase.traps if state in trap.states}
+
+
+# -- predicates ------------------------------------------------------------------
+
+def _naive_component(model, name, atom):
+    if name not in model.components:
+        raise PropertyError(f"{atom.text()}: unknown component {name}")
+
+
+def naive_eval_predicate(pred, model, config):
+    """A predicate at one configuration, read from its pair form: an atom
+    naming a component the model lacks raises PropertyError when it is
+    reached (and/or short-circuit left to right), and an unknown state, role
+    or phase never matches."""
+    if isinstance(pred, InState):
+        _naive_component(model, pred.component, pred)
+        return config.detailed.get(pred.component) == pred.state
+    if isinstance(pred, InPhase):
+        _naive_component(model, pred.component, pred)
+        return config.phases.get((pred.component, pred.partition)) == pred.phase
+    if isinstance(pred, CountInState):
+        count = 0
+        for comp, state in pred.pairs:
+            _naive_component(model, comp, pred)
+            if config.detailed.get(comp) == state:
+                count += 1
+        return {
+            "<=": count <= pred.bound,
+            "<": count < pred.bound,
+            "==": count == pred.bound,
+            ">=": count >= pred.bound,
+            ">": count > pred.bound,
+            "!=": count != pred.bound,
+        }[pred.op]
+    if isinstance(pred, ModelVersionIs):
+        return config.model_version == pred.version
+    if isinstance(pred, Not):
+        return not naive_eval_predicate(pred.operand, model, config)
+    if isinstance(pred, And):
+        return (naive_eval_predicate(pred.left, model, config)
+                and naive_eval_predicate(pred.right, model, config))
+    if isinstance(pred, Or):
+        return (naive_eval_predicate(pred.left, model, config)
+                or naive_eval_predicate(pred.right, model, config))
+    raise PropertyError(f"unknown predicate node {pred!r}")
 
 
 # -- tokens ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 from phasecoord.changeset import ChangeSet, canonical_model
 from phasecoord.cli import main as cli_main
 from phasecoord.dsl import parse_model, serialize_model
-from phasecoord.engine import RuleStep, successors, entered_traps
+from phasecoord.engine import RuleStep, successors
 from phasecoord.explorer import (
     check_migration_termination,
     check_progress,
@@ -33,7 +33,7 @@ from phasecoord.model import (
 from phasecoord.properties import CountInState
 
 from tests.genmodels import random_initial, random_model
-from tests.oracle import engine_successor_set, naive_successors, walk_all_states
+from tests.oracle import engine_successor_set, naive_entered_traps, naive_successors, walk_all_states
 from tests.test_model import elementwise_accepts
 
 SHOP_STATES = 116
@@ -90,7 +90,7 @@ def test_criterion_2_semantics_invariant_suite():
         config = random_initial(model)
         rng = random.Random(seed * 7 + 3)
         tracked = [(c, p.name) for c, s in model.components.items() for p in s.partitions]
-        entered = {r: entered_traps(model, config, *r) for r in tracked}
+        entered = {r: naive_entered_traps(model, config, *r) for r in tracked}
         for _ in range(200):
             succ = successors(model, config)
             if not succ:
@@ -109,7 +109,7 @@ def test_criterion_2_semantics_invariant_suite():
             )
             model, config = model2, config2
             for role in tracked:
-                now = entered_traps(model, config, *role)
+                now = naive_entered_traps(model, config, *role)
                 if role not in moved:
                     assert entered[role] <= now
                 entered[role] = now

@@ -1,6 +1,7 @@
 """Parser, serializer, round-trip identity, property expressions."""
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -29,12 +30,13 @@ from phasecoord.properties import (
     Invariant,
     ModelVersionIs,
     Not,
+    Reachable,
     eval_predicate,
     parse_properties,
     parse_property,
 )
 
-from tests.genmodels import random_model
+from tests.genmodels import predicate_vocabulary, random_model, random_predicate
 from tests.oracle import naive_tokens
 from tests.test_fuzz import mutants
 
@@ -352,6 +354,26 @@ class TestProperties:
         assert len(props) == 4
         assert isinstance(props[0], Invariant)
         assert isinstance(props[3], EventuallyAll)
+
+    @pytest.mark.parametrize("negation", [
+        "not(inState(W, a))", "not\tinState(W, a)", "!inState(W, a)", "not inState(W, a)",
+    ], ids=["parenthesis", "tab", "bang", "space"])
+    def test_not_is_a_word_and_bang_a_symbol(self, negation):
+        props, diags = parse_properties(f"invariant {negation}\n")
+        assert diags == [] and props == [Invariant(Not(InState("W", "a")))]
+
+    def test_a_word_that_starts_with_not_is_no_negation(self):
+        props, diags = parse_properties("invariant notable(W, a)\n")
+        assert props == [] and [d.detail for d in diags] == ["expected an atom, found 'notable'"]
+
+    def test_predicate_text_parses_back(self):
+        rng = random.Random(18)
+        for seed in range(200):
+            vocabulary = predicate_vocabulary([random_model(seed)])
+            # a version in the grammar is a non-negative integer
+            pred = random_predicate(rng, vocabulary, [1, 4])
+            for prop in (Invariant(pred), Reachable(pred), EventuallyAll(pred, seed)):
+                assert parse_property(prop.text()) == prop
 
     def test_eval_atoms(self, bundles):
         model = bundles["prodcons"].model()

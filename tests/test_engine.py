@@ -21,7 +21,6 @@ from phasecoord.engine import (
     config_digest,
     enabled_detailed,
     enabled_rules,
-    entered_traps,
     export_trace_jsonl,
     fire_rule,
     parse_trace_labels,
@@ -50,6 +49,7 @@ from phasecoord.model import (
 )
 
 from tests.genmodels import random_initial, random_model, with_random_changesets
+from tests.oracle import naive_entered_traps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -107,15 +107,17 @@ class TestEnabledDetailed:
 
 
 class TestEnteredTraps:
+    """The oracle's trap membership, which the walk suites below read."""
+
     def test_state_in_named_trap(self):
         model = one_role_model()
         config = Configuration({"X": "B"}, {("X", "r"): "P"}, 0)
-        assert entered_traps(model, config, "X", "r") == {TRIV, "done"}
+        assert naive_entered_traps(model, config, "X", "r") == {TRIV, "done"}
 
     def test_state_outside_named_trap(self):
         model = one_role_model()
         config = initial_configuration(model)
-        assert entered_traps(model, config, "X", "r") == {TRIV}
+        assert naive_entered_traps(model, config, "X", "r") == {TRIV}
 
     def test_nested_traps_both_entered(self):
         go = T("A", "go", "B")
@@ -129,7 +131,7 @@ class TestEnteredTraps:
         model = StdModel({"X": comp}, {}, {}, 0)
         assert validate_model(model) == []
         config = Configuration({"X": "C"}, {("X", "r"): "P"}, 0)
-        assert entered_traps(model, config, "X", "r") == {TRIV, "t1", "t2"}
+        assert naive_entered_traps(model, config, "X", "r") == {TRIV, "t1", "t2"}
 
 
 def scheduler_worker_model():
@@ -469,7 +471,7 @@ class TestWalkInvariants:
                 (c, p.name) for c, s in model.components.items() for p in s.partitions
             ]
             entered = {
-                role: entered_traps(model, config, role[0], role[1]) for role in tracked
+                role: naive_entered_traps(model, config, role[0], role[1]) for role in tracked
             }
             for _ in range(40):
                 succ = successors(model, config)
@@ -489,7 +491,7 @@ class TestWalkInvariants:
                 for role in tracked:
                     if role not in config.phases:
                         continue
-                    now = entered_traps(model, config, role[0], role[1])
+                    now = naive_entered_traps(model, config, role[0], role[1])
                     if role in moved or isinstance(label, RuleStep) and label.changed:
                         entered[role] = now
                     else:

@@ -12,7 +12,7 @@ import pytest
 from phasecoord.bundled import get_bundled
 from phasecoord.changeset import ChangeSet
 from phasecoord.dsl import parse_model
-from phasecoord.engine import UnknownElement, export_trace_jsonl, replay
+from phasecoord.engine import DetailedStep, UnknownElement, export_trace_jsonl, label_text, replay
 from phasecoord.explorer import (
     Bounds,
     check_invariant,
@@ -37,6 +37,8 @@ from phasecoord.model import (
     initial_configuration,
 )
 from phasecoord.properties import CountInState, InState, ModelVersionIs, Not, parse_property
+
+from tests.genmodels import random_initial, random_model, with_random_changesets
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
@@ -291,6 +293,50 @@ class TestShortestTrace:
         assert again.final_model_version == 3
 
 
+def broken_bridge_shop(bundles):
+    """The shop with its migration loaded, but with a broken bridge: the
+    orient step is missing, so the shrink rule's oriented trap is never
+    entered; a spinner keeps the system live."""
+    bundle = bundles["shop-migration"]
+    model = bundle.model()
+    fragment = bundle.fragment()
+    dead_bridge = Phase("Bridge", frozenset({"Idle", "At1"}), frozenset(),
+                        (Trap("oriented", frozenset({"At1"})),))
+    tick = Transition("s", "tick", "s")
+    spinner = Std("Spinner", frozenset({"s"}), frozenset({"tick"}),
+                  frozenset({tick}), "s")
+    broken = dc_replace(
+        fragment,
+        add_phases=tuple(
+            ("Server", "Evol", dead_bridge) if ph.name == "Bridge" else (c, p, ph)
+            for c, p, ph in fragment.add_phases
+        ),
+        add_components=fragment.add_components + (spinner,),
+    )
+    return load_migration(model, initial_configuration(model), broken)
+
+
+# Per target version, the `cycle` witness of the broken-bridge shop as (label
+# text, digest) per step, from a lasso that sorted each state's edges by
+# `successor_order` before it took the least.
+BROKEN_BRIDGE_LASSOS = {
+    1: [("rule McPal_kickoff", 8373985381742807460),
+        ("detailed Client1: Out-browse->Out", 8373985381742807460)],
+    2: [("detailed Client1: Out-browse->Out", 15551536399367846695)],
+    3: [("detailed Client1: Out-browse->Out", 15551536399367846695)],
+    4: [("detailed Client1: Out-browse->Out", 15551536399367846695)],
+    5: [("detailed Client1: Out-browse->Out", 15551536399367846695)],
+}
+
+
+def successor_order(label):
+    """The order of a state's steps in `successors`: detailed steps by
+    (component, transition), then rule firings by rule name."""
+    if isinstance(label, DetailedStep):
+        return (0, label.component, label.transition)
+    return (1, label.rule)
+
+
 class TestTermination:
     def test_identity_migration_terminates_quickly(self, bundles):
         model = bundles["shop-migration"].model()
@@ -307,32 +353,40 @@ class TestTermination:
         assert result.max_depth == 9
 
     def test_never_entered_trap_yields_cycle(self, bundles):
-        # break the bridge: the orient step is missing, so the shrink rule's
-        # oriented trap is never entered; a spinner keeps the system live
-        bundle = bundles["shop-migration"]
-        model = bundle.model()
-        config = initial_configuration(model)
-        fragment = bundle.fragment()
-        dead_bridge = Phase("Bridge", frozenset({"Idle", "At1"}), frozenset(),
-                            (Trap("oriented", frozenset({"At1"})),))
-        tick = Transition("s", "tick", "s")
-        spinner = Std("Spinner", frozenset({"s"}), frozenset({"tick"}),
-                      frozenset({tick}), "s")
-        broken = dc_replace(
-            fragment,
-            add_phases=tuple(
-                ("Server", "Evol", dead_bridge) if ph.name == "Bridge" else (c, p, ph)
-                for c, p, ph in fragment.add_phases
-            ),
-            add_components=fragment.add_components + (spinner,),
-        )
-        loaded, started = load_migration(model, config, broken)
+        loaded, started = broken_bridge_shop(bundles)
         result = check_migration_termination(explore_space(loaded, started), target_version=3)
         assert result.verdict == "cycle"
         assert result.witness is not None
         assert len(result.witness.steps) > 0
         again = replay(loaded, started, result.witness.labels())
         assert again.steps == result.witness.steps  # the lasso replays exactly
+
+    def test_lasso_witnesses_are_pinned(self, bundles):
+        space = explore_space(*broken_bridge_shop(bundles))
+        for target, steps in BROKEN_BRIDGE_LASSOS.items():
+            result = check_migration_termination(space, target_version=target)
+            assert result.verdict == "cycle"
+            assert [(label_text(label), digest) for label, digest in result.witness.steps] == steps
+
+    def test_edges_are_grouped_by_source_in_successor_order(self, bundles, shop_loaded):
+        # the lasso takes a state's first edge as its least step in this order
+        multi_model = edges = 0
+        spaces = [explore_space(m, initial_configuration(m))
+                  for m in (bundle.model() for bundle in bundles.values())]
+        spaces += [explore_space(*shop_loaded), explore_space(*broken_bridge_shop(bundles))]
+        for seed in range(300):
+            model = random_model(seed, max_components=3)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            spaces.append(explore_space(model, random_initial(model), Bounds(max_states=300)))
+        for space in spaces:
+            multi_model += len(space.models) > 1
+            edges += len(space.edges)
+            sources = [src for src, _, _ in space.edges]
+            assert sources == sorted(sources)
+            for (src, label, _), (nxt_src, nxt_label, _) in zip(space.edges, space.edges[1:]):
+                assert src != nxt_src or successor_order(label) < successor_order(nxt_label)
+        assert multi_model >= 10 and edges > 2500
 
     def test_space_without_the_coordinator_raises_unknown_element(self, bundles, shop_loaded):
         # no migration to terminate: a diagnostic, not a `cycle`

@@ -1,5 +1,6 @@
 """The engine's successor relation against the brute-force enumerator, and
-the explorer's compiled predicates against `eval_predicate`."""
+the compiled predicates (`compile_predicate`, `eval_predicate`) against the
+oracle's interpreter."""
 
 import json
 import random
@@ -27,7 +28,13 @@ from phasecoord.engine import (
     write_trace_jsonl,
 )
 from phasecoord.explorer import Bounds, explore, explore_space
-from phasecoord.mcpal import McPalSkeleton, completion_test, load_migration, migration_complete
+from phasecoord.mcpal import (
+    McPalSkeleton,
+    completion_predicate,
+    completion_test,
+    load_migration,
+    migration_complete,
+)
 from phasecoord.changeset import ChangeSet
 from phasecoord.model import (
     Configuration,
@@ -43,7 +50,14 @@ from phasecoord.model import (
     validate_configuration,
     validate_model,
 )
-from phasecoord.properties import PropertyError, compile_predicate, eval_predicate
+from phasecoord.properties import (
+    InState,
+    ModelVersionIs,
+    Not,
+    PropertyError,
+    compile_predicate,
+    eval_predicate,
+)
 
 from tests.genmodels import (
     predicate_vocabulary,
@@ -52,7 +66,13 @@ from tests.genmodels import (
     random_predicate,
     with_random_changesets,
 )
-from tests.oracle import engine_successor_set, label_identity, naive_successors, walk_all_states
+from tests.oracle import (
+    engine_successor_set,
+    label_identity,
+    naive_eval_predicate,
+    naive_successors,
+    walk_all_states,
+)
 
 
 def assert_agreement_everywhere(model, config, limit=50_000):
@@ -101,7 +121,7 @@ class TestBfsMinimality:
             StdModel,
             Transition,
         )
-        from phasecoord.properties import CountInState, eval_predicate
+        from phasecoord.properties import CountInState
 
         model = bundles["cs-nondet"].model()
         bad = ConsistencyRule(
@@ -132,7 +152,7 @@ class TestBfsMinimality:
                         continue
                     depth[key] = depth[c.key()] + 1
                     succ_config = from_key(key)
-                    if not eval_predicate(pred, broken, succ_config):
+                    if not naive_eval_predicate(pred, broken, succ_config):
                         oracle_min = depth[key]
                         break
                     nxt.append(succ_config)
@@ -469,9 +489,10 @@ def first_state(states, test):
 
 
 def assert_compiled_predicates_agree(space, seed, count=40):
-    """Seeded random predicates, compiled per model of the space, give what
-    `eval_predicate` gives at every state, raise the same PropertyError at
-    the same states, and so stop the same sweeps at the same state."""
+    """Seeded random predicates, compiled per model of the space and through
+    `eval_predicate`, give what the oracle's `naive_eval_predicate` gives at
+    every state, raise the same PropertyError at the same states, and so stop
+    the same sweeps at the same state."""
     rng = random.Random(seed)
     vocabulary = predicate_vocabulary(space.models)
     versions = space.versions_seen()
@@ -482,14 +503,15 @@ def assert_compiled_predicates_agree(space, seed, count=40):
         tests = [compile_predicate(pred, m) for m in space.models]
         for idx, (model, config) in enumerate(states):
             slots = config.slots_in(model.layout)
-            want = outcome(lambda: eval_predicate(pred, model, config))
+            want = outcome(lambda: naive_eval_predicate(pred, model, config))
             assert outcome(lambda: tests[space.states[idx][0]](slots)) == want, (pred, idx)
+            assert outcome(lambda: eval_predicate(pred, model, config)) == want, (pred, idx)
             raised += isinstance(want, tuple)
         compiled = partial(compile_predicate, pred)
         assert outcome(lambda: next(space.where(compiled), None)) == outcome(
-            lambda: first_state(states, lambda m, c: eval_predicate(pred, m, c)))
+            lambda: first_state(states, lambda m, c: naive_eval_predicate(pred, m, c)))
         assert outcome(lambda: next(space.where(compiled, holds=False), None)) == outcome(
-            lambda: first_state(states, lambda m, c: not eval_predicate(pred, m, c)))
+            lambda: first_state(states, lambda m, c: not naive_eval_predicate(pred, m, c)))
     return raised
 
 
@@ -516,6 +538,25 @@ class TestCompiledPredicates:
             raised += assert_compiled_predicates_agree(space, seed, count=15)
         assert multi_model >= 10 and raised > 0
 
+    def test_configuration_that_does_not_fit_raises_property_error(self, bundles):
+        model = bundles["prodcons"].model()
+        config = initial_configuration(model)
+        detailed, phases = dict(config.detailed), dict(config.phases)
+        misfits = {
+            "Producer: unknown state Nowhere": ({**detailed, "Producer": "Nowhere"}, phases),
+            "Ghost: unknown component": ({**detailed, "Ghost": "Idle"}, phases),
+            "Producer: no current state": ({"Consumer": "Empty"}, phases),
+            "Consumer.Supply: unknown phase Gone": (detailed, {("Consumer", "Supply"): "Gone"}),
+            "Producer.Supply: unknown role": (detailed, {**phases, ("Producer", "Supply"): "Ask"}),
+        }
+        for message, (d, p) in misfits.items():
+            misfit = Configuration(d, p, config.model_version)
+            assert model.layout.misfit(misfit.key()) == message
+            for pred in (ModelVersionIs(0), Not(InState("Producer", "Making"))):
+                assert outcome(lambda: eval_predicate(pred, model, misfit)) == (
+                    "PropertyError", message)
+        assert eval_predicate(InState("Producer", "Making"), model, config)
+
     def test_completion_test_matches_migration_complete(self, bundles, shop_loaded):
         sk = McPalSkeleton()
         for model, config in (shop_loaded, (bundles["cs-nondet"].model(),
@@ -523,9 +564,12 @@ class TestCompiledPredicates:
             space = explore_space(model, config)
             states = decoded_states(space)
             for target in range(5):
+                complete = completion_predicate(target, sk)
                 want = [idx for idx, (m, c) in enumerate(states)
-                        if migration_complete(m, c, target, sk)]
+                        if sk.component in m.components and naive_eval_predicate(complete, m, c)]
                 assert list(space.where(partial(completion_test, target_version=target))) == want
+                assert [idx for idx, (m, c) in enumerate(states)
+                        if migration_complete(m, c, target, sk)] == want
 
 
 def state_record_lines(model, config, steps):
