@@ -12,7 +12,11 @@ successors out.  It works on a configuration's slots in its model's
 `model.SlotLayout` and reads the pair form only at its boundary: report
 records.  Digests do not read it: `config_digest` hashes
 `Configuration.key_text`, which a slot-backed configuration joins from its
-layout's text tables, the same bytes as `repr(config.key())`.
+layout's text tables, the same bytes as `repr(config.key())`, and keeps
+the digest in its layout's table (`SlotLayout.digests`, made on the
+layout's first digest, cleared when it holds `DIGEST_TABLE_CAP`), so
+`run`, export's digest check and `replay` hash each state once; a
+configuration backed by its pair key is hashed each time and never kept.
 Nor do trace records: `write_trace_jsonl` joins each from its layout's
 JSON tables (`SlotLayout.record_entries`), the same bytes as
 `json.dumps(_state_record(...), sort_keys=True)`.  `_state_record` stays
@@ -130,12 +134,34 @@ def mover(label: StepLabel) -> str:
     return label.component if isinstance(label, DetailedStep) else label.manager
 
 
+# The most digests one layout's table (`SlotLayout.digests`) holds: a full
+# table is cleared, so a walk of any length keeps at most this many.
+DIGEST_TABLE_CAP = 1 << 16
+
+
 def config_digest(config: Configuration) -> int:
     """Stable 64-bit fingerprint of the canonical configuration bytes: the
     first 8 bytes of blake2b over `repr(config.key())`, which
-    `Configuration.key_text` gives."""
-    payload = config.key_text().encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+    `Configuration.key_text` gives.
+
+    A slot-backed configuration's digest is kept in its layout's table, so
+    a state reached again costs one lookup.  Only an int version is kept:
+    slots that hold `True` or `1.0` compare equal to slots that hold `1`,
+    but their reprs differ."""
+    layout, slots = config._layout, config._slots
+    if layout is None or type(slots[0]) is not int:
+        return _digest(config.key_text())
+    table = layout.digests
+    digest = table.get(slots)
+    if digest is None:
+        if len(table) >= DIGEST_TABLE_CAP:
+            table.clear()
+        digest = table[slots] = _digest(layout.key_text(slots))
+    return digest
+
+
+def _digest(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
 
 class _Guard:
@@ -724,25 +750,41 @@ def export_trace_jsonl(model: StdModel, trace: Trace) -> str:
 
 
 _DIGEST = re.compile(r"[0-9a-fA-F]{16}")  # a recorded step digest
+_decode = json.JSONDecoder().raw_decode  # the decoder `json.loads` uses
 
 
 def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
     """(label, digest) of each step of an exported JSON-lines trace, in order.
     Raises ValueError naming the 1-based line of the first record that is not
-    a trace record or whose step digest is not 16 hex digits."""
+    a trace record or whose step digest is not 16 hex digits.
+
+    Each line is decoded as one JSON value; a line `raw_decode` does not take
+    whole is read again by `json.loads`, for its error.  Each distinct label
+    is read by `label_from_json` once, keyed by the `repr` of its JSON value,
+    which tells `1` from `true`, as an equal tuple of values would not."""
     steps = []
+    labels: dict[str, StepLabel] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            try:
+                record, end = _decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                record = json.loads(line)  # raises, with the text `json.loads` gives
             label = record.get("label")
             if label is not None:
                 digest = record["digest"]
                 if not _DIGEST.fullmatch(digest):
                     raise ValueError(f"digest {digest!r} is not 16 hex digits")
-                steps.append((label_from_json(label), int(digest, 16)))
+                key = repr(label)
+                step = labels.get(key)
+                if step is None:
+                    step = labels[key] = label_from_json(label)
+                steps.append((step, int(digest, 16)))
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ValueError(f"line {number}: not a trace record ({exc!r})") from exc
     return steps

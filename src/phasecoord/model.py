@@ -34,7 +34,9 @@ partition), phase) pairs) or by a layout and a flat tuple of slots.
 pair form, which a slot-backed configuration decodes once, on first use.
 `key_text()`, the `repr` of the key that digests hash, is joined from
 per-slot texts that a layout builds on its first use, without decoding;
-so are the entries of a trace record (`SlotLayout.record_entries`).
+so are the entries of a trace record (`SlotLayout.record_entries`).  A
+layout also keeps the digest of each of its configurations that is
+digested (`SlotLayout.digests`), so a state is hashed once.
 The engine and the explorer work on slots: a successor copies one flat
 tuple of small ints and replaces the slots its step changes.
 """
@@ -222,7 +224,8 @@ class SlotLayout:
     (component slot, role slot, per phase index the state indices of that
     phase).  `key_text` gives the `repr` of the pair key that `decode`
     gives, from text tables built on its first call; `record_entries`
-    gives a trace record's entries the same way, from JSON tables."""
+    gives a trace record's entries the same way, from JSON tables.
+    `digests` keeps the digest of each configuration digested in it."""
 
     def __init__(self, model: StdModel):
         components = model.component_order
@@ -281,6 +284,13 @@ class SlotLayout:
         decoding."""
         head, texts = self._texts
         return "".join([f"({slots[0]!r}{head}", *map(getitem, texts, slots[1:])])
+
+    @cached_property
+    def digests(self) -> dict:
+        """Per slots, the digest of the configuration they hold, kept by
+        `engine.config_digest`, which fills it and clears it when full.
+        Built on a layout's first digest, since most layouts never need it."""
+        return {}
 
     @cached_property
     def _json(self) -> Optional[tuple[tuple, tuple]]:

@@ -389,7 +389,8 @@ def parse_property(text: str, line: int = 1) -> Union[PropertyExpr, Diagnostic]:
             prop = Reachable(_parse_or(sc))
         elif head == "eventuallyAll":
             pred = _parse_or(sc)
-            if sc.take_word() != "bound":
+            sc.skip_ws()  # so a word other than "bound" is reported where it starts
+            if not sc.take_keyword("bound"):
                 raise _PropParseError(sc.error("expected 'bound N'"))
             prop = EventuallyAll(pred, sc.take_int())
         else:

@@ -22,6 +22,9 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 BUNDLED_EXPLORE_EXITS = {"cs-nondet": 0, "cs-roundrobin": 0, "prodcons": 0, "shop-migration": 4}
 HUGE = "9" * 5000
 ONE_STATE_BODY = "{ states: A; initial: A; transitions: }"
+# one well-formed `--script` step record of prodcons
+SCRIPT_RECORD = ('{"label": {"type": "detailed", "component": "Producer", '
+                 '"transition": ["a", "b", "c"]}, "digest": "0000000000000001"}')
 ONE_STEP_MODEL = """
 component X {
   states: A, B;
@@ -285,6 +288,19 @@ class TestSimulate:
         assert code == 1
         assert err.startswith(f"error: line {bad_line}:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, error", [
+        (SCRIPT_RECORD + " x", "Extra data: line 1 column 119 (char 118)"),
+        (SCRIPT_RECORD + "{}", "Extra data: line 1 column 118 (char 117)"),
+        ("\ufeff" + SCRIPT_RECORD, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (SCRIPT_RECORD[:-1], "Expecting ',' delimiter: line 1 column 117 (char 116)"),
+    ], ids=["trailing-data", "two-records", "utf8-bom", "unterminated-object"])
+    def test_a_line_that_is_not_one_json_value_names_its_json_error(self, tmp_path, capsys, line, error):
+        script = tmp_path / "bad.jsonl"
+        script.write_text(f'{{"index": 0, "label": null}}\n{SCRIPT_RECORD}\n{line}\n', encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "prodcons", "--script", str(script))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 3: not a trace record (JSONDecodeError({error!r}))\n"
 
     def test_unwritable_trace_out_exit_1(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "simulate", "prodcons",

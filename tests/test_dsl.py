@@ -343,6 +343,10 @@ class TestProperties:
         assert diag.code == "syntax-error"
         assert diag.column > 0
 
+    def test_misspelt_bound_is_reported_where_it_starts(self):
+        diag = parse_property("eventuallyAll inState(A, x) bond 3")
+        assert (diag.detail, diag.column, diag.element) == ("expected 'bound N'", 29, "bond 3")
+
     def test_boolean_combinations(self):
         prop = parse_property("invariant not (inState(A, x) and inPhase(A, p, q)) or inState(B, y)")
         assert isinstance(prop, Invariant)

@@ -1,6 +1,7 @@
 """Step semantics: enabledness, trap entry, rule firing, runs, traces."""
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -19,11 +20,14 @@ from phasecoord.engine import (
     RuleStep,
     Trace,
     config_digest,
+    drive,
     enabled_detailed,
     enabled_rules,
     export_trace_jsonl,
     fire_rule,
+    label_from_json,
     parse_trace_labels,
+    parse_trace_steps,
     replay,
     rule_blocker,
     run,
@@ -457,6 +461,46 @@ class TestRun:
         assert err.value.index == 5
 
 
+_HEADER = '{"index": 0, "label": null}'
+_RECORD = ('{"index": 1, "label": {"type": "detailed", "component": "X", '
+           '"transition": ["A", "go", "B"]}, "digest": "0000000000000001"}')
+
+
+def _rule_record(changed: str) -> str:
+    return ('{"label": {"type": "rule", "rule": "x", "manager": "X", "managerStep": ["A", "go", "B"], '
+            f'"transfers": [], "changeSet": {changed}}}, "digest": "0000000000000001"}}')
+
+
+class TestParseTrace:
+    @pytest.mark.parametrize("line, error", [
+        (_RECORD + " x", "JSONDecodeError('Extra data: line 1 column 125 (char 124)')"),
+        (_RECORD + _RECORD, "JSONDecodeError('Extra data: line 1 column 124 (char 123)')"),
+        ("\ufeff" + _RECORD,
+         "JSONDecodeError('Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)')"),
+        (_RECORD[:-1], "JSONDecodeError(\"Expecting ',' delimiter: line 1 column 123 (char 122)\")"),
+    ], ids=["trailing-data", "two-records", "utf8-bom", "unterminated-object"])
+    def test_a_line_that_is_not_one_json_value_gives_the_json_loads_error(self, line, error):
+        with pytest.raises(ValueError) as err:
+            parse_trace_steps(f"{_HEADER}\n{_RECORD}\n{line}\n")
+        assert str(err.value) == f"line 3: not a trace record ({error})"
+
+    @pytest.mark.parametrize("first, second, bad_line", [
+        ("true", "1", 3), ("false", "0", 3), ("true", "1.0", 3), ("1", "true", 2), ("0", "false", 2),
+    ])
+    def test_a_label_is_not_shared_with_an_equal_but_different_value(self, first, second, bad_line):
+        text = "\n".join([_HEADER, _rule_record(first), _rule_record(second)])
+        with pytest.raises(ValueError) as err:
+            parse_trace_steps(text)
+        assert str(err.value).startswith(f"line {bad_line}: not a trace record (ValueError('changeSet ")
+
+    def test_repeated_labels_decode_as_each_one_alone(self):
+        lines = (GOLDEN / "trace-shop-migration-loaded.jsonl").read_text("utf-8").splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        assert len({json.dumps(r["label"], sort_keys=True) for r in records}) < len(records) // 4
+        assert parse_trace_steps("\n".join(lines)) == [
+            (label_from_json(r["label"]), int(r["digest"], 16)) for r in records]
+
+
 class TestWalkInvariants:
     """Random-walk suite: validity after every step, phase constraint, trap
     monotonicity between transfers of a role."""
@@ -517,6 +561,7 @@ def _assert_digest_is_repr_hash(config):
     key = config.key()
     assert config.key_text() == repr(key)
     assert config_digest(config) == _repr_digest(key) == config_digest(Configuration.from_key(key))
+    assert config_digest(config) == _repr_digest(key)  # a slot-backed one's from its layout's table
 
 
 class TestDigest:
@@ -554,6 +599,46 @@ class TestDigest:
         assert "_texts" not in vars(model.layout)
         config_digest(space.state(1))
         assert "_texts" in vars(model.layout)
+
+    def test_digest_table_is_built_on_a_layouts_first_digest(self, bundles):
+        model = bundles["cs-nondet"].model()
+        space = explore_space(model, initial_configuration(model))
+        assert "digests" not in vars(model.layout)
+        config = space.state(1)
+        digest = config_digest(config)
+        assert model.layout.digests == {config.slots_in(model.layout): digest}
+
+    def test_key_backed_configurations_are_not_kept(self, bundles):
+        model = bundles["cs-nondet"].model()
+        root = initial_configuration(model)  # backed by its pair key
+        config_digest(root)
+        assert "digests" not in vars(model.layout)
+        (_, _, after), *_ = successors(model, root)
+        config_digest(after)
+        table = dict(model.layout.digests)
+        config_digest(Configuration.from_key(successors(model, after)[0][2].key()))
+        assert model.layout.digests == table
+
+    def test_a_version_that_equals_an_int_is_not_kept(self):
+        model = one_role_model()
+        slots = initial_configuration(model).slots_in(model.layout)
+        configs = [Configuration.from_slots(model.layout, (version,) + slots[1:])
+                   for version in (1, True, 1.0)]
+        for config in configs * 2:
+            assert config_digest(config) == _repr_digest(config.key())
+        assert list(model.layout.digests) == [(1,) + slots[1:]]
+
+    def test_digest_table_holds_at_most_its_cap(self, bundles, monkeypatch):
+        cap = 4
+        monkeypatch.setattr(engine, "DIGEST_TABLE_CAP", cap)
+        model = bundles["cs-nondet"].model()
+        seen = set()
+        for _ in range(2):  # the second walk digests states the table held, or dropped
+            for _, _, config in drive(model, initial_configuration(model), RandomPolicy(5), 300):
+                assert config_digest(config) == _repr_digest(config.key())
+                assert len(model.layout.digests) <= cap
+                seen.add(config.key())
+        assert len(seen) > 2 * cap
 
 
 def test_loaded_migration_trace_matches_golden_bytes(shop_loaded):
