@@ -118,7 +118,10 @@ class RuleStep:
     changed: bool
 
 
-StepLabel = Union[DetailedStep, RuleStep]
+# `|`, not `typing.Union`: typing caches a Union of its arguments for the
+# life of the process, so a package imported again would keep every earlier
+# copy alive through these classes.
+StepLabel = DetailedStep | RuleStep
 
 
 def label_text(label: StepLabel) -> str:

@@ -100,7 +100,9 @@ class Or:
         return f"({self.left.text()} or {self.right.text()})"
 
 
-Predicate = Union[InState, InPhase, CountInState, ModelVersionIs, Not, And, Or]
+# `|`, not `typing.Union`, which would keep these classes for good; see
+# `engine.StepLabel`.
+Predicate = InState | InPhase | CountInState | ModelVersionIs | Not | And | Or
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ class EventuallyAll:
         return f"eventuallyAll {self.predicate.text()} bound {self.bound}"
 
 
-PropertyExpr = Union[Invariant, Reachable, EventuallyAll]
+PropertyExpr = Invariant | Reachable | EventuallyAll
 
 
 def _unknown_component(name: str, atom: Predicate) -> str:
