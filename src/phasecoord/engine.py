@@ -9,26 +9,21 @@ target phase, and applies the rule's changeset if it carries one.
 
 The engine is a pure transition-function library: (model, configuration) in,
 successors out.  It works on a configuration's slots in its model's
-`model.SlotLayout` and reads the pair form only at its boundary: report
-records.  Digests do not read it: `config_digest` hashes
-`Configuration.key_text`, which a slot-backed configuration joins from its
-layout's text tables, the same bytes as `repr(config.key())`, and keeps
-the digest in its layout's table (`SlotLayout.digests`, made on the
-layout's first digest, cleared when it holds `DIGEST_TABLE_CAP`), so
-`run`, export's digest check and `replay` hash each state once; a
-configuration backed by its pair key is hashed each time and never kept.
-Nor do trace records: `write_trace_jsonl` joins each from its layout's
-JSON tables (`SlotLayout.record_entries`), the same bytes as
-`json.dumps(_state_record(...), sort_keys=True)`.  `_state_record` stays
-the definition of the format, for report records and for a record the
-tables cannot write: a configuration that does not fit the layout, or a
-layout with none (see `SlotLayout._json`).  Per
-model object it compiles one `_StepCore`, kept in the model's `__dict__`
-(see `model`): a table of free steps, which only gains entries, each a
-function of the model and its key, and one `_Guard` per rule.  A successor
-copies its parent's slots and replaces the one a detailed step changes, or
-the few a rule changes.  A configuration that does not fit the layout (an
-unknown component, state, role or phase, or a missing one) raises
+`model.SlotLayout`, and neither digests nor trace records decode them.
+`config_digest` hashes `SlotLayout.key_text`, the same bytes as
+`repr(config.key())`, and keeps each digest in its layout's table
+(`SlotLayout.digests`, made on the layout's first digest, cleared when it
+holds `DIGEST_TABLE_CAP`), so `run`, export's digest check and `replay` hash
+each state once; a configuration backed by its pair key is hashed each time
+and never kept.  `_record_line` writes every trace record, of an export
+(`write_trace_jsonl`) and of a report (`explorer.Space.trace_records`)
+alike, from its layout's JSON tables (`SlotLayout.record_entries`).  Per
+model object the engine compiles one `_StepCore`, kept in the model's
+`__dict__` (see `model`): a table of free steps, which only gains entries,
+each a function of the model and its key, and one `_Guard` per rule.  A
+successor copies its parent's slots and replaces the one a detailed step
+changes, or the few a rule changes.  A configuration that does not fit the
+layout (an unknown component, state, role or phase, or a missing one) raises
 `UnknownElement`, naming the first entry that does not fit.
 
 A rule's changeset is applied through `changeset`, the one module that
@@ -144,16 +139,16 @@ DIGEST_TABLE_CAP = 1 << 16
 
 def config_digest(config: Configuration) -> int:
     """Stable 64-bit fingerprint of the canonical configuration bytes: the
-    first 8 bytes of blake2b over `repr(config.key())`, which
-    `Configuration.key_text` gives.
+    first 8 bytes of blake2b over `repr(config.key())`.
 
-    A slot-backed configuration's digest is kept in its layout's table, so
+    A slot-backed configuration joins that text from its layout's tables
+    (`SlotLayout.key_text`) and keeps its digest in its layout's table, so
     a state reached again costs one lookup.  Only an int version is kept:
     slots that hold `True` or `1.0` compare equal to slots that hold `1`,
     but their reprs differ."""
     layout, slots = config._layout, config._slots
     if layout is None or type(slots[0]) is not int:
-        return _digest(config.key_text())
+        return _digest(repr(config.key()))
     table = layout.digests
     digest = table.get(slots)
     if digest is None:
@@ -673,21 +668,28 @@ def label_from_json(data: dict) -> StepLabel:
     )
 
 
-# a trace record as `json.dumps(_state_record(...), sort_keys=True)` writes it
+# a trace record: one JSON object, its keys sorted, on one line
 _RECORD = ('{"componentStates": {%s}, "digest": "%s", "index": %d, "label": %s, '
            '"modelVersion": %s, "rolePhases": {%s}}\n')
 
 
-def _state_record(index: int, label: Optional[StepLabel], config: Configuration, digest: int) -> dict:
-    version, detailed, phases = config.key()  # its pairs are sorted already
-    return {
-        "index": index,
-        "label": label_to_json(label),
-        "componentStates": dict(detailed),
-        "rolePhases": {f"{c}.{p}": ph for (c, p), ph in phases},
-        "modelVersion": version,
-        "digest": f"{digest:016x}",
-    }
+def _record_line(
+    labels: dict, index: int, label: Optional[StepLabel], model: StdModel,
+    config: Configuration, digest: int,
+) -> str:
+    """The trace record of `config` reached by `label` (None for the first):
+    its line of the exported JSON-lines form.  `labels` keeps the JSON text
+    of each distinct label across the calls it is passed to.  Raises
+    UnknownElement when `config` does not fit the model's layout."""
+    layout = model.layout
+    slots = _slots(layout, config)
+    components, roles = layout.record_entries(slots)
+    text = labels.get(label)
+    if text is None:
+        text = labels[label] = json.dumps(label_to_json(label), sort_keys=True)
+    version = slots[0]  # an int writes as its str, without a json.dumps per record
+    return _RECORD % (components, f"{digest:016x}", index, text,
+                      version if type(version) is int else json.dumps(version), roles)
 
 
 def _replayed(
@@ -725,21 +727,13 @@ def write_trace_jsonl(
     steps from `config` to `write` as soon as its step is replayed and its
     digest checked (see `_replayed`), so nothing accumulates; returns the
     number of steps and the final model version.  Line 0 is the initial
-    configuration, each further line one step."""
-    labels: dict = {}  # the JSON text of each distinct label
+    configuration, each further line one step (see `_record_line`); a
+    configuration that does not fit its layout raises UnknownElement before
+    its line is written."""
+    labels: dict = {}
     index = 0
     for index, label, model, config, digest in _replayed(model, config, steps):
-        slots = config.slots_in(model.layout)
-        entries = None if slots is None else model.layout.record_entries(slots)
-        if entries is None:  # the configuration or its names do not fit the tables
-            write(json.dumps(_state_record(index, label, config, digest), sort_keys=True) + "\n")
-            continue
-        text = labels.get(label)
-        if text is None:
-            text = labels[label] = json.dumps(label_to_json(label), sort_keys=True)
-        version = slots[0]  # an int writes as its str, without a json.dumps per record
-        write(_RECORD % (entries[0], f"{digest:016x}", index, text,
-                         version if type(version) is int else json.dumps(version), entries[1]))
+        write(_record_line(labels, index, label, model, config, digest))
     return index, config.model_version
 
 

@@ -42,8 +42,8 @@ from .engine import (
     StepLabel,
     Trace,
     UnknownElement,
+    _record_line,
     _slots,
-    _state_record,
     config_digest,
     label_text,
     mover,
@@ -146,11 +146,17 @@ class Space:
         )
 
     def trace_records(self, state: int) -> list[dict]:
-        """The trace to a state as records of the exported JSON-lines format."""
-        path = self._path(state)
-        configs = [self.state(idx) for idx in path]
-        return [_state_record(i, self.parent[idx][1] if i else None, config, config_digest(config))
-                for i, (idx, config) in enumerate(zip(path, configs))]
+        """The trace to a state as records of the exported JSON-lines format,
+        each line written by `engine._record_line` and read back as a JSON
+        value."""
+        labels: dict = {}
+        records = []
+        for i, idx in enumerate(self._path(state)):
+            config = self.state(idx)
+            records.append(json.loads(_record_line(
+                labels, i, self.parent[idx][1] if i else None,
+                self.models[self.states[idx][0]], config, config_digest(config))))
+        return records
 
 
 def explore_space(
@@ -240,9 +246,6 @@ class ExplorationReport:
     max_states_hit: bool
     max_depth_hit: bool
     space: Space = field(repr=False, compare=False)  # for further queries
-
-    def ok(self) -> bool:
-        return not self.violations
 
     def unknown(self) -> bool:
         return any(v.startswith("unknown") for _, v in self.verdicts)

@@ -32,11 +32,12 @@ version, the sorted (component, state) pairs and the sorted ((component,
 partition), phase) pairs) or by a layout and a flat tuple of slots.
 `key()`, `detailed`, `phases`, `==`, `hash`, `repr` and pickling act on the
 pair form, which a slot-backed configuration decodes once, on first use.
-`key_text()`, the `repr` of the key that digests hash, is joined from
-per-slot texts that a layout builds on its first use, without decoding;
-so are the entries of a trace record (`SlotLayout.record_entries`).  A
-layout also keeps the digest of each of its configurations that is
-digested (`SlotLayout.digests`), so a state is hashed once.
+The `repr` of the key, which digests hash, is joined from per-slot texts
+that a layout builds on its first use, without decoding
+(`SlotLayout.key_text`); so are the entries of every trace record
+(`SlotLayout.record_entries`).  A layout also keeps the digest of each
+of its configurations that is digested (`SlotLayout.digests`), so a state
+is hashed once.
 The engine and the explorer work on slots: a successor copies one flat
 tuple of small ints and replaces the slots its step changes.
 """
@@ -293,38 +294,29 @@ class SlotLayout:
         return {}
 
     @cached_property
-    def _json(self) -> Optional[tuple[tuple, tuple]]:
+    def _json(self) -> tuple[tuple, tuple]:
         """The JSON texts of a trace record's "componentStates" and
-        "rolePhases" entries (see `engine._state_record`): per component slot
+        "rolePhases" entries (see `engine._record_line`): per component slot
         after 0, per state index, the `"component": "state"` text of that
-        one entry; and per role, in the order of its key `"C.P"`, which
-        `sort_keys` gives and which can differ from slot order, its slot and
-        per phase index its `"C.P": "phase"` text.  None when two roles give
-        the same key, which a record's dict would merge, or a name is not
-        one JSON can write.  Built on a layout's first record, since most
-        layouts never need it."""
+        one entry; and per role key `"C.P"`, in the order `sort_keys` gives,
+        which can differ from slot order, its slot and per phase index its
+        `"C.P": "phase"` text.  Two roles can give the same key, as (A.b, c)
+        and (A, b.c) do; the later in slot order keeps it, as in a dict of
+        the record.  A name JSON cannot write raises its `json.dumps` error.
+        Built on a layout's first record, since most layouts never need it."""
         base = self.role_base
-        roles = [f"{c}.{p}" for c, p in self.owners[base:]]
-        if len(set(roles)) < len(roles):
-            return None
-        try:
-            # each entry as a one-entry dict writes it, so a key is written as a key
-            texts = [tuple(json.dumps({key: name})[1:-1] for name in names)
-                     for key, names in zip((*self.owners[1:base], *roles), self.names[1:])]
-        except (TypeError, ValueError):
-            return None
-        # the role keys are distinct, so their order decides
-        ordered = sorted(zip(roles, range(base, len(self.owners)), texts[base - 1:]))
-        return tuple(texts[:base - 1]), tuple((slot, text) for _, slot, text in ordered)
+        keys = (*self.owners[1:base], *(f"{c}.{p}" for c, p in self.owners[base:]))
+        # each entry as a one-entry dict writes it, so a key is written as a key
+        texts = [tuple(json.dumps({key: name})[1:-1] for name in names)
+                 for key, names in zip(keys, self.names[1:])]
+        roles = dict(zip(keys[base - 1:], zip(range(base, len(self.owners)), texts[base - 1:])))
+        return tuple(texts[:base - 1]), tuple(roles[key] for key in sorted(roles))
 
-    def record_entries(self, slots: tuple) -> Optional[tuple[str, str]]:
+    def record_entries(self, slots: tuple) -> tuple[str, str]:
         """The text inside the braces of a trace record's "componentStates"
         and of its "rolePhases" for the configuration in `slots`, joined from
-        per-slot JSON texts; None when the layout has none (see `_json`)."""
-        tables = self._json
-        if tables is None:
-            return None
-        components, roles = tables
+        per-slot JSON texts (see `_json`)."""
+        components, roles = self._json
         return (", ".join(map(getitem, components, slots[1:self.role_base])),
                 ", ".join([texts[slots[slot]] for slot, texts in roles]))
 
@@ -410,13 +402,6 @@ class Configuration:
         if key is None:
             key = self._key = self._layout.decode(self._slots)
         return key
-
-    def key_text(self) -> str:
-        """`repr(self.key())`; a slot-backed configuration joins it from its
-        layout's texts without decoding."""
-        if self._layout is not None:
-            return self._layout.key_text(self._slots)
-        return repr(self._key)
 
     def slots_in(self, layout: SlotLayout) -> Optional[tuple]:
         """This configuration's slots in `layout`; None when it does not fit."""

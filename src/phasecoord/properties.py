@@ -231,7 +231,10 @@ class _Scanner:
         if self.depth > MAX_PREDICATE_DEPTH:
             raise _PropParseError(self.error(f"predicate nested deeper than {MAX_PREDICATE_DEPTH}"))
 
-    def error(self, message: str) -> Diagnostic:
+    def error(self, message: str, word: str = "") -> Diagnostic:
+        """A syntax error where the scanner is, or where `word` starts when
+        it is the word just taken."""
+        self.pos -= len(word)
         return Diagnostic("syntax-error", "property", self.text[self.pos:self.pos + 8],
                           message, line=self.line, column=self.pos + 1)
 
@@ -254,8 +257,7 @@ class _Scanner:
         """A word that starts with a letter or "_", as a `.pdm` name does."""
         name = self.take_word()
         if not (name[:1].isalpha() or name[:1] == "_"):
-            self.pos -= len(name)
-            raise _PropParseError(self.error("expected a name"))
+            raise _PropParseError(self.error("expected a name", name))
         return name
 
     def take_keyword(self, word: str) -> bool:
@@ -353,7 +355,7 @@ def _parse_atom(sc: _Scanner) -> Predicate:
         version = sc.take_int()
         sc.require(")")
         return ModelVersionIs(version)
-    raise _PropParseError(sc.error(f"expected an atom, found {word!r}"))
+    raise _PropParseError(sc.error(f"expected an atom, found {word!r}", word))
 
 
 def _parse_and(sc: _Scanner) -> Predicate:
@@ -396,7 +398,7 @@ def parse_property(text: str, line: int = 1) -> Union[PropertyExpr, Diagnostic]:
                 raise _PropParseError(sc.error("expected 'bound N'"))
             prop = EventuallyAll(pred, sc.take_int())
         else:
-            raise _PropParseError(sc.error(f"expected a property keyword, found {head!r}"))
+            raise _PropParseError(sc.error(f"expected a property keyword, found {head!r}", head))
         if not sc.at_end():
             raise _PropParseError(sc.error("trailing input after property"))
         return prop

@@ -20,9 +20,12 @@ and the transfer mechanics are re-derived here.
 
 The module also holds the independent second evaluators the tests check
 `src/` against: trap membership (`naive_entered_traps`), predicates read
-from a configuration's pair form (`naive_eval_predicate`) and the `.pdm`
-tokens (`naive_tokens`).
+from a configuration's pair form (`naive_eval_predicate`), the `.pdm`
+tokens (`naive_tokens`), and the digest and trace record of a configuration
+(`naive_digest`, `naive_state_record`).
 """
+
+import hashlib
 
 from phasecoord.changeset import apply_changeset, canonical_model, validate_changeset
 from phasecoord.model import Configuration
@@ -150,6 +153,31 @@ def label_identity(label):
     if isinstance(label, DetailedStep):
         return ("detailed", label.component, label.transition)
     return ("rule", label.rule)
+
+
+def naive_digest(key):
+    """The digest's definition: the first 8 bytes of blake2b over repr(key)."""
+    return int.from_bytes(hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest(), "big")
+
+
+def naive_state_record(index, label, config):
+    """The trace record of `config` reached by `label` (None for the first),
+    built from its pair form: the definition of the record that the engine
+    writes as a line of JSON with its keys sorted.  Role keys join component
+    and partition with "."; when two roles give one key, the later role in
+    sorted order keeps it."""
+    from phasecoord.engine import label_to_json
+
+    key = config.key()
+    version, detailed, phases = key
+    return {
+        "index": index,
+        "label": label_to_json(label),
+        "componentStates": dict(sorted(detailed)),
+        "rolePhases": {f"{c}.{p}": ph for (c, p), ph in sorted(phases)},
+        "modelVersion": version,
+        "digest": f"{naive_digest(key):016x}",
+    }
 
 
 def engine_successor_set(model, config):

@@ -20,6 +20,14 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 # The exit code of `--format json explore NAME` for each bundled model whose
 # report bytes are kept in tests/golden/explore-NAME.json.
 BUNDLED_EXPLORE_EXITS = {"cs-nondet": 0, "cs-roundrobin": 0, "prodcons": 0, "shop-migration": 4}
+# `--format json explore` reports whose traces hold several records, kept in
+# tests/golden/explore-NAME.json: NAME -> (explore arguments, exit code).
+REPORT_GOLDENS = {
+    # a 6-record violation across versions 1-3 and a 1-record one
+    "shop-migration-loaded": (("shop-migration", "--load-migration", "ShopMigr", "--props",
+                               str(GOLDEN_DIR / "shop-migration-loaded.pprop")), 4),
+    "deadlock": ((str(GOLDEN_DIR / "deadlock.pdm"),), 0),  # one 4-record deadlock
+}
 HUGE = "9" * 5000
 ONE_STATE_BODY = "{ states: A; initial: A; transitions: }"
 # one well-formed `--script` step record of prodcons
@@ -477,6 +485,13 @@ class TestExplore:
     def test_bundled_report_matches_golden_bytes(self, capsys, name):
         code, out, err = run_cli(capsys, "--format", "json", "explore", name)
         assert code == BUNDLED_EXPLORE_EXITS[name]
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(REPORT_GOLDENS))
+    def test_report_traces_match_golden_bytes(self, capsys, name):
+        argv, exit_code = REPORT_GOLDENS[name]
+        code, out, err = run_cli(capsys, "--format", "json", "explore", *argv)
+        assert code == exit_code
         assert out.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.json").read_bytes()
 
     def test_termination_obeys_the_shared_bounds(self, capsys):

@@ -370,6 +370,16 @@ class TestProperties:
         props, diags = parse_properties("invariant notable(W, a)\n")
         assert props == [] and [d.detail for d in diags] == ["expected an atom, found 'notable'"]
 
+    @pytest.mark.parametrize("text,column,element", [
+        ("invariant frob(A, x)", 11, "frob(A, "),
+        ("frobnicate inState(A, x)", 1, "frobnica"),
+        ("reachable 3", 11, "3"),
+        ("invariant inState(A, x) and frob", 29, "frob"),
+    ], ids=["atom", "keyword", "number-as-atom", "atom-after-and"])
+    def test_a_word_error_is_placed_at_the_words_start(self, text, column, element):
+        diag = parse_property(text)
+        assert (diag.code, diag.column, diag.element) == ("syntax-error", column, element)
+
     def test_predicate_text_parses_back(self):
         rng = random.Random(18)
         for seed in range(200):

@@ -1,6 +1,5 @@
 """Step semantics: enabledness, trap entry, rule firing, runs, traces."""
 
-import hashlib
 import json
 import random
 from dataclasses import replace
@@ -53,7 +52,7 @@ from phasecoord.model import (
 )
 
 from tests.genmodels import random_initial, random_model, with_random_changesets
-from tests.oracle import naive_entered_traps
+from tests.oracle import naive_digest, naive_entered_traps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -552,16 +551,11 @@ def test_digest_is_stable_and_version_sensitive():
     assert config_digest(config) != config_digest(bumped)
 
 
-def _repr_digest(key):
-    """The digest's definition: the first 8 bytes of blake2b over repr(key)."""
-    return int.from_bytes(hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest(), "big")
-
-
-def _assert_digest_is_repr_hash(config):
+def _assert_digest_is_repr_hash(layout, config):
     key = config.key()
-    assert config.key_text() == repr(key)
-    assert config_digest(config) == _repr_digest(key) == config_digest(Configuration.from_key(key))
-    assert config_digest(config) == _repr_digest(key)  # a slot-backed one's from its layout's table
+    assert layout.key_text(config.slots_in(layout)) == repr(key)
+    assert config_digest(config) == naive_digest(key) == config_digest(Configuration.from_key(key))
+    assert config_digest(config) == naive_digest(key)  # a slot-backed one's from its layout's table
 
 
 class TestDigest:
@@ -574,8 +568,8 @@ class TestDigest:
         for model, config in [(m, initial_configuration(m)) for m in models] + [shop_loaded]:
             # a changeset that bumps the version on every firing has no end
             space = explore_space(model, config, Bounds(max_states=2000))
-            for i in range(space.state_count()):
-                _assert_digest_is_repr_hash(space.state(i))
+            for i, (model_idx, _) in enumerate(space.states):
+                _assert_digest_is_repr_hash(space.models[model_idx].layout, space.state(i))
             states += space.state_count()
         assert states > 2000
 
@@ -590,8 +584,8 @@ class TestDigest:
         config = initial_configuration(model)
         slots = config.slots_in(layout)
         for version in (0, 7, 12345):
-            _assert_digest_is_repr_hash(Configuration.from_slots(layout, (version,) + slots[1:]))
-        _assert_digest_is_repr_hash(config)  # backed by its pair key
+            _assert_digest_is_repr_hash(layout, Configuration.from_slots(layout, (version,) + slots[1:]))
+        _assert_digest_is_repr_hash(layout, config)  # backed by its pair key
 
     def test_text_tables_are_built_on_a_layouts_first_digest(self, bundles):
         model = bundles["cs-nondet"].model()
@@ -625,7 +619,7 @@ class TestDigest:
         configs = [Configuration.from_slots(model.layout, (version,) + slots[1:])
                    for version in (1, True, 1.0)]
         for config in configs * 2:
-            assert config_digest(config) == _repr_digest(config.key())
+            assert config_digest(config) == naive_digest(config.key())
         assert list(model.layout.digests) == [(1,) + slots[1:]]
 
     def test_digest_table_holds_at_most_its_cap(self, bundles, monkeypatch):
@@ -635,7 +629,7 @@ class TestDigest:
         seen = set()
         for _ in range(2):  # the second walk digests states the table held, or dropped
             for _, _, config in drive(model, initial_configuration(model), RandomPolicy(5), 300):
-                assert config_digest(config) == _repr_digest(config.key())
+                assert config_digest(config) == naive_digest(config.key())
                 assert len(model.layout.digests) <= cap
                 seen.add(config.key())
         assert len(seen) > 2 * cap

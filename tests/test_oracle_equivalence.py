@@ -17,7 +17,6 @@ from phasecoord.engine import (
     RandomPolicy,
     RuleStep,
     _replayed,
-    _state_record,
     config_digest,
     enabled_rules,
     fire_rule,
@@ -51,7 +50,9 @@ from phasecoord.model import (
     validate_model,
 )
 from phasecoord.properties import (
+    InPhase,
     InState,
+    Invariant,
     ModelVersionIs,
     Not,
     PropertyError,
@@ -70,6 +71,7 @@ from tests.oracle import (
     engine_successor_set,
     label_identity,
     naive_eval_predicate,
+    naive_state_record,
     naive_successors,
     walk_all_states,
 )
@@ -573,15 +575,15 @@ class TestCompiledPredicates:
 
 
 def state_record_lines(model, config, steps):
-    """Each line of the trace as `_state_record` defines the format."""
-    return [json.dumps(_state_record(index, label, c, digest), sort_keys=True) + "\n"
-            for index, label, _, c, digest in _replayed(model, config, steps)]
+    """Each line of the trace as `naive_state_record` defines the format."""
+    return [json.dumps(naive_state_record(index, label, c), sort_keys=True) + "\n"
+            for index, label, _, c, _ in _replayed(model, config, steps)]
 
 
 def assert_records_agree(model, config, seeds, max_steps=60):
     """On a random walk from `config` per seed, every line `write_trace_jsonl`
-    writes equals the `_state_record` line; returns the steps compared and
-    the number of walks that changed the model version."""
+    writes equals the `naive_state_record` line; returns the steps compared
+    and the number of walks that changed the model version."""
     steps = changed = 0
     for seed in seeds:
         trace = run(model, config, RandomPolicy(seed), max_steps)
@@ -592,6 +594,37 @@ def assert_records_agree(model, config, seeds, max_steps=60):
         steps += len(trace)
         changed += trace.final_model_version != config.model_version
     return steps, changed
+
+
+def state_invariants(model):
+    """One invariant per state of each component and per phase of each role
+    of `model`, each violated where its component or role is in it, and one
+    per model version 0-3."""
+    props = [Invariant(Not(ModelVersionIs(v))) for v in range(4)]
+    for name, std in sorted(model.components.items()):
+        props += [Invariant(Not(InState(name, state))) for state in sorted(std.states)]
+        props += [Invariant(Not(InPhase(name, part.name, phase.name)))
+                  for part in std.partitions for phase in part.phases]
+    return props
+
+
+def assert_report_records_agree(model, config, properties, bounds=Bounds(max_states=500)):
+    """Every violation and deadlock trace of `explore` is a walk along the
+    space's edges from its root, and each record equals `naive_state_record`
+    of the state the walk is at; returns the report."""
+    report = explore(model, config, properties, bounds)
+    space = report.space
+    out: dict = {}
+    for src, label, dst in space.edges:
+        out.setdefault(src, []).append((label, dst))
+    traces = [records for _, records in report.violations] + report.deadlocks
+    for records in traces:
+        assert records[0] == naive_state_record(0, None, space.state(0))
+        state = 0
+        for index, record in enumerate(records[1:], start=1):
+            state = next(dst for label, dst in out[state]
+                         if record == naive_state_record(index, label, space.state(dst)))
+    return report
 
 
 def named_model(roles):
@@ -617,14 +650,13 @@ def named_model(roles):
 
 
 class TestTraceRecords:
-    """`write_trace_jsonl` joins each record from its layout's JSON tables;
-    `_state_record` defines the format."""
+    """Exports and reports join each record from its layout's JSON tables;
+    `naive_state_record` defines the format."""
 
     def test_bundled_models(self, bundles, shop_loaded):
         systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
         changed = 0
         for model, config in systems + [shop_loaded]:
-            assert model.layout.record_entries(config.slots_in(model.layout)) is not None
             steps, walks = assert_records_agree(model, config, range(5), max_steps=200)
             assert steps > 0
             changed += walks
@@ -639,6 +671,29 @@ class TestTraceRecords:
             counts = assert_records_agree(model, random_initial(model), (seed, seed + 1))
             steps, changed = steps + counts[0], changed + counts[1]
         assert steps > 1000 and changed >= 10
+
+    def test_report_records_of_bundled_models(self, bundles, shop_loaded):
+        systems = [(b.model(), initial_configuration(b.model()), b.properties())
+                   for b in bundles.values()]
+        traces = []
+        for model, config, props in systems + [(*shop_loaded, [])]:
+            report = assert_report_records_agree(model, config, props + state_invariants(model))
+            traces += [records for _, records in report.violations] + report.deadlocks
+        assert len(traces) > 40 and sum(map(len, traces)) > 2 * len(traces)
+        # a trace of the loaded migration crosses its versions 1-3
+        assert max(len({r["modelVersion"] for r in records}) for records in traces) == 3
+
+    def test_report_records_of_random_models(self):
+        violations = deadlocks = records = 0
+        for seed in range(200):
+            model = random_model(seed)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            report = assert_report_records_agree(model, random_initial(model), state_invariants(model))
+            violations += len(report.violations)
+            deadlocks += len(report.deadlocks)
+            records += sum(len(r) for _, r in report.violations) + sum(map(len, report.deadlocks))
+        assert violations > 1000 and deadlocks > 200 and records > 10 * (violations + deadlocks)
 
     def test_names_json_escapes_and_roles_out_of_slot_order(self):
         # "A-B.y" sorts before "A.x" ('-' before '.'), though role (A, x)
@@ -658,12 +713,26 @@ class TestTraceRecords:
         model = named_model({7: ["p"], 12: ["q"]})
         assert assert_records_agree(model, initial_configuration(model), range(3))[0] > 0
 
+    def test_a_name_json_cannot_write_raises_before_its_line(self):
+        model = named_model({("t",): ["p"]})  # a tuple cannot be a JSON key
+        lines = []
+        with pytest.raises(TypeError):
+            write_trace_jsonl(model, initial_configuration(model), (), lines.append)
+        assert lines == []
+
     def test_roles_whose_keys_collide_take_the_state_record(self):
         # role (A.b, c) and role (A, b.c) both write the key "A.b.c"; the
-        # record's dict keeps one entry
+        # record keeps one entry, that of (A.b, c), the later role in slot order
         model = named_model({"A.b": ["c"], "A": ["b.c"]})
-        assert model.layout._json is None
-        assert model.layout.record_entries((0, 0, 0, 0, 0)) is None
+        layout = model.layout
+        assert layout.owners[layout.role_base:] == (("A", "b.c"), ("A.b", "c"))
+        _, roles = layout._json
+        assert [slot for slot, _ in roles] == [layout.slot["A.b", "c"]]
+        # (A, b.c) in ph-1 and (A.b, c) in ph.2: the entry holds ph.2
+        slots = (0, 1, 1, 0, 1)  # both components Idle (state index 1 of Büsy, Idle)
+        assert layout.record_entries(slots) == ('"A": "Idle", "A.b": "Idle"', '"A.b.c": "ph.2"')
+        config = Configuration.from_slots(layout, slots)
+        assert naive_state_record(0, None, config)["rolePhases"] == {"A.b.c": "ph.2"}
         assert assert_records_agree(model, initial_configuration(model), range(5))[0] > 0
 
     def test_key_backed_and_misfit_initial_configurations(self, bundles):
@@ -674,10 +743,10 @@ class TestTraceRecords:
         lines = []
         write_trace_jsonl(model, good, trace.steps, lines.append)
         assert lines == state_record_lines(model, good, trace.steps)
-        # record 0 is written before the first step finds the misfit
+        # a misfit initial configuration raises before its line is written
         bad = Configuration({**good.detailed, "Worker1": "Bogus"}, dict(good.phases), 0)
-        lines = []
-        with pytest.raises(UnknownElement):
-            write_trace_jsonl(model, bad, trace.steps, lines.append)
-        assert lines == [
-            json.dumps(_state_record(0, None, bad, config_digest(bad)), sort_keys=True) + "\n"]
+        for steps in (trace.steps, ()):
+            lines = []
+            with pytest.raises(UnknownElement, match="Worker1: unknown state Bogus"):
+                write_trace_jsonl(model, bad, steps, lines.append)
+            assert lines == []
