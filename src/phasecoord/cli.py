@@ -181,6 +181,8 @@ def _start(args):
 
 
 def cmd_simulate(args) -> int:
+    if _below_least((("--steps", args.steps, 0),)):
+        return EXIT_PARSE
     started, code = _start(args)
     if started is None:
         return code
@@ -192,7 +194,7 @@ def cmd_simulate(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        steps = steps if args.steps is None else steps[:max(args.steps, 0)]
+        steps = steps if args.steps is None else steps[:args.steps]
     else:
         if args.interactive:
             policy, limit = InteractivePolicy(_interactive_chooser), 1_000_000
@@ -332,6 +334,8 @@ def cmd_demo(args) -> int:
     if args.name not in BUNDLED:
         print(f"unknown demo {args.name!r}; valid names: {', '.join(bundled_names())}",
               file=sys.stderr)
+        return EXIT_PARSE
+    if _below_least((("--steps", args.steps, 0),)):
         return EXIT_PARSE
     bundle = get_bundled(args.name)
     model = bundle.model()

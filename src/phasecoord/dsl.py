@@ -83,40 +83,60 @@ class ParseError(Exception):
         )
 
 
-# One match per token, after whitespace, newlines and comments (a prefix
-# that cannot backtrack); at the end of input the token group is empty.
-# Integers are ASCII digits only: int() would also read (or choke on) other
-# Unicode digits.  A `name` match may start with a non-letter such as "²";
-# tokenize rejects those, since names start with a letter or "_".
-_TOKEN = re.compile(r"""
+# The lexical rules `.pdm` and `.pprop` share, one match per token: blanks
+# and "#" comments first (a prefix that cannot backtrack), then an ASCII
+# integer (int() would also read, or choke on, other Unicode digits), a
+# `\w+` word, one of the format's `punct` alternatives, or any other
+# character as an `other` token.  At the end of input the token group is
+# empty.
+def _token_rules(punct: str) -> re.Pattern:
+    return re.compile(r"""
     [ \t\r\n]* (?:\#[^\n]*[ \t\r\n]*)*
     (?: (?P<int>[0-9]+)
       | (?P<name>\w+)
-      | (?P<punct>->|[-{}()\[\]:;,.=*+])
+      | (?P<punct>%s)
       | (?P<other>.)
     )?
-""", re.VERBOSE)
+""" % punct, re.VERBOSE)
+
+
+def _scan(rules: re.Pattern, text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, values and start offsets of the tokens of `text` under
+    `rules`.  A punctuation token's kind is its value.  A word is a `name`
+    when it starts with a letter or "_", else (as "²b" does) a `word`."""
+    kinds, values, starts = [], [], []
+    for m in rules.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            break
+        value = m[kind]
+        starts.append(m.start(kind))
+        values.append(value)
+        if kind == "punct":
+            kind = value
+        elif kind == "name" and not (value[0].isalpha() or value[0] == "_"):
+            kind = "word"
+        kinds.append(kind)
+    return kinds, values, starts
+
+
+_PDM_RULES = _token_rules(r"->|[-{}()\[\]:;,.=*+]")
 
 
 class tokenize(Sequence):
-    """The tokens of `text`: kinds, values and start offsets in flat lists.
-    Indexing builds a `Token`, decoding its line and column from its offset,
-    which the parser does only for a diagnostic or a recorded span."""
+    """The `.pdm` tokens of `text`: kinds, values and start offsets in flat
+    lists.  Indexing builds a `Token`, decoding its line and column from its
+    offset, which the parser does only for a diagnostic or a recorded span."""
 
     def __init__(self, text: str):
         self.text, self.newlines = text, None
-        self.kinds, self.values, self.starts = kinds, values, starts = [], [], []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind is None:
-                break
-            value = m[kind]
-            if kind == "other" or (kind == "name" and not (value[0].isalpha() or value[0] == "_")):
-                raise ParseError(f"unexpected character {value[0]!r}",
-                                 Token("?", value[0], *self.position(m.start(kind))))
-            kinds.append(value if kind == "punct" else kind)
-            values.append(value)
-            starts.append(m.start(kind))
+        self.kinds, self.values, self.starts = kinds, values, starts = _scan(_PDM_RULES, text)
+        # `.pdm` has no `other` token, and a name starts with a letter or "_"
+        bad = [kinds.index(kind) for kind in ("other", "word") if kind in kinds]
+        if bad:
+            char = values[min(bad)][0]
+            raise ParseError(f"unexpected character {char!r}",
+                             Token("?", char, *self.position(starts[min(bad)])))
         # a comment ends the last line without moving the end-of-input column
         comment = text.find("#", text.rfind("\n") + 1)
         kinds.append("eof")

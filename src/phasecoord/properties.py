@@ -9,7 +9,10 @@ Three property forms:
 
 Predicates are boolean combinations (and/or/not, parentheses) of the atoms
 inState(C, s), inPhase(C, P, ph), countInState({C.s, ...}, <=, n) and
-modelVersionIs(n).  One property per line in a .pprop file; "#" comments.
+modelVersionIs(n).  One property per line in a .pprop file, read with the
+`.pdm` lexical rules (blanks, "#" comments, names, ASCII integers; see
+`dsl._token_rules`) and its own punctuation.  A syntax error's column
+counts on the raw line, its indent included.
 
 `compile_predicate` is the one evaluator: it turns a predicate into a test
 over the slots of one model's layout (see `model.SlotLayout`), built once
@@ -20,9 +23,10 @@ view.  `eval_predicate` decides one configuration through it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
+from .dsl import _scan, _token_rules
 from .model import MAX_INT_DIGITS, Configuration, Diagnostic, StdModel
 
 COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
@@ -218,203 +222,186 @@ def eval_predicate(pred: Predicate, model: StdModel, config: Configuration) -> b
     return compile_predicate(pred, model)(slots)
 
 
-class _Scanner:
-    def __init__(self, text: str, line: int = 1):
-        self.text = text
+_PPROP_RULES = _token_rules(r"&&|\|\||!=|<=|>=|==|[<>!{}(),.]")
+# The atoms over names: the word, then "(", the names and ")".
+_NAME_ATOMS = {"inState": InState, "inPhase": InPhase}
+
+
+class _SyntaxError(Exception):
+    """A `.pprop` syntax error: its message and the line offset it is placed at."""
+
+
+class _Parser:
+    """The `.pprop` tokens of one line, and a position among them."""
+
+    def __init__(self, text: str):
+        self.kinds, self.values, self.starts = _scan(_PPROP_RULES, text)
+        # the end of the line's content, before its comment and trailing blanks
+        end = self.starts[-1] + len(self.values[-1]) if self.starts else 0
+        self.content = text[:end]
+        self.kinds.append("eof")
+        self.values.append("")
+        self.starts.append(end)
         self.pos = 0
-        self.line = line
         self.depth = 0
 
+    def fail(self, message: str, offset: int | None = None) -> _SyntaxError:
+        return _SyntaxError(message, self.starts[self.pos] if offset is None else offset)
+
     def nest(self, levels: int):
-        """Enter (or, with a negative count, leave) predicate nesting levels."""
+        """Enter (or, with a negative count, leave) predicate nesting levels.
+        Too deep is an error right after the token just taken."""
         self.depth += levels
         if self.depth > MAX_PREDICATE_DEPTH:
-            raise _PropParseError(self.error(f"predicate nested deeper than {MAX_PREDICATE_DEPTH}"))
+            end = self.starts[self.pos - 1] + len(self.values[self.pos - 1])
+            raise self.fail(f"predicate nested deeper than {MAX_PREDICATE_DEPTH}", end)
 
-    def error(self, message: str, word: str = "") -> Diagnostic:
-        """A syntax error where the scanner is, or where `word` starts when
-        it is the word just taken."""
-        self.pos -= len(word)
-        return Diagnostic("syntax-error", "property", self.text[self.pos:self.pos + 8],
-                          message, line=self.line, column=self.pos + 1)
+    def accept(self, *values: str) -> bool:
+        """Whether the current token is one of the keywords or punctuation
+        `values`; if so, moves past it.  A keyword is a whole word: "not" in
+        "not(" but not in "notable"."""
+        if self.values[self.pos] not in values:
+            return False
+        self.pos += 1
+        return True
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def expect(self, kind: str, message: str = "") -> str:
+        if self.kinds[self.pos] != kind:
+            raise self.fail(message or f"expected {kind!r}")
+        self.pos += 1
+        return self.values[self.pos - 1]
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def name(self) -> str:
+        return self.expect("name", "expected a name")
 
-    def take_word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+    def integer(self) -> int:
+        if self.kinds[self.pos] == "int" and len(self.values[self.pos]) > MAX_INT_DIGITS:
+            raise self.fail(f"integer longer than {MAX_INT_DIGITS} digits")
+        return int(self.expect("int", "expected an integer"))
 
-    def take_name(self) -> str:
-        """A word that starts with a letter or "_", as a `.pdm` name does."""
-        name = self.take_word()
-        if not (name[:1].isalpha() or name[:1] == "_"):
-            raise _PropParseError(self.error("expected a name", name))
-        return name
+    def word(self) -> str:
+        """The current token if it is a word (a name or an integer), else ''."""
+        return self.values[self.pos] if self.kinds[self.pos] in ("name", "word", "int") else ""
 
-    def take_keyword(self, word: str) -> bool:
-        """Take `word` when it is the next whole word, as "not" in "not(" but
-        not in "notable"."""
-        saved = self.pos
-        if self.take_word() == word:
-            return True
-        self.pos = saved
-        return False
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def require(self, literal: str):
-        if not self.take(literal):
-            raise _PropParseError(self.error(f"expected {literal!r}"))
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        # ASCII digits only: int() would also read (or choke on) other Unicode digits
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if start == self.pos:
-            raise _PropParseError(self.error("expected an integer"))
-        if self.pos - start > MAX_INT_DIGITS:
-            self.pos = start
-            raise _PropParseError(self.error(f"integer longer than {MAX_INT_DIGITS} digits"))
-        return int(self.text[start:self.pos])
+    def split_bang(self):
+        """Read a "!=" token as "!" and then "=", where a "!" negates what
+        follows it: no atom starts with "="."""
+        i, start = self.pos, self.starts[self.pos]
+        self.kinds[i:i + 1] = "!", "other"
+        self.values[i:i + 1] = "!", "="
+        self.starts[i:i + 1] = start, start + 1
 
 
-class _PropParseError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
-
-
-def _parse_atom(sc: _Scanner) -> Predicate:
-    if sc.take("("):
-        sc.nest(1)
-        inner = _parse_or(sc)
-        sc.require(")")
-        sc.nest(-1)
+def _parse_atom(p: _Parser) -> Predicate:
+    if p.accept("("):
+        p.nest(1)
+        inner = _parse_or(p)
+        p.expect(")")
+        p.nest(-1)
         return inner
-    if sc.take_keyword("not") or sc.take("!"):
-        sc.nest(1)
-        operand = _parse_atom(sc)
-        sc.nest(-1)
+    if p.values[p.pos] == "!=":
+        p.split_bang()
+    if p.accept("not", "!"):
+        p.nest(1)
+        operand = _parse_atom(p)
+        p.nest(-1)
         return Not(operand)
-    word = sc.take_word()
-    if word == "inState":
-        sc.require("(")
-        comp = sc.take_name()
-        sc.require(",")
-        state = sc.take_name()
-        sc.require(")")
-        return InState(comp, state)
-    if word == "inPhase":
-        sc.require("(")
-        comp = sc.take_name()
-        sc.require(",")
-        part = sc.take_name()
-        sc.require(",")
-        phase = sc.take_name()
-        sc.require(")")
-        return InPhase(comp, part, phase)
-    if word == "countInState":
-        sc.require("(")
-        sc.require("{")
+    atom = _NAME_ATOMS.get(p.values[p.pos])
+    if atom is not None:
+        p.pos += 1
+        p.expect("(")
+        names = [p.name()]
+        while len(names) < len(fields(atom)):
+            p.expect(",")
+            names.append(p.name())
+        p.expect(")")
+        return atom(*names)
+    if p.accept("countInState"):
+        p.expect("(")
+        p.expect("{")
         pairs = []
         while True:
-            comp = sc.take_name()
-            sc.require(".")
-            state = sc.take_name()
-            pairs.append((comp, state))
-            if not sc.take(","):
+            comp = p.name()
+            p.expect(".")
+            pairs.append((comp, p.name()))
+            if not p.accept(","):
                 break
-        sc.require("}")
-        sc.require(",")
-        sc.skip_ws()
-        op = next((c for c in COMPARATORS if sc.take(c)), None)
-        if op is None:
-            raise _PropParseError(sc.error("expected a comparator"))
-        sc.require(",")
-        bound = sc.take_int()
-        sc.require(")")
+        p.expect("}")
+        p.expect(",")
+        op = p.values[p.pos]
+        if not p.accept(*COMPARATORS):
+            raise p.fail("expected a comparator")
+        p.expect(",")
+        bound = p.integer()
+        p.expect(")")
         return CountInState(tuple(pairs), op, bound)
-    if word == "modelVersionIs":
-        sc.require("(")
-        version = sc.take_int()
-        sc.require(")")
+    if p.accept("modelVersionIs"):
+        p.expect("(")
+        version = p.integer()
+        p.expect(")")
         return ModelVersionIs(version)
-    raise _PropParseError(sc.error(f"expected an atom, found {word!r}", word))
+    raise p.fail(f"expected an atom, found {p.word()!r}")
 
 
-def _parse_and(sc: _Scanner) -> Predicate:
-    left = _parse_atom(sc)
-    links = 0
-    while True:
-        if not (sc.take_keyword("and") or sc.take("&&")):
-            sc.nest(-links)
-            return left
-        links += 1
-        sc.nest(1)
-        left = And(left, _parse_atom(sc))
+def _parse_and(p: _Parser) -> Predicate:
+    left = _parse_atom(p)
+    depth = p.depth  # each link nests until the chain ends
+    while p.accept("and", "&&"):
+        p.nest(1)
+        left = And(left, _parse_atom(p))
+    p.depth = depth
+    return left
 
 
-def _parse_or(sc: _Scanner) -> Predicate:
-    left = _parse_and(sc)
-    links = 0
-    while True:
-        if not (sc.take_keyword("or") or sc.take("||")):
-            sc.nest(-links)
-            return left
-        links += 1
-        sc.nest(1)
-        left = Or(left, _parse_and(sc))
+def _parse_or(p: _Parser) -> Predicate:
+    left = _parse_and(p)
+    depth = p.depth  # each link nests until the chain ends
+    while p.accept("or", "||"):
+        p.nest(1)
+        left = Or(left, _parse_and(p))
+    p.depth = depth
+    return left
+
+
+def _parse(p: _Parser, line: int) -> Union[PropertyExpr, Diagnostic]:
+    """The property that the tokens `p` of line `line` spell, or the
+    Diagnostic of its first syntax error, whose element is up to 8
+    characters of the line's content from the error's offset."""
+    try:
+        if p.accept("invariant"):
+            prop: PropertyExpr = Invariant(_parse_or(p))
+        elif p.accept("reachable"):
+            prop = Reachable(_parse_or(p))
+        elif p.accept("eventuallyAll"):
+            pred = _parse_or(p)
+            if not p.accept("bound"):
+                raise p.fail("expected 'bound N'")
+            prop = EventuallyAll(pred, p.integer())
+        else:
+            raise p.fail(f"expected a property keyword, found {p.word()!r}")
+        if p.kinds[p.pos] != "eof":
+            raise p.fail("trailing input after property")
+        return prop
+    except _SyntaxError as exc:
+        message, offset = exc.args
+        return Diagnostic("syntax-error", "property", p.content[offset:offset + 8], message,
+                          line=line, column=offset + 1)
 
 
 def parse_property(text: str, line: int = 1) -> Union[PropertyExpr, Diagnostic]:
     """One property expression; returns a Diagnostic on syntax errors."""
-    sc = _Scanner(text, line)
-    try:
-        head = sc.take_word()
-        if head == "invariant":
-            prop: PropertyExpr = Invariant(_parse_or(sc))
-        elif head == "reachable":
-            prop = Reachable(_parse_or(sc))
-        elif head == "eventuallyAll":
-            pred = _parse_or(sc)
-            sc.skip_ws()  # so a word other than "bound" is reported where it starts
-            if not sc.take_keyword("bound"):
-                raise _PropParseError(sc.error("expected 'bound N'"))
-            prop = EventuallyAll(pred, sc.take_int())
-        else:
-            raise _PropParseError(sc.error(f"expected a property keyword, found {head!r}", head))
-        if not sc.at_end():
-            raise _PropParseError(sc.error("trailing input after property"))
-        return prop
-    except _PropParseError as exc:
-        return exc.diagnostic
+    return _parse(_Parser(text), line)
 
 
 def parse_properties(text: str) -> tuple[list[PropertyExpr], list[Diagnostic]]:
-    """A .pprop document: one property per non-empty, non-comment line."""
+    """A .pprop document: one property per line that holds a token."""
     props: list[PropertyExpr] = []
     diags: list[Diagnostic] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parser = _Parser(raw)
+        if parser.kinds[0] == "eof":
             continue
-        result = parse_property(line, lineno)
+        result = _parse(parser, lineno)
         if isinstance(result, Diagnostic):
             diags.append(result)
         else:

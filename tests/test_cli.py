@@ -116,6 +116,18 @@ rule r: X: A - go -> B * X(missing): a - triv -> b;
         assert (code, out) == (1, "")
         assert err == (GOLDEN_DIR / f"syntax-{case}.json").read_text("utf-8")
 
+    def test_property_syntax_errors_match_golden_bytes(self, capsys):
+        """tests/golden/syntax-indented.json holds the `--format json explore
+        prodcons --props` stderr of tests/golden/syntax-indented.pprop, whose
+        columns count on the raw line: an indent moves them, a comment does not."""
+        path = GOLDEN_DIR / "syntax-indented.pprop"
+        code, out, err = run_cli(capsys, "--format", "json", "explore", "prodcons",
+                                 "--props", str(path))
+        assert (code, out) == (1, "")
+        assert err == (GOLDEN_DIR / "syntax-indented.json").read_text("utf-8")
+        assert [(d["line"], d["column"]) for d in json.loads(err)] == [
+            (2, 41), (3, 15), (4, 24), (5, 26)]
+
     @pytest.mark.parametrize("header,column", [
         ("version ²;", 9), ("version 1²;", 10), ("version ٣;", 9),
     ], ids=["superscript", "after-ascii", "arabic-indic"])
@@ -217,6 +229,21 @@ class TestSimulate:
         assert len(lines) == 1
         header = json.loads(lines[0])
         assert header["index"] == 0 and header["label"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "prodcons", "--steps", "-4"),
+        ("simulate", "prodcons", "--steps", "-1", "--script", str(GOLDEN_DIR / "simulate-prodcons.jsonl")),
+        ("demo", "cs-nondet", "--steps", "-1"),
+    ], ids=["simulate", "simulate-script", "demo"])
+    def test_negative_steps_is_a_diagnostic(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: --steps must be at least 0, got {argv[3]}\n"
+
+    def test_zero_demo_steps_narrates_no_step(self, capsys):
+        code, out, err = run_cli(capsys, "demo", "cs-nondet", "--steps", "0")
+        assert code == 0
+        assert "0-step random run" in out and "  step " not in out
 
     def test_script_replay_reproduces_digests(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"

@@ -380,6 +380,45 @@ class TestProperties:
         diag = parse_property(text)
         assert (diag.code, diag.column, diag.element) == ("syntax-error", column, element)
 
+    @pytest.mark.parametrize("text,column,element", [
+        ("    invariant frob(A, x)", 15, "frob(A, "),
+        ("\tinvariant inState(A, x", 24, ""),
+        ("  invariant inState(A, x) and  # a comment", 30, ""),
+    ], ids=["spaces", "tab-at-end", "comment-at-end"])
+    def test_columns_count_on_the_raw_line(self, text, column, element):
+        """An indent moves the column; the element is the line's content
+        from there, without the comment and the trailing blanks."""
+        props, diags = parse_properties(f"# first\n\n{text}\n")
+        assert props == [] and [(d.line, d.column, d.element) for d in diags] == [
+            (3, column, element)]
+
+    def test_a_word_that_starts_with_digits_is_an_integer_then_a_name(self):
+        # the `.pdm` rule: `12abc` is the integer 12 and then the name abc
+        diag = parse_property("reachable 12abc")
+        assert (diag.detail, diag.column, diag.element) == (
+            "expected an atom, found '12'", 11, "12abc")
+        assert parse_property("eventuallyAll inState(A, x) bound 12abc").detail == (
+            "trailing input after property")
+
+    @pytest.mark.parametrize("text,column,detail", [
+        ("\xa0invariant inState(A, x)", 1, "expected a property keyword, found ''"),
+        ("invariant inState(A, x)\xa0", 24, "trailing input after property"),
+        ("\u2003# a comment", 1, "expected a property keyword, found ''"),
+    ], ids=["leading", "trailing", "before-a-comment"])
+    def test_a_blank_other_than_space_or_tab_is_refused(self, text, column, detail):
+        props, diags = parse_properties(text)
+        assert props == [] and [(d.column, d.detail) for d in diags] == [(column, detail)]
+
+    @pytest.mark.parametrize("text,column,element,detail", [
+        ("invariant " + "not " * 250 + "x", 814, " not not", "predicate nested deeper than 200"),
+        ("invariant " + "(" * 201 + "x", 212, "x", "predicate nested deeper than 200"),
+        ("invariant !=inState(A, x)", 12, "=inState", "expected an atom, found ''"),
+    ], ids=["after-a-not", "after-a-parenthesis", "bang-of-not-equal"])
+    def test_an_error_after_a_negation_or_an_opening_is_placed_right_after_it(
+            self, text, column, element, detail):
+        diag = parse_property(text)
+        assert (diag.column, diag.element, diag.detail) == (column, element, detail)
+
     def test_predicate_text_parses_back(self):
         rng = random.Random(18)
         for seed in range(200):

@@ -1,11 +1,15 @@
-"""Seeded mutation fuzz of the `.pdm` front end: every mutant of a bundled
-model text ends in a diagnostic and a contract exit code, never a traceback."""
+"""Seeded mutation fuzz of the readers of `.pdm` models, `.pprop` property
+files and `.jsonl` scripts: every mutant of a bundled or golden text ends in
+a diagnostic and a contract exit code, never a traceback."""
 
 import random
 import re
+from pathlib import Path
 
 from phasecoord.bundled import bundled_names, get_bundled
 from phasecoord.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Non-ASCII digits and letters, a NUL, every punctuation character of the
 # grammar, and whitespace.  No ASCII digit: inserting them would only grow
@@ -13,6 +17,25 @@ from phasecoord.cli import main
 ALPHABET = "²٣é\x00{}[]();:,.=*+-#\n \tx_"
 INTEGER = re.compile(r"(?<![A-Za-z0-9_])[0-9]+")
 CASES = 400
+# The `.pprop` punctuation and a lone "&", "|" and "=", blanks (a no-break
+# space among them), line breaks, a comment sign, ASCII digits and non-ASCII
+# word characters.
+PROPERTY_ALPHABET = "&|!=<>{}(),.#\n \t\xa0²٣é\x00_x09"
+# JSON punctuation and escapes, digits, letters of JSON literals, blanks.
+SCRIPT_ALPHABET = '{}[]":,\\ \n0a-9.eE²é\x00'
+# the `simulate` arguments that replay each golden trace
+SCRIPTS = {
+    "simulate-prodcons.jsonl": ("prodcons",),
+    "trace-shop-migration-loaded.jsonl": ("shop-migration", "--load-migration", "ShopMigr"),
+}
+
+
+def edit(rng, text, pos, alphabet):
+    """`text` with one character inserted, deleted or replaced at `pos`."""
+    op = rng.choice("idr")
+    if op == "d":
+        return text[:pos] + text[pos + 1:]
+    return text[:pos] + rng.choice(alphabet) + text[pos + (op == "r"):]
 
 
 def mutants(seed: int = 4, count: int = CASES):
@@ -29,14 +52,15 @@ def mutants(seed: int = 4, count: int = CASES):
                 pos = rng.choice(rng.choice(literals))
             else:
                 pos = rng.randrange(len(text) + 1)
-            op = rng.choice("idr")
-            if op == "i":
-                text = text[:pos] + rng.choice(ALPHABET) + text[pos:]
-            elif op == "d":
-                text = text[:pos] + text[pos + 1:]
-            else:
-                text = text[:pos] + rng.choice(ALPHABET) + text[pos + 1:]
+            text = edit(rng, text, pos, ALPHABET)
         yield text
+
+
+def edited(rng, text, alphabet):
+    """`text` with one to three characters inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        text = edit(rng, text, rng.randrange(len(text) + 1), alphabet)
+    return text
 
 
 def test_mutated_models_end_in_a_contract_exit_code(tmp_path, capsys):
@@ -50,3 +74,36 @@ def test_mutated_models_end_in_a_contract_exit_code(tmp_path, capsys):
         codes.add(code)
     # the corpus reaches the grammar, the validator and clean models alike
     assert codes == {0, 1, 2}
+
+
+def test_mutated_property_files_end_in_a_contract_exit_code(tmp_path, capsys):
+    path = tmp_path / "mutant.pprop"
+    rng = random.Random(21)
+    codes = set()
+    for _ in range(600):
+        name = rng.choice(bundled_names())
+        text = edited(rng, get_bundled(name).props_text(), PROPERTY_ALPHABET)
+        path.write_text(text, "utf-8")
+        code = main(["explore", name, "--props", str(path)])
+        capsys.readouterr()
+        assert code in (0, 1, 2, 4, 5), (name, text)
+        codes.add(code)
+    # syntax errors, unknown components, and properties that hold or fail
+    assert codes == {0, 1, 2, 4}
+
+
+def test_mutated_scripts_end_in_a_contract_exit_code(tmp_path, capsys):
+    path = tmp_path / "mutant.jsonl"
+    rng = random.Random(22)
+    traces = {name: (GOLDEN / name).read_text("utf-8") for name in SCRIPTS}
+    codes = set()
+    for _ in range(400):
+        name = rng.choice(sorted(SCRIPTS))
+        text = edited(rng, traces[name], SCRIPT_ALPHABET)
+        path.write_text(text, "utf-8")
+        code = main(["simulate", *SCRIPTS[name], "--script", str(path)])
+        capsys.readouterr()
+        assert code in (0, 1, 3), (name, text)
+        codes.add(code)
+    # unreadable records, divergent steps, and edits a replay never reads
+    assert codes == {0, 1, 3}
