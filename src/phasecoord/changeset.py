@@ -20,13 +20,13 @@ the changeset alone, and a `Carry` places any later configuration of the
 same model into that model's layout without a walk, unless a phase the
 changeset removes is live there.  The engine keeps a rule's `Carry` on the
 rule's guard for as long as the model object that owns the rule lives
-(see `engine`).
+(see `engine`).  Canonical forms are kept per object (`model._per_object`),
+so a changeset's result computes only those of its new elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import wraps
 from typing import Optional
 
 from .model import (
@@ -40,6 +40,7 @@ from .model import (
     Std,
     StdModel,
     Trap,
+    _per_object,
     initial_configuration,
     validate_configuration,
     validate_model,
@@ -254,16 +255,6 @@ def apply_changeset(
 # Canonical nested-tuple forms, used for structural equality and for interning
 # models by content during exploration.
 
-def _per_object(form):
-    """`form`, kept in each element's `__dict__` as `canonical_model` keeps a
-    model's: a changeset's result shares the elements it leaves alone."""
-    def kept(element) -> tuple:
-        facts = element.__dict__
-        if "canonical" not in facts:
-            facts["canonical"] = form(element)
-        return facts["canonical"]
-    return wraps(form)(kept)
-
 
 def canonical_trap(t: Trap) -> tuple:
     return (t.name, tuple(sorted(t.states)))
@@ -338,20 +329,15 @@ class CanonicalForm(tuple):
             return self._hash
 
 
+@_per_object
 def canonical_model(m: StdModel) -> CanonicalForm:
-    """The canonical form of `m`, computed once per model object.
-
-    Models are never mutated (see `model`), so the form is kept in the
-    instance `__dict__` beside the model's `cached_property` facts."""
-    facts = m.__dict__
-    if "canonical" not in facts:
-        facts["canonical"] = CanonicalForm((
-            m.version,
-            tuple(sorted(canonical_std(s) for s in m.components.values())),
-            tuple(sorted(canonical_rule(r) for r in m.rules.values())),
-            tuple(sorted((n, canonical_variable(v)) for n, v in m.variables.items())),
-        ))
-    return facts["canonical"]
+    """The canonical form of `m`, computed once per model object."""
+    return CanonicalForm((
+        m.version,
+        tuple(sorted(canonical_std(s) for s in m.components.values())),
+        tuple(sorted(canonical_rule(r) for r in m.rules.values())),
+        tuple(sorted((n, canonical_variable(v)) for n, v in m.variables.items())),
+    ))
 
 
 def models_equal(a: StdModel, b: StdModel) -> bool:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -56,7 +57,7 @@ EXIT_DOT_THRESHOLD = 6
 def _read(path: str) -> Optional[str]:
     """The text of the UTF-8 file at `path`; None once why not is reported."""
     try:
-        return Path(path).read_text("utf-8")
+        return Path(path).read_bytes().decode("utf-8")  # a line ends at "\n" only
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
@@ -190,7 +191,7 @@ def cmd_simulate(args) -> int:
 
     if args.script:
         try:
-            steps = parse_trace_steps(Path(args.script).read_text("utf-8"))
+            steps = parse_trace_steps(Path(args.script).read_bytes().decode("utf-8"))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
@@ -314,14 +315,16 @@ def cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _narrate(trace, model, header: str):
+def _narrate(trace, model, header: str, steps: Optional[int] = None) -> int:
+    """Narrate `trace`, or its first `steps` steps; the model version after them."""
     print(header)
-    for i, label, _, config in walk_trace(model, trace):
+    for i, label, _, config in walk_trace(model, replace(trace, steps=trace.steps[:steps])):
         if label is None:
             print(f"  start: {_compact(config)}")
         else:
             print(f"  step {i}: {label_text(label)}")
             print(f"    -> {_compact(config)}")
+    return config.model_version
 
 
 def _compact(config) -> str:
@@ -352,9 +355,11 @@ def cmd_demo(args) -> int:
             print("no completing trajectory found", file=sys.stderr)
             return EXIT_VIOLATION
         trace = space.trace_to(done)
-        _narrate(trace, model, "shop migration, shortest completing run:")
-        print(f"migration complete, model version {trace.final_model_version}, "
-              f"{sk.component} hibernating")
+        version = _narrate(trace, model, "shop migration, shortest completing run:", args.steps)
+        if args.steps < len(trace.steps):
+            print(f"stopped after {args.steps} of {len(trace.steps)} step(s), model version {version}")
+        else:
+            print(f"migration complete, model version {version}, {sk.component} hibernating")
         return EXIT_OK
 
     trace = run(model, config, RandomPolicy(args.seed), max_steps=args.steps)

@@ -50,6 +50,7 @@ from .model import (
     StdModel,
     Transition,
     Trap,
+    _per_object,
     validate_model,
 )
 
@@ -579,7 +580,7 @@ class _Builder:
                 value = self.variables.get(prule.change)
                 if not isinstance(value, ChangeSet):
                     self.error("unresolved-reference", "rule", prule.change, tok,
-                               "with-clause names no changeset variable declared above")
+                               "with-clause names no changeset variable")
                 else:
                     change = value
             else:
@@ -615,15 +616,13 @@ class _Builder:
         )
 
 
+@_per_object
 def _nesting(cs: ChangeSet) -> int:
     """How deep changesets nest in `cs`, itself included; kept per object,
     so a chain of `with NAME` references is walked once per link."""
-    facts = cs.__dict__
-    if "nesting" not in facts:
-        inner = [rule.change for rule in cs.add_rules if rule.change is not None]
-        inner += [value for _, value in cs.set_variables if isinstance(value, ChangeSet)]
-        facts["nesting"] = 1 + max(map(_nesting, inner), default=0)
-    return facts["nesting"]
+    inner = [rule.change for rule in cs.add_rules if rule.change is not None]
+    inner += [value for _, value in cs.set_variables if isinstance(value, ChangeSet)]
+    return 1 + max(map(_nesting, inner), default=0)
 
 
 def _var_references(value) -> set[str]:

@@ -18,8 +18,8 @@ each state once; a configuration backed by its pair key is hashed each time
 and never kept.  `_record_line` writes every trace record, of an export
 (`write_trace_jsonl`) and of a report (`explorer.Space.trace_records`)
 alike, from its layout's JSON tables (`SlotLayout.record_entries`).  Per
-model object the engine compiles one `_StepCore`, kept in the model's
-`__dict__` (see `model`): a table of free steps, which only gains entries,
+model object the engine compiles one `_StepCore`, kept through
+`model._per_object`: a table of free steps, which only gains entries,
 each a function of the model and its key, and one `_Guard` per rule.  A
 successor copies its parent's slots and replaces the one a detailed step
 changes, or the few a rule changes.  A configuration that does not fit the
@@ -41,14 +41,14 @@ whose manager sits at their step's source; `_take`, `rule_blocker` and
 reason it cannot fire.  Both test a rule with its `_Guard` and fire it with
 `_StepCore._after`; a replay fires only its recorded labels, through
 `_take`.  Consistency is checked where a step can break it.  After a rule
-with no changeset, `_StepCore._after` tests the slots the rule wrote: the
-manager's new state against each of its roles, and each transferred role
-against its component's state.  `step_detailed` tests the stepping
-component against its roles.  Either raises `ConsistencyBroken`, which only
-a model that `validate_model` rejects can cause.  A changeset validates the
-whole configuration after every application, and `explore` reports
-`configuration-valid` for every reached state, so a root that is already
-inconsistent is reported there and not blamed on a later step.
+with no changeset, `_StepCore._after` tests the slots the rule wrote (the
+manager's new state against each of its roles, then each transferred role
+against its component's state) and `step_detailed` the stepping component
+against its roles, both with `model._broken`, as `model.consistent` does.
+Either raises `ConsistencyBroken`, which only a model that `validate_model`
+rejects can cause.  A changeset validates the whole configuration after
+every application, and `explore` reports `configuration-valid` for every
+reached state, so an inconsistent root is reported, not blamed on a step.
 """
 
 from __future__ import annotations
@@ -65,11 +65,12 @@ from .changeset import Carry, RejectedChange, _apply
 from .model import (
     Configuration,
     ConsistencyRule,
-    Diagnostic,
     RoleTransfer,
     SlotLayout,
     StdModel,
     Transition,
+    _broken,
+    _per_object,
     validate_configuration,
 )
 
@@ -229,7 +230,7 @@ class _Guard:
         # the manager's, then each transferred one
         written = [layout.slot[(rule.manager, part.name)] for part in mgr.partitions]
         written += [role for role, _ in writes if role is not None]
-        self.checks = tuple(layout.checks[role - layout.role_base] for role in dict.fromkeys(written))
+        self.checks = tuple(layout.checks[role] for role in dict.fromkeys(written))
 
     def blocker(self, slots: tuple) -> Optional[str]:
         """Why the rule cannot fire at `slots`, or None; the changeset aside."""
@@ -293,20 +294,9 @@ class _Guard:
         return Carry(model.layout, change, new_model)
 
 
-def _broken(layout: SlotLayout, slots: tuple, checks: tuple) -> Optional[Diagnostic]:
-    """The `phase-violation` of the first of `checks` that `slots` fail."""
-    for comp, role, allowed in checks:
-        if slots[comp] not in allowed[slots[role]]:
-            name, part = layout.owners[role]
-            state = layout.names[comp][slots[comp]]
-            phase = layout.names[role][slots[role]]
-            return Diagnostic("phase-violation", name, part, f"{state} not in {phase}")
-    return None
-
-
 class _StepCore:
     """The engine's integer tables for one model object, built on first use
-    and kept in the model's `__dict__` (see `model`).
+    and kept per model object (`_core`).
 
     `free` holds, per component, its slot, a getter of its state and its
     roles' phases, and the table from those to the sorted free steps there,
@@ -432,12 +422,9 @@ def _slots(layout: SlotLayout, config: Configuration) -> tuple:
     return slots
 
 
+@_per_object
 def _core(model: StdModel) -> _StepCore:
-    facts = model.__dict__
-    core = facts.get("step_core")
-    if core is None:
-        core = facts["step_core"] = _StepCore(model)
-    return core
+    return _StepCore(model)
 
 
 def enabled_detailed(model: StdModel, config: Configuration, component: str) -> set[Transition]:
@@ -484,7 +471,7 @@ def step_detailed(
     if slots is None:
         raise NotEnabled(f"{component}: {transition.pretty()}")
     slot = core.layout.slot[component]
-    bad = _broken(core.layout, slots, tuple(c for c in core.layout.checks if c[0] == slot))
+    bad = _broken(core.layout, slots, [c for c in core.layout.checks.values() if c[0] == slot])
     if bad is not None:
         raise ConsistencyBroken(f"detailed step broke consistency: {bad}")
     return Configuration.from_slots(core.layout, slots)
@@ -761,7 +748,7 @@ def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
     which tells `1` from `true`, as an equal tuple of values would not."""
     steps = []
     labels: dict[str, StepLabel] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

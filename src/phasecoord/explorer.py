@@ -11,8 +11,9 @@ canonical form (computed and hashed once per model object, see
 slots): the configuration's flat tuple of ints in the layout of the model
 stored at that index (see `model.SlotLayout`).  Each model index has its
 own seen dict from slots to state index, so interning a successor builds
-no key.  A successor's slots are re-encoded only when they come from
-another layout, after a changeset made a new model object, and
+no key.  A successor's slots are interned as they come: each model a
+changeset makes passed `validate_model` and is newer than the root, so
+models with equal canonical forms have equal layouts (see `model`).
 `Space.state` decodes a configuration only for traces and exports.
 Exploration is one serial BFS: each frontier state's successors are
 computed and interned in order, so state indices, edges and reports are
@@ -189,31 +190,21 @@ def explore_space(
         next_frontier: list[int] = []
         for idx in frontier:
             here, here_slots = states[idx]
-            here_model = models[here]
-            here_layout, here_seen = here_model.layout, seen[here]
-            succ = successors(here_model, Configuration.from_slots(here_layout, here_slots))
+            here_model, here_seen = models[here], seen[here]
+            succ = successors(here_model, Configuration.from_slots(here_model.layout, here_slots))
             if not succ:
                 space.deadlocks.append(idx)
-            # intern each successor: model index, slots in that model's
-            # layout, then the lookup in that model's seen dict.
-            # `canonical_model` is a cached lookup, run once per edge (the
-            # benchmark's traced count pins it)
+            # intern each successor: model index, then its slots in that
+            # model's seen dict.  `canonical_model` is a cached lookup, run
+            # once per edge (the benchmark's traced count pins it)
             for label, nxt_model, nxt_config in succ:
                 model_key = canonical_model(nxt_model)
                 if nxt_model is here_model:
-                    model_idx, layout, model_seen = here, here_layout, here_seen
+                    model_idx, model_seen = here, here_seen
                 else:
                     model_idx = model_keys.get(model_key)
-                    if model_idx is None:  # a model not seen yet
-                        layout, model_seen = nxt_model.layout, {}
-                    else:
-                        layout, model_seen = models[model_idx].layout, seen[model_idx]
-                if nxt_config._layout is layout:
-                    slots = nxt_config._slots
-                else:  # a changeset made another model object
-                    slots = nxt_config.slots_in(layout)
-                    if slots is None:
-                        raise UnknownElement(layout.misfit(nxt_config.key()))
+                    model_seen = {} if model_idx is None else seen[model_idx]
+                slots = nxt_config._slots  # equal models have equal layouts
                 dst = model_seen.get(slots)
                 if dst is None:
                     dst = len(states)

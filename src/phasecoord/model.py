@@ -13,9 +13,9 @@ its components or the mappings it holds once it is built: a changeset makes
 a new `StdModel`, which shares every component, rule and changeset object
 it leaves alone.  Facts derived from one such object (transitions by
 source, claimed steps, slot layout, the engine's step tables, a
-component's own diagnostics in `validate_model`, and the canonical forms in
-`changeset`) are therefore computed once per object and kept in its
-instance `__dict__`, where `functools.cached_property` keeps them.
+component's own diagnostics, a changeset's depth in `dsl` and the canonical
+forms in `changeset`) are therefore computed once per object and kept in its
+instance `__dict__` by `cached_property` or `_per_object`, and by no other code.
 They are not dataclass fields, so `==`, `repr` and `dataclasses.replace`
 ignore them, and a replaced object starts with none.  Each is a function of
 the object alone.
@@ -24,9 +24,9 @@ Each `StdModel` object also has a `SlotLayout`, built once: slot 0 holds
 the model version, then one slot per component (sorted by name) holds the
 index of its state among its sorted states, then one slot per role (sorted
 (component, partition)) holds the index of its phase among the role's sorted
-phase names.  The layout's tables (`owners`, `names`, `index`) are
-indexed by slot, so a caller reads them at the slot itself.  Slot order
-depends only on the model's canonical form.  A
+phase names.  The layout's tables (`owners`, `names`, `index`, `checks`)
+are indexed by slot, so a caller reads them at the slot itself.  For a
+model `validate_model` accepts they depend only on its canonical form.  A
 `Configuration` is backed either by its canonical pair key (the model
 version, the sorted (component, state) pairs and the sorted ((component,
 partition), phase) pairs) or by a layout and a flat tuple of slots.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import repeat
 from operator import getitem
 from types import MappingProxyType
@@ -61,6 +61,18 @@ TRIV = "triv"
 # (4300 by default), so every version and bound read, and every version a
 # changeset bumps from one, can be printed.
 MAX_INT_DIGITS = 600
+
+
+def _per_object(fact):
+    """`fact`, computed once per element object and kept in the element's
+    `__dict__` under `fact`'s name (see the module docstring)."""
+    name = fact.__name__
+    def kept(element):
+        facts = element.__dict__
+        if name not in facts:
+            facts[name] = fact(element)
+        return facts[name]
+    return wraps(fact)(kept)
 
 
 class Transition(NamedTuple):
@@ -220,13 +232,13 @@ class SlotLayout:
     partition) in sorted order.  `names[s]` holds the names a slot's int
     indexes, sorted: a component's states, or the phase names of a role's
     partition in `Std.roles`.  `index[s]` maps each of those names to its
-    int, and `slot` maps each owner to its slot.  `checks` is the
-    consistency test as a table, one entry per role in slot order:
-    (component slot, role slot, per phase index the state indices of that
-    phase).  `key_text` gives the `repr` of the pair key that `decode`
-    gives, from text tables built on its first call; `record_entries`
-    gives a trace record's entries the same way, from JSON tables.
-    `digests` keeps the digest of each configuration digested in it."""
+    int, and `slot` maps each owner to its slot.  `checks` maps each role's
+    slot to its consistency test, which `_broken` walks: (component slot,
+    role slot, per phase index the state indices of that phase), in slot
+    order.  `key_text` gives the `repr` of the pair key that `decode` gives,
+    from text tables built on its first call; `record_entries` gives a trace
+    record's entries the same way, from JSON tables.  `digests` keeps the
+    digest of each configuration digested in it."""
 
     def __init__(self, model: StdModel):
         components = model.component_order
@@ -242,15 +254,15 @@ class SlotLayout:
         self.role_base = len(components) + 1  # the first role slot
         self.owners = (None, *components, *sorted(partitions))
         self.slot = {owner: slot for slot, owner in enumerate(self.owners) if slot}
-        names, index, pairs, checks = [None], [None], [None], []
+        names, index, pairs, self.checks = [None], [None], [None], {}
         for slot, owner in enumerate(self.owners[1:], 1):
             if owner in partitions:
                 phases = {phase.name: phase for phase in reversed(partitions[owner].phases)}
                 values = tuple(sorted(phases))
                 comp = self.slot[owner[0]]
                 # a phase state outside the component maps to None, which no slot holds
-                checks.append((comp, slot, tuple(frozenset(map(index[comp].get, phases[n].states))
-                                                 for n in values)))
+                self.checks[slot] = (comp, slot, tuple(
+                    frozenset(map(index[comp].get, phases[n].states)) for n in values))
             else:
                 values = tuple(sorted(model.components[owner].states))
             names.append(values)
@@ -258,7 +270,6 @@ class SlotLayout:
             # the pairs of the decoded key, built once and shared by every key
             pairs.append(tuple(zip(repeat(owner), values)))
         self.names, self.index, self._pairs = tuple(names), tuple(index), tuple(pairs)
-        self.checks = tuple(checks)
 
     def decode(self, slots: tuple) -> tuple:
         """The canonical pair key of the configuration held in `slots`."""
@@ -601,6 +612,12 @@ def _validate_rule(model: StdModel, rule: ConsistencyRule) -> list[Diagnostic]:
     return out
 
 
+@_per_object
+def _std_diagnostics(std: Std) -> list[Diagnostic]:
+    """The checks of `std` alone, named by `std.name`."""
+    return validate_std(std) + [d for part in std.partitions for d in _validate_partition(std, part)]
+
+
 def validate_model(model: StdModel) -> list[Diagnostic]:
     """Full static check: the conjunction of all element-level validators plus
     cross-reference resolution of every rule."""
@@ -612,12 +629,7 @@ def validate_model(model: StdModel) -> list[Diagnostic]:
         part_names = [p.name for p in std.partitions]
         for n in sorted(set(n for n in part_names if part_names.count(n) > 1)):
             out.append(Diagnostic("duplicate-partition", name, n))
-        # the checks of `std` alone, named by `std.name`, kept per object
-        facts = std.__dict__
-        if "diagnostics" not in facts:
-            facts["diagnostics"] = validate_std(std) + [
-                d for part in std.partitions for d in _validate_partition(std, part)]
-        out.extend(facts["diagnostics"])
+        out.extend(_std_diagnostics(std))
     for name in sorted(model.rules):
         rule = model.rules[name]
         if rule.name != name:
@@ -645,13 +657,22 @@ def consistent(model: StdModel, slots: tuple) -> bool:
     version, and each role's phase holds its component's state.  On a
     layout whose shape is not consistent the full walk decides."""
     layout = model.layout
-    if slots[0] != model.version:
+    if slots[0] != model.version or _broken(layout, slots, layout.checks.values()):
         return False
-    for comp, role, allowed in layout.checks:
-        if slots[comp] not in allowed[slots[role]]:
-            return False
     return layout.consistent_shape or not _configuration_diagnostics(
         model, Configuration.from_slots(layout, slots))
+
+
+def _broken(layout: SlotLayout, slots: tuple, checks: Iterable[tuple]) -> Optional[Diagnostic]:
+    """The `phase-violation` of the first of `checks`, values of
+    `layout.checks`, that `slots` fail: the one walk of that table."""
+    for comp, role, allowed in checks:
+        if slots[comp] not in allowed[slots[role]]:
+            name, part = layout.owners[role]
+            state = layout.names[comp][slots[comp]]
+            phase = layout.names[role][slots[role]]
+            return Diagnostic("phase-violation", name, part, f"{state} not in {phase}")
+    return None
 
 
 def _configuration_diagnostics(model: StdModel, config: Configuration) -> list[Diagnostic]:

@@ -394,10 +394,10 @@ def parse_property(text: str, line: int = 1) -> Union[PropertyExpr, Diagnostic]:
 
 
 def parse_properties(text: str) -> tuple[list[PropertyExpr], list[Diagnostic]]:
-    """A .pprop document: one property per line that holds a token."""
+    """A .pprop document: one property per line (only a line feed ends one) with a token."""
     props: list[PropertyExpr] = []
     diags: list[Diagnostic] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         parser = _Parser(raw)
         if parser.kinds[0] == "eof":
             continue

@@ -256,6 +256,27 @@ class TestSimulate:
         replayed = [json.loads(l)["digest"] for l in out.strip().splitlines()]
         assert replayed == original
 
+    def test_a_script_with_crlf_line_ends_replays(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        run_cli(capsys, "simulate", "prodcons", "--seed", "3", "--steps", "20",
+                "--trace-out", str(trace))
+        script = tmp_path / "crlf.jsonl"
+        script.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+        code, out, err = run_cli(capsys, "simulate", "prodcons", "--script", str(script))
+        assert (code, err) == (0, "")
+        assert out == trace.read_text()
+
+    def test_a_carriage_return_ends_no_script_record(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        run_cli(capsys, "simulate", "prodcons", "--seed", "3", "--steps", "20",
+                "--trace-out", str(trace))
+        lines = trace.read_text().split("\n")
+        script = tmp_path / "cr.jsonl"
+        script.write_bytes("\n".join([lines[0], lines[1] + "\r" + lines[2], *lines[3:]]).encode())
+        code, out, err = run_cli(capsys, "simulate", "prodcons", "--script", str(script))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 2: not a trace record (JSONDecodeError('Extra data")
+
     def test_divergent_script_exit_3(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         run_cli(capsys, "simulate", "prodcons", "--seed", "1", "--steps", "40",
@@ -500,6 +521,30 @@ class TestExplore:
         assert err.startswith(f"1:{column}:") and "syntax-error" in err
         assert "expected a name" in err
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_line_of_props_ends_at_a_newline_only(self, tmp_path, capsys, char):
+        # `str.splitlines` would end the line here too, and report line 2 as well
+        props = tmp_path / "f.pprop"
+        props.write_bytes(f"invariant inState(Producer,{char}Making)\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "explore", "prodcons", "--props", str(props))
+        assert (code, out) == (1, "")
+        assert err == f"1:28: syntax-error: property {char}Making) (expected a name)\n"
+
+    def test_a_carriage_return_in_props_is_a_blank(self, tmp_path, capsys):
+        props = tmp_path / "f.pprop"
+        props.write_bytes(b"reachable inState(Producer,\rMaking)\r\n")
+        code, out, err = run_cli(capsys, "--format", "json", "explore", "prodcons", "--props", str(props))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["properties"] == [
+            {"property": "reachable inState(Producer, Making)", "verdict": "satisfied"}]
+
+    def test_a_carriage_return_ends_no_property(self, tmp_path, capsys):
+        props = tmp_path / "f.pprop"
+        props.write_bytes(b"reachable inState(Producer, Making)\rreachable inState(Consumer, Ask)\r")
+        code, out, err = run_cli(capsys, "explore", "prodcons", "--props", str(props))
+        assert (code, out) == (1, "")
+        assert err == "1:37: syntax-error: property reachabl (trailing input after property)\n"
+
     def test_property_naming_unknown_component_exit_2(self, tmp_path, capsys):
         props = tmp_path / "f.pprop"
         props.write_text("invariant inState(Nobody, x)\n")
@@ -591,6 +636,20 @@ class TestDemo:
         code, out, err = run_cli(capsys, "demo", "shop-migration")
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN_DIR / "demo-shop-migration.txt").read_bytes()
+
+    @pytest.mark.parametrize("steps", ["6", "100"])
+    def test_shop_demo_narrates_a_whole_run_within_its_steps(self, capsys, steps):
+        code, out, err = run_cli(capsys, "demo", "shop-migration", "--steps", steps)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN_DIR / "demo-shop-migration.txt").read_bytes()
+
+    @pytest.mark.parametrize("steps, version", [(0, 1), (3, 2)])
+    def test_shop_demo_stops_after_its_steps(self, capsys, steps, version):
+        code, out, err = run_cli(capsys, "demo", "shop-migration", "--steps", str(steps))
+        assert (code, err) == (0, "")
+        golden = (GOLDEN_DIR / "demo-shop-migration.txt").read_text().splitlines()
+        assert out.splitlines() == [
+            *golden[:2 + 2 * steps], f"stopped after {steps} of 6 step(s), model version {version}"]
 
     def test_shop_demo_explores_once(self, explore_space_calls, capsys):
         assert run_cli(capsys, "demo", "shop-migration")[0] == 0

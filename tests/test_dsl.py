@@ -233,6 +233,21 @@ rule r: Blinker: Off - flip -> On with Later;
         result = parse_model(MINIMAL + "rule r: Blinker: Off - flip -> On with Ghost;\n")
         assert any(d.code == "unresolved-reference" for d in result.diagnostics)
 
+    @pytest.mark.parametrize("decls, line", [
+        ("rule r: Blinker: Off - flip -> On with Ghost;\n", 9),
+        ("var N = 3;\nrule r: Blinker: Off - flip -> On with N;\n", 10),
+    ], ids=["undeclared", "holds-an-integer"])
+    def test_a_with_clause_names_a_changeset_variable(self, decls, line):
+        result = parse_model(MINIMAL + decls)
+        assert [(str(d), d.detail) for d in result.diagnostics] == [(
+            f"{line}:6: unresolved-reference: rule {decls.split()[-1][:-1]} "
+            "(with-clause names no changeset variable)",
+            "with-clause names no changeset variable")]
+
+    def test_a_with_clause_may_name_a_variable_declared_below(self):
+        result = parse_model(MINIMAL + "rule r: Blinker: Off - flip -> On with Later;\nvar Later = {};\n")
+        assert result.diagnostics == [] and result.model.rules["r"].change == ChangeSet()
+
     def test_circular_reference_rejected(self):
         text = MINIMAL + """
 var A = { add rule x: Blinker: Off - flip -> On with B; };

@@ -196,7 +196,7 @@ class TestCachedModelFacts:
 
     def assert_matches_fresh(self, model):
         fresh = _uncached(model)
-        assert "canonical" not in fresh.__dict__
+        assert "canonical_model" not in fresh.__dict__
         assert canonical_model(model) is canonical_model(model)
         assert canonical_model(model) == canonical_model(fresh)
         assert model.claimed_steps == fresh.claimed_steps

@@ -10,9 +10,16 @@ from pathlib import Path
 import pytest
 
 from phasecoord.bundled import get_bundled
-from phasecoord.changeset import ChangeSet
+from phasecoord.changeset import ChangeSet, canonical_model
 from phasecoord.dsl import parse_model
-from phasecoord.engine import DetailedStep, UnknownElement, export_trace_jsonl, label_text, replay
+from phasecoord.engine import (
+    DetailedStep,
+    UnknownElement,
+    export_trace_jsonl,
+    label_text,
+    replay,
+    successors,
+)
 from phasecoord.explorer import (
     Bounds,
     check_invariant,
@@ -69,6 +76,34 @@ component Q {
     C - u -> D;
     D - u -> C;
 }
+"""
+
+# Rule r1's changeset re-adds phase Q unchanged, which sorts X's partitions
+# by name; r2's leaves them in declaration order.  Both drop both rules, so
+# the two firings give one model form through two partition orders.
+TWO_PARTITION_ORDERS = """
+component X {
+  states: A, B;
+  initial: A;
+  transitions:
+    A - a -> B;
+    A - b -> B;
+    B - back -> A;
+  partition q {
+    initial: Q;
+    phase Q { states: A, B; transitions: A - a -> B, A - b -> B, B - back -> A; }
+  }
+  partition p {
+    initial: P;
+    phase P { states: A, B; transitions: A - a -> B, A - b -> B, B - back -> A; }
+  }
+}
+rule r1: X: A - a -> B with {
+  add phase X.q.Q { states: A, B; transitions: A - a -> B, A - b -> B, B - back -> A; }
+  remove rule r1;
+  remove rule r2;
+};
+rule r2: X: A - b -> B with { remove rule r1; remove rule r2; };
 """
 
 
@@ -223,6 +258,34 @@ component Y {
         bogus = Configuration({**good.detailed, "Worker1": "Bogus"}, good.phases, 0)
         with pytest.raises(UnknownElement, match="Worker1: unknown state Bogus"):
             explore(model, bogus)
+
+    def test_models_with_equal_forms_have_equal_layouts(self, bundles, shop_loaded):
+        """`explore_space` keeps a successor's slots as the engine gives them,
+        in the layout of the model object the step made, though the space
+        stores the first model with its canonical form.  So at every state of
+        each space, every model a step reaches has the layout tables of the
+        space's model with its form."""
+        models = [bundle.model() for bundle in bundles.values()] + [_model(TWO_PARTITION_ORDERS)]
+        for seed in range(100):
+            # with at most 3 components, seed 1 reaches one model form through
+            # two model objects; no seed with the default 4 does
+            for model in (random_model(seed), random_model(seed, max_components=3)):
+                models.append(with_random_changesets(seed, model) if seed % 2 else model)
+        compared = 0
+        for model, config in [(m, initial_configuration(m)) for m in models] + [shop_loaded]:
+            # a changeset that bumps the version on every firing has no end
+            space = explore_space(model, config, Bounds(max_states=2000))
+            kept = {canonical_model(m): m for m in space.models}
+            for i, (model_idx, _) in enumerate(space.states):
+                for _, reached, _ in successors(space.models[model_idx], space.state(i)):
+                    first = kept.get(canonical_model(reached))
+                    if first is None or first is reached:
+                        continue  # a model past the bound, or the space's own
+                    a, b = first.layout, reached.layout
+                    assert (a.owners, a.names, a.index, a.checks) == (
+                        b.owners, b.names, b.index, b.checks)
+                    compared += 1
+        assert compared > 100
 
 
 class TestCheckInvariant:
