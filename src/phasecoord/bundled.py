@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .changeset import ChangeSet
 from .dsl import ParseResult, parse_model
 from .model import StdModel
 from .properties import PropertyExpr, parse_properties
@@ -39,14 +38,6 @@ class BundledModel:
         if diags:
             raise ValueError(f"bundled properties {self.name} invalid: {diags}")
         return props
-
-    def fragment(self) -> Optional[ChangeSet]:
-        if self.fragment_var is None:
-            return None
-        value = self.model().variables.get(self.fragment_var)
-        if not isinstance(value, ChangeSet):
-            raise ValueError(f"{self.name}: variable {self.fragment_var} holds no changeset")
-        return value
 
 
 BUNDLED = {

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Exit codes are a stable contract: 0 success, 1 parse or I/O error,
+Exit codes are a stable contract: 0 success, 1 parse, usage or I/O error,
 2 validation error, 3 replay divergence, 4 property violation,
 5 verdict unknown because a bound was hit, 6 DOT node threshold exceeded.
 Standard output carries data; diagnostics go to standard error.
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -30,8 +29,6 @@ from .engine import (
     drive,
     label_text,
     parse_trace_steps,
-    run,
-    walk_trace,
     write_trace_jsonl,
 )
 from .explorer import Bounds, check_migration_termination, check_progress, explore, explore_space
@@ -42,7 +39,7 @@ from .mcpal import (
     completion_test,
     load_migration,
 )
-from .model import initial_configuration, validate_configuration
+from .model import initial_configuration
 from .properties import PropertyError, parse_properties
 
 EXIT_OK = 0
@@ -84,18 +81,18 @@ def _below_least(checks) -> bool:
     return False
 
 
-def _load_model(args):
-    """The model at `args.path`, a file or a bundled name, with EXIT_OK; or
-    None with the exit code once the reason is reported."""
-    text = get_bundled(args.path).model_text() if args.path in BUNDLED else _read(args.path)
+def _load_model(path: str, fmt: str):
+    """The model at `path`, a file or a bundled name, with EXIT_OK; or None
+    with the exit code once the reason is reported, in format `fmt`."""
+    text = get_bundled(path).model_text() if path in BUNDLED else _read(path)
     if text is None:
         return None, EXIT_PARSE
     result = parse_model(text)
     if result.model is None:
-        _emit_diags(result.diagnostics, args.format)
+        _emit_diags(result.diagnostics, fmt)
         return None, EXIT_PARSE
     if result.diagnostics:
-        _emit_diags(result.diagnostics, args.format)
+        _emit_diags(result.diagnostics, fmt)
         return None, EXIT_VALIDATION
     return result.model, EXIT_OK
 
@@ -120,7 +117,7 @@ def _emit_diags(diags, fmt: str):
 
 
 def cmd_validate(args) -> int:
-    model, code = _load_model(args)
+    model, code = _load_model(args.path, args.format)
     if model is None:
         return code
     if args.format == "json":
@@ -154,25 +151,21 @@ def _interactive_chooser(labels) -> Optional[int]:
         print(f"out of range: {idx}", file=sys.stderr)
 
 
-def _start(args):
+def _start(args, path: str, var: Optional[str]):
     """The (model, initial configuration) a run starts from, with EXIT_OK:
-    the model at `args.path`, with the changeset that the variable
-    `args.load_migration` names, if any, loaded into the coordinator
-    (`mcpal.load_migration`); or None with the exit code once the reason is
-    reported."""
-    model, code = _load_model(args)
+    the model at `path`, with the changeset that the variable `var` names,
+    if any, loaded into the coordinator (`mcpal.load_migration`); or None
+    with the exit code once the reason is reported.  A model that parses
+    starts consistent (`validate_model`), so its start is not validated."""
+    model, code = _load_model(path, args.format)
     if model is None:
         return None, code
     config = initial_configuration(model)
-    bad = validate_configuration(model, config)
-    if bad:
-        _emit_diags(bad, args.format)
-        return None, EXIT_VALIDATION
-    if not args.load_migration:
+    if not var:
         return (model, config), EXIT_OK
-    fragment = model.variables.get(args.load_migration)
+    fragment = model.variables.get(var)
     if not isinstance(fragment, ChangeSet):
-        print(f"error: variable {args.load_migration!r} holds no changeset", file=sys.stderr)
+        print(f"error: variable {var!r} holds no changeset", file=sys.stderr)
         return None, EXIT_VALIDATION
     try:
         return load_migration(model, config, fragment), EXIT_OK
@@ -184,7 +177,7 @@ def _start(args):
 def cmd_simulate(args) -> int:
     if _below_least((("--steps", args.steps, 0),)):
         return EXIT_PARSE
-    started, code = _start(args)
+    started, code = _start(args, args.path, args.load_migration)
     if started is None:
         return code
     model, config = started
@@ -223,7 +216,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    started, code = _start(args)
+    started, code = _start(args, args.path, args.load_migration)
     if started is None:
         return code
     model, config = started
@@ -315,10 +308,11 @@ def cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _narrate(trace, model, header: str, steps: Optional[int] = None) -> int:
-    """Narrate `trace`, or its first `steps` steps; the model version after them."""
+def _narrate(header: str, steps) -> int:
+    """Narrate (label, model, configuration) steps, the first of them the
+    start (label None); the model version after the last."""
     print(header)
-    for i, label, _, config in walk_trace(model, replace(trace, steps=trace.steps[:steps])):
+    for i, (label, _, config) in enumerate(steps):
         if label is None:
             print(f"  start: {_compact(config)}")
         else:
@@ -340,36 +334,36 @@ def cmd_demo(args) -> int:
         return EXIT_PARSE
     if _below_least((("--steps", args.steps, 0),)):
         return EXIT_PARSE
-    bundle = get_bundled(args.name)
-    model = bundle.model()
-    config = initial_configuration(model)
+    started, code = _start(args, args.name, get_bundled(args.name).fragment_var)
+    if started is None:
+        return code
+    model, config = started
 
     if args.name == "shop-migration":
         sk = McPalSkeleton()
-        fragment = bundle.fragment()
-        model, config = load_migration(model, config, fragment)
         target = model.version + 2  # kick-off and shrink each bump the version
         space = explore_space(model, config)
         done = next(space.where(partial(completion_test, target_version=target, sk=sk)), None)
         if done is None:
             print("no completing trajectory found", file=sys.stderr)
             return EXIT_VIOLATION
-        trace = space.trace_to(done)
-        version = _narrate(trace, model, "shop migration, shortest completing run:", args.steps)
-        if args.steps < len(trace.steps):
-            print(f"stopped after {args.steps} of {len(trace.steps)} step(s), model version {version}")
+        walk = space.walk(done)
+        version = _narrate("shop migration, shortest completing run:", walk[:args.steps + 1])
+        if args.steps < len(walk) - 1:
+            print(f"stopped after {args.steps} of {len(walk) - 1} step(s), model version {version}")
         else:
             print(f"migration complete, model version {version}, {sk.component} hibernating")
         return EXIT_OK
 
-    trace = run(model, config, RandomPolicy(args.seed), max_steps=args.steps)
-    _narrate(trace, model, f"{args.name}: {len(trace.steps)}-step random run (seed {args.seed}):")
-    print(f"done, model version {trace.final_model_version}")
+    taken = list(drive(model, config, RandomPolicy(args.seed), args.steps))
+    version = _narrate(f"{args.name}: {len(taken)}-step random run (seed {args.seed}):",
+                       [(None, model, config), *taken])
+    print(f"done, model version {version}")
     return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:
-    model, code = _load_model(args)
+    model, code = _load_model(args.path, args.format)
     if model is None:
         return code
 
@@ -406,15 +400,23 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_serialize(args) -> int:
-    model, code = _load_model(args)
+    model, code = _load_model(args.path, args.format)
     if model is None:
         return code
     sys.stdout.write(serialize_model(model))
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE, not argparse's 2 (EXIT_VALIDATION here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasecoord",
         description="Run, evolve and verify phase-constrained coordination models.",
     )

@@ -679,47 +679,26 @@ def _record_line(
                       version if type(version) is int else json.dumps(version), roles)
 
 
-def _replayed(
-    model: StdModel, config: Configuration, steps: Iterable[tuple[StepLabel, int]]
-) -> Iterator[tuple[int, Optional[StepLabel], StdModel, Configuration, int]]:
-    """Re-execute (label, digest) steps, yielding (index, label, model,
-    configuration, digest): index 0 with label None for the initial
-    configuration, then one tuple per step, taken as it is yielded.  Raises
-    ReplayDivergence when a label is not enabled or a step reaches a
-    configuration whose digest differs from the recorded one."""
-    yield 0, None, model, config, config_digest(config)
-    for i, (label, digest) in enumerate(steps, start=1):
-        after = _take(model, config, label)
-        if after is None or config_digest(after[1]) != digest:
-            raise ReplayDivergence(i - 1, label)
-        model, config = after
-        yield i, label, model, config, digest
-
-
-def walk_trace(
-    model: StdModel, trace: Trace
-) -> Iterator[tuple[int, Optional[StepLabel], StdModel, Configuration]]:
-    """Re-execute a trace, yielding (index, label, model, configuration): index
-    0 with label None for the initial configuration, then one tuple per step.
-    Raises ReplayDivergence as `_replayed` does."""
-    for i, label, model, config, _ in _replayed(model, trace.initial, trace.steps):
-        yield i, label, model, config
-
-
 def write_trace_jsonl(
     model: StdModel, config: Configuration, steps: Iterable[tuple[StepLabel, int]],
     write: Callable[[str], object],
 ) -> tuple[int, int]:
     """Pass each line of the exported JSON-lines form of the (label, digest)
-    steps from `config` to `write` as soon as its step is replayed and its
-    digest checked (see `_replayed`), so nothing accumulates; returns the
-    number of steps and the final model version.  Line 0 is the initial
-    configuration, each further line one step (see `_record_line`); a
-    configuration that does not fit its layout raises UnknownElement before
-    its line is written."""
+    steps from `config` to `write` as soon as its step is re-fired and its
+    digest checked, so nothing accumulates; returns the number of steps and
+    the final model version.  Line 0 is the initial configuration, each
+    further line one step (see `_record_line`); a configuration that does not
+    fit its layout raises UnknownElement before its line is written.  Raises
+    ReplayDivergence when a label is not enabled or a step reaches a
+    configuration whose digest differs from the recorded one."""
     labels: dict = {}
+    write(_record_line(labels, 0, None, model, config, config_digest(config)))
     index = 0
-    for index, label, model, config, digest in _replayed(model, config, steps):
+    for index, (label, digest) in enumerate(steps, start=1):
+        after = _take(model, config, label)
+        if after is None or config_digest(after[1]) != digest:
+            raise ReplayDivergence(index - 1, label)
+        model, config = after
         write(_record_line(labels, index, label, model, config, digest))
     return index, config.model_version
 

@@ -129,21 +129,25 @@ class Space:
             out.setdefault(mover(label), set()).add(src)
         return {component: sorted(sources) for component, sources in out.items()}
 
-    def _path(self, state: int) -> list[int]:
-        """State indices from the exploration root to `state`."""
-        path = [state]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]][0])
-        path.reverse()
-        return path
+    def walk(self, state: int) -> list[tuple[Optional[StepLabel], StdModel, Configuration]]:
+        """The BFS path from the exploration root to `state`, a shortest one,
+        as (label, model, configuration) per state on it, the shape of a step
+        of `engine.successors`; the root's label is None."""
+        path = []  # (state, the label of the step that reached it), back from `state`
+        while (link := self.parent[state]) is not None:
+            path.append((state, link[1]))
+            state = link[0]
+        path.append((state, None))
+        return [(label, self.models[self.states[idx][0]], self.state(idx))
+                for idx, label in reversed(path)]
 
     def trace_to(self, state: int) -> Trace:
         """Shortest trace from the exploration root, by BFS construction."""
-        path = self._path(state)
+        walk = self.walk(state)
         return Trace(
-            initial=self.state(path[0]),
-            steps=tuple((self.parent[idx][1], config_digest(self.state(idx))) for idx in path[1:]),
-            final_model_version=self.states[state][1][0],
+            initial=walk[0][2],
+            steps=tuple((label, config_digest(config)) for label, _, config in walk[1:]),
+            final_model_version=walk[-1][2].model_version,
         )
 
     def trace_records(self, state: int) -> list[dict]:
@@ -151,13 +155,8 @@ class Space:
         each line written by `engine._record_line` and read back as a JSON
         value."""
         labels: dict = {}
-        records = []
-        for i, idx in enumerate(self._path(state)):
-            config = self.state(idx)
-            records.append(json.loads(_record_line(
-                labels, i, self.parent[idx][1] if i else None,
-                self.models[self.states[idx][0]], config, config_digest(config))))
-        return records
+        return [json.loads(_record_line(labels, i, label, model, config, config_digest(config)))
+                for i, (label, model, config) in enumerate(self.walk(state))]
 
 
 def explore_space(
@@ -293,8 +292,8 @@ def _sorted_violations(space: Space, items: list[tuple[str, int]]) -> list[tuple
     """Shortest trace first, then by its labels' text, then by property."""
     def sort_key(item):
         prop, state = item
-        path = space._path(state)
-        return (len(path), [label_text(space.parent[idx][1]) for idx in path[1:]], prop)
+        walk = space.walk(state)
+        return (len(walk), [label_text(label) for label, _, _ in walk[1:]], prop)
 
     return [(prop, space.trace_records(state)) for prop, state in sorted(items, key=sort_key)]
 

@@ -18,7 +18,7 @@ def shop_loaded():
     bundle = get_bundled("shop-migration")
     model = bundle.model()
     config = initial_configuration(model)
-    return load_migration(model, config, bundle.fragment())
+    return load_migration(model, config, model.variables[bundle.fragment_var])
 
 
 @pytest.fixture

@@ -307,6 +307,19 @@ def with_random_changesets(seed, model):
     return replace(model, rules=rules)
 
 
+def with_twin_rules(seed, model):
+    """`model` with every rule carrying a `random_changeset`, beside a twin:
+    a rule named as it is with a `t` appended, equal in all else.  The two
+    fire together, and each keeps its own resulting model object, so a firing
+    reaches one model form through two model objects."""
+    rng, clauses = random.Random(f"{seed}:twins"), random.Random(f"{seed}:twins:clauses")
+    rules = {}
+    for name, rule in sorted(model.rules.items()):
+        rules[name] = rule = replace(rule, change=random_changeset(rng, model, clauses))
+        rules[name + "t"] = replace(rule, name=name + "t")
+    return replace(model, rules=rules)
+
+
 # -- predicates ----------------------------------------------------------------
 
 def predicate_vocabulary(models):

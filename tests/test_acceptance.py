@@ -134,7 +134,7 @@ def test_criterion_3_oracle_equivalence(bundles):
     # stronger than required: the 4-component shop, through its migration
     bundle = bundles["shop-migration"]
     model = bundle.model()
-    loaded, started = load_migration(model, initial_configuration(model), bundle.fragment())
+    loaded, started = load_migration(model, initial_configuration(model), model.variables["ShopMigr"])
     for m, c in walk_all_states(loaded, started):
         assert naive_successors(m, c) == engine_successor_set(m, c)
         checked += 1
@@ -197,7 +197,7 @@ def test_criterion_6_quiescence_freedom(shop_loaded, bundles):
 
     bundle = bundles["shop-migration"]
     base = bundle.model()
-    fragment = bundle.fragment()
+    fragment = base.variables["ShopMigr"]
     from phasecoord.model import Phase, Std, Transition, Trap
 
     dead_bridge = Phase("Bridge", frozenset({"Idle", "At1"}), frozenset(),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phasecoord import changeset, dsl, explorer, model
+from phasecoord import changeset, dsl, engine, explorer, model
 from phasecoord.bundled import get_bundled
 from phasecoord.cli import main
 
@@ -53,6 +53,29 @@ def run_cli(capsys, *argv):
 def explore_space_calls(count_calls):
     """Arguments of every explore_space call, under each name it is bound to."""
     return count_calls(explorer, "explore_space")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "prodcons", "--steps", "x"),
+    ("bogus", "prodcons"),
+    (),
+    ("--format", "xml", "validate", "prodcons"),
+], ids=["bad-int", "unknown-command", "no-command", "bad-choice"])
+def test_usage_error_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exited.value.code, out) == (1, "")
+    assert err.startswith("usage: phasecoord") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("demo", "--help")])
+def test_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exited.value.code, err) == (0, "")
+    assert out.startswith("usage: phasecoord")
 
 
 class TestValidate:
@@ -409,6 +432,19 @@ class TestSimulate:
 
 
 NO_COORDINATOR_MODEL = ONE_STEP_MODEL + "var Empty = {};\n"
+# a hibernating coordinator that never migrates, beside a component that
+# deadlocks: the migration is `stuck`
+STUCK_MODEL = ONE_STEP_MODEL + """
+component McPal {
+  states: Observing;
+  initial: Observing;
+  transitions:
+  partition Evol {
+    initial: Hibernating;
+    phase Hibernating { states: Observing; transitions: ; }
+  }
+}
+"""
 
 
 @pytest.mark.parametrize("command", ["simulate", "explore"])
@@ -468,6 +504,14 @@ class TestExplore:
         assert len({(id(m), id(cs)) for m, _, cs in walks}) == len(walks) == 3
         assert len(validations) == 1 + len(walks) == 4
         assert checks == []
+
+    def test_flagship_validates_no_start_configuration(self, count_calls, capsys):
+        validations = count_calls(model, "validate_configuration")
+        assert run_cli(capsys, *FLAGSHIP)[0] == 0
+        # the load's `apply_changeset`, then each changeset firing: the load's
+        # trial firing and 20 in the exploration.  A model that parses starts
+        # consistent, so its initial configuration is not validated
+        assert len(validations) == 22
 
     @pytest.mark.parametrize("predicate", [
         "(" * 5000 + "inState(Worker1, Idle)" + ")" * 5000,
@@ -619,6 +663,32 @@ class TestExplore:
         assert sorted(progress) == ["Scheduler", "Worker1", "Worker2"]
         assert all(v["verdict"] == "unknown(bound)" for v in progress.values())
 
+    def test_starved_component_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "one.pdm"
+        path.write_text(ONE_STEP_MODEL)
+        code, out, err = run_cli(capsys, "explore", str(path), "--check-progress", "1")
+        assert code == 4
+        assert out == ("states: 2  transitions: 1  versions: [0]\n"
+                       "  progress X (k=1): starved\n"
+                       "  deadlocks: 1\n")
+
+    @pytest.mark.parametrize("text, argv, verdict", [
+        (None, ("shop-migration", "--check-termination", "1"), "cycle"),
+        (STUCK_MODEL, ("--check-termination", "1"), "stuck"),
+    ], ids=["cycle", "stuck"])
+    def test_termination_witness_exit_4(self, tmp_path, capsys, text, argv, verdict):
+        empty = tmp_path / "none.pprop"
+        empty.write_text("")
+        if text is not None:
+            path = tmp_path / "m.pdm"
+            path.write_text(text)
+            argv = (str(path), *argv)
+        code, out, err = run_cli(capsys, "--format", "json", "explore", *argv,
+                                 "--props", str(empty))
+        assert (code, err) == (4, "")
+        doc = json.loads(out)
+        assert doc["violations"] == [] and doc["termination"]["verdict"] == verdict
+
     def test_all_bundled_models_pass_their_properties(self, capsys):
         for name in ("cs-nondet", "cs-roundrobin", "prodcons"):
             code, out, err = run_cli(capsys, "explore", name)
@@ -655,6 +725,24 @@ class TestDemo:
         assert run_cli(capsys, "demo", "shop-migration")[0] == 0
         assert len(explore_space_calls) == 1
 
+    def test_shop_demo_parses_once_and_fires_no_step_again(self, count_calls, capsys):
+        parses = count_calls(dsl, "parse_model")
+        takes = count_calls(engine, "_take")
+        assert run_cli(capsys, "demo", "shop-migration")[0] == 0
+        assert len(parses) == 1
+        assert takes == []  # it narrates the steps of the explored path
+
+    @pytest.mark.parametrize("name", ["cs-nondet", "cs-roundrobin", "prodcons"])
+    def test_random_demo_matches_golden_bytes(self, capsys, name):
+        code, out, err = run_cli(capsys, "demo", name)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"demo-{name}.txt").read_bytes()
+
+    def test_random_demo_fires_no_step_again(self, count_calls, capsys):
+        takes = count_calls(engine, "_take")
+        assert run_cli(capsys, "demo", "prodcons")[0] == 0
+        assert takes == []  # it narrates the steps it drove
+
     def test_prodcons_demo(self, capsys):
         code, out, err = run_cli(capsys, "demo", "prodcons")
         assert code == 0
@@ -681,6 +769,15 @@ class TestExportDot:
                                "--component", "Server")
         assert code == 0
         assert "Evol.NDet" in out and "Evol.RoRo" in out
+
+    @pytest.mark.parametrize("what", ["std", "phases"])
+    @pytest.mark.parametrize("argv, message", [
+        ((), "--component required; model has ['Consumer', 'Producer']\n"),
+        (("--component", "Nobody"), "unknown component 'Nobody'\n"),
+    ], ids=["no-component", "unknown-component"])
+    def test_component_diagram_needs_a_known_component_exit_1(self, capsys, what, argv, message):
+        code, out, err = run_cli(capsys, "export-dot", "prodcons", "--what", what, *argv)
+        assert (code, out, err) == (1, "", message)
 
     def test_statespace_threshold_exit_6(self, capsys):
         code, out, err = run_cli(capsys, "export-dot", "shop-migration",

@@ -125,6 +125,20 @@ var M = {
         result = parse_model(text)
         assert any(d.code == "duplicate-name" for d in result.diagnostics)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("version 1;\nversion 2;\n" + MINIMAL,
+         ("syntax-error", "parse", "version", "duplicate version directive", 2, 1)),
+        (MINIMAL + "var v = 1;\nvar v = 2;\n", ("duplicate-name", "var", "v", "", 10, 5)),
+        (MINIMAL + "rule r: Blinker: Off - flip -> On;\nrule r: Blinker: On - flip -> Off;\n",
+         ("duplicate-name", "rule", "r", "", 10, 6)),
+        (MINIMAL + "var v = { remove x y; };\n",
+         ("syntax-error", "parse", "remove", "cannot remove 'x'", 9, 11)),
+    ], ids=["version", "var", "rule", "remove-kind"])
+    def test_a_second_declaration_or_an_unknown_removal_is_diagnosed(self, text, expected):
+        result = parse_model(text)
+        assert [(d.code, d.owner, d.element, d.detail, d.line, d.column)
+                for d in result.diagnostics] == [expected]
+
     def test_unresolved_rule_reference(self):
         text = MINIMAL + "rule r: Blinker: Off - flip -> On * Ghost(p): A - triv -> A;\n"
         result = parse_model(text)

@@ -32,7 +32,6 @@ from phasecoord.engine import (
     run,
     step_detailed,
     successors,
-    walk_trace,
 )
 from phasecoord.explorer import Bounds, explore_space
 from phasecoord.model import (
@@ -434,7 +433,7 @@ class TestRun:
         calls = count_calls(engine, "successors")
         text = export_trace_jsonl(model, trace)
         assert replay(model, config, trace.labels()) == trace
-        assert len(list(walk_trace(model, trace))) == len(trace) + 1
+        assert len(text.splitlines()) == len(trace) + 1  # the initial record, then one per step
         assert calls == []
         assert parse_trace_labels(text) == trace.labels()
 

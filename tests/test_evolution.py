@@ -79,6 +79,21 @@ class TestChangesets:
         cs = ChangeSet(add_rules=(extra,))
         assert validate_changeset(model, config, cs) == []
 
+    @pytest.mark.parametrize("change, expected", [
+        (ChangeSet(add_partitions=(("Nobody", Partition("g", (Phase("g", frozenset({"A"}), frozenset()),),
+                                                         "g")),)),
+         ("unresolved-component", "changeset", "Nobody")),
+        (ChangeSet(add_phases=(("Consumer", "Nowhere", Phase("g", frozenset({"Empty"}), frozenset())),)),
+         ("unresolved-partition", "changeset", "Consumer.Nowhere")),
+        (ChangeSet(add_traps=(("Consumer", "Supply", "Ask", Trap("triv", frozenset({"Empty"}))),)),
+         ("reserved-trap-name", "changeset", "triv")),
+    ], ids=["partition-of-no-component", "phase-of-no-partition", "trap-named-triv"])
+    def test_a_clause_that_resolves_nothing_is_rejected(self, bundles, change, expected):
+        model = bundles["prodcons"].model()
+        with pytest.raises(RejectedChange) as err:
+            apply_changeset(model, initial_configuration(model), change)
+        assert [(d.code, d.owner, d.element) for d in err.value.diagnostics] == [expected]
+
     def test_live_phase_removal_rejected(self, bundles):
         model = bundles["cs-nondet"].model()
         config = initial_configuration(model)
@@ -407,7 +422,8 @@ class TestRuleChangeMemo:
         # base model's facts and rule memos as the first round left them,
         # and every loaded model is freed
         bundle = bundles["shop-migration"]
-        base, fragment = bundle.model(), bundle.fragment()
+        base = bundle.model()
+        fragment = base.variables["ShopMigr"]
         config = initial_configuration(base)
         successors(base, config)  # the base model's step core, with its guards
         loaded = []
@@ -440,6 +456,19 @@ class TestWeave:
         woven = weave_mcpal(StdModel({}, {}, {}, 0))
         with pytest.raises(NameCollision):
             weave_mcpal(woven)
+
+    @pytest.mark.parametrize("rules, variables, message", [
+        ((), {"Crs": 1}, "variable Crs"),
+        (("McPal_done", "McPal_hibernate"), {}, "rules ['McPal_done', 'McPal_hibernate']"),
+    ], ids=["variable", "rules"])
+    def test_weave_into_taken_names_collides(self, bundles, rules, variables, message):
+        host = bundles["prodcons"].model()
+        rule = next(iter(host.rules.values()))
+        host = replace(host, rules={**host.rules, **{name: replace(rule, name=name) for name in rules}},
+                       variables={**host.variables, **variables})
+        with pytest.raises(NameCollision) as err:
+            weave_mcpal(host)
+        assert str(err.value) == message
 
     def test_weave_claims_no_host_transition(self, bundles):
         host = bundles["prodcons"].model()
@@ -484,7 +513,7 @@ class TestLoadMigration:
         bundle = bundles["shop-migration"]
         model = bundle.model()
         config = initial_configuration(model)
-        fragment = bundle.fragment()
+        fragment = model.variables["ShopMigr"]
         loaded, new_config = load_migration(model, config, fragment)
         assert loaded.version == model.version + 1
         kick = loaded.rules["McPal_kickoff"]
@@ -515,6 +544,15 @@ class TestLoadMigration:
         with pytest.raises(FragmentInvalid) as err:
             load_migration(model, config, broken)
         assert err.value.diagnostics == [Diagnostic("unknown-rule", "changeset", "no-such-rule")]
+
+    def test_load_into_a_model_the_load_changeset_breaks(self, bundles):
+        # the load changeset is applied to the whole model, which here holds
+        # a variable no model may hold
+        model = bundles["shop-migration"].model()
+        broken = replace(model, variables={**model.variables, "v": "text"})
+        with pytest.raises(FragmentInvalid) as err:
+            load_migration(broken, initial_configuration(broken), ChangeSet())
+        assert err.value.diagnostics == [Diagnostic("bad-variable-value", "v", "str")]
 
     def test_fragment_only_the_configuration_rejects(self, bundles):
         # the added partition is a valid model (Server's initial state Idle

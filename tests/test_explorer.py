@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace as dc_replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from phasecoord.dsl import parse_model
 from phasecoord.engine import (
     DetailedStep,
     UnknownElement,
+    config_digest,
     export_trace_jsonl,
     label_text,
     replay,
@@ -30,7 +32,7 @@ from phasecoord.explorer import (
     minimal_progress_bound,
     shortest_trace_to,
 )
-from phasecoord.mcpal import McPalSkeleton, load_migration, weave_mcpal
+from phasecoord.mcpal import McPalSkeleton, completion_test, load_migration, weave_mcpal
 from phasecoord.model import (
     Configuration,
     ConsistencyRule,
@@ -45,7 +47,7 @@ from phasecoord.model import (
 )
 from phasecoord.properties import CountInState, InState, ModelVersionIs, Not, parse_property
 
-from tests.genmodels import random_initial, random_model, with_random_changesets
+from tests.genmodels import random_initial, random_model, with_random_changesets, with_twin_rules
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
@@ -104,6 +106,29 @@ rule r1: X: A - a -> B with {
   remove rule r2;
 };
 rule r2: X: A - b -> B with { remove rule r1; remove rule r2; };
+"""
+
+
+# A coordinator that may wander off to Lost before its one migration (rule
+# bump, to version 1) and never return, beside CYCLE3's three-step spinner:
+# from Lost, completion is unreachable, and the spinner loops forever.
+LOST_COORDINATOR = CYCLE3 + """
+component McPal {
+  states: Observing, Busy, Lost;
+  initial: Observing;
+  transitions:
+    Observing - go -> Busy;
+    Busy - back -> Observing;
+    Observing - wander -> Lost;
+  partition Evol {
+    initial: Hibernating;
+    phase Hibernating {
+      states: Observing, Busy, Lost;
+      transitions: Observing - go -> Busy, Busy - back -> Observing, Observing - wander -> Lost;
+    }
+  }
+}
+rule bump: McPal: Observing - go -> Busy with { remove rule bump; };
 """
 
 
@@ -268,10 +293,12 @@ component Y {
         models = [bundle.model() for bundle in bundles.values()] + [_model(TWO_PARTITION_ORDERS)]
         for seed in range(100):
             # with at most 3 components, seed 1 reaches one model form through
-            # two model objects; no seed with the default 4 does
+            # two model objects; no seed with the default 4 does, but twin
+            # rules often do
             for model in (random_model(seed), random_model(seed, max_components=3)):
                 models.append(with_random_changesets(seed, model) if seed % 2 else model)
-        compared = 0
+            models.append(with_twin_rules(seed, random_model(seed)))
+        compared, twins = 0, set()
         for model, config in [(m, initial_configuration(m)) for m in models] + [shop_loaded]:
             # a changeset that bumps the version on every firing has no end
             space = explore_space(model, config, Bounds(max_states=2000))
@@ -285,7 +312,8 @@ component Y {
                     assert (a.owners, a.names, a.index, a.checks) == (
                         b.owners, b.names, b.index, b.checks)
                     compared += 1
-        assert compared > 100
+                    twins.add(id(model))
+        assert compared > 100 and len(twins) >= 20
 
 
 class TestCheckInvariant:
@@ -356,13 +384,29 @@ class TestShortestTrace:
         assert again.final_model_version == 3
 
 
+class TestWalk:
+    def test_a_walk_is_a_path_of_successor_steps(self, shop_loaded):
+        model, config = shop_loaded
+        space = explore_space(model, config)
+        for idx in range(0, space.state_count(), 7):
+            walk = space.walk(idx)
+            assert walk[0] == (None, model, config)
+            assert walk[-1][2] == space.state(idx)
+            for (_, here, at), (label, there, after) in zip(walk, walk[1:]):
+                step = next(s for s in successors(here, at) if s[0] == label)
+                assert step[2] == after and canonical_model(step[1]) == canonical_model(there)
+            trace = space.trace_to(idx)
+            assert len(walk) == len(trace) + 1 == len(space.trace_records(idx))
+            assert replay(model, config, trace.labels()) == trace
+
+
 def broken_bridge_shop(bundles):
     """The shop with its migration loaded, but with a broken bridge: the
     orient step is missing, so the shrink rule's oriented trap is never
     entered; a spinner keeps the system live."""
     bundle = bundles["shop-migration"]
     model = bundle.model()
-    fragment = bundle.fragment()
+    fragment = model.variables["ShopMigr"]
     dead_bridge = Phase("Bridge", frozenset({"Idle", "At1"}), frozenset(),
                         (Trap("oriented", frozenset({"At1"})),))
     tick = Transition("s", "tick", "s")
@@ -423,6 +467,23 @@ class TestTermination:
         assert len(result.witness.steps) > 0
         again = replay(loaded, started, result.witness.labels())
         assert again.steps == result.witness.steps  # the lasso replays exactly
+
+    def test_a_lasso_extends_its_stem_over_a_longer_loop(self):
+        model = _model(LOST_COORDINATOR)
+        config = initial_configuration(model)
+        space = explore_space(model, config)
+        result = check_migration_termination(space, target_version=1)
+        assert result.verdict == "cycle"
+        assert [label_text(label) for label in result.witness.labels()] == [
+            "detailed McPal: Observing-wander->Lost",  # the stem
+            "detailed Spinner: A-x->B", "detailed Spinner: B-y->C", "detailed Spinner: C-z->A"]
+        again = replay(model, config, result.witness.labels())
+        assert again.steps == result.witness.steps  # digest-equal, step by step
+        loop = [digest for _, digest in again.steps]
+        assert loop[-1] == loop[0] and len(set(loop)) == 3  # the loop closes after 3 steps
+        complete = {config_digest(space.state(idx))
+                    for idx in space.where(partial(completion_test, target_version=1))}
+        assert complete and complete.isdisjoint(loop)
 
     def test_lasso_witnesses_are_pinned(self, bundles):
         space = explore_space(*broken_bridge_shop(bundles))

@@ -1,8 +1,8 @@
 """Domain-type validators: examples, closure properties, conjunction law."""
 
-import random
-
+import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -25,7 +25,13 @@ from phasecoord.model import (
     validate_trap,
 )
 
-from tests.genmodels import break_model, close_forward, random_initial, random_model
+from tests.genmodels import (
+    break_model,
+    close_forward,
+    random_initial,
+    random_model,
+    with_random_changesets,
+)
 
 
 def std(states, transitions, initial, partitions=()):
@@ -239,11 +245,63 @@ class TestValidateModelConjunction:
             assert a == sorted(a, key=lambda d: d.sort_key())
 
 
+def one_part(*phases):
+    return Partition("p", tuple(phases), phases[0].name)
+
+
+def alone(component, name="X", rules=None, variables=None):
+    """A model of one component, under `name`."""
+    return StdModel({name: component}, rules or {}, variables or {}, 0)
+
+
+# X with one role p, phase pa holding both states and the one step
+X_GO = std({"A", "B"}, [("A", "go", "B")], "A",
+           [one_part(phase("pa", {"A", "B"}, [("A", "go", "B")]))])
+GO = Transition("A", "go", "B")
+TRANSFER = RoleTransfer("X", "p", "pa", TRIV, "pa")
+
+
+@pytest.mark.parametrize("model, expected", [
+    (alone(dataclasses.replace(X_GO, actions=frozenset())), ("unknown-action", "X", "go")),
+    (alone(std({"A"}, [], "A", [one_part(phase("pa", {"A"}, []), phase("pe", set(), []))])),
+     ("empty-phase", "X.p.pe", "")),
+    (alone(std({"A"}, [], "A", [one_part(phase("pa", {"A"}, [], [("t", {"A"})] * 2))])),
+     ("duplicate-trap", "X.p.pa", "t")),
+    (alone(std({"A"}, [], "A", [one_part(phase("pa", {"A"}, [], [("t", set())]))])),
+     ("empty-trap", "X.p.pa", "t")),
+    (alone(std({"A"}, [], "A", [one_part(*[phase("pa", {"A"}, [])] * 2)])),
+     ("duplicate-phase", "X.p", "pa")),
+    (alone(X_GO, rules={"r": ConsistencyRule("r", "X", GO, (TRANSFER, TRANSFER))}),
+     ("duplicate-transfer-target", "r", "X(p)")),
+    (alone(X_GO, rules={"r": ConsistencyRule("r", "X", GO, (dataclasses.replace(TRANSFER, trap="nope"),))}),
+     ("unresolved-trap", "r", "pa.nope")),
+    (alone(X_GO, rules={"r": ConsistencyRule("s", "X", GO)}), ("name-mismatch", "r", "s")),
+    (alone(X_GO, name="Y"), ("name-mismatch", "Y", "X")),
+    (alone(X_GO, variables={"v": "text"}), ("bad-variable-value", "v", "str")),
+], ids=["unknown-action", "empty-phase", "duplicate-trap", "empty-trap", "duplicate-phase",
+        "duplicate-transfer-target", "unresolved-trap", "rule-name-mismatch",
+        "component-name-mismatch", "bad-variable-value"])
+def test_validate_model_names_the_fault(model, expected):
+    assert [(d.code, d.owner, d.element) for d in validate_model(model)] == [expected]
+
+
 class TestValidateConfiguration:
     def test_initial_configuration_valid(self):
         for seed in range(100):
             model = random_model(seed)
             assert validate_configuration(model, random_initial(model)) == []
+
+    def test_every_accepted_model_starts_consistent(self, bundles, shop_loaded):
+        """`validate_model` checks every initial state and phase, so a model
+        it accepts starts consistent, and a run's start (`cli._start`) is
+        not validated again."""
+        models = [bundle.model() for bundle in bundles.values()] + [shop_loaded[0]]
+        for seed in range(300):
+            model = random_model(seed)
+            models.append(with_random_changesets(seed, model) if seed % 2 else model)
+        for model in models:
+            assert validate_model(model) == []
+            assert validate_configuration(model, initial_configuration(model)) == []
 
     def test_detailed_state_outside_phase(self):
         ph_a = phase("pa", {"A"}, [])

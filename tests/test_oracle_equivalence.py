@@ -16,8 +16,8 @@ from phasecoord.engine import (
     UnknownElement,
     RandomPolicy,
     RuleStep,
-    _replayed,
     config_digest,
+    drive,
     enabled_rules,
     fire_rule,
     replay,
@@ -66,6 +66,7 @@ from tests.genmodels import (
     random_model,
     random_predicate,
     with_random_changesets,
+    with_twin_rules,
 )
 from tests.oracle import (
     engine_successor_set,
@@ -107,7 +108,7 @@ class TestBundledModels:
         bundle = bundles["shop-migration"]
         model = bundle.model()
         config = initial_configuration(model)
-        loaded, started = load_migration(model, config, bundle.fragment())
+        loaded, started = load_migration(model, config, model.variables["ShopMigr"])
         assert assert_agreement_everywhere(loaded, started) == 116
 
 
@@ -428,6 +429,18 @@ def assert_space_is_the_oracle_walk(model, config):
     return space
 
 
+def reaches_a_form_through_another_object(space):
+    """True when a step from a state of `space` gives a model object other
+    than the one the space keeps with that model's form."""
+    kept = {canonical_model(m): m for m in space.models}
+    for idx, (m, _) in enumerate(space.states):
+        for _, reached, _ in successors(space.models[m], space.state(idx)):
+            first = kept.get(canonical_model(reached))
+            if first is not None and first is not reached:
+                return True
+    return False
+
+
 class TestInterning:
     def test_bundled_models(self, bundles, shop_loaded):
         systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
@@ -445,6 +458,16 @@ class TestInterning:
             multi_model += len(space.models) > 1
             truncated += space.truncated
         assert multi_model >= 10 and truncated > 0
+
+    def test_twin_rules_reach_one_model_form_through_two_model_objects(self):
+        # a rule and its twin give one model form through two model objects,
+        # which the space interns under one model index
+        twinned = 0
+        for seed in range(200):
+            model = with_twin_rules(seed, random_model(seed))
+            space = assert_space_is_the_oracle_walk(model, random_initial(model))
+            twinned += reaches_a_form_through_another_object(space)
+        assert twinned >= 20
 
     def test_equal_changesets_on_two_rules_share_one_model_index(self):
         # M's two steps A -> B are claimed by rules whose changesets are equal
@@ -574,10 +597,18 @@ class TestCompiledPredicates:
                         if migration_complete(m, c, target, sk)] == want
 
 
-def state_record_lines(model, config, steps):
-    """Each line of the trace as `naive_state_record` defines the format."""
+def random_walk(model, config, seed, max_steps):
+    """The (label, model, configuration) steps of a seeded random run from
+    `config`, and its (label, digest) steps."""
+    taken = list(drive(model, config, RandomPolicy(seed), max_steps))
+    return taken, [(label, config_digest(c)) for label, _, c in taken]
+
+
+def state_record_lines(config, taken):
+    """Each line of the trace of the steps `taken` from `config`, as
+    `naive_state_record` defines the format."""
     return [json.dumps(naive_state_record(index, label, c), sort_keys=True) + "\n"
-            for index, label, _, c, _ in _replayed(model, config, steps)]
+            for index, (label, _, c) in enumerate([(None, None, config), *taken])]
 
 
 def assert_records_agree(model, config, seeds, max_steps=60):
@@ -586,13 +617,13 @@ def assert_records_agree(model, config, seeds, max_steps=60):
     and the number of walks that changed the model version."""
     steps = changed = 0
     for seed in seeds:
-        trace = run(model, config, RandomPolicy(seed), max_steps)
+        taken, trace = random_walk(model, config, seed, max_steps)
+        version = (taken[-1][2] if taken else config).model_version
         lines = []
-        assert write_trace_jsonl(model, config, trace.steps, lines.append) == (
-            len(trace), trace.final_model_version)
-        assert lines == state_record_lines(model, config, trace.steps)
+        assert write_trace_jsonl(model, config, trace, lines.append) == (len(trace), version)
+        assert lines == state_record_lines(config, taken)
         steps += len(trace)
-        changed += trace.final_model_version != config.model_version
+        changed += version != config.model_version
     return steps, changed
 
 
@@ -739,13 +770,13 @@ class TestTraceRecords:
         model = bundles["cs-nondet"].model()
         good = initial_configuration(model)
         assert good._layout is None  # key-backed: its record encodes it
-        trace = run(model, good, RandomPolicy(1), 10)
+        taken, trace = random_walk(model, good, 1, 10)
         lines = []
-        write_trace_jsonl(model, good, trace.steps, lines.append)
-        assert lines == state_record_lines(model, good, trace.steps)
+        write_trace_jsonl(model, good, trace, lines.append)
+        assert lines == state_record_lines(good, taken)
         # a misfit initial configuration raises before its line is written
         bad = Configuration({**good.detailed, "Worker1": "Bogus"}, dict(good.phases), 0)
-        for steps in (trace.steps, ()):
+        for steps in (trace, ()):
             lines = []
             with pytest.raises(UnknownElement, match="Worker1: unknown state Bogus"):
                 write_trace_jsonl(model, bad, steps, lines.append)
