@@ -30,20 +30,17 @@ from .engine import (
     replay,
     rule_blocker,
     run,
-    step_detailed,
     successors,
 )
 from .explorer import (
     Bounds,
     ExplorationReport,
-    check_invariant,
     check_migration_termination,
     check_progress,
     explore,
     explore_space,
     minimal_progress_bound,
     reachable_projection,
-    shortest_trace_to,
 )
 from .dsl import ParseResult, parse_model, serialize_model
 from .mcpal import (
@@ -53,7 +50,6 @@ from .mcpal import (
     NameCollision,
     is_hibernating,
     load_migration,
-    migration_complete,
     weave_mcpal,
 )
 from .model import (

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -355,9 +356,11 @@ def cmd_demo(args) -> int:
             print(f"migration complete, model version {version}, {sk.component} hibernating")
         return EXIT_OK
 
-    taken = list(drive(model, config, RandomPolicy(args.seed), args.steps))
-    version = _narrate(f"{args.name}: {len(taken)}-step random run (seed {args.seed}):",
-                       [(None, model, config), *taken])
+    # each step is narrated as it is taken; a random run never stops early
+    # (none of these models deadlocks), so it has `args.steps` steps
+    taken = drive(model, config, RandomPolicy(args.seed), args.steps)
+    version = _narrate(f"{args.name}: {args.steps}-step random run (seed {args.seed}):",
+                       chain([(None, model, config)], taken))
     print(f"done, model version {version}")
     return EXIT_OK
 

@@ -454,7 +454,7 @@ class _Parser:
                 elif kind == "rule":
                     cs.add_rules.append(self.rule_decl())
                 else:
-                    raise ParseError(f"cannot add {kind!r}", self.tokens[start])
+                    raise ParseError(f"cannot add {kind!r}", self.tokens[start + 1])
             elif self.accept("remove"):
                 kind = self.name()
                 if kind == "rule":
@@ -465,7 +465,7 @@ class _Parser:
                 elif kind == "partition":
                     cs.remove_partitions.append(tuple(self.dotted(2)))
                 else:
-                    raise ParseError(f"cannot remove {kind!r}", self.tokens[start])
+                    raise ParseError(f"cannot remove {kind!r}", self.tokens[start + 1])
                 self.expect(";")
             elif self.accept("set"):
                 cs.set_variables.append(self.binding()[:2])

@@ -43,12 +43,13 @@ reason it cannot fire.  Both test a rule with its `_Guard` and fire it with
 `_take`.  Consistency is checked where a step can break it.  After a rule
 with no changeset, `_StepCore._after` tests the slots the rule wrote (the
 manager's new state against each of its roles, then each transferred role
-against its component's state) and `step_detailed` the stepping component
-against its roles, both with `model._broken`, as `model.consistent` does.
-Either raises `ConsistencyBroken`, which only a model that `validate_model`
-rejects can cause.  A changeset validates the whole configuration after
-every application, and `explore` reports `configuration-valid` for every
-reached state, so an inconsistent root is reported, not blamed on a step.
+against its component's state) with `model._broken`, as `model.consistent`
+does, and raises `ConsistencyBroken`, which only a model that
+`validate_model` rejects can cause; no free step is tested, since
+`validate_model` rejects a phase transition that leaves its phase.  A
+changeset validates the whole configuration after every application, and
+`explore` reports `configuration-valid` for every reached state, so an
+inconsistent state is reported, not blamed on a step.
 """
 
 from __future__ import annotations
@@ -458,23 +459,6 @@ def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRul
     core = _core(model)
     fired = core.fired(model, _slots(core.layout, config))
     return [core.guards[label.rule].rule for label, _, _ in fired]
-
-
-def step_detailed(
-    model: StdModel, config: Configuration, component: str, transition: Transition
-) -> Configuration:
-    """Take one free detailed step; phases stay untouched."""
-    if component not in model.components:
-        raise UnknownElement(component)
-    core = _core(model)
-    slots = core.step(_slots(core.layout, config), component, transition)
-    if slots is None:
-        raise NotEnabled(f"{component}: {transition.pretty()}")
-    slot = core.layout.slot[component]
-    bad = _broken(core.layout, slots, [c for c in core.layout.checks.values() if c[0] == slot])
-    if bad is not None:
-        raise ConsistencyBroken(f"detailed step broke consistency: {bad}")
-    return Configuration.from_slots(core.layout, slots)
 
 
 def fire_rule(

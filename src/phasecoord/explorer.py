@@ -261,9 +261,6 @@ class ExplorationReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.doc(), sort_keys=True, indent=2) + "\n"
-
 
 def _within_bound_to_targets(space: Space, targets: Sequence[int]) -> list[int]:
     """Forward distance from every state to the nearest target, computed as a
@@ -367,20 +364,6 @@ def explore(
         max_depth_hit=space.max_depth_hit,
         space=space,
     )
-
-
-@dataclass
-class InvariantResult:
-    verdict: str  # satisfied | violated | unknown(bound)
-    counterexample: Optional[Trace] = None
-
-
-def check_invariant(space: Space, predicate) -> InvariantResult:
-    """BFS-shortest counterexample to `invariant predicate`, if any."""
-    bad = next(space.where(partial(compile_predicate, predicate), holds=False), None)
-    if bad is not None:
-        return InvariantResult("violated", space.trace_to(bad))
-    return InvariantResult("unknown(bound)" if space.truncated else "satisfied")
 
 
 @dataclass
@@ -507,13 +490,6 @@ def minimal_progress_bound(space: Space, component: str) -> Optional[int]:
     if any(d == -1 for d in dist):
         return None
     return max(d + 1 for d in dist)
-
-
-def shortest_trace_to(space: Space, predicate) -> Optional[Trace]:
-    """BFS-shortest trace to a state satisfying the predicate; None if none
-    is in the space."""
-    idx = next(space.where(partial(compile_predicate, predicate)), None)
-    return None if idx is None else space.trace_to(idx)
 
 
 def reachable_projection(space: Space, components: Sequence[str]) -> frozenset:

@@ -109,9 +109,6 @@ class Phase:
                 return t
         return None
 
-    def all_traps(self) -> tuple[Trap, ...]:
-        return (Trap(TRIV, self.states),) + self.traps
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -665,7 +662,8 @@ def consistent(model: StdModel, slots: tuple) -> bool:
 
 def _broken(layout: SlotLayout, slots: tuple, checks: Iterable[tuple]) -> Optional[Diagnostic]:
     """The `phase-violation` of the first of `checks`, values of
-    `layout.checks`, that `slots` fail: the one walk of that table."""
+    `layout.checks`, that `slots` fail: the one walk of that table, for
+    `consistent` and a rule firing's check (`engine._StepCore._after`)."""
     for comp, role, allowed in checks:
         if slots[comp] not in allowed[slots[role]]:
             name, part = layout.owners[role]

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 from phasecoord.changeset import ChangeSet
 from phasecoord.model import (
+    TRIV,
     Configuration,
     ConsistencyRule,
     Partition,
@@ -128,7 +129,7 @@ def random_rule(rng, name, model):
         used.add((comp_name, part.name))
         source = rng.choice(part.phases)
         candidates = []
-        for trap in source.all_traps():
+        for trap in (source.trap_named(TRIV), *source.traps):
             for target in part.phases:
                 if trap.states <= target.states:
                     candidates.append((trap.name, target.name))

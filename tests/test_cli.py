@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phasecoord import changeset, dsl, engine, explorer, model
+from phasecoord import changeset, cli, dsl, engine, explorer, model
 from phasecoord.bundled import get_bundled
 from phasecoord.cli import main
 
@@ -129,7 +129,7 @@ rule r: X: A - go -> B * X(missing): a - triv -> b;
                                  sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("case", [
-        "unexpected-char", "trailing-comment", "long-integer", "deep-changeset",
+        "unexpected-char", "trailing-comment", "long-integer", "deep-changeset", "unknown-kind",
     ])
     def test_syntax_error_diagnostics_match_golden_bytes(self, capsys, case):
         """tests/golden/syntax-CASE.json holds the `--format json validate`
@@ -747,6 +747,37 @@ class TestDemo:
         code, out, err = run_cli(capsys, "demo", "prodcons")
         assert code == 0
         assert "12-step random run" in out
+
+    @pytest.mark.parametrize("name", ["cs-nondet", "cs-roundrobin", "prodcons"])
+    def test_a_random_demo_model_never_deadlocks(self, bundles, name):
+        """A random demo's header gives its length as `--steps` before the
+        run is taken: `RandomPolicy` never stops a run, and no reachable
+        state of these models is a deadlock."""
+        start = bundles[name].model()
+        space = explorer.explore_space(start, model.initial_configuration(start))
+        assert not space.truncated and space.deadlocks == []
+
+    def test_random_demo_writes_each_step_as_it_is_taken(self, monkeypatch, capsys):
+        written = []  # the output since the last read, read as the run is asked for a step
+        drive = cli.drive
+
+        def watched(*args):
+            for step in drive(*args):
+                yield step
+                written.append(capsys.readouterr().out)
+
+        monkeypatch.setattr(cli, "drive", watched)
+        assert main(["demo", "prodcons", "--steps", "3"]) == 0
+        written.append(capsys.readouterr().out)
+        chunks = [chunk.splitlines() for chunk in written]
+        # the header, the start and step 1 are out before step 2 is taken
+        assert chunks[0] == [
+            "prodcons: 3-step random run (seed 7):",
+            "  start: v0 | Consumer=Empty Producer=Making | Consumer.Supply=Ask",
+            "  step 1: detailed Producer: Making-produce->Full",
+            "    -> v0 | Consumer=Empty Producer=Full | Consumer.Supply=Ask",
+        ]
+        assert [len(chunk) for chunk in chunks] == [4, 2, 2, 1]
 
     def test_unknown_demo(self, capsys):
         code, out, err = run_cli(capsys, "demo", "bogus")

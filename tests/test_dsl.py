@@ -132,8 +132,10 @@ var M = {
         (MINIMAL + "rule r: Blinker: Off - flip -> On;\nrule r: Blinker: On - flip -> Off;\n",
          ("duplicate-name", "rule", "r", "", 10, 6)),
         (MINIMAL + "var v = { remove x y; };\n",
-         ("syntax-error", "parse", "remove", "cannot remove 'x'", 9, 11)),
-    ], ids=["version", "var", "rule", "remove-kind"])
+         ("syntax-error", "parse", "x", "cannot remove 'x'", 9, 18)),
+        (MINIMAL + "var v = { add x y; };\n",
+         ("syntax-error", "parse", "x", "cannot add 'x'", 9, 15)),
+    ], ids=["version", "var", "rule", "remove-kind", "add-kind"])
     def test_a_second_declaration_or_an_unknown_removal_is_diagnosed(self, text, expected):
         result = parse_model(text)
         assert [(d.code, d.owner, d.element, d.detail, d.line, d.column)

@@ -30,10 +30,9 @@ from phasecoord.engine import (
     replay,
     rule_blocker,
     run,
-    step_detailed,
     successors,
 )
-from phasecoord.explorer import Bounds, explore_space
+from phasecoord.explorer import Bounds, explore, explore_space
 from phasecoord.model import (
     TRIV,
     Configuration,
@@ -319,11 +318,19 @@ class TestRules:
         assert reason is not None and "changeset rejected" in reason
 
 
-class TestStepDetailed:
+def free_step(model, config, component, transition):
+    """The configuration after the component's free step along `transition`,
+    picked out of `successors` by its `DetailedStep` label; None when that
+    step is not enabled."""
+    label = DetailedStep(component, transition)
+    return next((after for step, _, after in successors(model, config) if step == label), None)
+
+
+class TestFreeStep:
     def test_step(self):
         model = one_role_model()
         config = initial_configuration(model)
-        out = step_detailed(model, config, "X", T("A", "go", "B"))
+        out = free_step(model, config, "X", T("A", "go", "B"))
         assert out.detailed["X"] == "B"
         assert out.phases == config.phases
 
@@ -334,35 +341,39 @@ class TestStepDetailed:
                    (Partition("r", (ph,), "P"),))
         model = StdModel({"X": comp}, {}, {}, 0)
         config = initial_configuration(model)
-        out = step_detailed(model, config, "X", tick)
+        out = free_step(model, config, "X", tick)
         assert out.key() == config.key()
 
-    def test_step_that_breaks_consistency_raises(self):
+    def test_step_that_breaks_consistency_is_reported(self):
         # a phase transition leaving the phase (which `validate_model`
-        # rejects) takes the component out of its phase
+        # rejects) takes the component out of its phase; no free step is
+        # tested, so the explorer's sweep reports the state it reaches
         go = T("A", "go", "B")
         comp = Std("X", frozenset({"A", "B"}), frozenset({"go"}), frozenset({go}), "A",
                    (Partition("r", (Phase("P", frozenset({"A"}), frozenset({go})),
                                     Phase("Q", frozenset({"B"}), frozenset())), "P"),))
         model = StdModel({"X": comp}, {}, {}, 0)
         assert "phase-transition-outside-phase" in {d.code for d in validate_model(model)}
-        with pytest.raises(ConsistencyBroken,
-                           match=r"detailed step broke consistency: phase-violation: X r \(B not in P\)"):
-            step_detailed(model, initial_configuration(model), "X", go)
+        report = explore(model, initial_configuration(model))
+        [(prop, records)] = report.violations
+        assert prop == "configuration-valid"
+        assert [r["componentStates"] for r in records] == [{"X": "A"}, {"X": "B"}]
+        assert records[1]["rolePhases"] == {"X.r": "P"}
 
     def test_step_is_not_blamed_for_another_component(self, bundles):
         model = bundles["cs-nondet"].model()
         config = Configuration(
             {"Scheduler": "Idle", "Worker1": "InCS", "Worker2": "OutCS"},
             {("Worker1", "CSRole"): "Free", ("Worker2", "CSRole"): "Free"}, 0)
-        out = step_detailed(model, config, "Worker2", T("OutCS", "request", "Waiting"))
+        out = free_step(model, config, "Worker2", T("OutCS", "request", "Waiting"))
         assert out.detailed["Worker2"] == "Waiting"
 
-    def test_disabled_transition_rejected(self):
+    def test_disabled_transition_is_not_a_successor(self):
         model = one_role_model()
         config = Configuration({"X": "B"}, {("X", "r"): "P"}, 0)
-        with pytest.raises(NotEnabled):
-            step_detailed(model, config, "X", T("A", "go", "B"))
+        assert free_step(model, config, "X", T("A", "go", "B")) is None
+        with pytest.raises(ReplayDivergence):
+            replay(model, config, [DetailedStep("X", T("A", "go", "B"))])
 
 
 class TestSuccessors:

@@ -19,6 +19,7 @@ from phasecoord.changeset import (
     validate_changeset,
 )
 from phasecoord.engine import (
+    DetailedStep,
     RandomPolicy,
     RuleStep,
     _core,
@@ -26,7 +27,6 @@ from phasecoord.engine import (
     fire_rule,
     rule_blocker,
     run,
-    step_detailed,
     successors,
 )
 from phasecoord.dsl import parse_model, serialize_model
@@ -560,7 +560,8 @@ class TestLoadMigration:
         # `serve1` fires, Server sits at Busy1 while McPal still hibernates
         model = bundles["shop-migration"].model()
         config = initial_configuration(model)
-        config = step_detailed(model, config, "Client1", Transition("Out", "enter", "Waiting"))
+        enter = DetailedStep("Client1", Transition("Out", "enter", "Waiting"))
+        config = next(after for label, _, after in successors(model, config) if label == enter)
         busy = fire_rule(model, config, model.rules["serve1"])[1]
         extra = Partition("Extra", (Phase("Calm", frozenset({"Idle", "At1", "At2", "Busy2"}),
                                           frozenset()),

@@ -24,13 +24,11 @@ from phasecoord.engine import (
 )
 from phasecoord.explorer import (
     Bounds,
-    check_invariant,
     check_migration_termination,
     check_progress,
     explore,
     explore_space,
     minimal_progress_bound,
-    shortest_trace_to,
 )
 from phasecoord.mcpal import McPalSkeleton, completion_test, load_migration, weave_mcpal
 from phasecoord.model import (
@@ -45,7 +43,15 @@ from phasecoord.model import (
     Trap,
     initial_configuration,
 )
-from phasecoord.properties import CountInState, InState, ModelVersionIs, Not, parse_property
+from phasecoord.properties import (
+    CountInState,
+    InState,
+    Invariant,
+    ModelVersionIs,
+    Not,
+    compile_predicate,
+    parse_property,
+)
 
 from tests.genmodels import random_initial, random_model, with_random_changesets, with_twin_rules
 
@@ -174,7 +180,7 @@ class TestExplore:
         model, config = shop_loaded
         a = explore(model, config, [])
         b = explore(model, config, [])
-        assert a.to_json() == b.to_json()
+        assert a.doc() == b.doc()
 
     def test_exploration_is_serial_only(self, shop_loaded):
         model, config = shop_loaded
@@ -262,7 +268,7 @@ component Y {
             "model = get_bundled('cs-nondet').model()\n"
             "root = Configuration({'Scheduler': 'Idle', 'Worker1': 'InCS', 'Worker2': 'OutCS'},\n"
             "                     {('Worker1', 'CSRole'): 'Free', ('Worker2', 'CSRole'): 'Free'}, 0)\n"
-            "print(explore(model, root).to_json(), end='')\n"
+            "print(json.dumps(explore(model, root).doc(), sort_keys=True, indent=2))\n"
         )
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -316,12 +322,18 @@ component Y {
         assert compared > 100 and len(twins) >= 20
 
 
-class TestCheckInvariant:
+def first_where(space, pred, holds=True):
+    """The first state, in BFS order, where `pred` holds (with `holds`
+    false: fails); None when the space has none."""
+    return next(space.where(partial(compile_predicate, pred), holds=holds), None)
+
+
+class TestInvariant:
     def test_mutual_exclusion_holds(self, bundles):
         model = bundles["cs-roundrobin"].model()
-        pred = CountInState((("Worker1", "InCS"), ("Worker2", "InCS")), "<=", 1)
-        result = check_invariant(explore_space(model, initial_configuration(model)), pred)
-        assert result.verdict == "satisfied"
+        prop = Invariant(CountInState((("Worker1", "InCS"), ("Worker2", "InCS")), "<=", 1))
+        report = explore(model, initial_configuration(model), [prop])
+        assert report.verdicts == [(prop.text(), "holds")] and report.violations == []
 
     def test_broken_model_minimal_counterexample(self, bundles):
         # grant both workers at once: mutual exclusion falls over
@@ -335,39 +347,43 @@ class TestCheckInvariant:
         rules["bad"] = bad
         broken = StdModel(model.components, rules, model.variables, model.version)
         pred = CountInState((("Worker1", "InCS"), ("Worker2", "InCS")), "<=", 1)
-        result = check_invariant(explore_space(broken, initial_configuration(broken)), pred)
-        assert result.verdict == "violated"
+        report = explore(broken, initial_configuration(broken), [Invariant(pred)])
+        assert report.verdicts == [(Invariant(pred).text(), "violated")]
+        [(_, records)] = report.violations
         # shortest: request, request, bad, enter, enter = 5 steps
-        assert len(result.counterexample.steps) == 5
-        again = replay(broken, initial_configuration(broken), result.counterexample.labels())
-        assert again.steps == result.counterexample.steps
+        assert len(records) == 6
+        space = report.space
+        counterexample = space.trace_to(first_where(space, pred, holds=False))
+        assert [f"{d:016x}" for _, d in counterexample.steps] == [
+            r["digest"] for r in records[1:]]
+        again = replay(broken, initial_configuration(broken), counterexample.labels())
+        assert again.steps == counterexample.steps
 
     def test_violation_at_depth_one(self):
         model = _model(CYCLE3)
-        result = check_invariant(explore_space(model, initial_configuration(model)),
-                                 InState("Spinner", "A"))
-        assert result.verdict == "violated"
-        assert len(result.counterexample.steps) == 1
+        prop = Invariant(InState("Spinner", "A"))
+        report = explore(model, initial_configuration(model), [prop])
+        assert report.verdicts == [(prop.text(), "violated")]
+        [(_, records)] = report.violations
+        assert len(records) == 2
 
     def test_unknown_under_bound(self):
         model = _model(TWO_INDEPENDENT)
-        pred = Not(InState("P", "nowhere"))
-        result = check_invariant(
-            explore_space(model, initial_configuration(model), Bounds(max_states=2)), pred)
-        assert result.verdict == "unknown(bound)"
+        prop = Invariant(Not(InState("P", "nowhere")))
+        report = explore(model, initial_configuration(model), [prop], Bounds(max_states=2))
+        assert report.verdicts == [(prop.text(), "unknown(bound)")]
 
 
 class TestShortestTrace:
     def test_initial_state_gives_empty_trace(self):
         model = _model(CYCLE3)
-        trace = shortest_trace_to(explore_space(model, initial_configuration(model)),
-                                  InState("Spinner", "A"))
-        assert trace is not None and len(trace.steps) == 0
+        space = explore_space(model, initial_configuration(model))
+        assert len(space.trace_to(first_where(space, InState("Spinner", "A")))) == 0
 
     def test_unreachable_gives_none(self):
         model = _model(CYCLE3)
-        assert shortest_trace_to(explore_space(model, initial_configuration(model)),
-                                 ModelVersionIs(9)) is None
+        assert first_where(explore_space(model, initial_configuration(model)),
+                           ModelVersionIs(9)) is None
 
     def test_shop_completion_script_replays(self, shop_loaded):
         model, config = shop_loaded
@@ -376,8 +392,8 @@ class TestShortestTrace:
         done = And(ModelVersionIs(3),
                    And(InState("McPal", "Observing"),
                        InPhase("McPal", "Evol", "Hibernating")))
-        trace = shortest_trace_to(explore_space(model, config), done)
-        assert trace is not None
+        space = explore_space(model, config)
+        trace = space.trace_to(first_where(space, done))
         assert len(trace.steps) == 6
         again = replay(model, config, trace.labels())
         assert again.steps == trace.steps
@@ -638,7 +654,7 @@ class TestReportJson:
         model = bundles["prodcons"].model()
         report = explore(model, initial_configuration(model),
                          bundles["prodcons"].properties())
-        doc = json.loads(report.to_json())
+        doc = report.doc()
         assert set(doc) == {"statesVisited", "transitionsVisited", "modelVersionsSeen",
                             "violations", "deadlocks", "properties", "bounds"}
         assert doc["statesVisited"] == 8

@@ -3,9 +3,11 @@
 import dataclasses
 import pickle
 import random
+from functools import partial
 
 import pytest
 
+from phasecoord.explorer import Bounds, explore_space
 from phasecoord.model import (
     TRIV,
     Configuration,
@@ -17,6 +19,7 @@ from phasecoord.model import (
     StdModel,
     Transition,
     Trap,
+    consistent,
     initial_configuration,
     is_connecting,
     validate_configuration,
@@ -117,7 +120,7 @@ class TestClosureMonotonicity:
             for comp in model.components.values():
                 for part in comp.partitions:
                     for ph in part.phases:
-                        for trap in ph.all_traps():
+                        for trap in (ph.trap_named(TRIV), *ph.traps):
                             assert validate_trap(ph, trap) == []
                             kept = frozenset(
                                 t for t in ph.transitions if rng.random() < 0.5
@@ -302,6 +305,25 @@ class TestValidateConfiguration:
         for model in models:
             assert validate_model(model) == []
             assert validate_configuration(model, initial_configuration(model)) == []
+
+    def test_every_reached_state_is_consistent(self, bundles, shop_loaded):
+        """No step of a model that `validate_model` accepts breaks consistency,
+        so the engine tests no free step: every reached state of the bounded
+        spaces of the bundled models, the loaded shop and generated models
+        (half with changesets) passes `model.consistent`."""
+        starts = [(m, initial_configuration(m)) for m in
+                  [bundle.model() for bundle in bundles.values()]] + [shop_loaded]
+        for seed in range(300):
+            model = random_model(seed)
+            model = with_random_changesets(seed, model) if seed % 2 else model
+            starts.append((model, initial_configuration(model)))
+        reached = 0
+        for model, config in starts:
+            assert validate_model(model) == []
+            space = explore_space(model, config, Bounds(max_states=2000))
+            assert list(space.where(lambda m: partial(consistent, m), holds=False)) == []
+            reached += space.state_count()
+        assert reached > 5000
 
     def test_detailed_state_outside_phase(self):
         ph_a = phase("pa", {"A"}, [])

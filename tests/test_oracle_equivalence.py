@@ -32,7 +32,6 @@ from phasecoord.mcpal import (
     completion_predicate,
     completion_test,
     load_migration,
-    migration_complete,
 )
 from phasecoord.changeset import ChangeSet
 from phasecoord.model import (
@@ -116,7 +115,6 @@ class TestBfsMinimality:
     def test_counterexample_depth_matches_oracle_bfs(self, bundles):
         # independent shortest-violation depth, computed purely over the
         # oracle's successor relation, against the explorer's counterexample
-        from phasecoord.explorer import check_invariant, explore_space
         from phasecoord.model import (
             Configuration,
             ConsistencyRule,
@@ -162,9 +160,10 @@ class TestBfsMinimality:
                 if oracle_min is not None:
                     break
             frontier = nxt
-        result = check_invariant(explore_space(broken, config), pred)
-        assert result.verdict == "violated"
-        assert len(result.counterexample.steps) == oracle_min == 5
+        report = explore(broken, config, [Invariant(pred)])
+        assert report.verdicts == [(Invariant(pred).text(), "violated")]
+        [(_, records)] = report.violations
+        assert len(records) - 1 == oracle_min == 5
 
 
 class TestRandomModels:
@@ -582,7 +581,7 @@ class TestCompiledPredicates:
                     "PropertyError", message)
         assert eval_predicate(InState("Producer", "Making"), model, config)
 
-    def test_completion_test_matches_migration_complete(self, bundles, shop_loaded):
+    def test_completion_test_matches_the_naive_completion(self, bundles, shop_loaded):
         sk = McPalSkeleton()
         for model, config in (shop_loaded, (bundles["cs-nondet"].model(),
                                             initial_configuration(bundles["cs-nondet"].model()))):
@@ -593,8 +592,6 @@ class TestCompiledPredicates:
                 want = [idx for idx, (m, c) in enumerate(states)
                         if sk.component in m.components and naive_eval_predicate(complete, m, c)]
                 assert list(space.where(partial(completion_test, target_version=target))) == want
-                assert [idx for idx, (m, c) in enumerate(states)
-                        if migration_complete(m, c, target, sk)] == want
 
 
 def random_walk(model, config, seed, max_steps):
