@@ -12,9 +12,9 @@ from .changeset import (
     validate_changeset,
 )
 from .engine import (
-    ConsistencyBroken,
     DetailedStep,
     InteractivePolicy,
+    ModelRejected,
     NotEnabled,
     RandomPolicy,
     ReplayDivergence,

@@ -31,8 +31,7 @@ knows how a changeset maps a model and a configuration.  The rule's first
 firing on a model object walks it; when the model half passes, the rule's
 `_Guard` keeps the `changeset.Carry` it gives for as long as that model
 object lives, and later firings reuse its resulting model object (see
-`_Guard.changed`).  `apply_changeset` and a rule object the model does not
-hold keep nothing.
+`_Guard.changed`).  `apply_changeset` keeps nothing.
 
 One step core serves every caller.  `successors` and `enabled_rules` take
 the enabled rules' firings from `_StepCore.fired`, one pass over the rules
@@ -40,16 +39,17 @@ whose manager sits at their step's source; `_take`, `rule_blocker` and
 `fire_rule` decide one rule through `_StepCore.fire`, which also gives the
 reason it cannot fire.  Both test a rule with its `_Guard` and fire it with
 `_StepCore._after`; a replay fires only its recorded labels, through
-`_take`.  Consistency is checked where a step can break it.  After a rule
-with no changeset, `_StepCore._after` tests the slots the rule wrote (the
-manager's new state against each of its roles, then each transferred role
-against its component's state) with `model._broken`, as `model.consistent`
-does, and raises `ConsistencyBroken`, which only a model that
-`validate_model` rejects can cause; no free step is tested, since
-`validate_model` rejects a phase transition that leaves its phase.  A
-changeset validates the whole configuration after every application, and
-`explore` reports `configuration-valid` for every reached state, so an
-inconsistent state is reported, not blamed on a step.
+`_take`.
+
+The engine serves only a model that `validate_model` accepts, and only the
+rules that model holds.  `_core` reads the model's kept diagnostics
+(`model._model_diagnostics`) where it builds the step core, and raises
+`ModelRejected` for a rejected model; `rule_blocker` and `fire_rule` raise
+`UnknownElement` for a rule the model does not hold.  No step tests
+consistency: a phase transition stays in its phase, and a rule's traps are
+closed and connect into their target phases, so from a consistent
+configuration every step reaches a consistent one.  A changeset validates
+the whole configuration after every application.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .model import (
     SlotLayout,
     StdModel,
     Transition,
-    _broken,
+    _model_diagnostics,
     _per_object,
     validate_configuration,
 )
@@ -88,9 +88,13 @@ class NotEnabled(EngineError):
     pass
 
 
-class ConsistencyBroken(EngineError):
-    """A step left a role whose phase does not hold its component's state;
-    only a model that `validate_model` rejects has such a step."""
+class ModelRejected(EngineError):
+    """The model fails `validate_model`, whose diagnostics it carries; the
+    engine steps only models that `validate_model` accepts."""
+
+    def __init__(self, diagnostics):
+        self.diagnostics = diagnostics
+        super().__init__(f"model rejected: {diagnostics[0]}")
 
 
 class ReplayDivergence(EngineError):
@@ -168,16 +172,12 @@ class _Guard:
     """One rule compiled against a model's slot layout.
 
     `blocker` gives the first reason the rule cannot fire, testing in this
-    order: the manager step, the manager's state, its phases, then each
-    transfer's phase, trap and target phase.  A transfer's role, phase or
-    trap that does not resolve is compiled to a test that never passes, so
-    its reason comes in its turn; a manager step that does not resolve is
-    the reason `static`, whatever the configuration.  A manager role's
-    phase always resolves: the layout takes its names from the same
-    partition."""
+    order: the manager's state, its phases, then each transfer's phase and
+    trap.  Every name the rule holds resolves in a model `validate_model`
+    accepts."""
 
-    __slots__ = ("rule", "label", "static", "manager", "source", "target",
-                 "manager_phases", "transfers", "writes", "checks", "memo")
+    __slots__ = ("rule", "label", "manager", "source", "target",
+                 "manager_phases", "transfers", "writes", "memo")
 
     def __init__(self, model: StdModel, rule: ConsistencyRule):
         layout = model.layout
@@ -185,76 +185,53 @@ class _Guard:
         self.label = RuleStep(rule.name, rule.manager, rule.manager_step, rule.transfers,
                               rule.change is not None)
         self.memo = None  # see `changed`
-        mgr = model.components.get(rule.manager)
-        self.static = None
-        if mgr is None or rule.manager_step not in mgr.transitions:
-            self.static = "manager step unresolved"
-            return
         self.manager = layout.slot[rule.manager]
         states = layout.index[self.manager]
-        self.source = states.get(rule.manager_step.source)
-        self.target = states.get(rule.manager_step.target)
+        self.source = states[rule.manager_step.source]
+        self.target = states[rule.manager_step.target]
         # per manager role: (role slot, phase indices whose phase holds the
         # manager step)
         manager_phases = []
-        for part in mgr.roles:
+        for part in model.components[rule.manager].partitions:
             slot = layout.slot[(rule.manager, part.name)]
             manager_phases.append((slot, frozenset(
                 i for i, name in enumerate(layout.names[slot])
                 if rule.manager_step in part.phase_named(name).transitions)))
         self.manager_phases = tuple(manager_phases)
-        # per transfer: (role slot or None, source phase index, component
-        # slot, state indices of the trap, target phase index, its reasons)
+        # per transfer: (role slot, source phase index, component slot,
+        # state indices of the trap, its reasons)
         transfers, writes = [], []
         for tr in rule.transfers:
-            role = layout.slot.get((tr.component, tr.partition))
-            phases = layout.index[role] if role else {}
-            source, target = phases.get(tr.source), phases.get(tr.target)
-            comp = layout.slot.get(tr.component)
-            trap = frozenset()
-            if source is not None:
-                phase = model.components[tr.component].partition_named(tr.partition).phase_named(tr.source)
-                found = phase.trap_named(tr.trap)
-                states = layout.index[comp]
-                if found is not None:
-                    trap = frozenset(states[s] for s in found.states if s in states)
+            role = layout.slot[(tr.component, tr.partition)]
+            phases, comp = layout.index[role], layout.slot[tr.component]
+            phase = model.components[tr.component].partition_named(tr.partition).phase_named(tr.source)
+            states = layout.index[comp]
+            trap = frozenset(states[s] for s in phase.trap_named(tr.trap).states)
             transfers.append((
-                role if source is not None else None, source, comp, trap, target,
+                role, phases[tr.source], comp, trap,
                 f"{tr.component}({tr.partition}) not in phase {tr.source}",
                 f"trap {tr.trap} of {tr.component}({tr.partition}) not entered",
-                f"target phase {tr.target} unresolved",
             ))
-            writes.append((role, target))
+            writes.append((role, phases[tr.target]))
         self.transfers = tuple(transfers)
         self.writes = tuple(writes)
-        # the consistency tests of the roles whose slots a firing writes:
-        # the manager's, then each transferred one
-        written = [layout.slot[(rule.manager, part.name)] for part in mgr.partitions]
-        written += [role for role, _ in writes if role is not None]
-        self.checks = tuple(layout.checks[role] for role in dict.fromkeys(written))
 
     def blocker(self, slots: tuple) -> Optional[str]:
         """Why the rule cannot fire at `slots`, or None; the changeset aside."""
-        if self.static is not None:
-            return self.static
         if slots[self.manager] != self.source:
             return "manager not at the step's source"
         for role, allowed in self.manager_phases:
             if slots[role] not in allowed:
                 return "manager step outside a current phase"
-        for role, source, comp, trap, target, not_in, not_entered, unresolved in self.transfers:
-            if role is None or slots[role] != source:
+        for role, source, comp, trap, not_in, not_entered in self.transfers:
+            if slots[role] != source:
                 return not_in
             if slots[comp] not in trap:
                 return not_entered
-            if target is None:
-                return unresolved
         return None
 
     def apply(self, slots: tuple) -> tuple:
         """The slots after the manager step and the transfers of an enabled rule."""
-        if self.target is None:
-            raise UnknownElement(f"{self.rule.manager}: unknown state {self.rule.manager_step.target}")
         out = list(slots)
         out[self.manager] = self.target
         for role, target in self.writes:
@@ -270,9 +247,7 @@ class _Guard:
         `memo`, and every application then carries the slots through it and
         validates the configuration.  Only a live phase removal misses the
         memo; it walks the changeset again for its diagnostics, as does every
-        application while no memo is kept.  A rule that is not one of the
-        model's own gets a guard for one call (see `_StepCore.guard`), so its
-        memo is not kept."""
+        application while no memo is kept."""
         carry = self.memo
         if carry is None:
             carry = self.memo = self._walk(model, slots)
@@ -303,8 +278,8 @@ class _StepCore:
     roles' phases, and the table from those to the sorted free steps there,
     each as (`DetailedStep`, new state index); entries are added on first
     use and never changed.  `guards` holds every rule compiled by name,
-    and `guards_at` the rules whose manager step resolves, keyed by manager
-    slot and then source state index, sorted by rule name."""
+    and `guards_at` the same rules keyed by manager slot and then source
+    state index, sorted by rule name."""
 
     def __init__(self, model: StdModel):
         layout = self.layout = model.layout
@@ -313,14 +288,13 @@ class _StepCore:
         self._components, self._claimed = model.components, model.claimed_steps
         self.free = tuple(
             (slot, itemgetter(slot, *(layout.slot[(name, part.name)]
-                                      for part in model.components[name].roles)), {})
+                                      for part in model.components[name].partitions)), {})
             for slot, name in enumerate(model.component_order, 1)
         )
         self.guards = {name: _Guard(model, model.rules[name]) for name in sorted(model.rules)}
         guards_at: dict[int, dict[int, list[_Guard]]] = {}
         for guard in self.guards.values():
-            if guard.static is None and guard.source is not None:
-                guards_at.setdefault(guard.manager, {}).setdefault(guard.source, []).append(guard)
+            guards_at.setdefault(guard.manager, {}).setdefault(guard.source, []).append(guard)
         self.guards_at = tuple(
             (slot, {state: tuple(guards) for state, guards in by_state.items()})
             for slot, by_state in sorted(guards_at.items())
@@ -342,19 +316,13 @@ class _StepCore:
         std = self._components[name]
         state, *phase_indices = at if isinstance(at, tuple) else (at,)
         phases = [part.phase_named(layout.names[layout.slot[(name, part.name)]][index])
-                  for part, index in zip(std.roles, phase_indices)]
+                  for part, index in zip(std.partitions, phase_indices)]
         claimed, states = self._claimed, layout.index[slot]
-        steps = []
-        for t in std.transitions_from.get(layout.names[slot][state], ()):
-            if (name, t) not in claimed and all(t in phase.transitions for phase in phases):
-                if t.target not in states:
-                    raise UnknownElement(f"{name}: unknown state {t.target}")
-                steps.append((DetailedStep(name, t), states[t.target]))
-        return tuple(steps)
-
-    def guard(self, model: StdModel, rule: ConsistencyRule) -> _Guard:
-        guard = self.guards.get(rule.name)
-        return guard if guard is not None and guard.rule is rule else _Guard(model, rule)
+        return tuple(
+            (DetailedStep(name, t), states[t.target])
+            for t in std.transitions_from.get(layout.names[slot][state], ())
+            if (name, t) not in claimed and all(t in phase.transitions for phase in phases)
+        )
 
     def fired(self, model: StdModel, slots: tuple) -> list[tuple[RuleStep, StdModel, Configuration]]:
         """The (label, model, configuration) of each enabled rule's firing,
@@ -392,14 +360,10 @@ class _StepCore:
     def _after(self, model: StdModel, slots: tuple, guard: _Guard) -> tuple[StdModel, Configuration]:
         """The (model, configuration) after firing the rule, which `blocker`
         lets fire at `slots`.  Raises RejectedChange when its changeset is
-        rejected, and ConsistencyBroken when a rule without one leaves a
-        role whose phase does not hold its component's state."""
+        rejected."""
         out = guard.apply(slots)
         if guard.rule.change is not None:
             return guard.changed(model, out)
-        bad = _broken(self.layout, out, guard.checks)
-        if bad is not None:
-            raise ConsistencyBroken(f"rule {guard.rule.name} broke consistency: {bad}")
         return model, Configuration.from_slots(self.layout, out)
 
     def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
@@ -425,15 +389,20 @@ def _slots(layout: SlotLayout, config: Configuration) -> tuple:
 
 @_per_object
 def _core(model: StdModel) -> _StepCore:
+    """The model's step core; raises ModelRejected when `validate_model`
+    rejects the model, so every entry that takes a model refuses it."""
+    rejected = _model_diagnostics(model)
+    if rejected:
+        raise ModelRejected(rejected)
     return _StepCore(model)
 
 
 def enabled_detailed(model: StdModel, config: Configuration, component: str) -> set[Transition]:
     """Transitions the component may take on its own from the current state;
     claimed steps fire only via rule firings."""
+    core = _core(model)
     if component not in model.components:
         raise UnknownElement(component)
-    core = _core(model)
     slots = _slots(core.layout, config)
     return {step.transition for step, _ in core.free_steps(slots, core.layout.slot[component])}
 
@@ -442,9 +411,13 @@ def _fire(
     model: StdModel, config: Configuration, rule: ConsistencyRule
 ) -> tuple[Union[None, str, RejectedChange], Optional[tuple[StdModel, Configuration]]]:
     """(None, (model, configuration) after firing the rule) when it is enabled,
-    else (why not, None), as `_StepCore.fire` gives them; see `fire_rule`."""
+    else (why not, None), as `_StepCore.fire` gives them; see `fire_rule`.
+    Raises UnknownElement when the model does not hold the rule."""
     core = _core(model)
-    return core.fire(model, _slots(core.layout, config), core.guard(model, rule))
+    guard = core.guards.get(rule.name)
+    if guard is None or guard.rule != rule:  # an equal rule object is the model's own
+        raise UnknownElement(f"rule {rule.name} is not the model's")
+    return core.fire(model, _slots(core.layout, config), guard)
 
 
 def rule_blocker(model: StdModel, config: Configuration, rule: ConsistencyRule) -> Optional[str]:
@@ -534,7 +507,7 @@ class RandomPolicy:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
-    def choose(self, labels: Sequence[StepLabel], index: int) -> Optional[int]:
+    def choose(self, labels: Sequence[StepLabel]) -> Optional[int]:
         return self.rng.randrange(len(labels))
 
 
@@ -545,7 +518,7 @@ class InteractivePolicy:
     def __init__(self, chooser: Callable[[Sequence[StepLabel]], Optional[int]]):
         self.chooser = chooser
 
-    def choose(self, labels: Sequence[StepLabel], index: int) -> Optional[int]:
+    def choose(self, labels: Sequence[StepLabel]) -> Optional[int]:
         return self.chooser(labels)
 
 
@@ -554,11 +527,11 @@ def drive(
 ) -> Iterator[tuple[StepLabel, StdModel, Configuration]]:
     """The steps a policy takes, one at a time as it takes them, for at most
     `max_steps` steps: (label, model, configuration) after each."""
-    for index in range(max_steps):
+    for _ in range(max_steps):
         succ = successors(model, config)
         if not succ:
             return
-        choice = policy.choose([label for label, _, _ in succ], index)
+        choice = policy.choose([label for label, _, _ in succ])
         if choice is None:
             return
         label, model, config = succ[choice]
@@ -673,8 +646,10 @@ def write_trace_jsonl(
     the final model version.  Line 0 is the initial configuration, each
     further line one step (see `_record_line`); a configuration that does not
     fit its layout raises UnknownElement before its line is written.  Raises
-    ReplayDivergence when a label is not enabled or a step reaches a
-    configuration whose digest differs from the recorded one."""
+    ModelRejected, before the first line, when `validate_model` rejects the
+    model, and ReplayDivergence when a label is not enabled or a step
+    reaches a configuration whose digest differs from the recorded one."""
+    _core(model)
     labels: dict = {}
     write(_record_line(labels, 0, None, model, config, config_digest(config)))
     index = 0

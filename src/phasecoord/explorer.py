@@ -26,8 +26,10 @@ bisection.
 one, so a caller that asks several questions explores once, and every
 answer obeys the same bounds.  A check that tests every state sweeps the
 slots through `Space.where`, with its predicate compiled once per model of
-the space (`properties.compile_predicate`); `configuration-valid` is
-`model.consistent` swept the same way.
+the space (`properties.compile_predicate`).  `configuration-valid` tests
+the root alone (`model.consistent`): the engine steps only models that
+`validate_model` accepts, and from a consistent root of one every step
+reaches a consistent state.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .engine import (
     StepLabel,
     Trace,
     UnknownElement,
+    _core,
     _record_line,
     _slots,
     config_digest,
@@ -166,14 +169,15 @@ def explore_space(
 ) -> Space:
     """Breadth-first reachability; the one exploration every check queries.
 
-    Raises UnknownElement when a configuration does not fit its model's
-    slot layout."""
+    Raises ModelRejected, before the first step, when `validate_model`
+    rejects the model, and UnknownElement when a configuration does not fit
+    its model's slot layout."""
     space = Space()
     models, states, parent, edges = space.models, space.states, space.parent, space.edges
     max_states = bounds.max_states
 
     # the root, always kept, is the first state of the first model
-    root = _slots(model.layout, initial)
+    root = _slots(_core(model).layout, initial)  # `_core` refuses a rejected model
     models.append(model)
     model_keys = {canonical_model(model): 0}  # canonical model -> model index
     seen = [{root: 0}]  # per model index: slots -> state index
@@ -303,7 +307,7 @@ def explore(
     *,
     workers: int = 1,  # kept only for perfbench/run.py, which passes workers=1
 ) -> ExplorationReport:
-    """Enumerate reachable states, validating every one, and check properties.
+    """Enumerate reachable states, validate the root, and check properties.
 
     Invariants are checked at each state (counterexamples are BFS-shortest);
     reachable properties are satisfied on the first witness; eventuallyAll
@@ -317,9 +321,8 @@ def explore(
     pending_violations: list[tuple[str, int]] = []
     verdicts: list[tuple[str, str]] = []
 
-    bad = next(space.where(lambda model: partial(consistent, model), holds=False), None)
-    if bad is not None:  # steps keep consistency; a bad root shows here
-        pending_violations.append(("configuration-valid", bad))
+    if not consistent(model, space.states[0][1]):  # steps keep consistency
+        pending_violations.append(("configuration-valid", 0))
 
     for prop in properties:
         compiled = partial(compile_predicate, prop.predicate)

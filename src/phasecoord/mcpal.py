@@ -24,6 +24,7 @@ from .model import (
     TRIV,
     Configuration,
     ConsistencyRule,
+    Diagnostic,
     Partition,
     Phase,
     RoleTransfer,
@@ -211,7 +212,10 @@ def load_migration(
     """Bind `fragment` into the kick-off slot and the rule-set variable.
 
     After loading, firing the kick-off applies the fragment and restores the
-    pristine slot-empty kick-off in the same atomic step.
+    pristine slot-empty kick-off in the same atomic step.  Raises
+    FragmentInvalid when the load or a trial firing of the kick-off fails:
+    with the changeset's diagnostics, or with `kickoff-blocked` and the
+    reason the kick-off's guard gives (`engine.rule_blocker`).
     """
     if sk.component not in model.components:
         raise McPalNotHibernating(f"{sk.component} not woven")
@@ -229,6 +233,8 @@ def load_migration(
     except RejectedChange as exc:
         raise FragmentInvalid(exc.diagnostics) from exc
     why = _fire(new_model, new_config, loaded)[0]
-    if why is not None:
-        raise FragmentInvalid(why.diagnostics if isinstance(why, RejectedChange) else [])
+    if isinstance(why, RejectedChange):
+        raise FragmentInvalid(why.diagnostics)
+    if why is not None:  # the kick-off's guard blocks it
+        raise FragmentInvalid([Diagnostic("kickoff-blocked", loaded.name, detail=why)])
     return new_model, new_config

@@ -12,10 +12,11 @@ returns ordered diagnostics rather than raising.  Nothing mutates a model,
 its components or the mappings it holds once it is built: a changeset makes
 a new `StdModel`, which shares every component, rule and changeset object
 it leaves alone.  Facts derived from one such object (transitions by
-source, claimed steps, slot layout, the engine's step tables, a
-component's own diagnostics, a changeset's depth in `dsl` and the canonical
-forms in `changeset`) are therefore computed once per object and kept in its
-instance `__dict__` by `cached_property` or `_per_object`, and by no other code.
+source, claimed steps, slot layout, the engine's step tables, the
+diagnostics of a model and of a component, a changeset's depth in `dsl`
+and the canonical forms in `changeset`) are therefore computed once per
+object and kept in its instance `__dict__` by `cached_property` or
+`_per_object`, and by no other code.
 They are not dataclass fields, so `==`, `repr` and `dataclasses.replace`
 ignore them, and a replaced object starts with none.  Each is a function of
 the object alone.
@@ -24,9 +25,9 @@ Each `StdModel` object also has a `SlotLayout`, built once: slot 0 holds
 the model version, then one slot per component (sorted by name) holds the
 index of its state among its sorted states, then one slot per role (sorted
 (component, partition)) holds the index of its phase among the role's sorted
-phase names.  The layout's tables (`owners`, `names`, `index`, `checks`)
-are indexed by slot, so a caller reads them at the slot itself.  For a
-model `validate_model` accepts they depend only on its canonical form.  A
+phase names.  The layout's tables (`owners`, `names`, `index`) are
+indexed by slot, so a caller reads them at the slot itself.  For a model
+`validate_model` accepts they depend only on its canonical form.  A
 `Configuration` is backed either by its canonical pair key (the model
 version, the sorted (component, state) pairs and the sorted ((component,
 partition), phase) pairs) or by a layout and a flat tuple of slots.
@@ -143,12 +144,6 @@ class Std:
         return None
 
     @cached_property
-    def roles(self) -> tuple[Partition, ...]:
-        """The partition of each role, in declaration order: a name declared
-        twice (which `validate_model` rejects) is one role, its first one."""
-        return tuple(map(self.partition_named, dict.fromkeys(p.name for p in self.partitions)))
-
-    @cached_property
     def transitions_from(self) -> dict[str, tuple[Transition, ...]]:
         """Sorted outgoing transitions of each state that has any."""
         out: dict[str, list[Transition]] = {}
@@ -228,38 +223,31 @@ class SlotLayout:
     sorted name order, then from slot `role_base` on each role (component,
     partition) in sorted order.  `names[s]` holds the names a slot's int
     indexes, sorted: a component's states, or the phase names of a role's
-    partition in `Std.roles`.  `index[s]` maps each of those names to its
-    int, and `slot` maps each owner to its slot.  `checks` maps each role's
-    slot to its consistency test, which `_broken` walks: (component slot,
-    role slot, per phase index the state indices of that phase), in slot
-    order.  `key_text` gives the `repr` of the pair key that `decode` gives,
-    from text tables built on its first call; `record_entries` gives a trace
-    record's entries the same way, from JSON tables.  `digests` keeps the
-    digest of each configuration digested in it."""
+    partition.  `index[s]` maps each of those names to its int, and `slot`
+    maps each owner to its slot.  `checks` holds each role's consistency
+    test, which `consistent` walks: (component slot, role slot, per phase
+    index the state indices of that phase), in slot order.  `key_text`
+    gives the `repr` of the pair key that `decode` gives, from text tables
+    built on its first call; `record_entries` gives a trace record's entries
+    the same way, from JSON tables.  `digests` keeps the digest of each
+    configuration digested in it."""
 
     def __init__(self, model: StdModel):
         components = model.component_order
-        partitions: dict[tuple[str, str], Partition] = {}
-        for name in components:
-            for part in model.components[name].roles:
-                partitions[(name, part.name)] = part
-        # a partition name declared twice in one component (which
-        # `validate_model` rejects) leaves fewer roles than partitions, so
-        # the slots cannot tell whether a configuration is consistent
-        self.consistent_shape = len(partitions) == sum(
-            len(model.components[name].partitions) for name in components)
+        partitions = {(name, part.name): part
+                      for name in components for part in model.components[name].partitions}
         self.role_base = len(components) + 1  # the first role slot
         self.owners = (None, *components, *sorted(partitions))
         self.slot = {owner: slot for slot, owner in enumerate(self.owners) if slot}
-        names, index, pairs, self.checks = [None], [None], [None], {}
+        names, index, pairs, checks = [None], [None], [None], []
         for slot, owner in enumerate(self.owners[1:], 1):
             if owner in partitions:
                 phases = {phase.name: phase for phase in reversed(partitions[owner].phases)}
                 values = tuple(sorted(phases))
                 comp = self.slot[owner[0]]
                 # a phase state outside the component maps to None, which no slot holds
-                self.checks[slot] = (comp, slot, tuple(
-                    frozenset(map(index[comp].get, phases[n].states)) for n in values))
+                checks.append((comp, slot, tuple(
+                    frozenset(map(index[comp].get, phases[n].states)) for n in values)))
             else:
                 values = tuple(sorted(model.components[owner].states))
             names.append(values)
@@ -267,6 +255,7 @@ class SlotLayout:
             # the pairs of the decoded key, built once and shared by every key
             pairs.append(tuple(zip(repeat(owner), values)))
         self.names, self.index, self._pairs = tuple(names), tuple(index), tuple(pairs)
+        self.checks = tuple(checks)
 
     def decode(self, slots: tuple) -> tuple:
         """The canonical pair key of the configuration held in `slots`."""
@@ -617,7 +606,15 @@ def _std_diagnostics(std: Std) -> list[Diagnostic]:
 
 def validate_model(model: StdModel) -> list[Diagnostic]:
     """Full static check: the conjunction of all element-level validators plus
-    cross-reference resolution of every rule."""
+    cross-reference resolution of every rule.  Computed once per model
+    object (`_model_diagnostics`), which the engine reads to refuse a
+    model this rejects."""
+    return list(_model_diagnostics(model))
+
+
+@_per_object
+def _model_diagnostics(model: StdModel) -> tuple[Diagnostic, ...]:
+    """`validate_model`'s diagnostics of `model`, kept per model object."""
     out: list[Diagnostic] = []
     for name in sorted(model.components):
         std = model.components[name]
@@ -636,41 +633,32 @@ def validate_model(model: StdModel) -> list[Diagnostic]:
         value = model.variables[name]
         if not isinstance(value, int) and type(value).__name__ != "ChangeSet":
             out.append(Diagnostic("bad-variable-value", name, type(value).__name__))
-    return _sorted_diags(out)
+    return tuple(_sorted_diags(out))
 
 
 def validate_configuration(model: StdModel, config: Configuration) -> list[Diagnostic]:
     """Consistency of a live configuration against its model: every detailed
-    state sits inside the current phase of every role of its component."""
-    slots = config.slots_in(model.layout)
-    if slots is not None and consistent(model, slots):
-        return []
+    state sits inside the current phase of every role of its component.  On
+    a model `validate_model` accepts a configuration that fits the layout is
+    tested on its slots (`consistent`); the full walk names what is wrong."""
+    if not _model_diagnostics(model):
+        slots = config.slots_in(model.layout)
+        if slots is not None and consistent(model, slots):
+            return []
     return _configuration_diagnostics(model, config)
 
 
 def consistent(model: StdModel, slots: tuple) -> bool:
     """True when `validate_configuration` finds nothing wrong with the
-    configuration that `slots` hold in `model.layout`: it has the model's
-    version, and each role's phase holds its component's state.  On a
-    layout whose shape is not consistent the full walk decides."""
-    layout = model.layout
-    if slots[0] != model.version or _broken(layout, slots, layout.checks.values()):
+    configuration that `slots` hold in the layout of `model`, which
+    `validate_model` accepts: it has the model's version, and each role's
+    phase holds its component's state."""
+    if slots[0] != model.version:
         return False
-    return layout.consistent_shape or not _configuration_diagnostics(
-        model, Configuration.from_slots(layout, slots))
-
-
-def _broken(layout: SlotLayout, slots: tuple, checks: Iterable[tuple]) -> Optional[Diagnostic]:
-    """The `phase-violation` of the first of `checks`, values of
-    `layout.checks`, that `slots` fail: the one walk of that table, for
-    `consistent` and a rule firing's check (`engine._StepCore._after`)."""
-    for comp, role, allowed in checks:
+    for comp, role, allowed in model.layout.checks:
         if slots[comp] not in allowed[slots[role]]:
-            name, part = layout.owners[role]
-            state = layout.names[comp][slots[comp]]
-            phase = layout.names[role][slots[role]]
-            return Diagnostic("phase-violation", name, part, f"{state} not in {phase}")
-    return None
+            return False
+    return True
 
 
 def _configuration_diagnostics(model: StdModel, config: Configuration) -> list[Diagnostic]:

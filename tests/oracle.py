@@ -21,14 +21,15 @@ and the transfer mechanics are re-derived here.
 The module also holds the independent second evaluators the tests check
 `src/` against: trap membership (`naive_entered_traps`), predicates read
 from a configuration's pair form (`naive_eval_predicate`), the `.pdm`
-tokens (`naive_tokens`), and the digest and trace record of a configuration
-(`naive_digest`, `naive_state_record`).
+tokens (`naive_tokens`), the digest and trace record of a configuration
+(`naive_digest`, `naive_state_record`), and the per-state sweep of the
+`configuration-valid` check (`naive_first_invalid_state`).
 """
 
 import hashlib
 
 from phasecoord.changeset import apply_changeset, canonical_model, validate_changeset
-from phasecoord.model import Configuration
+from phasecoord.model import Configuration, validate_configuration
 from phasecoord.properties import (
     And,
     CountInState,
@@ -217,6 +218,15 @@ def walk_all_states(model, config, limit=100_000, truncate=False):
                         raise RuntimeError("state limit exceeded")
         frontier = nxt_frontier
     return states
+
+
+def naive_first_invalid_state(space):
+    """The first state, in BFS order, of an explored `explorer.Space` that
+    `validate_configuration` finds fault with; None when every state passes.
+    `explore` tests only the root for `configuration-valid`, and must name
+    this state."""
+    return next((idx for idx, (m, _) in enumerate(space.states)
+                 if validate_configuration(space.models[m], space.state(idx))), None)
 
 
 def naive_entered_traps(model, config, component, partition):

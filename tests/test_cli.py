@@ -466,6 +466,22 @@ def test_load_migration_failure_exit_2(tmp_path, capsys, command, text, variable
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+def test_a_blocked_kickoff_names_the_rule_and_its_guard(capsys, command):
+    """tests/golden/kickoff-blocked.txt holds the stderr of loading ShopMigr
+    into tests/golden/kickoff-blocked.pdm, whose kick-off rule its guard
+    blocks: the diagnostic names the rule and `rule_blocker`'s reason."""
+    path = GOLDEN_DIR / "kickoff-blocked.pdm"
+    code, out, err = run_cli(capsys, command, str(path), "--load-migration", "ShopMigr")
+    assert (code, out) == (2, "")
+    assert err == (GOLDEN_DIR / "kickoff-blocked.txt").read_text("utf-8")
+    # the unloaded kick-off is blocked by the same guard
+    parsed = dsl.parse_model(path.read_text("utf-8")).model
+    why = engine.rule_blocker(parsed, model.initial_configuration(parsed),
+                              parsed.rules["McPal_kickoff"])
+    assert err == f"error: kickoff-blocked: McPal_kickoff ({why})\n"
+
+
 class TestExplore:
     def test_flagship_run_exit_0(self, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,14 +11,15 @@ import pytest
 from phasecoord import engine
 from phasecoord.changeset import ChangeSet
 from phasecoord.engine import (
-    ConsistencyBroken,
     DetailedStep,
     EngineError,
+    ModelRejected,
     NotEnabled,
     RandomPolicy,
     ReplayDivergence,
     RuleStep,
     Trace,
+    UnknownElement,
     config_digest,
     drive,
     enabled_detailed,
@@ -186,38 +188,39 @@ class TestRules:
         assert validate_configuration(new_model, out) == []
 
     def test_blocker_reasons_come_in_guard_order(self):
-        # each rule fails where named first, though most fail later tests too
+        # each rule, the one rule of its model, fails where named first,
+        # though most fail later tests too
         model = scheduler_worker_model()
-        grant, enter = T("Idle", "grant", "Busy"), T("Waiting", "enter", "InCS")
-
-        def admit(**changes):
-            fields = dict(component="W", partition="cs", source="Free", trap="asking", target="Crit")
-            return ConsistencyRule("r", "S", grant, (RoleTransfer(**{**fields, **changes}),))
-
+        admit = model.rules["admit"]
+        outside = ConsistencyRule("r", "W", T("Waiting", "enter", "InCS"))
+        removes_crit = replace(admit, change=ChangeSet(remove_phases=(("W", "cs", "Crit"),)))
         cases = [
-            ({"W": "Waiting", "S": "Idle"}, "Free",
-             ConsistencyRule("r", "Nobody", grant), "manager step unresolved"),
-            ({"W": "Waiting", "S": "Idle"}, "Free",
-             ConsistencyRule("r", "S", T("Idle", "nope", "Busy")), "manager step unresolved"),
-            ({"W": "InCS", "S": "Busy"}, "Crit", admit(), "manager not at the step's source"),
-            ({"W": "Waiting", "S": "Idle"}, "Free",
-             ConsistencyRule("r", "W", enter), "manager step outside a current phase"),
-            ({"W": "InCS", "S": "Idle"}, "Crit", admit(), "W(cs) not in phase Free"),
-            ({"W": "Waiting", "S": "Idle"}, "Free", admit(partition="zz"),
-             "W(zz) not in phase Free"),
-            ({"W": "Waiting", "S": "Idle"}, "Free", admit(source="Gone", trap="nope"),
-             "W(cs) not in phase Gone"),
-            ({"W": "OutCS", "S": "Idle"}, "Free", admit(target="Gone"),
-             "trap asking of W(cs) not entered"),
-            ({"W": "Waiting", "S": "Idle"}, "Free", admit(trap="nope"),
-             "trap nope of W(cs) not entered"),
-            ({"W": "Waiting", "S": "Idle"}, "Free", admit(target="Gone"),
-             "target phase Gone unresolved"),
-            ({"W": "Waiting", "S": "Idle"}, "Free", admit(), None),
+            ({"W": "InCS", "S": "Busy"}, "Crit", admit, "manager not at the step's source"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", outside,
+             "manager step outside a current phase"),
+            ({"W": "InCS", "S": "Idle"}, "Crit", admit, "W(cs) not in phase Free"),
+            ({"W": "OutCS", "S": "Idle"}, "Free", admit, "trap asking of W(cs) not entered"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", removes_crit,
+             "changeset rejected: live-phase-removal: W cs.Crit"),
+            ({"W": "Waiting", "S": "Idle"}, "Free", admit, None),
         ]
         for detailed, phase, rule, reason in cases:
+            held = StdModel(model.components, {rule.name: rule}, {}, 0)
+            assert validate_model(held) == []
             config = Configuration(detailed, {("W", "cs"): phase}, 0)
-            assert rule_blocker(model, config, rule) == reason, rule
+            assert rule_blocker(held, config, rule) == reason, rule
+
+    def test_a_rule_the_model_does_not_hold_is_refused(self):
+        model = scheduler_worker_model()
+        config = Configuration({"W": "Waiting", "S": "Idle"}, {("W", "cs"): "Free"}, 0)
+        admit = model.rules["admit"]
+        for rule in (ConsistencyRule("r", "W", T("Waiting", "enter", "InCS")),
+                     replace(admit, transfers=()), replace(admit, name="admit2")):
+            for entry in (rule_blocker, fire_rule):
+                with pytest.raises(UnknownElement, match=f"rule {rule.name} is not the model's"):
+                    entry(model, config, rule)
+        # an equal rule object is the model's own
+        assert rule_blocker(model, config, replace(admit)) is None
 
     def test_fire_not_enabled(self):
         model = scheduler_worker_model()
@@ -260,22 +263,19 @@ class TestRules:
         assert out.phases[("M", "evol")] == "P2"
         assert validate_configuration(model, out) == []
 
-    def test_rule_that_breaks_consistency_raises(self):
-        # a transfer whose trap does not connect into its target phase
-        # (which `validate_model` rejects) strands the worker outside it
-        model = scheduler_worker_model()
-        bad = ConsistencyRule("bad", "S", T("Idle", "grant", "Busy"),
-                              (RoleTransfer("W", "cs", "Crit", TRIV, "Free"),))
-        broken = StdModel(model.components, {"bad": bad}, {}, 0)
-        assert "trap-not-connecting" in {d.code for d in validate_model(broken)}
-        config = Configuration({"W": "InCS", "S": "Idle"}, {("W", "cs"): "Crit"}, 0)
-        assert issubclass(ConsistencyBroken, EngineError)
-        message = r"rule bad broke consistency: phase-violation: W cs \(InCS not in Free\)"
-        with pytest.raises(ConsistencyBroken, match=message):
+    def test_rule_that_breaks_consistency_is_refused(self):
+        # a transfer whose trap does not connect into its target phase would
+        # strand the worker outside it, and a manager step whose target
+        # leaves the manager's own phase would strand the manager: the
+        # engine refuses both models, which `validate_model` rejects
+        broken, config, bad = trap_not_connecting(None)
+        assert issubclass(ModelRejected, EngineError)
+        message = r"model rejected: trap-not-connecting: bad triv \(Crit->Free\)"
+        with pytest.raises(ModelRejected, match=message):
             fire_rule(broken, config, bad)
-        with pytest.raises(ConsistencyBroken, match=message):
+        with pytest.raises(ModelRejected, match=message):
             successors(broken, config)
-        # a manager step whose target leaves the manager's own phase
+        model = scheduler_worker_model()
         grant = T("Idle", "grant", "Busy")
         sched = model.components["S"]
         role = Partition("mode", (Phase("Up", frozenset({"Idle"}), frozenset({grant})),
@@ -284,8 +284,8 @@ class TestRules:
                          {"admit": model.rules["admit"]}, {}, 0)
         config = Configuration({"W": "Waiting", "S": "Idle"},
                                {("W", "cs"): "Free", ("S", "mode"): "Up"}, 0)
-        with pytest.raises(ConsistencyBroken, match=r"rule admit broke consistency: "
-                                                    r"phase-violation: S mode \(Busy not in Up\)"):
+        with pytest.raises(ModelRejected, match=r"model rejected: phase-transition-outside-phase: "
+                                                r"S\.mode\.Up \(Idle,grant,Busy\)"):
             fire_rule(loose, config, loose.rules["admit"])
 
     def test_rule_is_not_blamed_for_a_role_it_does_not_write(self, bundles):
@@ -318,6 +318,54 @@ class TestRules:
         assert reason is not None and "changeset rejected" in reason
 
 
+def trap_not_connecting(bundles):
+    """`scheduler_worker_model` whose one rule takes the worker from Crit
+    to Free by a trap that does not connect into Free: (model, a
+    configuration that fits its layout, the rule)."""
+    model = scheduler_worker_model()
+    bad = ConsistencyRule("bad", "S", T("Idle", "grant", "Busy"),
+                          (RoleTransfer("W", "cs", "Crit", TRIV, "Free"),))
+    config = Configuration({"W": "InCS", "S": "Idle"}, {("W", "cs"): "Crit"}, 0)
+    return StdModel(model.components, {"bad": bad}, {}, 0), config, bad
+
+
+def duplicate_partition(bundles):
+    """cs-nondet with a second Worker1 partition named CSRole, which holds
+    no phase: (model, its initial configuration, rule admit1)."""
+    model = bundles["cs-nondet"].model()
+    worker = model.components["Worker1"]
+    doubled = replace(worker, partitions=(*worker.partitions, Partition("CSRole", (), "Free")))
+    doubled = StdModel({**model.components, "Worker1": doubled}, model.rules, model.variables, 0)
+    return doubled, initial_configuration(model), model.rules["admit1"]
+
+
+REFUSING_ENTRIES = {
+    "successors": lambda m, c, r: successors(m, c),
+    "enabled_detailed": lambda m, c, r: enabled_detailed(m, c, r.manager),
+    "enabled_rules": lambda m, c, r: enabled_rules(m, c),
+    "rule_blocker": lambda m, c, r: rule_blocker(m, c, r),
+    "fire_rule": lambda m, c, r: fire_rule(m, c, r),
+    "run": lambda m, c, r: run(m, c, RandomPolicy(0), 5),
+    "replay": lambda m, c, r: replay(m, c, [DetailedStep(r.manager, r.manager_step)]),
+    "export_trace_jsonl": lambda m, c, r: export_trace_jsonl(m, Trace(c, (), 0)),
+    "explore": lambda m, c, r: explore(m, c),
+    "explore_space": lambda m, c, r: explore_space(m, c),
+    "explore_space-depth-0": lambda m, c, r: explore_space(m, c, Bounds(max_depth=0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(REFUSING_ENTRIES))
+@pytest.mark.parametrize("build", [trap_not_connecting, duplicate_partition],
+                         ids=["trap-not-connecting", "duplicate-partition"])
+def test_every_entry_refuses_a_rejected_model(bundles, build, entry):
+    model, config, rule = build(bundles)
+    diagnostics = validate_model(model)
+    assert diagnostics[0].code == build.__name__.replace("_", "-")
+    with pytest.raises(ModelRejected, match=re.escape(f"model rejected: {diagnostics[0]}")) as exc:
+        REFUSING_ENTRIES[entry](model, config, rule)
+    assert list(exc.value.diagnostics) == diagnostics
+
+
 def free_step(model, config, component, transition):
     """The configuration after the component's free step along `transition`,
     picked out of `successors` by its `DetailedStep` label; None when that
@@ -344,21 +392,19 @@ class TestFreeStep:
         out = free_step(model, config, "X", tick)
         assert out.key() == config.key()
 
-    def test_step_that_breaks_consistency_is_reported(self):
-        # a phase transition leaving the phase (which `validate_model`
-        # rejects) takes the component out of its phase; no free step is
-        # tested, so the explorer's sweep reports the state it reaches
+    def test_step_that_breaks_consistency_is_refused(self):
+        # a phase transition leaving the phase would take the component out
+        # of its phase: `validate_model` rejects the model, so neither the
+        # step nor the exploration runs
         go = T("A", "go", "B")
         comp = Std("X", frozenset({"A", "B"}), frozenset({"go"}), frozenset({go}), "A",
                    (Partition("r", (Phase("P", frozenset({"A"}), frozenset({go})),
                                     Phase("Q", frozenset({"B"}), frozenset())), "P"),))
         model = StdModel({"X": comp}, {}, {}, 0)
-        assert "phase-transition-outside-phase" in {d.code for d in validate_model(model)}
-        report = explore(model, initial_configuration(model))
-        [(prop, records)] = report.violations
-        assert prop == "configuration-valid"
-        assert [r["componentStates"] for r in records] == [{"X": "A"}, {"X": "B"}]
-        assert records[1]["rolePhases"] == {"X.r": "P"}
+        message = r"model rejected: phase-transition-outside-phase: X\.r\.P \(A,go,B\)"
+        for entry in (successors, explore):
+            with pytest.raises(ModelRejected, match=message):
+                entry(model, initial_configuration(model))
 
     def test_step_is_not_blamed_for_another_component(self, bundles):
         model = bundles["cs-nondet"].model()

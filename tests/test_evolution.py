@@ -22,6 +22,7 @@ from phasecoord.engine import (
     DetailedStep,
     RandomPolicy,
     RuleStep,
+    UnknownElement,
     _core,
     _fire,
     fire_rule,
@@ -409,12 +410,19 @@ class TestRuleChangeMemo:
         finally:
             gc.enable()
 
-    def test_a_rule_not_of_the_model_keeps_nothing(self):
+    def test_an_equal_rule_is_the_models_own_and_another_is_refused(self):
         model = memo_model()
         rule = replace(model.rules["grow"])  # equal, but not the model's own object
         config = memo_config(*self.APPLIES)
         first, again = fire_rule(model, config, rule), fire_rule(model, config, rule)
-        assert first[0] is not again[0] and canonical_model(first[0]) == canonical_model(again[0])
+        assert first[0] is again[0] is _core(model).guards["grow"].memo.model
+        # a rule the model does not hold, under its own name or another's,
+        # is refused and keeps nothing
+        model = memo_model()
+        for other in (replace(rule, change=None), replace(rule, name="other")):
+            for entry in (fire_rule, rule_blocker):
+                with pytest.raises(UnknownElement, match=f"rule {other.name} is not the model's"):
+                    entry(model, config, other)
         assert _core(model).guards["grow"].memo is None
 
     def test_loading_and_running_keep_no_model_alive(self, bundles):

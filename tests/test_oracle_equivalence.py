@@ -4,6 +4,7 @@ oracle's interpreter."""
 
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -12,6 +13,7 @@ import pytest
 
 from phasecoord.changeset import canonical_model
 from phasecoord.engine import (
+    ModelRejected,
     NotEnabled,
     UnknownElement,
     RandomPolicy,
@@ -71,6 +73,7 @@ from tests.oracle import (
     engine_successor_set,
     label_identity,
     naive_eval_predicate,
+    naive_first_invalid_state,
     naive_state_record,
     naive_successors,
     walk_all_states,
@@ -301,6 +304,38 @@ def assert_fast_paths_agree(model, config):
     return checked
 
 
+def assert_configuration_valid_names_the_swept_state(model, config):
+    """`explore`'s root-only `configuration-valid` verdict names the state
+    that the oracle's per-state sweep finds first, within 500 states (the
+    deadlock traces of a larger bound cost seconds); returns that state, or
+    None."""
+    report = explore(model, config, bounds=Bounds(max_states=500))
+    first = naive_first_invalid_state(report.space)
+    named = [records for prop, records in report.violations if prop == "configuration-valid"]
+    assert named == ([] if first is None else [report.space.trace_records(first)])
+    return first
+
+
+class TestConfigurationValidVerdict:
+    def test_accepted_models_from_their_start(self, bundles, shop_loaded):
+        starts = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
+        starts.append(shop_loaded)
+        for seed in range(300):
+            model = random_model(seed)
+            model = with_random_changesets(seed, model) if seed % 2 else model
+            starts.append((model, initial_configuration(model)))
+        for model, config in starts:
+            assert assert_configuration_valid_names_the_swept_state(model, config) is None
+
+    def test_inconsistent_roots_that_fit_the_layout(self, bundles):
+        model = bundles["cs-nondet"].model()
+        good = initial_configuration(model)
+        detailed, phases = dict(good.detailed), dict(good.phases)
+        for config in (Configuration({**detailed, "Worker1": "InCS"}, phases, 0),
+                       Configuration(detailed, phases, 1)):
+            assert assert_configuration_valid_names_the_swept_state(model, config) == 0
+
+
 class TestConfigurationFastPaths:
     def test_bundled_models(self, bundles, shop_loaded):
         systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
@@ -357,22 +392,25 @@ class TestConfigurationFastPaths:
             config = Configuration(d, p, version)
             diags = validate_configuration(m, config)
             assert diags and diags == _configuration_diagnostics(m, config), name
-            if name in ("phase-violation", "version-mismatch", "duplicate-partition",
-                        "duplicate-phase"):
+            if name in ("phase-violation", "version-mismatch"):
                 # the root fits its layout, so `explore` reports it, with a
                 # one-record trace: the root itself
                 violations = [(prop, len(trace)) for prop, trace in explore(m, config).violations]
                 assert violations == [("configuration-valid", 1)], name
-        # a partition declared twice counts as its first declaration, in the
-        # engine as in the oracle, so the second one's missing phase does not
-        # hide Worker1's steps
-        assert assert_agreement_everywhere(doubled, Configuration(detailed, phases, 0)) > 1
-        # one partition declared twice, both times in force: one role slot,
-        # and nothing for the full walk to report, at the root or after it
+            elif name in ("duplicate-partition", "duplicate-phase"):
+                # `validate_model` rejects the model, and the engine refuses it
+                first = validate_model(m)[0]
+                assert first.code == name
+                with pytest.raises(ModelRejected, match=re.escape(f"model rejected: {first}")):
+                    explore(m, config)
+        # one partition declared twice, both times in force: the full walk
+        # finds nothing wrong with the configuration, but the engine refuses
+        # the model
         twice = with_worker1_partitions(cs_role, cs_role)
         config = Configuration(detailed, phases, 0)
         assert validate_configuration(twice, config) == []
-        assert explore(twice, config).violations == []
+        with pytest.raises(ModelRejected, match="model rejected: duplicate-partition: Worker1 CSRole"):
+            explore(twice, config)
 
     def test_configurations_that_do_not_fit_raise_unknown_element(self, bundles):
         model = bundles["cs-nondet"].model()
