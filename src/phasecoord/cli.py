@@ -171,7 +171,10 @@ def _start(args, path: str, var: Optional[str]):
     try:
         return load_migration(model, config, fragment), EXIT_OK
     except (McPalNotHibernating, FragmentInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, FragmentInvalid) and args.format == "json":
+            _emit_diags(exc.diagnostics, args.format)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_VALIDATION
 
 
@@ -247,64 +250,55 @@ def cmd_explore(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     space = report.space
-    doc = report.doc()
-
-    violated = bool(report.violations)
-    unknown = report.unknown() or space.truncated
-
+    termination = None
     if args.check_termination is not None:
         try:
-            result = check_migration_termination(space, args.check_termination)
+            termination = check_migration_termination(space, args.check_termination)
         except UnknownElement as exc:  # no explored model has the coordinator
             print(f"error: no explored model has the coordinator component {exc}",
                   file=sys.stderr)
             return EXIT_VALIDATION
-        doc["termination"] = {
-            "targetVersion": args.check_termination,
-            "verdict": result.verdict,
-            "maxDepth": result.max_depth,
-        }
-        if result.verdict in ("stuck", "cycle"):
-            violated = True
-        elif result.verdict.startswith("unknown"):
-            unknown = True
+    progress = {} if args.check_progress is None else {  # per component, in name order
+        comp: check_progress(space, comp, args.check_progress).verdict
+        for comp in sorted(model.components)}
+    checked = [verdict for _, verdict in report.verdicts] + list(progress.values())
+    if termination is not None:
+        checked.append(termination.verdict)
 
-    if args.check_progress is not None:
-        doc["progress"] = {}
-        for comp in sorted(model.components):
-            result = check_progress(space, comp, args.check_progress)
-            doc["progress"][comp] = {"k": args.check_progress, "verdict": result.verdict}
-            if result.verdict == "starved":
-                violated = True
-            elif result.verdict.startswith("unknown"):
-                unknown = True
-
-    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.report_out and not _write(args.report_out, payload):
-        return EXIT_PARSE
+    # the document, with its traces, is rendered only for a reader of it
+    if args.format == "json" or args.report_out:
+        doc = report.doc()
+        if termination is not None:
+            doc["termination"] = {"targetVersion": args.check_termination,
+                                  "verdict": termination.verdict, "maxDepth": termination.max_depth}
+        if args.check_progress is not None:
+            doc["progress"] = {comp: {"k": args.check_progress, "verdict": verdict}
+                               for comp, verdict in progress.items()}
+        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if args.report_out and not _write(args.report_out, payload):
+            return EXIT_PARSE
     if args.format == "json":
         sys.stdout.write(payload)
     else:
         print(f"states: {report.states_visited}  transitions: {report.transitions_visited}  "
-              f"versions: {report.model_versions_seen}")
+              f"versions: {space.versions_seen()}")
         for prop, verdict in report.verdicts:
             print(f"  {verdict:14} {prop}")
-        if "termination" in doc:
-            t = doc["termination"]
-            print(f"  termination to version {t['targetVersion']}: {t['verdict']}"
-                  + (f" (maxDepth {t['maxDepth']})" if t["maxDepth"] is not None else ""))
-        if "progress" in doc:
-            for comp, entry in sorted(doc["progress"].items()):
-                print(f"  progress {comp} (k={entry['k']}): {entry['verdict']}")
-        if report.deadlocks:
-            print(f"  deadlocks: {len(report.deadlocks)}")
-        for prop, records in report.violations:
-            print(f"  violated: {prop} (counterexample of {len(records) - 1} step(s))",
+        if termination is not None:
+            depth = "" if termination.max_depth is None else f" (maxDepth {termination.max_depth})"
+            print(f"  termination to version {args.check_termination}: "
+                  f"{termination.verdict}{depth}")
+        for comp, verdict in progress.items():
+            print(f"  progress {comp} (k={args.check_progress}): {verdict}")
+        if space.deadlocks:
+            print(f"  deadlocks: {len(space.deadlocks)}")
+        for prop, state in report.violations:
+            print(f"  violated: {prop} (counterexample of {len(space.path(state)) - 1} step(s))",
                   file=sys.stderr)
 
-    if violated:
+    if report.violations or any(v in ("stuck", "cycle", "starved") for v in checked):
         return EXIT_VIOLATION
-    if unknown:
+    if space.truncated or any(v.startswith("unknown") for v in checked):
         return EXIT_UNKNOWN
     return EXIT_OK
 

@@ -15,16 +15,17 @@ successors out.  It works on a configuration's slots in its model's
 (`SlotLayout.digests`, made on the layout's first digest, cleared when it
 holds `DIGEST_TABLE_CAP`), so `run`, export's digest check and `replay` hash
 each state once; a configuration backed by its pair key is hashed each time
-and never kept.  `_record_line` writes every trace record, of an export
-(`write_trace_jsonl`) and of a report (`explorer.Space.trace_records`)
-alike, from its layout's JSON tables (`SlotLayout.record_entries`).  Per
-model object the engine compiles one `_StepCore`, kept through
-`model._per_object`: a table of free steps, which only gains entries,
-each a function of the model and its key, and one `_Guard` per rule.  A
-successor copies its parent's slots and replaces the one a detailed step
-changes, or the few a rule changes.  A configuration that does not fit the
-layout (an unknown component, state, role or phase, or a missing one) raises
-`UnknownElement`, naming the first entry that does not fit.
+and never kept.  `_record_line` writes every trace record from its layout's
+JSON tables (`SlotLayout.record_entries`): each line of an export
+(`write_trace_jsonl`), and a report's record of a state, once per explored
+space (`explorer.Space.trace_records`).  Per model object the engine
+compiles one `_StepCore`, kept through `model._per_object`: a table of free
+steps, which only gains entries, each a function of the model and its key,
+and one `_Guard` per rule.  A successor copies its parent's slots and
+replaces the one a detailed step changes, or the few a rule changes.  A
+configuration that does not fit the layout (an unknown component, state,
+role or phase, or a missing one) raises `UnknownElement`, naming the first
+entry that does not fit.
 
 A rule's changeset is applied through `changeset`, the one module that
 knows how a changeset maps a model and a configuration.  The rule's first

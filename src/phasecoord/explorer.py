@@ -24,10 +24,13 @@ bisection.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
-answer obeys the same bounds.  A check that tests every state sweeps the
-slots through `Space.where`, with its predicate compiled once per model of
-the space (`properties.compile_predicate`).  `configuration-valid` tests
-the root alone (`model.consistent`): the engine steps only models that
+answer obeys the same bounds.  An `ExplorationReport` keeps its verdicts
+and the state of each counterexample; only `ExplorationReport.doc` renders
+traces, from records built once per state (`Space.trace_records`).  A
+check that tests every state sweeps the slots through `Space.where`, with
+its predicate compiled once per model of the space
+(`properties.compile_predicate`).  `configuration-valid` tests the root
+alone (`model.consistent`): the engine steps only models that
 `validate_model` accepts, and from a consistent root of one every step
 reaches a consistent state.
 """
@@ -85,6 +88,9 @@ class Space:
     deadlocks: list[int] = field(default_factory=list)
     max_states_hit: bool = False
     max_depth_hit: bool = False
+    # filled by `trace_records`: per state its record, per label its JSON text
+    records: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
+    labels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def truncated(self) -> bool:
@@ -132,34 +138,42 @@ class Space:
             out.setdefault(mover(label), set()).add(src)
         return {component: sorted(sources) for component, sources in out.items()}
 
-    def walk(self, state: int) -> list[tuple[Optional[StepLabel], StdModel, Configuration]]:
+    def path(self, state: int) -> list[tuple[int, Optional[StepLabel]]]:
         """The BFS path from the exploration root to `state`, a shortest one,
-        as (label, model, configuration) per state on it, the shape of a step
-        of `engine.successors`; the root's label is None."""
-        path = []  # (state, the label of the step that reached it), back from `state`
+        as (state, the label of the step that reached it) per state on it,
+        read from the parent links; the root's label is None."""
+        path = []
         while (link := self.parent[state]) is not None:
             path.append((state, link[1]))
             state = link[0]
         path.append((state, None))
+        return path[::-1]
+
+    def walk(self, state: int) -> list[tuple[Optional[StepLabel], StdModel, Configuration]]:
+        """The path to `state` (see `path`) as (label, model, configuration)
+        per state on it, the shape of a step of `engine.successors`."""
         return [(label, self.models[self.states[idx][0]], self.state(idx))
-                for idx, label in reversed(path)]
+                for idx, label in self.path(state)]
 
     def trace_to(self, state: int) -> Trace:
         """Shortest trace from the exploration root, by BFS construction."""
-        walk = self.walk(state)
-        return Trace(
-            initial=walk[0][2],
-            steps=tuple((label, config_digest(config)) for label, _, config in walk[1:]),
-            final_model_version=walk[-1][2].model_version,
-        )
+        path = self.path(state)
+        steps = tuple((label, config_digest(self.state(idx))) for idx, label in path[1:])
+        return Trace(self.state(0), steps, final_model_version=self.states[state][1][0])
 
     def trace_records(self, state: int) -> list[dict]:
         """The trace to a state as records of the exported JSON-lines format,
         each line written by `engine._record_line` and read back as a JSON
-        value."""
-        labels: dict = {}
-        return [json.loads(_record_line(labels, i, label, model, config, config_digest(config)))
-                for i, (label, model, config) in enumerate(self.walk(state))]
+        value, once per state: a record's index is its state's BFS depth, the
+        same on every trace, so every trace through the state shares it."""
+        path, records = self.path(state), self.records
+        for depth, (idx, label) in enumerate(path):
+            if idx not in records:
+                config = self.state(idx)
+                records[idx] = json.loads(_record_line(
+                    self.labels, depth, label, self.models[self.states[idx][0]],
+                    config, config_digest(config)))
+        return [records[idx] for idx, _ in path]
 
 
 def explore_space(
@@ -230,38 +244,44 @@ def explore_space(
 
 @dataclass
 class ExplorationReport:
-    states_visited: int
-    transitions_visited: int
-    model_versions_seen: list[int]
-    violations: list[tuple[str, list[dict]]]  # (property text, trace records)
-    deadlocks: list[list[dict]]
-    verdicts: list[tuple[str, str]]  # (property text, verdict)
-    bounds: Bounds
-    max_states_hit: bool
-    max_depth_hit: bool
-    space: Space = field(repr=False, compare=False)  # for further queries
+    """The verdicts of one exploration and the space they were read from."""
 
-    def unknown(self) -> bool:
-        return any(v.startswith("unknown") for _, v in self.verdicts)
+    space: Space = field(repr=False, compare=False)  # for further queries
+    bounds: Bounds
+    verdicts: list[tuple[str, str]]  # (property text, verdict)
+    violations: list[tuple[str, int]]  # (property text, state index), in report order
+
+    @property
+    def states_visited(self) -> int:
+        return self.space.state_count()
+
+    @property
+    def transitions_visited(self) -> int:
+        return len(self.space.edges)
 
     def doc(self) -> dict:
-        """The report as a new JSON document, which a caller may extend."""
+        """The report as a new JSON document, whose deadlock and violation
+        traces are rendered here (`Space.trace_records`).  A caller may add
+        top-level keys to it, but no more: the traces share their records
+        with every other trace and document of the space."""
+        space = self.space
         return {
             "statesVisited": self.states_visited,
             "transitionsVisited": self.transitions_visited,
-            "modelVersionsSeen": self.model_versions_seen,
+            "modelVersionsSeen": space.versions_seen(),
             "violations": [
-                {"property": prop, "trace": records} for prop, records in self.violations
+                {"property": prop, "trace": space.trace_records(state)}
+                for prop, state in self.violations
             ],
-            "deadlocks": self.deadlocks,
+            "deadlocks": [space.trace_records(idx) for idx in sorted(space.deadlocks)],
             "properties": [
                 {"property": prop, "verdict": verdict} for prop, verdict in self.verdicts
             ],
             "bounds": {
                 "maxStates": self.bounds.max_states,
                 "maxDepth": self.bounds.max_depth,
-                "maxStatesHit": self.max_states_hit,
-                "maxDepthHit": self.max_depth_hit,
+                "maxStatesHit": space.max_states_hit,
+                "maxDepthHit": space.max_depth_hit,
             },
         }
 
@@ -289,14 +309,13 @@ def _within_bound_to_targets(space: Space, targets: Sequence[int]) -> list[int]:
     return dist
 
 
-def _sorted_violations(space: Space, items: list[tuple[str, int]]) -> list[tuple[str, list[dict]]]:
+def _sorted_violations(space: Space, items: list[tuple[str, int]]) -> list[tuple[str, int]]:
     """Shortest trace first, then by its labels' text, then by property."""
     def sort_key(item):
-        prop, state = item
-        walk = space.walk(state)
-        return (len(walk), [label_text(label) for label, _, _ in walk[1:]], prop)
+        path = space.path(item[1])
+        return (len(path), [label_text(label) for _, label in path[1:]], item[0])
 
-    return [(prop, space.trace_records(state)) for prop, state in sorted(items, key=sort_key)]
+    return sorted(items, key=sort_key)
 
 
 def explore(
@@ -313,7 +332,7 @@ def explore(
     reachable properties are satisfied on the first witness; eventuallyAll
     properties require that from every reachable state some satisfying state
     remains reachable within the stated step bound.  The report keeps the
-    explored space for further queries.
+    explored space, for further queries and to render its traces.
     """
     if workers != 1:
         raise ValueError(f"exploration is serial; workers must be 1, got {workers}")
@@ -356,16 +375,10 @@ def explore(
                 verdicts.append((prop.text(), "holds"))
 
     return ExplorationReport(
-        states_visited=space.state_count(),
-        transitions_visited=len(space.edges),
-        model_versions_seen=space.versions_seen(),
-        violations=_sorted_violations(space, pending_violations),
-        deadlocks=[space.trace_records(idx) for idx in sorted(space.deadlocks)],
-        verdicts=verdicts,
-        bounds=bounds,
-        max_states_hit=space.max_states_hit,
-        max_depth_hit=space.max_depth_hit,
         space=space,
+        bounds=bounds,
+        verdicts=verdicts,
+        violations=_sorted_violations(space, pending_violations),
     )
 
 
@@ -453,15 +466,11 @@ def _distance_to_move(space: Space, component: str) -> list[int]:
     return _within_bound_to_targets(space, space.move_sources.get(component, []))
 
 
-def check_progress(space: Space, component: str, k: int, within=None) -> ProgressResult:
+def check_progress(space: Space, component: str, k: int) -> ProgressResult:
     """Bounded non-starvation: from every reachable state some continuation of
     at most k steps contains the component's own move (a detailed step, or a
     rule firing it manages).  Returns the first reachable state, in BFS
-    order, from which no such continuation exists.
-
-    `within`, when given, is a predicate restricting which reachable states
-    are held to the obligation (e.g. only states inside a migration window);
-    continuations may still run through any state.  Raises UnknownElement
+    order, from which no such continuation exists.  Raises UnknownElement
     when no model of the space has the component."""
     _require_component(space, component)
     if space.truncated:
@@ -469,14 +478,10 @@ def check_progress(space: Space, component: str, k: int, within=None) -> Progres
         # provably starved on a truncated graph
         return ProgressResult("unknown(bound)")
     dist = _distance_to_move(space, component)
-    held = (range(space.state_count()) if within is None
-            else space.where(partial(compile_predicate, within)))
-    for idx in held:
-        if dist[idx] == -1 or dist[idx] + 1 > k:
-            return ProgressResult(
-                "starved", starved=space.state(idx), witness=space.trace_to(idx)
-            )
-    return ProgressResult("satisfied")
+    idx = next((idx for idx, d in enumerate(dist) if d == -1 or d + 1 > k), None)
+    if idx is None:
+        return ProgressResult("satisfied")
+    return ProgressResult("starved", starved=space.state(idx), witness=space.trace_to(idx))
 
 
 def minimal_progress_bound(space: Space, component: str) -> Optional[int]:

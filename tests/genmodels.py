@@ -360,3 +360,14 @@ def random_predicate(rng, vocabulary, versions, depth=3):
     node = And if kind == 5 else Or
     return node(random_predicate(rng, vocabulary, versions, depth - 1),
                 random_predicate(rng, vocabulary, versions, depth - 1))
+
+
+def chain_text(steps):
+    """The `.pdm` text of one component, `Chain`, that steps from S0 to
+    S`steps` with a dead end D`i` off each state S`i` on the way: 2 * steps
+    + 1 states, steps + 1 of them deadlocked, whose traces share prefixes."""
+    states = [f"S{i}" for i in range(steps + 1)] + [f"D{i}" for i in range(steps)]
+    moves = "".join(f"    S{i} - next -> S{i + 1};\n    S{i} - stop -> D{i};\n"
+                    for i in range(steps))
+    return (f"version 0;\n\ncomponent Chain {{\n  states: {', '.join(states)};\n"
+            f"  initial: S0;\n  transitions:\n{moves}}}\n")

@@ -152,15 +152,14 @@ def test_criterion_4_consistency_through_migration(shop_loaded, bundles):
     mutex = CountInState((("Client1", "UnderService"), ("Client2", "UnderService")), "<=", 1)
     ok = (
         result.violations == []
-        and not result.max_states_hit
-        and not result.max_depth_hit
+        and not result.space.truncated
         and result.states_visited == SHOP_STATES
         and 100 <= result.states_visited <= 10_000
-        and result.model_versions_seen == SHOP_VERSIONS
+        and result.space.versions_seen() == SHOP_VERSIONS
         and dict(result.verdicts)[f"invariant {mutex.text()}"] == "holds"
         and elapsed < 10.0
     )
-    report(4, ok, f"{result.states_visited} states, versions {result.model_versions_seen}, "
+    report(4, ok, f"{result.states_visited} states, versions {result.space.versions_seen()}, "
                   f"{elapsed:.2f}s")
 
 

@@ -11,6 +11,7 @@ import pytest
 from phasecoord import changeset, cli, dsl, engine, explorer, model
 from phasecoord.bundled import get_bundled
 from phasecoord.cli import main
+from tests.genmodels import chain_text
 
 FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
             "--check-termination", "3", "--check-progress", "16")
@@ -27,6 +28,9 @@ REPORT_GOLDENS = {
     "shop-migration-loaded": (("shop-migration", "--load-migration", "ShopMigr", "--props",
                                str(GOLDEN_DIR / "shop-migration-loaded.pprop")), 4),
     "deadlock": ((str(GOLDEN_DIR / "deadlock.pdm"),), 0),  # one 4-record deadlock
+    # a 12-step chain with a dead end off each step: 13 deadlock traces,
+    # each sharing its prefix with the longer ones
+    "chain": ((str(GOLDEN_DIR / "chain.pdm"),), 0),
 }
 HUGE = "9" * 5000
 ONE_STATE_BODY = "{ states: A; initial: A; transitions: }"
@@ -482,6 +486,20 @@ def test_a_blocked_kickoff_names_the_rule_and_its_guard(capsys, command):
     assert err == f"error: kickoff-blocked: McPal_kickoff ({why})\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+def test_a_blocked_kickoff_is_a_json_diagnostic_under_format_json(capsys, command):
+    """tests/golden/kickoff-blocked.json holds the `--format json` stderr of
+    loading ShopMigr into tests/golden/kickoff-blocked.pdm: the
+    `kickoff-blocked` diagnostic in the list that `_emit_diags` writes."""
+    path = GOLDEN_DIR / "kickoff-blocked.pdm"
+    code, out, err = run_cli(capsys, "--format", "json", command, str(path),
+                             "--load-migration", "ShopMigr")
+    assert (code, out) == (2, "")
+    assert err == (GOLDEN_DIR / "kickoff-blocked.json").read_text("utf-8")
+    [diagnostic] = json.loads(err)
+    assert (diagnostic["code"], diagnostic["owner"]) == ("kickoff-blocked", "McPal_kickoff")
+
+
 class TestExplore:
     def test_flagship_run_exit_0(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -625,6 +643,21 @@ class TestExplore:
         code, out, err = run_cli(capsys, "--format", "json", "explore", *argv)
         assert code == exit_code
         assert out.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.json").read_bytes()
+
+    def test_report_records_are_written_once_per_state_and_only_for_json(
+            self, tmp_path, capsys, count_calls):
+        # a 40-step chain with a dead end off each step: 41 deadlock traces
+        # through 81 distinct states, 901 records in all
+        path = tmp_path / "chain.pdm"
+        path.write_text(chain_text(40), "utf-8")
+        lines = count_calls(explorer, "_record_line")
+        code, out, _ = run_cli(capsys, "explore", str(path))
+        assert (code, out.splitlines()[-1], lines) == (0, "  deadlocks: 41", [])
+        code, out, _ = run_cli(capsys, "--format", "json", "explore", str(path))
+        traces = json.loads(out)["deadlocks"]
+        states = {record["digest"] for trace in traces for record in trace}
+        assert (code, len(states), sum(map(len, traces))) == (0, 81, 901)
+        assert len(lines) <= len(states)
 
     def test_termination_obeys_the_shared_bounds(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", *FLAGSHIP[:6],

@@ -165,8 +165,8 @@ class TestBfsMinimality:
             frontier = nxt
         report = explore(broken, config, [Invariant(pred)])
         assert report.verdicts == [(Invariant(pred).text(), "violated")]
-        [(_, records)] = report.violations
-        assert len(records) - 1 == oracle_min == 5
+        [violation] = report.doc()["violations"]
+        assert len(violation["trace"]) - 1 == oracle_min == 5
 
 
 class TestRandomModels:
@@ -306,13 +306,12 @@ def assert_fast_paths_agree(model, config):
 
 def assert_configuration_valid_names_the_swept_state(model, config):
     """`explore`'s root-only `configuration-valid` verdict names the state
-    that the oracle's per-state sweep finds first, within 500 states (the
-    deadlock traces of a larger bound cost seconds); returns that state, or
-    None."""
-    report = explore(model, config, bounds=Bounds(max_states=500))
+    that the oracle's per-state sweep finds first, within 2000 states;
+    returns that state, or None."""
+    report = explore(model, config, bounds=Bounds(max_states=2000))
     first = naive_first_invalid_state(report.space)
-    named = [records for prop, records in report.violations if prop == "configuration-valid"]
-    assert named == ([] if first is None else [report.space.trace_records(first)])
+    named = [state for prop, state in report.violations if prop == "configuration-valid"]
+    assert named == ([] if first is None else [first])
     return first
 
 
@@ -395,7 +394,8 @@ class TestConfigurationFastPaths:
             if name in ("phase-violation", "version-mismatch"):
                 # the root fits its layout, so `explore` reports it, with a
                 # one-record trace: the root itself
-                violations = [(prop, len(trace)) for prop, trace in explore(m, config).violations]
+                violations = [(v["property"], len(v["trace"]))
+                              for v in explore(m, config).doc()["violations"]]
                 assert violations == [("configuration-valid", 1)], name
             elif name in ("duplicate-partition", "duplicate-phase"):
                 # `validate_model` rejects the model, and the engine refuses it
@@ -675,22 +675,22 @@ def state_invariants(model):
 
 
 def assert_report_records_agree(model, config, properties, bounds=Bounds(max_states=500)):
-    """Every violation and deadlock trace of `explore` is a walk along the
-    space's edges from its root, and each record equals `naive_state_record`
-    of the state the walk is at; returns the report."""
+    """Every violation and deadlock trace of `explore`'s document is a walk
+    along the space's edges from its root, and each record equals
+    `naive_state_record` of the state the walk is at; returns the document."""
     report = explore(model, config, properties, bounds)
     space = report.space
     out: dict = {}
     for src, label, dst in space.edges:
         out.setdefault(src, []).append((label, dst))
-    traces = [records for _, records in report.violations] + report.deadlocks
-    for records in traces:
+    doc = report.doc()
+    for records in [v["trace"] for v in doc["violations"]] + doc["deadlocks"]:
         assert records[0] == naive_state_record(0, None, space.state(0))
         state = 0
         for index, record in enumerate(records[1:], start=1):
             state = next(dst for label, dst in out[state]
                          if record == naive_state_record(index, label, space.state(dst)))
-    return report
+    return doc
 
 
 def named_model(roles):
@@ -743,8 +743,8 @@ class TestTraceRecords:
                    for b in bundles.values()]
         traces = []
         for model, config, props in systems + [(*shop_loaded, [])]:
-            report = assert_report_records_agree(model, config, props + state_invariants(model))
-            traces += [records for _, records in report.violations] + report.deadlocks
+            doc = assert_report_records_agree(model, config, props + state_invariants(model))
+            traces += [v["trace"] for v in doc["violations"]] + doc["deadlocks"]
         assert len(traces) > 40 and sum(map(len, traces)) > 2 * len(traces)
         # a trace of the loaded migration crosses its versions 1-3
         assert max(len({r["modelVersion"] for r in records}) for records in traces) == 3
@@ -755,10 +755,10 @@ class TestTraceRecords:
             model = random_model(seed)
             if seed % 2:
                 model = with_random_changesets(seed, model)
-            report = assert_report_records_agree(model, random_initial(model), state_invariants(model))
-            violations += len(report.violations)
-            deadlocks += len(report.deadlocks)
-            records += sum(len(r) for _, r in report.violations) + sum(map(len, report.deadlocks))
+            doc = assert_report_records_agree(model, random_initial(model), state_invariants(model))
+            violations += len(doc["violations"])
+            deadlocks += len(doc["deadlocks"])
+            records += sum(len(v["trace"]) for v in doc["violations"]) + sum(map(len, doc["deadlocks"]))
         assert violations > 1000 and deadlocks > 200 and records > 10 * (violations + deadlocks)
 
     def test_names_json_escapes_and_roles_out_of_slot_order(self):
