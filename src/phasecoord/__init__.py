@@ -78,7 +78,6 @@ from .properties import (
     Reachable,
     eval_predicate,
     parse_properties,
-    parse_property,
 )
 
 __version__ = "0.1.0"

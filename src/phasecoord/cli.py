@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 parse, usage or I/O error,
 2 validation error, 3 replay divergence, 4 property violation,
 5 verdict unknown because a bound was hit, 6 DOT node threshold exceeded.
-Standard output carries data; diagnostics go to standard error.
+Standard output carries data; diagnostics go to standard error.  A command
+that fails raises `_Failure` where it finds the failure, and `main` writes
+it once, in the chosen format.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .mcpal import (
     completion_test,
     load_migration,
 )
-from .model import initial_configuration
+from .model import Diagnostic, initial_configuration
 from .properties import PropertyError, parse_properties
 
 EXIT_OK = 0
@@ -52,75 +54,80 @@ EXIT_UNKNOWN = 5
 EXIT_DOT_THRESHOLD = 6
 
 
-def _read(path: str) -> Optional[str]:
-    """The text of the UTF-8 file at `path`; None once why not is reported."""
+class _Failure(Exception):
+    """A failed command: its exit code, its diagnostics (written as a JSON
+    list under `--format json`) and its text-mode lines, by default each
+    diagnostic's own text."""
+
+    def __init__(self, exit_code: int, diags, lines=None):
+        self.exit_code = exit_code
+        self.diags = list(diags)
+        self.lines = [str(d) for d in self.diags] if lines is None else lines
+
+
+def _fail(exit_code: int, code: str, owner: str, line: str) -> _Failure:
+    """The failure of kind `code` that blames `owner`, whose text is `line`;
+    its diagnostic's detail is `line` without a leading "error: "."""
+    return _Failure(exit_code, [Diagnostic(code, owner, detail=line.removeprefix("error: "))],
+                    [line])
+
+
+def _report(failure: _Failure, fmt: str) -> int:
+    """Write `failure` in format `fmt` and return its exit code.  What
+    standard output holds is flushed first, and dropped if that fails; the
+    flush's io-error then follows a failure that is not an io-error itself,
+    and the exit code is 1."""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # standard output is full or its reader is gone
+        _drop_stdout()
+        if all(d.code != "io-error" for d in failure.diags):
+            flush = _io_failure(exc)
+            failure = _Failure(EXIT_PARSE, failure.diags + flush.diags,
+                               failure.lines + flush.lines)
+    if fmt == "json":
+        doc = [{"code": d.code, "owner": d.owner, "element": d.element, "detail": d.detail,
+                "line": d.line, "column": d.column} for d in failure.diags]
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    else:
+        text = "".join(line + "\n" for line in failure.lines)
+    sys.stderr.write(text)
+    return failure.exit_code
+
+
+def _io_failure(exc: OSError) -> _Failure:
+    return _fail(EXIT_PARSE, "io-error", exc.filename or "", f"error: {exc}")
+
+
+def _read(path: str) -> str:
+    """The text of the UTF-8 file at `path`; an OSError reading it is left
+    to `main`."""
     try:
         return Path(path).read_bytes().decode("utf-8")  # a line ends at "\n" only
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-    return None
+        raise _fail(EXIT_PARSE, "io-error", path, f"error: {path}: {exc}")
 
 
-def _write(path: str, text: str) -> bool:
-    """Write `text` to `path` as UTF-8; False once why not is reported."""
-    try:
-        Path(path).write_text(text, "utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
-def _below_least(checks) -> bool:
-    """Report the first (flag, value, least) with a value below least, if any."""
+def _below_least(checks) -> None:
+    """Refuse the first (flag, value, least) with a value below least, if any."""
     for flag, value, least in checks:
         if value is not None and value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return True
-    return False
+            raise _fail(EXIT_PARSE, "below-least", flag,
+                        f"error: {flag} must be at least {least}, got {value}")
 
 
-def _load_model(path: str, fmt: str):
-    """The model at `path`, a file or a bundled name, with EXIT_OK; or None
-    with the exit code once the reason is reported, in format `fmt`."""
-    text = get_bundled(path).model_text() if path in BUNDLED else _read(path)
-    if text is None:
-        return None, EXIT_PARSE
-    result = parse_model(text)
+def _load_model(path: str):
+    """The model at `path`, a file or a bundled name."""
+    result = parse_model(get_bundled(path).model_text() if path in BUNDLED else _read(path))
     if result.model is None:
-        _emit_diags(result.diagnostics, fmt)
-        return None, EXIT_PARSE
+        raise _Failure(EXIT_PARSE, result.diagnostics)
     if result.diagnostics:
-        _emit_diags(result.diagnostics, fmt)
-        return None, EXIT_VALIDATION
-    return result.model, EXIT_OK
-
-
-def _emit_diags(diags, fmt: str):
-    if fmt == "json":
-        doc = [
-            {
-                "code": d.code,
-                "owner": d.owner,
-                "element": d.element,
-                "detail": d.detail,
-                "line": d.line,
-                "column": d.column,
-            }
-            for d in diags
-        ]
-        print(json.dumps(doc, sort_keys=True, indent=2), file=sys.stderr)
-    else:
-        for d in diags:
-            print(str(d), file=sys.stderr)
+        raise _Failure(EXIT_VALIDATION, result.diagnostics)
+    return result.model
 
 
 def cmd_validate(args) -> int:
-    model, code = _load_model(args.path, args.format)
-    if model is None:
-        return code
+    model = _load_model(args.path)
     if args.format == "json":
         print(json.dumps({"ok": True, "components": model.component_names(),
                           "rules": model.rule_names(), "version": model.version},
@@ -152,46 +159,37 @@ def _interactive_chooser(labels) -> Optional[int]:
         print(f"out of range: {idx}", file=sys.stderr)
 
 
-def _start(args, path: str, var: Optional[str]):
-    """The (model, initial configuration) a run starts from, with EXIT_OK:
-    the model at `path`, with the changeset that the variable `var` names,
-    if any, loaded into the coordinator (`mcpal.load_migration`); or None
-    with the exit code once the reason is reported.  A model that parses
+def _start(path: str, var: Optional[str]):
+    """The (model, initial configuration) a run starts from: the model at
+    `path`, with the changeset that the variable `var` names, if any, loaded
+    into the coordinator (`mcpal.load_migration`).  A model that parses
     starts consistent (`validate_model`), so its start is not validated."""
-    model, code = _load_model(path, args.format)
-    if model is None:
-        return None, code
+    model = _load_model(path)
     config = initial_configuration(model)
     if not var:
-        return (model, config), EXIT_OK
+        return model, config
     fragment = model.variables.get(var)
     if not isinstance(fragment, ChangeSet):
-        print(f"error: variable {var!r} holds no changeset", file=sys.stderr)
-        return None, EXIT_VALIDATION
+        raise _fail(EXIT_VALIDATION, "no-changeset", var,
+                    f"error: variable {var!r} holds no changeset")
     try:
-        return load_migration(model, config, fragment), EXIT_OK
-    except (McPalNotHibernating, FragmentInvalid) as exc:
-        if isinstance(exc, FragmentInvalid) and args.format == "json":
-            _emit_diags(exc.diagnostics, args.format)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_VALIDATION
+        return load_migration(model, config, fragment)
+    except FragmentInvalid as exc:
+        raise _Failure(EXIT_VALIDATION, exc.diagnostics, [f"error: {exc}"])
+    except McPalNotHibernating as exc:
+        raise _fail(EXIT_VALIDATION, "not-hibernating", McPalSkeleton().component,
+                    f"error: {exc}")
 
 
 def cmd_simulate(args) -> int:
-    if _below_least((("--steps", args.steps, 0),)):
-        return EXIT_PARSE
-    started, code = _start(args, args.path, args.load_migration)
-    if started is None:
-        return code
-    model, config = started
+    _below_least((("--steps", args.steps, 0),))
+    model, config = _start(args.path, args.load_migration)
 
     if args.script:
         try:
             steps = parse_trace_steps(Path(args.script).read_bytes().decode("utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        except ValueError as exc:  # not UTF-8, or a line that is not a trace record
+            raise _fail(EXIT_PARSE, "bad-script", args.script, f"error: {exc}")
         steps = steps if args.steps is None else steps[:args.steps]
     else:
         if args.interactive:
@@ -203,7 +201,7 @@ def cmd_simulate(args) -> int:
 
     # each record is written as its step is taken, after it is re-fired from
     # the previous configuration and its digest checked; `main` reports a
-    # failed write (an OSError), once the trace file is closed
+    # failed write (an OSError) or a divergence, once the trace file is closed
     try:
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as out:
@@ -211,8 +209,8 @@ def cmd_simulate(args) -> int:
         else:
             count, version = write_trace_jsonl(model, config, steps, sys.stdout.write)
     except ReplayDivergence as exc:
-        print(f"replay divergence at step {exc.index}: {label_text(exc.label)}", file=sys.stderr)
-        return EXIT_REPLAY
+        raise _fail(EXIT_REPLAY, "replay-divergence", args.script or args.path,
+                    f"replay divergence at step {exc.index}: {label_text(exc.label)}")
     if args.trace_out:
         print(f"{count} step(s), final version {version}, trace written to {args.trace_out}",
               file=sys.stderr)
@@ -220,26 +218,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    started, code = _start(args, args.path, args.load_migration)
-    if started is None:
-        return code
-    model, config = started
-
-    if _below_least((("--max-states", args.max_states, 1),
-                     ("--max-depth", args.max_depth, 0),
-                     ("--check-progress", args.check_progress, 1),
-                     ("--check-termination", args.check_termination, model.version))):
-        return EXIT_PARSE
+    model, config = _start(args.path, args.load_migration)
+    _below_least((("--max-states", args.max_states, 1),
+                  ("--max-depth", args.max_depth, 0),
+                  ("--check-progress", args.check_progress, 1),
+                  ("--check-termination", args.check_termination, model.version)))
 
     props = []
     if args.props:
-        props_text = _read(args.props)
-        if props_text is None:
-            return EXIT_PARSE
-        props, diags = parse_properties(props_text)
+        props, diags = parse_properties(_read(args.props))
         if diags:
-            _emit_diags(diags, args.format)
-            return EXIT_PARSE
+            raise _Failure(EXIT_PARSE, diags)
     elif args.path in BUNDLED:
         props = get_bundled(args.path).properties()
 
@@ -247,17 +236,16 @@ def cmd_explore(args) -> int:
     try:
         report = explore(model, config, props, bounds)
     except PropertyError as exc:  # an atom names a component some explored model lacks
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _fail(EXIT_VALIDATION, "property-error", args.props or args.path,
+                    f"error: {exc}")
     space = report.space
     termination = None
     if args.check_termination is not None:
         try:
             termination = check_migration_termination(space, args.check_termination)
         except UnknownElement as exc:  # no explored model has the coordinator
-            print(f"error: no explored model has the coordinator component {exc}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            raise _fail(EXIT_VALIDATION, "no-coordinator", str(exc),
+                        f"error: no explored model has the coordinator component {exc}")
     progress = {} if args.check_progress is None else {  # per component, in name order
         comp: check_progress(space, comp, args.check_progress).verdict
         for comp in sorted(model.components)}
@@ -275,8 +263,8 @@ def cmd_explore(args) -> int:
             doc["progress"] = {comp: {"k": args.check_progress, "verdict": verdict}
                                for comp, verdict in progress.items()}
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if args.report_out and not _write(args.report_out, payload):
-            return EXIT_PARSE
+        if args.report_out:
+            Path(args.report_out).write_text(payload, "utf-8")
     if args.format == "json":
         sys.stdout.write(payload)
     else:
@@ -324,15 +312,10 @@ def _compact(config) -> str:
 
 def cmd_demo(args) -> int:
     if args.name not in BUNDLED:
-        print(f"unknown demo {args.name!r}; valid names: {', '.join(bundled_names())}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    if _below_least((("--steps", args.steps, 0),)):
-        return EXIT_PARSE
-    started, code = _start(args, args.name, get_bundled(args.name).fragment_var)
-    if started is None:
-        return code
-    model, config = started
+        raise _fail(EXIT_PARSE, "unknown-demo", args.name,
+                    f"unknown demo {args.name!r}; valid names: {', '.join(bundled_names())}")
+    _below_least((("--steps", args.steps, 0),))
+    model, config = _start(args.name, get_bundled(args.name).fragment_var)
 
     if args.name == "shop-migration":
         sk = McPalSkeleton()
@@ -340,8 +323,8 @@ def cmd_demo(args) -> int:
         space = explore_space(model, config)
         done = next(space.where(partial(completion_test, target_version=target, sk=sk)), None)
         if done is None:
-            print("no completing trajectory found", file=sys.stderr)
-            return EXIT_VIOLATION
+            raise _fail(EXIT_VIOLATION, "no-completion", args.name,
+                        "no completing trajectory found")
         walk = space.walk(done)
         version = _narrate("shop migration, shortest completing run:", walk[:args.steps + 1])
         if args.steps < len(walk) - 1:
@@ -360,47 +343,38 @@ def cmd_demo(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    model, code = _load_model(args.path, args.format)
-    if model is None:
-        return code
-
+    model = _load_model(args.path)
     if args.what in ("std", "phases"):
         component = args.component
         if component is None:
             if len(model.components) == 1:
                 component = next(iter(model.components))
             else:
-                print(f"--component required; model has {model.component_names()}",
-                      file=sys.stderr)
-                return EXIT_PARSE
+                raise _fail(EXIT_PARSE, "component-required", "--component",
+                            f"--component required; model has {model.component_names()}")
         std = model.components.get(component)
         if std is None:
-            print(f"unknown component {component!r}", file=sys.stderr)
-            return EXIT_PARSE
+            raise _fail(EXIT_PARSE, "unknown-component", component,
+                        f"unknown component {component!r}")
         out = std_dot(std) if args.what == "std" else phases_dot(std)
     else:
-        if _below_least((("--max-states", args.max_states, 1), ("--threshold", args.threshold, 0))):
-            return EXIT_PARSE
+        _below_least((("--max-states", args.max_states, 1), ("--threshold", args.threshold, 0)))
         config = initial_configuration(model)
         space = explore_space(model, config, Bounds(max_states=args.max_states))
         try:
             out = statespace_dot(space, threshold=args.threshold)
         except TooManyNodes as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOT_THRESHOLD
+            raise _fail(EXIT_DOT_THRESHOLD, "dot-threshold", "--threshold", f"error: {exc}")
 
-    if not args.out:
+    if args.out:
+        Path(args.out).write_text(out, "utf-8")
+    else:
         sys.stdout.write(out)
-    elif not _write(args.out, out):
-        return EXIT_PARSE
     return EXIT_OK
 
 
 def cmd_serialize(args) -> int:
-    model, code = _load_model(args.path, args.format)
-    if model is None:
-        return code
-    sys.stdout.write(serialize_model(model))
+    sys.stdout.write(serialize_model(_load_model(args.path)))
     return EXIT_OK
 
 
@@ -474,13 +448,10 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a failed write to standard output shows here
-    except OSError as exc:  # writing a trace, a report or standard output failed
-        print(f"error: {exc}", file=sys.stderr)
-        try:
-            sys.stdout.flush()
-        except OSError:  # standard output is full or its reader is gone
-            _drop_stdout()
-        return EXIT_PARSE
+    except _Failure as failure:
+        return _report(failure, args.format)
+    except OSError as exc:  # reading or writing a file, or standard output, failed
+        return _report(_io_failure(exc), args.format)
     return code
 
 

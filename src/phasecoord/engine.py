@@ -679,7 +679,8 @@ _decode = json.JSONDecoder().raw_decode  # the decoder `json.loads` uses
 def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
     """(label, digest) of each step of an exported JSON-lines trace, in order.
     Raises ValueError naming the 1-based line of the first record that is not
-    a trace record or whose step digest is not 16 hex digits.
+    a trace record or whose step digest is not 16 hex digits.  Every record
+    has a `label` key; only the first may hold null (the initial record).
 
     Each line is decoded as one JSON value; a line `raw_decode` does not take
     whole is read again by `json.loads`, for its error.  Each distinct label
@@ -687,6 +688,7 @@ def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
     which tells `1` from `true`, as an equal tuple of values would not."""
     steps = []
     labels: dict[str, StepLabel] = {}
+    initial = True  # the next record is the first, which may be the initial one
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -698,8 +700,11 @@ def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
                 end = None
             if end != len(line):
                 record = json.loads(line)  # raises, with the text `json.loads` gives
-            label = record.get("label")
-            if label is not None:
+            label = record["label"]
+            if label is None:
+                if not initial:
+                    raise ValueError("a null label after the first record")
+            else:
                 digest = record["digest"]
                 if not _DIGEST.fullmatch(digest):
                     raise ValueError(f"digest {digest!r} is not 16 hex digits")
@@ -710,6 +715,7 @@ def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
                 steps.append((step, int(digest, 16)))
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ValueError(f"line {number}: not a trace record ({exc!r})") from exc
+        initial = False
     return steps
 
 

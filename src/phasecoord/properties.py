@@ -388,11 +388,6 @@ def _parse(p: _Parser, line: int) -> Union[PropertyExpr, Diagnostic]:
                           line=line, column=offset + 1)
 
 
-def parse_property(text: str, line: int = 1) -> Union[PropertyExpr, Diagnostic]:
-    """One property expression; returns a Diagnostic on syntax errors."""
-    return _parse(_Parser(text), line)
-
-
 def parse_properties(text: str) -> tuple[list[PropertyExpr], list[Diagnostic]]:
     """A .pprop document: one property per line (only a line feed ends one) with a token."""
     props: list[PropertyExpr] = []

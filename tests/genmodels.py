@@ -30,6 +30,7 @@ from phasecoord.properties import (
     ModelVersionIs,
     Not,
     Or,
+    parse_properties,
 )
 
 
@@ -360,6 +361,14 @@ def random_predicate(rng, vocabulary, versions, depth=3):
     node = And if kind == 5 else Or
     return node(random_predicate(rng, vocabulary, versions, depth - 1),
                 random_predicate(rng, vocabulary, versions, depth - 1))
+
+
+def parse_one_property(text):
+    """The one property of the one-line `.pprop` text `text`, or the
+    Diagnostic of its syntax error."""
+    props, diags = parse_properties(text)
+    [result] = props + diags
+    return result
 
 
 def chain_text(steps):

@@ -37,6 +37,13 @@ ONE_STATE_BODY = "{ states: A; initial: A; transitions: }"
 # one well-formed `--script` step record of prodcons
 SCRIPT_RECORD = ('{"label": {"type": "detailed", "component": "Producer", '
                  '"transition": ["a", "b", "c"]}, "digest": "0000000000000001"}')
+# tests/golden/failure-cases.txt: per line, "CASE EXIT ARGUMENTS", a failure
+# that a command reaches from files in tests/golden (run from the repository
+# root); tests/golden/fail-CASE.txt holds its standard error and fail-CASE.json
+# that under `--format json`.  The text bytes were captured before failures
+# had one writer.
+FAILURE_CASES = [line.split(" ", 2) for line in
+                 (GOLDEN_DIR / "failure-cases.txt").read_text("utf-8").splitlines()]
 ONE_STEP_MODEL = """
 component X {
   states: A, B;
@@ -71,6 +78,26 @@ def test_usage_error_exit_1(capsys, argv):
     out, err = capsys.readouterr()
     assert (exited.value.code, out) == (1, "")
     assert err.startswith("usage: phasecoord") and "error: " in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case, exit_code, args", FAILURE_CASES,
+                         ids=[case for case, _, _ in FAILURE_CASES])
+def test_failures_match_golden_bytes(capsys, monkeypatch, fmt, case, exit_code, args):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, "--format", fmt, *args.split())
+    assert code == int(exit_code)
+    assert err == (GOLDEN_DIR / f"fail-{case}.{'txt' if fmt == 'text' else 'json'}").read_text()
+    if fmt == "json":  # one diagnostic, whose detail is the text without "error: "
+        [diag] = json.loads(err)
+        text = (GOLDEN_DIR / f"fail-{case}.txt").read_text()
+        assert text.removeprefix("error: ") == diag["detail"] + "\n"
+
+
+def test_every_failure_golden_has_its_case():
+    names = {path.name for path in GOLDEN_DIR.glob("fail-*")}
+    assert names == {f"fail-{case}.{ext}" for case, _, _ in FAILURE_CASES
+                     for ext in ("txt", "json")}
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("demo", "--help")])
@@ -248,6 +275,22 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "shop-migration", "--script", str(trace))
         assert code == 3
         assert err.startswith("replay divergence at step 0: rule McPal_kickoff")
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda record: record.replace('"label"', '"lable"'), "KeyError('label')"),
+        (lambda record: record.replace('"label": {', '"label": null, "was": {'),
+         "ValueError('a null label after the first record')"),
+    ], ids=["misspelt-label-key", "null-label"])
+    def test_a_step_record_without_a_label_is_refused_by_its_line(self, tmp_path, capsys,
+                                                                  edit, error):
+        # before, the fifth record was read as a second initial record and
+        # dropped: 3 steps replayed, exit 0
+        lines = (GOLDEN_DIR / "simulate-prodcons.jsonl").read_text("utf-8").splitlines()[:5]
+        script = tmp_path / "cut.jsonl"
+        script.write_text("\n".join(lines[:4] + [edit(lines[4])]) + "\n")
+        code, out, err = run_cli(capsys, "simulate", "prodcons", "--script", str(script))
+        assert code == 1
+        assert err == f"error: line 5: not a trace record ({error})\n"
 
     def test_zero_steps_header_only(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "prodcons", "--steps", "0")
@@ -490,7 +533,7 @@ def test_a_blocked_kickoff_names_the_rule_and_its_guard(capsys, command):
 def test_a_blocked_kickoff_is_a_json_diagnostic_under_format_json(capsys, command):
     """tests/golden/kickoff-blocked.json holds the `--format json` stderr of
     loading ShopMigr into tests/golden/kickoff-blocked.pdm: the
-    `kickoff-blocked` diagnostic in the list that `_emit_diags` writes."""
+    `kickoff-blocked` diagnostic in the list that every failure writes."""
     path = GOLDEN_DIR / "kickoff-blocked.pdm"
     code, out, err = run_cli(capsys, "--format", "json", command, str(path),
                              "--load-migration", "ShopMigr")
@@ -690,7 +733,10 @@ class TestExplore:
                                  "--check-termination", "0")
         assert code == 2
         assert out == ""
-        assert err == "error: no explored model has the coordinator component McPal\n"
+        assert json.loads(err) == [{
+            "code": "no-coordinator", "owner": "McPal", "element": "",
+            "detail": "no explored model has the coordinator component McPal",
+            "line": 0, "column": 0}]
 
     def test_violation_exit_4(self, tmp_path, capsys):
         props = tmp_path / "p.pprop"
@@ -750,6 +796,16 @@ class TestDemo:
         assert code == 0
         assert "migration complete, model version 3, McPal hibernating" in out
         assert "rule McPal_kickoff" in out
+
+    def test_shop_demo_without_a_completing_run_is_a_failure_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "completion_test", lambda *args, **kwargs: lambda slots: False)
+        assert run_cli(capsys, "demo", "shop-migration") == (
+            4, "", "no completing trajectory found\n")
+        code, out, err = run_cli(capsys, "--format", "json", "demo", "shop-migration")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == [{"code": "no-completion", "owner": "shop-migration",
+                                    "element": "", "detail": "no completing trajectory found",
+                                    "line": 0, "column": 0}]
 
     def test_shop_demo_matches_golden_bytes(self, capsys):
         code, out, err = run_cli(capsys, "demo", "shop-migration")
@@ -933,6 +989,17 @@ def test_write_to_a_full_device_is_an_error_exit_1(argv):
     assert_one_error_line(child.returncode, err)
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+def test_write_to_a_full_device_is_an_io_error_under_format_json():
+    with open("/dev/full", "w") as full:
+        child = cli_process("--format", "json", "serialize", "prodcons", stdout=full)
+        err = child.communicate()[1]
+    assert child.returncode == 1
+    assert json.loads(err) == [{"code": "io-error", "owner": "", "element": "",
+                                "detail": "[Errno 28] No space left on device",
+                                "line": 0, "column": 0}]
+
+
 def test_reader_gone_after_one_line_is_an_error_exit_1():
     # the trace is longer than a pipe holds, so writing it outlives the reader
     with cli_process("simulate", "shop-migration", "--seed", "3", "--steps", "300",
@@ -941,6 +1008,28 @@ def test_reader_gone_after_one_line_is_an_error_exit_1():
         child.stdout.close()
         err = child.stderr.read()
     assert_one_error_line(child.returncode, err)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_standard_output_failing_after_a_failure_adds_its_io_error_exit_1(fmt):
+    # the divergence is found while the start record still waits in standard
+    # output's buffer, whose flush then finds the pipe without a reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-m", "phasecoord.cli", "--format", fmt, "simulate",
+                           "prodcons", "--script", "tests/golden/simulate-cs-nondet.jsonl"],
+                          cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    os.close(write_end)
+    divergence = (GOLDEN_DIR / "fail-replay-divergence.txt").read_text()
+    assert done.returncode == 1
+    if fmt == "text":
+        assert done.stderr == divergence + "error: [Errno 32] Broken pipe\n"
+    else:
+        assert [(d["code"], d["detail"]) for d in json.loads(done.stderr)] == [
+            ("replay-divergence", divergence.rstrip("\n")),
+            ("io-error", "[Errno 32] Broken pipe")]
 
 
 def test_serialize_round_trips_via_cli(tmp_path, capsys):

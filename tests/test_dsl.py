@@ -33,10 +33,14 @@ from phasecoord.properties import (
     Reachable,
     eval_predicate,
     parse_properties,
-    parse_property,
 )
 
-from tests.genmodels import predicate_vocabulary, random_model, random_predicate
+from tests.genmodels import (
+    parse_one_property,
+    predicate_vocabulary,
+    random_model,
+    random_predicate,
+)
 from tests.oracle import naive_tokens
 from tests.test_fuzz import mutants
 
@@ -359,27 +363,28 @@ class TestRoundTrip:
 
 class TestProperties:
     def test_invariant_count(self):
-        prop = parse_property("invariant countInState({Worker1.InCS, Worker2.InCS}, <=, 1)")
+        prop = parse_one_property("invariant countInState({Worker1.InCS, Worker2.InCS}, <=, 1)")
         assert isinstance(prop, Invariant)
         assert prop.predicate == CountInState(
             (("Worker1", "InCS"), ("Worker2", "InCS")), "<=", 1
         )
 
     def test_eventually_all(self):
-        prop = parse_property("eventuallyAll modelVersionIs(2) bound 500")
+        prop = parse_one_property("eventuallyAll modelVersionIs(2) bound 500")
         assert prop == EventuallyAll(ModelVersionIs(2), 500)
 
     def test_syntax_error_with_column(self):
-        diag = parse_property("invariant inPhase(Server, Evol, ")
+        diag = parse_one_property("invariant inPhase(Server, Evol, ")
         assert diag.code == "syntax-error"
         assert diag.column > 0
 
     def test_misspelt_bound_is_reported_where_it_starts(self):
-        diag = parse_property("eventuallyAll inState(A, x) bond 3")
+        diag = parse_one_property("eventuallyAll inState(A, x) bond 3")
         assert (diag.detail, diag.column, diag.element) == ("expected 'bound N'", 29, "bond 3")
 
     def test_boolean_combinations(self):
-        prop = parse_property("invariant not (inState(A, x) and inPhase(A, p, q)) or inState(B, y)")
+        prop = parse_one_property(
+            "invariant not (inState(A, x) and inPhase(A, p, q)) or inState(B, y)")
         assert isinstance(prop, Invariant)
         assert isinstance(prop.predicate, Or)
 
@@ -408,7 +413,7 @@ class TestProperties:
         ("invariant inState(A, x) and frob", 29, "frob"),
     ], ids=["atom", "keyword", "number-as-atom", "atom-after-and"])
     def test_a_word_error_is_placed_at_the_words_start(self, text, column, element):
-        diag = parse_property(text)
+        diag = parse_one_property(text)
         assert (diag.code, diag.column, diag.element) == ("syntax-error", column, element)
 
     @pytest.mark.parametrize("text,column,element", [
@@ -425,10 +430,10 @@ class TestProperties:
 
     def test_a_word_that_starts_with_digits_is_an_integer_then_a_name(self):
         # the `.pdm` rule: `12abc` is the integer 12 and then the name abc
-        diag = parse_property("reachable 12abc")
+        diag = parse_one_property("reachable 12abc")
         assert (diag.detail, diag.column, diag.element) == (
             "expected an atom, found '12'", 11, "12abc")
-        assert parse_property("eventuallyAll inState(A, x) bound 12abc").detail == (
+        assert parse_one_property("eventuallyAll inState(A, x) bound 12abc").detail == (
             "trailing input after property")
 
     @pytest.mark.parametrize("text,column,detail", [
@@ -447,7 +452,7 @@ class TestProperties:
     ], ids=["after-a-not", "after-a-parenthesis", "bang-of-not-equal"])
     def test_an_error_after_a_negation_or_an_opening_is_placed_right_after_it(
             self, text, column, element, detail):
-        diag = parse_property(text)
+        diag = parse_one_property(text)
         assert (diag.column, diag.element, diag.detail) == (column, element, detail)
 
     def test_predicate_text_parses_back(self):
@@ -457,7 +462,7 @@ class TestProperties:
             # a version in the grammar is a non-negative integer
             pred = random_predicate(rng, vocabulary, [1, 4])
             for prop in (Invariant(pred), Reachable(pred), EventuallyAll(pred, seed)):
-                assert parse_property(prop.text()) == prop
+                assert parse_one_property(prop.text()) == prop
 
     def test_eval_atoms(self, bundles):
         model = bundles["prodcons"].model()

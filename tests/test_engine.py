@@ -548,6 +548,25 @@ class TestParseTrace:
             parse_trace_steps(text)
         assert str(err.value).startswith(f"line {bad_line}: not a trace record (ValueError('changeSet ")
 
+    @pytest.mark.parametrize("record, error", [
+        (_RECORD.replace('"label"', '"lable"'), "KeyError('label')"),
+        ('{"x": 1}', "KeyError('label')"),
+        (_HEADER, "ValueError('a null label after the first record')"),
+    ], ids=["misspelt-label-key", "no-label-key", "null-label-after-the-first"])
+    def test_a_record_without_a_label_or_with_a_null_one_after_the_first_is_refused(
+            self, record, error):
+        with pytest.raises(ValueError) as err:
+            parse_trace_steps(f"{_HEADER}\n{_RECORD}\n{record}\n")
+        assert str(err.value) == f"line 3: not a trace record ({error})"
+
+    def test_the_first_record_is_the_first_line_that_is_not_blank(self):
+        # it may be the initial record (null label); a trace of steps alone has none
+        assert parse_trace_steps(f"\n\n{_HEADER}\n{_RECORD}\n") == parse_trace_steps(_RECORD)
+        assert len(parse_trace_steps(_RECORD)) == 1
+        with pytest.raises(ValueError) as err:
+            parse_trace_steps('\n{"x": 1}\n')
+        assert str(err.value) == "line 2: not a trace record (KeyError('label'))"
+
     def test_repeated_labels_decode_as_each_one_alone(self):
         lines = (GOLDEN / "trace-shop-migration-loaded.jsonl").read_text("utf-8").splitlines()
         records = [json.loads(line) for line in lines[1:]]

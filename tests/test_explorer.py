@@ -50,10 +50,15 @@ from phasecoord.properties import (
     ModelVersionIs,
     Not,
     compile_predicate,
-    parse_property,
 )
 
-from tests.genmodels import random_initial, random_model, with_random_changesets, with_twin_rules
+from tests.genmodels import (
+    parse_one_property,
+    random_initial,
+    random_model,
+    with_random_changesets,
+    with_twin_rules,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
@@ -653,7 +658,7 @@ class TestReportJson:
 
     def test_violation_trace_in_report(self):
         model = _model(CYCLE3)
-        prop = parse_property("invariant inState(Spinner, A)")
+        prop = parse_one_property("invariant inState(Spinner, A)")
         report = explore(model, initial_configuration(model), [prop])
         [violation] = report.doc()["violations"]
         assert "inState(Spinner, A)" in violation["property"]
@@ -672,10 +677,10 @@ component Fork {
 }
 """
         model = _model(text)
-        prop = parse_property("eventuallyAll inState(Fork, L) bound 5")
+        prop = parse_one_property("eventuallyAll inState(Fork, L) bound 5")
         report = explore(model, initial_configuration(model), [prop])
         assert dict(report.verdicts)[prop.text()] == "violated"
-        prop2 = parse_property("eventuallyAll inState(Fork, S) bound 3")
+        prop2 = parse_one_property("eventuallyAll inState(Fork, S) bound 3")
         report2 = explore(model, initial_configuration(model), [prop2])
         assert dict(report2.verdicts)[prop2.text()] == "violated"  # S unreachable from L/R
 

@@ -1,10 +1,15 @@
 """Seeded mutation fuzz of the readers of `.pdm` models, `.pprop` property
 files and `.jsonl` scripts: every mutant of a bundled or golden text ends in
-a diagnostic and a contract exit code, never a traceback."""
+a diagnostic and a contract exit code, never a traceback.  Each corpus runs
+under both formats; under `--format json` a failure writes one JSON list of
+diagnostics to standard error."""
 
+import json
 import random
 import re
 from pathlib import Path
+
+import pytest
 
 from phasecoord.bundled import bundled_names, get_bundled
 from phasecoord.cli import main
@@ -28,6 +33,25 @@ SCRIPTS = {
     "simulate-prodcons.jsonl": ("prodcons",),
     "trace-shop-migration-loaded.jsonl": ("shop-migration", "--load-migration", "ShopMigr"),
 }
+DIAGNOSTIC_KEYS = ["code", "owner", "element", "detail", "line", "column"]
+FORMATS = pytest.mark.parametrize("fmt", ["text", "json"])
+
+
+def run(capsys, fmt, *argv):
+    """The exit code of `phasecoord --format FMT ARGV`, a `validate`,
+    `simulate` or `explore` command.  Under JSON, a failure (exit 1, 2, 3 or
+    6) writes one non-empty JSON list of six-key objects to standard error,
+    and a verdict (exit 4 or 5) writes nothing there."""
+    code = main(["--format", fmt, *argv])
+    err = capsys.readouterr().err
+    if fmt == "json" and code in (4, 5):
+        assert err == "", argv
+    elif fmt == "json" and code != 0:
+        diags = json.loads(err)
+        assert isinstance(diags, list) and diags, err
+        for diag in diags:
+            assert isinstance(diag, dict) and sorted(diag) == sorted(DIAGNOSTIC_KEYS), err
+    return code
 
 
 def edit(rng, text, pos, alphabet):
@@ -63,20 +87,21 @@ def edited(rng, text, alphabet):
     return text
 
 
-def test_mutated_models_end_in_a_contract_exit_code(tmp_path, capsys):
+@FORMATS
+def test_mutated_models_end_in_a_contract_exit_code(tmp_path, capsys, fmt):
     path = tmp_path / "mutant.pdm"
     codes = set()
     for text in mutants():
         path.write_text(text, "utf-8")
-        code = main(["validate", str(path)])
-        capsys.readouterr()
+        code = run(capsys, fmt, "validate", str(path))
         assert code in (0, 1, 2), text
         codes.add(code)
     # the corpus reaches the grammar, the validator and clean models alike
     assert codes == {0, 1, 2}
 
 
-def test_mutated_property_files_end_in_a_contract_exit_code(tmp_path, capsys):
+@FORMATS
+def test_mutated_property_files_end_in_a_contract_exit_code(tmp_path, capsys, fmt):
     path = tmp_path / "mutant.pprop"
     rng = random.Random(21)
     codes = set()
@@ -84,15 +109,15 @@ def test_mutated_property_files_end_in_a_contract_exit_code(tmp_path, capsys):
         name = rng.choice(bundled_names())
         text = edited(rng, get_bundled(name).props_text(), PROPERTY_ALPHABET)
         path.write_text(text, "utf-8")
-        code = main(["explore", name, "--props", str(path)])
-        capsys.readouterr()
+        code = run(capsys, fmt, "explore", name, "--props", str(path))
         assert code in (0, 1, 2, 4, 5), (name, text)
         codes.add(code)
     # syntax errors, unknown components, and properties that hold or fail
     assert codes == {0, 1, 2, 4}
 
 
-def test_mutated_scripts_end_in_a_contract_exit_code(tmp_path, capsys):
+@FORMATS
+def test_mutated_scripts_end_in_a_contract_exit_code(tmp_path, capsys, fmt):
     path = tmp_path / "mutant.jsonl"
     rng = random.Random(22)
     traces = {name: (GOLDEN / name).read_text("utf-8") for name in SCRIPTS}
@@ -101,8 +126,7 @@ def test_mutated_scripts_end_in_a_contract_exit_code(tmp_path, capsys):
         name = rng.choice(sorted(SCRIPTS))
         text = edited(rng, traces[name], SCRIPT_ALPHABET)
         path.write_text(text, "utf-8")
-        code = main(["simulate", *SCRIPTS[name], "--script", str(path)])
-        capsys.readouterr()
+        code = run(capsys, fmt, "simulate", *SCRIPTS[name], "--script", str(path))
         assert code in (0, 1, 3), (name, text)
         codes.add(code)
     # unreadable records, divergent steps, and edits a replay never reads
