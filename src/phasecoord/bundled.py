@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .dsl import ParseResult, parse_model
-from .model import StdModel
+from .model import Record, StdModel
 from .properties import PropertyExpr, parse_properties
 
 
-@dataclass(frozen=True)
-class BundledModel:
+class BundledModel(Record):
+    __slots__ = ("name", "model_file", "props_file", "fragment_var")
+    _defaults = {"fragment_var": None}
     name: str
     model_file: str
     props_file: str
-    fragment_var: Optional[str] = None  # model variable holding a loadable migration
+    fragment_var: Optional[str]  # model variable holding a loadable migration
 
     def model_text(self) -> str:
         return resources.files("phasecoord.models").joinpath(self.model_file).read_text("utf-8")

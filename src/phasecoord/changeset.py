@@ -26,7 +26,6 @@ so a changeset's result computes only those of its new elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .model import (
@@ -36,28 +35,33 @@ from .model import (
     Diagnostic,
     Partition,
     Phase,
+    Record,
     SlotLayout,
     Std,
     StdModel,
     Trap,
     _per_object,
     initial_configuration,
+    replace,
     validate_configuration,
     validate_model,
 )
 
 
-@dataclass(frozen=True)
-class ChangeSet:
-    add_components: tuple[Std, ...] = ()
-    add_partitions: tuple[tuple[str, Partition], ...] = ()
-    add_phases: tuple[tuple[str, str, Phase], ...] = ()
-    add_traps: tuple[tuple[str, str, str, Trap], ...] = ()
-    add_rules: tuple[ConsistencyRule, ...] = ()
-    remove_rules: tuple[str, ...] = ()
-    set_variables: tuple[tuple[str, object], ...] = ()
-    remove_phases: tuple[tuple[str, str, str], ...] = ()
-    remove_partitions: tuple[tuple[str, str], ...] = ()
+class ChangeSet(Record):
+    _defaults = dict.fromkeys(("add_components", "add_partitions", "add_phases", "add_traps",
+                               "add_rules", "remove_rules", "set_variables", "remove_phases",
+                               "remove_partitions"), ())
+    __slots__ = (*_defaults, "__dict__", "__weakref__")
+    add_components: tuple[Std, ...]
+    add_partitions: tuple[tuple[str, Partition], ...]
+    add_phases: tuple[tuple[str, str, Phase], ...]
+    add_traps: tuple[tuple[str, str, str, Trap], ...]
+    add_rules: tuple[ConsistencyRule, ...]
+    remove_rules: tuple[str, ...]
+    set_variables: tuple[tuple[str, object], ...]
+    remove_phases: tuple[tuple[str, str, str], ...]
+    remove_partitions: tuple[tuple[str, str], ...]
 
 
 class RejectedChange(Exception):

@@ -35,7 +35,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Union
 
 from .changeset import ChangeSet
@@ -45,12 +44,14 @@ from .model import (
     Diagnostic,
     Partition,
     Phase,
+    Record,
     RoleTransfer,
     Std,
     StdModel,
     Transition,
     Trap,
     _per_object,
+    replace,
     validate_model,
 )
 
@@ -163,8 +164,8 @@ class tokenize(Sequence):
 IName = tuple
 
 
-@dataclass
-class PRule:
+class PRule(Record, frozen=False):
+    __slots__ = ("name", "manager", "step", "transfers", "change", "token")
     name: IName
     manager: IName
     step: Transition  # of indexable names
@@ -173,21 +174,22 @@ class PRule:
     token: Token
 
 
-@dataclass
-class PChangeSet:
+class PChangeSet(Record, frozen=False):
     """A changeset literal as parsed.  Components, partitions, phases and
     traps are already domain values; rules, rule removals and nested
     changesets wait for the family index of the rule instance they serve."""
 
-    add_components: list[Std] = field(default_factory=list)
-    add_partitions: list = field(default_factory=list)
-    add_phases: list = field(default_factory=list)
-    add_traps: list = field(default_factory=list)
-    add_rules: list[PRule] = field(default_factory=list)
-    remove_rules: list[tuple[IName, Token]] = field(default_factory=list)  # with the name's token
-    set_variables: list = field(default_factory=list)
-    remove_phases: list = field(default_factory=list)
-    remove_partitions: list = field(default_factory=list)
+    __slots__ = ChangeSet._fields
+    _defaults = dict.fromkeys(__slots__, [])
+    add_components: list[Std]
+    add_partitions: list
+    add_phases: list
+    add_traps: list
+    add_rules: list[PRule]
+    remove_rules: list[tuple[IName, Token]]  # with the name's token
+    set_variables: list
+    remove_phases: list
+    remove_partitions: list
 
 
 # A top-level component declaration: base name, family bound, the member
@@ -659,11 +661,12 @@ def _dependency_order(var_decls: list, builder: "_Builder") -> list:
     return ordered
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Record, frozen=False):
+    __slots__ = ("model", "diagnostics", "spans")
+    _defaults = {"spans": {}}
     model: Optional[StdModel]
     diagnostics: list[Diagnostic]
-    spans: dict[str, tuple[int, int]] = field(default_factory=dict)
+    spans: dict[str, tuple[int, int]]
 
     @property
     def ok(self) -> bool:

@@ -59,7 +59,6 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -67,6 +66,7 @@ from .changeset import Carry, RejectedChange, _apply
 from .model import (
     Configuration,
     ConsistencyRule,
+    Record,
     RoleTransfer,
     SlotLayout,
     StdModel,
@@ -105,19 +105,55 @@ class ReplayDivergence(EngineError):
         super().__init__(f"step {index}: replay diverged at {label_text(label)}")
 
 
-@dataclass(frozen=True)
-class DetailedStep:
+class DetailedStep(Record):
+    __slots__ = ("component", "transition")
     component: str
     transition: Transition
 
+    # written out, as in `RuleStep`
+    def __init__(self, component: str, transition: Transition):
+        set_component, set_transition = self._setters
+        set_component(self, component)
+        set_transition(self, transition)
 
-@dataclass(frozen=True)
-class RuleStep:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.component, self.transition) == (other.component, other.transition)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.component, self.transition))
+
+
+class RuleStep(Record):
+    __slots__ = ("rule", "manager", "manager_step", "transfers", "changed")
     rule: str
     manager: str
     manager_step: Transition
     transfers: tuple[RoleTransfer, ...]
     changed: bool
+
+    # `__init__`, `==` and the hash are written out, not `Record`'s, which
+    # loop over the fields or read them through an `attrgetter`: a replay
+    # builds, compares and hashes every step label it reads, and these take
+    # about half the time
+    def __init__(self, rule: str, manager: str, manager_step: Transition,
+                 transfers: tuple[RoleTransfer, ...], changed: bool):
+        set_rule, set_manager, set_manager_step, set_transfers, set_changed = self._setters
+        set_rule(self, rule)
+        set_manager(self, manager)
+        set_manager_step(self, manager_step)
+        set_transfers(self, transfers)
+        set_changed(self, changed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.rule, self.manager, self.manager_step, self.transfers, self.changed)
+                    == (other.rule, other.manager, other.manager_step, other.transfers, other.changed))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.manager, self.manager_step, self.transfers, self.changed))
 
 
 # `|`, not `typing.Union`: typing caches a Union of its arguments for the
@@ -486,11 +522,11 @@ def _take(
     return core.fire(model, slots, guard)[1]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """One executed trajectory: initial configuration, the labels taken with
     the digest of each resulting configuration, final model version."""
 
+    __slots__ = ("initial", "steps", "final_model_version")
     initial: Configuration
     steps: tuple[tuple[StepLabel, int], ...]
     final_model_version: int

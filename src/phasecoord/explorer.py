@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -57,7 +56,7 @@ from .engine import (
     successors,
 )
 from .mcpal import McPalSkeleton, completion_test
-from .model import Configuration, StdModel, consistent
+from .model import Configuration, Record, StdModel, consistent
 from .properties import (
     EventuallyAll,
     Invariant,
@@ -68,29 +67,34 @@ from .properties import (
 )
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_states: int = 1_000_000
-    max_depth: int = 10_000
+class Bounds(Record):
+    __slots__ = ("max_states", "max_depth")
+    _defaults = {"max_states": 1_000_000, "max_depth": 10_000}
+    max_states: int
+    max_depth: int
 
 
-@dataclass
-class Space:
+class Space(Record, frozen=False):
     """The explored fragment of the state space.  `explore_space` fills it;
     the cached queries (`reverse_adjacency`, `move_sources`) read a
     finished one."""
 
-    models: list[StdModel] = field(default_factory=list)
+    __slots__ = ("models", "states", "parent", "edges", "deadlocks", "max_states_hit",
+                 "max_depth_hit", "records", "labels", "__dict__", "__weakref__")
+    _defaults = {"models": [], "states": [], "parent": [], "edges": [], "deadlocks": [],
+                 "max_states_hit": False, "max_depth_hit": False, "records": {}, "labels": {}}
+    _hidden = ("records", "labels")
+    models: list[StdModel]
     # per state index: (model index, slots in the layout of models[model index])
-    states: list[tuple[int, tuple]] = field(default_factory=list)
-    parent: list[Optional[tuple[int, StepLabel]]] = field(default_factory=list)
-    edges: list[tuple[int, StepLabel, int]] = field(default_factory=list)
-    deadlocks: list[int] = field(default_factory=list)
-    max_states_hit: bool = False
-    max_depth_hit: bool = False
+    states: list[tuple[int, tuple]]
+    parent: list[Optional[tuple[int, StepLabel]]]
+    edges: list[tuple[int, StepLabel, int]]
+    deadlocks: list[int]
+    max_states_hit: bool
+    max_depth_hit: bool
     # filled by `trace_records`: per state its record, per label its JSON text
-    records: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
-    labels: dict = field(default_factory=dict, repr=False, compare=False)
+    records: dict[int, dict]
+    labels: dict
 
     @property
     def truncated(self) -> bool:
@@ -242,11 +246,12 @@ def explore_space(
     return space
 
 
-@dataclass
-class ExplorationReport:
+class ExplorationReport(Record, frozen=False):
     """The verdicts of one exploration and the space they were read from."""
 
-    space: Space = field(repr=False, compare=False)  # for further queries
+    __slots__ = ("space", "bounds", "verdicts", "violations")
+    _hidden = ("space",)
+    space: Space  # for further queries
     bounds: Bounds
     verdicts: list[tuple[str, str]]  # (property text, verdict)
     violations: list[tuple[str, int]]  # (property text, state index), in report order
@@ -382,11 +387,12 @@ def explore(
     )
 
 
-@dataclass
-class TerminationResult:
+class TerminationResult(Record, frozen=False):
+    __slots__ = ("verdict", "max_depth", "witness")
+    _defaults = {"max_depth": None, "witness": None}
     verdict: str  # terminates | stuck | cycle | unknown(bound)
-    max_depth: Optional[int] = None
-    witness: Optional[Trace] = None
+    max_depth: Optional[int]
+    witness: Optional[Trace]
 
 
 def check_migration_termination(
@@ -447,11 +453,12 @@ def check_migration_termination(
     return TerminationResult("terminates", max_depth=max_depth)
 
 
-@dataclass
-class ProgressResult:
+class ProgressResult(Record, frozen=False):
+    __slots__ = ("verdict", "starved", "witness")
+    _defaults = {"starved": None, "witness": None}
     verdict: str  # satisfied | starved | unknown(bound)
-    starved: Optional[Configuration] = None
-    witness: Optional[Trace] = None
+    starved: Optional[Configuration]
+    witness: Optional[Trace]
 
 
 def _require_component(space: Space, component: str) -> None:

@@ -16,8 +16,6 @@ variable; a well-formed fragment's final shrink resets that variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .changeset import ChangeSet, RejectedChange, apply_changeset
 from .engine import _fire
 from .model import (
@@ -27,10 +25,12 @@ from .model import (
     Diagnostic,
     Partition,
     Phase,
+    Record,
     RoleTransfer,
     Std,
     StdModel,
     Transition,
+    replace,
 )
 from .properties import (
     And,
@@ -58,24 +58,26 @@ class FragmentInvalid(Exception):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass(frozen=True)
-class McPalSkeleton:
+class McPalSkeleton(Record):
     """Names used when weaving the coordinator; all fresh w.r.t. the host."""
 
-    component: str = "McPal"
-    hibernation_state: str = "Observing"
-    working_state: str = "Started"
-    resting_state: str = "Done"
-    evolution_role: str = "Evol"
-    hibernating_phase: str = "Hibernating"
-    start_phase: str = "StartMigr"
-    migr_phase: str = "MigrPhase"
-    content_phase: str = "Content"
-    crs_variable: str = "Crs"
-    kick_action: str = "wantChange"
-    work_action: str = "contMigr"
-    done_action: str = "migrDone"
-    sleep_action: str = "hibernate"
+    _defaults = {
+        "component": "McPal",
+        "hibernation_state": "Observing",
+        "working_state": "Started",
+        "resting_state": "Done",
+        "evolution_role": "Evol",
+        "hibernating_phase": "Hibernating",
+        "start_phase": "StartMigr",
+        "migr_phase": "MigrPhase",
+        "content_phase": "Content",
+        "crs_variable": "Crs",
+        "kick_action": "wantChange",
+        "work_action": "contMigr",
+        "done_action": "migrDone",
+        "sleep_action": "hibernate",
+    }
+    __slots__ = tuple(_defaults)  # every field is a name, str
 
     def kickoff_rule_name(self) -> str:
         return f"{self.component}_kickoff"

@@ -23,11 +23,10 @@ view.  `eval_predicate` decides one configuration through it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 from .dsl import _scan, _token_rules
-from .model import MAX_INT_DIGITS, Configuration, Diagnostic, StdModel
+from .model import MAX_INT_DIGITS, Configuration, Diagnostic, Record, StdModel
 
 COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
 # Deepest predicate accepted: open parentheses, `not`s and and/or chain
@@ -40,8 +39,8 @@ class PropertyError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InState:
+class InState(Record):
+    __slots__ = ("component", "state")
     component: str
     state: str
 
@@ -49,8 +48,8 @@ class InState:
         return f"inState({self.component}, {self.state})"
 
 
-@dataclass(frozen=True)
-class InPhase:
+class InPhase(Record):
+    __slots__ = ("component", "partition", "phase")
     component: str
     partition: str
     phase: str
@@ -59,8 +58,8 @@ class InPhase:
         return f"inPhase({self.component}, {self.partition}, {self.phase})"
 
 
-@dataclass(frozen=True)
-class CountInState:
+class CountInState(Record):
+    __slots__ = ("pairs", "op", "bound")
     pairs: tuple[tuple[str, str], ...]
     op: str
     bound: int
@@ -70,24 +69,24 @@ class CountInState:
         return f"countInState({{{items}}}, {self.op}, {self.bound})"
 
 
-@dataclass(frozen=True)
-class ModelVersionIs:
+class ModelVersionIs(Record):
+    __slots__ = ("version",)
     version: int
 
     def text(self) -> str:
         return f"modelVersionIs({self.version})"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
+    __slots__ = ("operand",)
     operand: "Predicate"
 
     def text(self) -> str:
         return f"not {self.operand.text()}"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
+    __slots__ = ("left", "right")
     left: "Predicate"
     right: "Predicate"
 
@@ -95,8 +94,8 @@ class And:
         return f"({self.left.text()} and {self.right.text()})"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
+    __slots__ = ("left", "right")
     left: "Predicate"
     right: "Predicate"
 
@@ -109,24 +108,24 @@ class Or:
 Predicate = InState | InPhase | CountInState | ModelVersionIs | Not | And | Or
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(Record):
+    __slots__ = ("predicate",)
     predicate: Predicate
 
     def text(self) -> str:
         return f"invariant {self.predicate.text()}"
 
 
-@dataclass(frozen=True)
-class Reachable:
+class Reachable(Record):
+    __slots__ = ("predicate",)
     predicate: Predicate
 
     def text(self) -> str:
         return f"reachable {self.predicate.text()}"
 
 
-@dataclass(frozen=True)
-class EventuallyAll:
+class EventuallyAll(Record):
+    __slots__ = ("predicate", "bound")
     predicate: Predicate
     bound: int
 
@@ -311,7 +310,7 @@ def _parse_atom(p: _Parser) -> Predicate:
         p.pos += 1
         p.expect("(")
         names = [p.name()]
-        while len(names) < len(fields(atom)):
+        while len(names) < len(atom._fields):
             p.expect(",")
             names.append(p.name())
         p.expect(")")

@@ -6,7 +6,6 @@ connect into the target phase (the source phase itself always qualifies).
 """
 
 import random
-from dataclasses import replace
 
 from phasecoord.changeset import ChangeSet
 from phasecoord.model import (
@@ -20,6 +19,7 @@ from phasecoord.model import (
     StdModel,
     Transition,
     Trap,
+    replace,
 )
 from phasecoord.properties import (
     COMPARATORS,

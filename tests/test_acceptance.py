@@ -10,7 +10,6 @@ Frozen regression values (recorded from the first verified runs):
 import json
 import random
 import time
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from phasecoord.changeset import ChangeSet, canonical_model
@@ -28,6 +27,7 @@ from phasecoord.explorer import (
 from phasecoord.mcpal import McPalSkeleton, load_migration, weave_mcpal
 from phasecoord.model import (
     initial_configuration,
+    replace,
     validate_configuration,
 )
 from phasecoord.properties import CountInState
@@ -203,7 +203,7 @@ def test_criterion_6_quiescence_freedom(shop_loaded, bundles):
                         (Trap("oriented", frozenset({"At1"})),))
     tick = Transition("s", "tick", "s")
     spinner = Std("Spinner", frozenset({"s"}), frozenset({"tick"}), frozenset({tick}), "s")
-    broken = dc_replace(
+    broken = replace(
         fragment,
         add_phases=tuple(
             ("Server", "Evol", dead_bridge) if ph.name == "Bridge" else (c, p, ph)

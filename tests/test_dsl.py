@@ -7,7 +7,6 @@ import sys
 import time
 from pathlib import Path
 
-from dataclasses import fields
 
 import pytest
 
@@ -307,7 +306,7 @@ class TestRoundTrip:
         assert parsed.ok, parsed.diagnostics
         assert serialize_model(parsed.model) == text
         model, change = parsed.model, parsed.model.variables["Change"]
-        assert all(getattr(change, f.name) for f in fields(ChangeSet))
+        assert all(getattr(change, name) for name in ChangeSet._fields)
         changed, config = apply_changeset(model, initial_configuration(model), change)
         assert (sorted(changed.rules), changed.variables["Level"]) == (["dim"], 2)
         power = changed.components["Lamp"].partition_named("Power")

@@ -3,7 +3,6 @@
 import json
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,6 +46,7 @@ from phasecoord.model import (
     Transition,
     Trap,
     initial_configuration,
+    replace,
     validate_configuration,
     validate_model,
 )

@@ -4,7 +4,6 @@ import gc
 import itertools
 import random
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -53,6 +52,7 @@ from phasecoord.model import (
     Transition,
     Trap,
     initial_configuration,
+    replace,
     validate_configuration,
     validate_model,
 )

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace as dc_replace
 from functools import partial
 from pathlib import Path
 
@@ -42,6 +41,7 @@ from phasecoord.model import (
     Transition,
     Trap,
     initial_configuration,
+    replace,
 )
 from phasecoord.properties import (
     CountInState,
@@ -435,7 +435,7 @@ def broken_bridge_shop(bundles):
     tick = Transition("s", "tick", "s")
     spinner = Std("Spinner", frozenset({"s"}), frozenset({"tick"}),
                   frozenset({tick}), "s")
-    broken = dc_replace(
+    broken = replace(
         fragment,
         add_phases=tuple(
             ("Server", "Evol", dead_bridge) if ph.name == "Bridge" else (c, p, ph)

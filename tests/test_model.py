@@ -1,6 +1,5 @@
 """Domain-type validators: examples, closure properties, conjunction law."""
 
-import dataclasses
 import pickle
 import random
 from functools import partial
@@ -22,6 +21,7 @@ from phasecoord.model import (
     consistent,
     initial_configuration,
     is_connecting,
+    replace,
     validate_configuration,
     validate_model,
     validate_std,
@@ -265,7 +265,7 @@ TRANSFER = RoleTransfer("X", "p", "pa", TRIV, "pa")
 
 
 @pytest.mark.parametrize("model, expected", [
-    (alone(dataclasses.replace(X_GO, actions=frozenset())), ("unknown-action", "X", "go")),
+    (alone(replace(X_GO, actions=frozenset())), ("unknown-action", "X", "go")),
     (alone(std({"A"}, [], "A", [one_part(phase("pa", {"A"}, []), phase("pe", set(), []))])),
      ("empty-phase", "X.p.pe", "")),
     (alone(std({"A"}, [], "A", [one_part(phase("pa", {"A"}, [], [("t", {"A"})] * 2))])),
@@ -276,7 +276,7 @@ TRANSFER = RoleTransfer("X", "p", "pa", TRIV, "pa")
      ("duplicate-phase", "X.p", "pa")),
     (alone(X_GO, rules={"r": ConsistencyRule("r", "X", GO, (TRANSFER, TRANSFER))}),
      ("duplicate-transfer-target", "r", "X(p)")),
-    (alone(X_GO, rules={"r": ConsistencyRule("r", "X", GO, (dataclasses.replace(TRANSFER, trap="nope"),))}),
+    (alone(X_GO, rules={"r": ConsistencyRule("r", "X", GO, (replace(TRANSFER, trap="nope"),))}),
      ("unresolved-trap", "r", "pa.nope")),
     (alone(X_GO, rules={"r": ConsistencyRule("s", "X", GO)}), ("name-mismatch", "r", "s")),
     (alone(X_GO, name="Y"), ("name-mismatch", "Y", "X")),

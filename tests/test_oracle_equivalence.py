@@ -6,7 +6,6 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -47,6 +46,7 @@ from phasecoord.model import (
     Transition,
     _configuration_diagnostics,
     initial_configuration,
+    replace,
     validate_configuration,
     validate_model,
 )
