@@ -199,9 +199,10 @@ def cmd_simulate(args) -> int:
         taken = drive(model, config, policy, limit if args.steps is None else args.steps)
         steps = ((label, config_digest(after)) for label, _, after in taken)
 
-    # each record is written as its step is taken, after it is re-fired from
-    # the previous configuration and its digest checked; `main` reports a
-    # failed write (an OSError) or a divergence, once the trace file is closed
+    # each record is written as its step is taken, after it is looked up among
+    # the previous configuration's steps, or fired when a script's state has
+    # not been walked, and its digest checked; `main` reports a failed write
+    # (an OSError) or a divergence, once the trace file is closed
     try:
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as out:

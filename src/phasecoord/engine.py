@@ -36,11 +36,21 @@ object lives, and later firings reuse its resulting model object (see
 
 One step core serves every caller.  `successors` and `enabled_rules` take
 the enabled rules' firings from `_StepCore.fired`, one pass over the rules
-whose manager sits at their step's source; `_take`, `rule_blocker` and
-`fire_rule` decide one rule through `_StepCore.fire`, which also gives the
-reason it cannot fire.  Both test a rule with its `_Guard` and fire it with
-`_StepCore._after`; a replay fires only its recorded labels, through
-`_take`.
+whose manager sits at their step's source; `rule_blocker` and `fire_rule`
+decide one rule through `_StepCore.fire`, which also gives the reason it
+cannot fire.  Both test a rule with its `_Guard` and fire it with
+`_StepCore._after`.  A walk reads each state's steps from its core's step
+table (`_StepCore.steps`), filled by one `successors` call the first time a
+walk meets the state: `drive` chooses among them.  `_take`, which serves
+`replay` and `write_trace_jsonl`, looks the recorded label up among them
+when the table keeps the state, and otherwise fires only the recorded
+step (`_StepCore.step`, `_StepCore.fire`), so a replay of parsed steps on
+new model objects expands no state.  The table keeps, per step, the model
+after it only when that is another model object (a changeset's), so it
+never holds the model that holds it, and is cleared when it holds
+`STEP_TABLE_CAP` states.  The explorer calls `successors` itself: a BFS
+expands each state once, so a table would only keep what it never reads
+again.
 
 The engine serves only a model that `validate_model` accepts, and only the
 rules that model holds.  `_core` reads the model's kept diagnostics
@@ -201,6 +211,13 @@ def config_digest(config: Configuration) -> int:
     return digest
 
 
+# The most states one step core's table (`_StepCore.table`) holds: a full
+# table is cleared, as a digest table is.  An entry keeps its state's
+# successors, about 1.5 KB each on cs-nondet with 12 workers (tracemalloc),
+# so a table stays under about 6 MB.
+STEP_TABLE_CAP = 1 << 12
+
+
 def _digest(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
@@ -316,13 +333,16 @@ class _StepCore:
     each as (`DetailedStep`, new state index); entries are added on first
     use and never changed.  `guards` holds every rule compiled by name,
     and `guards_at` the same rules keyed by manager slot and then source
-    state index, sorted by rule name."""
+    state index, sorted by rule name.  `table` holds, per slots, the entry
+    `steps` gives: the state's enabled steps, computed once per state while
+    the entry is kept, and never the core's own model."""
 
     def __init__(self, model: StdModel):
         layout = self.layout = model.layout
         # the parts of the model `_fill` reads; the core keeps no reference
         # to the model itself, which holds the core
         self._components, self._claimed = model.components, model.claimed_steps
+        self.table: dict[tuple, tuple[tuple, tuple]] = {}
         self.free = tuple(
             (slot, itemgetter(slot, *(layout.slot[(name, part.name)]
                                       for part in model.components[name].partitions)), {})
@@ -402,6 +422,31 @@ class _StepCore:
         if guard.rule.change is not None:
             return guard.changed(model, out)
         return model, Configuration.from_slots(self.layout, out)
+
+    def steps(self, model: StdModel, slots: tuple) -> tuple[tuple, tuple]:
+        """The enabled steps at `slots` of `model`, the core's own model:
+        their labels, in `successors` order, and per label the (model after
+        the step, None when it keeps `model`; configuration after it).  The
+        first call at a state fills its entry in `table` with one
+        `successors` call; a full table is cleared first.  A state whose
+        version only equals an int (True, 1.0) is not kept, as in
+        `config_digest`."""
+        entry = self.kept(slots)
+        if entry is None:
+            succ = successors(model, Configuration.from_slots(self.layout, slots))
+            entry = (
+                tuple([label for label, _, _ in succ]),
+                tuple([(None if after is model else after, config) for _, after, config in succ]),
+            )
+            if type(slots[0]) is int:
+                if len(self.table) >= STEP_TABLE_CAP:
+                    self.table.clear()
+                self.table[slots] = entry
+        return entry
+
+    def kept(self, slots: tuple) -> Optional[tuple[tuple, tuple]]:
+        """The entry `steps` keeps for `slots`, None when it keeps none."""
+        return self.table.get(slots) if type(slots[0]) is int else None
 
     def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
         """The slots after the component's free step along `transition`;
@@ -509,10 +554,21 @@ def successors(
 def _take(
     model: StdModel, config: Configuration, label: StepLabel
 ) -> Optional[tuple[StdModel, Configuration]]:
-    """Fire exactly the recorded step: the (model, configuration) after it, or
-    None when no enabled step carries this label."""
+    """The (model, configuration) after the recorded step, or None when no
+    enabled step carries this label.  At a state whose steps the table
+    keeps (`_StepCore.kept`) the label is looked up among them; at any
+    other only the recorded step is fired, as a replay of parsed steps
+    may not meet the state again."""
     core = _core(model)
     slots = _slots(core.layout, config)
+    entry = core.kept(slots)
+    if entry is not None:
+        labels, afters = entry
+        try:
+            after_model, after = afters[labels.index(label)]
+        except ValueError:
+            return None
+        return model if after_model is None else after_model, after
     if isinstance(label, DetailedStep):
         after = core.step(slots, label.component, label.transition)
         return None if after is None else (model, Configuration.from_slots(core.layout, after))
@@ -563,16 +619,22 @@ def drive(
     model: StdModel, config: Configuration, policy, max_steps: int
 ) -> Iterator[tuple[StepLabel, StdModel, Configuration]]:
     """The steps a policy takes, one at a time as it takes them, for at most
-    `max_steps` steps: (label, model, configuration) after each."""
+    `max_steps` steps: (label, model, configuration) after each.  The policy
+    chooses among the labels of the state's steps in `successors` order,
+    read from the model's step table (`_StepCore.steps`), so a state met
+    again is not expanded again."""
     for _ in range(max_steps):
-        succ = successors(model, config)
-        if not succ:
+        core = _core(model)
+        labels, afters = core.steps(model, _slots(core.layout, config))
+        if not labels:
             return
-        choice = policy.choose([label for label, _, _ in succ])
+        choice = policy.choose(labels)
         if choice is None:
             return
-        label, model, config = succ[choice]
-        yield label, model, config
+        after_model, config = afters[choice]
+        if after_model is not None:
+            model = after_model
+        yield labels[choice], model, config
 
 
 def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace:
@@ -586,7 +648,10 @@ def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace
 
 def replay(model: StdModel, config: Configuration, labels: Sequence[StepLabel]) -> Trace:
     """Deterministically re-execute a label sequence from a configuration;
-    raises ReplayDivergence at the first label that is not enabled."""
+    raises ReplayDivergence at the first label that is not enabled.  Each
+    label is looked up among the state's steps when the step table keeps
+    them, else only its step is fired (`_take`), so a replay of a walk `run`
+    took fires no step again."""
     initial = config
     steps: list[tuple[StepLabel, int]] = []
     for index, label in enumerate(labels):
@@ -678,14 +743,16 @@ def write_trace_jsonl(
     write: Callable[[str], object],
 ) -> tuple[int, int]:
     """Pass each line of the exported JSON-lines form of the (label, digest)
-    steps from `config` to `write` as soon as its step is re-fired and its
-    digest checked, so nothing accumulates; returns the number of steps and
-    the final model version.  Line 0 is the initial configuration, each
-    further line one step (see `_record_line`); a configuration that does not
-    fit its layout raises UnknownElement before its line is written.  Raises
-    ModelRejected, before the first line, when `validate_model` rejects the
-    model, and ReplayDivergence when a label is not enabled or a step
-    reaches a configuration whose digest differs from the recorded one."""
+    steps from `config` to `write` as soon as its step is taken (`_take`)
+    and its digest checked, so nothing accumulates; steps that `drive` took
+    are found in its step tables, not fired again.
+    Returns the number of steps and the final model version.  Line 0 is the
+    initial configuration, each further line one step (see `_record_line`);
+    a configuration that does not fit its layout raises UnknownElement
+    before its line is written.  Raises ModelRejected, before the first
+    line, when `validate_model` rejects the model, and ReplayDivergence when
+    a label is not enabled or a step reaches a configuration whose digest
+    differs from the recorded one."""
     _core(model)
     labels: dict = {}
     write(_record_line(labels, 0, None, model, config, config_digest(config)))

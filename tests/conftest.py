@@ -12,13 +12,24 @@ def bundles():
     return {name: get_bundled(name) for name in bundled_names()}
 
 
-@pytest.fixture(scope="session")
-def shop_loaded():
-    """The flagship system: bundled shop model with its migration loaded."""
+def _load_shop():
     bundle = get_bundled("shop-migration")
     model = bundle.model()
     config = initial_configuration(model)
     return load_migration(model, config, model.variables[bundle.fragment_var])
+
+
+@pytest.fixture(scope="session")
+def shop_loaded():
+    """The flagship system: bundled shop model with its migration loaded."""
+    return _load_shop()
+
+
+@pytest.fixture
+def load_shop():
+    """`load_shop()` gives the flagship system as `shop_loaded` does, in new
+    model objects, whose step tables no other test has filled."""
+    return _load_shop
 
 
 @pytest.fixture

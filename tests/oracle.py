@@ -126,15 +126,17 @@ def _naive_rule_result(model, config, rule):
     return Configuration(detailed=detailed, phases=phases, model_version=config.model_version)
 
 
-def naive_successors(model, config):
-    """Set of (kind, identity, canonical model, configuration key) outcomes."""
-    out = set()
+def naive_steps(model, config):
+    """(kind and identity, model, configuration) of each enabled step, in the
+    order the engine gives its successors: detailed steps by (component,
+    transition), then rule firings by rule name."""
+    out = []
     for comp, t in naive_detailed_steps(model, config):
         detailed = dict(config.detailed)
         detailed[comp] = t.target
         nxt = Configuration(detailed=detailed, phases=config.phases,
                             model_version=config.model_version)
-        out.add((("detailed", comp, t), canonical_model(model), nxt.key()))
+        out.append((("detailed", comp, t), model, nxt))
     for name in model.rules:
         rule = model.rules[name]
         if not naive_enabled_rule(model, config, rule):
@@ -143,8 +145,27 @@ def naive_successors(model, config):
         nxt_model = model
         if rule.change is not None:
             nxt_model, nxt = apply_changeset(model, nxt, rule.change)
-        out.add((("rule", name), canonical_model(nxt_model), nxt.key()))
-    return out
+        out.append((("rule", name), nxt_model, nxt))
+    return sorted(out, key=lambda step: step[0])
+
+
+def naive_successors(model, config):
+    """Set of (kind, identity, canonical model, configuration key) outcomes."""
+    return {(identity, canonical_model(nxt_model), nxt.key())
+            for identity, nxt_model, nxt in naive_steps(model, config)}
+
+
+def naive_label(model, identity):
+    """The engine's label of the step of `model` with this (kind, identity):
+    a detailed step's component and transition, or the rule's fields and
+    whether it carries a changeset."""
+    from phasecoord.engine import DetailedStep, RuleStep
+
+    if identity[0] == "detailed":
+        return DetailedStep(*identity[1:])
+    rule = model.rules[identity[1]]
+    return RuleStep(rule.name, rule.manager, rule.manager_step, rule.transfers,
+                    rule.change is not None)
 
 
 def label_identity(label):

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -261,6 +262,23 @@ class TestSimulate:
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN_DIR / "trace-shop-migration-loaded.jsonl").read_bytes()
         assert json.loads(out.splitlines()[-1])["modelVersion"] == 3
+
+    @pytest.mark.parametrize("argv, sha256, versions", [
+        (("shop-migration", "--load-migration", "ShopMigr", "--seed", "11"),
+         "d8fb13880a711b122d683a710643b9a018869eac9fa1be7adbaa159526f4e6fa", {1, 2, 3}),
+        (("cs-nondet", "--seed", "5"),
+         "cae1aba41aa9b51ab36a4dc694b6333979e26aff189feaf6f110c1570de6e627", {0}),
+    ], ids=["loaded-shop", "cs-nondet"])
+    def test_long_walk_matches_its_pinned_hash(self, capsys, argv, sha256, versions):
+        # 5000 steps meet each state many times, so nearly every step is
+        # read from a step table; the hashes pin what the engine wrote before
+        # it kept step tables
+        code, out, err = run_cli(capsys, "simulate", *argv, "--steps", "5000")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+        lines = out.splitlines()
+        assert len(lines) == 5001
+        assert {json.loads(line)["modelVersion"] for line in lines} == versions
 
     def test_loaded_script_replay_reproduces_the_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"

@@ -1,8 +1,10 @@
 """Step semantics: enabledness, trap entry, rule firing, runs, traces."""
 
+import gc
 import json
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from phasecoord.engine import (
     rule_blocker,
     run,
     successors,
+    write_trace_jsonl,
 )
 from phasecoord.explorer import Bounds, explore, explore_space
 from phasecoord.model import (
@@ -483,7 +486,10 @@ class TestRun:
             replay(model, config, [go, go])
         assert err.value.index == 1
 
-    def test_replay_fires_only_the_recorded_labels(self, count_calls, shop_loaded):
+    def test_replay_and_export_after_run_expand_no_state_again(self, count_calls, shop_loaded):
+        """`run` filled its models' step tables at every state its walk met;
+        the export and the replay of its labels look each label up there, so
+        neither calls `successors`."""
         model, config = shop_loaded
         trace = run(model, config, RandomPolicy(5), max_steps=80)
         assert any(isinstance(label, RuleStep) and label.changed for label in trace.labels())
@@ -519,6 +525,100 @@ class TestRun:
 _HEADER = '{"index": 0, "label": null}'
 _RECORD = ('{"index": 1, "label": {"type": "detailed", "component": "X", '
            '"transition": ["A", "go", "B"]}, "digest": "0000000000000001"}')
+
+
+def stepped_from(model, config, taken):
+    """The (model object id, slots) of each state a walk from `config` took
+    its steps `taken` from."""
+    states = [(model, config), *[(m, c) for _, m, c in taken[:-1]]]
+    return {(id(m), c.slots_in(m.layout)) for m, c in states}
+
+
+def expanded(calls):
+    """The (model object id, slots) of each `successors` call, checked to be
+    distinct."""
+    states = [(id(m), c.slots_in(m.layout)) for m, c in calls]
+    assert len(set(states)) == len(states)
+    return set(states)
+
+
+class TestStepTable:
+    """Each model object's step core keeps a table from slots to that
+    state's steps (`_StepCore.steps`), filled by one `successors` call the
+    first time a walk meets the state: `drive` chooses among them, and a
+    replay or an export looks each recorded label up there, or fires only
+    the recorded step at a state the table does not keep."""
+
+    def test_a_walk_its_export_and_its_replay_expand_each_state_once(
+            self, load_shop, count_calls):
+        model, config = load_shop()
+        calls = count_calls(engine, "successors")
+        trace = run(model, config, RandomPolicy(5), max_steps=300)
+        text = export_trace_jsonl(model, trace)
+        assert replay(model, config, trace.labels()) == trace
+        taken = list(drive(model, config, RandomPolicy(5), 300))  # the walk `run` took
+        assert len(trace) == len(taken) == 300
+        states = stepped_from(model, config, taken)
+        assert expanded(calls) == states and len(states) < 150  # states are met again
+        # no entry holds the model whose table holds it
+        for m in {id(m): m for m in [model, *(m for _, m, _ in taken)]}.values():
+            entries = engine._core(m).table.values()
+            assert entries and all(after is not m for _, afters in entries for after, _ in afters)
+
+        # a replay of the parsed labels, and an export of the parsed steps, on
+        # new model objects fire only the recorded steps and fill no entry
+        calls.clear()
+        model, config = load_shop()
+        assert replay(model, config, parse_trace_labels(text)).steps == trace.steps
+        lines = []
+        write_trace_jsonl(model, config, parse_trace_steps(text), lines.append)
+        assert "".join(lines) == text
+        assert calls == [] and engine._core(model).table == {}
+        taken = list(drive(model, config, RandomPolicy(5), 300))
+        assert expanded(calls) == stepped_from(model, config, taken)
+
+    def test_a_walked_model_is_freed_without_the_collector(self, load_shop):
+        """A table keeps the model after a step only when a changeset made
+        it, never the model that holds the table, so no walk makes a
+        reference cycle through a model."""
+
+        def walk():
+            model, config = load_shop()
+            taken = list(drive(model, config, RandomPolicy(5), 300))
+            trace = run(model, config, RandomPolicy(5), 300)
+            text = export_trace_jsonl(model, trace)
+            assert replay(model, config, parse_trace_labels(text)) == trace
+            models = {id(m): m for m in [model, *(m for _, m, _ in taken)]}
+            return [weakref.ref(m) for m in models.values()]
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = walk()
+            assert len(refs) == 3  # versions 1-3 of the loaded migration
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            gc.enable()
+
+    def test_no_table_holds_more_than_the_cap(self, load_shop, bundles, monkeypatch):
+        monkeypatch.setattr(engine, "STEP_TABLE_CAP", 3)
+        cs_nondet = bundles["cs-nondet"].model()
+        for model, config in (load_shop(), (cs_nondet, initial_configuration(cs_nondet))):
+            models = {id(model): model}
+
+            def largest():
+                return max(len(engine._core(m).table) for m in models.values())
+
+            sizes = []
+            steps = []
+            for label, m, c in drive(model, config, RandomPolicy(5), 300):
+                models[id(m)] = m
+                steps.append((label, config_digest(c)))
+                sizes.append(largest())
+            write_trace_jsonl(model, config, steps, lambda line: sizes.append(largest()))
+            replay(model, config, [label for label, _ in steps])
+            sizes.append(largest())
+            assert max(sizes) == 3
 
 
 def _rule_record(changed: str) -> str:

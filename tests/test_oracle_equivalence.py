@@ -10,6 +10,7 @@ from functools import partial
 
 import pytest
 
+from phasecoord import engine
 from phasecoord.changeset import canonical_model
 from phasecoord.engine import (
     ModelRejected,
@@ -17,9 +18,11 @@ from phasecoord.engine import (
     UnknownElement,
     RandomPolicy,
     RuleStep,
+    Trace,
     config_digest,
     drive,
     enabled_rules,
+    export_trace_jsonl,
     fire_rule,
     replay,
     rule_blocker,
@@ -72,9 +75,12 @@ from tests.genmodels import (
 from tests.oracle import (
     engine_successor_set,
     label_identity,
+    naive_digest,
     naive_eval_predicate,
     naive_first_invalid_state,
+    naive_label,
     naive_state_record,
+    naive_steps,
     naive_successors,
     walk_all_states,
 )
@@ -816,3 +822,89 @@ class TestTraceRecords:
             with pytest.raises(UnknownElement, match="Worker1: unknown state Bogus"):
                 write_trace_jsonl(model, bad, steps, lines.append)
             assert lines == []
+
+
+def oracle_walk(model, config, seed, max_steps):
+    """The (label, model, configuration) steps of a seeded random run stepped
+    through `naive_steps`, which keeps no step table."""
+    policy, taken = RandomPolicy(seed), []
+    for _ in range(max_steps):
+        steps = naive_steps(model, config)
+        if not steps:
+            break
+        identity, after_model, config = steps[policy.choose(steps)]
+        taken.append((naive_label(model, identity), after_model, config))
+        model = after_model
+    return taken
+
+
+def assert_walk_matches_oracle(model, config, seed, max_steps=300):
+    """A `run` under `RandomPolicy(seed)`, its export and its replay equal
+    those of the oracle's walk; returns the number of steps and whether the
+    walk changed the model version."""
+    taken = oracle_walk(model, config, seed, max_steps)
+    version = (taken[-1][2] if taken else config).model_version
+    want = Trace(config, tuple((label, naive_digest(c.key())) for label, _, c in taken), version)
+    trace = run(model, config, RandomPolicy(seed), max_steps)
+    assert trace == want
+    assert export_trace_jsonl(model, trace) == "".join(state_record_lines(config, taken))
+    assert replay(model, config, trace.labels()) == want
+    return len(taken), version != config.model_version
+
+
+class TestWalksMatchTheOracle:
+    """A walk reads each state's steps from its model's step table: `run`
+    chooses among them, and its export and its replay look each label up
+    there.  Each walk, on model objects no other walk stepped, equals the
+    walk stepped through the oracle; also with a cap of 2 states, where a
+    table is cleared in mid-walk and a state met again is expanded again."""
+
+    @pytest.fixture(params=[engine.STEP_TABLE_CAP, 2], ids=["cap", "cap-2"])
+    def expansions(self, request, monkeypatch, count_calls):
+        """Under the cap, the (model, configuration) of every `successors`
+        call; on leaving, whether a state was expanded twice is checked to
+        be whether the cap is 2."""
+        monkeypatch.setattr(engine, "STEP_TABLE_CAP", request.param)
+        calls = count_calls(engine, "successors")
+        yield calls
+        states = [(id(m), c.slots_in(m.layout)) for m, c in calls]
+        assert (len(set(states)) < len(states)) == (request.param == 2)
+
+    def test_bundled_models(self, bundles, load_shop, expansions):
+        def start(bundle):
+            model = bundle.model()
+            return model, initial_configuration(model)
+
+        changed = 0
+        for system in [partial(start, b) for b in bundles.values()] + [load_shop]:
+            for seed in range(3):
+                steps, walked = assert_walk_matches_oracle(*system(), seed)
+                assert steps == 300  # none of these walks meets a deadlock
+                changed += walked
+        assert changed == 3  # every walk of the loaded migration
+
+    def test_random_models(self, expansions):
+        steps = changed = 0
+        for seed in range(100):
+            model = random_model(seed)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            counts = assert_walk_matches_oracle(model, random_initial(model), seed)
+            steps, changed = steps + counts[0], changed + counts[1]
+        assert steps > 10_000 and changed >= 5
+
+    def test_a_version_that_equals_an_int_is_not_kept(self, bundles, load_shop):
+        """Versions 1, True and 1.0 are equal keys, but distinct
+        configurations: after a walk from version 1 fills the tables, walks
+        from True and 1.0 still equal the oracle's, and no table keeps a
+        state whose version is not an int."""
+        cs_nondet = bundles["cs-nondet"].model()
+        for model, start in ((cs_nondet, initial_configuration(cs_nondet)), load_shop()):
+            slots = start.slots_in(model.layout)
+            for version in (1, True, 1.0):
+                config = Configuration.from_slots(model.layout, (version,) + slots[1:])
+                for seed in range(2):
+                    assert_walk_matches_oracle(model, config, seed)
+            models = {id(m): m for _, m, _ in drive(model, start, RandomPolicy(0), 300)}
+            assert all(type(kept[0]) is int for m in [model, *models.values()]
+                       for kept in engine._core(m).table)
