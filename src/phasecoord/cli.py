@@ -240,30 +240,19 @@ def cmd_explore(args) -> int:
         raise _fail(EXIT_VALIDATION, "property-error", args.props or args.path,
                     f"error: {exc}")
     space = report.space
-    termination = None
     if args.check_termination is not None:
         try:
-            termination = check_migration_termination(space, args.check_termination)
+            report.termination = check_migration_termination(space, args.check_termination)
         except UnknownElement as exc:  # no explored model has the coordinator
             raise _fail(EXIT_VALIDATION, "no-coordinator", str(exc),
                         f"error: no explored model has the coordinator component {exc}")
-    progress = {} if args.check_progress is None else {  # per component, in name order
-        comp: check_progress(space, comp, args.check_progress).verdict
-        for comp in sorted(model.components)}
-    checked = [verdict for _, verdict in report.verdicts] + list(progress.values())
-    if termination is not None:
-        checked.append(termination.verdict)
+    if args.check_progress is not None:
+        report.progress = [check_progress(space, comp, args.check_progress)
+                           for comp in sorted(model.components)]
 
     # the document, with its traces, is rendered only for a reader of it
     if args.format == "json" or args.report_out:
-        doc = report.doc()
-        if termination is not None:
-            doc["termination"] = {"targetVersion": args.check_termination,
-                                  "verdict": termination.verdict, "maxDepth": termination.max_depth}
-        if args.check_progress is not None:
-            doc["progress"] = {comp: {"k": args.check_progress, "verdict": verdict}
-                               for comp, verdict in progress.items()}
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(report.doc(), sort_keys=True, indent=2) + "\n"
         if args.report_out:
             Path(args.report_out).write_text(payload, "utf-8")
     if args.format == "json":
@@ -273,18 +262,19 @@ def cmd_explore(args) -> int:
               f"versions: {space.versions_seen()}")
         for prop, verdict in report.verdicts:
             print(f"  {verdict:14} {prop}")
-        if termination is not None:
+        if (termination := report.termination) is not None:
             depth = "" if termination.max_depth is None else f" (maxDepth {termination.max_depth})"
-            print(f"  termination to version {args.check_termination}: "
+            print(f"  termination to version {termination.target_version}: "
                   f"{termination.verdict}{depth}")
-        for comp, verdict in progress.items():
-            print(f"  progress {comp} (k={args.check_progress}): {verdict}")
+        for result in report.progress or ():
+            print(f"  progress {result.component} (k={result.k}): {result.verdict}")
         if space.deadlocks:
             print(f"  deadlocks: {len(space.deadlocks)}")
         for prop, state in report.violations:
             print(f"  violated: {prop} (counterexample of {len(space.path(state)) - 1} step(s))",
                   file=sys.stderr)
 
+    checked = report.checked()
     if report.violations or any(v in ("stuck", "cycle", "starved") for v in checked):
         return EXIT_VIOLATION
     if space.truncated or any(v.startswith("unknown") for v in checked):

@@ -18,18 +18,19 @@ models with equal canonical forms have equal layouts (see `model`).
 Exploration is one serial BFS: each frontier state's successors are
 computed and interned in order, so state indices, edges and reports are
 deterministic.  `Space.edges` is grouped by source, in increasing source
-order, and each source's edges are in `successors` order; so the
-termination lasso's next step from a state is its first edge, found by
-bisection.
+order, and each source's edges are in `successors` order.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
-answer obeys the same bounds.  An `ExplorationReport` keeps its verdicts
-and the state of each counterexample; only `ExplorationReport.doc` renders
-traces, from records built once per state (`Space.trace_records`).  A
-check that tests every state sweeps the slots through `Space.where`, with
-its predicate compiled once per model of the space
-(`properties.compile_predicate`).  `configuration-valid` tests the root
+answer obeys the same bounds.  A check that fails keeps the index of the
+state it failed at, not a trace: `Space.trace_to` gives the shortest trace
+to it.  An `ExplorationReport` keeps its verdicts, the state of each
+counterexample and the termination and progress results a caller stores
+on it; `ExplorationReport.doc` is the one writer of the report document,
+and the only code that renders traces, from records built once per state
+(`Space.trace_records`).  A check that tests every state sweeps the slots
+through `Space.where`, with its predicate compiled once per model of the
+space (`properties.compile_predicate`).  `configuration-valid` tests the root
 alone (`model.consistent`): the engine steps only models that
 `validate_model` accepts, and from a consistent root of one every step
 reaches a consistent state.
@@ -38,7 +39,6 @@ reaches a consistent state.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -247,14 +247,19 @@ def explore_space(
 
 
 class ExplorationReport(Record, frozen=False):
-    """The verdicts of one exploration and the space they were read from."""
+    """The verdicts of one exploration and the space they were read from.
+    `explore` leaves `termination` and `progress` None, for "not checked";
+    a caller that runs those checks on `space` stores their results here."""
 
-    __slots__ = ("space", "bounds", "verdicts", "violations")
+    __slots__ = ("space", "bounds", "verdicts", "violations", "termination", "progress")
+    _defaults = {"termination": None, "progress": None}
     _hidden = ("space",)
     space: Space  # for further queries
     bounds: Bounds
     verdicts: list[tuple[str, str]]  # (property text, verdict)
     violations: list[tuple[str, int]]  # (property text, state index), in report order
+    termination: Optional[TerminationResult]
+    progress: Optional[list[ProgressResult]]  # one per component, in name order
 
     @property
     def states_visited(self) -> int:
@@ -264,13 +269,23 @@ class ExplorationReport(Record, frozen=False):
     def transitions_visited(self) -> int:
         return len(self.space.edges)
 
+    def checked(self) -> list[str]:
+        """Every verdict of the report: each property's, then termination's
+        and each component's progress, where checked."""
+        out = [verdict for _, verdict in self.verdicts]
+        if self.termination is not None:
+            out.append(self.termination.verdict)
+        out.extend(result.verdict for result in self.progress or ())
+        return out
+
     def doc(self) -> dict:
-        """The report as a new JSON document, whose deadlock and violation
-        traces are rendered here (`Space.trace_records`).  A caller may add
-        top-level keys to it, but no more: the traces share their records
+        """The report as a new JSON document, every section of it written
+        here: the deadlock and violation traces (`Space.trace_records`), and
+        `termination` and `progress` when they were checked.  The document
+        is read-only below its top level: its traces share their records
         with every other trace and document of the space."""
-        space = self.space
-        return {
+        space, termination = self.space, self.termination
+        doc = {
             "statesVisited": self.states_visited,
             "transitionsVisited": self.transitions_visited,
             "modelVersionsSeen": space.versions_seen(),
@@ -289,6 +304,14 @@ class ExplorationReport(Record, frozen=False):
                 "maxDepthHit": space.max_depth_hit,
             },
         }
+        if termination is not None:
+            doc["termination"] = {"targetVersion": termination.target_version,
+                                  "verdict": termination.verdict,
+                                  "maxDepth": termination.max_depth}
+        if self.progress is not None:
+            doc["progress"] = {result.component: {"k": result.k, "verdict": result.verdict}
+                               for result in self.progress}
+        return doc
 
 
 def _within_bound_to_targets(space: Space, targets: Sequence[int]) -> list[int]:
@@ -388,11 +411,12 @@ def explore(
 
 
 class TerminationResult(Record, frozen=False):
-    __slots__ = ("verdict", "max_depth", "witness")
-    _defaults = {"max_depth": None, "witness": None}
+    __slots__ = ("verdict", "target_version", "max_depth", "state")
+    _defaults = {"max_depth": None, "state": None}
     verdict: str  # terminates | stuck | cycle | unknown(bound)
+    target_version: int
     max_depth: Optional[int]
-    witness: Optional[Trace]
+    state: Optional[int]  # stuck: the stuck state; cycle: the first doomed one
 
 
 def check_migration_termination(
@@ -410,10 +434,12 @@ def check_migration_termination(
     still reachable.  The reported depth is the largest distance any
     reachable state has to its nearest completion state.
 
-    A deadlocked incomplete state yields a `stuck` witness; a region from
-    which completion is unreachable yields a `cycle` witness (a lasso that
-    avoids completion forever).  On a truncated space only `stuck` is
-    provable; otherwise the verdict is `unknown(bound)`.  Raises
+    The first deadlocked incomplete state, in BFS order, is `stuck`; else
+    the first state from which completion is unreachable gives `cycle`:
+    every successor of such a state is one too, and none deadlocks, so a
+    lasso from it avoids completion forever.  The result keeps that state
+    (`Space.trace_to` gives its shortest trace).  On a truncated space only
+    `stuck` is provable; otherwise the verdict is `unknown(bound)`.  Raises
     UnknownElement when no model of the space has the coordinator.
     """
     _require_component(space, sk.component)
@@ -421,44 +447,22 @@ def check_migration_termination(
     complete = set(targets)
     for idx in sorted(space.deadlocks):
         if idx not in complete:
-            return TerminationResult("stuck", witness=space.trace_to(idx))
+            return TerminationResult("stuck", target_version, state=idx)
     if space.truncated:
-        return TerminationResult("unknown(bound)")
+        return TerminationResult("unknown(bound)", target_version)
     dist = _within_bound_to_targets(space, targets)
-    doomed = next((idx for idx in range(space.state_count()) if dist[idx] == -1), None)
-    if doomed is not None:
-        # Every successor of a completion-unreachable state is itself
-        # completion-unreachable, and none deadlocks (handled above), so a
-        # lasso exists inside the doomed region; extend the stem into it
-        # until a state repeats, taking each state's first edge (`(at,)`
-        # sorts before every edge of `at`, and no label is compared).
-        stem = space.trace_to(doomed)
-        steps = list(stem.steps)
-        seen_on_loop = {doomed}
-        at = doomed
-        while True:
-            _, label, nxt = space.edges[bisect_left(space.edges, (at,))]
-            steps.append((label, config_digest(space.state(nxt))))
-            if nxt in seen_on_loop:
-                break
-            seen_on_loop.add(nxt)
-            at = nxt
-        witness = Trace(
-            initial=stem.initial,
-            steps=tuple(steps),
-            final_model_version=space.states[nxt][1][0],
-        )
-        return TerminationResult("cycle", witness=witness)
-    max_depth = max(dist) if dist else 0
-    return TerminationResult("terminates", max_depth=max_depth)
+    if -1 in dist:
+        return TerminationResult("cycle", target_version, state=dist.index(-1))
+    return TerminationResult("terminates", target_version, max_depth=max(dist, default=0))
 
 
 class ProgressResult(Record, frozen=False):
-    __slots__ = ("verdict", "starved", "witness")
-    _defaults = {"starved": None, "witness": None}
+    __slots__ = ("verdict", "component", "k", "state")
+    _defaults = {"state": None}
     verdict: str  # satisfied | starved | unknown(bound)
-    starved: Optional[Configuration]
-    witness: Optional[Trace]
+    component: str
+    k: int
+    state: Optional[int]  # starved: the first starved state
 
 
 def _require_component(space: Space, component: str) -> None:
@@ -476,19 +480,20 @@ def _distance_to_move(space: Space, component: str) -> list[int]:
 def check_progress(space: Space, component: str, k: int) -> ProgressResult:
     """Bounded non-starvation: from every reachable state some continuation of
     at most k steps contains the component's own move (a detailed step, or a
-    rule firing it manages).  Returns the first reachable state, in BFS
-    order, from which no such continuation exists.  Raises UnknownElement
+    rule firing it manages).  A `starved` result keeps the first reachable
+    state, in BFS order, from which no such continuation exists
+    (`Space.trace_to` gives its shortest trace).  Raises UnknownElement
     when no model of the space has the component."""
     _require_component(space, component)
     if space.truncated:
         # missing edges can only over-estimate distances, so no state is
         # provably starved on a truncated graph
-        return ProgressResult("unknown(bound)")
+        return ProgressResult("unknown(bound)", component, k)
     dist = _distance_to_move(space, component)
     idx = next((idx for idx, d in enumerate(dist) if d == -1 or d + 1 > k), None)
     if idx is None:
-        return ProgressResult("satisfied")
-    return ProgressResult("starved", starved=space.state(idx), witness=space.trace_to(idx))
+        return ProgressResult("satisfied", component, k)
+    return ProgressResult("starved", component, k, state=idx)
 
 
 def minimal_progress_bound(space: Space, component: str) -> Optional[int]:

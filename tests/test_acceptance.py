@@ -212,10 +212,11 @@ def test_criterion_6_quiescence_freedom(shop_loaded, bundles):
         add_components=fragment.add_components + (spinner,),
     )
     b_model, b_config = load_migration(base, initial_configuration(base), broken)
-    starved = check_progress(explore_space(b_model, b_config), "Server", 32)
-    ok = starved.verdict == "starved" and starved.starved is not None
+    b_space = explore_space(b_model, b_config)
+    starved = check_progress(b_space, "Server", 32)
+    ok = starved.verdict == "starved" and starved.state is not None
     report(6, ok, f"minimal k {ks}; broken variant starves Server at "
-                  f"{dict(starved.starved.detailed) if starved.starved else None}")
+                  f"{dict(b_space.state(starved.state).detailed) if ok else None}")
 
 
 def test_criterion_7_weave_neutrality(bundles):

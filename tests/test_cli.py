@@ -19,6 +19,7 @@ FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "golden" / "flagship-shop.json"
 GOLDEN_DIR = ROOT / "tests" / "golden"
+SHOP_CHECKS = ("shop-migration", "--check-termination", "1", "--check-progress", "3")
 # The exit code of `--format json explore NAME` for each bundled model whose
 # report bytes are kept in tests/golden/explore-NAME.json.
 BUNDLED_EXPLORE_EXITS = {"cs-nondet": 0, "cs-roundrobin": 0, "prodcons": 0, "shop-migration": 4}
@@ -32,7 +33,16 @@ REPORT_GOLDENS = {
     # a 12-step chain with a dead end off each step: 13 deadlock traces,
     # each sharing its prefix with the longer ones
     "chain": ((str(GOLDEN_DIR / "chain.pdm"),), 0),
+    # a failed termination check (`cycle`), two `starved` components and a
+    # violated eventuallyAll
+    "shop-migration-checks": (SHOP_CHECKS, 4),
+    # the flagship cut at 20 states: termination, progress, the invariant
+    # and eventuallyAll read `unknown(bound)`
+    "flagship-bounded": ((*FLAGSHIP[1:], "--max-states", "20"), 5),
 }
+# REPORT_GOLDENS entries whose text-mode output is kept too, in
+# tests/golden/explore-NAME.stdout.txt and explore-NAME.stderr.txt
+TEXT_REPORT_GOLDENS = ("flagship-bounded", "shop-migration-checks")
 HUGE = "9" * 5000
 ONE_STATE_BODY = "{ states: A; initial: A; transitions: }"
 # one well-formed `--script` step record of prodcons
@@ -698,12 +708,40 @@ class TestExplore:
         assert code == BUNDLED_EXPLORE_EXITS[name]
         assert out.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.json").read_bytes()
 
+    @pytest.mark.parametrize("to", ["stdout", "report-out"])
     @pytest.mark.parametrize("name", sorted(REPORT_GOLDENS))
-    def test_report_traces_match_golden_bytes(self, capsys, name):
+    def test_report_traces_match_golden_bytes(self, tmp_path, capsys, name, to):
+        # the document on standard output under `--format json`, or in the
+        # `--report-out` file in text mode
         argv, exit_code = REPORT_GOLDENS[name]
-        code, out, err = run_cli(capsys, "--format", "json", "explore", *argv)
+        golden = (GOLDEN_DIR / f"explore-{name}.json").read_bytes()
+        if to == "stdout":
+            code, out, err = run_cli(capsys, "--format", "json", "explore", *argv)
+            assert (code, out.encode("utf-8")) == (exit_code, golden)
+        else:
+            path = tmp_path / "report.json"
+            code, out, err = run_cli(capsys, "explore", *argv, "--report-out", str(path))
+            assert (code, path.read_bytes()) == (exit_code, golden)
+
+    @pytest.mark.parametrize("name", TEXT_REPORT_GOLDENS)
+    def test_text_report_matches_golden_bytes(self, capsys, name):
+        argv, exit_code = REPORT_GOLDENS[name]
+        code, out, err = run_cli(capsys, "explore", *argv)
         assert code == exit_code
-        assert out.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.json").read_bytes()
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.stdout.txt").read_bytes()
+        assert err.encode("utf-8") == (GOLDEN_DIR / f"explore-{name}.stderr.txt").read_bytes()
+
+    def test_failed_checks_decode_no_state_in_text_mode(self, capsys, count_calls, monkeypatch):
+        # text mode prints verdicts only: a failed check keeps its state's
+        # index, and no trace or configuration is built for it
+        digests = count_calls(engine, "config_digest")
+        decoded = []
+        state = explorer.Space.state
+        monkeypatch.setattr(explorer.Space, "state",
+                            lambda space, idx: decoded.append(idx) or state(space, idx))
+        code, out, err = run_cli(capsys, "explore", *SHOP_CHECKS)
+        assert "cycle" in out and "starved" in out
+        assert (code, len(digests), len(decoded)) == (4, 0, 0)
 
     def test_report_records_are_written_once_per_state_and_only_for_json(
             self, tmp_path, capsys, count_calls):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from functools import partial
 from pathlib import Path
 
@@ -446,9 +447,9 @@ def broken_bridge_shop(bundles):
     return load_migration(model, initial_configuration(model), broken)
 
 
-# Per target version, the `cycle` witness of the broken-bridge shop as (label
-# text, digest) per step, from a lasso that sorted each state's edges by
-# `successor_order` before it took the least.
+# Per target version, the `cycle` lasso of the broken-bridge shop (see
+# `lasso`) as (label text, digest) per step, from a lasso that sorted each
+# state's edges by `successor_order` before it took the least.
 BROKEN_BRIDGE_LASSOS = {
     1: [("rule McPal_kickoff", 8373985381742807460),
         ("detailed Client1: Out-browse->Out", 8373985381742807460)],
@@ -457,6 +458,21 @@ BROKEN_BRIDGE_LASSOS = {
     4: [("detailed Client1: Out-browse->Out", 15551536399367846695)],
     5: [("detailed Client1: Out-browse->Out", 15551536399367846695)],
 }
+
+
+def lasso(space, state):
+    """The steps, as (label, digest), of a lasso through `state`: the stem
+    is `space.trace_to(state)`, and the loop extends it, taking each state's
+    first edge (`(at,)` sorts before every edge of `at`), until a state
+    repeats.  From a `cycle` result's state, no step leaves the states from
+    which completion is unreachable, so the loop avoids completion."""
+    steps, on_loop, at = list(space.trace_to(state).steps), {state}, state
+    while True:
+        _, label, at = space.edges[bisect_left(space.edges, (at,))]
+        steps.append((label, config_digest(space.state(at))))
+        if at in on_loop:
+            return steps
+        on_loop.add(at)
 
 
 def successor_order(label):
@@ -484,12 +500,13 @@ class TestTermination:
 
     def test_never_entered_trap_yields_cycle(self, bundles):
         loaded, started = broken_bridge_shop(bundles)
-        result = check_migration_termination(explore_space(loaded, started), target_version=3)
-        assert result.verdict == "cycle"
-        assert result.witness is not None
-        assert len(result.witness.steps) > 0
-        again = replay(loaded, started, result.witness.labels())
-        assert again.steps == result.witness.steps  # the lasso replays exactly
+        space = explore_space(loaded, started)
+        result = check_migration_termination(space, target_version=3)
+        assert (result.verdict, result.target_version, result.max_depth) == ("cycle", 3, None)
+        steps = lasso(space, result.state)
+        assert len(steps) > 0
+        again = replay(loaded, started, [label for label, _ in steps])
+        assert again.steps == tuple(steps)  # the lasso replays exactly
 
     def test_a_lasso_extends_its_stem_over_a_longer_loop(self):
         model = _model(LOST_COORDINATOR)
@@ -497,11 +514,12 @@ class TestTermination:
         space = explore_space(model, config)
         result = check_migration_termination(space, target_version=1)
         assert result.verdict == "cycle"
-        assert [label_text(label) for label in result.witness.labels()] == [
+        steps = lasso(space, result.state)
+        assert [label_text(label) for label, _ in steps] == [
             "detailed McPal: Observing-wander->Lost",  # the stem
             "detailed Spinner: A-x->B", "detailed Spinner: B-y->C", "detailed Spinner: C-z->A"]
-        again = replay(model, config, result.witness.labels())
-        assert again.steps == result.witness.steps  # digest-equal, step by step
+        again = replay(model, config, [label for label, _ in steps])
+        assert again.steps == tuple(steps)  # digest-equal, step by step
         loop = [digest for _, digest in again.steps]
         assert loop[-1] == loop[0] and len(set(loop)) == 3  # the loop closes after 3 steps
         complete = {config_digest(space.state(idx))
@@ -513,10 +531,11 @@ class TestTermination:
         for target, steps in BROKEN_BRIDGE_LASSOS.items():
             result = check_migration_termination(space, target_version=target)
             assert result.verdict == "cycle"
-            assert [(label_text(label), digest) for label, digest in result.witness.steps] == steps
+            assert [(label_text(label), digest)
+                    for label, digest in lasso(space, result.state)] == steps
 
     def test_edges_are_grouped_by_source_in_successor_order(self, bundles, shop_loaded):
-        # the lasso takes a state's first edge as its least step in this order
+        # `lasso` takes a state's first edge as its least step in this order
         multi_model = edges = 0
         spaces = [explore_space(m, initial_configuration(m))
                   for m in (bundle.model() for bundle in bundles.values())]
@@ -573,11 +592,13 @@ component McPal {
         result = parse_model(text.replace("transitions:\n    ;", "transitions:"))
         assert result.ok
         model = result.model
+        space = explore_space(model, initial_configuration(model))
         out = check_migration_termination(
-            explore_space(model, initial_configuration(model)), target_version=1,
+            space, target_version=1,
             sk=McPalSkeleton(evolution_role="none", hibernating_phase="none"),
         )
         assert out.verdict == "stuck"
+        assert out.state in space.deadlocks
 
 
 class TestProgress:
@@ -599,8 +620,8 @@ class TestProgress:
         space = explore_space(model, config)
         for k in (1, 4, 32):
             result = check_progress(space, "X", k=k)
-            assert result.verdict == "starved"
-            assert result.starved == config  # starved already at the initial state
+            assert (result.verdict, result.component, result.k) == ("starved", "X", k)
+            assert space.state(result.state) == config  # starved already at the initial state
         assert minimal_progress_bound(space, "X") is None
 
     def test_minimal_bound_refuses_a_truncated_space(self, shop_loaded, bundles):

@@ -100,12 +100,13 @@ SAMPLES = {
                      "max_depth_hit=False)"),
     "ExplorationReport": (explorer.ExplorationReport(SPACE, BOUNDS, [("p", "holds")], [("q", 0)]),
                           "ExplorationReport(bounds=Bounds(max_states=10, max_depth=5), "
-                          "verdicts=[('p', 'holds')], violations=[('q', 0)])"),
-    "TerminationResult": (explorer.TerminationResult("cycle", 3),
-                          "TerminationResult(verdict='cycle', max_depth=3, witness=None)"),
-    "ProgressResult": (explorer.ProgressResult("starved", CONFIG),
-                       "ProgressResult(verdict='starved', starved=Configuration(detailed="
-                       "{'X': 'a'}, phases={}, model_version=2), witness=None)"),
+                          "verdicts=[('p', 'holds')], violations=[('q', 0)], "
+                          "termination=None, progress=None)"),
+    "TerminationResult": (explorer.TerminationResult("cycle", 2, state=3),
+                          "TerminationResult(verdict='cycle', target_version=2, max_depth=None, "
+                          "state=3)"),
+    "ProgressResult": (explorer.ProgressResult("starved", "X", 4, 0),
+                       "ProgressResult(verdict='starved', component='X', k=4, state=0)"),
     "PRule": (dsl.PRule(("r", None), ("X", None), T, [], None, None),
               "PRule(name=('r', None), manager=('X', None), step=Transition(source='a', "
               "action='go', target='b'), transfers=[], change=None, token=None)"),
@@ -259,6 +260,7 @@ def shop_objects(shop_loaded):
         "bounds": explorer.Bounds(),
         "report": report,
         "termination": explorer.check_migration_termination(space, loaded.version + 1),
+        "progress": explorer.check_progress(space, "Client1", 3),
         "parse result": parsed,
         "bundled model": bundle,
     }
