@@ -1,7 +1,7 @@
 """Command-line front door.
 
-Exit codes are a stable contract: 0 success, 1 parse, usage or I/O error,
-2 validation error, 3 replay divergence, 4 property violation,
+Exit codes are a stable contract: 0 success, 1 parse, usage or I/O error
+or out of memory, 2 validation error, 3 replay divergence, 4 property violation,
 5 verdict unknown because a bound was hit, 6 DOT node threshold exceeded.
 Standard output carries data; diagnostics go to standard error.  A command
 that fails raises `_Failure` where it finds the failure, and `main` writes
@@ -31,7 +31,7 @@ from .engine import (
     config_digest,
     drive,
     label_text,
-    parse_trace_steps,
+    parse_trace,
     write_trace_jsonl,
 )
 from .explorer import Bounds, check_migration_termination, check_progress, explore, explore_space
@@ -187,10 +187,15 @@ def cmd_simulate(args) -> int:
 
     if args.script:
         try:
-            steps = parse_trace_steps(Path(args.script).read_bytes().decode("utf-8"))
+            start, steps = parse_trace(Path(args.script).read_bytes().decode("utf-8"))
         except ValueError as exc:  # not UTF-8, or a line that is not a trace record
             raise _fail(EXIT_PARSE, "bad-script", args.script, f"error: {exc}")
         steps = steps if args.steps is None else steps[:args.steps]
+        if start is not None and start != config_digest(config):
+            # the recorded steps leave from another start, so the first diverges
+            first = label_text(steps[0][0]) if steps else "the start"
+            raise _fail(EXIT_REPLAY, "replay-divergence", args.script,
+                        f"replay divergence at step 0: {first}")
     else:
         if args.interactive:
             policy, limit = InteractivePolicy(_interactive_chooser), 1_000_000
@@ -237,7 +242,7 @@ def cmd_explore(args) -> int:
     try:
         report = explore(model, config, props, bounds)
     except PropertyError as exc:  # an atom names a component some explored model lacks
-        raise _fail(EXIT_VALIDATION, "property-error", args.props or args.path,
+        raise _fail(EXIT_VALIDATION, "property-error", exc.component or args.props or args.path,
                     f"error: {exc}")
     space = report.space
     if args.check_termination is not None:
@@ -443,7 +448,13 @@ def main(argv=None) -> int:
         return _report(failure, args.format)
     except OSError as exc:  # reading or writing a file, or standard output, failed
         return _report(_io_failure(exc), args.format)
-    return code
+    except MemoryError:  # written below, since leaving the handler frees the
+        pass  # traceback and so the frames that hold what filled memory
+    else:
+        return code
+    return _report(_fail(EXIT_PARSE, "out-of-memory", args.command,
+                         f"error: {args.command} ran out of memory; a lower --max-states "
+                         "bounds an exploration"), args.format)
 
 
 def _drop_stdout() -> None:

@@ -60,7 +60,7 @@ def statespace_dot(space: Space, threshold: int = 500) -> str:
         detailed = ",".join(f"{c}={s}" for c, s in sorted(config.detailed.items()))
         label = f"#{idx} v{config.model_version}\\n{detailed}"
         lines.append(f"  n{idx} [shape=box, label={_quote(label)}];")
-    for src, label, dst in space.edges:
+    for src, label, dst in zip(space.edge_src, space.edge_label, space.edge_dst):
         lines.append(f"  n{src} -> n{dst} [label={_quote(label_text(label))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

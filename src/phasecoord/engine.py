@@ -779,17 +779,19 @@ _DIGEST = re.compile(r"[0-9a-fA-F]{16}")  # a recorded step digest
 _decode = json.JSONDecoder().raw_decode  # the decoder `json.loads` uses
 
 
-def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
-    """(label, digest) of each step of an exported JSON-lines trace, in order.
-    Raises ValueError naming the 1-based line of the first record that is not
-    a trace record or whose step digest is not 16 hex digits.  Every record
-    has a `label` key; only the first may hold null (the initial record).
+def parse_trace(text: str) -> tuple[Optional[int], list[tuple[StepLabel, int]]]:
+    """The digest recorded for the start of an exported JSON-lines trace
+    (None when its first record is a step, or has no `digest` key) and the
+    (label, digest) of each step, in order.  Raises ValueError naming the
+    1-based line of the first record that is not a trace record or whose
+    digest is not 16 hex digits.  Every record has a `label` key; only the
+    first may hold null (the initial record).
 
     Each line is decoded as one JSON value; a line `raw_decode` does not take
     whole is read again by `json.loads`, for its error.  Each distinct label
     is read by `label_from_json` once, keyed by the `repr` of its JSON value,
     which tells `1` from `true`, as an equal tuple of values would not."""
-    steps = []
+    start, steps = None, []
     labels: dict[str, StepLabel] = {}
     initial = True  # the next record is the first, which may be the initial one
     for number, line in enumerate(text.split("\n"), start=1):
@@ -807,19 +809,32 @@ def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
             if label is None:
                 if not initial:
                     raise ValueError("a null label after the first record")
+                if "digest" in record:
+                    start = _recorded(record["digest"])
             else:
-                digest = record["digest"]
-                if not _DIGEST.fullmatch(digest):
-                    raise ValueError(f"digest {digest!r} is not 16 hex digits")
+                digest = _recorded(record["digest"])
                 key = repr(label)
                 step = labels.get(key)
                 if step is None:
                     step = labels[key] = label_from_json(label)
-                steps.append((step, int(digest, 16)))
+                steps.append((step, digest))
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ValueError(f"line {number}: not a trace record ({exc!r})") from exc
         initial = False
-    return steps
+    return start, steps
+
+
+def _recorded(text: str) -> int:
+    """The value of a recorded digest, 16 hex digits."""
+    if not _DIGEST.fullmatch(text):
+        raise ValueError(f"digest {text!r} is not 16 hex digits")
+    return int(text, 16)
+
+
+def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
+    """(label, digest) of each step of an exported JSON-lines trace, in order;
+    see `parse_trace`."""
+    return parse_trace(text)[1]
 
 
 def parse_trace_labels(text: str) -> list[StepLabel]:

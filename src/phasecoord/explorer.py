@@ -17,8 +17,14 @@ models with equal canonical forms have equal layouts (see `model`).
 `Space.state` decodes a configuration only for traces and exports.
 Exploration is one serial BFS: each frontier state's successors are
 computed and interned in order, so state indices, edges and reports are
-deterministic.  `Space.edges` is grouped by source, in increasing source
-order, and each source's edges are in `successors` order.
+deterministic.  Edges are kept in three flat lists, one entry per edge
+(`Space.edge_src`, `edge_label`, `edge_dst`), grouped by source, in
+increasing source order, and each source's edges in `successors` order;
+each state's parent link is one int, the index of the edge that first
+reached it.  No tuple is built per edge or per parent link, so the space
+holds about no collector-tracked object per edge: a label is the step
+object its model's step core built once (see `engine`).  `Space.edges` is a
+read-only view of the same edges as (src, label, dst) triples.
 
 `explore_space` builds a `Space`; every check below is a pure query over
 one, so a caller that asks several questions explores once, and every
@@ -74,21 +80,47 @@ class Bounds(Record):
     max_depth: int
 
 
+class Edges:
+    """The edges of a space as (src, label, dst) triples, read from its three
+    edge lists: a read-only sequence with `len`, indexing and iteration,
+    which copies nothing."""
+
+    __slots__ = ("src", "label", "dst")
+
+    def __init__(self, src: list[int], label: list[StepLabel], dst: list[int]):
+        self.src, self.label, self.dst = src, label, dst
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    def __getitem__(self, edge: int) -> tuple[int, StepLabel, int]:
+        return self.src[edge], self.label[edge], self.dst[edge]
+
+    def __iter__(self) -> Iterator[tuple[int, StepLabel, int]]:
+        return zip(self.src, self.label, self.dst)
+
+
 class Space(Record, frozen=False):
     """The explored fragment of the state space.  `explore_space` fills it;
     the cached queries (`reverse_adjacency`, `move_sources`) read a
-    finished one."""
+    finished one.  Edge `e` runs from state `edge_src[e]` to `edge_dst[e]`
+    by the step `edge_label[e]`; `edges` shows them as triples."""
 
-    __slots__ = ("models", "states", "parent", "edges", "deadlocks", "max_states_hit",
-                 "max_depth_hit", "records", "labels", "__dict__", "__weakref__")
-    _defaults = {"models": [], "states": [], "parent": [], "edges": [], "deadlocks": [],
-                 "max_states_hit": False, "max_depth_hit": False, "records": {}, "labels": {}}
+    __slots__ = ("models", "states", "parent", "edge_src", "edge_label", "edge_dst",
+                 "deadlocks", "max_states_hit", "max_depth_hit", "records", "labels",
+                 "__dict__", "__weakref__")
+    _defaults = {"models": [], "states": [], "parent": [], "edge_src": [], "edge_label": [],
+                 "edge_dst": [], "deadlocks": [], "max_states_hit": False,
+                 "max_depth_hit": False, "records": {}, "labels": {}}
     _hidden = ("records", "labels")
     models: list[StdModel]
     # per state index: (model index, slots in the layout of models[model index])
     states: list[tuple[int, tuple]]
-    parent: list[Optional[tuple[int, StepLabel]]]
-    edges: list[tuple[int, StepLabel, int]]
+    # per state index: the index of the edge that first reached it; None for the root
+    parent: list[Optional[int]]
+    edge_src: list[int]
+    edge_label: list[StepLabel]
+    edge_dst: list[int]
     deadlocks: list[int]
     max_states_hit: bool
     max_depth_hit: bool
@@ -104,6 +136,10 @@ class Space(Record, frozen=False):
 
     def state_count(self) -> int:
         return len(self.states)
+
+    @property
+    def edges(self) -> Edges:
+        return Edges(self.edge_src, self.edge_label, self.edge_dst)
 
     def state(self, idx: int) -> Configuration:
         """The configuration of state `idx`, decoded from its slots."""
@@ -129,7 +165,7 @@ class Space(Record, frozen=False):
     def reverse_adjacency(self) -> list[list[int]]:
         """Per state, the sources of its incoming edges; built once."""
         out: list[list[int]] = [[] for _ in range(len(self.states))]
-        for src, _, dst in self.edges:
+        for src, dst in zip(self.edge_src, self.edge_dst):
             out[dst].append(src)
         return out
 
@@ -138,7 +174,7 @@ class Space(Record, frozen=False):
         """Per component, the sorted states with an outgoing edge that is the
         component's own move (`engine.mover`); built in one pass."""
         out: dict[str, set[int]] = {}
-        for src, label, _ in self.edges:
+        for src, label in zip(self.edge_src, self.edge_label):
             out.setdefault(mover(label), set()).add(src)
         return {component: sorted(sources) for component, sources in out.items()}
 
@@ -147,9 +183,9 @@ class Space(Record, frozen=False):
         as (state, the label of the step that reached it) per state on it,
         read from the parent links; the root's label is None."""
         path = []
-        while (link := self.parent[state]) is not None:
-            path.append((state, link[1]))
-            state = link[0]
+        while (edge := self.parent[state]) is not None:
+            path.append((state, self.edge_label[edge]))
+            state = self.edge_src[edge]
         path.append((state, None))
         return path[::-1]
 
@@ -191,7 +227,8 @@ def explore_space(
     rejects the model, and UnknownElement when a configuration does not fit
     its model's slot layout."""
     space = Space()
-    models, states, parent, edges = space.models, space.states, space.parent, space.edges
+    models, states, parent = space.models, space.states, space.parent
+    edge_src, edge_label, edge_dst = space.edge_src, space.edge_label, space.edge_dst
     max_states = bounds.max_states
 
     # the root, always kept, is the first state of the first model
@@ -238,9 +275,11 @@ def explore_space(
                         seen.append(model_seen)
                     model_seen[slots] = dst
                     states.append((model_idx, slots))
-                    parent.append((idx, label))
+                    parent.append(len(edge_dst))  # the edge appended below
                     next_frontier.append(dst)
-                edges.append((idx, label, dst))
+                edge_src.append(idx)
+                edge_label.append(label)
+                edge_dst.append(dst)
         frontier = next_frontier
         depth += 1
     return space
@@ -267,7 +306,7 @@ class ExplorationReport(Record, frozen=False):
 
     @property
     def transitions_visited(self) -> int:
-        return len(self.space.edges)
+        return len(self.space.edge_dst)
 
     def checked(self) -> list[str]:
         """Every verdict of the report: each property's, then termination's

@@ -36,7 +36,12 @@ MAX_PREDICATE_DEPTH = 200
 
 
 class PropertyError(Exception):
-    pass
+    """A predicate that cannot be evaluated; `component` names the component
+    that an atom names and the model lacks ("" when the error blames none)."""
+
+    def __init__(self, message: str, component: str = ""):
+        super().__init__(message)
+        self.component = component
 
 
 class InState(Record):
@@ -136,10 +141,6 @@ class EventuallyAll(Record):
 PropertyExpr = Invariant | Reachable | EventuallyAll
 
 
-def _unknown_component(name: str, atom: Predicate) -> str:
-    return f"{atom.text()}: unknown component {name}"
-
-
 # A compiled predicate: a test over the slots of one model's layout.
 SlotTest = Callable[[tuple], bool]
 
@@ -154,10 +155,16 @@ def never(slots: tuple) -> bool:
     return False
 
 
-def _raising(message: str) -> SlotTest:
+def _raising(message: str, component: str = "") -> SlotTest:
     def test(slots: tuple) -> bool:
-        raise PropertyError(message)
+        raise PropertyError(message, component)
     return test
+
+
+def _unknown_component(name: str, atom: Predicate) -> SlotTest:
+    """The test of an atom naming the component `name`, which the model
+    lacks: it raises a `PropertyError` that blames the component."""
+    return _raising(f"{atom.text()}: unknown component {name}", name)
 
 
 def _slot_equals(slot: int, value: int) -> SlotTest:
@@ -174,13 +181,13 @@ def compile_predicate(pred: Predicate, model: StdModel) -> SlotTest:
     layout = model.layout
     if isinstance(pred, InState):
         if pred.component not in model.components:
-            return _raising(_unknown_component(pred.component, pred))
+            return _unknown_component(pred.component, pred)
         slot = layout.slot[pred.component]
         index = layout.index[slot].get(pred.state)
         return never if index is None else _slot_equals(slot, index)
     if isinstance(pred, InPhase):
         if pred.component not in model.components:
-            return _raising(_unknown_component(pred.component, pred))
+            return _unknown_component(pred.component, pred)
         slot = layout.slot.get((pred.component, pred.partition))
         if slot is None:
             return never
@@ -190,7 +197,7 @@ def compile_predicate(pred: Predicate, model: StdModel) -> SlotTest:
         pairs = []
         for comp, state in pred.pairs:
             if comp not in model.components:
-                return _raising(_unknown_component(comp, pred))
+                return _unknown_component(comp, pred)
             slot = layout.slot[comp]
             index = layout.index[slot].get(state)
             if index is not None:  # an unknown state never counts

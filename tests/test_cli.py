@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,9 @@ from phasecoord import changeset, cli, dsl, engine, explorer, model
 from phasecoord.bundled import get_bundled
 from phasecoord.cli import main
 from tests.genmodels import chain_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
 
 FLAGSHIP = ("explore", "shop-migration", "--load-migration", "ShopMigr",
             "--check-termination", "3", "--check-progress", "16")
@@ -106,9 +110,60 @@ def test_failures_match_golden_bytes(capsys, monkeypatch, fmt, case, exit_code, 
 
 
 def test_every_failure_golden_has_its_case():
+    # no argument list runs out of memory in-process: that case is made below
     names = {path.name for path in GOLDEN_DIR.glob("fail-*")}
-    assert names == {f"fail-{case}.{ext}" for case, _, _ in FAILURE_CASES
-                     for ext in ("txt", "json")}
+    assert names == {f"fail-{case}.{ext}" for case in [c for c, _, _ in FAILURE_CASES]
+                     + ["out-of-memory"] for ext in ("txt", "json")}
+
+
+@pytest.fixture
+def exhausted(monkeypatch):
+    """`explore_space` runs out of memory while its frame holds a space;
+    the list gets a weak reference to that space."""
+    spaces = []
+
+    def explore_space(*args, **kwargs):
+        space = explorer.Space()
+        spaces.append(weakref.ref(space))
+        raise MemoryError
+
+    monkeypatch.setattr(explorer, "explore_space", explore_space)
+    return spaces
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_out_of_memory_matches_golden_bytes(capsys, exhausted, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, "explore", "prodcons")
+    assert (code, out) == (1, "")
+    assert err == (GOLDEN_DIR / f"fail-out-of-memory.{'txt' if fmt == 'text' else 'json'}").read_text()
+
+
+def test_out_of_memory_frees_the_failed_frames_before_writing(capsys, monkeypatch, exhausted):
+    alive = []
+    report = cli._report
+    monkeypatch.setattr(cli, "_report", lambda failure, fmt: (
+        alive.append([ref() is not None for ref in exhausted]), report(failure, fmt))[1])
+    assert run_cli(capsys, "explore", "prodcons")[0] == 1
+    assert alive == [[False]]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_running_out_of_memory_in_a_process_is_a_diagnostic(tmp_path):
+    # cs-nondet with 13 workers keeps 167,936 states in about 120 MB; under a
+    # 64 MB address space (about 25 MB once the command line is imported)
+    # the exploration runs out of memory within about a second
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    path = tmp_path / "cs-nondet-13.pdm"
+    path.write_text(scaler.scale_cs_nondet(get_bundled("cs-nondet").model_text(), 13))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "phasecoord.cli", "explore", str(path)],
+                          env=env, capture_output=True, text=True, preexec_fn=limit)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (GOLDEN_DIR / "fail-out-of-memory.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("demo", "--help")])
@@ -272,6 +327,39 @@ class TestSimulate:
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN_DIR / "trace-shop-migration-loaded.jsonl").read_bytes()
         assert json.loads(out.splitlines()[-1])["modelVersion"] == 3
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("digest, steps, exit_code, text", [
+        ("12345", 3, 1, "error: line 1: not a trace record "
+                        "(ValueError(\"digest '12345' is not 16 hex digits\"))"),
+        ("0" * 16, 3, 3, "replay divergence at step 0: detailed Producer: Making-produce->Full"),
+        ("0" * 16, 0, 3, "replay divergence at step 0: the start"),
+    ], ids=["not-16-hex-digits", "another-start", "another-start-alone"])
+    def test_a_replay_checks_the_recorded_start(self, tmp_path, capsys, fmt, digest, steps,
+                                                exit_code, text):
+        lines = (GOLDEN_DIR / "simulate-prodcons.jsonl").read_text("utf-8").splitlines()
+        script = tmp_path / "start.jsonl"
+        script.write_text("\n".join([json.dumps(dict(json.loads(lines[0]), digest=digest)),
+                                     *lines[1:steps + 1]]) + "\n")
+        code, out, err = run_cli(capsys, "--format", fmt, "simulate", "prodcons",
+                                 "--script", str(script))
+        assert (code, out) == (exit_code, "")
+        if fmt == "text":
+            assert err == text + "\n"
+        else:
+            code_name = "bad-script" if exit_code == 1 else "replay-divergence"
+            assert [(d["code"], d["owner"], d["detail"]) for d in json.loads(err)] == [
+                (code_name, str(script), text.removeprefix("error: "))]
+
+    def test_a_start_record_without_a_digest_is_not_checked(self, tmp_path, capsys):
+        lines = (GOLDEN_DIR / "simulate-prodcons.jsonl").read_text("utf-8").splitlines()
+        start = json.loads(lines[0])
+        del start["digest"]
+        script = tmp_path / "start.jsonl"
+        script.write_text("\n".join([json.dumps(start), *lines[1:4]]) + "\n")
+        code, out, err = run_cli(capsys, "simulate", "prodcons", "--script", str(script))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines[:4]
 
     @pytest.mark.parametrize("argv, sha256, versions", [
         (("shop-migration", "--load-migration", "ShopMigr", "--seed", "11"),
@@ -1067,18 +1155,22 @@ def test_reader_gone_after_one_line_is_an_error_exit_1():
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_standard_output_failing_after_a_failure_adds_its_io_error_exit_1(fmt):
+def test_standard_output_failing_after_a_failure_adds_its_io_error_exit_1(tmp_path, fmt):
     # the divergence is found while the start record still waits in standard
-    # output's buffer, whose flush then finds the pipe without a reader
+    # output's buffer, whose flush then finds the pipe without a reader: the
+    # script's start is prodcons's, and its first step's digest is not
+    start, first = (GOLDEN_DIR / "simulate-prodcons.jsonl").read_text("utf-8").splitlines()[:2]
+    script = tmp_path / "diverging.jsonl"
+    script.write_text(start + "\n" + json.dumps(dict(json.loads(first), digest="0" * 16)) + "\n")
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     done = subprocess.run([sys.executable, "-m", "phasecoord.cli", "--format", fmt, "simulate",
-                           "prodcons", "--script", "tests/golden/simulate-cs-nondet.jsonl"],
+                           "prodcons", "--script", str(script)],
                           cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
     os.close(write_end)
-    divergence = (GOLDEN_DIR / "fail-replay-divergence.txt").read_text()
+    divergence = "replay divergence at step 0: detailed Producer: Making-produce->Full\n"
     assert done.returncode == 1
     if fmt == "text":
         assert done.stderr == divergence + "error: [Errno 32] Broken pipe\n"

@@ -1,0 +1,71 @@
+"""Counted work and memory of the explorer, pinned as bounds in states and
+edges rather than as times.
+
+Each count is taken on cs-nondet scaled to N workers (`perfbench/scaler.py`),
+whose states and edges have closed forms.  A warm-up exploration of the same
+model object first fills the caches the model keeps for every later walk
+(its step core and canonical form), so the measured exploration counts only
+what the space itself holds.
+"""
+
+import gc
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from phasecoord.bundled import get_bundled
+from phasecoord.dsl import parse_model
+from phasecoord.explorer import explore_space
+from phasecoord.model import initial_configuration
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
+
+SIZES = (6, 7, 8, 9)
+# The space keeps per edge three list entries (source, label, destination:
+# ints and a label its model built once) and per state one int parent link,
+# so about no collector-tracked object per edge (1.19-1.27 when each edge
+# and parent link was a tuple).
+MAX_TRACKED_PER_EDGE = 0.05
+# Bytes the space keeps per state at N=9 (about 500; 796 with tuples).
+MAX_BYTES_PER_STATE = 600
+
+
+def _warm_model(n):
+    """The scaled model and its start, after one exploration of them."""
+    result = parse_model(scaler.scale_cs_nondet(get_bundled("cs-nondet").model_text(), n))
+    assert result.ok, result.diagnostics
+    model = result.model
+    start = initial_configuration(model)
+    explore_space(model, start)
+    return model, start
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_the_space_keeps_about_no_tracked_object_per_edge(n):
+    model, start = _warm_model(n)
+    gc.collect()
+    before = len(gc.get_objects())
+    space = explore_space(model, start)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert (space.state_count(), len(space.edges)) == (scaler.expected_states(n),
+                                                       scaler.expected_edges(n))
+    assert tracked / len(space.edges) < MAX_TRACKED_PER_EDGE
+
+
+def test_the_space_keeps_few_bytes_per_state():
+    n = SIZES[-1]
+    model, start = _warm_model(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        space = explore_space(model, start)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert space.state_count() == scaler.expected_states(n)
+    assert kept / space.state_count() < MAX_BYTES_PER_STATE

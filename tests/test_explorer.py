@@ -463,12 +463,13 @@ BROKEN_BRIDGE_LASSOS = {
 def lasso(space, state):
     """The steps, as (label, digest), of a lasso through `state`: the stem
     is `space.trace_to(state)`, and the loop extends it, taking each state's
-    first edge (`(at,)` sorts before every edge of `at`), until a state
-    repeats.  From a `cycle` result's state, no step leaves the states from
-    which completion is unreachable, so the loop avoids completion."""
+    first edge (edges are grouped by source, in increasing source order),
+    until a state repeats.  From a `cycle` result's state, no step leaves
+    the states from which completion is unreachable, so the loop avoids
+    completion."""
     steps, on_loop, at = list(space.trace_to(state).steps), {state}, state
     while True:
-        _, label, at = space.edges[bisect_left(space.edges, (at,))]
+        _, label, at = space.edges[bisect_left(space.edge_src, at)]
         steps.append((label, config_digest(space.state(at))))
         if at in on_loop:
             return steps
@@ -548,11 +549,21 @@ class TestTermination:
         for space in spaces:
             multi_model += len(space.models) > 1
             edges += len(space.edges)
-            sources = [src for src, _, _ in space.edges]
-            assert sources == sorted(sources)
-            for (src, label, _), (nxt_src, nxt_label, _) in zip(space.edges, space.edges[1:]):
+            sources, labels = space.edge_src, space.edge_label
+            assert [src for src, _, _ in space.edges] == sources == sorted(sources)
+            for src, label, nxt_src, nxt_label in zip(sources, labels, sources[1:], labels[1:]):
                 assert src != nxt_src or successor_order(label) < successor_order(nxt_label)
         assert multi_model >= 10 and edges > 2500
+
+    def test_edges_are_a_view_of_the_edge_lists_and_parents_name_first_edges(self, shop_loaded):
+        space = explore_space(*shop_loaded)
+        edges, triples = space.edges, list(zip(space.edge_src, space.edge_label, space.edge_dst))
+        assert len(edges) == len(triples) > space.state_count() and list(edges) == triples
+        assert [edges[e] for e in range(-len(edges), len(edges))] == triples * 2
+        first: dict[int, int] = {}
+        for edge, dst in enumerate(space.edge_dst):
+            first.setdefault(dst, edge)
+        assert space.parent == [None] + [first[idx] for idx in range(1, space.state_count())]
 
     def test_space_without_the_coordinator_raises_unknown_element(self, bundles, shop_loaded):
         # no migration to terminate: a diagnostic, not a `cycle`

@@ -131,3 +131,32 @@ def test_mutated_scripts_end_in_a_contract_exit_code(tmp_path, capsys, fmt):
         codes.add(code)
     # unreadable records, divergent steps, and edits a replay never reads
     assert codes == {0, 1, 3}
+
+
+@FORMATS
+def test_mutated_start_records_end_in_a_contract_exit_code(tmp_path, capsys, fmt):
+    # edits of the first record alone, half of them inside its digest, which
+    # a replay checks against the start it replays from; 10 steps follow it
+    path = tmp_path / "mutant.jsonl"
+    rng = random.Random(23)
+    traces = {}
+    for name in SCRIPTS:
+        lines = (GOLDEN / name).read_text("utf-8").splitlines(keepends=True)
+        traces[name] = lines[0].rstrip("\n"), "".join(lines[1:11])
+    codes = set()
+    for _ in range(200):
+        name = rng.choice(sorted(SCRIPTS))
+        start, rest = traces[name]
+        for _ in range(rng.randint(1, 3)):
+            digest = re.search(r'"digest": "([^"]*)"', start)
+            if digest and rng.random() < 0.5:
+                pos = rng.randrange(*digest.span(1))
+            else:
+                pos = rng.randrange(len(start) + 1)
+            start = edit(rng, start, pos, SCRIPT_ALPHABET)
+        path.write_text(start + "\n" + rest, "utf-8")
+        code = run(capsys, fmt, "simulate", *SCRIPTS[name], "--script", str(path))
+        assert code in (0, 1, 3), (name, start)
+        codes.add(code)
+    # unreadable start records, other starts, and edits a replay never reads
+    assert codes == {0, 1, 3}

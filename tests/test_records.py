@@ -28,7 +28,7 @@ IN_PHASE = properties.InPhase("X", "R", "P")
 BOUNDS = explorer.Bounds(10, 5)
 DIAGNOSTIC = model.Diagnostic("unknown-state", "X", "z", "why", 3, 4)
 # the hidden fields hold something, so that `repr` and `==` are seen to skip it
-SPACE = explorer.Space([], [(0, (2, 0))], [None], [(0, DSTEP, 0)], [0], True, False,
+SPACE = explorer.Space([], [(0, (2, 0))], [None], [0], [DSTEP], [0], [0], True, False,
                        {0: {}}, {"k": "v"})
 
 # One record of every class, with the `repr` its dataclass gave.
@@ -94,10 +94,10 @@ SAMPLES = {
                      "BundledModel(name='shop-migration', model_file='shop_migration.pdm', "
                      "props_file='shop_migration.pprop', fragment_var='ShopMigr')"),
     "Bounds": (BOUNDS, "Bounds(max_states=10, max_depth=5)"),
-    "Space": (SPACE, "Space(models=[], states=[(0, (2, 0))], parent=[None], edges=[(0, "
-                     "DetailedStep(component='X', transition=Transition(source='a', "
-                     "action='go', target='b')), 0)], deadlocks=[0], max_states_hit=True, "
-                     "max_depth_hit=False)"),
+    "Space": (SPACE, "Space(models=[], states=[(0, (2, 0))], parent=[None], edge_src=[0], "
+                     "edge_label=[DetailedStep(component='X', transition=Transition("
+                     "source='a', action='go', target='b'))], edge_dst=[0], deadlocks=[0], "
+                     "max_states_hit=True, max_depth_hit=False)"),
     "ExplorationReport": (explorer.ExplorationReport(SPACE, BOUNDS, [("p", "holds")], [("q", 0)]),
                           "ExplorationReport(bounds=Bounds(max_states=10, max_depth=5), "
                           "verdicts=[('p', 'holds')], violations=[('q', 0)], "
