@@ -196,11 +196,9 @@ def config_digest(config: Configuration) -> int:
 
     A slot-backed configuration joins that text from its layout's tables
     (`SlotLayout.key_text`) and keeps its digest in its layout's table, so
-    a state reached again costs one lookup.  Only an int version is kept:
-    slots that hold `True` or `1.0` compare equal to slots that hold `1`,
-    but their reprs differ."""
+    a state reached again costs one lookup."""
     layout, slots = config._layout, config._slots
-    if layout is None or type(slots[0]) is not int:
+    if layout is None:
         return _digest(repr(config.key()))
     table = layout.digests
     digest = table.get(slots)
@@ -428,25 +426,18 @@ class _StepCore:
         their labels, in `successors` order, and per label the (model after
         the step, None when it keeps `model`; configuration after it).  The
         first call at a state fills its entry in `table` with one
-        `successors` call; a full table is cleared first.  A state whose
-        version only equals an int (True, 1.0) is not kept, as in
-        `config_digest`."""
-        entry = self.kept(slots)
+        `successors` call; a full table is cleared first."""
+        entry = self.table.get(slots)
         if entry is None:
             succ = successors(model, Configuration.from_slots(self.layout, slots))
             entry = (
                 tuple([label for label, _, _ in succ]),
                 tuple([(None if after is model else after, config) for _, after, config in succ]),
             )
-            if type(slots[0]) is int:
-                if len(self.table) >= STEP_TABLE_CAP:
-                    self.table.clear()
-                self.table[slots] = entry
+            if len(self.table) >= STEP_TABLE_CAP:
+                self.table.clear()
+            self.table[slots] = entry
         return entry
-
-    def kept(self, slots: tuple) -> Optional[tuple[tuple, tuple]]:
-        """The entry `steps` keeps for `slots`, None when it keeps none."""
-        return self.table.get(slots) if type(slots[0]) is int else None
 
     def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
         """The slots after the component's free step along `transition`;
@@ -556,12 +547,12 @@ def _take(
 ) -> Optional[tuple[StdModel, Configuration]]:
     """The (model, configuration) after the recorded step, or None when no
     enabled step carries this label.  At a state whose steps the table
-    keeps (`_StepCore.kept`) the label is looked up among them; at any
+    keeps (`_StepCore.table`) the label is looked up among them; at any
     other only the recorded step is fired, as a replay of parsed steps
     may not meet the state again."""
     core = _core(model)
     slots = _slots(core.layout, config)
-    entry = core.kept(slots)
+    entry = core.table.get(slots)
     if entry is not None:
         labels, afters = entry
         try:
@@ -716,7 +707,7 @@ def label_from_json(data: dict) -> StepLabel:
 
 # a trace record: one JSON object, its keys sorted, on one line
 _RECORD = ('{"componentStates": {%s}, "digest": "%s", "index": %d, "label": %s, '
-           '"modelVersion": %s, "rolePhases": {%s}}\n')
+           '"modelVersion": %d, "rolePhases": {%s}}\n')
 
 
 def _record_line(
@@ -733,9 +724,7 @@ def _record_line(
     text = labels.get(label)
     if text is None:
         text = labels[label] = json.dumps(label_to_json(label), sort_keys=True)
-    version = slots[0]  # an int writes as its str, without a json.dumps per record
-    return _RECORD % (components, f"{digest:016x}", index, text,
-                      version if type(version) is int else json.dumps(version), roles)
+    return _RECORD % (components, f"{digest:016x}", index, text, slots[0], roles)
 
 
 def write_trace_jsonl(

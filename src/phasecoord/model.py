@@ -27,8 +27,10 @@ index of its state among its sorted states, then one slot per role (sorted
 (component, partition)) holds the index of its phase among the role's sorted
 phase names.  The layout's tables (`owners`, `names`, `index`) are
 indexed by slot, so a caller reads them at the slot itself.  For a model
-`validate_model` accepts they depend only on its canonical form.  A
-`Configuration` is backed either by its canonical pair key (the model
+`validate_model` accepts they depend only on its canonical form.  Its
+version is a non-negative int (else `bad-version`), and a `Configuration`
+refuses a version that is not an int, so slot 0 holds an int.  A
+configuration is backed either by its canonical pair key (the model
 version, the sorted (component, state) pairs and the sorted ((component,
 partition), phase) pairs) or by a layout and a flat tuple of slots.
 `key()`, `detailed`, `phases`, `==`, `hash`, `repr` and pickling act on the
@@ -271,9 +273,6 @@ class RoleTransfer(Record):
     def __hash__(self) -> int:
         return hash((self.component, self.partition, self.source, self.trap, self.target))
 
-    def pretty(self) -> str:
-        return f"{self.component}({self.partition}): {self.source}-{self.trap}->{self.target}"
-
 
 class ConsistencyRule(Record):
     """Atomic coordination step: a manager transition synchronized with phase
@@ -292,8 +291,8 @@ class StdModel(Record):
     """A full coordination model.
 
     `variables` holds model-level values: changeset fragments (the migration
-    rule-set container) or integers.  `version` is stamped up by every
-    changeset application.
+    rule-set container) or non-negative integers.  `version`, a non-negative
+    int, is stamped up by every changeset application.
     """
 
     __slots__ = ("components", "rules", "variables", "version", "__dict__", "__weakref__")
@@ -465,16 +464,16 @@ class Configuration:
     """Live global state: detailed state per component, current phase per role.
 
     The canonical key is (model version, (component, state) pairs sorted by
-    component, ((component, partition), phase) pairs sorted by role).  A
-    configuration holds that key, or a `SlotLayout` and the slots that encode
-    it (`from_slots`), and then decodes the key on first use.  `detailed` and
-    `phases` are read-only views of the pairs, built on first access and then
-    kept; until then their slots are unset, so building a configuration
-    stores three attributes.  Equality, hashing, `repr` and pickling are
-    those of the key.
+    component, ((component, partition), phase) pairs sorted by role).  The
+    model version is an `int`: `__init__` and `from_key` raise TypeError for
+    any other, `bool` included.  A configuration holds that key, or a
+    `SlotLayout` and the slots that encode it (`from_slots`), and then
+    decodes the key on first use.  `detailed` and `phases` build a new
+    read-only view of the pairs on each access.  Equality, hashing, `repr`
+    and pickling are those of the key.
     """
 
-    __slots__ = ("_key", "_layout", "_slots", "_detailed", "_phases")
+    __slots__ = ("_key", "_layout", "_slots")
 
     def __init__(
         self,
@@ -482,6 +481,8 @@ class Configuration:
         phases: Mapping[tuple[str, str], str],
         model_version: int = 0,
     ):
+        if type(model_version) is not int:
+            raise TypeError(f"model version {model_version!r} is not an int")
         self._key = (model_version, tuple(sorted(detailed.items())), tuple(sorted(phases.items())))
         self._layout = self._slots = None
 
@@ -489,6 +490,8 @@ class Configuration:
     def from_key(cls, key: tuple) -> "Configuration":
         """The configuration whose `key()` is `key`; the pairs must already be
         sorted, with each component and role at most once."""
+        if type(key[0]) is not int:
+            raise TypeError(f"model version {key[0]!r} is not an int")
         config = object.__new__(cls)
         config._key = key
         config._layout = config._slots = None
@@ -496,7 +499,9 @@ class Configuration:
 
     @classmethod
     def from_slots(cls, layout: SlotLayout, slots: tuple) -> "Configuration":
-        """The configuration that `slots` encode in `layout`."""
+        """The configuration that `slots` encode in `layout`.  Unchecked, as
+        it runs once per edge: the slots come from `SlotLayout.encode` or
+        from a step, so their version is an int."""
         config = object.__new__(cls)
         config._layout = layout
         config._slots = slots
@@ -522,19 +527,11 @@ class Configuration:
 
     @property
     def detailed(self) -> Mapping[str, str]:
-        try:
-            return self._detailed
-        except AttributeError:  # not read yet
-            view = self._detailed = MappingProxyType(dict(self.key()[1]))
-            return view
+        return MappingProxyType(dict(self.key()[1]))
 
     @property
     def phases(self) -> Mapping[tuple[str, str], str]:
-        try:
-            return self._phases
-        except AttributeError:  # not read yet
-            view = self._phases = MappingProxyType(dict(self.key()[2]))
-            return view
+        return MappingProxyType(dict(self.key()[2]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
@@ -740,9 +737,17 @@ def _model_diagnostics(model: StdModel) -> tuple[Diagnostic, ...]:
         if rule.name != name:
             out.append(Diagnostic("name-mismatch", name, rule.name))
         out.extend(_validate_rule(model, rule))
+    version = model.version
+    if type(version) is not int:
+        out.append(Diagnostic("bad-version", "version", type(version).__name__))
+    elif version < 0:
+        out.append(Diagnostic("bad-version", "version", "negative"))
     for name in sorted(model.variables):
         value = model.variables[name]
-        if not isinstance(value, int) and type(value).__name__ != "ChangeSet":
+        if type(value) is int:
+            if value < 0:
+                out.append(Diagnostic("bad-variable-value", name, "negative"))
+        elif type(value).__name__ != "ChangeSet":
             out.append(Diagnostic("bad-variable-value", name, type(value).__name__))
     return tuple(_sorted_diags(out))
 
@@ -779,22 +784,23 @@ def _configuration_diagnostics(model: StdModel, config: Configuration) -> list[D
                 "version-mismatch", "configuration", str(config.model_version), f"model {model.version}"
             )
         ]
+    detailed, phases = config.detailed, config.phases
     out: list[Diagnostic] = []
     for comp in sorted(model.components):
-        if comp not in config.detailed:
+        if comp not in detailed:
             out.append(Diagnostic("missing-config-entry", comp))
-    for comp in sorted(config.detailed):
+    for comp in sorted(detailed):
         std = model.components.get(comp)
         if std is None:
             out.append(Diagnostic("unknown-config-entry", comp))
             continue
-        state = config.detailed[comp]
+        state = detailed[comp]
         if state not in std.states:
             out.append(Diagnostic("unknown-state", comp, state))
             continue
         for part in std.partitions:
             role = (comp, part.name)
-            phase_name = config.phases.get(role)
+            phase_name = phases.get(role)
             if phase_name is None:
                 out.append(Diagnostic("missing-config-entry", comp, part.name))
                 continue
@@ -806,7 +812,7 @@ def _configuration_diagnostics(model: StdModel, config: Configuration) -> list[D
                 out.append(
                     Diagnostic("phase-violation", comp, part.name, f"{state} not in {phase_name}")
                 )
-    for comp, part_name in sorted(config.phases):
+    for comp, part_name in sorted(phases):
         std = model.components.get(comp)
         if std is None or std.partition_named(part_name) is None:
             out.append(Diagnostic("unknown-config-entry", comp, part_name))

@@ -20,7 +20,7 @@ from phasecoord.dsl import (
     serialize_model,
     tokenize,
 )
-from phasecoord.model import Configuration, initial_configuration, validate_model
+from phasecoord.model import Configuration, initial_configuration, replace, validate_model
 from phasecoord.properties import (
     CountInState,
     EventuallyAll,
@@ -315,6 +315,25 @@ class TestRoundTrip:
         assert config == Configuration(
             {"Lamp": "Off", "Switch": "Up", "Timer": "Idle"},
             {("Lamp", "Power"): "Free", ("Switch", "Guard"): "Open", ("Timer", "Mode"): "Once"}, 1)
+
+    def test_what_validate_model_accepts_round_trips(self, bundles):
+        """A hand-built model round-trips when `validate_model` accepts it: a
+        version or an int variable the .pdm form cannot write back (a
+        negative int or a bool, or a version that is no int) is refused."""
+        model = bundles["prodcons"].model()
+        for edge in (replace(model, version=0, variables={"zero": 0, "big": 10 ** 599}),
+                     replace(model, version=10 ** 599 - 1, variables={"one": 1})):
+            assert validate_model(edge) == []
+            reparsed = parse_model(serialize_model(edge))
+            assert reparsed.ok, reparsed.diagnostics
+            assert canonical_model(reparsed.model) == canonical_model(edge)
+        for bad, code in ((replace(model, version=-1), "bad-version"),
+                          (replace(model, version=True), "bad-version"),
+                          (replace(model, version=1.0), "bad-version"),
+                          (replace(model, variables={"v": True}), "bad-variable-value"),
+                          (replace(model, variables={"v": -3}), "bad-variable-value")):
+            assert [d.code for d in validate_model(bad)] == [code]
+            assert not parse_model(serialize_model(bad)).ok
 
     def test_empty_model_is_header_only(self):
         from phasecoord.model import StdModel

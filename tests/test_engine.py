@@ -342,6 +342,14 @@ def duplicate_partition(bundles):
     return doubled, initial_configuration(model), model.rules["admit1"]
 
 
+def bad_version(bundles):
+    """`scheduler_worker_model` whose version is True: (model, its
+    configuration at version 0, rule admit)."""
+    model = scheduler_worker_model()
+    config = Configuration({"W": "Waiting", "S": "Idle"}, {("W", "cs"): "Free"}, 0)
+    return replace(model, version=True), config, model.rules["admit"]
+
+
 REFUSING_ENTRIES = {
     "successors": lambda m, c, r: successors(m, c),
     "enabled_detailed": lambda m, c, r: enabled_detailed(m, c, r.manager),
@@ -358,8 +366,8 @@ REFUSING_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", list(REFUSING_ENTRIES))
-@pytest.mark.parametrize("build", [trap_not_connecting, duplicate_partition],
-                         ids=["trap-not-connecting", "duplicate-partition"])
+@pytest.mark.parametrize("build", [trap_not_connecting, duplicate_partition, bad_version],
+                         ids=["trap-not-connecting", "duplicate-partition", "bad-version"])
 def test_every_entry_refuses_a_rejected_model(bundles, build, entry):
     model, config, rule = build(bundles)
     diagnostics = validate_model(model)
@@ -788,14 +796,19 @@ class TestDigest:
         config_digest(Configuration.from_key(successors(model, after)[0][2].key()))
         assert model.layout.digests == table
 
-    def test_a_version_that_equals_an_int_is_not_kept(self):
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_a_version_that_is_not_an_int_is_refused(self, version):
+        """Slots that hold 1, True or 1.0 compare equal, but their reprs
+        differ, so a digest table could keep only int versions; no walk
+        meets another: the engine refuses a model that holds one before its
+        first step, as `Configuration` refuses such a version."""
         model = one_role_model()
-        slots = initial_configuration(model).slots_in(model.layout)
-        configs = [Configuration.from_slots(model.layout, (version,) + slots[1:])
-                   for version in (1, True, 1.0)]
-        for config in configs * 2:
-            assert config_digest(config) == naive_digest(config.key())
-        assert list(model.layout.digests) == [(1,) + slots[1:]]
+        config = initial_configuration(model)
+        odd = replace(model, version=version)
+        assert [d.code for d in validate_model(odd)] == ["bad-version"]
+        for entry in (successors, explore_space):
+            with pytest.raises(ModelRejected, match="model rejected: bad-version: version"):
+                entry(odd, config)
 
     def test_digest_table_holds_at_most_its_cap(self, bundles, monkeypatch):
         cap = 4

@@ -281,9 +281,17 @@ TRANSFER = RoleTransfer("X", "p", "pa", TRIV, "pa")
     (alone(X_GO, rules={"r": ConsistencyRule("s", "X", GO)}), ("name-mismatch", "r", "s")),
     (alone(X_GO, name="Y"), ("name-mismatch", "Y", "X")),
     (alone(X_GO, variables={"v": "text"}), ("bad-variable-value", "v", "str")),
+    # an int variable or a version that the .pdm form cannot write back
+    (alone(X_GO, variables={"v": True}), ("bad-variable-value", "v", "bool")),
+    (alone(X_GO, variables={"v": -3}), ("bad-variable-value", "v", "negative")),
+    (replace(alone(X_GO), version=-1), ("bad-version", "version", "negative")),
+    (replace(alone(X_GO), version=True), ("bad-version", "version", "bool")),
+    (replace(alone(X_GO), version=1.0), ("bad-version", "version", "float")),
+    (replace(alone(X_GO), version="1"), ("bad-version", "version", "str")),
 ], ids=["unknown-action", "empty-phase", "duplicate-trap", "empty-trap", "duplicate-phase",
         "duplicate-transfer-target", "unresolved-trap", "rule-name-mismatch",
-        "component-name-mismatch", "bad-variable-value"])
+        "component-name-mismatch", "bad-variable-value", "bool-variable", "negative-variable",
+        "negative-version", "bool-version", "float-version", "str-version"])
 def test_validate_model_names_the_fault(model, expected):
     assert [(d.code, d.owner, d.element) for d in validate_model(model)] == [expected]
 
@@ -367,16 +375,22 @@ class TestConfiguration:
         detailed = {"X": "A"}
         config = Configuration(detailed, {}, 0)
         detailed["X"] = "B"
-        assert config.detailed == {"X": "A"} and config.detailed is config.detailed
+        assert config.detailed == {"X": "A"}
         with pytest.raises(TypeError):
             config.detailed["X"] = "B"
         with pytest.raises(TypeError):
             config.phases[("X", "p")] = "q"
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_a_version_that_is_not_an_int_is_refused(self, version):
+        with pytest.raises(TypeError, match="is not an int"):
+            Configuration({"X": "A"}, {("X", "p"): "q"}, version)
+        with pytest.raises(TypeError, match="is not an int"):  # the unpickle path
+            Configuration.from_key((version, (("X", "A"),), ((("X", "p"), "q"),)))
+
     def test_repr_and_pickle(self):
         config = Configuration({"X": "A"}, {("X", "p"): "q"}, 1)
         assert repr(config) == "Configuration(detailed={'X': 'A'}, phases={('X', 'p'): 'q'}, model_version=1)"
-        config.detailed  # a built view is not part of the pickled value
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_slot_layout_encodes_and_decodes_the_pair_key(self):

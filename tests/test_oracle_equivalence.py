@@ -893,18 +893,33 @@ class TestWalksMatchTheOracle:
             steps, changed = steps + counts[0], changed + counts[1]
         assert steps > 10_000 and changed >= 5
 
-    def test_a_version_that_equals_an_int_is_not_kept(self, bundles, load_shop):
-        """Versions 1, True and 1.0 are equal keys, but distinct
-        configurations: after a walk from version 1 fills the tables, walks
-        from True and 1.0 still equal the oracle's, and no table keeps a
-        state whose version is not an int."""
-        cs_nondet = bundles["cs-nondet"].model()
-        for model, start in ((cs_nondet, initial_configuration(cs_nondet)), load_shop()):
-            slots = start.slots_in(model.layout)
-            for version in (1, True, 1.0):
-                config = Configuration.from_slots(model.layout, (version,) + slots[1:])
-                for seed in range(2):
-                    assert_walk_matches_oracle(model, config, seed)
-            models = {id(m): m for _, m, _ in drive(model, start, RandomPolicy(0), 300)}
-            assert all(type(kept[0]) is int for m in [model, *models.values()]
-                       for kept in engine._core(m).table)
+
+class TestVersionsAreInts:
+    """The premise that lets digest and step tables key a state by its
+    slots, where 1, True and 1.0 compare equal: every state `explore_space`
+    interns, and every configuration that `drive`, `replay` and
+    `write_trace_jsonl` reach, has an int version."""
+
+    def test_every_version_met_is_an_int(self, bundles, load_shop, count_calls):
+        digested = count_calls(engine, "config_digest")
+        systems = [(m, initial_configuration(m)) for m in (b.model() for b in bundles.values())]
+        systems.append(load_shop())
+        for seed in range(100):
+            model = random_model(seed)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            systems.append((model, random_initial(model)))
+        changed = 0
+        for model, config in systems:
+            space = explore_space(model, config, Bounds(max_states=500))
+            assert all(type(slots[0]) is int for _, slots in space.states)
+            walked = list(drive(model, config, RandomPolicy(0), 100))
+            assert all(type(after.model_version) is int for _, _, after in walked)
+            # on a new model object, whose step table `drive` did not fill
+            trace = replay(replace(model), config, [label for label, _, _ in walked])
+            assert type(trace.final_model_version) is int
+            write_trace_jsonl(model, config, trace.steps, lambda line: None)
+            changed += trace.final_model_version != config.model_version
+        assert changed >= 5
+        assert len(digested) > 5000
+        assert all(type(config.model_version) is int for (config,) in digested)

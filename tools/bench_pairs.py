@@ -12,8 +12,11 @@ reads and writes bytecode under one fresh PYTHONPYCACHEPREFIX, so that
 neither side imports `.pyc` files that its tree already held and the
 other's lacks (which moves `setup_s`).  BENCH_<pr>.json at the repository
 root receives, per workload and end-to-end metric, both sides' medians,
-their ratio (change over parent) and every raw value; `correct` of every
-run; and the machine.
+their ratio (change over parent), every raw value, and the two inputs of
+the gain test: `wins`, the number of pairs whose change run is strictly
+better than its parent run (by the metric's `better` in BENCHMARK.json),
+and `parent_iqr`, Q3 - Q1 of the parent's runs; `correct` of every run;
+and the machine.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -41,8 +45,11 @@ def parse_result(stdout: str) -> dict:
             "metrics": {name: (m["value"], m["unit"]) for name, m in last["metrics"].items()}}
 
 
-def summarize(runs: dict) -> dict:
-    """The entry of one workload from its parsed runs, {side: [result, ...]}."""
+def summarize(runs: dict, better: dict) -> dict:
+    """The entry of one workload from its parsed runs, {side: [result, ...]},
+    the i-th run of each side from pair i; `better` maps a metric's name to
+    "higher" or "lower".  A metric `better` lacks has no `wins`, and one
+    with fewer than two parent runs no `parent_iqr`."""
     entry = {"correct": {side: [r["correct"] for r in runs[side]] for side in SIDES},
              "metrics": {}}
     for name, (_, unit) in runs["parent"][0]["metrics"].items():
@@ -51,8 +58,28 @@ def summarize(runs: dict) -> dict:
         entry["metrics"][name] = {
             "unit": unit, "parent_median": parent, "change_median": change,
             "ratio": change / parent if parent else None,
+            "wins": wins(values["parent"], values["change"], better.get(name)),
+            "parent_iqr": iqr(values["parent"]),
             "parent": values["parent"], "change": values["change"]}
     return entry
+
+
+def wins(parent: list, change: list, better: Optional[str]) -> Optional[int]:
+    """The number of pairs whose change value is strictly better than its
+    parent value; None when `better` is neither "higher" nor "lower"."""
+    sign = {"higher": 1, "lower": -1}.get(better)
+    if sign is None:
+        return None
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def iqr(values: list) -> Optional[float]:
+    """Q3 - Q1 of `values` (`statistics.quantiles`, n=4); None for fewer
+    than two values."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
 def pair_order(pair: int) -> tuple:
@@ -82,6 +109,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     doc = {"parent": args.parent, "pairs": PAIRS, "seconds": seconds, "seed": 1,
            "machine": machine(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -98,7 +126,7 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(trees[side], workload, seconds,
                                                Path(tmp) / "pycache"))
                 print(f"{workload}: pair {pair + 1} of {PAIRS} done", file=sys.stderr)
-            doc["workloads"][workload] = summarize(runs)
+            doc["workloads"][workload] = summarize(runs, better)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(out)
