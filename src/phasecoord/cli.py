@@ -205,9 +205,9 @@ def cmd_simulate(args) -> int:
         steps = ((label, config_digest(after)) for label, _, after in taken)
 
     # each record is written as its step is taken, after it is looked up among
-    # the previous configuration's steps, or fired when a script's state has
-    # not been walked, and its digest checked; `main` reports a failed write
-    # (an OSError) or a divergence, once the trace file is closed
+    # the previous configuration's steps and its digest checked; `main`
+    # reports a failed write (an OSError) or a divergence, once the trace file
+    # is closed
     try:
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as out:

@@ -34,23 +34,21 @@ firing on a model object walks it; when the model half passes, the rule's
 object lives, and later firings reuse its resulting model object (see
 `_Guard.changed`).  `apply_changeset` keeps nothing.
 
-One step core serves every caller.  `successors` and `enabled_rules` take
-the enabled rules' firings from `_StepCore.fired`, one pass over the rules
-whose manager sits at their step's source; `rule_blocker` and `fire_rule`
-decide one rule through `_StepCore.fire`, which also gives the reason it
-cannot fire.  Both test a rule with its `_Guard` and fire it with
-`_StepCore._after`.  A walk reads each state's steps from its core's step
-table (`_StepCore.steps`), filled by one `successors` call the first time a
-walk meets the state: `drive` chooses among them.  `_take`, which serves
-`replay` and `write_trace_jsonl`, looks the recorded label up among them
-when the table keeps the state, and otherwise fires only the recorded
-step (`_StepCore.step`, `_StepCore.fire`), so a replay of parsed steps on
-new model objects expands no state.  The table keeps, per step, the model
-after it only when that is another model object (a changeset's), so it
-never holds the model that holds it, and is cleared when it holds
-`STEP_TABLE_CAP` states.  The explorer calls `successors` itself: a BFS
-expands each state once, so a table would only keep what it never reads
-again.
+One step core serves every caller.  `successors` takes the enabled rules'
+firings from `_StepCore.fired`, one pass over the rules whose manager sits
+at their step's source; `rule_blocker` and `fire_rule` decide one rule
+through `_StepCore.fire`, which also gives the reason it cannot fire.  Both
+test a rule with its `_Guard` and fire it with `_StepCore._after`.  Walks,
+replays, exports and the step queries read a state's steps from its core's
+step table (`_StepCore.steps`), filled by one `successors` call the first
+time any of them meets the state: `drive` chooses among them, `_take`
+(which serves `replay` and `write_trace_jsonl`) looks the recorded label up
+among them, and `enabled_detailed` and `enabled_rules` read their labels.
+The table keeps, per step, the model after it only when that is another
+model object (a changeset's), so it never holds the model that holds it,
+and is cleared when it holds `STEP_TABLE_CAP` states.  The explorer calls
+`successors` itself: a BFS expands each state once, so a table would only
+keep what it never reads again.
 
 The engine serves only a model that `validate_model` accepts, and only the
 rules that model holds.  `_core` reads the model's kept diagnostics
@@ -333,7 +331,8 @@ class _StepCore:
     and `guards_at` the same rules keyed by manager slot and then source
     state index, sorted by rule name.  `table` holds, per slots, the entry
     `steps` gives: the state's enabled steps, computed once per state while
-    the entry is kept, and never the core's own model."""
+    the entry is kept, and never the core's own model; `drive`, `_take`,
+    `enabled_detailed` and `enabled_rules` read a state's steps there."""
 
     def __init__(self, model: StdModel):
         layout = self.layout = model.layout
@@ -354,16 +353,6 @@ class _StepCore:
             (slot, {state: tuple(guards) for state, guards in by_state.items()})
             for slot, by_state in sorted(guards_at.items())
         )
-
-    def free_steps(self, slots: tuple, slot: int) -> tuple:
-        """The free steps of the component at `slot`, with their new state
-        indices, in (component, transition) order."""
-        _, get, table = self.free[slot - 1]
-        at = get(slots)
-        steps = table.get(at)
-        if steps is None:
-            steps = table[at] = self._fill(slot, at)
-        return steps
 
     def _fill(self, slot: int, at) -> tuple:
         layout = self.layout
@@ -439,17 +428,6 @@ class _StepCore:
             self.table[slots] = entry
         return entry
 
-    def step(self, slots: tuple, component: str, transition: Transition) -> Optional[tuple]:
-        """The slots after the component's free step along `transition`;
-        None when that step is not enabled."""
-        slot = self.layout.slot.get(component)
-        if slot is None:
-            return None
-        for step, state in self.free_steps(slots, slot):
-            if step.transition == transition:
-                return slots[:slot] + (state,) + slots[slot + 1:]
-        return None
-
 
 def _slots(layout: SlotLayout, config: Configuration) -> tuple:
     """The configuration's slots in `layout`; raises UnknownElement when it
@@ -476,8 +454,9 @@ def enabled_detailed(model: StdModel, config: Configuration, component: str) -> 
     core = _core(model)
     if component not in model.components:
         raise UnknownElement(component)
-    slots = _slots(core.layout, config)
-    return {step.transition for step, _ in core.free_steps(slots, core.layout.slot[component])}
+    labels, _ = core.steps(model, _slots(core.layout, config))
+    return {label.transition for label in labels
+            if isinstance(label, DetailedStep) and label.component == component}
 
 
 def _fire(
@@ -503,8 +482,8 @@ def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRul
     """Rules whose manager step, transfer guards and (if present) changeset
     are all enabled now, sorted by rule name."""
     core = _core(model)
-    fired = core.fired(model, _slots(core.layout, config))
-    return [core.guards[label.rule].rule for label, _, _ in fired]
+    labels, _ = core.steps(model, _slots(core.layout, config))
+    return [core.guards[label.rule].rule for label in labels if isinstance(label, RuleStep)]
 
 
 def fire_rule(
@@ -529,7 +508,7 @@ def successors(
     slots = _slots(core.layout, config)
     layout, from_slots = core.layout, Configuration.from_slots
     out: list[tuple[StepLabel, StdModel, Configuration]] = []
-    for slot, get, table in core.free:  # `core.free_steps`, inlined: no call per component
+    for slot, get, table in core.free:
         at = get(slots)
         steps = table.get(at)
         if steps is None:
@@ -546,27 +525,15 @@ def _take(
     model: StdModel, config: Configuration, label: StepLabel
 ) -> Optional[tuple[StdModel, Configuration]]:
     """The (model, configuration) after the recorded step, or None when no
-    enabled step carries this label.  At a state whose steps the table
-    keeps (`_StepCore.table`) the label is looked up among them; at any
-    other only the recorded step is fired, as a replay of parsed steps
-    may not meet the state again."""
+    enabled step carries this label: the label is looked up among the
+    state's steps (`_StepCore.steps`)."""
     core = _core(model)
-    slots = _slots(core.layout, config)
-    entry = core.table.get(slots)
-    if entry is not None:
-        labels, afters = entry
-        try:
-            after_model, after = afters[labels.index(label)]
-        except ValueError:
-            return None
-        return model if after_model is None else after_model, after
-    if isinstance(label, DetailedStep):
-        after = core.step(slots, label.component, label.transition)
-        return None if after is None else (model, Configuration.from_slots(core.layout, after))
-    guard = core.guards.get(label.rule)
-    if guard is None or guard.label != label:
+    labels, afters = core.steps(model, _slots(core.layout, config))
+    try:
+        after_model, after = afters[labels.index(label)]
+    except ValueError:
         return None
-    return core.fire(model, slots, guard)[1]
+    return model if after_model is None else after_model, after
 
 
 class Trace(Record):
@@ -640,9 +607,8 @@ def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace
 def replay(model: StdModel, config: Configuration, labels: Sequence[StepLabel]) -> Trace:
     """Deterministically re-execute a label sequence from a configuration;
     raises ReplayDivergence at the first label that is not enabled.  Each
-    label is looked up among the state's steps when the step table keeps
-    them, else only its step is fired (`_take`), so a replay of a walk `run`
-    took fires no step again."""
+    label is looked up among the state's steps in the step table (`_take`),
+    so a replay of a walk `run` took fires no step again."""
     initial = config
     steps: list[tuple[StepLabel, int]] = []
     for index, label in enumerate(labels):
@@ -733,8 +699,8 @@ def write_trace_jsonl(
 ) -> tuple[int, int]:
     """Pass each line of the exported JSON-lines form of the (label, digest)
     steps from `config` to `write` as soon as its step is taken (`_take`)
-    and its digest checked, so nothing accumulates; steps that `drive` took
-    are found in its step tables, not fired again.
+    and its digest checked, so nothing accumulates; steps that `drive` or
+    a replay took are found in their step tables, not fired again.
     Returns the number of steps and the final model version.  Line 0 is the
     initial configuration, each further line one step (see `_record_line`);
     a configuration that does not fit its layout raises UnknownElement
@@ -820,12 +786,6 @@ def _recorded(text: str) -> int:
     return int(text, 16)
 
 
-def parse_trace_steps(text: str) -> list[tuple[StepLabel, int]]:
-    """(label, digest) of each step of an exported JSON-lines trace, in order;
-    see `parse_trace`."""
-    return parse_trace(text)[1]
-
-
 def parse_trace_labels(text: str) -> list[StepLabel]:
-    """Labels of an exported JSON-lines trace, in order; see `parse_trace_steps`."""
-    return [label for label, _ in parse_trace_steps(text)]
+    """Labels of an exported JSON-lines trace, in order; see `parse_trace`."""
+    return [label for label, _ in parse_trace(text)[1]]

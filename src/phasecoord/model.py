@@ -60,8 +60,9 @@ TRIV = "triv"
 
 # Longest integer literal the .pdm and .pprop readers accept.  It stays
 # below 640, the lowest limit Python's int/str conversion can be set to
-# (4300 by default), so every version and bound read, and every version a
-# changeset bumps from one, can be printed.
+# (4300 by default), so every version and bound read can be printed.
+# `validate_model` refuses a longer version or int variable, so a changeset
+# that bumps a version past it is rejected.
 MAX_INT_DIGITS = 600
 
 
@@ -291,8 +292,9 @@ class StdModel(Record):
     """A full coordination model.
 
     `variables` holds model-level values: changeset fragments (the migration
-    rule-set container) or non-negative integers.  `version`, a non-negative
-    int, is stamped up by every changeset application.
+    rule-set container) or non-negative integers of at most `MAX_INT_DIGITS`
+    digits.  `version`, such an int too, is stamped up by every changeset
+    application.
     """
 
     __slots__ = ("components", "rules", "variables", "version", "__dict__", "__weakref__")
@@ -742,11 +744,16 @@ def _model_diagnostics(model: StdModel) -> tuple[Diagnostic, ...]:
         out.append(Diagnostic("bad-version", "version", type(version).__name__))
     elif version < 0:
         out.append(Diagnostic("bad-version", "version", "negative"))
+    elif version >= 10 ** MAX_INT_DIGITS:
+        out.append(Diagnostic("bad-version", "version", f"longer than {MAX_INT_DIGITS} digits"))
     for name in sorted(model.variables):
         value = model.variables[name]
         if type(value) is int:
             if value < 0:
                 out.append(Diagnostic("bad-variable-value", name, "negative"))
+            elif value >= 10 ** MAX_INT_DIGITS:
+                out.append(Diagnostic("bad-variable-value", name,
+                                      f"longer than {MAX_INT_DIGITS} digits"))
         elif type(value).__name__ != "ChangeSet":
             out.append(Diagnostic("bad-variable-value", name, type(value).__name__))
     return tuple(_sorted_diags(out))

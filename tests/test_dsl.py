@@ -319,10 +319,11 @@ class TestRoundTrip:
     def test_what_validate_model_accepts_round_trips(self, bundles):
         """A hand-built model round-trips when `validate_model` accepts it: a
         version or an int variable the .pdm form cannot write back (a
-        negative int or a bool, or a version that is no int) is refused."""
+        negative int or a bool, a version that is no int, or an int of more
+        than 600 digits) is refused."""
         model = bundles["prodcons"].model()
-        for edge in (replace(model, version=0, variables={"zero": 0, "big": 10 ** 599}),
-                     replace(model, version=10 ** 599 - 1, variables={"one": 1})):
+        for edge in (replace(model, version=0, variables={"zero": 0, "big": 10 ** 600 - 1}),
+                     replace(model, version=10 ** 600 - 1, variables={"one": 1})):
             assert validate_model(edge) == []
             reparsed = parse_model(serialize_model(edge))
             assert reparsed.ok, reparsed.diagnostics
@@ -331,7 +332,9 @@ class TestRoundTrip:
                           (replace(model, version=True), "bad-version"),
                           (replace(model, version=1.0), "bad-version"),
                           (replace(model, variables={"v": True}), "bad-variable-value"),
-                          (replace(model, variables={"v": -3}), "bad-variable-value")):
+                          (replace(model, variables={"v": -3}), "bad-variable-value"),
+                          (replace(model, version=10 ** 600), "bad-version"),
+                          (replace(model, variables={"v": 10 ** 600}), "bad-variable-value")):
             assert [d.code for d in validate_model(bad)] == [code]
             assert not parse_model(serialize_model(bad)).ok
 

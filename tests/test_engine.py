@@ -28,8 +28,8 @@ from phasecoord.engine import (
     export_trace_jsonl,
     fire_rule,
     label_from_json,
+    parse_trace,
     parse_trace_labels,
-    parse_trace_steps,
     replay,
     rule_blocker,
     run,
@@ -553,9 +553,9 @@ def expanded(calls):
 class TestStepTable:
     """Each model object's step core keeps a table from slots to that
     state's steps (`_StepCore.steps`), filled by one `successors` call the
-    first time a walk meets the state: `drive` chooses among them, and a
-    replay or an export looks each recorded label up there, or fires only
-    the recorded step at a state the table does not keep."""
+    first time a walk, a replay or an export meets the state: `drive`
+    chooses among them, and a replay or an export looks each recorded label
+    up there."""
 
     def test_a_walk_its_export_and_its_replay_expand_each_state_once(
             self, load_shop, count_calls):
@@ -573,17 +573,20 @@ class TestStepTable:
             entries = engine._core(m).table.values()
             assert entries and all(after is not m for _, afters in entries for after, _ in afters)
 
-        # a replay of the parsed labels, and an export of the parsed steps, on
-        # new model objects fire only the recorded steps and fill no entry
+        # a replay of the parsed labels on new model objects expands each
+        # state it steps from once; an export of the parsed steps right
+        # afterwards, and the walk they record, find every state in its table
         calls.clear()
         model, config = load_shop()
         assert replay(model, config, parse_trace_labels(text)).steps == trace.steps
+        replayed = expanded(calls)
+        calls.clear()
         lines = []
-        write_trace_jsonl(model, config, parse_trace_steps(text), lines.append)
+        write_trace_jsonl(model, config, parse_trace(text)[1], lines.append)
         assert "".join(lines) == text
-        assert calls == [] and engine._core(model).table == {}
         taken = list(drive(model, config, RandomPolicy(5), 300))
-        assert expanded(calls) == stepped_from(model, config, taken)
+        assert calls == []
+        assert replayed and replayed == stepped_from(model, config, taken)
 
     def test_a_walked_model_is_freed_without_the_collector(self, load_shop):
         """A table keeps the model after a step only when a changeset made
@@ -644,7 +647,7 @@ class TestParseTrace:
     ], ids=["trailing-data", "two-records", "utf8-bom", "unterminated-object"])
     def test_a_line_that_is_not_one_json_value_gives_the_json_loads_error(self, line, error):
         with pytest.raises(ValueError) as err:
-            parse_trace_steps(f"{_HEADER}\n{_RECORD}\n{line}\n")
+            parse_trace(f"{_HEADER}\n{_RECORD}\n{line}\n")[1]
         assert str(err.value) == f"line 3: not a trace record ({error})"
 
     @pytest.mark.parametrize("first, second, bad_line", [
@@ -653,7 +656,7 @@ class TestParseTrace:
     def test_a_label_is_not_shared_with_an_equal_but_different_value(self, first, second, bad_line):
         text = "\n".join([_HEADER, _rule_record(first), _rule_record(second)])
         with pytest.raises(ValueError) as err:
-            parse_trace_steps(text)
+            parse_trace(text)[1]
         assert str(err.value).startswith(f"line {bad_line}: not a trace record (ValueError('changeSet ")
 
     @pytest.mark.parametrize("record, error", [
@@ -664,22 +667,22 @@ class TestParseTrace:
     def test_a_record_without_a_label_or_with_a_null_one_after_the_first_is_refused(
             self, record, error):
         with pytest.raises(ValueError) as err:
-            parse_trace_steps(f"{_HEADER}\n{_RECORD}\n{record}\n")
+            parse_trace(f"{_HEADER}\n{_RECORD}\n{record}\n")[1]
         assert str(err.value) == f"line 3: not a trace record ({error})"
 
     def test_the_first_record_is_the_first_line_that_is_not_blank(self):
         # it may be the initial record (null label); a trace of steps alone has none
-        assert parse_trace_steps(f"\n\n{_HEADER}\n{_RECORD}\n") == parse_trace_steps(_RECORD)
-        assert len(parse_trace_steps(_RECORD)) == 1
+        assert parse_trace(f"\n\n{_HEADER}\n{_RECORD}\n")[1] == parse_trace(_RECORD)[1]
+        assert len(parse_trace(_RECORD)[1]) == 1
         with pytest.raises(ValueError) as err:
-            parse_trace_steps('\n{"x": 1}\n')
+            parse_trace('\n{"x": 1}\n')[1]
         assert str(err.value) == "line 2: not a trace record (KeyError('label'))"
 
     def test_repeated_labels_decode_as_each_one_alone(self):
         lines = (GOLDEN / "trace-shop-migration-loaded.jsonl").read_text("utf-8").splitlines()
         records = [json.loads(line) for line in lines[1:]]
         assert len({json.dumps(r["label"], sort_keys=True) for r in records}) < len(records) // 4
-        assert parse_trace_steps("\n".join(lines)) == [
+        assert parse_trace("\n".join(lines))[1] == [
             (label_from_json(r["label"]), int(r["digest"], 16)) for r in records]
 
 

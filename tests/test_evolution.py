@@ -70,6 +70,15 @@ class TestChangesets:
         assert out_config.model_version == out_model.version
         assert canonical_model(replace(out_model, version=model.version)) == canonical_model(model)
 
+    def test_a_version_bump_past_600_digits_is_rejected(self, bundles):
+        # the .pdm reader takes at most 600 digits, so the bumped model
+        # could not be written back
+        model = replace(bundles["prodcons"].model(), version=10 ** 600 - 1)
+        assert validate_model(model) == []
+        with pytest.raises(RejectedChange) as err:
+            apply_changeset(model, initial_configuration(model), ChangeSet())
+        assert err.value.diagnostics == [Diagnostic("bad-version", "version", "longer than 600 digits")]
+
     def test_disjoint_rule_addition_validates(self, bundles):
         model = bundles["cs-nondet"].model()
         config = initial_configuration(model)

@@ -288,10 +288,13 @@ TRANSFER = RoleTransfer("X", "p", "pa", TRIV, "pa")
     (replace(alone(X_GO), version=True), ("bad-version", "version", "bool")),
     (replace(alone(X_GO), version=1.0), ("bad-version", "version", "float")),
     (replace(alone(X_GO), version="1"), ("bad-version", "version", "str")),
+    (alone(X_GO, variables={"v": 10 ** 600}), ("bad-variable-value", "v", "longer than 600 digits")),
+    (replace(alone(X_GO), version=10 ** 600), ("bad-version", "version", "longer than 600 digits")),
 ], ids=["unknown-action", "empty-phase", "duplicate-trap", "empty-trap", "duplicate-phase",
         "duplicate-transfer-target", "unresolved-trap", "rule-name-mismatch",
         "component-name-mismatch", "bad-variable-value", "bool-variable", "negative-variable",
-        "negative-version", "bool-version", "float-version", "str-version"])
+        "negative-version", "bool-version", "float-version", "str-version", "long-variable",
+        "long-version"])
 def test_validate_model_names_the_fault(model, expected):
     assert [(d.code, d.owner, d.element) for d in validate_model(model)] == [expected]
 

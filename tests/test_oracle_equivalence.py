@@ -21,6 +21,7 @@ from phasecoord.engine import (
     Trace,
     config_digest,
     drive,
+    enabled_detailed,
     enabled_rules,
     export_trace_jsonl,
     fire_rule,
@@ -892,6 +893,46 @@ class TestWalksMatchTheOracle:
             counts = assert_walk_matches_oracle(model, random_initial(model), seed)
             steps, changed = steps + counts[0], changed + counts[1]
         assert steps > 10_000 and changed >= 5
+
+
+def assert_step_queries_match_the_oracle(model, config):
+    """At every state of the space bounded at 2000 states, `enabled_detailed`
+    of each component gives the transitions of that component's detailed
+    steps in `naive_steps`, and `enabled_rules` the rules it fires, in
+    order; returns the number of states and of enabled rules met."""
+    states = decoded_states(explore_space(model, config, Bounds(max_states=2000)))
+    rules = 0
+    for m, c in states:
+        steps = [identity for identity, _, _ in naive_steps(m, c)]
+        for name in m.components:
+            assert enabled_detailed(m, c, name) == {
+                step[2] for step in steps if step[:2] == ("detailed", name)}
+        enabled = enabled_rules(m, c)
+        assert enabled == [m.rules[step[1]] for step in steps if step[0] == "rule"]
+        rules += len(enabled)
+    return len(states), rules
+
+
+class TestStepQueriesMatchTheOracle:
+    """`enabled_detailed` and `enabled_rules` read the labels of a state's
+    step table entry, the one source of a state's steps outside the
+    explorer."""
+
+    def test_bundled_models(self, bundles, load_shop):
+        systems = [(m, initial_configuration(m)) for m in (b.model() for b in bundles.values())]
+        for model, config in systems + [load_shop()]:
+            states, rules = assert_step_queries_match_the_oracle(model, config)
+            assert states > 1 and rules > 0
+
+    def test_random_models(self):
+        states = rules = 0
+        for seed in range(100):
+            model = random_model(seed)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            counts = assert_step_queries_match_the_oracle(model, random_initial(model))
+            states, rules = states + counts[0], rules + counts[1]
+        assert states > 2000 and rules > 1000
 
 
 class TestVersionsAreInts:
