@@ -21,11 +21,14 @@ JSON tables (`SlotLayout.record_entries`): each line of an export
 space (`explorer.Space.trace_records`).  Per model object the engine
 compiles one `_StepCore`, kept through `model._per_object`: a table of free
 steps, which only gains entries, each a function of the model and its key,
-and one `_Guard` per rule.  A successor copies its parent's slots and
-replaces the one a detailed step changes, or the few a rule changes.  A
-configuration that does not fit the layout (an unknown component, state,
-role or phase, or a missing one) raises `UnknownElement`, naming the first
-entry that does not fit.
+and one `_Guard` per rule.  `successors` keeps one working list of the
+parent's slots per state: each free step writes its component's new state
+there and its successor takes a `tuple` copy, with the `Configuration`
+built inline, and the component's slot is put back after its steps.  A
+rule firing copies the parent's slots and writes the few it changes
+(`_Guard.apply`).  A configuration that does not fit the layout (an
+unknown component, state, role or phase, or a missing one) raises
+`UnknownElement`, naming the first entry that does not fit.
 
 A rule's changeset is applied through `changeset`, the one module that
 knows how a changeset maps a model and a configuration.  The rule's first
@@ -503,20 +506,34 @@ def successors(
     model: StdModel, config: Configuration
 ) -> list[tuple[StepLabel, StdModel, Configuration]]:
     """All enabled steps, deterministically ordered: detailed steps by
-    (component, transition), then rule firings by rule name."""
+    (component, transition), then rule firings by rule name.
+
+    The parent's slots are copied once, into a working list: a free step
+    writes its component's new state index there, and its successor's
+    configuration holds a `tuple` copy of the list, built as
+    `Configuration.from_slots` builds one but inline, with no Python call
+    per edge.  The component's slot is put back after its steps.  Then
+    `_StepCore.fired` adds the rule firings."""
     core = _core(model)
-    slots = _slots(core.layout, config)
-    layout, from_slots = core.layout, Configuration.from_slots
+    layout = core.layout
+    slots = _slots(layout, config)
+    work, new = list(slots), object.__new__
     out: list[tuple[StepLabel, StdModel, Configuration]] = []
+    append = out.append
     for slot, get, table in core.free:
         at = get(slots)
         steps = table.get(at)
         if steps is None:
             steps = table[at] = core._fill(slot, at)
         if steps:
-            head, tail = slots[:slot], slots[slot + 1:]
             for step, state in steps:
-                out.append((step, model, from_slots(layout, (*head, state, *tail))))
+                work[slot] = state
+                after = new(Configuration)  # `Configuration.from_slots`, inline
+                after._layout = layout
+                after._slots = tuple(work)
+                after._key = None
+                append((step, model, after))
+            work[slot] = slots[slot]
     out += core.fired(model, slots)
     return out
 

@@ -228,7 +228,8 @@ def explore_space(
     its model's slot layout."""
     space = Space()
     models, states, parent = space.models, space.states, space.parent
-    edge_src, edge_label, edge_dst = space.edge_src, space.edge_label, space.edge_dst
+    edge_dst = space.edge_dst
+    add_src, add_label, add_dst = space.edge_src.append, space.edge_label.append, edge_dst.append
     max_states = bounds.max_states
 
     # the root, always kept, is the first state of the first model
@@ -277,9 +278,9 @@ def explore_space(
                     states.append((model_idx, slots))
                     parent.append(len(edge_dst))  # the edge appended below
                     next_frontier.append(dst)
-                edge_src.append(idx)
-                edge_label.append(label)
-                edge_dst.append(dst)
+                add_src(idx)
+                add_label(label)
+                add_dst(dst)
         frontier = next_frontier
         depth += 1
     return space

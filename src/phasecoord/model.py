@@ -41,8 +41,8 @@ that a layout builds on its first use, without decoding
 (`SlotLayout.record_entries`).  A layout also keeps the digest of each
 of its configurations that is digested (`SlotLayout.digests`), so a state
 is hashed once.
-The engine and the explorer work on slots: a successor copies one flat
-tuple of small ints and replaces the slots its step changes.
+The engine and the explorer work on slots: a successor's flat tuple of
+small ints is its parent's with the slots its step changes rewritten.
 """
 
 from __future__ import annotations
@@ -501,9 +501,12 @@ class Configuration:
 
     @classmethod
     def from_slots(cls, layout: SlotLayout, slots: tuple) -> "Configuration":
-        """The configuration that `slots` encode in `layout`.  Unchecked, as
-        it runs once per edge: the slots come from `SlotLayout.encode` or
-        from a step, so their version is an int."""
+        """The configuration that `slots` encode in `layout`.  Unchecked: the
+        slots come from `SlotLayout.encode` or from a step, so their version
+        is an int.  `engine.successors` builds each free successor by this
+        recipe inline (a new object with `_layout`, `_slots` and `_key`
+        None), which saves a Python call per edge; the two change
+        together."""
         config = object.__new__(cls)
         config._layout = layout
         config._slots = slots

@@ -202,8 +202,13 @@ def compile_predicate(pred: Predicate, model: StdModel) -> SlotTest:
             index = layout.index[slot].get(state)
             if index is not None:  # an unknown state never counts
                 pairs.append((slot, index))
-        compare, bound, pairs = _COMPARE[pred.op], pred.bound, tuple(pairs)
-        return lambda slots: compare(sum([slots[i] == v for i, v in pairs]), bound)
+        compare, bound = _COMPARE[pred.op], pred.bound
+        idxs, values = [i for i, _ in pairs], tuple([v for _, v in pairs])
+        if len(idxs) > 1:
+            get = operator.itemgetter(*idxs)
+        else:  # `itemgetter` of fewer than two slots gives no tuple
+            get = lambda slots: [slots[i] for i in idxs]
+        return lambda slots: compare(sum(map(operator.eq, get(slots), values)), bound)
     if isinstance(pred, ModelVersionIs):
         return _slot_equals(0, pred.version)
     if isinstance(pred, Not):

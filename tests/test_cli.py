@@ -43,6 +43,11 @@ REPORT_GOLDENS = {
     # the flagship cut at 20 states: termination, progress, the invariant
     # and eventuallyAll read `unknown(bound)`
     "flagship-bounded": ((*FLAGSHIP[1:], "--max-states", "20"), 5),
+    # cs-nondet with 5 workers (272 states, 880 edges), where every worker
+    # has steps in most states: a violated invariant's 3-record trace and
+    # an eventuallyAll that holds at its bound
+    "cs-nondet-5": ((str(GOLDEN_DIR / "cs-nondet-5.pdm"), "--props",
+                     str(GOLDEN_DIR / "cs-nondet-5.pprop")), 4),
 }
 # REPORT_GOLDENS entries whose text-mode output is kept too, in
 # tests/golden/explore-NAME.stdout.txt and explore-NAME.stderr.txt
@@ -810,6 +815,10 @@ class TestExplore:
             path = tmp_path / "report.json"
             code, out, err = run_cli(capsys, "explore", *argv, "--report-out", str(path))
             assert (code, path.read_bytes()) == (exit_code, golden)
+
+    def test_scaled_golden_model_is_the_scaler_output(self):
+        assert (GOLDEN_DIR / "cs-nondet-5.pdm").read_text("utf-8") == scaler.scale_cs_nondet(
+            get_bundled("cs-nondet").model_text(), 5)
 
     @pytest.mark.parametrize("name", TEXT_REPORT_GOLDENS)
     def test_text_report_matches_golden_bytes(self, capsys, name):

@@ -13,6 +13,7 @@ import pytest
 from phasecoord import engine
 from phasecoord.changeset import canonical_model
 from phasecoord.engine import (
+    DetailedStep,
     ModelRejected,
     NotEnabled,
     UnknownElement,
@@ -55,6 +56,8 @@ from phasecoord.model import (
     validate_model,
 )
 from phasecoord.properties import (
+    COMPARATORS,
+    CountInState,
     InPhase,
     InState,
     Invariant,
@@ -195,6 +198,55 @@ class TestRandomModels:
                     break
                 _, model, config = succ[rng.randrange(len(succ))]
         assert checked > 1000
+
+
+def assert_successors_change_only_their_slots(model, config):
+    """At every reachable state (at most 300), `successors` leaves the
+    parent's slots as they were, a detailed step's successor differs from
+    its parent only in its component's slot, which holds the step's target,
+    and a rule firing without a changeset only in its manager's slot and its
+    transfers' role slots, which hold the manager step's target and the
+    target phases; returns the successors checked."""
+    checked = 0
+    for m, c in walk_all_states(model, config, limit=300, truncate=True):
+        layout = m.layout
+        slots, key = c.slots_in(layout), c.key()
+        succ = successors(m, c)
+        assert c.slots_in(layout) == slots and c.key() == key
+        for label, m2, c2 in succ:
+            if isinstance(label, DetailedStep):
+                slot = layout.slot[label.component]
+                want = {slot: layout.index[slot][label.transition.target]}
+            elif not label.changed:
+                slot = layout.slot[label.manager]
+                want = {slot: layout.index[slot][label.manager_step.target]}
+                for tr in label.transfers:
+                    role = layout.slot[(tr.component, tr.partition)]
+                    want[role] = layout.index[role][tr.target]
+            else:
+                continue
+            assert m2 is m
+            after = c2.slots_in(layout)
+            assert len(after) == len(slots)
+            assert after == tuple(want.get(i, value) for i, value in enumerate(slots)), label
+            checked += 1
+    return checked
+
+
+class TestSuccessorKernel:
+    def test_bundled_models_and_the_loaded_shop(self, bundles, shop_loaded):
+        systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
+        assert sum(assert_successors_change_only_their_slots(*system)
+                   for system in systems + [shop_loaded]) > 300
+
+    def test_random_models(self):
+        checked = 0
+        for seed in range(100):
+            model = random_model(seed)
+            if seed % 2:
+                model = with_random_changesets(seed, model)
+            checked += assert_successors_change_only_their_slots(model, random_initial(model))
+        assert checked > 500
 
 
 class TestRuleChangesets:
@@ -637,6 +689,44 @@ class TestCompiledPredicates:
                 want = [idx for idx, (m, c) in enumerate(states)
                         if sk.component in m.components and naive_eval_predicate(complete, m, c)]
                 assert list(space.where(partial(completion_test, target_version=target))) == want
+
+
+class TestCountInStateShapes:
+    """`countInState` over no known pair, one pair and repeated pairs, each
+    with every comparator and bounds around its counts, against the oracle
+    at every state of cs-nondet."""
+
+    SHAPES = {
+        "no known pair": (("Worker1", "Nowhere"), ("Worker2", "Gone")),
+        "one pair": (("Worker1", "InCS"),),
+        "repeated pairs": (("Worker1", "InCS"), ("Worker1", "InCS"), ("Worker2", "Nowhere"),
+                           ("Worker2", "Waiting")),
+    }
+
+    def test_compiled_count_matches_the_oracle(self, bundles):
+        model = bundles["cs-nondet"].model()
+        states = decoded_states(explore_space(model, initial_configuration(model)))
+        for pairs in self.SHAPES.values():
+            for op in COMPARATORS:
+                for bound in range(-1, 5):
+                    pred = CountInState(pairs, op, bound)
+                    test = compile_predicate(pred, model)
+                    for m, c in states:
+                        assert test(c.slots_in(m.layout)) == naive_eval_predicate(pred, m, c), (
+                            pred, c)
+
+    def test_each_repeated_pair_counts(self, bundles):
+        model = bundles["cs-nondet"].model()
+        space = explore_space(model, initial_configuration(model))
+        counts = Counter()
+        for name, pairs in self.SHAPES.items():
+            for bound in range(4):
+                exact = partial(compile_predicate, CountInState(pairs, "==", bound))
+                counts[name, bound] = len(list(space.where(exact)))
+        assert counts["no known pair", 0] == len(space.states)
+        assert counts["one pair", 0] + counts["one pair", 1] == len(space.states)
+        # Worker1 at InCS counts twice: with Worker2 Waiting, three times
+        assert counts["repeated pairs", 2] > 0 and counts["repeated pairs", 3] > 0
 
 
 def random_walk(model, config, seed, max_steps):
