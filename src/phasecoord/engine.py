@@ -21,14 +21,18 @@ JSON tables (`SlotLayout.record_entries`): each line of an export
 space (`explorer.Space.trace_records`).  Per model object the engine
 compiles one `_StepCore`, kept through `model._per_object`: a table of free
 steps, which only gains entries, each a function of the model and its key,
-and one `_Guard` per rule.  `successors` keeps one working list of the
-parent's slots per state: each free step writes its component's new state
-there and its successor takes a `tuple` copy, with the `Configuration`
-built inline, and the component's slot is put back after its steps.  A
-rule firing copies the parent's slots and writes the few it changes
-(`_Guard.apply`).  A configuration that does not fit the layout (an
-unknown component, state, role or phase, or a missing one) raises
-`UnknownElement`, naming the first entry that does not fit.
+and one `_Guard` per rule.  The table leaves out a component whose every
+transition is some rule's manager step, or that has none: it never takes a
+free step.  `successors` keeps one working list of the parent's slots per
+state.  Each free step, and each firing of an enabled rule without a
+changeset, writes the slots it changes there (a firing its
+`_Guard.writes`); its successor takes a `tuple` copy, with the
+`Configuration` built inline, and the written slots are put back after it.
+A firing whose rule carries a changeset copies the parent's slots and
+writes the same ones (`_Guard.apply`) before the changeset is applied.  A
+configuration that does not fit the layout (an unknown component, state,
+role or phase, or a missing one) raises `UnknownElement`, naming the first
+entry that does not fit.
 
 A rule's changeset is applied through `changeset`, the one module that
 knows how a changeset maps a model and a configuration.  The rule's first
@@ -37,14 +41,15 @@ firing on a model object walks it; when the model half passes, the rule's
 object lives, and later firings reuse its resulting model object (see
 `_Guard.changed`).  `apply_changeset` keeps nothing.
 
-One step core serves every caller.  `successors` takes the enabled rules'
-firings from `_StepCore.fired`, one pass over the rules whose manager sits
-at their step's source; `rule_blocker` and `fire_rule` decide one rule
-through `_StepCore.fire`, which also gives the reason it cannot fire.  Both
-test a rule with its `_Guard` and fire it with `_StepCore._after`.  Walks,
-replays, exports and the step queries read a state's steps from its core's
-step table (`_StepCore.steps`), filled by one `successors` call the first
-time any of them meets the state: `drive` chooses among them, `_take`
+One step core serves every caller.  `successors` fires the enabled rules
+in its own loop, one pass over the rules whose manager sits at their step's
+source; `rule_blocker` and `fire_rule` decide one rule through
+`_StepCore.fire`, which also gives the reason it cannot fire, and fire it
+with `_StepCore._after`.  Both test a rule with `_Guard.blocker` and apply
+its changeset with `_Guard.changed`.  Walks, replays, exports and the step
+queries read a state's steps from its core's step table
+(`_StepCore.steps`), filled by one `successors` call the first time any of
+them meets the state: `drive` chooses among them, `_take`
 (which serves `replay` and `write_trace_jsonl`) looks the recorded label up
 among them, and `enabled_detailed` and `enabled_rules` read their labels.
 The table keeps, per step, the model after it only when that is another
@@ -70,6 +75,7 @@ import hashlib
 import json
 import random
 import re
+from marshal import dumps
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -229,7 +235,7 @@ class _Guard:
     trap.  Every name the rule holds resolves in a model `validate_model`
     accepts."""
 
-    __slots__ = ("rule", "label", "manager", "source", "target",
+    __slots__ = ("rule", "label", "manager", "source",
                  "manager_phases", "transfers", "writes", "memo")
 
     def __init__(self, model: StdModel, rule: ConsistencyRule):
@@ -241,7 +247,6 @@ class _Guard:
         self.manager = layout.slot[rule.manager]
         states = layout.index[self.manager]
         self.source = states[rule.manager_step.source]
-        self.target = states[rule.manager_step.target]
         # per manager role: (role slot, phase indices whose phase holds the
         # manager step)
         manager_phases = []
@@ -252,8 +257,9 @@ class _Guard:
                 if rule.manager_step in part.phase_named(name).transitions)))
         self.manager_phases = tuple(manager_phases)
         # per transfer: (role slot, source phase index, component slot,
-        # state indices of the trap, its reasons)
-        transfers, writes = [], []
+        # state indices of the trap, its reasons); per slot a firing writes,
+        # the manager's and then each transfer's role: (slot, new index)
+        transfers, writes = [], [(self.manager, states[rule.manager_step.target])]
         for tr in rule.transfers:
             role = layout.slot[(tr.component, tr.partition)]
             phases, comp = layout.index[role], layout.slot[tr.component]
@@ -286,9 +292,8 @@ class _Guard:
     def apply(self, slots: tuple) -> tuple:
         """The slots after the manager step and the transfers of an enabled rule."""
         out = list(slots)
-        out[self.manager] = self.target
-        for role, target in self.writes:
-            out[role] = target
+        for slot, index in self.writes:
+            out[slot] = index
         return tuple(out)
 
     def changed(self, model: StdModel, slots: tuple) -> tuple[StdModel, Configuration]:
@@ -327,7 +332,8 @@ class _StepCore:
     """The engine's integer tables for one model object, built on first use
     and kept per model object (`_core`).
 
-    `free` holds, per component, its slot, a getter of its state and its
+    `free` holds, per component that has a transition no rule claims (no
+    other can take a free step), its slot, a getter of its state and its
     roles' phases, and the table from those to the sorted free steps there,
     each as (`DetailedStep`, new state index); entries are added on first
     use and never changed.  `guards` holds every rule compiled by name,
@@ -347,6 +353,7 @@ class _StepCore:
             (slot, itemgetter(slot, *(layout.slot[(name, part.name)]
                                       for part in model.components[name].partitions)), {})
             for slot, name in enumerate(model.component_order, 1)
+            if any((name, t) not in self._claimed for t in model.components[name].transitions)
         )
         self.guards = {name: _Guard(model, model.rules[name]) for name in sorted(model.rules)}
         guards_at: dict[int, dict[int, list[_Guard]]] = {}
@@ -370,23 +377,6 @@ class _StepCore:
             for t in std.transitions_from.get(layout.names[slot][state], ())
             if (name, t) not in claimed and all(t in phase.transitions for phase in phases)
         )
-
-    def fired(self, model: StdModel, slots: tuple) -> list[tuple[RuleStep, StdModel, Configuration]]:
-        """The (label, model, configuration) of each enabled rule's firing,
-        by rule name; a rule whose changeset is rejected is not enabled."""
-        candidates = ()
-        for slot, by_state in self.guards_at:
-            at = by_state.get(slots[slot])
-            if at:  # by rule name already; merged only when two slots contribute
-                candidates = sorted((*candidates, *at), key=lambda g: g.rule.name) if candidates else at
-        out = []
-        for guard in candidates:
-            if guard.blocker(slots) is None:
-                try:
-                    out.append((guard.label, *self._after(model, slots, guard)))
-                except RejectedChange:
-                    pass
-        return out
 
     def fire(
         self, model: StdModel, slots: tuple, guard: _Guard
@@ -508,15 +498,19 @@ def successors(
     """All enabled steps, deterministically ordered: detailed steps by
     (component, transition), then rule firings by rule name.
 
-    The parent's slots are copied once, into a working list: a free step
+    The parent's slots are copied once, into a working list.  A free step
     writes its component's new state index there, and its successor's
     configuration holds a `tuple` copy of the list, built as
     `Configuration.from_slots` builds one but inline, with no Python call
-    per edge.  The component's slot is put back after its steps.  Then
-    `_StepCore.fired` adds the rule firings."""
+    per edge; the component's slot is put back after its steps.  The rules
+    whose manager sits at their step's source are then tested by name with
+    `_Guard.blocker`.  An enabled rule without a changeset writes its
+    `_Guard.writes` into the working list in the same way, and puts them
+    back after its successor; one with a changeset goes through
+    `_Guard.changed`, and is not enabled when that raises RejectedChange."""
     core = _core(model)
     layout = core.layout
-    slots = _slots(layout, config)
+    slots = config._slots if config._layout is layout else _slots(layout, config)
     work, new = list(slots), object.__new__
     out: list[tuple[StepLabel, StdModel, Configuration]] = []
     append = out.append
@@ -534,7 +528,29 @@ def successors(
                 after._key = None
                 append((step, model, after))
             work[slot] = slots[slot]
-    out += core.fired(model, slots)
+    candidates = ()
+    for slot, by_state in core.guards_at:
+        at = by_state.get(slots[slot])
+        if at:  # by rule name already; merged only when two slots contribute
+            candidates = sorted((*candidates, *at), key=lambda g: g.rule.name) if candidates else at
+    for guard in candidates:
+        if guard.blocker(slots) is None:
+            if guard.rule.change is None:
+                writes = guard.writes
+                for slot, index in writes:
+                    work[slot] = index
+                after = new(Configuration)  # `Configuration.from_slots`, inline
+                after._layout = layout
+                after._slots = tuple(work)
+                after._key = None
+                append((guard.label, model, after))
+                for slot, _ in writes:
+                    work[slot] = slots[slot]
+            else:
+                try:
+                    append((guard.label, *guard.changed(model, guard.apply(slots))))
+                except RejectedChange:
+                    pass
     return out
 
 
@@ -761,10 +777,12 @@ def parse_trace(text: str) -> tuple[Optional[int], list[tuple[StepLabel, int]]]:
 
     Each line is decoded as one JSON value; a line `raw_decode` does not take
     whole is read again by `json.loads`, for its error.  Each distinct label
-    is read by `label_from_json` once, keyed by the `repr` of its JSON value,
-    which tells `1` from `true`, as an equal tuple of values would not."""
+    is read by `label_from_json` once, keyed by the `marshal` bytes of its
+    JSON value: equal bytes load as equal values of equal types, so `1` and
+    `true` keep apart, and an equal label written with another key order
+    only costs one more `label_from_json` call."""
     start, steps = None, []
-    labels: dict[str, StepLabel] = {}
+    labels: dict[bytes, StepLabel] = {}
     initial = True  # the next record is the first, which may be the initial one
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -785,7 +803,7 @@ def parse_trace(text: str) -> tuple[Optional[int], list[tuple[StepLabel, int]]]:
                     start = _recorded(record["digest"])
             else:
                 digest = _recorded(record["digest"])
-                key = repr(label)
+                key = dumps(label)
                 step = labels.get(key)
                 if step is None:
                     step = labels[key] = label_from_json(label)

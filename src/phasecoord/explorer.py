@@ -230,7 +230,7 @@ def explore_space(
     models, states, parent = space.models, space.states, space.parent
     edge_dst = space.edge_dst
     add_src, add_label, add_dst = space.edge_src.append, space.edge_label.append, edge_dst.append
-    max_states = bounds.max_states
+    max_states, new = bounds.max_states, object.__new__
 
     # the root, always kept, is the first state of the first model
     root = _slots(_core(model).layout, initial)  # `_core` refuses a rejected model
@@ -250,7 +250,11 @@ def explore_space(
         for idx in frontier:
             here, here_slots = states[idx]
             here_model, here_seen = models[here], seen[here]
-            succ = successors(here_model, Configuration.from_slots(here_model.layout, here_slots))
+            here_config = new(Configuration)  # `Configuration.from_slots`, inline
+            here_config._layout = here_model.layout
+            here_config._slots = here_slots
+            here_config._key = None
+            succ = successors(here_model, here_config)
             if not succ:
                 space.deadlocks.append(idx)
             # intern each successor: model index, then its slots in that

@@ -503,10 +503,11 @@ class Configuration:
     def from_slots(cls, layout: SlotLayout, slots: tuple) -> "Configuration":
         """The configuration that `slots` encode in `layout`.  Unchecked: the
         slots come from `SlotLayout.encode` or from a step, so their version
-        is an int.  `engine.successors` builds each free successor by this
-        recipe inline (a new object with `_layout`, `_slots` and `_key`
-        None), which saves a Python call per edge; the two change
-        together."""
+        is an int.  `engine.successors` builds each successor of a free
+        step or of a rule firing without a changeset by this recipe inline
+        (a new object with `_layout`, `_slots` and `_key` None), which
+        saves a Python call per edge, and `explorer.explore_space` builds
+        each state it expands so; the three change together."""
         config = object.__new__(cls)
         config._layout = layout
         config._slots = slots

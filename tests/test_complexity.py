@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from phasecoord import engine
 from phasecoord.bundled import get_bundled
 from phasecoord.dsl import parse_model
 from phasecoord.explorer import explore_space
-from phasecoord.model import initial_configuration
+from phasecoord.model import Configuration, initial_configuration
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
@@ -69,3 +70,28 @@ def test_the_space_keeps_few_bytes_per_state():
         tracemalloc.stop()
     assert space.state_count() == scaler.expected_states(n)
     assert kept / space.state_count() < MAX_BYTES_PER_STATE
+
+
+def test_rule_firings_and_expanded_states_are_built_inline(monkeypatch):
+    # cs-nondet's rules carry no changeset: each firing writes the working
+    # slot list in `engine.successors`, as a free step does, and each
+    # expanded state's configuration is built inline in `explore_space`
+    n = 6
+    model, start = _warm_model(n)
+    calls = {"from_slots": 0, "apply": 0}
+    from_slots, apply = Configuration.from_slots.__func__, engine._Guard.apply
+
+    def counted_from_slots(cls, layout, slots):
+        calls["from_slots"] += 1
+        return from_slots(cls, layout, slots)
+
+    def counted_apply(guard, slots):
+        calls["apply"] += 1
+        return apply(guard, slots)
+
+    monkeypatch.setattr(Configuration, "from_slots", classmethod(counted_from_slots))
+    monkeypatch.setattr(engine._Guard, "apply", counted_apply)
+    space = explore_space(model, start)
+    assert (space.state_count(), len(space.edges)) == (scaler.expected_states(n),
+                                                       scaler.expected_edges(n))
+    assert calls == {"from_slots": 0, "apply": 0}

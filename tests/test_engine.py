@@ -659,6 +659,12 @@ class TestParseTrace:
             parse_trace(text)[1]
         assert str(err.value).startswith(f"line {bad_line}: not a trace record (ValueError('changeSet ")
 
+    def test_an_equal_label_in_another_key_order_reads_as_equal(self):
+        reordered = ('{"label": {"transition": ["A", "go", "B"], "component": "X", '
+                     '"type": "detailed"}, "digest": "0000000000000002"}')
+        first, second = parse_trace(f"{_HEADER}\n{_RECORD}\n{reordered}\n{_RECORD}\n")[1][:2]
+        assert first[0] == second[0] and (first[1], second[1]) == (1, 2)
+
     @pytest.mark.parametrize("record, error", [
         (_RECORD.replace('"label"', '"lable"'), "KeyError('label')"),
         ('{"x": 1}', "KeyError('label')"),

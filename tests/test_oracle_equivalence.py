@@ -32,6 +32,7 @@ from phasecoord.engine import (
     successors,
     write_trace_jsonl,
 )
+from phasecoord.dsl import parse_model
 from phasecoord.explorer import Bounds, explore, explore_space
 from phasecoord.mcpal import (
     McPalSkeleton,
@@ -233,6 +234,94 @@ def assert_successors_change_only_their_slots(model, config):
     return checked
 
 
+# Boss and Clerk move only by rules and Post has no transition, so none of
+# them takes a free step.  `admit` and `back` each transfer three roles, and
+# `back` carries a changeset; each of its firings makes a new model version,
+# so the space is unbounded and walks of it are cut.  `admit` fires before
+# `file` at some states, each writing roles the other keeps.
+HAND_BUILT = """version 0;
+
+var Level = 0;
+
+component Boss {
+  states: Rest, Go, Back;
+  initial: Rest;
+  transitions:
+    Rest - go -> Go;
+    Go - back -> Back;
+    Back - rest -> Rest;
+}
+
+component Clerk {
+  states: In, Out;
+  initial: In;
+  transitions:
+    In - file -> Out;
+    Out - unfile -> In;
+}
+
+component Post {
+  states: Here;
+  initial: Here;
+  transitions:
+}
+
+component Worker[2] {
+  states: Idle, Work, Done;
+  initial: Idle;
+  transitions:
+    Idle - start -> Work;
+    Work - finish -> Done;
+    Done - reset -> Idle;
+  partition Job {
+    initial: Off;
+    phase Off {
+      states: Idle, Done;
+      transitions: Done - reset -> Idle;
+      trap idle { Idle }
+    }
+    phase On {
+      states: Idle, Work, Done;
+      transitions: Idle - start -> Work, Work - finish -> Done;
+      trap done { Done }
+    }
+  }
+  partition Log {
+    initial: Quiet;
+    phase Quiet {
+      states: Idle, Work, Done;
+      transitions: Idle - start -> Work, Work - finish -> Done, Done - reset -> Idle;
+      trap any { Idle, Work, Done }
+    }
+    phase Loud {
+      states: Idle, Work, Done;
+      transitions: Idle - start -> Work, Work - finish -> Done, Done - reset -> Idle;
+      trap any { Idle, Work, Done }
+    }
+  }
+}
+
+rule admit: Boss: Rest - go -> Go
+    * Worker1(Job): Off - idle -> On
+    * Worker2(Job): Off - idle -> On
+    * Worker1(Log): Quiet - any -> Loud;
+
+rule back: Boss: Go - back -> Back
+    * Worker1(Job): On - done -> Off
+    * Worker2(Job): On - done -> Off
+    * Worker1(Log): Loud - any -> Quiet
+    with { set Level = 1; };
+
+rule file: Clerk: In - file -> Out
+    * Worker2(Log): Quiet - any -> Loud;
+
+rule rest: Boss: Back - rest -> Rest;
+
+rule unfile: Clerk: Out - unfile -> In
+    * Worker2(Log): Loud - any -> Quiet;
+"""
+
+
 class TestSuccessorKernel:
     def test_bundled_models_and_the_loaded_shop(self, bundles, shop_loaded):
         systems = [(b.model(), initial_configuration(b.model())) for b in bundles.values()]
@@ -247,6 +336,27 @@ class TestSuccessorKernel:
                 model = with_random_changesets(seed, model)
             checked += assert_successors_change_only_their_slots(model, random_initial(model))
         assert checked > 500
+
+    def test_hand_built_model(self):
+        result = parse_model(HAND_BUILT)
+        assert result.ok, result.diagnostics
+        model = result.model
+        start = initial_configuration(model)
+        # the premise: only the workers are probed for free steps
+        layout = model.layout
+        assert [layout.owners[slot] for slot, _, _ in engine._core(model).free] == [
+            "Worker1", "Worker2"]
+        fired, together = Counter(), 0
+        for m, c in walk_all_states(model, start, limit=300, truncate=True):
+            slots, key = c.slots_in(m.layout), c.key()
+            assert naive_successors(m, c) == engine_successor_set(m, c)
+            assert c.slots_in(m.layout) == slots and c.key() == key
+            rules = [label for label, _, _ in successors(m, c) if isinstance(label, RuleStep)]
+            fired.update(label.rule for label in rules)
+            together += sum(not label.changed for label in rules) > 1
+        assert min(fired[name] for name in ("admit", "back", "file", "rest", "unfile")) > 0
+        assert together > 0
+        assert assert_successors_change_only_their_slots(model, start) > 300
 
 
 class TestRuleChangesets:
