@@ -16,12 +16,13 @@ successors out.  It works on a configuration's slots in its model's
 holds `DIGEST_TABLE_CAP`), so `run`, export's digest check and `replay` hash
 each state once; a configuration backed by its pair key is hashed each time
 and never kept.  `_record_line` writes every trace record from its layout's
-JSON tables (`SlotLayout.record_entries`): each line of an export
-(`write_trace_jsonl`), and a report's record of a state, once per explored
-space (`explorer.Space.trace_records`).  Per model object the engine
-compiles one `_StepCore`, kept through `model._per_object`: a table of free
-steps, which only gains entries, each a function of the model and its key,
-and one `_Guard` per rule.  The table leaves out a component whose every
+JSON tables (`SlotLayout.record_entries`) and its label's JSON from a fixed
+template (`_label_json`), each name escaped by the C escape `json.dumps`
+uses: each line of an export (`write_trace_jsonl`), and a report's record
+of a state, once per explored space (`explorer.Space.trace_records`).
+Per model object the engine compiles one `_StepCore`, kept through
+`model._per_object`: a table of free steps, which only gains entries, each
+a function of the model and its key, and one `_Guard` per rule.  The table leaves out a component whose every
 transition is some rule's manager step, or that has none: it never takes a
 free step.  `successors` keeps one working list of the parent's slots per
 state.  Each free step, and each firing of an enabled rule without a
@@ -50,8 +51,11 @@ its changeset with `_Guard.changed`.  Walks, replays, exports and the step
 queries read a state's steps from its core's step table
 (`_StepCore.steps`), filled by one `successors` call the first time any of
 them meets the state: `drive` chooses among them, `_take`
-(which serves `replay` and `write_trace_jsonl`) looks the recorded label up
-among them, and `enabled_detailed` and `enabled_rules` read their labels.
+(which serves `replay` and `write_trace_jsonl`) finds the recorded label
+among them by its key, and `enabled_detailed` and `enabled_rules` read
+their labels.  A label's key is the plain tuple of its fields (`_Label`),
+kept in the table beside the labels, so finding a label compares tuples
+and calls no label's `__eq__`.
 The table keeps, per step, the model after it only when that is another
 model object (a changeset's), so it never holds the model that holds it,
 and is cleared when it holds `STEP_TABLE_CAP` states.  The explorer calls
@@ -88,6 +92,7 @@ from .model import (
     SlotLayout,
     StdModel,
     Transition,
+    _json_string,
     _model_diagnostics,
     _per_object,
     validate_configuration,
@@ -122,7 +127,32 @@ class ReplayDivergence(EngineError):
         super().__init__(f"step {index}: replay diverged at {label_text(label)}")
 
 
-class DetailedStep(Record):
+class _Label:
+    """Base of the step labels.  A label's `key`, built by its constructor,
+    is the plain tuple of its fields: (component, transition) for a
+    `DetailedStep` and (rule, manager, manager_step, transfers, changed)
+    for a `RuleStep`, so keys of the two classes never compare equal.
+    Labels compare and hash by their keys, and `_take` and `_record_line`
+    look a label up by its key, which compares tuples and calls no label's
+    `__eq__`.  `key` is a slot, not a record field: no constructor takes it
+    and `repr` does not show it, and pickling, copying and `replace`
+    rebuild it through the constructor."""
+
+    __slots__ = ("key",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
+_set_key = _Label.key.__set__
+
+
+class DetailedStep(_Label, Record):
     __slots__ = ("component", "transition")
     component: str
     transition: Transition
@@ -132,17 +162,10 @@ class DetailedStep(Record):
         set_component, set_transition = self._setters
         set_component(self, component)
         set_transition(self, transition)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.component, self.transition) == (other.component, other.transition)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.component, self.transition))
+        _set_key(self, (component, transition))
 
 
-class RuleStep(Record):
+class RuleStep(_Label, Record):
     __slots__ = ("rule", "manager", "manager_step", "transfers", "changed")
     rule: str
     manager: str
@@ -150,10 +173,8 @@ class RuleStep(Record):
     transfers: tuple[RoleTransfer, ...]
     changed: bool
 
-    # `__init__`, `==` and the hash are written out, not `Record`'s, which
-    # loop over the fields or read them through an `attrgetter`: a replay
-    # builds, compares and hashes every step label it reads, and these take
-    # about half the time
+    # `__init__` is written out, not `Record`'s, which loops over the
+    # fields: a replay builds every distinct step label it reads
     def __init__(self, rule: str, manager: str, manager_step: Transition,
                  transfers: tuple[RoleTransfer, ...], changed: bool):
         set_rule, set_manager, set_manager_step, set_transfers, set_changed = self._setters
@@ -162,15 +183,7 @@ class RuleStep(Record):
         set_manager_step(self, manager_step)
         set_transfers(self, transfers)
         set_changed(self, changed)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.rule, self.manager, self.manager_step, self.transfers, self.changed)
-                    == (other.rule, other.manager, other.manager_step, other.transfers, other.changed))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rule, self.manager, self.manager_step, self.transfers, self.changed))
+        _set_key(self, (rule, manager, manager_step, transfers, changed))
 
 
 # `|`, not `typing.Union`: typing caches a Union of its arguments for the
@@ -348,7 +361,7 @@ class _StepCore:
         # the parts of the model `_fill` reads; the core keeps no reference
         # to the model itself, which holds the core
         self._components, self._claimed = model.components, model.claimed_steps
-        self.table: dict[tuple, tuple[tuple, tuple]] = {}
+        self.table: dict[tuple, tuple[tuple, tuple, tuple]] = {}
         self.free = tuple(
             (slot, itemgetter(slot, *(layout.slot[(name, part.name)]
                                       for part in model.components[name].partitions)), {})
@@ -403,17 +416,20 @@ class _StepCore:
             return guard.changed(model, out)
         return model, Configuration.from_slots(self.layout, out)
 
-    def steps(self, model: StdModel, slots: tuple) -> tuple[tuple, tuple]:
+    def steps(self, model: StdModel, slots: tuple) -> tuple[tuple, tuple, tuple]:
         """The enabled steps at `slots` of `model`, the core's own model:
-        their labels, in `successors` order, and per label the (model after
-        the step, None when it keeps `model`; configuration after it).  The
-        first call at a state fills its entry in `table` with one
-        `successors` call; a full table is cleared first."""
+        their labels, in `successors` order, the labels' keys (`_Label`) in
+        the same order, and per label the (model after the step, None when
+        it keeps `model`; configuration after it).  The first call at a
+        state fills its entry in `table` with one `successors` call; a full
+        table is cleared first."""
         entry = self.table.get(slots)
         if entry is None:
             succ = successors(model, Configuration.from_slots(self.layout, slots))
+            labels = tuple([label for label, _, _ in succ])
             entry = (
-                tuple([label for label, _, _ in succ]),
+                labels,
+                tuple([label.key for label in labels]),
                 tuple([(None if after is model else after, config) for _, after, config in succ]),
             )
             if len(self.table) >= STEP_TABLE_CAP:
@@ -447,7 +463,7 @@ def enabled_detailed(model: StdModel, config: Configuration, component: str) -> 
     core = _core(model)
     if component not in model.components:
         raise UnknownElement(component)
-    labels, _ = core.steps(model, _slots(core.layout, config))
+    labels = core.steps(model, _slots(core.layout, config))[0]
     return {label.transition for label in labels
             if isinstance(label, DetailedStep) and label.component == component}
 
@@ -475,7 +491,7 @@ def enabled_rules(model: StdModel, config: Configuration) -> list[ConsistencyRul
     """Rules whose manager step, transfer guards and (if present) changeset
     are all enabled now, sorted by rule name."""
     core = _core(model)
-    labels, _ = core.steps(model, _slots(core.layout, config))
+    labels = core.steps(model, _slots(core.layout, config))[0]
     return [core.guards[label.rule].rule for label in labels if isinstance(label, RuleStep)]
 
 
@@ -558,12 +574,15 @@ def _take(
     model: StdModel, config: Configuration, label: StepLabel
 ) -> Optional[tuple[StdModel, Configuration]]:
     """The (model, configuration) after the recorded step, or None when no
-    enabled step carries this label: the label is looked up among the
-    state's steps (`_StepCore.steps`)."""
+    enabled step carries this label: the label is found among the state's
+    steps (`_StepCore.steps`) by its key, with one `index` call that
+    compares plain tuples and calls no label's `__eq__`."""
     core = _core(model)
-    labels, afters = core.steps(model, _slots(core.layout, config))
+    layout = core.layout
+    slots = config._slots if config._layout is layout else _slots(layout, config)
+    _, keys, afters = core.steps(model, slots)
     try:
-        after_model, after = afters[labels.index(label)]
+        after_model, after = afters[keys.index(label.key)]
     except ValueError:
         return None
     return model if after_model is None else after_model, after
@@ -616,7 +635,9 @@ def drive(
     again is not expanded again."""
     for _ in range(max_steps):
         core = _core(model)
-        labels, afters = core.steps(model, _slots(core.layout, config))
+        layout = core.layout
+        slots = config._slots if config._layout is layout else _slots(layout, config)
+        labels, _, afters = core.steps(model, slots)
         if not labels:
             return
         choice = policy.choose(labels)
@@ -640,8 +661,8 @@ def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace
 def replay(model: StdModel, config: Configuration, labels: Sequence[StepLabel]) -> Trace:
     """Deterministically re-execute a label sequence from a configuration;
     raises ReplayDivergence at the first label that is not enabled.  Each
-    label is looked up among the state's steps in the step table (`_take`),
-    so a replay of a walk `run` took fires no step again."""
+    label is found by its key among the state's steps in the step table
+    (`_take`), so a replay of a walk `run` took fires no step again."""
     initial = config
     steps: list[tuple[StepLabel, int]] = []
     for index, label in enumerate(labels):
@@ -686,9 +707,13 @@ def _names(value: object, count: int) -> list[str]:
 
 def label_from_json(data: dict) -> StepLabel:
     """The label of an exported trace record; raises ValueError (or KeyError
-    or TypeError) when a field is missing or a name is not a JSON string."""
-    if data["type"] == "detailed":
+    or TypeError) when a field is missing, its `type` is neither "detailed"
+    nor "rule", or a name is not a JSON string."""
+    kind = data["type"]
+    if kind == "detailed":
         return DetailedStep(_name(data["component"]), Transition(*_names(data["transition"], 3)))
+    if kind != "rule":
+        raise ValueError(f"label type {kind!r} is neither 'detailed' nor 'rule'")
     changed = data["changeSet"]
     if not isinstance(changed, bool):
         raise ValueError(f"changeSet {changed!r} is not a JSON boolean")
@@ -707,6 +732,38 @@ def label_from_json(data: dict) -> StepLabel:
 # a trace record: one JSON object, its keys sorted, on one line
 _RECORD = ('{"componentStates": {%s}, "digest": "%s", "index": %d, "label": %s, '
            '"modelVersion": %d, "rolePhases": {%s}}\n')
+# a label's JSON object, its keys sorted, with each name in place
+_DETAILED = '{"component": %s, "transition": [%s, %s, %s], "type": "detailed"}'
+_RULE = ('{"changeSet": %s, "manager": %s, "managerStep": [%s, %s, %s], "rule": %s, '
+         '"transfers": [%s], "type": "rule"}')
+_TRANSFER = "[%s, %s, %s, %s, %s]"
+
+
+def _label_json(label: Optional[StepLabel]) -> str:
+    """`json.dumps(label_to_json(label), sort_keys=True)`, filled into a
+    fixed template with each name escaped by the C escape `json.dumps`
+    uses (`model._json_string`).  A label with a name that is not a `str`
+    is written by that `json.dumps` call, which raises its TypeError for a
+    name JSON cannot write; a `changed` that is not a bool is written by
+    `json.dumps` alone."""
+    if label is None:
+        return "null"
+    quote = _json_string
+    try:
+        if isinstance(label, DetailedStep):
+            return _DETAILED % (quote(label.component), *map(quote, label.transition))
+        changed = label.changed
+        changed = (("true" if changed else "false") if changed.__class__ is bool
+                   else json.dumps(changed))
+        transfers = ", ".join([
+            _TRANSFER % (quote(t.component), quote(t.partition), quote(t.source), quote(t.trap),
+                         quote(t.target))
+            for t in label.transfers
+        ])
+        return _RULE % (changed, quote(label.manager), *map(quote, label.manager_step),
+                        quote(label.rule), transfers)
+    except TypeError:  # a name that is not a `str`
+        return json.dumps(label_to_json(label), sort_keys=True)
 
 
 def _record_line(
@@ -714,15 +771,19 @@ def _record_line(
     config: Configuration, digest: int,
 ) -> str:
     """The trace record of `config` reached by `label` (None for the first):
-    its line of the exported JSON-lines form.  `labels` keeps the JSON text
-    of each distinct label across the calls it is passed to.  Raises
-    UnknownElement when `config` does not fit the model's layout."""
+    its line of the exported JSON-lines form, with the bytes
+    `json.dumps(record, sort_keys=True)` gives.  `labels` keeps the JSON
+    text of each distinct label (`_label_json`) across the calls it is
+    passed to, keyed by the label's key, so finding it calls no label's
+    `__eq__`.  Raises UnknownElement when `config` does not fit the
+    model's layout."""
     layout = model.layout
-    slots = _slots(layout, config)
+    slots = config._slots if config._layout is layout else _slots(layout, config)
     components, roles = layout.record_entries(slots)
-    text = labels.get(label)
+    key = None if label is None else label.key
+    text = labels.get(key)
     if text is None:
-        text = labels[label] = json.dumps(label_to_json(label), sort_keys=True)
+        text = labels[key] = _label_json(label)
     return _RECORD % (components, f"{digest:016x}", index, text, slots[0], roles)
 
 

@@ -124,7 +124,7 @@ class Space(Record, frozen=False):
     deadlocks: list[int]
     max_states_hit: bool
     max_depth_hit: bool
-    # filled by `trace_records`: per state its record, per label its JSON text
+    # filled by `trace_records`: per state its record, per label key its JSON text
     records: dict[int, dict]
     labels: dict
 

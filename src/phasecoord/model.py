@@ -255,8 +255,11 @@ class RoleTransfer(Record):
     trap: str
     target: str
 
-    # written out, as in `engine.RuleStep`: a replay builds, compares and
-    # hashes the transfers of every rule step it reads
+    # `__init__`, `==` and the hash are written out, not `Record`'s, which
+    # loop over the fields or read them through an `attrgetter`: a replay
+    # builds the transfers of every distinct rule step it reads, and a rule
+    # step's key (`engine._Label`) holds its transfers, so finding a label
+    # by its key and writing a trace compare and hash them
     def __init__(self, component: str, partition: str, source: str, trap: str, target: str):
         set_component, set_partition, set_source, set_trap, set_target = self._setters
         set_component(self, component)
@@ -324,6 +327,21 @@ class StdModel(Record):
     def layout(self) -> "SlotLayout":
         """The slot layout of this model's configurations."""
         return SlotLayout(self)
+
+
+# The C escape `json.dumps` writes a `str` with: the JSON string of a name,
+# quotes included, with every character outside ASCII escaped.  It raises
+# TypeError for anything that is not a `str`.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_entry(key: object, name: object) -> str:
+    """The text of the entry `json.dumps({key: name})` writes, its braces
+    left out."""
+    try:
+        return f"{_json_string(key)}: {_json_string(name)}"
+    except TypeError:  # a key or name that is not a `str`
+        return json.dumps({key: name})[1:-1]
 
 
 class SlotLayout:
@@ -410,12 +428,14 @@ class SlotLayout:
         which can differ from slot order, its slot and per phase index its
         `"C.P": "phase"` text.  Two roles can give the same key, as (A.b, c)
         and (A, b.c) do; the later in slot order keeps it, as in a dict of
-        the record.  A name JSON cannot write raises its `json.dumps` error.
-        Built on a layout's first record, since most layouts never need it."""
+        the record.  Each entry is written as `json.dumps` writes a
+        one-entry dict: two strings escaped by `_json_string`, and a name
+        that is not a `str` by that `json.dumps` call, so a name JSON
+        cannot write raises its `json.dumps` error.  Built on a layout's
+        first record, since most layouts never need it."""
         base = self.role_base
         keys = (*self.owners[1:base], *(f"{c}.{p}" for c, p in self.owners[base:]))
-        # each entry as a one-entry dict writes it, so a key is written as a key
-        texts = [tuple(json.dumps({key: name})[1:-1] for name in names)
+        texts = [tuple(_json_entry(key, name) for name in names)
                  for key, names in zip(keys, self.names[1:])]
         roles = dict(zip(keys[base - 1:], zip(range(base, len(self.owners)), texts[base - 1:])))
         return tuple(texts[:base - 1]), tuple(roles[key] for key in sorted(roles))

@@ -524,10 +524,18 @@ class TestSimulate:
         ('{"label": {"type": "rule", "rule": "x", "manager": "Producer", '
          '"managerStep": ["a", "b", "c"], "transfers": [], "changeSet": 0}, '
          '"digest": "0000000000000001"}', 2),
+        # the first two steps of `simulate prodcons --seed 1`, the rule
+        # firing's type aside: read as a rule step, they would replay
+        ('{"label": {"type": "detailed", "component": "Producer", '
+         '"transition": ["Making", "produce", "Full"]}, "digest": "9900cdac9ffced84"}\n'
+         '{"label": {"type": "bogus", "rule": "give1", "manager": "Producer", '
+         '"managerStep": ["Full", "handOff", "Making"], '
+         '"transfers": [["Consumer", "Supply", "Ask", "ready", "Take"]], "changeSet": false}, '
+         '"digest": "ce81f57b6257130f"}', 3),
     ], ids=["not-json", "rule-without-manager", "deep-nesting", "digest-missing",
             "digest-not-16-hex-digits", "component-not-a-string", "rule-not-a-string",
             "state-not-a-string", "transition-not-a-list", "transfer-field-not-a-string",
-            "transfers-not-a-list", "changeset-not-a-boolean"])
+            "transfers-not-a-list", "changeset-not-a-boolean", "type-unknown"])
     def test_malformed_script_exit_1(self, tmp_path, capsys, line, bad_line):
         script = tmp_path / "bad.jsonl"
         script.write_text('{"index": 0, "label": null}\n' + line + "\n")

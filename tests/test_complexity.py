@@ -95,3 +95,56 @@ def test_rule_firings_and_expanded_states_are_built_inline(monkeypatch):
     assert (space.state_count(), len(space.edges)) == (scaler.expected_states(n),
                                                        scaler.expected_edges(n))
     assert calls == {"from_slots": 0, "apply": 0}
+
+
+def _count_label_compares(monkeypatch):
+    """The list that collects, per call of `DetailedStep.__eq__` or
+    `RuleStep.__eq__`, the name of the label's class."""
+    calls = []
+    for cls in (engine.DetailedStep, engine.RuleStep):
+        def counted(label, other, eq=cls.__eq__, name=cls.__name__):
+            calls.append(name)
+            return eq(label, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    return calls
+
+
+def test_an_export_and_a_replay_compare_no_labels(monkeypatch, load_shop):
+    # a recorded label is found among its state's steps by its key, a plain
+    # tuple, and so is its JSON text while a trace is written
+    model, config = load_shop()
+    trace = engine.run(model, config, engine.RandomPolicy(5), 300)
+    assert len(trace) == 300 and trace.final_model_version > model.version
+    calls = _count_label_compares(monkeypatch)
+    text = engine.export_trace_jsonl(model, trace)
+    assert calls == []
+    # the parsed script on the same model objects, whose tables hold every
+    # state, and on new ones, whose tables it fills
+    steps = engine.parse_trace(text)[1]
+    for model, config in ((model, config), load_shop()):
+        assert engine.replay(model, config, [label for label, _ in steps]).steps == tuple(steps)
+        lines = []
+        engine.write_trace_jsonl(model, config, steps, lines.append)
+        assert "".join(lines) == text
+        assert calls == []
+
+
+def test_a_replay_of_many_steps_per_state_compares_no_labels(monkeypatch):
+    # cs-nondet with 30 workers: up to 30 steps at a state (about 8 along
+    # this walk), so a lookup that compared labels would compare several
+    # per step
+    text = scaler.scale_cs_nondet(get_bundled("cs-nondet").model_text(), 30)
+    model = parse_model(text).model
+    start = initial_configuration(model)
+    trace = engine.run(model, start, engine.RandomPolicy(1), 300)
+    script = engine.export_trace_jsonl(model, trace)
+    model = parse_model(text).model  # new model objects, whose tables are empty
+    calls = _count_label_compares(monkeypatch)
+    steps = engine.parse_trace(script)[1]
+    assert engine.replay(model, start, [label for label, _ in steps]).steps == tuple(steps)
+    lines = []
+    engine.write_trace_jsonl(model, start, steps, lines.append)
+    assert "".join(lines) == script and calls == []
+    entries = engine._core(model).table.values()
+    assert max(len(labels) for labels, *_ in entries) == 30

@@ -1,7 +1,9 @@
 """Step semantics: enabledness, trap entry, rule firing, runs, traces."""
 
+import copy
 import gc
 import json
+import pickle
 import random
 import re
 import weakref
@@ -571,7 +573,7 @@ class TestStepTable:
         # no entry holds the model whose table holds it
         for m in {id(m): m for m in [model, *(m for _, m, _ in taken)]}.values():
             entries = engine._core(m).table.values()
-            assert entries and all(after is not m for _, afters in entries for after, _ in afters)
+            assert entries and all(after is not m for *_, afters in entries for after, _ in afters)
 
         # a replay of the parsed labels on new model objects expands each
         # state it steps from once; an export of the parsed steps right
@@ -630,6 +632,67 @@ class TestStepTable:
             replay(model, config, [label for label, _ in steps])
             sizes.append(largest())
             assert max(sizes) == 3
+
+
+def _altered(value):
+    """Another value of a label field: a name with a letter added, a
+    transition with one name altered, the transfers with one altered or
+    dropped, the other boolean."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, str):
+        return [value + "x"]
+    if isinstance(value, Transition):
+        return [value._replace(**{name: getattr(value, name) + "x"}) for name in value._fields]
+    first, *rest = value  # the transfers
+    return [(replace(first, trap=first.trap + "x"), *rest), tuple(rest)]
+
+
+class TestLabelKeys:
+    """Labels compare, and a replay finds them, by their keys: every field
+    of each label class takes part."""
+
+    @pytest.fixture(scope="class")
+    def at_steps(self, shop_loaded):
+        """(model, configuration, label) of the first detailed step and the
+        first rule firing with a transfer on a walk of the loaded shop."""
+        model, config = shop_loaded
+        found = {}
+        for label, after_model, after in drive(model, config, RandomPolicy(5), 300):
+            if isinstance(label, DetailedStep) or label.transfers:
+                found.setdefault(type(label), (model, config, label))
+            model, config = after_model, after
+        return found
+
+    @pytest.mark.parametrize("kind", [DetailedStep, RuleStep])
+    def test_labels_that_differ_in_one_field_differ_and_do_not_replay(self, at_steps, kind):
+        model, config, label = at_steps[kind]
+        assert replay(model, config, [label]).steps[0][0] is label
+        altered = 0
+        for field in label._fields:
+            for value in _altered(getattr(label, field)):
+                other = replace(label, **{field: value})
+                assert other != label and not other == label, field
+                assert other.key != label.key, field
+                with pytest.raises(ReplayDivergence):
+                    replay(model, config, [other])
+                altered += 1
+        assert altered == {DetailedStep: 4, RuleStep: 8}[kind]
+
+    def test_a_detailed_step_never_equals_a_rule_step(self, at_steps):
+        detailed, rule = at_steps[DetailedStep][2], at_steps[RuleStep][2]
+        for a, b in ((detailed, rule), (DetailedStep(rule.rule, rule.manager_step),
+                                        replace(rule, transfers=()))):
+            assert a != b and b != a and not a == b
+            assert {a: 0}.get(b) is None
+
+    @pytest.mark.parametrize("kind", [DetailedStep, RuleStep])
+    def test_copies_are_equal_labels_with_equal_hashes(self, at_steps, kind):
+        label = at_steps[kind][2]
+        for copied in (pickle.loads(pickle.dumps(label)), copy.copy(label), replace(label)):
+            assert copied is not label and copied.key is not label.key
+            assert copied == label and copied.key == label.key
+            assert hash(copied) == hash(label) and repr(copied) == repr(label)
 
 
 def _rule_record(changed: str) -> str:

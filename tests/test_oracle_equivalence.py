@@ -900,21 +900,24 @@ def assert_report_records_agree(model, config, properties, bounds=Bounds(max_sta
     return doc
 
 
-def named_model(roles):
+def named_model(roles, tail=""):
     """A valid model whose components and partitions have the given names:
     `roles` maps each component to its partition names.  Each component
     toggles between two states, one with a non-ASCII name; each role has two
     phases holding both, and two rules claiming the step back move every role
-    of the component from one to the other."""
-    states = frozenset({"Idle", "Büsy"})
-    go, back = Transition("Idle", "go", "Büsy"), Transition("Büsy", "back", "Idle")
+    of the component from one to the other.  Every state, action, phase and
+    rule name ends with `tail`."""
+    idle, busy, go_, back_, ph1, ph2 = (name + tail for name in
+                                        ("Idle", "Büsy", "go", "back", "ph-1", "ph.2"))
+    states = frozenset({idle, busy})
+    go, back = Transition(idle, go_, busy), Transition(busy, back_, idle)
     moves = frozenset({go, back})
-    phases = (Phase("ph-1", states, moves), Phase("ph.2", states, moves))
+    phases = (Phase(ph1, states, moves), Phase(ph2, states, moves))
     components, rules = {}, {}
     for comp, parts in roles.items():
-        components[comp] = Std(comp, states, frozenset({"go", "back"}), moves, "Idle",
-                               tuple(Partition(p, phases, "ph-1") for p in parts))
-        for name, source, target in ((f"{comp}>", "ph-1", "ph.2"), (f"{comp}<", "ph.2", "ph-1")):
+        components[comp] = Std(comp, states, frozenset({go_, back_}), moves, idle,
+                               tuple(Partition(p, phases, ph1) for p in parts))
+        for name, source, target in ((f"{comp}>{tail}", ph1, ph2), (f"{comp}<{tail}", ph2, ph1)):
             transfers = tuple(RoleTransfer(comp, p, source, "triv", target) for p in parts)
             rules[name] = ConsistencyRule(name, comp, back, transfers)
     model = StdModel(components, rules, {}, 0)
@@ -980,6 +983,21 @@ class TestTraceRecords:
         lines = []
         write_trace_jsonl(model, config, run(model, config, RandomPolicy(0), 5).steps, lines.append)
         assert r'"Caf\u00e9": "Idle"' in lines[0] and r'"Say \"hi\".p": "ph-1"' in lines[0]
+
+    def test_names_that_need_every_kind_of_json_escape(self):
+        # a quote, a backslash, control characters, U+2028 and a character
+        # outside the BMP, which JSON writes as a surrogate pair
+        tail = '"\\\x00\x1f\n\u2028\U0001F600'
+        model = named_model({f"C{tail}": [f"p{tail}"], f"D{tail}": [f"p{tail}", f"q{tail}"]}, tail)
+        config = initial_configuration(model)
+        assert assert_records_agree(model, config, range(5))[0] > 0
+        taken, trace = random_walk(model, config, 0, 20)
+        assert {type(label) for label, _, _ in taken} == {DetailedStep, RuleStep}
+        lines = []
+        write_trace_jsonl(model, config, trace, lines.append)
+        assert lines == state_record_lines(config, taken)
+        escaped = r'\"\\\u0000\u001f\n\u2028\ud83d\ude00'
+        assert all(line.count(escaped) > 8 for line in lines[1:])
 
     def test_component_names_json_writes_as_keys(self):
         # JSON writes an int key as a string; `sort_keys` orders the ints
