@@ -732,6 +732,17 @@ def label_from_json(data: dict) -> StepLabel:
 # a trace record: one JSON object, its keys sorted, on one line
 _RECORD = ('{"componentStates": {%s}, "digest": "%s", "index": %d, "label": %s, '
            '"modelVersion": %d, "rolePhases": {%s}}\n')
+# `_RECORD` without its newline, its fields cut out as the writer fills them
+# (see `_read_written`): the two objects and the label as texts without an
+# inner "}", the digest as 16 lowercase hex digits, and each int as ASCII
+# digits without a leading zero, at most 640 of them (an int the decoder
+# converts whatever `sys.set_int_max_str_digits` allows)
+_WRITTEN_FIELDS = {"{%s}": r"(\{[^}]*\})", '"%s"': '"([0-9a-f]{16})"',
+                   "%d": "(?!0[0-9])[0-9]{1,640}", "%s": r"(null|\{[^}]*\})"}
+_split_record = re.compile("".join(
+    _WRITTEN_FIELDS.get(piece) or re.escape(piece)
+    for piece in re.split(r'(\{%s\}|"%s"|%[sd])', _RECORD[:-1])
+)).fullmatch
 # a label's JSON object, its keys sorted, with each name in place
 _DETAILED = '{"component": %s, "transition": [%s, %s, %s], "type": "detailed"}'
 _RULE = ('{"changeSet": %s, "manager": %s, "managerStep": [%s, %s, %s], "rule": %s, '
@@ -826,6 +837,8 @@ def export_trace_jsonl(model: StdModel, trace: Trace) -> str:
 
 _DIGEST = re.compile(r"[0-9a-fA-F]{16}")  # a recorded step digest
 _decode = json.JSONDecoder().raw_decode  # the decoder `json.loads` uses
+# what reading a line that is not a trace record raises
+_NOT_A_RECORD = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
 
 def parse_trace(text: str) -> tuple[Optional[int], list[tuple[StepLabel, int]]]:
@@ -836,43 +849,104 @@ def parse_trace(text: str) -> tuple[Optional[int], list[tuple[StepLabel, int]]]:
     digest is not 16 hex digits.  Every record has a `label` key; only the
     first may hold null (the initial record).
 
-    Each line is decoded as one JSON value; a line `raw_decode` does not take
-    whole is read again by `json.loads`, for its error.  Each distinct label
-    is read by `label_from_json` once, keyed by the `marshal` bytes of its
-    JSON value: equal bytes load as equal values of equal types, so `1` and
-    `true` keep apart, and an equal label written with another key order
-    only costs one more `label_from_json` call."""
+    A line in the form `_record_line` writes is read at its fixed keys
+    (`_read_written`): each distinct object and label text is decoded once
+    per call, and the line itself is never decoded whole.  Any other line,
+    or one of that form with a part that does not read back as the writer
+    wrote it, is decoded whole as one JSON value (`_read_decoded`), with the
+    same results and errors."""
     start, steps = None, []
-    labels: dict[bytes, StepLabel] = {}
+    labels: dict = {}  # label text (str) or `marshal` bytes of its value -> its label
+    objects = _WrittenObjects()
     initial = True  # the next record is the first, which may be the initial one
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            try:
-                record, end = _decode(line)
-            except (ValueError, RecursionError):
-                end = None
-            if end != len(line):
-                record = json.loads(line)  # raises, with the text `json.loads` gives
-            label = record["label"]
-            if label is None:
-                if not initial:
-                    raise ValueError("a null label after the first record")
-                if "digest" in record:
-                    start = _recorded(record["digest"])
-            else:
-                digest = _recorded(record["digest"])
-                key = dumps(label)
-                step = labels.get(key)
-                if step is None:
-                    step = labels[key] = label_from_json(label)
-                steps.append((step, digest))
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+            label, digest = (_read_written(line, initial, objects, labels)
+                             or _read_decoded(line, initial, labels))
+        except _NOT_A_RECORD as exc:
             raise ValueError(f"line {number}: not a trace record ({exc!r})") from exc
+        if label is None:
+            start = digest
+        else:
+            steps.append((label, digest))
         initial = False
     return start, steps
+
+
+class _WrittenObjects(dict):
+    """Per object text, whether `_decode` takes it whole."""
+
+    def __missing__(self, text: str) -> bool:
+        try:
+            whole = _decode(text)[1] == len(text)
+        except (ValueError, RecursionError):
+            whole = False
+        self[text] = whole
+        return whole
+
+
+def _read_written(
+    line: str, initial: bool, objects: _WrittenObjects, labels: dict,
+) -> Optional[tuple[Optional[StepLabel], int]]:
+    """The (label, digest) of a record `line` in the form `_record_line`
+    writes (`_split_record`), the label None for the initial record; None
+    when `line` is in another form, an object in it is not one `objects`
+    accepts, a null label is not the first record's, or its label text is
+    not the one `_label_json` writes for the label it reads as.  So a line
+    read here is one JSON object whose decode holds these parts.  Each
+    distinct label text is read once and kept in `labels`, keyed by the
+    text."""
+    written = _split_record(line)
+    if written is None:
+        return None
+    components, digest, text, roles = written.groups()
+    if not (objects[components] and objects[roles]):
+        return None
+    if text == "null":
+        return (None, int(digest, 16)) if initial else None
+    label = labels.get(text)
+    if label is None:
+        try:
+            label = label_from_json(_decode(text)[0])
+        except _NOT_A_RECORD:
+            return None
+        if _label_json(label) != text:
+            return None
+        labels[text] = label
+    return label, int(digest, 16)
+
+
+def _read_decoded(
+    line: str, initial: bool, labels: dict,
+) -> tuple[Optional[StepLabel], Optional[int]]:
+    """The (label, digest) of a record `line` decoded whole as one JSON
+    value; a line `raw_decode` does not take whole is read again by
+    `json.loads`, for its error.  The initial record's digest is None when
+    it has no `digest` key.  Each distinct label is read by
+    `label_from_json` once, kept in `labels` keyed by the `marshal` bytes
+    of its JSON value: equal bytes load as equal values of equal types, so
+    `1` and `true` keep apart, and an equal label written with another key
+    order only costs one more `label_from_json` call."""
+    try:
+        record, end = _decode(line)
+    except (ValueError, RecursionError):
+        end = None
+    if end != len(line):
+        record = json.loads(line)  # raises, with the text `json.loads` gives
+    label = record["label"]
+    if label is None:
+        if not initial:
+            raise ValueError("a null label after the first record")
+        return None, _recorded(record["digest"]) if "digest" in record else None
+    digest = _recorded(record["digest"])
+    key = dumps(label)
+    step = labels.get(key)
+    if step is None:
+        step = labels[key] = label_from_json(label)
+    return step, digest
 
 
 def _recorded(text: str) -> int:

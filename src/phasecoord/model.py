@@ -72,9 +72,12 @@ def _per_object(fact):
     name = fact.__name__
     def kept(element):
         facts = element.__dict__
-        if name not in facts:
-            facts[name] = fact(element)
-        return facts[name]
+        try:
+            return facts[name]
+        except KeyError:
+            pass  # computed outside the handler, so its errors chain no KeyError
+        value = facts[name] = fact(element)
+        return value
     return wraps(fact)(kept)
 
 

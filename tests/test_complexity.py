@@ -9,6 +9,7 @@ what the space itself holds.
 """
 
 import gc
+import json
 import sys
 import tracemalloc
 from pathlib import Path
@@ -148,3 +149,23 @@ def test_a_replay_of_many_steps_per_state_compares_no_labels(monkeypatch):
     assert "".join(lines) == script and calls == []
     entries = engine._core(model).table.values()
     assert max(len(labels) for labels, *_ in entries) == 30
+
+
+def test_a_written_trace_decodes_each_distinct_part_once(count_calls, load_shop):
+    # a line in the form the writer writes is read at its fixed keys: the
+    # decoder takes each distinct object and label text of the trace once,
+    # and never a whole line, and no label is keyed by its `marshal` bytes
+    model, config = load_shop()
+    trace = engine.run(model, config, engine.RandomPolicy(5), 300)
+    text = engine.export_trace_jsonl(model, trace)
+    decodes, marshalled = count_calls(engine, "_decode"), count_calls(engine, "dumps")
+    assert engine.parse_trace(text)[1] == list(trace.steps)
+    decoded = [text for text, *_ in decodes]
+    lines = text.splitlines()
+    records = [json.loads(line) for line in lines]
+    parts = {json.dumps(record[key], sort_keys=True)
+             for record in records for key in ("componentStates", "label", "rolePhases")
+             if record[key] is not None}
+    assert set(decoded) <= parts and len(decoded) == len(set(decoded))
+    assert not set(decoded) & set(lines) and marshalled == []
+    assert len(parts) < len(lines)

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from phasecoord import engine
 from phasecoord.changeset import ChangeSet
+from phasecoord.dsl import parse_model
 from phasecoord.engine import (
     DetailedStep,
     EngineError,
@@ -60,6 +62,8 @@ from tests.genmodels import random_initial, random_model, with_random_changesets
 from tests.oracle import naive_digest, naive_entered_traps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN.parent.parent / "perfbench"))
+import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
 
 
 def T(s, a, t):
@@ -700,6 +704,70 @@ def _rule_record(changed: str) -> str:
             f'"transfers": [], "changeSet": {changed}}}, "digest": "0000000000000001"}}')
 
 
+_WRITTEN = (GOLDEN / "trace-shop-migration-loaded.jsonl").read_text("utf-8").splitlines()
+
+
+def _label_text(line: str) -> str:
+    return re.search(r'"label": (\{[^}]*\})', line)[1]
+
+
+def _with_label(line: str, text: str) -> str:
+    return line.replace(_label_text(line), text, 1)
+
+
+def _with_digest(line: str, spell) -> str:
+    return re.sub('"digest": "([0-9a-f]+)"', lambda m: f'"digest": "{spell(m[1])}"', line)
+
+
+def _broken_components(line: str) -> str:
+    return line.replace('"}, "digest"', '", }, "digest"', 1)
+
+
+def _broken_roles(line: str) -> str:
+    return line[:-2] + ", }}"
+
+
+# one-line variants of a written step record (a detailed step at index 1)
+_VARIANTS = {
+    "broken-components": _broken_components,
+    "broken-roles": _broken_roles,
+    "broken-components-unreadable-label":
+        lambda line: _with_label(_broken_components(line), '{"type": }'),
+    "broken-roles-unreadable-label": lambda line: _with_label(_broken_roles(line), '{"type": }'),
+    "broken-components-bad-label":
+        lambda line: _with_label(_broken_components(line), '{"type": "neither"}'),
+    "broken-roles-bad-label": lambda line: _with_label(_broken_roles(line), '{"type": "neither"}'),
+    "index-01": lambda line: line.replace('"index": 1,', '"index": 01,'),
+    "index-minus-0": lambda line: line.replace('"index": 1,', '"index": -0,'),
+    "index-1e2": lambda line: line.replace('"index": 1,', '"index": 1e2,'),
+    "index-1.0": lambda line: line.replace('"index": 1,', '"index": 1.0,'),
+    "index-5000-digits": lambda line: line.replace('"index": 1,', f'"index": {"9" * 5000},'),
+    "version-641-digits":
+        lambda line: line.replace('"modelVersion": 1,', f'"modelVersion": 1{"0" * 640},'),
+    "uppercase-digest": lambda line: _with_digest(line, str.upper),
+    "escaped-digest": lambda line: _with_digest(line, lambda d: d.replace("0", "\\u0030")),
+    "15-hex-digits": lambda line: _with_digest(line, lambda d: d[1:]),
+    "17-hex-digits": lambda line: _with_digest(line, lambda d: d + "0"),
+    "name-holding-digest-key":
+        lambda line: line.replace('"Client1": "', '"Client1": "}, \\"digest\\": \\"', 1),
+    "name-holding-roles-key":
+        lambda line: line.replace('"component": "', '"component": ", \\"rolePhases\\": {', 1),
+    "nested-state": lambda line: line.replace('"Client1": "Waiting"', '"Client1": ["Waiting"]', 1),
+    "label-with-another-key":
+        lambda line: _with_label(line, _label_text(line)[:-1] + ', "x": 1}'),
+    # 2500 levels: past `marshal`'s depth limit, which the decoder reaches
+    # on Python 3.13
+    "label-nested-past-marshal": lambda line: _with_label(
+        line, _label_text(line)[:-1] + ', "x": ' + "[" * 2500 + "]" * 2500 + "}"),
+    "label-in-another-order": lambda line: _with_label(
+        line, json.dumps(dict(reversed(json.loads(_label_text(line)).items())))),
+    "null-label-after-the-first": lambda line: line + "\n" + _WRITTEN[0],
+    "trailing-data": lambda line: line + " x",
+    "utf8-bom": lambda line: "\ufeff" + line,
+    "compact-separators": lambda line: json.dumps(json.loads(line), separators=(",", ":")),
+}
+
+
 class TestParseTrace:
     @pytest.mark.parametrize("line, error", [
         (_RECORD + " x", "JSONDecodeError('Extra data: line 1 column 125 (char 124)')"),
@@ -753,6 +821,90 @@ class TestParseTrace:
         assert len({json.dumps(r["label"], sort_keys=True) for r in records}) < len(records) // 4
         assert parse_trace("\n".join(lines))[1] == [
             (label_from_json(r["label"]), int(r["digest"], 16)) for r in records]
+
+
+    def test_a_written_line_reads_as_its_whole_decode(self, monkeypatch, bundles, load_shop):
+        # every line of an export is read at its fixed keys, with the
+        # results of decoding it whole
+        read = _count_written_reads(monkeypatch)
+        for text in _written_traces(bundles, load_shop):
+            read.clear()
+            built, decoded = _readings(monkeypatch, text)
+            assert built == decoded
+            lines = text.count("\n")
+            assert read == [True] * lines + [False] * lines
+
+    @pytest.mark.parametrize("variant", list(_VARIANTS.values()), ids=list(_VARIANTS))
+    def test_a_line_in_another_form_reads_as_its_whole_decode(self, monkeypatch, variant):
+        line = variant(_WRITTEN[1])
+        assert line != _WRITTEN[1]
+        text = "\n".join([_WRITTEN[0], line, _WRITTEN[2]])
+        built, decoded = _readings(monkeypatch, text)
+        assert built == decoded
+
+    def test_a_state_nested_to_the_decoders_depth_limit_reads_as_its_whole_decode(
+            self, monkeypatch):
+        # a state value nested one level less than the decoder can take
+        # inside a line decodes alone, but not as part of that line
+        def nested(depth):
+            value = "[" * depth + "]" * depth
+            return "\n".join([_WRITTEN[0], _WRITTEN[1].replace('"Waiting"', value, 1)])
+
+        def refused(depth):
+            return _readings(monkeypatch, nested(depth))[1][0] is ValueError
+
+        low, high = 1, 1
+        while not refused(high):
+            low, high = high, high * 2
+        while high - low > 1:  # the least depth whose line the decoder refuses
+            middle = (low + high) // 2
+            low, high = (low, middle) if refused(middle) else (middle, high)
+        for depth in (high - 2, high - 1, high, high + 1):
+            built, decoded = _readings(monkeypatch, nested(depth))
+            assert built == decoded
+
+
+def _written_traces(bundles, load_shop):
+    """The exports of `run` traces: of the four bundled models, the loaded
+    shop, cs-nondet with 30 workers and `random_model(0..49)`."""
+    csn30 = parse_model(scaler.scale_cs_nondet(bundles["cs-nondet"].model_text(), 30)).model
+    starts = [(b.model(), None) for b in bundles.values()]
+    starts += [load_shop(), (csn30, None)]
+    starts += [(random_model(seed), None) for seed in range(50)]
+    for model, config in starts:
+        config = config or initial_configuration(model)
+        yield export_trace_jsonl(model, run(model, config, RandomPolicy(3), 200))
+
+
+def _readings(monkeypatch, text: str) -> tuple:
+    """What `parse_trace(text)` gives as built and with its fast path's
+    splitter matching nothing: each its (start, steps), or ValueError and
+    the error's text."""
+    def reading():
+        try:
+            return parse_trace(text)
+        except ValueError as err:
+            return ValueError, str(err)
+
+    built = reading()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_split_record", lambda line: None)
+        return built, reading()
+
+
+def _count_written_reads(monkeypatch) -> list:
+    """The list that collects, per call of `engine._read_written`, whether
+    it read the line."""
+    reads = []
+    read_written = engine._read_written
+
+    def counted(*args):
+        result = read_written(*args)
+        reads.append(result is not None)
+        return result
+
+    monkeypatch.setattr(engine, "_read_written", counted)
+    return reads
 
 
 class TestWalkInvariants:
