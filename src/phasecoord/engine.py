@@ -19,7 +19,12 @@ and never kept.  `_record_line` writes every trace record from its layout's
 JSON tables (`SlotLayout.record_entries`) and its label's JSON from a fixed
 template (`_label_json`), each name escaped by the C escape `json.dumps`
 uses: each line of an export (`write_trace_jsonl`), and a report's record
-of a state, once per explored space (`explorer.Space.trace_records`).
+of a state, once per explored space (`explorer.Space.trace_records`).  A
+state's record text around its digest, index and label is joined once per
+layout and kept in the layout's record table (`SlotLayout.records`, cut
+from `_RECORD` as a head and a tail, cleared when it holds
+`RECORD_TABLE_CAP` = 4096 states; an entry is about 0.6 KB on cs-nondet
+with 7 workers and 1.7 KB with 30), so a line is a lookup and a join.
 Per model object the engine compiles one `_StepCore`, kept through
 `model._per_object`: a table of free steps, which only gains entries, each
 a function of the model and its key, and one `_Guard` per rule.  The table leaves out a component whose every
@@ -234,6 +239,13 @@ def config_digest(config: Configuration) -> int:
 # successors, about 1.5 KB each on cs-nondet with 12 workers (tracemalloc),
 # so a table stays under about 6 MB.
 STEP_TABLE_CAP = 1 << 12
+
+# The most states one layout's record table (`SlotLayout.records`) holds: a
+# full table is cleared, as a digest table is.  An entry keeps its state's
+# record text but the digest, index and label, about 0.6 KB on cs-nondet
+# with 7 workers and 1.7 KB with 30 (tracemalloc), so a table stays under
+# about 7 MB.
+RECORD_TABLE_CAP = 1 << 12
 
 
 def _digest(text: str) -> int:
@@ -743,6 +755,12 @@ _split_record = re.compile("".join(
     _WRITTEN_FIELDS.get(piece) or re.escape(piece)
     for piece in re.split(r'(\{%s\}|"%s"|%[sd])', _RECORD[:-1])
 )).fullmatch
+# `_RECORD` cut at the fields that change per line, the digest, index and
+# label: a state's head, up to its digest, and its tail, from its model
+# version on, are filled once per layout (see `_record_line`), and the
+# literal text between those fields joins them
+_HEAD, _INDEX, _LABEL, _TAIL = re.fullmatch(
+    r'(.*"digest": ")%s(.*?)%d(.*?)%s(, "modelVersion".*)', _RECORD, re.S).groups()
 # a label's JSON object, its keys sorted, with each name in place
 _DETAILED = '{"component": %s, "transition": [%s, %s, %s], "type": "detailed"}'
 _RULE = ('{"changeSet": %s, "manager": %s, "managerStep": [%s, %s, %s], "rule": %s, '
@@ -786,16 +804,28 @@ def _record_line(
     `json.dumps(record, sort_keys=True)` gives.  `labels` keeps the JSON
     text of each distinct label (`_label_json`) across the calls it is
     passed to, keyed by the label's key, so finding it calls no label's
-    `__eq__`.  Raises UnknownElement when `config` does not fit the
-    model's layout."""
+    `__eq__`.  A state's text around the digest, index and label depends
+    only on its layout and slots: the layout's table (`SlotLayout.records`)
+    keeps it per slots as a head and a tail (`_HEAD`, `_TAIL`), filled from
+    `SlotLayout.record_entries` the first time the state is written and
+    cleared when it holds `RECORD_TABLE_CAP` states (an entry is about
+    0.6 KB on cs-nondet with 7 workers, 1.7 KB with 30).  Raises
+    UnknownElement when `config` does not fit the model's layout."""
     layout = model.layout
     slots = config._slots if config._layout is layout else _slots(layout, config)
-    components, roles = layout.record_entries(slots)
+    table = layout.records
+    pieces = table.get(slots)
+    if pieces is None:
+        if len(table) >= RECORD_TABLE_CAP:
+            table.clear()
+        components, roles = layout.record_entries(slots)
+        pieces = table[slots] = (_HEAD % components, _TAIL % (slots[0], roles))
     key = None if label is None else label.key
     text = labels.get(key)
     if text is None:
         text = labels[key] = _label_json(label)
-    return _RECORD % (components, f"{digest:016x}", index, text, slots[0], roles)
+    head, tail = pieces
+    return "".join((head, f"{digest:016x}", _INDEX, str(index), _LABEL, text, tail))
 
 
 def write_trace_jsonl(

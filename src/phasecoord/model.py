@@ -40,7 +40,11 @@ that a layout builds on its first use, without decoding
 (`SlotLayout.key_text`); so are the entries of every trace record
 (`SlotLayout.record_entries`).  A layout also keeps the digest of each
 of its configurations that is digested (`SlotLayout.digests`), so a state
-is hashed once.
+is hashed once, and the text of each written state's trace record around
+its digest, index and label (`SlotLayout.records`, cleared at
+`engine.RECORD_TABLE_CAP` = 4096 states; an entry is about 0.6 KB on
+cs-nondet with 7 workers and 1.7 KB with 30), so a state's entries are
+joined once.
 The engine and the explorer work on slots: a successor's flat tuple of
 small ints is its parent's with the slots its step changes rewritten.
 """
@@ -362,7 +366,8 @@ class SlotLayout:
     gives the `repr` of the pair key that `decode` gives, from text tables
     built on its first call; `record_entries` gives a trace record's entries
     the same way, from JSON tables.  `digests` keeps the digest of each
-    configuration digested in it."""
+    configuration digested in it, and `records` the record text of each
+    configuration written in it."""
 
     def __init__(self, model: StdModel):
         components = model.component_order
@@ -420,6 +425,15 @@ class SlotLayout:
         """Per slots, the digest of the configuration they hold, kept by
         `engine.config_digest`, which fills it and clears it when full.
         Built on a layout's first digest, since most layouts never need it."""
+        return {}
+
+    @cached_property
+    def records(self) -> dict:
+        """Per slots, the text of the trace record of the configuration they
+        hold around its digest, index and label, as a (head, tail) pair,
+        kept by `engine._record_line`, which fills it and clears it when
+        full.  Built on a layout's first record, since most layouts never
+        need it."""
         return {}
 
     @cached_property

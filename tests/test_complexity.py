@@ -20,9 +20,10 @@ from phasecoord import engine
 from phasecoord.bundled import get_bundled
 from phasecoord.dsl import parse_model
 from phasecoord.explorer import explore_space
-from phasecoord.model import Configuration, initial_configuration
+from phasecoord.model import Configuration, SlotLayout, initial_configuration
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
 
 SIZES = (6, 7, 8, 9)
@@ -169,3 +170,33 @@ def test_a_written_trace_decodes_each_distinct_part_once(count_calls, load_shop)
     assert set(decoded) <= parts and len(decoded) == len(set(decoded))
     assert not set(decoded) & set(lines) and marshalled == []
     assert len(parts) < len(lines)
+
+
+def test_a_state_record_is_joined_once_per_layout(monkeypatch, load_shop):
+    # a state's record text around its digest, index and label is kept in
+    # its layout's table: an export joins each (layout, slots) of the trace
+    # once, though the walk meets most of them again, and a report joins
+    # each state's once
+    joined = []
+    record_entries = SlotLayout.record_entries
+
+    def counted(layout, slots):
+        joined.append((id(layout), slots))
+        return record_entries(layout, slots)
+
+    monkeypatch.setattr(SlotLayout, "record_entries", counted)
+    model, config = load_shop()
+    taken = list(engine.drive(model, config, engine.RandomPolicy(3), 300))
+    trace = engine.run(model, config, engine.RandomPolicy(3), 300)
+    text = engine.export_trace_jsonl(model, trace)
+    assert text == (ROOT / "tests/golden/trace-shop-migration-loaded.jsonl").read_text("utf-8")
+    states = [(id(model.layout), config.slots_in(model.layout))]
+    states += [(id(m.layout), c.slots_in(m.layout)) for _, m, c in taken]
+    assert len(joined) == len(set(joined)) and set(joined) <= set(states)
+    assert len(set(states)) < len(states) == 301
+    model, config = load_shop()  # new model objects, whose tables are empty
+    space = explore_space(model, config)
+    del joined[:]
+    for state in range(space.state_count()):
+        space.trace_records(state)
+    assert len(joined) == len(set(joined)) == space.state_count()

@@ -5,8 +5,10 @@ oracle's interpreter."""
 import json
 import random
 import re
+import sys
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,9 @@ from tests.oracle import (
     naive_successors,
     walk_all_states,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import scaler  # noqa: E402  (perfbench/scaler.py: cs-nondet scaled to N workers)
 
 
 def assert_agreement_everywhere(model, config, limit=50_000):
@@ -1025,6 +1030,60 @@ class TestTraceRecords:
         config = Configuration.from_slots(layout, slots)
         assert naive_state_record(0, None, config)["rolePhases"] == {"A.b.c": "ph.2"}
         assert assert_records_agree(model, initial_configuration(model), range(5))[0] > 0
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_a_small_record_table_writes_the_same_lines(self, cap, bundles, load_shop,
+                                                         monkeypatch):
+        # a state's record text but its digest, index and label is kept in
+        # its layout's table, cut from `_RECORD`; under a cap of 1 or 2 the
+        # table is cleared whenever a walk meets a state it does not hold,
+        # never holds more than the cap, and each line still equals the line
+        # written under the full cap and the oracle's record
+        assert (engine._HEAD + "%s" + engine._INDEX + "%d" + engine._LABEL + "%s"
+                + engine._TAIL) == engine._RECORD
+        csn30 = scaler.scale_cs_nondet(bundles["cs-nondet"].model_text(), 30)
+        escapes = '"\\\x00\u2028\U0001F600'
+
+        def systems():
+            """Each system and its start, on new model objects."""
+            models = [b.model() for b in bundles.values()] + [
+                parse_model(csn30).model,
+                named_model({f"Caf\u00e9{escapes}": [f"p{escapes}"], 'Say "hi"': ["p", "q"]},
+                            escapes),
+                named_model({7: ["p"], 12: ["q"]}),  # names `json.dumps` writes
+            ]
+            randoms = [with_random_changesets(seed, random_model(seed)) if seed % 2
+                       else random_model(seed) for seed in range(50)]
+            return ([load_shop()] + [(m, initial_configuration(m)) for m in models]
+                    + [(m, random_initial(m)) for m in randoms])
+
+        full = []
+        for model, config in systems():
+            taken, trace = random_walk(model, config, 0, 200)
+            lines = []
+            write_trace_jsonl(model, config, trace, lines.append)
+            assert lines == state_record_lines(config, taken)
+            full.append(lines)
+        monkeypatch.setattr(engine, "RECORD_TABLE_CAP", cap)
+        cleared = []  # per line, whether a table dropped a state it held
+        for (model, config), want in zip(systems(), full):
+            taken, trace = random_walk(model, config, 0, 200)
+            layouts = {m.layout for m in [model] + [m for _, m, _ in taken]}
+            lines, held = [], [set()]
+
+            def write(line):
+                lines.append(line)
+                tables = {id(layout): vars(layout).get("records", {}) for layout in layouts}
+                assert all(len(table) <= cap for table in tables.values())
+                held.append({(i, slots) for i, table in tables.items() for slots in table})
+                cleared.append(bool(held[-2] - held[-1]))
+
+            write_trace_jsonl(model, config, trace, write)
+            assert lines == want
+        # a step that keeps its state (as many of the random models take)
+        # finds the one it left, so about 42 % of the lines clear at cap 1
+        # and 15 % at cap 2
+        assert sum(cleared) > 1000
 
     def test_key_backed_and_misfit_initial_configurations(self, bundles):
         model = bundles["cs-nondet"].model()
