@@ -14,17 +14,22 @@ successors out.  It works on a configuration's slots in its model's
 `repr(config.key())`, and keeps each digest in its layout's table
 (`SlotLayout.digests`, made on the layout's first digest, cleared when it
 holds `DIGEST_TABLE_CAP`), so `run`, export's digest check and `replay` hash
-each state once; a configuration backed by its pair key is hashed each time
-and never kept.  `_record_line` writes every trace record from its layout's
-JSON tables (`SlotLayout.record_entries`) and its label's JSON from a fixed
-template (`_label_json`), each name escaped by the C escape `json.dumps`
-uses: each line of an export (`write_trace_jsonl`), and a report's record
-of a state, once per explored space (`explorer.Space.trace_records`).  A
-state's record text around its digest, index and label is joined once per
-layout and kept in the layout's record table (`SlotLayout.records`, cut
-from `_RECORD` as a head and a tail, cleared when it holds
-`RECORD_TABLE_CAP` = 4096 states; an entry is about 0.6 KB on cs-nondet
-with 7 workers and 1.7 KB with 30), so a line is a lookup and a join.
+each state once; they read a digest from the table themselves and call
+`config_digest` only on a miss.  A configuration backed by its pair key is
+hashed each time and never kept.  `_record_line` writes every trace record
+from its layout's JSON tables (`SlotLayout.record_entries`) and its label's
+JSON from a fixed template (`_label_json`), each name escaped by the C
+escape `json.dumps` uses: each line of an export (`write_trace_jsonl`),
+and a report's record of a state, once per explored space
+(`explorer.Space.trace_records`).  A state's record text around its
+digest, index and label is joined once per layout and kept in the layout's
+record table (`SlotLayout.records`, cut from `_RECORD` as a head and a
+tail, cleared when it holds `RECORD_TABLE_CAP` = 4096 states; an entry is
+about 0.6 KB on cs-nondet with 7 workers and 1.7 KB with 30), so a line is
+a lookup and a join.
+`parse_trace` reads a line in that form at its fixed keys, and a label or
+state text whose names need no escape by a pattern cut from its template
+(`_plain_label`, `_plain_object`), with no decode.
 Per model object the engine compiles one `_StepCore`, kept through
 `model._per_object`: a table of free steps, which only gains entries, each
 a function of the model and its key, and one `_Guard` per rule.  The table leaves out a component whose every
@@ -54,13 +59,17 @@ source; `rule_blocker` and `fire_rule` decide one rule through
 with `_StepCore._after`.  Both test a rule with `_Guard.blocker` and apply
 its changeset with `_Guard.changed`.  Walks, replays, exports and the step
 queries read a state's steps from its core's step table
-(`_StepCore.steps`), filled by one `successors` call the first time any of
-them meets the state: `drive` chooses among them, `_take`
-(which serves `replay` and `write_trace_jsonl`) finds the recorded label
-among them by its key, and `enabled_detailed` and `enabled_rules` read
-their labels.  A label's key is the plain tuple of its fields (`_Label`),
-kept in the table beside the labels, so finding a label compares tuples
-and calls no label's `__eq__`.
+(`_StepCore.table`), filled by one `successors` call (`_StepCore.steps`)
+the first time any of them meets the state: `drive` chooses among them,
+`replay` and `write_trace_jsonl` find the recorded label among them by its
+key, and `enabled_detailed` and `enabled_rules` read their labels.
+`drive`, `replay` and `write_trace_jsonl` bind the model's step core and
+its table (the last two also its layout's digest table) once, and again
+only when a step moves to another model object (a changeset's), so a step
+is one table lookup, and in a replay or export one `index` call.  A
+label's key is the plain tuple of its fields (`_Label`), kept in the table
+beside the labels, so finding a label compares tuples and calls no label's
+`__eq__`.
 The table keeps, per step, the model after it only when that is another
 model object (a changeset's), so it never holds the model that holds it,
 and is cleared when it holds `STEP_TABLE_CAP` states.  The explorer calls
@@ -137,11 +146,12 @@ class _Label:
     is the plain tuple of its fields: (component, transition) for a
     `DetailedStep` and (rule, manager, manager_step, transfers, changed)
     for a `RuleStep`, so keys of the two classes never compare equal.
-    Labels compare and hash by their keys, and `_take` and `_record_line`
-    look a label up by its key, which compares tuples and calls no label's
-    `__eq__`.  `key` is a slot, not a record field: no constructor takes it
-    and `repr` does not show it, and pickling, copying and `replace`
-    rebuild it through the constructor."""
+    Labels compare and hash by their keys, and `replay`,
+    `write_trace_jsonl` and `_record_line` look a label up by its key,
+    which compares tuples and calls no label's `__eq__`.  `key` is a
+    slot, not a record field: no constructor takes it and `repr` does not
+    show it, and pickling, copying and `replace` rebuild it through the
+    constructor."""
 
     __slots__ = ("key",)
 
@@ -365,8 +375,9 @@ class _StepCore:
     and `guards_at` the same rules keyed by manager slot and then source
     state index, sorted by rule name.  `table` holds, per slots, the entry
     `steps` gives: the state's enabled steps, computed once per state while
-    the entry is kept, and never the core's own model; `drive`, `_take`,
-    `enabled_detailed` and `enabled_rules` read a state's steps there."""
+    the entry is kept, and never the core's own model; `drive`, `replay`,
+    `write_trace_jsonl`, `enabled_detailed` and `enabled_rules` read a
+    state's steps there, and call `steps` only on a miss."""
 
     def __init__(self, model: StdModel):
         layout = self.layout = model.layout
@@ -434,7 +445,8 @@ class _StepCore:
         the same order, and per label the (model after the step, None when
         it keeps `model`; configuration after it).  The first call at a
         state fills its entry in `table` with one `successors` call; a full
-        table is cleared first."""
+        table is cleared first.  A walk, replay or export reads `table`
+        itself and calls this only on a miss."""
         entry = self.table.get(slots)
         if entry is None:
             succ = successors(model, Configuration.from_slots(self.layout, slots))
@@ -582,24 +594,6 @@ def successors(
     return out
 
 
-def _take(
-    model: StdModel, config: Configuration, label: StepLabel
-) -> Optional[tuple[StdModel, Configuration]]:
-    """The (model, configuration) after the recorded step, or None when no
-    enabled step carries this label: the label is found among the state's
-    steps (`_StepCore.steps`) by its key, with one `index` call that
-    compares plain tuples and calls no label's `__eq__`."""
-    core = _core(model)
-    layout = core.layout
-    slots = config._slots if config._layout is layout else _slots(layout, config)
-    _, keys, afters = core.steps(model, slots)
-    try:
-        after_model, after = afters[keys.index(label.key)]
-    except ValueError:
-        return None
-    return model if after_model is None else after_model, after
-
-
 class Trace(Record):
     """One executed trajectory: initial configuration, the labels taken with
     the digest of each resulting configuration, final model version."""
@@ -643,46 +637,77 @@ def drive(
     """The steps a policy takes, one at a time as it takes them, for at most
     `max_steps` steps: (label, model, configuration) after each.  The policy
     chooses among the labels of the state's steps in `successors` order,
-    read from the model's step table (`_StepCore.steps`), so a state met
-    again is not expanded again."""
+    read from the model's step table, so a state met again is not expanded
+    again: a step is one table lookup, and `_StepCore.steps` runs only on a
+    miss.  The model's step core and table are bound again only when a
+    step moves to another model object, a changeset's."""
+    bound = None
     for _ in range(max_steps):
-        core = _core(model)
-        layout = core.layout
-        slots = config._slots if config._layout is layout else _slots(layout, config)
-        labels, _, afters = core.steps(model, slots)
+        if model is not bound:  # the first step, or one after a changeset
+            bound, core = model, _core(model)
+            layout, table = core.layout, core.table
+            slots = config._slots if config._layout is layout else _slots(layout, config)
+        entry = table.get(slots) or core.steps(model, slots)
+        labels = entry[0]
         if not labels:
             return
         choice = policy.choose(labels)
         if choice is None:
             return
-        after_model, config = afters[choice]
-        if after_model is not None:
+        after_model, config = entry[2][choice]
+        if after_model is None:
+            slots = config._slots
+        else:
             model = after_model
         yield labels[choice], model, config
 
 
 def run(model: StdModel, config: Configuration, policy, max_steps: int) -> Trace:
-    """Drive the system under a policy for at most `max_steps` steps."""
+    """Drive the system under a policy for at most `max_steps` steps.  Each
+    step's digest is read from its layout's table (`SlotLayout.digests`);
+    `config_digest` runs only on a miss."""
     final = config
     steps: list[tuple[StepLabel, int]] = []
+    append = steps.append
+    layout = digests = None
     for label, _, final in drive(model, config, policy, max_steps):
-        steps.append((label, config_digest(final)))
+        if final._layout is not layout:  # the first step, or a changeset's
+            layout = final._layout
+            digests = layout.digests
+        digest = digests.get(final._slots)
+        append((label, config_digest(final) if digest is None else digest))
     return Trace(initial=config, steps=tuple(steps), final_model_version=final.model_version)
 
 
 def replay(model: StdModel, config: Configuration, labels: Sequence[StepLabel]) -> Trace:
     """Deterministically re-execute a label sequence from a configuration;
     raises ReplayDivergence at the first label that is not enabled.  Each
-    label is found by its key among the state's steps in the step table
-    (`_take`), so a replay of a walk `run` took fires no step again."""
+    label is found by its key among the state's steps in the step table,
+    with one `index` call that compares plain tuples and calls no label's
+    `__eq__`, so a replay of a walk `run` took fires no step again.  The
+    tables are bound as `drive` binds them, and each digest is read from
+    its layout's table as `run` reads it."""
     initial = config
     steps: list[tuple[StepLabel, int]] = []
+    append = steps.append
+    bound = None
     for index, label in enumerate(labels):
-        after = _take(model, config, label)
-        if after is None:
-            raise ReplayDivergence(index, label)
-        model, config = after
-        steps.append((label, config_digest(config)))
+        if model is not bound:  # the first step, or one after a changeset
+            bound, core = model, _core(model)
+            layout, table, digests = core.layout, core.table, core.layout.digests
+            slots = config._slots if config._layout is layout else _slots(layout, config)
+        _, keys, afters = table.get(slots) or core.steps(model, slots)
+        try:
+            after_model, config = afters[keys.index(label.key)]
+        except ValueError:
+            raise ReplayDivergence(index, label) from None
+        if after_model is None:
+            slots = config._slots
+            digest = digests.get(slots)
+        else:  # a changeset's model, bound at the next step
+            model = after_model
+            digest = config._layout.digests.get(config._slots)
+        append((label, config_digest(config) if digest is None else digest))
     return Trace(initial=initial, steps=tuple(steps), final_model_version=config.model_version)
 
 
@@ -833,25 +858,43 @@ def write_trace_jsonl(
     write: Callable[[str], object],
 ) -> tuple[int, int]:
     """Pass each line of the exported JSON-lines form of the (label, digest)
-    steps from `config` to `write` as soon as its step is taken (`_take`)
-    and its digest checked, so nothing accumulates; steps that `drive` or
-    a replay took are found in their step tables, not fired again.
-    Returns the number of steps and the final model version.  Line 0 is the
-    initial configuration, each further line one step (see `_record_line`);
-    a configuration that does not fit its layout raises UnknownElement
-    before its line is written.  Raises ModelRejected, before the first
-    line, when `validate_model` rejects the model, and ReplayDivergence when
-    a label is not enabled or a step reaches a configuration whose digest
-    differs from the recorded one."""
-    _core(model)
+    steps from `config` to `write` as soon as its step is taken and its
+    digest checked, so nothing accumulates.  A step is taken as `replay`
+    takes it, from the step table, and its digest read as `run` reads it;
+    steps that `drive` or a replay took are found in their step tables, not
+    fired again.  Returns the number of steps and the final model version.
+    Line 0 is the initial configuration, each further line one step (see
+    `_record_line`); a configuration that does not fit its layout raises
+    UnknownElement before its line is written.  Raises ModelRejected,
+    before the first line, when `validate_model` rejects the model, and
+    ReplayDivergence when a label is not enabled or a step reaches a
+    configuration whose digest differs from the recorded one."""
+    core = _core(model)
+    layout, table, digests = core.layout, core.table, core.layout.digests
+    slots = config._slots if config._layout is layout else _slots(layout, config)
     labels: dict = {}
-    write(_record_line(labels, 0, None, model, config, config_digest(config)))
-    index = 0
+    digest = digests.get(slots)
+    write(_record_line(labels, 0, None, model, config,
+                       config_digest(config) if digest is None else digest))
+    bound, index = model, 0
     for index, (label, digest) in enumerate(steps, start=1):
-        after = _take(model, config, label)
-        if after is None or config_digest(after[1]) != digest:
+        if model is not bound:  # after a changeset
+            bound, core = model, _core(model)
+            layout, table, digests = core.layout, core.table, core.layout.digests
+            slots = config._slots if config._layout is layout else _slots(layout, config)
+        _, keys, afters = table.get(slots) or core.steps(model, slots)
+        try:
+            after_model, config = afters[keys.index(label.key)]
+        except ValueError:
+            raise ReplayDivergence(index - 1, label) from None
+        if after_model is None:
+            slots = config._slots
+            found = digests.get(slots)
+        else:  # a changeset's model, bound at the next step
+            model = after_model
+            found = config._layout.digests.get(config._slots)
+        if (config_digest(config) if found is None else found) != digest:
             raise ReplayDivergence(index - 1, label)
-        model, config = after
         write(_record_line(labels, index, label, model, config, digest))
     return index, config.model_version
 
@@ -880,11 +923,12 @@ def parse_trace(text: str) -> tuple[Optional[int], list[tuple[StepLabel, int]]]:
     first may hold null (the initial record).
 
     A line in the form `_record_line` writes is read at its fixed keys
-    (`_read_written`): each distinct object and label text is decoded once
-    per call, and the line itself is never decoded whole.  Any other line,
-    or one of that form with a part that does not read back as the writer
-    wrote it, is decoded whole as one JSON value (`_read_decoded`), with the
-    same results and errors."""
+    (`_read_written`), and the line itself is never decoded whole.  Each
+    distinct object and label text is read once per call: one made of plain
+    names (`_PLAIN_NAME`) by its template's pattern, without a decode, and
+    any other one by a decode.  Any other line, or one of that form with a
+    part that does not read back as the writer wrote it, is decoded whole
+    as one JSON value (`_read_decoded`), with the same results and errors."""
     start, steps = None, []
     labels: dict = {}  # label text (str) or `marshal` bytes of its value -> its label
     objects = _WrittenObjects()
@@ -906,14 +950,64 @@ def parse_trace(text: str) -> tuple[Optional[int], list[tuple[StepLabel, int]]]:
     return start, steps
 
 
+# A plain name: a run of the characters `model._json_string` writes as
+# themselves, printable ASCII but `"` and `\`.  Its JSON string is the name
+# in quotes, so a text whose names are all plain decodes to the names it
+# shows, and `_label_json` writes a label of plain names as that text.
+_PLAIN_NAME = r'[ !#-\[\]-~]*'
+_QUOTED, _NAMED = f'"{_PLAIN_NAME}"', f'"({_PLAIN_NAME})"'
+
+
+def _plain(template: str, *fields: str) -> str:
+    """The pattern of a text `template` fills: its literal text escaped,
+    and its `%s` fields taken by `fields`, in order."""
+    return "".join(re.escape(piece) + field
+                   for piece, field in zip(template.split("%s"), (*fields, "")))
+
+
+# a label text of plain names, as `_label_json` writes it: the names of a
+# detailed step, and a rule firing's `changeSet`, names and transfers, each
+# transfer's names read again by `_plain_transfers`
+_plain_detailed = re.compile(_plain(_DETAILED, *[_NAMED] * 4)).fullmatch
+_transfer = _plain(_TRANSFER, *[_QUOTED] * 5)
+_plain_rule = re.compile(_plain(_RULE, "(true|false)", *[_NAMED] * 5,
+                                f"((?:{_transfer}(?:, {_transfer})*)?)")).fullmatch
+_plain_transfers = re.compile(_plain(_TRANSFER, *[_NAMED] * 5)).findall
+# a state object of plain `"name": "name"` entries, as
+# `SlotLayout.record_entries` writes "componentStates" and "rolePhases"
+_entry = f"{_QUOTED}: {_QUOTED}"
+_plain_object = re.compile(f"\\{{(?:{_entry}(?:, {_entry})*)?\\}}").fullmatch
+
+
+def _plain_label(text: str) -> Optional[StepLabel]:
+    """The label of a label `text` of plain names in the form `_label_json`
+    writes, built from the names its template's pattern captures; None for
+    any other text."""
+    detailed = _plain_detailed(text)
+    if detailed is not None:
+        component, *transition = detailed.groups()
+        return DetailedStep(component, Transition(*transition))
+    rule = _plain_rule(text)
+    if rule is None:
+        return None
+    changed, manager, source, action, target, name, transfers = rule.groups()
+    return RuleStep(name, manager, Transition(source, action, target),
+                    tuple([RoleTransfer(*names) for names in _plain_transfers(transfers)]),
+                    changed == "true")
+
+
 class _WrittenObjects(dict):
-    """Per object text, whether `_decode` takes it whole."""
+    """Per object text, whether `_decode` takes it whole: a text of plain
+    entries (`_plain_object`) is taken without a decode."""
 
     def __missing__(self, text: str) -> bool:
-        try:
-            whole = _decode(text)[1] == len(text)
-        except (ValueError, RecursionError):
-            whole = False
+        if "\\" not in text and _plain_object(text) is not None:
+            whole = True
+        else:
+            try:
+                whole = _decode(text)[1] == len(text)
+            except (ValueError, RecursionError):
+                whole = False
         self[text] = whole
         return whole
 
@@ -928,7 +1022,9 @@ def _read_written(
     not the one `_label_json` writes for the label it reads as.  So a line
     read here is one JSON object whose decode holds these parts.  Each
     distinct label text is read once and kept in `labels`, keyed by the
-    text."""
+    text: a text without a backslash by `_plain_label`, which reads only
+    texts that `_label_json` writes, and a text it does not take by a
+    decode, `label_from_json` and a `_label_json` round trip."""
     written = _split_record(line)
     if written is None:
         return None
@@ -939,12 +1035,14 @@ def _read_written(
         return (None, int(digest, 16)) if initial else None
     label = labels.get(text)
     if label is None:
-        try:
-            label = label_from_json(_decode(text)[0])
-        except _NOT_A_RECORD:
-            return None
-        if _label_json(label) != text:
-            return None
+        label = None if "\\" in text else _plain_label(text)
+        if label is None:
+            try:
+                label = label_from_json(_decode(text)[0])
+            except _NOT_A_RECORD:
+                return None
+            if _label_json(label) != text:
+                return None
         labels[text] = label
     return label, int(digest, 16)
 

@@ -86,6 +86,20 @@ def explore_space_calls(count_calls):
     return count_calls(explorer, "explore_space")
 
 
+def _count_step_reads(monkeypatch) -> list:
+    """The list that collects, per `engine._StepCore.steps` call, the core
+    and the slots it is asked for."""
+    reads = []
+    steps = engine._StepCore.steps
+
+    def counted(core, model, slots):
+        reads.append((id(core), slots))
+        return steps(core, model, slots)
+
+    monkeypatch.setattr(engine._StepCore, "steps", counted)
+    return reads
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "prodcons", "--steps", "x"),
     ("bogus", "prodcons"),
@@ -446,6 +460,18 @@ class TestSimulate:
         original = [json.loads(l)["digest"] for l in trace.read_text().splitlines()]
         replayed = [json.loads(l)["digest"] for l in out.strip().splitlines()]
         assert replayed == original
+
+    def test_a_script_with_names_outside_ascii_replays_to_its_trace(self, tmp_path, capsys):
+        # its labels with an escaped name are read by a decode, the others
+        # by their templates' patterns
+        trace, model = tmp_path / "t.jsonl", str(GOLDEN_DIR / "cafe.pdm")
+        assert run_cli(capsys, "simulate", model, "--seed", "3", "--steps", "300",
+                       "--trace-out", str(trace))[0] == 0
+        code, out, err = run_cli(capsys, "simulate", model, "--script", str(trace))
+        assert (code, err) == (0, "")
+        assert out == trace.read_text("utf-8")
+        labels = {json.dumps(json.loads(line)["label"]) for line in out.splitlines()}
+        assert {"\\" in label for label in labels} == {False, True}
 
     def test_a_script_with_crlf_line_ends_replays(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -991,12 +1017,17 @@ class TestDemo:
         assert run_cli(capsys, "demo", "shop-migration")[0] == 0
         assert len(explore_space_calls) == 1
 
-    def test_shop_demo_parses_once_and_fires_no_step_again(self, count_calls, capsys):
+    def test_shop_demo_parses_once_and_fires_no_step_again(self, count_calls, monkeypatch,
+                                                           capsys):
         parses = count_calls(dsl, "parse_model")
-        takes = count_calls(engine, "_take")
+        expanded = count_calls(engine, "successors")
+        read = _count_step_reads(monkeypatch)
         assert run_cli(capsys, "demo", "shop-migration")[0] == 0
         assert len(parses) == 1
-        assert takes == []  # it narrates the steps of the explored path
+        # it narrates the steps of the explored path, which expands each
+        # state once, and reads no step table
+        assert len(expanded) == len({(id(m), c.key()) for m, c in expanded}) > 0
+        assert read == []
 
     @pytest.mark.parametrize("name", ["cs-nondet", "cs-roundrobin", "prodcons"])
     def test_random_demo_matches_golden_bytes(self, capsys, name):
@@ -1004,10 +1035,13 @@ class TestDemo:
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (GOLDEN_DIR / f"demo-{name}.txt").read_bytes()
 
-    def test_random_demo_fires_no_step_again(self, count_calls, capsys):
-        takes = count_calls(engine, "_take")
+    def test_random_demo_fires_no_step_again(self, count_calls, monkeypatch, capsys):
+        expanded = count_calls(engine, "successors")
+        read = _count_step_reads(monkeypatch)
         assert run_cli(capsys, "demo", "prodcons")[0] == 0
-        assert takes == []  # it narrates the steps it drove
+        # it narrates the steps it drove, reading each state's steps from
+        # its step table once, and fires none again
+        assert len(read) == len(set(read)) == len(expanded) > 0
 
     def test_prodcons_demo(self, capsys):
         code, out, err = run_cli(capsys, "demo", "prodcons")

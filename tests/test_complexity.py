@@ -200,3 +200,31 @@ def test_a_state_record_is_joined_once_per_layout(monkeypatch, load_shop):
     for state in range(space.state_count()):
         space.trace_records(state)
     assert len(joined) == len(set(joined)) == space.state_count()
+
+
+def test_a_trace_round_trip_reads_each_step_and_digest_from_its_table(
+        monkeypatch, count_calls, load_shop):
+    # the 300-step walk of the loaded shop on new model objects, its export,
+    # parse and replay: a state's steps are computed once per step core and
+    # its digest once per layout, and every other step and digest is one
+    # table lookup; the writer's labels and states are read by their
+    # templates' patterns, with no decode
+    expanded = []
+    steps = engine._StepCore.steps
+
+    def counted(core, model, slots):
+        expanded.append((id(core), slots))
+        return steps(core, model, slots)
+
+    monkeypatch.setattr(engine._StepCore, "steps", counted)
+    digested = count_calls(engine, "config_digest")
+    decoded, read = count_calls(engine, "_decode"), count_calls(engine, "label_from_json")
+    model, config = load_shop()
+    trace = engine.run(model, config, engine.RandomPolicy(3), 300)
+    text = engine.export_trace_jsonl(model, trace)
+    assert text == (ROOT / "tests/golden/trace-shop-migration-loaded.jsonl").read_text("utf-8")
+    assert engine.replay(model, config, engine.parse_trace_labels(text)) == trace
+    assert len(expanded) == len(set(expanded)) < 300
+    states = [(id(config._layout), config._slots) for (config,) in digested]
+    assert len(states) == len(set(states)) < 300
+    assert decoded == read == []

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -727,6 +728,35 @@ def _broken_roles(line: str) -> str:
     return line[:-2] + ", }}"
 
 
+# JSON spellings of a name at the edge of the plain names the reader's
+# patterns take (`engine._PLAIN_NAME`): plain names, characters the writer
+# escapes written raw, and escapes, some of them the writer's own
+_SPELLINGS = {
+    "space": "Client 1", "tilde": "~", "empty": "", "raw-del": "\x7f", "raw-e-acute": "\u00e9",
+    "escaped-e-acute": "\\u00e9", "escaped-e-acute-uppercase": "\\u00E9",
+    "escaped-slash": "\\/", "escaped-quote": '\\"', "escaped-backslash": "\\\\",
+}
+
+
+def _rule_label(changed: str = "false", transfers: int = 1, name: str = "M") -> str:
+    """A rule label's text in the form the writer writes, but its
+    `changeSet` and its manager's name as spelled here."""
+    listed = ", ".join(f'["C{i}", "P", "A", "t", "B"]' for i in range(transfers))
+    return ('{"changeSet": %s, "manager": "%s", "managerStep": ["A", "go", "B"], "rule": "r", '
+            '"transfers": [%s], "type": "rule"}' % (changed, name, listed))
+
+
+def _detailed_label(name: str) -> str:
+    """A detailed step's text in the form the writer writes, but its
+    component's name as spelled here."""
+    return ('{"component": "%s", "transition": ["Out", "enter", "Waiting"], "type": "detailed"}'
+            % name)
+
+
+def _with_objects(line: str, text: str) -> str:
+    return re.sub(r'("(?:componentStates|rolePhases)": )\{[^}]*\}', lambda m: m[1] + text, line)
+
+
 # one-line variants of a written step record (a detailed step at index 1)
 _VARIANTS = {
     "broken-components": _broken_components,
@@ -765,6 +795,17 @@ _VARIANTS = {
     "trailing-data": lambda line: line + " x",
     "utf8-bom": lambda line: "\ufeff" + line,
     "compact-separators": lambda line: json.dumps(json.loads(line), separators=(",", ":")),
+    **{f"label-name-{key}": partial(
+        lambda name, line: _with_label(line, _detailed_label(name)), name)
+       for key, name in _SPELLINGS.items()},
+    **{f"state-name-{key}": partial(
+        lambda name, line: line.replace('"Client1": "Waiting"', f'"Client1": "{name}"', 1), name)
+       for key, name in _SPELLINGS.items()},
+    "rule-label-changeset-1": lambda line: _with_label(line, _rule_label("1")),
+    **{f"rule-label-{n}-transfers": partial(
+        lambda n, line: _with_label(line, _rule_label(transfers=n)), n)
+       for n in (0, 1, 3)},
+    "empty-objects": lambda line: _with_objects(line, "{}"),
 }
 
 
@@ -841,6 +882,19 @@ class TestParseTrace:
         text = "\n".join([_WRITTEN[0], line, _WRITTEN[2]])
         built, decoded = _readings(monkeypatch, text)
         assert built == decoded
+
+    @pytest.mark.parametrize("name", list(_SPELLINGS.values()), ids=list(_SPELLINGS))
+    def test_a_plain_pattern_reads_only_the_writers_texts_without_a_backslash(self, name):
+        # a label or state text is read by its template's pattern only when
+        # it is what the writer writes and holds no backslash, and then as
+        # its decode; any other text is left to the decoder
+        for text in (_detailed_label(name), _rule_label(name=name), _rule_label("true", 3, name)):
+            label = label_from_json(json.loads(text))
+            plain = json.dumps(json.loads(text), sort_keys=True) == text and "\\" not in text
+            assert engine._plain_label(text) == (label if plain else None)
+        for text in ('{"%s": "%s"}' % (name, name), '{"A": "B", "%s": "C"}' % name):
+            plain = json.dumps(json.loads(text)) == text and "\\" not in text
+            assert (engine._plain_object(text) is not None) == plain
 
     def test_a_state_nested_to_the_decoders_depth_limit_reads_as_its_whole_decode(
             self, monkeypatch):

@@ -1218,8 +1218,7 @@ class TestVersionsAreInts:
     interns, and every configuration that `drive`, `replay` and
     `write_trace_jsonl` reach, has an int version."""
 
-    def test_every_version_met_is_an_int(self, bundles, load_shop, count_calls):
-        digested = count_calls(engine, "config_digest")
+    def test_every_version_met_is_an_int(self, bundles, load_shop):
         systems = [(m, initial_configuration(m)) for m in (b.model() for b in bundles.values())]
         systems.append(load_shop())
         for seed in range(100):
@@ -1227,17 +1226,35 @@ class TestVersionsAreInts:
             if seed % 2:
                 model = with_random_changesets(seed, model)
             systems.append((model, random_initial(model)))
-        changed = 0
+        changed, met = 0, []  # met: the slots of each configuration met
         for model, config in systems:
             space = explore_space(model, config, Bounds(max_states=500))
             assert all(type(slots[0]) is int for _, slots in space.states)
             walked = list(drive(model, config, RandomPolicy(0), 100))
-            assert all(type(after.model_version) is int for _, _, after in walked)
+            met += [after._slots for _, _, after in walked]
             # on a new model object, whose step table `drive` did not fill
-            trace = replay(replace(model), config, [label for label, _, _ in walked])
+            fresh = replace(model)
+            trace = replay(fresh, config, [label for label, _, _ in walked])
             assert type(trace.final_model_version) is int
-            write_trace_jsonl(model, config, trace.steps, lambda line: None)
+            assert type(write_trace_jsonl(model, config, trace.steps, lambda line: None)[1]) is int
             changed += trace.final_model_version != config.model_version
+            # every configuration the walk, the replay and the export
+            # digested, kept in the digest tables of the model objects
+            # their step tables reach
+            for reached in (*_models_reached(model), *_models_reached(fresh)):
+                met += reached.layout.digests
         assert changed >= 5
-        assert len(digested) > 5000
-        assert all(type(config.model_version) is int for (config,) in digested)
+        assert len(met) > 5000
+        assert all(type(slots[0]) is int for slots in met)
+
+
+def _models_reached(model) -> list:
+    """`model` and every model object its step table reaches, and theirs."""
+    reached, todo = {}, [model]
+    while todo:
+        model = todo.pop()
+        if id(model) not in reached:
+            reached[id(model)] = model
+            todo += [after for _, _, afters in engine._core(model).table.values()
+                     for after, _ in afters if after is not None]
+    return list(reached.values())
